@@ -114,7 +114,7 @@ def test_sweep_parallel_cached_beats_cold_serial(table_printer):
 def test_sweep_cache_collapses_repeat_solves(table_printer):
     """A persistent cache serves a repeated grid entirely from memory —
     the reuse a design-iteration loop (tweak, re-sweep) sees."""
-    from avipack.sweep import SolverCache, evaluate_candidate
+    from avipack.sweep import SolverCache, SweepTask, evaluate_candidate
 
     space = DesignSpace({
         "power_per_module": (10.0, 20.0),
@@ -127,7 +127,7 @@ def test_sweep_cache_collapses_repeat_solves(table_printer):
     def sweep_once():
         before = cache.stats()
         for index, candidate in enumerate(candidates):
-            evaluate_candidate((index, candidate, True), cache)
+            evaluate_candidate(SweepTask(index, candidate), cache)
         after = cache.stats()
         return (after.hits - before.hits, after.misses - before.misses)
 
@@ -161,7 +161,8 @@ def test_perf_sweep_serial_cached(benchmark):
 def test_perf_candidate_evaluation(benchmark):
     """Timed kernel: one full Fig. 1 evaluation of a single candidate
     (build + pyramid + mechanical branch), uncached."""
-    from avipack.sweep import Candidate, evaluate_candidate
+    from avipack.sweep import Candidate, SweepTask, evaluate_candidate
 
-    result = benchmark(evaluate_candidate, (0, Candidate(), False))
+    result = benchmark(evaluate_candidate,
+                       SweepTask(0, Candidate(), use_cache=False))
     assert result.compliant

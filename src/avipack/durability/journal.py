@@ -21,7 +21,9 @@ the campaign the in-flight candidates, not the finished ones.
 
 Record kinds: ``plan`` (the pickled candidate list and its space
 fingerprint — what makes ``resume(journal_path)`` self-contained),
-``dispatched`` (a candidate handed to a worker), the outcome kinds
+``dispatched`` (a candidate handed to a worker; the sweep runner no
+longer writes it, since the plan lists every candidate, but replay
+still accepts it), the outcome kinds
 ``completed`` / ``failed`` / ``timeout``, and ``checkpoint`` — one
 record folding an entire verified journal prefix (plan, latest outcome
 per fingerprint, in-flight markers and the sequence cursor) written by

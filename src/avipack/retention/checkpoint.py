@@ -1,7 +1,7 @@
 """Journal compaction: fold a verified prefix into one checkpoint.
 
-A campaign journal grows by one fsync'd line per dispatched candidate
-and per outcome, forever.  Compaction rewrites the file as a single
+A campaign journal grows by one fsync'd line per outcome (and, in
+older journals, per dispatched candidate), forever.  Compaction rewrites the file as a single
 ``checkpoint`` record — the plan, the latest outcome per fingerprint,
 the in-flight markers and the sequence cursor, checksummed under the
 exact same CRC-32 + SHA-256 line discipline as every live append

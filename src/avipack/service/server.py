@@ -66,7 +66,7 @@ from ..retention import (
     compact_store,
     directory_bytes,
 )
-from ..sweep.runner import SweepRunner, evaluate_candidate
+from ..sweep.runner import SweepRunner, SweepTask, evaluate_candidate
 from .admission import AdmissionPolicy, JobQueue, admit
 from .jobs import Job, JobStore
 from .protocol import (
@@ -153,7 +153,7 @@ class _ThrottledEvaluator:
     def __init__(self, delay_s: float) -> None:
         self.delay_s = delay_s
 
-    def __call__(self, task):
+    def __call__(self, task: SweepTask):
         time.sleep(self.delay_s)
         return evaluate_candidate(task)
 

@@ -9,7 +9,8 @@ identical solver sub-problems.
 * :mod:`~avipack.sweep.space` — :class:`DesignSpace` / :class:`Candidate`
   grid-and-sampler API;
 * :mod:`~avipack.sweep.runner` — :class:`SweepRunner` process-pool
-  fan-out with serial fallback, per-candidate failure isolation,
+  fan-out of :class:`SweepTask` records with serial fallback,
+  per-candidate failure isolation,
   watchdog timeouts and supervised recovery
   (see :mod:`avipack.resilience`);
 * :mod:`~avipack.sweep.cache` — :class:`SolverCache` keyed memoisation
@@ -33,6 +34,7 @@ from .runner import (
     CandidateFailure,
     CandidateResult,
     SweepRunner,
+    SweepTask,
     evaluate_candidate,
 )
 from .space import Candidate, DesignSpace
@@ -49,6 +51,7 @@ __all__ = [
     "SolverCache",
     "SweepReport",
     "SweepRunner",
+    "SweepTask",
     "evaluate_candidate",
     "render_sweep_document",
     "worker_cache",

@@ -38,13 +38,14 @@ from ..fingerprint import stable_fingerprint
 from ..resilience import faults as _faults
 from ..thermal.batch import DEFAULT_MIN_BATCH, BatchOutcome, solve_batched
 from ..thermal.network import NetworkSolution, ThermalNetwork
+from .cache import resolve_cache
 from .runner import (
     CandidateFailure,
     CandidateOutcome,
     CandidateResult,
+    SweepTask,
     _cost_rank,
     _exception_details,
-    _unpack_task,
 )
 
 __all__ = ["NetworkSweepEvaluator"]
@@ -113,18 +114,6 @@ class NetworkSweepEvaluator:
             "network_solve", network.fingerprint(), self.initial_guess,
             self.max_iterations, self.tolerance, self.relaxation, None)
 
-    def _resolve_cache(self, use_cache: bool, cache_dir: Optional[str],
-                       cache):
-        if not use_cache:
-            return None
-        if cache is not None:
-            return cache
-        if cache_dir is not None:
-            from ..durability.diskcache import worker_disk_cache
-            return worker_disk_cache(cache_dir)
-        from .cache import worker_cache
-        return worker_cache()
-
     # -- outcome builders ----------------------------------------------------
 
     def _result(self, index: int, candidate, solution: NetworkSolution,
@@ -181,12 +170,11 @@ class NetworkSweepEvaluator:
 
     # -- scalar protocol (process-pool workers, forced-scalar runs) ---------
 
-    def __call__(self, task, cache=None) -> CandidateOutcome:
-        """Evaluate one task tuple, scalar — the classic protocol."""
-        index, candidate, use_cache, _policy, plan, cache_dir = \
-            _unpack_task(task)
-        injector = _faults.configure(plan)
-        cache = self._resolve_cache(use_cache, cache_dir, cache)
+    def __call__(self, task: SweepTask, cache=None) -> CandidateOutcome:
+        """Evaluate one task, scalar — the classic protocol."""
+        index, candidate = task.index, task.candidate
+        injector = _faults.configure(task.faults)
+        cache = resolve_cache(task.use_cache, task.cache_dir, cache)
         hits0 = cache.hits if cache else 0
         misses0 = cache.misses if cache else 0
         perf_before = _perf.snapshot()
@@ -217,7 +205,7 @@ class NetworkSweepEvaluator:
 
     # -- batched protocol ----------------------------------------------------
 
-    def evaluate_batch(self, tasks: List[tuple],
+    def evaluate_batch(self, tasks: List[SweepTask],
                        cache=None) -> List[CandidateOutcome]:
         """Evaluate a whole task list through the batched solver core.
 
@@ -238,18 +226,17 @@ class NetworkSweepEvaluator:
         """
         if not tasks:
             return []
-        _faults.configure(_unpack_task(tasks[0])[4])
+        _faults.configure(tasks[0].faults)
         start = time.perf_counter()
         perf_before = _perf.snapshot()
-        unpacked = [_unpack_task(task) for task in tasks]
-        _, _, use_cache, _, _, cache_dir = unpacked[0]
-        cache = self._resolve_cache(use_cache, cache_dir, cache)
+        cache = resolve_cache(tasks[0].use_cache, tasks[0].cache_dir, cache)
 
         outcomes: List[Optional[CandidateOutcome]] = [None] * len(tasks)
         pending: List[int] = []          # positions awaiting a solve
         networks: List[ThermalNetwork] = []
         hit_count = 0
-        for position, (index, candidate, _, _, _, _) in enumerate(unpacked):
+        for position, task in enumerate(tasks):
+            index, candidate = task.index, task.candidate
             t0 = time.perf_counter()
             try:
                 network = self.build_network(candidate)
@@ -281,9 +268,10 @@ class NetworkSweepEvaluator:
             share = ((time.perf_counter() - start) / len(networks))
             for position, network, outcome in zip(pending, networks,
                                                   solved, strict=True):
-                index, candidate = unpacked[position][:2]
+                task = tasks[position]
                 outcomes[position] = self._batch_outcome(
-                    index, candidate, network, outcome, cache, share)
+                    task.index, task.candidate, network, outcome, cache,
+                    share)
 
         perf_delta = _perf.delta_since(perf_before)
         if perf_delta:

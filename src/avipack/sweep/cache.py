@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, Optional
 from ..resilience.faults import fire as _fire_fault
 
 __all__ = ["DEFAULT_WORKER_CACHE_MAX_ENTRIES", "CacheStats", "SolverCache",
-           "worker_cache"]
+           "resolve_cache", "worker_cache"]
 
 #: Default bound on the per-process :func:`worker_cache` singleton.  A
 #: resumed long-running campaign funnels every candidate through the
@@ -216,3 +216,27 @@ def worker_cache() -> SolverCache:
         _WORKER_CACHE = SolverCache(
             max_entries=DEFAULT_WORKER_CACHE_MAX_ENTRIES)
     return _WORKER_CACHE
+
+
+def resolve_cache(use_cache: bool, cache_dir: Optional[str] = None,
+                  cache: Optional[SolverCache] = None, *,
+                  fresh: bool = False) -> Optional[SolverCache]:
+    """The cache one evaluation (or one in-process run) should use.
+
+    ``None`` when caching is off; else an explicitly passed ``cache``;
+    else the process's persistent
+    :class:`~avipack.durability.DiskSolverCache` for ``cache_dir``; else
+    the :func:`worker_cache` singleton — or, with ``fresh``, a new
+    bounded :class:`SolverCache`, so an in-process run's reuse stays
+    within that run.
+    """
+    if not use_cache:
+        return None
+    if cache is not None:
+        return cache
+    if cache_dir is not None:
+        from ..durability.diskcache import worker_disk_cache
+        return worker_disk_cache(cache_dir)
+    if fresh:
+        return SolverCache(max_entries=DEFAULT_WORKER_CACHE_MAX_ENTRIES)
+    return worker_cache()

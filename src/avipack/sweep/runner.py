@@ -1,9 +1,11 @@
 """Batch evaluation of design-space candidates, serial or process-parallel.
 
-:class:`SweepRunner` fans candidates out over a
-:class:`concurrent.futures.ProcessPoolExecutor` (with a serial fallback
-that produces bit-identical results) and is robust to individual
-candidate failures: a raised :class:`~avipack.errors.InputError`,
+:class:`SweepRunner` turns each candidate into a :class:`SweepTask`
+and evaluates it serially, through an evaluator's batch scheduler, or
+over a :class:`concurrent.futures.ProcessPoolExecutor` (with a serial
+fallback that produces bit-identical results).  It is robust to
+individual candidate failures: a raised
+:class:`~avipack.errors.InputError`,
 :class:`~avipack.errors.SpecificationError` or solver non-convergence
 becomes a structured :class:`CandidateFailure` record — never an aborted
 sweep.
@@ -17,6 +19,12 @@ watchdog abandons workers that stop responding, a broken pool triggers
 an automatic serial retry of the unfinished candidates, and a seeded
 :class:`~avipack.resilience.FaultPlan` can be threaded through the
 workers so all of the above is testable on demand.
+
+A fresh run and a resumed one take the same campaign path: dispatch the
+pending candidates, pass every outcome through one record step
+(journal, then result store, then progress hook, once per candidate),
+merge it with the outcomes restored from the journal (none on a fresh
+run), and assemble the report.
 
 Each worker process keeps a persistent
 :class:`~avipack.sweep.cache.SolverCache`, so the repeated
@@ -34,10 +42,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import os
-import pickle
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -57,13 +66,13 @@ from .cache import (
     DEFAULT_WORKER_CACHE_MAX_ENTRIES,
     CacheStats,
     SolverCache,
-    worker_cache,
+    resolve_cache,
 )
 from .report import DurabilityStats, SweepReport
 from .space import Candidate, DesignSpace
 
 __all__ = ["CandidateFailure", "CandidateResult", "SweepRunner",
-           "evaluate_candidate"]
+           "SweepTask", "evaluate_candidate"]
 
 #: Cooling techniques by increasing installation cost/complexity — the
 #: ranking behind "design at a minimum cost" (Fig. 5 simplicity order).
@@ -79,6 +88,30 @@ _TECHNIQUE_COST_RANK: Dict[CoolingTechnique, int] = {
 #: Exception attributes lifted into :attr:`CandidateFailure.details`.
 _DETAIL_ATTRS = ("iterations", "residual", "limit_name", "limit_value",
                  "violations")
+
+
+@dataclass(frozen=True)
+class SweepTask:
+    """One candidate evaluation request, as every evaluator receives it.
+
+    Plain picklable data: the runner builds one per pending candidate
+    and hands it to :func:`evaluate_candidate` (or a custom evaluator),
+    in-process or across the pool boundary.
+    """
+
+    #: Position of the candidate in the campaign's candidate list.
+    index: int
+    candidate: Candidate
+    #: Memoise solver sub-evaluations (see
+    #: :func:`~avipack.sweep.cache.resolve_cache`).
+    use_cache: bool = True
+    #: Supervision policy; ``None`` uses the default policy.
+    policy: Optional[SupervisionPolicy] = None
+    #: Fault plan installed in the evaluating process, scoped to
+    #: :attr:`index`.
+    faults: Optional[FaultPlan] = None
+    #: Directory of a persistent on-disk solver cache, else in memory.
+    cache_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -193,29 +226,14 @@ def _exception_details(exc: BaseException) -> Dict[str, object]:
     return details
 
 
-def _unpack_task(task) -> Tuple[int, Candidate, bool,
-                                Optional[SupervisionPolicy],
-                                Optional[FaultPlan], Optional[str]]:
-    """Accept the historical 3-/5-tuples and the durable 6-tuple."""
-    if len(task) == 3:
-        index, candidate, use_cache = task
-        return index, candidate, use_cache, None, None, None
-    if len(task) == 5:
-        index, candidate, use_cache, policy, plan = task
-        return index, candidate, use_cache, policy, plan, None
-    index, candidate, use_cache, policy, plan, cache_dir = task
-    return index, candidate, use_cache, policy, plan, cache_dir
-
-
-def evaluate_candidate(task, cache: Optional[SolverCache] = None
+def evaluate_candidate(task: SweepTask, cache: Optional[SolverCache] = None
                        ) -> CandidateOutcome:
-    """Evaluate one ``(index, candidate, use_cache[, policy, faults[,
-    cache_dir]])`` task.
+    """Evaluate one :class:`SweepTask`.
 
     Module-level (hence picklable) worker entry point shared by the
     serial and process-pool paths.  ``cache`` overrides the per-process
-    default; when ``None`` and the task requests caching, the process's
-    :func:`~avipack.sweep.cache.worker_cache` singleton is used — or,
+    default chosen by :func:`~avipack.sweep.cache.resolve_cache`: the
+    process's :func:`~avipack.sweep.cache.worker_cache` singleton, or,
     when the task names a ``cache_dir``, the process's persistent
     :class:`~avipack.durability.DiskSolverCache` for that directory,
     shared across workers and resumed runs.  Every
@@ -225,27 +243,20 @@ def evaluate_candidate(task, cache: Optional[SolverCache] = None
     formatted traceback and structured exception attributes.
 
     The evaluation runs under an :class:`avipack.resilience.Supervisor`
-    built from ``policy`` (default :class:`SupervisionPolicy`), and an
-    optional :class:`~avipack.resilience.FaultPlan` is installed
-    process-wide before anything else runs, scoped to the candidate
-    index so injection decisions are identical in serial and parallel
-    executions.
+    built from the task's ``policy`` (default :class:`SupervisionPolicy`),
+    and the task's optional :class:`~avipack.resilience.FaultPlan` is
+    installed process-wide before anything else runs, scoped to the
+    candidate index so injection decisions are identical in serial and
+    parallel executions.
     """
-    index, candidate, use_cache, policy, plan, cache_dir = _unpack_task(task)
-    injector = _faults.configure(plan)
-    if cache is None and use_cache:
-        if cache_dir is not None:
-            from ..durability.diskcache import worker_disk_cache
-            cache = worker_disk_cache(cache_dir)
-        else:
-            cache = worker_cache()
-    if not use_cache:
-        cache = None
+    index, candidate = task.index, task.candidate
+    injector = _faults.configure(task.faults)
+    cache = resolve_cache(task.use_cache, task.cache_dir, cache)
     hits0 = cache.hits if cache else 0
     misses0 = cache.misses if cache else 0
     corrupt0 = cache.corrupt if cache else 0
     perf_before = _perf.snapshot()
-    supervisor = Supervisor(policy)
+    supervisor = Supervisor(task.policy)
     scope = (injector.scoped(index) if injector is not None
              else contextlib.nullcontext())
     start = time.perf_counter()
@@ -301,53 +312,18 @@ def evaluate_candidate(task, cache: Optional[SolverCache] = None
     )
 
 
-class _JournalObserver:
-    """Journal proxy that fans each outcome out once it is durable.
-
-    Wraps the (possibly absent) :class:`~avipack.durability.SweepJournal`
-    the execution paths write to, forwarding every record verbatim, then
-    appending the outcome to the (possibly absent) columnar result-store
-    writer, then invoking ``progress(outcome)`` — strictly *after* the
-    outcome has been journalled, so an observer that raises (the sweep
-    service's cooperative-cancellation hook) never loses the triggering
-    outcome, and a crash mid-store-append is repaired by re-ingesting
-    from the journal.  The callback runs in the main process, in the
-    thread driving the sweep, exactly once per outcome.
-    """
-
-    def __init__(self, journal, progress, store=None) -> None:
-        self._journal = journal
-        self._progress = progress
-        self._store = store
-
-    def record_plan(self, *args, **kwargs) -> None:
-        if self._journal is not None:
-            self._journal.record_plan(*args, **kwargs)
-
-    def record_dispatched(self, *args, **kwargs) -> None:
-        if self._journal is not None:
-            self._journal.record_dispatched(*args, **kwargs)
-
-    def record_outcome(self, outcome: CandidateOutcome) -> None:
-        if self._journal is not None:
-            self._journal.record_outcome(outcome)
-        if self._store is not None:
-            self._store.add(outcome)
-        if self._progress is not None:
-            self._progress(outcome)
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
+def _evaluate_chunk(evaluator, chunk: List[SweepTask]
+                    ) -> List[CandidateOutcome]:
+    """Pool-worker entry point: evaluate a run of tasks in order."""
+    return [evaluator(task) for task in chunk]
 
 
-def _watchdog_failure(index: int, candidate: Candidate,
-                      timeout_s: float) -> CandidateFailure:
+def _watchdog_failure(task: SweepTask, timeout_s: float) -> CandidateFailure:
     """Synthesised failure for a candidate whose worker stopped responding."""
     return CandidateFailure(
-        index=index,
-        candidate=candidate,
-        fingerprint=candidate.fingerprint,
+        index=task.index,
+        candidate=task.candidate,
+        fingerprint=task.candidate.fingerprint,
         stage="watchdog",
         error_type="WatchdogTimeout",
         message=(f"candidate exceeded the {timeout_s:g} s per-candidate "
@@ -357,8 +333,24 @@ def _watchdog_failure(index: int, candidate: Candidate,
     )
 
 
+def _candidate_list(space: Union[DesignSpace, Iterable[Candidate]]
+                    ) -> List[Candidate]:
+    candidates = (list(space.grid()) if isinstance(space, DesignSpace)
+                  else list(space))
+    if not candidates:
+        raise InputError("sweep needs at least one candidate")
+    return candidates
+
+
 class SweepRunner:
     """Run a design space (or explicit candidate list) to a report.
+
+    :meth:`run` and :meth:`resume` share one campaign path: the pending
+    candidates become :class:`SweepTask` records, go down one execution
+    route (batched, serial, or a process pool with a serial retry of
+    whatever the pool left unfinished), and every outcome passes through
+    one record step — journal, then result store, then ``progress`` —
+    exactly once per candidate.
 
     Parameters
     ----------
@@ -370,19 +362,16 @@ class SweepRunner:
         ``max_workers``.
     use_cache:
         Enable solver memoisation (per worker in parallel mode, one
-        shared cache in serial mode).  Disable for cold baselines.
-    chunksize:
-        Tasks handed to a worker per dispatch on the (watchdog-free)
-        bulk path; ``None`` picks ``ceil(n / (4 * workers))`` to
-        balance load against IPC count.
+        cache per run in serial mode).  Disable for cold baselines.
     timeout_s:
-        Per-candidate watchdog [s] for the parallel path.  When set,
-        candidates are dispatched one at a time (a sliding window the
-        size of the pool) and a candidate whose worker produces nothing
-        within the budget is recorded as a ``WatchdogTimeout``
-        :class:`CandidateFailure`; the stuck worker is abandoned (the
-        pool keeps running at reduced width until it comes back).
-        ``None`` (default) keeps the chunked bulk path.
+        Per-candidate watchdog [s] for the parallel path.  ``None``
+        (default) sends candidates to the pool in chunks of
+        ``ceil(n / (4 * workers))`` with no deadline.  When set,
+        candidates go out one at a time, at most one per live worker,
+        and a candidate whose worker produces nothing within the budget
+        is recorded as a ``WatchdogTimeout`` :class:`CandidateFailure`;
+        the stuck worker is abandoned (the pool keeps running at reduced
+        width until it comes back).
     policy:
         :class:`~avipack.resilience.SupervisionPolicy` applied to every
         candidate evaluation; ``None`` uses the default policy.  Pass
@@ -396,9 +385,9 @@ class SweepRunner:
     evaluator:
         Picklable replacement for :func:`evaluate_candidate` (custom
         workloads on the sweep infrastructure — e.g. supervised raw
-        network solves).  It is called with the 5-field task tuple
-        (6-field when ``cache_dir`` is set) and must return a
-        :class:`CandidateResult` or :class:`CandidateFailure`.
+        network solves).  It is called with one :class:`SweepTask` and
+        must return a :class:`CandidateResult` or
+        :class:`CandidateFailure`.
     cache_dir:
         Directory for a persistent
         :class:`~avipack.durability.DiskSolverCache` shared by every
@@ -430,7 +419,6 @@ class SweepRunner:
 
     def __init__(self, max_workers: Optional[int] = None,
                  parallel: bool = True, use_cache: bool = True,
-                 chunksize: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  policy: Optional[SupervisionPolicy] = None,
                  faults: Optional[FaultPlan] = None,
@@ -440,14 +428,11 @@ class SweepRunner:
                  batch: Optional[bool] = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise InputError("max_workers must be >= 0")
-        if chunksize is not None and chunksize < 1:
-            raise InputError("chunksize must be >= 1")
         if timeout_s is not None and timeout_s <= 0.0:
             raise InputError("timeout_s must be positive")
         self.max_workers = max_workers
         self.parallel = parallel
         self.use_cache = use_cache
-        self.chunksize = chunksize
         self.timeout_s = timeout_s
         self.policy = policy
         self.faults = faults
@@ -471,243 +456,227 @@ class SweepRunner:
         return bool(getattr(self.evaluator, "supports_batch", False)
                     and hasattr(self.evaluator, "evaluate_batch"))
 
-    # -- execution paths -----------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    @staticmethod
-    def _journal_outcome(journal, outcome: CandidateOutcome) -> None:
-        """Durably journal one outcome as it arrives (no-op unjournalled)."""
-        if journal is not None:
-            journal.record_outcome(outcome)
+    def _run_cache(self) -> Optional[SolverCache]:
+        """The cache one in-process (serial, batched, retry) run uses."""
+        return resolve_cache(self.use_cache, self.cache_dir, fresh=True)
 
-    def _serial_cache(self):
-        """The cache the in-process (serial / retry) path evaluates with."""
-        if not self.use_cache:
-            return None
-        if self.cache_dir is not None:
-            from ..durability.diskcache import worker_disk_cache
-            return worker_disk_cache(self.cache_dir)
-        return SolverCache(max_entries=DEFAULT_WORKER_CACHE_MAX_ENTRIES)
-
-    def _run_serial(self, tasks: List[tuple],
-                    journal=None) -> List[CandidateOutcome]:
-        cache = self._serial_cache()
-        outcomes: List[CandidateOutcome] = []
+    def _run_serial(self, tasks: List[SweepTask], record) -> None:
+        cache = self._run_cache()
         for task in tasks:
-            outcome = (self.evaluator(task, cache)
-                       if self.evaluator is evaluate_candidate
-                       else self.evaluator(task))
-            self._journal_outcome(journal, outcome)
-            outcomes.append(outcome)
-        return outcomes
+            record(self.evaluator(task, cache)
+                   if self.evaluator is evaluate_candidate
+                   else self.evaluator(task))
 
-    def _run_batched(self, tasks: List[tuple],
-                     journal=None) -> List[CandidateOutcome]:
-        """Hand the whole task list to the evaluator's batch scheduler.
+    def _run_pool(self, tasks: List[SweepTask], workers: int, record
+                  ) -> Tuple[str, List[SweepTask]]:
+        """Windowed dispatch over a process pool.
 
-        The evaluator groups candidates by network structure and
-        advances each group as one vectorized system (see
-        :mod:`avipack.thermal.batch`); per-candidate outcomes come back
-        in task order with the usual failure isolation and are
-        journalled exactly like the scalar paths.
+        Without ``timeout_s`` every chunk of ``ceil(n / (4 * workers))``
+        tasks is submitted at once, with no deadline.  With it, single
+        tasks go out, at most one per live worker, so ``timeout_s``
+        after submission is an honest per-candidate deadline: a task
+        that misses it is recorded as a watchdog failure and its worker
+        abandoned (capacity shrinks until the worker comes back); one
+        that never started goes back to the queue.  A broken pool stops
+        dispatch.  Outcomes are recorded as they arrive.
+
+        Returns the mode and the tasks left unfinished, which the
+        caller retries serially.
         """
-        cache = self._serial_cache()
-        outcomes = self.evaluator.evaluate_batch(tasks, cache)
-        for outcome in outcomes:
-            self._journal_outcome(journal, outcome)
-        return outcomes
-
-    def _run_parallel(self, tasks: List[tuple], workers: int,
-                      journal=None) -> List[CandidateOutcome]:
-        """Bulk chunked dispatch — fastest path, no per-candidate watchdog.
-
-        Results are journalled as ``pool.map`` yields them (in task
-        order), so a crash mid-sweep preserves every outcome the main
-        process has already collected.
-        """
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, -(-len(tasks) // (4 * workers)))
-        outcomes: List[CandidateOutcome] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(self.evaluator, tasks,
-                                    chunksize=chunksize):
-                self._journal_outcome(journal, outcome)
-                outcomes.append(outcome)
-        return outcomes
-
-    def _run_watchdog(self, tasks: List[tuple], workers: int, journal=None
-                      ) -> Tuple[Dict[int, CandidateOutcome], List[str]]:
-        """Sliding-window dispatch with a per-candidate watchdog.
-
-        Keeps at most ``capacity`` tasks in flight (initially the pool
-        width), so a submitted task starts on an idle worker at once
-        and ``timeout_s`` after submission is an honest per-candidate
-        deadline.  A future that misses its deadline is recorded as a
-        watchdog failure and abandoned — capacity shrinks while its
-        worker is stuck and is restored if the worker ever completes.
-        A broken pool stops parallel dispatch; the caller retries the
-        unfinished candidates serially.
-        """
-        timeout_s = float(self.timeout_s or 0.0)
-        outcomes: Dict[int, CandidateOutcome] = {}
+        timeout_s = self.timeout_s
+        size = (1 if timeout_s is not None
+                else -(-len(tasks) // (4 * workers)))
+        queue = deque(tasks[i:i + size] for i in range(0, len(tasks), size))
+        capacity = workers if timeout_s is not None else len(queue)
+        in_flight: Dict[object, Tuple[List[SweepTask], float]] = {}
+        abandoned: set = set()
+        finished: set = set()
         incidents: List[str] = []
-        queue = list(tasks)
-        in_flight: Dict[object, Tuple[int, Candidate, float]] = {}
-        abandoned: Dict[object, int] = {}
-        capacity = workers
-        broken = False
-        pool = ProcessPoolExecutor(max_workers=workers)
+        failure: List[BaseException] = []
+
+        def collect(future) -> None:
+            try:
+                outcomes = future.result()
+            except Exception as exc:
+                failure.append(exc)
+                return
+            for outcome in outcomes:
+                finished.add(outcome.index)
+                record(outcome)
+
         try:
-            while queue or in_flight:
-                while queue and len(in_flight) < capacity and not broken:
-                    task = queue.pop(0)
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except OSError as exc:
+            return f"serial (pool fallback: {type(exc).__name__})", tasks
+        try:
+            while (queue or in_flight) and not failure:
+                while queue and len(in_flight) < capacity:
                     try:
-                        future = pool.submit(self.evaluator, task)
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        queue.insert(0, task)
+                        future = pool.submit(_evaluate_chunk, self.evaluator,
+                                             queue[0])
+                    except Exception as exc:
+                        failure.append(exc)
                         break
-                    in_flight[future] = (task[0], task[1],
-                                         time.monotonic() + timeout_s)
-                if broken and not in_flight:
+                    in_flight[future] = (queue.popleft(), time.monotonic()
+                                         + (timeout_s or math.inf))
+                if failure:
                     break
                 if not in_flight:
-                    if queue:
-                        # Every worker is stuck: no parallel capacity
-                        # left; the caller finishes the queue serially.
-                        incidents.append(
-                            f"pool exhausted by {len(abandoned)} hung "
-                            "workers")
-                        broken = True
+                    # Every worker is stuck: no parallel capacity left.
+                    incidents.append(f"pool exhausted by {len(abandoned)} "
+                                     "hung workers")
+                    failure.append(BrokenProcessPool())
                     break
-                next_deadline = min(deadline for _, _, deadline
-                                    in in_flight.values())
-                done, _ = wait(list(in_flight), timeout=max(
-                    0.0, next_deadline - time.monotonic()),
-                    return_when=FIRST_COMPLETED)
+                deadline = min(d for _, d in in_flight.values())
+                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED,
+                               timeout=(None if deadline == math.inf else
+                                        max(0.0, deadline - time.monotonic())))
                 for future in done:
-                    index, _, _ = in_flight.pop(future)
-                    try:
-                        outcomes[index] = future.result()
-                        self._journal_outcome(journal, outcomes[index])
-                    except BrokenProcessPool:
-                        broken = True
-                    except Exception as exc:  # pool infrastructure error
-                        broken = True
-                        incidents.append(
-                            f"pool error on #{index}: "
-                            f"{type(exc).__name__}")
+                    del in_flight[future]
+                    collect(future)
                 now = time.monotonic()
-                for future, (index, candidate, deadline) in \
-                        list(in_flight.items()):
+                for future, (chunk, deadline) in list(in_flight.items()):
                     if deadline > now or future.done():
                         continue
+                    del in_flight[future]
                     if future.cancel():
-                        # Never started (queued behind a stall): give it
-                        # back to the queue with a fresh deadline.
-                        in_flight.pop(future)
-                        queue.insert(0, (index, candidate) + tuple(
-                            t for t in tasks[0][2:]))
+                        # Never started (queued behind a stall): back to
+                        # the queue with a fresh deadline.
+                        queue.appendleft(chunk)
                         continue
-                    in_flight.pop(future)
-                    outcomes[index] = _watchdog_failure(
-                        index, candidate, timeout_s)
-                    self._journal_outcome(journal, outcomes[index])
-                    abandoned[future] = index
+                    abandoned.add(future)
                     capacity -= 1
-                    incidents.append(f"watchdog abandoned #{index}")
-                for future, index in list(abandoned.items()):
-                    if future.done():
-                        # The stuck worker came back; its (late) result
-                        # is discarded but its slot is usable again.
-                        del abandoned[future]
-                        capacity += 1
-                if broken:
-                    for future in list(in_flight):
-                        index, _, _ = in_flight.pop(future)
-                        if future.done():
-                            try:
-                                outcomes[index] = future.result()
-                            except Exception:
-                                pass
-                            else:
-                                self._journal_outcome(journal,
-                                                      outcomes[index])
-                    break
+                    for task in chunk:
+                        incidents.append(f"watchdog abandoned #{task.index}")
+                        finished.add(task.index)
+                        record(_watchdog_failure(task, timeout_s))
+                for future in [f for f in abandoned if f.done()]:
+                    # The stuck worker came back; its (late) result is
+                    # discarded but its slot is usable again.
+                    abandoned.discard(future)
+                    capacity += 1
+            for future in in_flight:
+                if future.done():
+                    collect(future)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if broken:
+            pool.shutdown(wait=not (abandoned or in_flight),
+                          cancel_futures=True)
+        unfinished = [task for task in tasks if task.index not in finished]
+        infrastructure = [exc for exc in failure
+                          if not isinstance(exc, BrokenProcessPool)]
+        if infrastructure:
+            # The pool could not carry a task or an outcome (pickling).
+            name = type(infrastructure[0]).__name__
+            return f"serial (pool fallback: {name})", unfinished
+        if failure:
             incidents.append("broken pool: serial retry of unfinished "
                              "candidates")
-        return outcomes, incidents
+        if incidents:
+            return (f"parallel ({'; '.join(sorted(set(incidents)))})",
+                    unfinished)
+        return "parallel", unfinished
 
-    def _tasks(self, indexed: List[Tuple[int, Candidate]]) -> List[tuple]:
-        # The 5-field tuple is a published contract for custom
-        # evaluators; the cache directory only extends it when set.
-        if self.cache_dir is None:
-            return [(index, candidate, self.use_cache, self.policy,
-                     self.faults) for index, candidate in indexed]
-        return [(index, candidate, self.use_cache, self.policy,
-                 self.faults, self.cache_dir)
-                for index, candidate in indexed]
+    def _execute(self, tasks: List[SweepTask], record) -> Tuple[str, int]:
+        """Run tasks down the configured route; returns mode and width.
 
-    def _execute(self, tasks: List[tuple], journal=None
-                 ) -> Tuple[List[CandidateOutcome], str, int]:
-        """Run tasks down the configured path; outcomes in task order.
-
-        Shared engine behind :meth:`run` and :meth:`resume`.  Task
-        indices need not be contiguous (the resume path dispatches only
-        the unfinished subset).  Every outcome is journalled the moment
-        the main process holds it.
+        ``record`` receives every outcome once, the moment the main
+        process holds it.  Task indices need not be contiguous (a
+        resume dispatches only the unfinished subset).
         """
         workers = self._resolve_workers()
-        if self.batch is not False and self._evaluator_batches():
-            try:
-                return self._run_batched(tasks, journal), "batched", 1
-            finally:
-                if self.faults is not None:
-                    _faults.uninstall()
-        mode = "parallel" if (self.parallel and workers > 1
-                              and len(tasks) > 1) else "serial"
         try:
-            if mode == "parallel" and self.timeout_s is not None:
-                outcome_map, incidents = self._run_watchdog(
-                    tasks, workers, journal)
-                missing = [task for task in tasks
-                           if task[0] not in outcome_map]
-                if missing:
-                    cache = self._serial_cache()
-                    for task in missing:
-                        outcome = (self.evaluator(task, cache)
-                                   if self.evaluator is evaluate_candidate
-                                   else self.evaluator(task))
-                        self._journal_outcome(journal, outcome)
-                        outcome_map[task[0]] = outcome
-                outcomes = [outcome_map[task[0]] for task in tasks]
-                if incidents:
-                    mode = f"parallel ({'; '.join(sorted(set(incidents)))})"
-            elif mode == "parallel":
-                try:
-                    outcomes = self._run_parallel(tasks, workers, journal)
-                except (BrokenProcessPool, OSError,
-                        pickle.PicklingError) as exc:
-                    mode = f"serial (pool fallback: {type(exc).__name__})"
-                    outcomes = self._run_serial(tasks, journal)
-            else:
-                outcomes = self._run_serial(tasks, journal)
+            if self.batch is not False and self._evaluator_batches():
+                for outcome in self.evaluator.evaluate_batch(
+                        tasks, self._run_cache()):
+                    record(outcome)
+                return "batched", 1
+            mode = "serial"
+            if self.parallel and workers > 1 and len(tasks) > 1:
+                mode, tasks = self._run_pool(tasks, workers, record)
+            if tasks:
+                self._run_serial(tasks, record)
         finally:
             # A serial (re-)run in this process may have installed the
             # fault plan here; never leak it into subsequent user code.
             if self.faults is not None:
                 _faults.uninstall()
-        return outcomes, mode, workers if mode.startswith("parallel") else 1
+        return mode, workers if mode.startswith("parallel") else 1
 
-    def _open_store_writer(self):
-        """The columnar store writer for this run (None when disabled)."""
-        if self.result_store is None:
-            return None
-        from ..results.store import ResultStoreWriter
-        return ResultStoreWriter(self.result_store)
+    # -- campaign ------------------------------------------------------------
+
+    def _campaign(self, candidates: List[Candidate], journal, progress,
+                  restored: Optional[Dict[str, CandidateOutcome]],
+                  durability: Optional[DurabilityStats]) -> SweepReport:
+        """The one campaign body behind :meth:`run` and :meth:`resume`.
+
+        Dispatches every candidate without a ``restored`` outcome
+        (matched by fingerprint; ``None`` on a fresh run), records each
+        fresh outcome (journal, then store, then ``progress``), merges
+        restored and fresh outcomes in candidate order, backfills
+        restored outcomes the store has never seen, and assembles the
+        report.  Closes ``journal``.
+        """
+        start = time.perf_counter()
+        resuming = restored is not None
+        restored = restored or {}
+        pending = [SweepTask(index, candidate, self.use_cache, self.policy,
+                             self.faults, self.cache_dir)
+                   for index, candidate in enumerate(candidates)
+                   if candidate.fingerprint not in restored]
+        fresh: Dict[int, CandidateOutcome] = {}
+        store = stored = None
+        try:
+            if self.result_store is not None:
+                from ..results.store import ResultStore, ResultStoreWriter
+                # Read before this campaign appends, so the backfill
+                # adds each restored outcome at most once across
+                # repeated resumes.
+                stored = (ResultStore.live_fingerprints(self.result_store)
+                          if restored else set())
+                store = ResultStoreWriter(self.result_store)
+
+            def record(outcome: CandidateOutcome) -> None:
+                if journal is not None:
+                    journal.record_outcome(outcome)
+                if store is not None:
+                    store.add(outcome)
+                fresh[outcome.index] = outcome
+                if progress is not None:
+                    progress(outcome)
+
+            # A fresh run always has pending candidates.
+            mode, workers = "resume", 1
+            if pending:
+                mode, workers = self._execute(pending, record)
+                if resuming:
+                    mode = f"resume ({mode})"
+            merged: List[CandidateOutcome] = []
+            for index, candidate in enumerate(candidates):
+                outcome = fresh.get(index)
+                if outcome is None:
+                    outcome = restored[candidate.fingerprint]
+                    if outcome.index != index:
+                        outcome = dataclasses.replace(outcome, index=index)
+                    if (store is not None
+                            and outcome.fingerprint not in stored
+                            and outcome.fingerprint
+                            not in store.added_fingerprints):
+                        store.add(outcome)
+                merged.append(outcome)
+        finally:
+            if journal is not None:
+                journal.close()
+            if store is not None:
+                store.close()
+        wall = time.perf_counter() - start
+        if durability is not None:
+            durability = dataclasses.replace(
+                durability, n_resumed=len(candidates) - len(pending),
+                n_recomputed=len(pending))
+        return self._assemble(merged, wall, mode, workers, durability,
+                              store.stats() if store is not None else None)
 
     def _assemble(self, outcomes: List[CandidateOutcome], wall: float,
                   mode: str, workers: int,
@@ -743,8 +712,8 @@ class SweepRunner:
 
         Candidate order is preserved in the outcome list whichever
         execution path runs.  If the process pool cannot be used (no
-        ``fork``/``spawn`` support, broken workers, unpicklable
-        candidates), the sweep transparently falls back to the serial
+        ``fork``/``spawn`` support, unpicklable candidates or
+        evaluator), the sweep transparently falls back to the serial
         path rather than failing; a pool broken *mid-flight* (worker
         crash) triggers a serial retry of only the unfinished
         candidates, so one bad worker never costs the campaign.
@@ -765,41 +734,17 @@ class SweepRunner:
         outcome boundary; everything already journalled stays intact
         and resumable (cooperative cancellation).
         """
-        candidates = (list(space.grid()) if isinstance(space, DesignSpace)
-                      else list(space))
-        if not candidates:
-            raise InputError("sweep needs at least one candidate")
-        tasks = self._tasks(list(enumerate(candidates)))
-        journal = None
+        candidates = _candidate_list(space)
+        journal = durability = None
         if journal_path is not None:
             from ..durability.journal import SweepJournal
             from ..fingerprint import stable_fingerprint
             journal = SweepJournal.create(
                 journal_path, tuple(candidates),
                 space_fingerprint=stable_fingerprint(tuple(candidates)))
-            for index, candidate in enumerate(candidates):
-                journal.record_dispatched(index, candidate)
-        store_writer = self._open_store_writer()
-        sink = (_JournalObserver(journal, progress, store_writer)
-                if progress is not None or store_writer is not None
-                else journal)
-        start = time.perf_counter()
-        try:
-            outcomes, mode, workers = self._execute(tasks, sink)
-        finally:
-            if journal is not None:
-                journal.close()
-            if store_writer is not None:
-                store_writer.close()
-        wall = time.perf_counter() - start
-        durability = None
-        if journal_path is not None:
-            durability = DurabilityStats(journal_path=journal_path,
-                                         n_recomputed=len(candidates))
-        store_stats = (store_writer.stats()
-                       if store_writer is not None else None)
-        return self._assemble(outcomes, wall, mode, workers, durability,
-                              store_stats)
+            durability = DurabilityStats(journal_path=journal_path)
+        return self._campaign(candidates, journal, progress, None,
+                              durability)
 
     def resume(self, journal_path: str,
                space: Union[DesignSpace, Iterable[Candidate], None] = None,
@@ -834,17 +779,13 @@ class SweepRunner:
         from ..fingerprint import stable_fingerprint
         replay = replay_journal(journal_path)
         if space is not None:
-            candidates = (list(space.grid())
-                          if isinstance(space, DesignSpace)
-                          else list(space))
+            candidates = _candidate_list(space)
         elif replay.candidates is not None:
-            candidates = list(replay.candidates)
+            candidates = _candidate_list(replay.candidates)
         else:
             raise JournalError(
                 f"journal {journal_path} has no intact plan record; "
                 "pass the candidate space to resume() explicitly")
-        if not candidates:
-            raise InputError("sweep needs at least one candidate")
         restored = dict(replay.outcomes)
         # The supply-floor and level-2 energy-balance invariants hold
         # only for the default design-procedure workload; a custom
@@ -855,79 +796,21 @@ class SweepRunner:
             model_checks=self.evaluator is evaluate_candidate)
         for fingerprint in flagged:
             restored.pop(fingerprint, None)
-        pending = [(index, candidate)
-                   for index, candidate in enumerate(candidates)
-                   if candidate.fingerprint not in restored]
-        start = time.perf_counter()
-        mode = "resume"
-        workers = 1
-        fresh: Dict[int, CandidateOutcome] = {}
-        # Fingerprints the store already holds must be read *before*
-        # this resume appends to it, so the backfill below adds each
-        # restored outcome at most once across repeated resumes.
-        stored_fingerprints: set = set()
-        if self.result_store is not None:
-            from ..results.store import ResultStore
-            stored_fingerprints = ResultStore.live_fingerprints(
-                self.result_store)
-        store_writer = self._open_store_writer()
         journal = SweepJournal.append_to(journal_path,
                                          next_seq=replay.next_seq)
-        try:
-            if space is not None:
+        if space is not None:
+            try:
                 journal.record_plan(
                     tuple(candidates),
                     space_fingerprint=stable_fingerprint(tuple(candidates)))
-            for index, candidate in pending:
-                journal.record_dispatched(index, candidate)
-            if pending:
-                tasks = self._tasks(pending)
-                sink = (_JournalObserver(journal, progress, store_writer)
-                        if progress is not None or store_writer is not None
-                        else journal)
-                outcomes, engine_mode, workers = self._execute(tasks,
-                                                               sink)
-                fresh = {task[0]: outcome
-                         for task, outcome in zip(tasks, outcomes)}
-                mode = f"resume ({engine_mode})"
-        except BaseException:
-            if store_writer is not None:
-                store_writer.close()
-            raise
-        finally:
-            journal.close()
-        wall = time.perf_counter() - start
-        merged: List[CandidateOutcome] = []
-        n_resumed = 0
-        for index, candidate in enumerate(candidates):
-            if index in fresh:
-                merged.append(fresh[index])
-                continue
-            outcome = restored[candidate.fingerprint]
-            if outcome.index != index:
-                outcome = dataclasses.replace(outcome, index=index)
-            merged.append(outcome)
-            n_resumed += 1
-        store_stats = None
-        if store_writer is not None:
-            # Backfill journal-restored outcomes the store has never
-            # seen (fresh ones streamed through the observer already).
-            try:
-                for outcome in merged:
-                    if (outcome.fingerprint not in stored_fingerprints
-                            and outcome.fingerprint
-                            not in store_writer.added_fingerprints):
-                        store_writer.add(outcome)
-            finally:
-                store_writer.close()
-            store_stats = store_writer.stats()
+            except BaseException:
+                journal.close()
+                raise
         durability = DurabilityStats(
             journal_path=journal_path,
-            n_resumed=n_resumed,
-            n_recomputed=len(pending),
             n_quarantined=replay.n_quarantined,
             n_audit_failures=len(flagged),
             audit_issues=tuple(sorted(flagged.items())),
         )
-        return self._assemble(merged, wall, mode, workers, durability,
-                              store_stats)
+        return self._campaign(candidates, journal, progress, restored,
+                              durability)

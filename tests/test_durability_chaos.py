@@ -127,16 +127,16 @@ class TestInjectedJournalDamage:
 
     def test_targeted_bitflip_and_torn_write_survive_resume(
             self, tmp_path):
-        # Serial layout: seq 0 plan, 1-6 dispatched, 7-12 outcomes.
-        # Bit-flip outcome seq 9; tear outcome seq 11 (which leaves no
-        # newline, so record 12 concatenates onto the damaged line —
-        # two quarantined lines, three lost outcomes).
+        # Serial layout: seq 0 plan, 1-6 outcomes.  Bit-flip outcome
+        # seq 3; tear outcome seq 5 (which leaves no newline, so record
+        # 6 concatenates onto the damaged line — two quarantined lines,
+        # three lost outcomes).
         journal = str(tmp_path / "damaged.jsonl")
         plan = FaultPlan(specs=(
             FaultSpec("durability.journal_bitflip", "cache_corrupt",
-                      scopes=(("journal", 9),)),
+                      scopes=(("journal", 3),)),
             FaultSpec("durability.journal_torn_write", "cache_corrupt",
-                      scopes=(("journal", 11),)),
+                      scopes=(("journal", 5),)),
         ))
         fresh = SweepRunner(parallel=False, faults=plan).run(
             self.SPACE, journal_path=journal)

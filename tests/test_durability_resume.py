@@ -298,9 +298,13 @@ class TestAuditBattery:
 
 
 class TestReplayOfRealJournal:
-    def test_dispatched_markers_visible(self, journalled):
+    def test_fresh_journal_holds_plan_and_outcomes_only(self, journalled):
+        # The plan lists every candidate, so a fresh run writes no
+        # per-candidate dispatched marker: N + 1 records, N + 1 fsyncs.
         path, fresh = journalled
         replay = replay_journal(str(path))
-        assert len(replay.dispatched) == fresh.n_candidates
+        assert replay.dispatched == {}
+        assert len(replay.outcomes) == fresh.n_candidates
+        assert replay.n_records == fresh.n_candidates + 1
         assert replay.space_fingerprint
         assert math.isfinite(replay.next_seq)

@@ -75,6 +75,31 @@ class TestSubmitAndComplete:
         assert final["result"]["n_compliant"] == 8
         assert final["result"]["ranking"] == expected_ranking()
 
+    def test_worker_crash_keeps_done_equal_to_total(
+            self, sockets, tmp_path, monkeypatch):
+        # A pool worker dies on one candidate mid-job: the runner
+        # retries only the unfinished candidates, so progress counts
+        # each candidate once and ``done`` never passes ``total``.
+        import functools
+
+        from avipack.resilience import FaultPlan, FaultSpec
+        from avipack.service import server as server_mod
+
+        plan = FaultPlan(
+            specs=(FaultSpec("sweep.worker", "crash", scopes=(3,)),))
+        monkeypatch.setattr(server_mod, "SweepRunner",
+                            functools.partial(SweepRunner, faults=plan))
+        config = make_config(sockets, tmp_path, parallel=True,
+                             max_workers=2)
+        with ThreadedService(config):
+            client = ServiceClient(config.socket_path)
+            job_id = client.submit(axes=AXES)["job_id"]
+            final = client.wait(job_id, timeout_s=120.0)
+        assert final["state"] == "completed"
+        assert final["total"] == 12
+        assert final["done"] == final["total"]
+        assert final["result"]["n_failed"] == 1
+
     def test_event_stream_is_contiguous_and_replayable(
             self, sockets, tmp_path):
         config = make_config(sockets, tmp_path, throttle_s=0.02)

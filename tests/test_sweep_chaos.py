@@ -29,6 +29,7 @@ from avipack.sweep import (
     CandidateResult,
     DesignSpace,
     SweepRunner,
+    SweepTask,
     evaluate_candidate,
     render_sweep_document,
 )
@@ -172,8 +173,8 @@ class TestFaultFreePlanIsInert:
 
 class TestEnrichedFailures:
     def test_build_failure_carries_traceback(self):
-        outcome = evaluate_candidate((0, Candidate(power_per_module=-1.0),
-                                      False))
+        outcome = evaluate_candidate(
+            SweepTask(0, Candidate(power_per_module=-1.0), use_cache=False))
         assert isinstance(outcome, CandidateFailure)
         assert outcome.stage == "build"
         assert "Traceback" in outcome.traceback
@@ -185,8 +186,9 @@ class TestEnrichedFailures:
         faults_mod.install(plan)
         try:
             outcome = evaluate_candidate(
-                (0, Candidate(n_modules=2, n_components=4), False,
-                 NO_SUPERVISION, plan))
+                SweepTask(0, Candidate(n_modules=2, n_components=4),
+                          use_cache=False, policy=NO_SUPERVISION,
+                          faults=plan))
         finally:
             faults_mod.uninstall()
         assert isinstance(outcome, CandidateFailure)
@@ -199,8 +201,9 @@ class TestEnrichedFailures:
         plan = FaultPlan(specs=(FaultSpec("levels.level2", "convergence"),),
                          seed=7)
         outcome = evaluate_candidate(
-            (0, Candidate(n_modules=2, n_components=4), False,
-             SupervisionPolicy(), plan))
+            SweepTask(0, Candidate(n_modules=2, n_components=4),
+                      use_cache=False, policy=SupervisionPolicy(),
+                      faults=plan))
         faults_mod.uninstall()
         assert isinstance(outcome, CandidateResult)
         assert outcome.recovered
@@ -262,7 +265,7 @@ class TestBrokenPoolRecovery:
         assert report.failures[0].error_type == "WorkerCrashError"
         assert "broken pool" in report.mode
 
-    def test_bulk_path_falls_back_to_full_serial(self):
+    def test_bulk_path_retries_unfinished_serially(self):
         plan = FaultPlan(
             specs=(FaultSpec("sweep.worker", "crash", scopes=(1,)),))
         candidates = [Candidate(n_modules=2, n_components=4,
@@ -273,13 +276,37 @@ class TestBrokenPoolRecovery:
         assert report.n_candidates == 4
         assert [f.index for f in report.failures] == [1]
         assert report.failures[0].error_type == "WorkerCrashError"
-        assert report.mode.startswith("serial (pool fallback")
+        assert "broken pool" in report.mode
+
+    def test_bulk_crash_records_each_candidate_once(self, tmp_path):
+        import json
+
+        from avipack.results import ResultStore
+
+        plan = FaultPlan(
+            specs=(FaultSpec("sweep.worker", "crash", scopes=(3,)),))
+        candidates = [Candidate(n_modules=2, n_components=4,
+                                power_per_module=10.0 + i)
+                      for i in range(8)]
+        journal = str(tmp_path / "crash.jsonl")
+        store = str(tmp_path / "store")
+        seen = []
+        report = SweepRunner(parallel=True, max_workers=2, faults=plan,
+                             result_store=store).run(
+            candidates, journal_path=journal, progress=seen.append)
+        assert [f.index for f in report.failures] == [3]
+        assert sorted(o.index for o in seen) == list(range(8))
+        with open(journal, encoding="ascii") as stream:
+            kinds = [json.loads(line)["body"]["kind"] for line in stream]
+        assert kinds.count("plan") == 1
+        assert len(kinds) == 1 + 8
+        assert ResultStore.open(store).n_rows == 8
 
 
 def _ill_conditioned_evaluator(task):
     """Sweep-compatible evaluator: each candidate is a raw supervised
     network solve whose conditioning worsens with the power budget."""
-    index, candidate, _use_cache, policy, _plan = task
+    index, candidate, policy = task.index, task.candidate, task.policy
     k = 0.04 + 0.002 * candidate.power_per_module
     net = ThermalNetwork()
     net.add_node("chip", heat_load=50.0)

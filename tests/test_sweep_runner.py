@@ -11,6 +11,7 @@ from avipack.sweep import (
     DesignSpace,
     SolverCache,
     SweepRunner,
+    SweepTask,
     evaluate_candidate,
     render_sweep_document,
 )
@@ -23,7 +24,8 @@ SMALL_SPACE = {
 
 class TestEvaluateCandidate:
     def test_valid_candidate_yields_result(self):
-        outcome = evaluate_candidate((3, Candidate(), False))
+        outcome = evaluate_candidate(
+            SweepTask(3, Candidate(), use_cache=False))
         assert isinstance(outcome, CandidateResult)
         assert outcome.index == 3
         assert outcome.margins["worst_board_c"] == pytest.approx(
@@ -33,7 +35,7 @@ class TestEvaluateCandidate:
 
     def test_invalid_candidate_yields_build_failure(self):
         bad = Candidate(power_per_module=-1.0)
-        outcome = evaluate_candidate((0, bad, False))
+        outcome = evaluate_candidate(SweepTask(0, bad, use_cache=False))
         assert isinstance(outcome, CandidateFailure)
         assert outcome.stage == "build"
         assert outcome.error_type == "InputError"
@@ -41,15 +43,15 @@ class TestEvaluateCandidate:
 
     def test_unknown_tim_yields_failure_not_raise(self):
         bad = Candidate(tim_name="unobtainium")
-        outcome = evaluate_candidate((0, bad, False))
+        outcome = evaluate_candidate(SweepTask(0, bad, use_cache=False))
         assert isinstance(outcome, CandidateFailure)
         assert "unobtainium" in outcome.message
 
     def test_explicit_cache_is_used(self):
         cache = SolverCache()
-        evaluate_candidate((0, Candidate(), True), cache)
+        evaluate_candidate(SweepTask(0, Candidate()), cache)
         assert cache.misses > 0
-        again = evaluate_candidate((1, Candidate(), True), cache)
+        again = evaluate_candidate(SweepTask(1, Candidate()), cache)
         assert again.cache_hits > 0
 
 
@@ -94,7 +96,7 @@ class TestSerialParallelParity:
 
     def test_parallel_uses_multiple_workers_when_available(self):
         space = DesignSpace(SMALL_SPACE)
-        report = SweepRunner(parallel=True, max_workers=2, chunksize=1).run(space)
+        report = SweepRunner(parallel=True, max_workers=2).run(space)
         assert report.mode == "parallel"
         assert report.workers == 2
         pids = {o.worker_pid for o in report.outcomes}
@@ -219,10 +221,6 @@ class TestRunnerValidation:
     def test_negative_workers_rejected(self):
         with pytest.raises(InputError):
             SweepRunner(max_workers=-1)
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(InputError):
-            SweepRunner(chunksize=0)
 
 
 class TestProgressCallbacks:
