@@ -2,10 +2,10 @@
 
 ``BENCH_solver.json`` at the repository root pins median timings and
 factorization-reuse counters for the solver kernels.  CI re-measures
-and compares with a generous tolerance (timings are allowed to grow by
-the ``--tolerance`` factor, default 3x, so shared-runner noise never
-fails a build), while the *counters* are compared exactly — a lost
-factorization cache is a real regression no matter how fast the box.
+and compares through :mod:`bench_harness`: timings may grow by the
+``--tolerance`` factor (default 3x), while the *counters* are compared
+exactly — a lost factorization cache is a real regression no matter
+how fast the box.
 
 Usage::
 
@@ -17,13 +17,8 @@ Run from the repository root (or pass ``--baseline`` explicitly).
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import pathlib
-import statistics
 import sys
-import time
 
 from avipack import perf
 from avipack.packaging.formfactors import ATR_WIDTHS, AtrCase
@@ -32,6 +27,7 @@ from avipack.thermal.batch import solve_batched
 from avipack.thermal.conduction import clear_factor_cache
 from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
+from bench_harness import Suite, median_ms, timed_samples
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_solver.json"
@@ -158,13 +154,8 @@ def _measure(kernel, call, rounds):
     perf.reset(kernel)
     call()
     counters = perf.stats(kernel)
-    samples = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - t0)
     return {
-        "median_ms": round(statistics.median(samples) * 1e3, 4),
+        "median_ms": median_ms(timed_samples(call, rounds)),
         "counters": {name: getattr(counters, name)
                      for name in EXACT_COUNTERS},
     }
@@ -226,114 +217,10 @@ def run_benches(rounds=25):
     }
 
 
-def write_baseline(path, rounds):
-    document = run_benches(rounds)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    print(f"wrote {path} ({len(document['benches'])} benches)")
-    return 0
-
-
-def _candidates_per_factorization(counters):
-    """Derived batch-amortization figure from a counter dict (0 = n/a)."""
-    width = counters.get("batch_width", 0)
-    factorizations = counters.get("factorizations", 0)
-    if not width or not factorizations:
-        return 0.0
-    return width / factorizations
-
-
-def compare_baseline(path, rounds, tolerance, report_path=None):
-    if not path.exists():
-        print(f"ERROR: baseline {path} not found; run "
-              "`python benchmarks/bench_baseline.py write` and commit it")
-        return 2
-    baseline = json.loads(path.read_text())
-    current = run_benches(rounds)
-    failures = []
-    comparison = {"schema": 1, "tolerance": tolerance, "rounds": rounds,
-                  "benches": {}}
-    for name, pinned in sorted(baseline["benches"].items()):
-        measured = current["benches"].get(name)
-        if measured is None:
-            failures.append(f"{name}: bench disappeared")
-            comparison["benches"][name] = {"verdict": "MISSING",
-                                           "baseline": pinned}
-            continue
-        limit = pinned["median_ms"] * tolerance
-        verdict = "ok"
-        if measured["median_ms"] > limit:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: {measured['median_ms']:.3f} ms exceeds "
-                f"{tolerance:g}x baseline {pinned['median_ms']:.3f} ms")
-        # Compare the union of baseline and measured counters, so a
-        # counter that drifted is always reported by name with its
-        # old/new values — including counters the baseline has never
-        # seen (or that vanished from the measurement).
-        counter_names = sorted(set(pinned["counters"])
-                               | set(measured["counters"]))
-        for counter in counter_names:
-            expected = pinned["counters"].get(counter)
-            got = measured["counters"].get(counter)
-            if got != expected:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: counter {counter} drifted: baseline "
-                    f"{expected} -> measured {got} "
-                    "(caching discipline broken)")
-        base_cpf = _candidates_per_factorization(pinned["counters"])
-        got_cpf = _candidates_per_factorization(measured["counters"])
-        if base_cpf and got_cpf < base_cpf:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: candidates-per-factorization regressed: "
-                f"baseline {base_cpf:.1f} -> measured {got_cpf:.1f}")
-        comparison["benches"][name] = {
-            "verdict": verdict,
-            "baseline_ms": pinned["median_ms"],
-            "measured_ms": measured["median_ms"],
-            "limit_ms": round(limit, 4),
-            "baseline_counters": pinned["counters"],
-            "measured_counters": measured["counters"],
-            "baseline_candidates_per_factorization": round(base_cpf, 2),
-            "measured_candidates_per_factorization": round(got_cpf, 2),
-        }
-        print(f"{name:<32} {measured['median_ms']:>9.3f} ms "
-              f"(baseline {pinned['median_ms']:.3f}, "
-              f"limit {limit:.3f})  {verdict}")
-    comparison["failures"] = failures
-    comparison["ok"] = not failures
-    if report_path is not None:
-        tmp = report_path.parent / f"{report_path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, report_path)
-        print(f"comparison written to {report_path}")
-    if failures:
-        print("\n" + "\n".join(f"FAIL: {line}" for line in failures))
-        return 1
-    print("\nall benches within tolerance, counters exact")
-    return 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("write", "compare"))
-    parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
-    parser.add_argument("--rounds", type=int, default=25)
-    parser.add_argument("--tolerance", type=float, default=3.0,
-                        help="allowed slow-down factor (default 3x)")
-    parser.add_argument("--report", type=pathlib.Path, default=None,
-                        help="write the comparison document (JSON) here "
-                             "(compare mode only)")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        return write_baseline(args.baseline, args.rounds)
-    return compare_baseline(args.baseline, args.rounds, args.tolerance,
-                            args.report)
+SUITE = Suite(script="bench_baseline.py",
+              title=__doc__.splitlines()[0], baseline=BASELINE,
+              run_benches=run_benches, rounds=25, discipline="caching")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

@@ -4,11 +4,10 @@
 result-store counters for the columnar analytics path — ingest
 throughput, memory-mapped open, top-k ranking, histogram/marginal
 report rendering and lazy blob fetches.  CI re-measures and compares
-with a generous tolerance (timings may grow by the ``--tolerance``
-factor, default 3x, so shared-runner noise never fails a build), while
-the *counters* are compared exactly — a store that re-reads blobs
-during ranking, or seals the wrong number of shards, is a real
-regression no matter how fast the box.
+through :mod:`bench_harness`: timings may grow by the ``--tolerance``
+factor (default 3x), while the *counters* are compared exactly — a
+store that re-reads blobs during ranking, or seals the wrong number of
+shards, is a real regression no matter how fast the box.
 
 Usage::
 
@@ -20,12 +19,9 @@ Run from the repository root (or pass ``--baseline`` explicitly).
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import pathlib
-import statistics
 import sys
 import tempfile
 import time
@@ -42,6 +38,7 @@ from avipack.results import (
 )
 from avipack.sweep.runner import CandidateResult
 from avipack.sweep.space import Candidate
+from bench_harness import Suite, median_ms, timed_samples
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_results.json"
@@ -131,15 +128,6 @@ def build_store(directory, n_rows=N_ROWS, seed=17):
     return outcomes
 
 
-def _median_ms(call, rounds):
-    samples = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - t0)
-    return round(statistics.median(samples) * 1e3, 4)
-
-
 def run_benches(rounds=9):
     """Measure every pinned scenario; returns the baseline document."""
     benches = {}
@@ -161,7 +149,7 @@ def run_benches(rounds=9):
                 writer.close()
             samples.append(time.perf_counter() - t0)
         benches["store_ingest_20k"] = {
-            "median_ms": round(statistics.median(samples) * 1e3, 4),
+            "median_ms": median_ms(samples),
             "counters": {
                 "results.rows_ingested":
                     perf.counter("results.rows_ingested"),
@@ -172,8 +160,8 @@ def run_benches(rounds=9):
 
         directory = os.path.join(tmp, "ingest-0")
         benches["store_open_verify"] = {
-            "median_ms": _median_ms(
-                lambda: ResultStore.open(directory), rounds),
+            "median_ms": median_ms(timed_samples(
+                lambda: ResultStore.open(directory), rounds)),
             "counters": {
                 "results.shards_quarantined": 0,
                 "shards": math.ceil(N_ROWS / SHARD_ROWS),
@@ -183,23 +171,23 @@ def run_benches(rounds=9):
         store = ResultStore.open(directory)
         store.column("cost_rank")  # warm the column cache once
         benches["topk_20_of_20k"] = {
-            "median_ms": _median_ms(
-                lambda: ranked_row_ids(store, TOP_K), rounds),
+            "median_ms": median_ms(timed_samples(
+                lambda: ranked_row_ids(store, TOP_K), rounds)),
             "counters": {"results.blob_fetches": 0,
                          "rows": int(store.n_rows)},
         }
         benches["columnar_report_20k"] = {
-            "median_ms": _median_ms(
-                lambda: render_store_report(store, top=TOP_K), rounds),
+            "median_ms": median_ms(timed_samples(
+                lambda: render_store_report(store, top=TOP_K), rounds)),
             "counters": {"results.blob_fetches": 0},
         }
 
         perf.reset("results.blob_fetches")
         top_rows = ranked_row_ids(store, N_FETCHES)
         benches["lazy_fetch_64_blobs"] = {
-            "median_ms": _median_ms(
+            "median_ms": median_ms(timed_samples(
                 lambda: [store.fetch_outcome(int(row))
-                         for row in top_rows[:N_FETCHES]], 1),
+                         for row in top_rows[:N_FETCHES]], 1)),
             "counters": {"results.blob_fetches":
                          perf.counter("results.blob_fetches")},
         }
@@ -214,92 +202,10 @@ def run_benches(rounds=9):
     }
 
 
-def write_baseline(path, rounds):
-    document = run_benches(rounds)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    print(f"wrote {path} ({len(document['benches'])} benches)")
-    return 0
-
-
-def compare_baseline(path, rounds, tolerance, report_path=None):
-    if not path.exists():
-        print(f"ERROR: baseline {path} not found; run "
-              "`python benchmarks/bench_results.py write` and commit it")
-        return 2
-    baseline = json.loads(path.read_text())
-    current = run_benches(rounds)
-    failures = []
-    comparison = {"schema": 1, "tolerance": tolerance, "rounds": rounds,
-                  "benches": {}}
-    for name, pinned in sorted(baseline["benches"].items()):
-        measured = current["benches"].get(name)
-        if measured is None:
-            failures.append(f"{name}: bench disappeared")
-            comparison["benches"][name] = {"verdict": "MISSING",
-                                           "baseline": pinned}
-            continue
-        limit = pinned["median_ms"] * tolerance
-        verdict = "ok"
-        if measured["median_ms"] > limit:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: {measured['median_ms']:.3f} ms exceeds "
-                f"{tolerance:g}x baseline {pinned['median_ms']:.3f} ms")
-        counter_names = sorted(set(pinned["counters"])
-                               | set(measured["counters"]))
-        for counter in counter_names:
-            expected = pinned["counters"].get(counter)
-            got = measured["counters"].get(counter)
-            if got != expected:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: counter {counter} drifted: baseline "
-                    f"{expected} -> measured {got} "
-                    "(store discipline broken)")
-        comparison["benches"][name] = {
-            "verdict": verdict,
-            "baseline_ms": pinned["median_ms"],
-            "measured_ms": measured["median_ms"],
-            "limit_ms": round(limit, 4),
-            "baseline_counters": pinned["counters"],
-            "measured_counters": measured["counters"],
-        }
-        print(f"{name:<28} {measured['median_ms']:>9.3f} ms "
-              f"(baseline {pinned['median_ms']:.3f}, "
-              f"limit {limit:.3f})  {verdict}")
-    comparison["failures"] = failures
-    comparison["ok"] = not failures
-    if report_path is not None:
-        tmp = report_path.parent / f"{report_path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, report_path)
-        print(f"comparison written to {report_path}")
-    if failures:
-        print("\n" + "\n".join(f"FAIL: {line}" for line in failures))
-        return 1
-    print("\nall benches within tolerance, counters exact")
-    return 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("write", "compare"))
-    parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
-    parser.add_argument("--rounds", type=int, default=9)
-    parser.add_argument("--tolerance", type=float, default=3.0,
-                        help="allowed slow-down factor (default 3x)")
-    parser.add_argument("--report", type=pathlib.Path, default=None,
-                        help="write the comparison document (JSON) here "
-                             "(compare mode only)")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        return write_baseline(args.baseline, args.rounds)
-    return compare_baseline(args.baseline, args.rounds, args.tolerance,
-                            args.report)
+SUITE = Suite(script="bench_results.py",
+              title=__doc__.splitlines()[0], baseline=BASELINE,
+              run_benches=run_benches, rounds=9, discipline="store")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

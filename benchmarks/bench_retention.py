@@ -4,12 +4,12 @@
 exact counters for the space-reclamation path — folding a
 1000-candidate journal into its checkpoint, replaying the compacted
 journal, rewriting a half-superseded result store, and the governor's
-``directory_bytes`` usage probe.  CI re-measures and compares with a
-generous timing tolerance (default 3x, shared-runner noise must never
-fail a build) while the counters — records folded, rows dropped,
-shards rewritten, bytes-reclaimed fractions — are compared exactly: a
-compaction that folds fewer records or drops the wrong rows is a
-correctness regression no matter how fast the box.
+``directory_bytes`` usage probe.  CI re-measures and compares through
+:mod:`bench_harness` with a generous timing tolerance (default 3x)
+while the counters — records folded, rows dropped, shards rewritten,
+bytes-reclaimed fractions — are compared exactly: a compaction that
+folds fewer records or drops the wrong rows is a correctness
+regression no matter how fast the box.
 
 Usage::
 
@@ -21,12 +21,9 @@ Run from the repository root (or pass ``--baseline`` explicitly).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import pathlib
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -35,6 +32,7 @@ from avipack.durability import SweepJournal, replay_journal
 from avipack.results import ResultStoreWriter
 from avipack.retention import compact_journal, compact_store, \
     directory_bytes
+from bench_harness import Suite, median_ms
 from bench_results import synthetic_outcomes
 
 BASELINE = pathlib.Path(__file__).resolve().parent.parent \
@@ -84,10 +82,6 @@ def build_half_superseded_store(directory, n=N_STORE, seed=29):
     return len(corrections)
 
 
-def _median_ms(samples):
-    return round(statistics.median(samples) * 1e3, 4)
-
-
 def run_benches(rounds=5):
     """Measure every pinned scenario; returns the baseline document."""
     benches = {}
@@ -104,7 +98,7 @@ def run_benches(rounds=5):
         reclaimed_pct = round(
             100.0 * compaction.bytes_reclaimed / compaction.bytes_before)
         benches["journal_compact_1k_churned"] = {
-            "median_ms": _median_ms(samples),
+            "median_ms": median_ms(samples),
             "counters": {
                 "n_folded": compaction.n_folded,
                 "n_quarantined": compaction.n_quarantined,
@@ -121,7 +115,7 @@ def run_benches(rounds=5):
             replay = replay_journal(compacted, write_quarantine=False)
             samples.append(time.perf_counter() - t0)
         benches["replay_compacted_journal"] = {
-            "median_ms": _median_ms(samples),
+            "median_ms": median_ms(samples),
             "counters": {
                 "n_records": replay.n_records,
                 "n_outcomes": len(replay.outcomes),
@@ -140,7 +134,7 @@ def run_benches(rounds=5):
             compaction = compact_store(directory)
             samples.append(time.perf_counter() - t0)
         benches["store_compact_20k_half_dead"] = {
-            "median_ms": _median_ms(samples),
+            "median_ms": median_ms(samples),
             "counters": {
                 "rows_dropped": compaction.rows_dropped,
                 "shards_rewritten": compaction.shards_rewritten,
@@ -157,7 +151,7 @@ def run_benches(rounds=5):
             directory_bytes(probe_root)
             samples.append(time.perf_counter() - t0)
         benches["directory_bytes_probe"] = {
-            "median_ms": _median_ms(samples),
+            "median_ms": median_ms(samples),
             "counters": {"nonzero": int(directory_bytes(probe_root) > 0)},
         }
 
@@ -171,92 +165,10 @@ def run_benches(rounds=5):
     }
 
 
-def write_baseline(path, rounds):
-    document = run_benches(rounds)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    print(f"wrote {path} ({len(document['benches'])} benches)")
-    return 0
-
-
-def compare_baseline(path, rounds, tolerance, report_path=None):
-    if not path.exists():
-        print(f"ERROR: baseline {path} not found; run "
-              "`python benchmarks/bench_retention.py write` and commit it")
-        return 2
-    baseline = json.loads(path.read_text())
-    current = run_benches(rounds)
-    failures = []
-    comparison = {"schema": 1, "tolerance": tolerance, "rounds": rounds,
-                  "benches": {}}
-    for name, pinned in sorted(baseline["benches"].items()):
-        measured = current["benches"].get(name)
-        if measured is None:
-            failures.append(f"{name}: bench disappeared")
-            comparison["benches"][name] = {"verdict": "MISSING",
-                                           "baseline": pinned}
-            continue
-        limit = pinned["median_ms"] * tolerance
-        verdict = "ok"
-        if measured["median_ms"] > limit:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: {measured['median_ms']:.3f} ms exceeds "
-                f"{tolerance:g}x baseline {pinned['median_ms']:.3f} ms")
-        counter_names = sorted(set(pinned["counters"])
-                               | set(measured["counters"]))
-        for counter in counter_names:
-            expected = pinned["counters"].get(counter)
-            got = measured["counters"].get(counter)
-            if got != expected:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: counter {counter} drifted: baseline "
-                    f"{expected} -> measured {got} "
-                    "(compaction discipline broken)")
-        comparison["benches"][name] = {
-            "verdict": verdict,
-            "baseline_ms": pinned["median_ms"],
-            "measured_ms": measured["median_ms"],
-            "limit_ms": round(limit, 4),
-            "baseline_counters": pinned["counters"],
-            "measured_counters": measured["counters"],
-        }
-        print(f"{name:<32} {measured['median_ms']:>9.3f} ms "
-              f"(baseline {pinned['median_ms']:.3f}, "
-              f"limit {limit:.3f})  {verdict}")
-    comparison["failures"] = failures
-    comparison["ok"] = not failures
-    if report_path is not None:
-        tmp = report_path.parent / f"{report_path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, report_path)
-        print(f"comparison written to {report_path}")
-    if failures:
-        print("\n" + "\n".join(f"FAIL: {line}" for line in failures))
-        return 1
-    print("\nall benches within tolerance, counters exact")
-    return 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("write", "compare"))
-    parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE)
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--tolerance", type=float, default=3.0,
-                        help="allowed slow-down factor (default 3x)")
-    parser.add_argument("--report", type=pathlib.Path, default=None,
-                        help="write the comparison document (JSON) here "
-                             "(compare mode only)")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        return write_baseline(args.baseline, args.rounds)
-    return compare_baseline(args.baseline, args.rounds, args.tolerance,
-                            args.report)
+SUITE = Suite(script="bench_retention.py",
+              title=__doc__.splitlines()[0], baseline=BASELINE,
+              run_benches=run_benches, rounds=5, discipline="compaction")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

@@ -14,7 +14,7 @@ import json
 import pathlib
 import time
 
-from bench_baseline import BASELINE, build_candidate_grid, compare_baseline
+from bench_baseline import BASELINE, SUITE, build_candidate_grid
 
 from avipack import perf
 from avipack.thermal.batch import solve_batched
@@ -129,8 +129,8 @@ def test_compare_reports_which_counter_drifted(tmp_path, capsys):
     baseline_path.write_text(json.dumps(doctored))
     report_path = tmp_path / "compare.json"
 
-    rc = compare_baseline(pathlib.Path(baseline_path), rounds=1,
-                          tolerance=100.0, report_path=report_path)
+    rc = SUITE.compare(pathlib.Path(baseline_path), rounds=1,
+                       tolerance=100.0, report_path=report_path)
     out = capsys.readouterr().out
     assert rc == 1
     assert "counter factorizations drifted" in out

@@ -1,69 +1,45 @@
 """Domain-aware static analysis for the avipack codebase.
 
-``avipack.analysis`` is an AST-based lint framework carrying the paper's
+``avipack.analysis`` is an AST-based lint pass carrying the paper's
 design-procedure philosophy (catch specification violations before
 hardware — here: before a 240-candidate sweep runs) into the codebase
-itself.  The rules encode failure classes met in earlier PRs:
+itself.  Each rule encodes a failure class this codebase has met:
 
 ========  ===================================================================
-AVI001    unit-suffix consistency (names vs documented physical units)
 AVI002    error-taxonomy enforcement (avipack.errors types, picklable
           custom exceptions)
 AVI003    worker-boundary pickle safety (no lambdas/local defs into pools)
-AVI004    determinism (no unseeded entropy or wall-clock logic in
-          solver/sweep/resilience code)
-AVI005    solver-mutation safety (no topology mutation after solve)
 AVI006    durable-write discipline (state files written via tmp + replace)
-AVI007    perf-kernel naming (timed sections use registered kernels)
 AVI008    no blocking calls reachable from async code (call-graph based)
 AVI009    atomic-persist ordering (write -> flush -> fsync -> replace
           on every path)
-AVI010    lock discipline (acquire implies release; no use after close)
-AVI011    perf-counter hygiene (registry and call sites agree both ways)
-AVI012    resource-handle leaks (files/mmaps closed on error paths)
 ========  ===================================================================
 
-Since PR 9 the engine is **project-wide and flow-sensitive**: every file
-is summarized into a picklable module summary, the summaries form an
-import + conservative call graph (:mod:`avipack.analysis.project`), and
-rules may consult either bounded path enumeration within a function
-(:mod:`avipack.analysis.flow`) or reachability across modules.  Use
-``rule_range()`` rather than hard-coding the id span.
+The engine is one serial pass: parse every file, summarize it
+(:mod:`avipack.analysis.project`), build the call graph, then check
+every file.  AVI009 reasons over bounded path enumeration within a
+function (:mod:`avipack.analysis.flow`); AVI008 follows calls across
+modules through the graph.  Use ``rule_range()`` rather than
+hard-coding the id span.
 
-Run it with ``python -m avipack.analysis [--format text|json|sarif]
-[--jobs N] [paths]``.  Findings are suppressed inline with ``# avilint:
-disable=RULE`` or grandfathered in a checked-in baseline
-(``analysis-baseline.json``).  Results are cached per file on a content
-hash plus a dependency fingerprint of the file's import closure, so a
-warm run re-checks only edited files and their dependents.
+Run it with ``python -m avipack.analysis [paths]`` (text report, exit
+1 on findings) or ``--list-rules``.  A finding is silenced only inline,
+with ``# avilint: disable=RULE`` on the flagged line.
 """
 
-from .baseline import Baseline
-from .cache import AnalysisCache
 from .context import FileContext
 from .engine import AnalysisEngine, AnalysisResult
 from .findings import Finding, Severity
-from .rules import (
-    Rule,
-    all_rules,
-    get_rule,
-    register,
-    rule_range,
-    rules_signature,
-)
+from .rules import Rule, all_rules, register, rule_range
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisEngine",
     "AnalysisResult",
-    "Baseline",
     "FileContext",
     "Finding",
     "Rule",
     "Severity",
     "all_rules",
-    "get_rule",
     "register",
     "rule_range",
-    "rules_signature",
 ]

@@ -3,9 +3,8 @@
 Examples::
 
     python -m avipack.analysis src
-    python -m avipack.analysis --format json src/avipack/sweep
-    python -m avipack.analysis --baseline analysis-baseline.json src
-    python -m avipack.analysis --write-baseline src   # grandfather all
+    python -m avipack.analysis src/avipack/sweep
+    python -m avipack.analysis --list-rules
 
 Exit codes: 0 clean, 1 active findings or parse errors, 2 bad usage.
 """
@@ -13,112 +12,36 @@ Exit codes: 0 clean, 1 active findings or parse errors, 2 bad usage.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from ..errors import AvipackError
-from .baseline import Baseline
-from .cache import AnalysisCache
 from .engine import AnalysisEngine
-from .rules import all_rules, rule_range, rules_signature
-from .sarif import to_sarif
+from .rules import all_rules, rule_range
 
 __all__ = ["main"]
 
-#: Baseline picked up automatically when present in the working directory.
-DEFAULT_BASELINE = "analysis-baseline.json"
 
-#: Default on-disk result cache (gitignored).
-DEFAULT_CACHE = ".avilint-cache.json"
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m avipack.analysis",
         description=("avipack domain-aware static analysis "
                      f"({rule_range()})"))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to analyze (default: src)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="output format")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for summarize/check "
-                             "phases (0 = one per CPU; default: 1)")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help=f"baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE} if it exists)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline "
-                             "file and exit 0")
-    parser.add_argument("--cache", metavar="PATH", default=DEFAULT_CACHE,
-                        help=f"result cache file (default: {DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
     parser.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
-    return parser
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
-    if args.no_baseline or args.write_baseline:
-        return None
-    if args.baseline is not None:
-        return Baseline.load(args.baseline)
-    if os.path.exists(DEFAULT_BASELINE):
-        return Baseline.load(DEFAULT_BASELINE)
-    return None
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.list_rules:
         for rule in all_rules():
-            print(f"{rule.rule_id}  {rule.name}  "
-                  f"[{rule.severity.value}, v{rule.version}]")
+            print(f"{rule.rule_id}  {rule.name}  [{rule.severity.value}]")
         return 0
 
-    cache: Optional[AnalysisCache] = None
-    if not args.no_cache:
-        cache = AnalysisCache.load(args.cache, rules_signature())
-
     try:
-        baseline = _resolve_baseline(args)
-        engine = AnalysisEngine(cache=cache, baseline=baseline,
-                                jobs=args.jobs)
-        result = engine.analyze_paths(args.paths)
+        result = AnalysisEngine().analyze_paths(args.paths)
     except AvipackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if cache is not None:
-        try:
-            cache.save(args.cache)
-        except OSError as exc:  # a read-only checkout must not fail the run
-            print(f"warning: could not write cache {args.cache}: {exc}",
-                  file=sys.stderr)
-
-    if args.write_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        Baseline(tuple(result.findings)).save(target)
-        print(f"wrote {len(result.findings)} finding(s) to {target}")
-        return 0
-
-    if args.format == "json":
-        print(json.dumps(result.to_payload(), indent=1, sort_keys=True))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(result, engine.rules), indent=1,
-                         sort_keys=True))
-    else:
-        print(result.render_text())
+    print(result.render_text())
     return 0 if result.clean else 1
-
-
-def _entry() -> None:  # pragma: no cover - thin shim for __main__
-    raise SystemExit(main())
-

@@ -1,7 +1,7 @@
 """Per-file analysis context shared by every rule.
 
-Parsing a file once (source, line table, AST, parent links, enclosing-
-symbol map) and handing the result to all rules keeps the engine
+Parsing a file once (source, AST, parent links, enclosing-symbol
+map) and handing the result to all rules keeps the engine
 O(files), not O(files x rules), and gives rules a uniform way to locate
 nodes, resolve enclosing scopes and emit findings.
 """
@@ -26,11 +26,10 @@ class FileContext:
     rel_path: str
     source: str
     tree: ast.Module
-    lines: Tuple[str, ...] = ()
     package_parts: Tuple[str, ...] = ()
     _parents: Dict[int, ast.AST] = field(default_factory=dict, repr=False)
     _symbols: Dict[int, str] = field(default_factory=dict, repr=False)
-    #: Attached by the engine when running project-wide: the
+    #: Attached by the engine before the check step: the
     #: :class:`~avipack.analysis.project.ProjectGraph` and this file's
     #: :class:`~avipack.analysis.project.ModuleSummary`.  ``None`` when
     #: a rule is driven standalone (rules fall back to a single-file
@@ -48,7 +47,6 @@ class FileContext:
                 f"cannot parse {rel_path}: {exc.msg} (line {exc.lineno})"
             ) from exc
         ctx = cls(rel_path=rel_path, source=source, tree=tree,
-                  lines=tuple(source.splitlines()),
                   package_parts=_package_parts(rel_path))
         ctx._link()
         return ctx
@@ -91,11 +89,6 @@ class FileContext:
     def in_package(self) -> bool:
         """True when the file belongs to the ``avipack`` package."""
         return self.package_parts[:1] == ("avipack",)
-
-    def in_subpackage(self, *names: str) -> bool:
-        """True when the file sits under ``avipack.<one of names>``."""
-        return (self.in_package and len(self.package_parts) > 1
-                and self.package_parts[1] in names)
 
 
 def _package_parts(rel_path: str) -> Tuple[str, ...]:

@@ -1,53 +1,36 @@
-"""Analysis engine: project graph, rule dispatch, result assembly.
+"""Analysis engine: one serial pass over a file tree.
 
-Since PR 9 the engine runs in two phases over the whole tree:
+The pass runs four steps, in order:
 
-1. **Summarize** — every file is parsed once and lowered into a
-   picklable :class:`~avipack.analysis.project.ModuleSummary` (imports,
-   call sites, blocking ops, perf events).  Summaries are cached on
-   the file's content hash, so a warm run re-parses only edited files.
-   The summaries assemble into a :class:`~avipack.analysis.project.
-   ProjectGraph`: import closure, conservative call graph, dependency
-   fingerprints.
-2. **Check** — file-scope rules run per file with the graph attached
-   to the context; results are cached on ``(content_fp, dep_fp)`` so a
-   file re-checks exactly when it or something it imports changed.
-   Project-scope rules (registry-wide invariants like AVI011) run once
-   over the graph, uncached.  Raw findings then flow through inline
-   suppressions and the baseline as before.
+1. **Parse** — every file is read and parsed once into a
+   :class:`~avipack.analysis.context.FileContext`.
+2. **Summarize** — each context is lowered into a
+   :class:`~avipack.analysis.project.ModuleSummary`.
+3. **Graph** — the summaries assemble into a
+   :class:`~avipack.analysis.project.ProjectGraph`, the conservative
+   call graph AVI008 follows across modules.
+4. **Check** — every rule runs on every file with the graph attached
+   to the context.  Raw findings then pass through the inline
+   ``# avilint: disable=`` suppressions.
 
-Both phases fan out over a process pool when ``jobs > 1``; workers
-re-parse from source (AST parent maps don't pickle) and ship findings
-back as plain dicts.  Serial and parallel runs produce byte-identical
-results — the parity test in ``tests/test_analysis_engine.py`` holds
-the engine to that.
-
-The engine reports itself to :mod:`avipack.perf`: wall time on the
-``analysis.engine`` kernel and ``analysis.*`` counters for files,
-cache hits and graph edges.
+A cold run over ``src`` takes a few seconds, so nothing is cached and
+nothing fans out over processes.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .. import perf as _perf
 from ..errors import InputError
-from ..fingerprint import stable_fingerprint
-from .baseline import Baseline
-from .cache import AnalysisCache
 from .context import FileContext
 from .findings import Finding
-from .project import ModuleSummary, ProjectGraph, summarize
-from .rules import Rule, all_rules, get_rule, rules_signature
+from .project import ProjectGraph, summarize
+from .rules import Rule, all_rules
 from .suppress import line_suppressions, suppresses
 
 __all__ = ["AnalysisEngine", "AnalysisResult"]
-
-_RESULT_VERSION = 2
 
 
 @dataclass
@@ -55,139 +38,35 @@ class AnalysisResult:
     """Outcome of one analysis run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_analyzed: int = 0
-    cache_hits: int = 0
-    import_edges: int = 0
-    call_edges: int = 0
 
     @property
     def clean(self) -> bool:
         """True when nothing gates: no active findings, no parse errors."""
         return not self.findings and not self.errors
 
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-compatible encoding (``--format json`` output)."""
-        return {
-            "version": _RESULT_VERSION,
-            "rules_signature": rules_signature(),
-            "files_analyzed": self.files_analyzed,
-            "cache_hits": self.cache_hits,
-            "import_edges": self.import_edges,
-            "call_edges": self.call_edges,
-            "clean": self.clean,
-            "errors": list(self.errors),
-            "findings": [finding.to_dict() for finding in self.findings],
-            "baselined": [finding.to_dict() for finding in self.baselined],
-            "suppressed": [finding.to_dict() for finding in self.suppressed],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "AnalysisResult":
-        """Rebuild a result from :meth:`to_payload` output (round-trip)."""
-        if not isinstance(payload, dict) \
-                or payload.get("version") != _RESULT_VERSION:
-            raise InputError("malformed analysis result payload")
-        return cls(
-            findings=[Finding.from_dict(r) for r in payload["findings"]],
-            baselined=[Finding.from_dict(r) for r in payload["baselined"]],
-            suppressed=[Finding.from_dict(r) for r in payload["suppressed"]],
-            errors=[str(e) for e in payload.get("errors", [])],
-            files_analyzed=int(payload.get("files_analyzed", 0)),
-            cache_hits=int(payload.get("cache_hits", 0)),
-            import_edges=int(payload.get("import_edges", 0)),
-            call_edges=int(payload.get("call_edges", 0)),
-        )
-
     def render_text(self) -> str:
-        """Human-readable report (``--format text`` output)."""
-        lines: List[str] = []
-        for finding in self.findings:
-            lines.append(finding.render())
-        for error in self.errors:
-            lines.append(f"error: {error}")
-        if self.baselined:
-            lines.append(f"-- {len(self.baselined)} baselined finding(s) "
-                         f"not shown (see the baseline file)")
+        """Human-readable report (the CLI's output)."""
+        lines = [finding.render() for finding in self.findings]
+        lines.extend(f"error: {error}" for error in self.errors)
         if self.suppressed:
             lines.append(f"-- {len(self.suppressed)} finding(s) suppressed "
                          f"inline (# avilint: disable=...)")
         lines.append(
-            f"analyzed {self.files_analyzed} file(s) "
-            f"({self.cache_hits} cached, {self.import_edges} import / "
-            f"{self.call_edges} call edges): "
-            f"{len(self.findings)} active, {len(self.baselined)} baselined, "
+            f"analyzed {self.files_analyzed} file(s): "
+            f"{len(self.findings)} active, "
             f"{len(self.suppressed)} suppressed")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Pool workers (top-level for pickling; state arrives via initializer)
-# ---------------------------------------------------------------------------
-
-_WORKER_GRAPH: Optional[ProjectGraph] = None
-_WORKER_RULE_IDS: Tuple[str, ...] = ()
-
-
-def _summarize_worker(task: Tuple[str, str]) -> Tuple[str, str, object]:
-    """Parse + summarize one file: ('ok', path, dict) / ('error', ...)."""
-    rel_path, source = task
-    try:
-        ctx = FileContext.parse(rel_path, source)
-    except InputError as exc:
-        return ("error", rel_path, str(exc))
-    return ("ok", rel_path, summarize(ctx).to_dict())
-
-
-def _init_check_worker(graph: ProjectGraph,
-                       rule_ids: Tuple[str, ...]) -> None:
-    global _WORKER_GRAPH, _WORKER_RULE_IDS
-    _WORKER_GRAPH = graph
-    _WORKER_RULE_IDS = rule_ids
-
-
-def _check_worker(task: Tuple[str, str]) -> Tuple[str, str, object]:
-    """Run file-scope rules on one file inside a pool worker."""
-    rel_path, source = task
-    assert _WORKER_GRAPH is not None
-    rules = tuple(get_rule(rule_id) for rule_id in _WORKER_RULE_IDS)
-    try:
-        findings = _check_one(rel_path, source, rules, _WORKER_GRAPH)
-    except InputError as exc:
-        return ("error", rel_path, str(exc))
-    return ("ok", rel_path, [finding.to_dict() for finding in findings])
-
-
-def _check_one(rel_path: str, source: str, rules: Sequence[Rule],
-               graph: ProjectGraph) -> Tuple[Finding, ...]:
-    """Parse one file, attach the graph, run the file-scope rules."""
-    ctx = FileContext.parse(rel_path, source)
-    ctx.project = graph
-    ctx.summary = graph.files.get(rel_path)
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(ctx))
-    return tuple(sorted(findings, key=_finding_order))
 
 
 class AnalysisEngine:
     """Run the registered rule set over a file tree."""
 
-    def __init__(self, rules: Optional[Sequence[Rule]] = None,
-                 cache: Optional[AnalysisCache] = None,
-                 baseline: Optional[Baseline] = None,
-                 jobs: int = 1) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: Tuple[Rule, ...] = (tuple(rules) if rules is not None
                                         else all_rules())
-        self.cache = cache
-        self.baseline = baseline
-        if jobs < 0:
-            raise InputError(f"jobs must be >= 0, got {jobs}")
-        self.jobs = jobs if jobs else (os.cpu_count() or 1)
-
-    # -- discovery -----------------------------------------------------------
 
     @staticmethod
     def discover(paths: Iterable[str]) -> List[str]:
@@ -209,184 +88,39 @@ class AnalysisEngine:
                 raise InputError(f"no such file or directory: {path}")
         return sorted(dict.fromkeys(_normalise(f) for f in files))
 
-    # -- execution -----------------------------------------------------------
-
     def analyze_paths(self, paths: Iterable[str]) -> AnalysisResult:
         """Analyze every ``.py`` file under ``paths``."""
         return self.analyze_files(self.discover(paths))
 
     def analyze_files(self, files: Sequence[str]) -> AnalysisResult:
-        with _perf.timed("analysis.engine"):
-            result = self._analyze_files(files)
-        _perf.increment("analysis.files", result.files_analyzed)
-        _perf.increment("analysis.cache_hits", result.cache_hits)
-        _perf.increment("analysis.import_edges", result.import_edges)
-        _perf.increment("analysis.call_edges", result.call_edges)
-        return result
-
-    def _analyze_files(self, files: Sequence[str]) -> AnalysisResult:
         result = AnalysisResult()
-        sources: Dict[str, str] = {}
+        contexts: List[FileContext] = []
         for rel_path in files:
             try:
                 with open(rel_path, encoding="utf-8") as stream:
-                    sources[rel_path] = stream.read()
+                    source = stream.read()
             except OSError as exc:
                 result.errors.append(f"{rel_path}: {exc}")
-        result.files_analyzed = len(sources)
-        content_fps = {rel_path: stable_fingerprint(source)
-                       for rel_path, source in sources.items()}
+                continue
+            result.files_analyzed += 1
+            try:
+                contexts.append(FileContext.parse(rel_path, source))
+            except InputError as exc:
+                result.errors.append(str(exc))
 
-        # Phase 1: module summaries (cached on content, else parsed).
-        summaries = self._summarize_phase(sources, content_fps, result)
-        graph = ProjectGraph(list(summaries.values()), content_fps)
-        result.import_edges = graph.n_import_edges
-        result.call_edges = graph.n_call_edges
-
-        # Phase 2: file-scope findings (cached on content + deps).
-        dep_fps = {rel_path: graph.dependency_fingerprint(rel_path)
-                   for rel_path in summaries}
-        raw_by_file, to_check = self._collect_cached(
-            summaries, content_fps, dep_fps, result)
-        checked = self._check_phase(
-            {rel_path: sources[rel_path] for rel_path in to_check},
-            graph, result)
-        raw_by_file.update(checked)
-        if self.cache is not None:
-            for rel_path in checked:
-                self.cache.put(rel_path, content_fps[rel_path],
-                               dep_fps[rel_path], summaries[rel_path],
-                               checked[rel_path])
-
-        # Phase 3: project-scope rules over the whole graph (uncached).
-        project_raw = self._project_phase(graph)
-
-        # Suppressions, baseline, ordering.
-        raw: List[Finding] = []
-        for rel_path in sorted(raw_by_file):
-            file_raw = list(raw_by_file[rel_path])
-            file_raw.extend(project_raw.pop(rel_path, ()))
-            active, suppressed = self._apply_suppressions(
-                sources[rel_path], file_raw)
-            raw.extend(active)
+        graph = ProjectGraph([summarize(ctx) for ctx in contexts])
+        for ctx in contexts:
+            ctx.project = graph
+            ctx.summary = graph.files[ctx.rel_path]
+            raw = [finding for rule in self.rules
+                   for finding in rule.check(ctx)]
+            active, suppressed = self._apply_suppressions(ctx.source, raw)
+            result.findings.extend(active)
             result.suppressed.extend(suppressed)
-        for rel_path in sorted(project_raw):  # findings outside the tree
-            raw.extend(project_raw[rel_path])
-        if self.baseline is not None:
-            result.findings, result.baselined = self.baseline.partition(raw)
-        else:
-            result.findings = raw
         result.findings.sort(key=_finding_order)
-        result.baselined.sort(key=_finding_order)
         result.suppressed.sort(key=_finding_order)
         result.errors.sort()
         return result
-
-    # -- phase helpers -------------------------------------------------------
-
-    def _summarize_phase(self, sources: Dict[str, str],
-                         content_fps: Dict[str, str],
-                         result: AnalysisResult
-                         ) -> Dict[str, ModuleSummary]:
-        summaries: Dict[str, ModuleSummary] = {}
-        to_parse: List[str] = []
-        for rel_path in sorted(sources):
-            cached = (self.cache.get_summary(rel_path,
-                                             content_fps[rel_path])
-                      if self.cache is not None else None)
-            if cached is not None:
-                summaries[rel_path] = cached
-            else:
-                to_parse.append(rel_path)
-        tasks = [(rel_path, sources[rel_path]) for rel_path in to_parse]
-        if self._parallel(len(tasks)):
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                outcomes = list(pool.map(_summarize_worker, tasks,
-                                         chunksize=4))
-        else:
-            outcomes = [_summarize_worker(task) for task in tasks]
-        for status, rel_path, payload in outcomes:
-            if status == "error":
-                result.errors.append(str(payload))
-                continue
-            summary = ModuleSummary.from_dict(payload)  # type: ignore
-            if summary is not None:
-                summaries[rel_path] = summary
-        return summaries
-
-    def _collect_cached(self, summaries: Dict[str, ModuleSummary],
-                        content_fps: Dict[str, str],
-                        dep_fps: Dict[str, str], result: AnalysisResult
-                        ) -> Tuple[Dict[str, Tuple[Finding, ...]],
-                                   List[str]]:
-        raw_by_file: Dict[str, Tuple[Finding, ...]] = {}
-        to_check: List[str] = []
-        for rel_path in sorted(summaries):
-            cached = (self.cache.get_findings(
-                rel_path, content_fps[rel_path], dep_fps[rel_path])
-                if self.cache is not None else None)
-            if cached is not None:
-                raw_by_file[rel_path] = cached
-                result.cache_hits += 1
-            else:
-                to_check.append(rel_path)
-        return raw_by_file, to_check
-
-    def _check_phase(self, sources: Dict[str, str], graph: ProjectGraph,
-                     result: AnalysisResult
-                     ) -> Dict[str, Tuple[Finding, ...]]:
-        file_rules = tuple(rule for rule in self.rules
-                           if rule.scope == "file")
-        tasks = [(rel_path, sources[rel_path])
-                 for rel_path in sorted(sources)]
-        checked: Dict[str, Tuple[Finding, ...]] = {}
-        if self._parallel(len(tasks)) and self._rules_portable():
-            rule_ids = tuple(rule.rule_id for rule in file_rules)
-            with ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_check_worker,
-                    initargs=(graph, rule_ids)) as pool:
-                outcomes = list(pool.map(_check_worker, tasks,
-                                         chunksize=4))
-            for status, rel_path, payload in outcomes:
-                if status == "error":
-                    result.errors.append(str(payload))
-                    continue
-                checked[rel_path] = tuple(
-                    Finding.from_dict(record)
-                    for record in payload)  # type: ignore[union-attr]
-        else:
-            for rel_path, source in tasks:
-                try:
-                    checked[rel_path] = _check_one(
-                        rel_path, source, file_rules, graph)
-                except InputError as exc:
-                    result.errors.append(str(exc))
-        return checked
-
-    def _project_phase(self, graph: ProjectGraph
-                       ) -> Dict[str, List[Finding]]:
-        by_file: Dict[str, List[Finding]] = {}
-        for rule in self.rules:
-            if rule.scope != "project":
-                continue
-            for finding in rule.check_project(graph):
-                by_file.setdefault(finding.path, []).append(finding)
-        return by_file
-
-    def _parallel(self, n_tasks: int) -> bool:
-        return self.jobs > 1 and n_tasks > 1
-
-    def _rules_portable(self) -> bool:
-        """True when every rule is the registered singleton, so a pool
-        worker can reconstruct the exact rule set from ids alone."""
-        try:
-            return all(get_rule(rule.rule_id) is rule
-                       for rule in self.rules)
-        except InputError:
-            return False
-
-    # -- filtering -----------------------------------------------------------
 
     @staticmethod
     def _apply_suppressions(source: str, findings: Iterable[Finding]
@@ -407,7 +141,7 @@ def _finding_order(finding: Finding) -> Tuple[str, int, int, str]:
 
 
 def _normalise(path: str) -> str:
-    """Repo-relative forward-slash path when possible (baseline stability)."""
+    """Repo-relative forward-slash path when possible."""
     rel = os.path.relpath(path)
     if rel.startswith(".."):
         rel = path

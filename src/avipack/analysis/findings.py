@@ -1,20 +1,15 @@
 """Finding records produced by the static-analysis rules.
 
 A :class:`Finding` is a structured lint result: rule id, severity,
-location, human message and (optionally) a machine-applicable
-suggestion.  Findings are plain frozen dataclasses so they serialise
-losslessly to JSON (``--format json``, the on-disk result cache and the
-checked-in baseline all share the same encoding) and compare by value,
-which the baseline matcher and the analyzer's own tests rely on.
+location, human message and (optionally) a short suggestion.  Findings
+are plain frozen dataclasses, so they compare by value, which the
+analyzer's own tests rely on.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
-
-from ..errors import InputError
 
 __all__ = ["Finding", "Severity"]
 
@@ -22,8 +17,8 @@ __all__ = ["Finding", "Severity"]
 class Severity(enum.Enum):
     """How seriously a finding should be taken.
 
-    Every active (non-suppressed, non-baselined) finding gates the CI
-    job regardless of severity; the distinction is informational.
+    Every active (non-suppressed) finding gates the CI job regardless
+    of severity; the distinction is informational.
     """
 
     ERROR = "error"
@@ -50,9 +45,7 @@ class Finding:
     suggestion:
         Optional short hint on how to fix it.
     symbol:
-        Enclosing function/class qualname (used, together with the
-        message, to match baseline entries stably across line-number
-        churn).
+        Enclosing function/class qualname.
     """
 
     rule_id: str
@@ -63,40 +56,6 @@ class Finding:
     message: str
     suggestion: str = ""
     symbol: str = ""
-
-    def baseline_key(self) -> Tuple[str, str, str, str]:
-        """Line-number-independent identity used by the baseline file."""
-        return (self.rule_id, self.path, self.symbol, self.message)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible encoding (inverse of :meth:`from_dict`)."""
-        return {
-            "rule_id": self.rule_id,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "message": self.message,
-            "suggestion": self.suggestion,
-            "symbol": self.symbol,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output."""
-        try:
-            return cls(
-                rule_id=str(payload["rule_id"]),
-                severity=Severity(payload["severity"]),
-                path=str(payload["path"]),
-                line=int(payload["line"]),
-                column=int(payload["column"]),
-                message=str(payload["message"]),
-                suggestion=str(payload.get("suggestion", "")),
-                symbol=str(payload.get("symbol", "")),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(f"malformed finding record: {exc}") from exc
 
     def render(self) -> str:
         """One-line ``path:line:col: RULE [severity] message`` form."""

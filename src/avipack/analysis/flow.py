@@ -1,12 +1,10 @@
 """Intra-function ordering and dataflow primitives.
 
-The flow-sensitive rules (AVI009/AVI010/AVI012) need answers to
-questions a plain AST walk cannot give: *does the fsync happen before
-the replace on every path?*, *is the lock released even when the body
-raises?*, *is the handle used after it was closed?*  This module
-answers them with **bounded path enumeration**: a function body is
-lowered into the set of event sequences its control flow can produce,
-and the ordering predicates are evaluated per path.
+The flow-sensitive rule AVI009 needs an answer a plain AST walk cannot
+give: *does the fsync happen before the replace on every path?*  This
+module answers it with **bounded path enumeration**: a function body
+is lowered into the set of event sequences its control flow can
+produce, and the ordering predicate is evaluated per path.
 
 Control flow is modelled conservatively:
 
@@ -27,7 +25,7 @@ acceptable, a false positive in the CI gate is not.
 Events are caller-defined opaque objects produced by an ``events_of``
 extractor invoked on every simple statement and on the header
 expressions of compound statements (``if`` tests, ``with`` items,
-loop iterables).  The predicates below then classify them.
+loop iterables).  :func:`must_precede` then classifies them.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "enumerate_paths",
-    "event_after",
-    "must_precede",
-    "name_escapes",
-]
+__all__ = ["enumerate_paths", "must_precede"]
 
 #: Default cap on enumerated paths; beyond it analysis goes silent.
 MAX_PATHS = 512
@@ -95,21 +88,18 @@ def _paths_of_stmt(stmt: ast.stmt, events_of: _EventsOf,
             for path, dead in _paths_of_block(body, events_of, cap):
                 branches.append((head + path, dead))
         return branches
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        head = _header_events([stmt.iter], events_of)
+    if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+        head = _header_events(
+            [stmt.test if isinstance(stmt, ast.While) else stmt.iter],
+            events_of)
+        # A break/continue inside the body ends the path here too:
+        # shorter paths carry fewer events to mis-order, so this is
+        # conservative for ordering checks.
         once = _paths_of_block(list(stmt.body) + list(stmt.orelse),
                                events_of, cap)
         skip = _paths_of_block(stmt.orelse, events_of, cap)
         out = [(head + p, d) for p, d in skip]
-        out.extend((head + p, _break_absorbed(d)) for p, d in once)
-        return out
-    if isinstance(stmt, ast.While):
-        head = _header_events([stmt.test], events_of)
-        once = _paths_of_block(list(stmt.body) + list(stmt.orelse),
-                               events_of, cap)
-        skip = _paths_of_block(stmt.orelse, events_of, cap)
-        out = [(head + p, d) for p, d in skip]
-        out.extend((head + p, _break_absorbed(d)) for p, d in once)
+        out.extend((head + p, d) for p, d in once)
         return out
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
         head = _header_events(
@@ -145,14 +135,6 @@ def _paths_of_stmt(stmt: ast.stmt, events_of: _EventsOf,
     return [(tuple(events_of(stmt)), False)]
 
 
-def _break_absorbed(dead: bool) -> bool:
-    # A break/continue ends the loop iteration, not the function; but
-    # we cannot distinguish it from return here without more state.
-    # Treating it as path-terminating is conservative for ordering
-    # checks (shorter paths have fewer events to mis-order).
-    return dead
-
-
 def enumerate_paths(stmts: Sequence[ast.stmt], events_of: _EventsOf,
                     max_paths: int = MAX_PATHS) -> Optional[Tuple[Path, ...]]:
     """All bounded event sequences through ``stmts``.
@@ -183,82 +165,3 @@ def must_precede(paths: Iterable[Path],
             elif is_later(event) and not seen_earlier:
                 return event
     return None
-
-
-def event_after(paths: Iterable[Path],
-                is_marker: Callable[[Any], bool],
-                is_use: Callable[[Any], bool],
-                is_reset: Optional[Callable[[Any], bool]] = None,
-                ) -> Optional[Any]:
-    """First "use after marker" event on any path, else ``None``.
-
-    ``is_reset`` events (a rebind of the closed name, say) clear the
-    marker again.
-    """
-    for path in paths:
-        marked = False
-        for event in path:
-            if is_reset is not None and is_reset(event):
-                marked = False
-                continue
-            if is_use(event) and marked:
-                return event
-            if is_marker(event):
-                marked = True
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Escape analysis
-# ---------------------------------------------------------------------------
-
-def name_escapes(func: ast.AST, name: str,
-                 ignore_calls: Tuple[str, ...] = ()) -> bool:
-    """Does local ``name`` escape the function?
-
-    Escape means ownership (and thus the release obligation) transfers
-    elsewhere: the value is returned or yielded, stored into an
-    attribute/subscript/container, rebound to another name, or passed
-    bare into a call — except calls whose dotted head is listed in
-    ``ignore_calls`` (release primitives like ``fcntl.flock`` must not
-    count as escapes).  Attribute access (``name.fileno()``) is a use,
-    not an escape.
-    """
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-            if node.value is not None and _mentions_bare(node.value, name):
-                return True
-        elif isinstance(node, ast.Assign):
-            if _mentions_bare(node.value, name):
-                return True
-        elif isinstance(node, ast.Call):
-            head = _call_head(node)
-            if head in ignore_calls:
-                continue
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Name) and arg.id == name:
-                    return True
-        elif isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.Name) and child.id == name:
-                    return True
-    return False
-
-
-def _mentions_bare(node: ast.expr, name: str) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == name
-    if isinstance(node, (ast.Tuple, ast.List)):
-        return any(_mentions_bare(e, name) for e in node.elts)
-    return False
-
-
-def _call_head(call: ast.Call) -> str:
-    parts: List[str] = []
-    node: ast.expr = call.func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))

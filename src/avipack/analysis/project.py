@@ -1,25 +1,18 @@
-"""Project-wide symbol, import and call graph for the analyzer.
+"""Project-wide symbol and call graph for the analyzer.
 
-Per-file AST rules (AVI001-AVI007) see one file at a time; the failure
-classes added since PR 5 — a blocking call buried three frames below an
-``async def``, a perf counter registered in one module and incremented
-in another — only exist *between* files.  This module supplies the
-cross-module view:
+A blocking call buried three frames below an ``async def`` only exists
+*between* functions, often between files.  AVI008 needs that
+cross-module view, and this module supplies it:
 
-* :func:`summarize` lowers one parsed file into a picklable
-  :class:`ModuleSummary`: the module's imports (resolved to absolute
-  dotted names, including relative imports), its module-level string
-  constants, the attribute types its classes assign in ``__init__``,
-  and one :class:`FunctionSummary` per function/method — direct
-  blocking operations plus every call site resolved (conservatively)
-  to a ``"module:Qual.name"`` reference.
-* :class:`ProjectGraph` assembles the summaries into an import graph
-  (dependency fingerprints for the analysis cache) and a conservative
-  call graph (transitive *blocking* classification with a witness
-  chain for diagnostics).
-
-Summaries deliberately contain no AST nodes: they serialise to JSON
-for the on-disk analysis cache and pickle cheaply into pool workers.
+* :func:`summarize` lowers one parsed file into a :class:`ModuleSummary`:
+  the module's import bindings (resolved to absolute dotted names,
+  including relative imports), the attribute types its classes assign
+  in ``__init__``, and one :class:`FunctionSummary` per
+  function/method — direct blocking operations plus every call site
+  resolved (conservatively) to a ``"module:Qual.name"`` reference.
+* :class:`ProjectGraph` assembles the summaries into a conservative
+  call graph with a transitive *blocking* classification and a witness
+  chain for diagnostics.
 
 Resolution is conservative by construction — a call is only resolved
 when its target is structurally evident (a direct name binding, a
@@ -34,9 +27,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..fingerprint import stable_fingerprint
 from .context import FileContext
 
 __all__ = [
@@ -48,8 +40,6 @@ __all__ = [
     "graph_of",
     "summarize",
 ]
-
-_SUMMARY_VERSION = 1
 
 #: Fully-qualified callables that block the calling thread (event-loop
 #: poison when reached from an ``async def`` without an executor hop).
@@ -70,10 +60,6 @@ _BLOCKING_CALLS: Dict[str, str] = {
 _BLOCKING_SOCKET_METHODS = ("connect", "accept", "recv", "recvfrom",
                             "send", "sendall", "sendfile", "makefile")
 
-#: The perf registry module whose KERNELS / COUNTERS tuples are the
-#: source of truth for AVI011.
-PERF_MODULE = "avipack.perf"
-
 
 @dataclass(frozen=True)
 class BlockingOp:
@@ -82,16 +68,6 @@ class BlockingOp:
     line: int
     column: int
     description: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"line": self.line, "column": self.column,
-                "description": self.description}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "BlockingOp":
-        return cls(line=int(payload["line"]),  # type: ignore[arg-type]
-                   column=int(payload["column"]),  # type: ignore[arg-type]
-                   description=str(payload["description"]))
 
 
 @dataclass(frozen=True)
@@ -103,17 +79,6 @@ class CallSite:
     ref: str
     #: Source rendering used in diagnostics (``self.store.save``).
     display: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"line": self.line, "column": self.column,
-                "ref": self.ref, "display": self.display}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "CallSite":
-        return cls(line=int(payload["line"]),  # type: ignore[arg-type]
-                   column=int(payload["column"]),  # type: ignore[arg-type]
-                   ref=str(payload["ref"]),
-                   display=str(payload["display"]))
 
 
 @dataclass(frozen=True)
@@ -127,49 +92,6 @@ class FunctionSummary:
     blocking: Tuple[BlockingOp, ...] = ()
     calls: Tuple[CallSite, ...] = ()
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "column": self.column,
-            "is_async": self.is_async,
-            "blocking": [op.to_dict() for op in self.blocking],
-            "calls": [call.to_dict() for call in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(payload["qualname"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            column=int(payload["column"]),  # type: ignore[arg-type]
-            is_async=bool(payload["is_async"]),
-            blocking=tuple(BlockingOp.from_dict(op)
-                           for op in payload["blocking"]),  # type: ignore
-            calls=tuple(CallSite.from_dict(c)
-                        for c in payload["calls"]),  # type: ignore
-        )
-
-
-@dataclass(frozen=True)
-class CounterEvent:
-    """One perf-registry interaction (record/timed/increment/read)."""
-
-    kind: str  # "record" | "increment" | "read"
-    name: str  # counter/kernel name ("" when unresolvable)
-    line: int
-    column: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "name": self.name,
-                "line": self.line, "column": self.column}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "CounterEvent":
-        return cls(kind=str(payload["kind"]), name=str(payload["name"]),
-                   line=int(payload["line"]),  # type: ignore[arg-type]
-                   column=int(payload["column"]))  # type: ignore[arg-type]
-
 
 @dataclass
 class ModuleSummary:
@@ -179,85 +101,19 @@ class ModuleSummary:
     #: Dotted module name (``avipack.sweep.runner``); "" outside the
     #: package (such files join the graph but export no symbols).
     module: str = ""
-    #: Absolute dotted names of every imported module.
-    imports: Tuple[str, ...] = ()
     #: Local name -> absolute target ("pkg.mod" or "pkg.mod:Symbol").
     bindings: Dict[str, str] = field(default_factory=dict)
-    #: Module-level ``NAME = "literal"`` string constants.
-    constants: Dict[str, str] = field(default_factory=dict)
     #: Class names defined at module level.
     classes: Tuple[str, ...] = ()
     #: ``"Class.attr" -> "module:Ctor"`` for ``self.attr = Ctor(...)``.
     attr_types: Dict[str, str] = field(default_factory=dict)
     #: Function/method summaries keyed by qualname.
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-    #: perf registry interactions observed in this module.
-    counter_events: Tuple[CounterEvent, ...] = ()
-    #: Contents of the KERNELS / COUNTERS registry tuples (only
-    #: populated when this module *is* :mod:`avipack.perf`).
-    kernel_registry: Tuple[str, ...] = ()
-    counter_registry: Tuple[str, ...] = ()
-    #: Line numbers of the registry tuples (finding anchors).
-    kernel_registry_line: int = 0
-    counter_registry_line: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "version": _SUMMARY_VERSION,
-            "rel_path": self.rel_path,
-            "module": self.module,
-            "imports": list(self.imports),
-            "bindings": dict(self.bindings),
-            "constants": dict(self.constants),
-            "classes": list(self.classes),
-            "attr_types": dict(self.attr_types),
-            "functions": {name: fn.to_dict()
-                          for name, fn in sorted(self.functions.items())},
-            "counter_events": [e.to_dict() for e in self.counter_events],
-            "kernel_registry": list(self.kernel_registry),
-            "counter_registry": list(self.counter_registry),
-            "kernel_registry_line": self.kernel_registry_line,
-            "counter_registry_line": self.counter_registry_line,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]
-                  ) -> Optional["ModuleSummary"]:
-        if payload.get("version") != _SUMMARY_VERSION:
-            return None
-        return cls(
-            rel_path=str(payload["rel_path"]),
-            module=str(payload["module"]),
-            imports=tuple(payload["imports"]),  # type: ignore[arg-type]
-            bindings=dict(payload["bindings"]),  # type: ignore[arg-type]
-            constants=dict(payload["constants"]),  # type: ignore[arg-type]
-            classes=tuple(payload["classes"]),  # type: ignore[arg-type]
-            attr_types=dict(payload["attr_types"]),  # type: ignore
-            functions={
-                str(name): FunctionSummary.from_dict(fn)
-                for name, fn in payload["functions"].items()  # type: ignore
-            },
-            counter_events=tuple(
-                CounterEvent.from_dict(e)
-                for e in payload["counter_events"]),  # type: ignore
-            kernel_registry=tuple(
-                payload["kernel_registry"]),  # type: ignore[arg-type]
-            counter_registry=tuple(
-                payload["counter_registry"]),  # type: ignore[arg-type]
-            kernel_registry_line=int(
-                payload["kernel_registry_line"]),  # type: ignore[arg-type]
-            counter_registry_line=int(
-                payload["counter_registry_line"]),  # type: ignore[arg-type]
-        )
 
 
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
-
-def _module_name(ctx: FileContext) -> str:
-    return ".".join(ctx.package_parts)
-
 
 def _dotted(node: ast.expr) -> Optional[str]:
     """``a.b.c`` as a string for pure Name/Attribute chains."""
@@ -290,123 +146,73 @@ def _resolve_relative(package_parts: Tuple[str, ...], level: int,
     return ".".join(base) if base else None
 
 
-class _Extractor(ast.NodeVisitor):
+class _Extractor:
     """Single-pass extraction of a :class:`ModuleSummary`."""
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
-        self.module = _module_name(ctx)
+        self.module = ".".join(ctx.package_parts)
         self.summary = ModuleSummary(rel_path=ctx.rel_path,
                                      module=self.module)
-        self._imports: Set[str] = set()
-        self._class_stack: List[str] = []
-        self._func_stack: List[dict] = []
-        self._counter_events: List[CounterEvent] = []
-
-    # -- helpers -------------------------------------------------------------
-
-    def _bind(self, name: str, target: str) -> None:
-        self.summary.bindings[name] = target
+        self._toplevel_names: Set[str] = {
+            node.name for node in ctx.tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
 
     def _resolve_name(self, name: str) -> Optional[str]:
         """Absolute ref for a local name (binding or module symbol)."""
         bound = self.summary.bindings.get(name)
         if bound is not None:
             return bound
-        if name in self.summary.classes \
-                or name in self.summary.functions \
-                or name in self._module_level_names:
+        if name in self._toplevel_names or name in self.summary.functions:
             return f"{self.module}:{name}" if self.module else None
         return None
-
-    @property
-    def _module_level_names(self) -> Set[str]:
-        return self._toplevel_names
 
     # -- entry ---------------------------------------------------------------
 
     def extract(self) -> ModuleSummary:
         tree = self.ctx.tree
-        self._toplevel_names: Set[str] = {
-            node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
         self.summary.classes = tuple(
             node.name for node in tree.body
             if isinstance(node, ast.ClassDef))
         for node in tree.body:
-            self._visit_toplevel(node)
-        self.summary.imports = tuple(sorted(self._imports))
-        self.summary.counter_events = tuple(self._counter_events)
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                self._visit_import(node)
+            elif isinstance(node, ast.ClassDef):
+                self._visit_class(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._visit_function(node, class_name=None)
+            elif isinstance(node, (ast.If, ast.Try)):
+                # Guarded imports (try/except ImportError, TYPE_CHECKING).
+                for child in ast.iter_child_nodes(node):
+                    if isinstance(child, (ast.Import, ast.ImportFrom)):
+                        self._visit_import(child)
         return self.summary
-
-    def _visit_toplevel(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            self._visit_import(node)
-        elif isinstance(node, ast.Assign):
-            self._visit_module_assign(node)
-        elif isinstance(node, ast.ClassDef):
-            self._visit_class(node)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._visit_function(node, class_name=None)
-        elif isinstance(node, (ast.If, ast.Try)):
-            # Guarded imports (try/except ImportError, TYPE_CHECKING).
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.Import, ast.ImportFrom)):
-                    self._visit_import(child)
-                elif isinstance(child, ast.Assign):
-                    self._visit_module_assign(child)
-
-    # -- imports and constants ----------------------------------------------
 
     def _visit_import(self, node: ast.stmt) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                self._imports.add(alias.name)
                 local = alias.asname or alias.name.split(".")[0]
                 target = alias.name if alias.asname else \
                     alias.name.split(".")[0]
-                self._bind(local, target)
+                self.summary.bindings[local] = target
         elif isinstance(node, ast.ImportFrom):
             base = _resolve_relative(self.ctx.package_parts, node.level,
                                      node.module)
             if base is None:
                 return
-            self._imports.add(base)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                self._bind(local, f"{base}:{alias.name}")
-
-    def _visit_module_assign(self, node: ast.Assign) -> None:
-        if len(node.targets) != 1 \
-                or not isinstance(node.targets[0], ast.Name):
-            return
-        name = node.targets[0].id
-        value = node.value
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            self.summary.constants[name] = value.value
-        if self.module == PERF_MODULE and name in ("KERNELS", "COUNTERS") \
-                and isinstance(value, (ast.Tuple, ast.List)):
-            entries = tuple(e.value for e in value.elts
-                            if isinstance(e, ast.Constant)
-                            and isinstance(e.value, str))
-            if name == "KERNELS":
-                self.summary.kernel_registry = entries
-                self.summary.kernel_registry_line = node.lineno
-            else:
-                self.summary.counter_registry = entries
-                self.summary.counter_registry_line = node.lineno
+                self.summary.bindings[local] = f"{base}:{alias.name}"
 
     # -- classes and functions ----------------------------------------------
 
     def _visit_class(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._visit_function(child, class_name=node.name)
-        self._class_stack.pop()
 
     def _visit_function(self, node, class_name: Optional[str]) -> None:
         qualname = f"{class_name}.{node.name}" if class_name else node.name
@@ -436,7 +242,7 @@ class _Extractor(ast.NodeVisitor):
                             f"{class_name}.{target.attr}"] = ctor
         # Second pass: classify every call in this function's own body
         # (nested defs have their own summaries and are skipped).
-        for call in self._own_calls(node):
+        for call in _own_calls(node):
             self._classify_call(call, class_name, local_types,
                                 blocking, calls)
         self.summary.functions[qualname] = FunctionSummary(
@@ -448,36 +254,17 @@ class _Extractor(ast.NodeVisitor):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._visit_function(child, class_name=None)
 
-    def _own_calls(self, func) -> List[ast.Call]:
-        """Calls in ``func``'s body, excluding nested function bodies."""
-        calls: List[ast.Call] = []
-
-        def walk(node: ast.AST, top: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                if isinstance(child, ast.Call):
-                    calls.append(child)
-                walk(child, False)
-
-        walk(func, True)
-        return calls
-
     def _constructed_type(self, call: ast.Call) -> Optional[str]:
         """``"module:Class"`` when ``call`` constructs a known type."""
-        func = call.func
-        dotted = _dotted(func)
+        dotted = _dotted(call.func)
         if dotted is not None:
             head, _, rest = dotted.partition(".")
             bound = self.summary.bindings.get(head)
             if bound is not None and ":" in bound and not rest:
-                module, _, symbol = bound.partition(":")
-                return f"{module}:{symbol}"
-            if bound is not None and ":" not in bound and rest:
-                full = f"{bound}.{rest}"
-                if full == "socket.socket":
-                    return "socket:socket"
+                return bound
+            if bound is not None and ":" not in bound and rest \
+                    and f"{bound}.{rest}" == "socket.socket":
+                return "socket:socket"
             if not rest and dotted in self.summary.classes:
                 return f"{self.module}:{dotted}" if self.module else None
         return None
@@ -489,8 +276,6 @@ class _Extractor(ast.NodeVisitor):
                        calls: List[CallSite]) -> None:
         func = call.func
         line, col = call.lineno, call.col_offset
-        # perf registry interactions.
-        self._classify_counter_call(call)
         # Builtin open().
         if isinstance(func, ast.Name) and func.id == "open":
             blocking.append(BlockingOp(
@@ -525,8 +310,8 @@ class _Extractor(ast.NodeVisitor):
         if bound is not None and ":" not in bound and rest:
             return f"{bound}.{rest}"
         if bound is not None and ":" in bound:
-            # ``from time import sleep`` -> sleep(); ``from .. import
-            # perf as _perf`` -> _perf.increment (symbol is a module).
+            # ``from time import sleep`` -> sleep(); ``from os import
+            # path`` -> path.x (the symbol is itself a module).
             module, _, symbol = bound.partition(":")
             return (f"{module}.{symbol}.{rest}" if rest
                     else f"{module}.{symbol}")
@@ -552,21 +337,18 @@ class _Extractor(ast.NodeVisitor):
                 attr_type = self.summary.attr_types.get(
                     f"{class_name}.{parts[1]}")
                 if attr_type is not None and attr_type != "socket:socket":
-                    module, _, cls = attr_type.partition(":")
-                    return f"{module}:{cls}.{parts[2]}"
+                    return f"{attr_type}.{parts[2]}"
             return None
         # var.method() for constructor-typed locals.
         if len(parts) == 2 and parts[0] in local_types:
             typed = local_types[parts[0]]
             if typed != "socket:socket":
-                module, _, cls = typed.partition(":")
-                return f"{module}:{cls}.{parts[1]}"
+                return f"{typed}.{parts[1]}"
             return None
         # Class.method() / module.func() via bindings.
         bound = self.summary.bindings.get(parts[0])
         if bound is not None and ":" in bound and len(parts) == 2:
-            module, _, symbol = bound.partition(":")
-            return f"{module}:{symbol}.{parts[1]}"
+            return f"{bound}.{parts[1]}"
         if bound is not None and ":" not in bound:
             # module.attr(...) -> "module:attr" (project modules only;
             # externals were handled by the blocking table).
@@ -576,47 +358,22 @@ class _Extractor(ast.NodeVisitor):
             return f"{self.module}:{parts[0]}.{parts[1]}"
         return None
 
-    # -- perf registry interactions ------------------------------------------
 
-    def _classify_counter_call(self, call: ast.Call) -> None:
-        dotted = _dotted(call.func)
-        if dotted is None:
-            return
-        resolved = self._resolve_dotted_call(dotted)
-        tail = resolved.split(".")[-1]
-        is_perf = (resolved.startswith((f"{PERF_MODULE}.", "perf.",
-                                        "_perf."))
-                   or (self.module == PERF_MODULE and "." not in resolved))
-        if not is_perf:
-            return
-        if tail in ("record", "timed"):
-            kind = "record"
-        elif tail == "increment":
-            kind = "increment"
-        elif tail in ("counter", "stats"):
-            kind = "read"
-        else:
-            return
-        name = self._literal_or_constant(call.args[0]) if call.args else None
-        for keyword in call.keywords:
-            if keyword.arg == "kernel":
-                name = self._literal_or_constant(keyword.value)
-        self._counter_events.append(CounterEvent(
-            kind=kind, name=name or "", line=call.lineno,
-            column=call.col_offset))
+def _own_calls(func: ast.AST) -> List[ast.Call]:
+    """Calls in ``func``'s body, excluding nested function bodies."""
+    calls: List[ast.Call] = []
 
-    def _literal_or_constant(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            value = self.summary.constants.get(node.id)
-            if value is not None:
-                return value
-            bound = self.summary.bindings.get(node.id)
-            if bound is not None and ":" in bound:
-                # Imported constant: leave a ref the graph resolves.
-                return f"@{bound}"
-        return None
+    def walk(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef,
+                                  ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Call):
+                calls.append(child)
+            walk(child)
+
+    walk(func)
+    return calls
 
 
 def summarize(ctx: FileContext) -> ModuleSummary:
@@ -637,8 +394,7 @@ def graph_of(ctx: FileContext) -> Tuple["ProjectGraph", ModuleSummary]:
     if summary is None:
         summary = summarize(ctx)
     if project is None:
-        project = ProjectGraph(
-            [summary], {ctx.rel_path: stable_fingerprint(ctx.source)})
+        project = ProjectGraph([summary])
     return project, summary
 
 
@@ -647,123 +403,26 @@ def graph_of(ctx: FileContext) -> Tuple["ProjectGraph", ModuleSummary]:
 # ---------------------------------------------------------------------------
 
 class ProjectGraph:
-    """Import + call graph over a set of module summaries."""
+    """Conservative call graph over a set of module summaries."""
 
-    def __init__(self, summaries: Sequence[ModuleSummary],
-                 content_fps: Optional[Mapping[str, str]] = None) -> None:
+    def __init__(self, summaries: Sequence[ModuleSummary]) -> None:
         #: rel_path -> summary
         self.files: Dict[str, ModuleSummary] = {
             s.rel_path: s for s in summaries}
-        #: dotted module -> summary (package files only)
-        self.modules: Dict[str, ModuleSummary] = {
-            s.module: s for s in summaries if s.module}
-        #: "module:qualname" -> (summary, FunctionSummary)
-        self.functions: Dict[str, Tuple[ModuleSummary, FunctionSummary]] = {}
-        for s in summaries:
-            if not s.module:
-                continue
-            for qualname, fn in s.functions.items():
-                self.functions[f"{s.module}:{qualname}"] = (s, fn)
-        self._content_fps = dict(content_fps or {})
-        self._import_edges: Dict[str, Tuple[str, ...]] = {}
-        for s in summaries:
-            if not s.module:
-                continue
-            targets = []
-            for imported in s.imports:
-                resolved = self._resolve_module(imported)
-                if resolved is not None and resolved != s.module:
-                    targets.append(resolved)
-            for bound in s.bindings.values():
-                # ``from pkg import submodule`` records the import as
-                # ``pkg`` with a ``submodule -> "pkg:submodule"``
-                # binding; the real dependency is the submodule.
-                if ":" not in bound:
-                    continue
-                candidate = bound.replace(":", ".")
-                if candidate in self.modules and candidate != s.module:
-                    targets.append(candidate)
-            self._import_edges[s.module] = tuple(sorted(set(targets)))
-        self._closure_cache: Dict[str, Tuple[str, ...]] = {}
+        #: "module:qualname" -> FunctionSummary (package files only)
+        self.functions: Dict[str, FunctionSummary] = {
+            f"{s.module}:{qualname}": fn
+            for s in summaries if s.module
+            for qualname, fn in s.functions.items()}
         self._blocking_cache: Dict[str, Optional[Tuple[str, ...]]] = {}
 
-    def _resolve_module(self, dotted: str) -> Optional[str]:
-        """Map an imported dotted name onto a project module.
-
-        ``import avipack.sweep`` may really mean the package
-        ``__init__``; longest known prefix wins so ``from ..sweep.runner
-        import X`` resolves to ``avipack.sweep.runner``.
-        """
-        parts = dotted.split(".")
-        while parts:
-            candidate = ".".join(parts)
-            if candidate in self.modules:
-                return candidate
-            parts.pop()
-        return None
-
-    # -- import graph --------------------------------------------------------
-
-    def imports_of(self, module: str) -> Tuple[str, ...]:
-        """Project-internal modules ``module`` imports directly."""
-        return self._import_edges.get(module, ())
-
-    def import_closure(self, module: str) -> Tuple[str, ...]:
-        """Transitive project-internal import closure (excl. self)."""
-        cached = self._closure_cache.get(module)
-        if cached is not None:
-            return cached
-        seen: Set[str] = set()
-        stack = list(self._import_edges.get(module, ()))
-        while stack:
-            current = stack.pop()
-            if current in seen or current == module:
-                continue
-            seen.add(current)
-            stack.extend(self._import_edges.get(current, ()))
-        closure = tuple(sorted(seen))
-        self._closure_cache[module] = closure
-        return closure
-
-    def dependency_fingerprint(self, rel_path: str) -> str:
-        """Content-hash of everything ``rel_path`` transitively imports.
-
-        The second half of the analysis-cache key: a file re-analyzes
-        whenever anything in its import closure changed, even though
-        its own bytes did not.
-        """
-        summary = self.files.get(rel_path)
-        if summary is None or not summary.module:
-            return stable_fingerprint(())
-        closure = self.import_closure(summary.module)
-        pairs = tuple(
-            (module, self._content_fps.get(
-                self.modules[module].rel_path, ""))
-            for module in closure if module in self.modules)
-        return stable_fingerprint(pairs)
-
-    @property
-    def n_import_edges(self) -> int:
-        return sum(len(edges) for edges in self._import_edges.values())
-
-    @property
-    def n_call_edges(self) -> int:
-        return sum(len(fn.calls)
-                   for _, fn in self.functions.values())
-
-    # -- call graph ----------------------------------------------------------
-
     def function(self, ref: str) -> Optional[FunctionSummary]:
-        entry = self.functions.get(ref)
-        return entry[1] if entry is not None else None
-
-    def resolve_method(self, ref: str) -> Optional[str]:
-        """Validate a ``module:Qual.name`` ref against the symbol table.
+        """The summary behind a ``module:Qual.name`` ref, if known.
 
         ``module:attr`` refs whose module re-exports the symbol are
         not chased (conservative miss).
         """
-        return ref if ref in self.functions else None
+        return self.functions.get(ref)
 
     def blocking_chain(self, ref: str) -> Optional[Tuple[str, ...]]:
         """Witness chain from ``ref`` to a direct blocking op, if any.
@@ -783,39 +442,22 @@ class ProjectGraph:
             return self._blocking_cache[ref]
         if ref in visiting:  # recursion cycle: assume non-blocking
             return None
-        entry = self.functions.get(ref)
-        if entry is None:
+        fn = self.functions.get(ref)
+        if fn is None:
             return None
-        _, fn = entry
         if fn.blocking:
             chain = (ref, fn.blocking[0].description)
             self._blocking_cache[ref] = chain
             return chain
         visiting = visiting | {ref}
         for call in fn.calls:
-            target = self.resolve_method(call.ref)
-            if target is None:
+            callee = self.functions.get(call.ref)
+            if callee is None or callee.is_async:
                 continue
-            callee = self.functions[target][1]
-            if callee.is_async:
-                continue
-            sub = self._blocking(target, visiting)
+            sub = self._blocking(call.ref, visiting)
             if sub is not None:
                 chain = (ref,) + sub
                 self._blocking_cache[ref] = chain
                 return chain
         self._blocking_cache[ref] = None
         return None
-
-    # -- perf registry view --------------------------------------------------
-
-    def resolve_counter_name(self, summary: ModuleSummary,
-                             name: str) -> str:
-        """Resolve an ``@module:CONST`` counter ref to its value."""
-        if not name.startswith("@"):
-            return name
-        module, _, symbol = name[1:].partition(":")
-        target = self.modules.get(module)
-        if target is not None:
-            return target.constants.get(symbol, "")
-        return ""

@@ -1,12 +1,10 @@
 """Rule base class and registry for :mod:`avipack.analysis`.
 
-Every rule is a small stateless object with a stable ``rule_id``, a
-``version`` (bumped whenever its behaviour changes, which invalidates
-cached results for every file) and a ``check`` method yielding
-:class:`~avipack.analysis.findings.Finding` records for one parsed
-file.  Rules self-register at import time via :func:`register`; the
-engine iterates :func:`all_rules` so adding a rule is: write the module,
-import it below, done.
+Every rule is a small stateless object with a stable ``rule_id`` and a
+``check`` method yielding :class:`~avipack.analysis.findings.Finding`
+records for one parsed file.  Rules self-register at import time via
+:func:`register`; the engine iterates :func:`all_rules` so adding a
+rule is: write the module, import it below, done.
 """
 
 from __future__ import annotations
@@ -15,37 +13,24 @@ import ast
 from typing import Dict, Iterable, Tuple
 
 from ...errors import InputError
-from ...fingerprint import stable_fingerprint
 from ..context import FileContext
 from ..findings import Finding, Severity
 
-__all__ = ["Rule", "all_rules", "get_rule", "register", "rule_range",
-           "rules_signature"]
+__all__ = ["Rule", "all_rules", "register", "rule_range"]
 
 
 class Rule:
     """Base class for one static-analysis rule."""
 
-    #: Stable identifier, e.g. ``"AVI001"``.
+    #: Stable identifier, e.g. ``"AVI002"``.
     rule_id: str = ""
-    #: Short human name shown in ``--format json`` metadata.
+    #: Short human name shown by ``--list-rules``.
     name: str = ""
     #: Default severity of findings this rule emits.
     severity: Severity = Severity.ERROR
-    #: Bump to invalidate cached results after a behaviour change.
-    version: int = 1
-    #: ``"file"`` rules are pure functions of one file (plus its import
-    #: closure) and cache per file; ``"project"`` rules need the whole
-    #: graph at once — the engine runs them once per run, uncached,
-    #: via :meth:`check_project`.
-    scope: str = "file"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Yield findings for one file."""
-        raise NotImplementedError
-
-    def check_project(self, graph: object) -> Iterable[Finding]:
-        """Yield findings for a whole project graph (project scope)."""
         raise NotImplementedError
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str,
@@ -82,19 +67,11 @@ def all_rules() -> Tuple[Rule, ...]:
     return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
 
 
-def get_rule(rule_id: str) -> Rule:
-    """Look up one rule by id."""
-    try:
-        return _REGISTRY[rule_id.upper()]
-    except KeyError as exc:
-        raise InputError(f"unknown rule id {rule_id!r}") from exc
-
-
 def rule_range() -> str:
-    """Human-readable id range of the registry, e.g. ``AVI001-AVI012``.
+    """Human-readable id range of the registry, e.g. ``AVI002-AVI009``.
 
-    Derived, never hardcoded: CLI help, CI job names and docs all pull
-    from here so a new rule cannot leave a stale range behind.
+    Derived, never hardcoded: CLI help and docs pull from here so a new
+    rule cannot leave a stale range behind.
     """
     rules = all_rules()
     if not rules:
@@ -104,28 +81,10 @@ def rule_range() -> str:
     return f"{rules[0].rule_id}-{rules[-1].rule_id}"
 
 
-def rules_signature() -> str:
-    """Fingerprint of the active rule set (ids + versions).
-
-    Stored in the result cache; a version bump or a new rule changes the
-    signature, which discards every cached entry at once.
-    """
-    return stable_fingerprint(
-        [(rule.rule_id, rule.version, type(rule).__qualname__)
-         for rule in all_rules()])
-
-
 # Import rule modules for their registration side effect.  Keep this at
 # the bottom so the base class exists when the modules load.
 from . import async_blocking  # noqa: E402,F401
-from . import async_tasks  # noqa: E402,F401
 from . import atomic_writes  # noqa: E402,F401
-from . import determinism  # noqa: E402,F401
 from . import error_taxonomy  # noqa: E402,F401
-from . import lock_discipline  # noqa: E402,F401
-from . import perf_counters  # noqa: E402,F401
 from . import persist_ordering  # noqa: E402,F401
 from . import pickle_safety  # noqa: E402,F401
-from . import resource_leaks  # noqa: E402,F401
-from . import solver_mutation  # noqa: E402,F401
-from . import unit_suffix  # noqa: E402,F401

@@ -46,7 +46,6 @@ class AVI008BlockingInAsync(Rule):
     rule_id = "AVI008"
     name = "async-blocking-call"
     severity = Severity.ERROR
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         graph, summary = graph_of(ctx)
@@ -63,13 +62,10 @@ class AVI008BlockingInAsync(Rule):
                              f"{op.description}"),
                     suggestion=_SUGGESTION, symbol=qualname)
             for call in fn.calls:
-                target = graph.resolve_method(call.ref)
-                if target is None:
-                    continue
-                callee = graph.function(target)
+                callee = graph.function(call.ref)
                 if callee is None or callee.is_async:
                     continue
-                chain = graph.blocking_chain(target)
+                chain = graph.blocking_chain(call.ref)
                 if chain is None:
                     continue
                 witness = " -> ".join(chain[:-1])

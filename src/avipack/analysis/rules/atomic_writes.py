@@ -118,7 +118,6 @@ class AVI006AtomicPersist(Rule):
     rule_id = "AVI006"
     name = "atomic-persist"
     severity = Severity.ERROR
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

@@ -77,7 +77,6 @@ class AVI002ErrorTaxonomy(Rule):
     rule_id = "AVI002"
     name = "error-taxonomy"
     severity = Severity.ERROR
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

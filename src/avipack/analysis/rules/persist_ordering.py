@@ -103,7 +103,6 @@ class AVI009PersistOrdering(Rule):
     rule_id = "AVI009"
     name = "persist-ordering"
     severity = Severity.ERROR
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

@@ -110,7 +110,6 @@ class AVI003PickleSafety(Rule):
     rule_id = "AVI003"
     name = "worker-pickle-safety"
     severity = Severity.ERROR
-    version = 1
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         index = _ScopeIndex(ctx)

@@ -4,13 +4,14 @@ A finding is suppressed by putting a directive comment on the same line
 as the flagged construct (for multi-line statements: the line the
 statement *starts* on, which is where findings anchor)::
 
-    network.add_heat_load("cpu", 40.0)  # avilint: disable=AVI005
-    rng = np.random.default_rng()       # avilint: disable=AVI004,AVI001
-    legacy_shim()                       # avilint: disable=all
+    raise ValueError("legacy API")  # avilint: disable=AVI002
+    os.replace(tmp, path)           # avilint: disable=AVI008,AVI009
+    legacy_shim()                   # avilint: disable=all
 
 ``disable=all`` silences every rule on that line.  Suppressions are
 counted and reported separately, so a suppressed finding never gates CI
-but also never disappears silently.
+but also never disappears silently.  They are the analyzer's only
+escape hatch.
 """
 
 from __future__ import annotations

@@ -37,7 +37,16 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .errors import InputError
 
@@ -58,20 +67,16 @@ __all__ = [
 #: Kernel names used by the built-in solvers, plus the sweep-service
 #: job kernel (``solves`` = jobs completed, ``iterations`` = candidates
 #: evaluated, ``wall_s`` = job wall-clock) the job server records so
-#: service throughput shows up in the same registry as solver work,
-#: plus the static-analysis engine's own wall-clock kernel.
+#: service throughput shows up in the same registry as solver work.
+#: :func:`record` and :func:`timed` reject any other name.
 KERNELS = ("network.steady", "network.transient", "network.batched",
-           "conduction.steady", "conduction.transient", "service.job",
-           "analysis.engine")
+           "conduction.steady", "conduction.transient", "service.job")
 
 #: Registry of the named scalar counters (:func:`increment` family).
-#: Declaring a counter here is the contract the AVI011 lint rule
-#: enforces both ways: every entry must have a live increment site,
-#: and every increment site must name an entry — so dashboards can
-#: enumerate this tuple and trust that each name is real and fed.
-COUNTERS = ("analysis.cache_hits", "analysis.call_edges",
-            "analysis.files", "analysis.import_edges",
-            "results.blob_fetches", "results.quarantined_checksum",
+#: :func:`increment` rejects any name not declared here, and a test
+#: checks that every entry is spelled out at a call site, so dashboards
+#: can enumerate this tuple and trust that each name is real and fed.
+COUNTERS = ("results.blob_fetches", "results.quarantined_checksum",
             "results.quarantined_header",
             "results.quarantined_truncation", "results.rows_ingested",
             "results.shards_quarantined", "results.shards_written",
@@ -197,6 +202,9 @@ class SolveStats:
         return self.batch_width / self.factorizations
 
 
+_DECLARED_KERNELS = frozenset(KERNELS)
+_DECLARED_COUNTERS = frozenset(COUNTERS)
+
 _REGISTRY: Dict[str, SolveStats] = {}
 
 #: Named scalar counters for subsystems whose events do not fit the
@@ -206,11 +214,23 @@ _COUNTERS: Dict[str, int] = {}
 _LOCK = threading.Lock()
 
 
+def _check_declared(name: str, declared: FrozenSet[str],
+                    registry: str) -> None:
+    if name not in declared:
+        raise InputError(f"undeclared perf name {name!r}: add it to "
+                         f"avipack.perf.{registry}")
+
+
 def record(kernel: str, *, compilations: int = 0, assemblies: int = 0,
            factorizations: int = 0, factorization_reuses: int = 0,
            solves: int = 0, iterations: int = 0, batched_solves: int = 0,
            batch_width: int = 0, wall_s: float = 0.0) -> None:
-    """Accumulate counters for ``kernel`` in the process registry."""
+    """Accumulate counters for ``kernel`` in the process registry.
+
+    Raises :class:`~avipack.errors.InputError` when ``kernel`` is not
+    declared in :data:`KERNELS`.
+    """
+    _check_declared(kernel, _DECLARED_KERNELS, "KERNELS")
     increment = SolveStats(
         kernel=kernel, compilations=compilations, assemblies=assemblies,
         factorizations=factorizations,
@@ -256,8 +276,11 @@ def increment(name: str, amount: int = 1) -> None:
 
     The dotted-name companion to :func:`record` for subsystems — the
     columnar result store, notably — whose events are simple tallies
-    rather than solver-shaped counter records.
+    rather than solver-shaped counter records.  Raises
+    :class:`~avipack.errors.InputError` when ``name`` is not declared
+    in :data:`COUNTERS`.
     """
+    _check_declared(name, _DECLARED_COUNTERS, "COUNTERS")
     with _LOCK:
         _COUNTERS[name] = _COUNTERS.get(name, 0) + amount
 
@@ -314,7 +337,11 @@ def aggregate(groups: Iterable[Iterable[SolveStats]]
 
 @contextmanager
 def timed(kernel: str) -> Iterator[None]:
-    """Context manager adding the block's wall time to ``kernel``."""
+    """Context manager adding the block's wall time to ``kernel``.
+
+    An undeclared ``kernel`` raises before the block runs.
+    """
+    _check_declared(kernel, _DECLARED_KERNELS, "KERNELS")
     start = time.perf_counter()
     try:
         yield

@@ -398,9 +398,8 @@ def _quarantine(path: str,
 def _count_quarantine(reason: str) -> None:
     """Bump the total and the per-reason quarantine counters.
 
-    The per-reason names are spelled out literally so the AVI011
-    perf-registry lint can tie each declared counter to its live
-    increment site.
+    The per-reason names are spelled out literally so the registry
+    test can tie each declared counter to its live increment site.
     """
     _perf.increment("results.shards_quarantined")
     if reason == "checksum":

@@ -1,4 +1,4 @@
-"""Unit tests for the project graph (:mod:`avipack.analysis.project`)
+"""Unit tests for the call graph (:mod:`avipack.analysis.project`)
 and the path-enumeration primitives (:mod:`avipack.analysis.flow`).
 """
 
@@ -8,32 +8,18 @@ import ast
 import textwrap
 
 from avipack.analysis import FileContext
-from avipack.analysis.flow import (
-    enumerate_paths,
-    event_after,
-    must_precede,
-    name_escapes,
-)
-from avipack.analysis.project import (
-    ModuleSummary,
-    ProjectGraph,
-    graph_of,
-    summarize,
-)
-from avipack.fingerprint import stable_fingerprint
+from avipack.analysis.flow import enumerate_paths, must_precede
+from avipack.analysis.project import ProjectGraph, graph_of, summarize
 
 
 def ctx_of(rel_path, source):
     return FileContext.parse(rel_path, textwrap.dedent(source))
 
 
-def graph_from(sources, fps=None):
+def graph_from(sources):
     """Build a ProjectGraph from {rel_path: source}."""
-    summaries = [summarize(ctx_of(path, src))
-                 for path, src in sources.items()]
-    fps = fps or {path: stable_fingerprint(src)
-                  for path, src in sources.items()}
-    return ProjectGraph(summaries, fps)
+    return ProjectGraph([summarize(ctx_of(path, src))
+                         for path, src in sources.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +35,11 @@ class TestSummarize:
             from avipack.results import ResultStore
         """))
         assert summary.module == "avipack.sweep.runner"
-        assert "os" in summary.imports
-        assert "numpy" in summary.imports
-        assert "avipack.durability" in summary.imports  # relative resolved
-        assert "avipack.results" in summary.imports
+        assert summary.bindings["os"] == "os"
         assert summary.bindings["SweepJournal"] \
-            == "avipack.durability:SweepJournal"
+            == "avipack.durability:SweepJournal"  # relative resolved
+        assert summary.bindings["ResultStore"] \
+            == "avipack.results:ResultStore"
         assert summary.bindings["np"] == "numpy"
 
     def test_blocking_ops_and_async_flag(self):
@@ -96,88 +81,6 @@ class TestSummarize:
                 mystery()
         """))
         assert summary.functions["run"].calls == ()
-
-    def test_round_trip_through_dict(self):
-        summary = summarize(ctx_of("src/avipack/mod.py", """
-            import time
-
-            LABEL = "analysis.files"
-
-            class Widget:
-                def __init__(self):
-                    self.t = Widget()
-
-                async def wait(self):
-                    time.sleep(1)
-        """))
-        payload = summary.to_dict()
-        rebuilt = ModuleSummary.from_dict(payload)
-        assert rebuilt is not None
-        assert rebuilt.to_dict() == payload
-
-    def test_version_mismatch_rejected(self):
-        payload = summarize(ctx_of("src/avipack/mod.py", "x = 1\n")).to_dict()
-        payload["version"] = 999
-        assert ModuleSummary.from_dict(payload) is None
-
-
-# ---------------------------------------------------------------------------
-# Import graph and dependency fingerprints
-# ---------------------------------------------------------------------------
-
-TREE = {
-    "src/avipack/a.py": "from avipack.b import helper\n",
-    "src/avipack/b.py": "from avipack import c\n\ndef helper():\n"
-                        "    return c.leaf()\n",
-    "src/avipack/c.py": "def leaf():\n    return 1\n",
-    "src/avipack/lone.py": "X = 1\n",
-}
-
-
-class TestImportGraph:
-    def test_direct_edges(self):
-        graph = graph_from(TREE)
-        assert graph.imports_of("avipack.a") == ("avipack.b",)
-        assert graph.imports_of("avipack.b") == ("avipack.c",)
-        assert graph.imports_of("avipack.lone") == ()
-
-    def test_transitive_closure(self):
-        graph = graph_from(TREE)
-        assert graph.import_closure("avipack.a") \
-            == ("avipack.b", "avipack.c")
-        assert graph.import_closure("avipack.c") == ()
-
-    def test_closure_survives_cycles(self):
-        graph = graph_from({
-            "src/avipack/x.py": "from avipack import y\n",
-            "src/avipack/y.py": "from avipack import x\n",
-        })
-        assert graph.import_closure("avipack.x") \
-            == ("avipack.x", "avipack.y") or \
-            graph.import_closure("avipack.x") == ("avipack.y",)
-
-    def test_dependency_fingerprint_tracks_the_closure(self):
-        fps = {path: stable_fingerprint(src) for path, src in TREE.items()}
-        before = graph_from(TREE, fps)
-
-        changed = dict(fps)
-        changed["src/avipack/c.py"] = stable_fingerprint("def leaf():\n"
-                                                         "    return 2\n")
-        after = graph_from(TREE, changed)
-
-        # a and b see c through imports: their dep fingerprints move.
-        for path in ("src/avipack/a.py", "src/avipack/b.py"):
-            assert before.dependency_fingerprint(path) \
-                != after.dependency_fingerprint(path)
-        # lone imports nothing: untouched.
-        assert before.dependency_fingerprint("src/avipack/lone.py") \
-            == after.dependency_fingerprint("src/avipack/lone.py")
-
-    def test_edge_counts(self):
-        graph = graph_from(TREE)
-        assert graph.n_import_edges == 2
-        assert graph.n_call_edges == 1  # b.helper -> c.leaf
-
 
 # ---------------------------------------------------------------------------
 # Call graph / blocking chains
@@ -241,19 +144,6 @@ def pong(n):
         graph, summary = graph_of(ctx)
         assert summary.module == "avipack.mod"
         assert graph.blocking_chain("avipack.mod:pace") is not None
-
-    def test_counter_ref_resolution(self):
-        graph = graph_from({
-            "src/avipack/names.py": 'ROWS = "results.rows"\n',
-            "src/avipack/mod.py": "from avipack.names import ROWS\n",
-        })
-        summary = graph.files["src/avipack/mod.py"]
-        assert graph.resolve_counter_name(
-            summary, "@avipack.names:ROWS") == "results.rows"
-        assert graph.resolve_counter_name(summary, "plain.name") \
-            == "plain.name"
-        assert graph.resolve_counter_name(summary, "@gone:MISSING") == ""
-
 
 # ---------------------------------------------------------------------------
 # Flow primitives
@@ -334,39 +224,3 @@ class TestFlow:
         assert violation == "r"
         assert must_precede((("f", "r"),), lambda e: e == "f",
                             lambda e: e == "r") is None
-
-    def test_event_after_with_reset(self):
-        paths = (("close", "rebind", "use"),)
-        assert event_after(
-            paths, is_marker=lambda e: e == "close",
-            is_use=lambda e: e == "use",
-            is_reset=lambda e: e == "rebind") is None
-        assert event_after(
-            (("close", "use"),), is_marker=lambda e: e == "close",
-            is_use=lambda e: e == "use") == "use"
-
-    def test_name_escapes(self):
-        func = ast.parse(textwrap.dedent("""
-            def f(path):
-                stream = open(path)
-                return stream
-        """)).body[0]
-        assert name_escapes(func, "stream")
-
-        func = ast.parse(textwrap.dedent("""
-            def f(path):
-                stream = open(path)
-                stream.close()
-        """)).body[0]
-        assert not name_escapes(func, "stream")
-
-        func = ast.parse(textwrap.dedent("""
-            import fcntl
-
-            def f(path):
-                stream = open(path)
-                fcntl.flock(stream, fcntl.LOCK_EX)
-        """)).body[1]
-        assert name_escapes(func, "stream")
-        assert not name_escapes(func, "stream",
-                                ignore_calls=("fcntl.flock",))

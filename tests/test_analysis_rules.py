@@ -1,4 +1,4 @@
-"""Per-rule fixtures for :mod:`avipack.analysis` (AVI001-AVI012).
+"""Per-rule fixtures for :mod:`avipack.analysis` (AVI002-AVI009).
 
 Every rule gets at least: one positive fixture proving it fires, one
 negative fixture proving it stays quiet on conforming code, and one
@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
-from avipack.analysis import AnalysisEngine, Baseline, FileContext
-from avipack.analysis.rules.unit_suffix import canonical_suffixes
+from avipack.analysis import AnalysisEngine, FileContext
 
 IN_PACKAGE = "src/avipack/somemodule.py"
-IN_SWEEP = "src/avipack/sweep/somemodule.py"
 OUTSIDE = "scripts/tool.py"
 
 
@@ -47,90 +43,6 @@ def run_engine(source: str, path: str = IN_PACKAGE, tmp_path=None):
 
 def rule_ids(findings):
     return sorted({finding.rule_id for finding in findings})
-
-
-# ---------------------------------------------------------------------------
-# AVI001 — unit-suffix consistency
-# ---------------------------------------------------------------------------
-
-class TestAVI001:
-    def test_fires_on_spelled_out_suffix(self):
-        findings = run_rules("""
-            def set_power(power_watts: float) -> None:
-                pass
-        """)
-        assert rule_ids(findings) == ["AVI001"]
-        assert "power_watts" in findings[0].message
-        assert "_w" in findings[0].suggestion
-
-    def test_fires_on_docstring_contradiction(self):
-        findings = run_rules('''
-            def solve(temp_k: float) -> float:
-                """Solve the network.
-
-                Parameters
-                ----------
-                temp_k:
-                    Boundary temperature in degrees Celsius.
-                """
-                return temp_k
-        ''')
-        assert rule_ids(findings) == ["AVI001"]
-        assert "'_k'" in findings[0].message
-
-    def test_fires_on_attribute_contradiction(self):
-        findings = run_rules('''
-            class Spec:
-                """A spec.
-
-                Attributes
-                ----------
-                length_m:
-                    Edge length in mm.
-                """
-
-                length_m: float = 0.1
-        ''')
-        assert rule_ids(findings) == ["AVI001"]
-
-    def test_quiet_on_consistent_code(self):
-        findings = run_rules('''
-            def solve(temp_k: float, power_w: float, freq_hz: float) -> float:
-                """Solve.
-
-                Parameters
-                ----------
-                temp_k:
-                    Boundary temperature [K].
-                power_w:
-                    Dissipation [W].
-                freq_hz:
-                    Excitation frequency [Hz].
-                """
-                return temp_k + power_w + freq_hz
-        ''')
-        assert findings == []
-
-    def test_quiet_on_private_function(self):
-        findings = run_rules("""
-            def _internal(power_watts: float) -> None:
-                pass
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine(
-            "def set_power(power_watts: float) -> None:"
-            "  # avilint: disable=AVI001\n"
-            "    pass\n", tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI001"]
-
-    def test_suffix_vocabulary_derived_from_units(self):
-        suffixes = canonical_suffixes()
-        # Tokens contributed by avipack.units converter names.
-        for suffix in ("_k", "_c", "_hz", "_m", "_s", "_h", "_m_s2"):
-            assert suffix in suffixes
 
 
 # ---------------------------------------------------------------------------
@@ -266,128 +178,6 @@ class TestAVI003:
 
 
 # ---------------------------------------------------------------------------
-# AVI004 — determinism
-# ---------------------------------------------------------------------------
-
-class TestAVI004:
-    def test_fires_on_unseeded_entropy_and_wall_clock(self):
-        findings = run_rules("""
-            import random
-            import time
-            import numpy as np
-
-            def jitter():
-                rng = np.random.default_rng()
-                return (random.random() + time.time()
-                        + float(np.random.rand()) + rng.normal())
-        """, path=IN_SWEEP)
-        assert rule_ids(findings) == ["AVI004"]
-        messages = " | ".join(finding.message for finding in findings)
-        assert "default_rng() without an explicit seed" in messages
-        assert "random.random()" in messages
-        assert "time.time()" in messages
-        assert "np.random.rand()" in messages
-
-    def test_quiet_on_seeded_sources(self):
-        findings = run_rules("""
-            import random
-            import time
-            import numpy as np
-
-            def deterministic(seed):
-                rng = np.random.default_rng(seed)
-                local = random.Random(seed)
-                started = time.perf_counter()
-                return rng.normal() + local.random() + started
-        """, path=IN_SWEEP)
-        assert findings == []
-
-    def test_quiet_outside_scoped_subpackages(self):
-        findings = run_rules("""
-            import time
-
-            def now():
-                return time.time()
-        """, path="src/avipack/reliability/clock.py")
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            import time
-
-            def now():
-                return time.time()  # avilint: disable=AVI004
-        """, path=IN_SWEEP, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI004"]
-
-
-# ---------------------------------------------------------------------------
-# AVI005 — solver-mutation safety
-# ---------------------------------------------------------------------------
-
-class TestAVI005:
-    def test_fires_on_mutation_after_solve(self):
-        findings = run_rules("""
-            def iterate():
-                network = ThermalNetwork()
-                network.add_node("cpu", heat_load=40.0)
-                network.solve()
-                network.add_heat_load("cpu", 55.0)
-                return network.solve()
-        """)
-        assert rule_ids(findings) == ["AVI005"]
-        assert "add_heat_load" in findings[0].message
-
-    def test_fires_on_attribute_receiver(self):
-        findings = run_rules("""
-            def refine(self):
-                self.network.solve()
-                self.network.add_conductance("a", "b", 2.0)
-        """)
-        assert rule_ids(findings) == ["AVI005"]
-
-    def test_quiet_on_build_then_solve(self):
-        findings = run_rules("""
-            def build_and_solve():
-                network = ThermalNetwork()
-                network.add_node("cpu", heat_load=40.0)
-                network.add_conductance("cpu", "sink", 2.0)
-                return network.solve()
-        """)
-        assert findings == []
-
-    def test_quiet_across_function_boundaries(self):
-        findings = run_rules("""
-            def solve_once(network):
-                return network.solve()
-
-            def mutate(network):
-                network.add_heat_load("cpu", 55.0)
-        """)
-        assert findings == []
-
-    def test_quiet_on_different_receivers(self):
-        findings = run_rules("""
-            def two_networks(a, b):
-                a.solve()
-                b.add_heat_load("cpu", 55.0)
-                return b.solve()
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            def iterate(network):
-                network.solve()
-                network.add_heat_load("cpu", 55.0)  # avilint: disable=AVI005
-                return network.solve()
-        """, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI005"]
-
-
-# ---------------------------------------------------------------------------
 # AVI006 — atomic persistence of on-disk documents
 # ---------------------------------------------------------------------------
 
@@ -488,96 +278,6 @@ class TestAVI006:
         """, tmp_path=tmp_path)
         assert active == []
         assert rule_ids(suppressed) == ["AVI006"]
-
-
-# ---------------------------------------------------------------------------
-# AVI007 — fire-and-forget asyncio tasks
-# ---------------------------------------------------------------------------
-
-class TestAVI007:
-    def test_fires_on_bare_create_task(self):
-        findings = run_rules("""
-            import asyncio
-
-            def kick(coro):
-                asyncio.create_task(coro())
-        """)
-        assert rule_ids(findings) == ["AVI007"]
-        assert "fire-and-forget" in findings[0].message
-
-    def test_fires_on_bare_ensure_future(self):
-        findings = run_rules("""
-            import asyncio
-
-            def kick(coro):
-                asyncio.ensure_future(coro())
-        """)
-        assert rule_ids(findings) == ["AVI007"]
-
-    def test_fires_on_loop_create_task(self):
-        findings = run_rules("""
-            def kick(loop, coro):
-                loop.create_task(coro())
-        """)
-        assert rule_ids(findings) == ["AVI007"]
-
-    def test_fires_on_from_imported_create_task(self):
-        findings = run_rules("""
-            from asyncio import create_task
-
-            def kick(coro):
-                create_task(coro())
-        """)
-        assert rule_ids(findings) == ["AVI007"]
-
-    def test_quiet_when_result_is_stored(self):
-        findings = run_rules("""
-            import asyncio
-
-            def kick(tasks, coro):
-                task = asyncio.create_task(coro())
-                task.add_done_callback(tasks.discard)
-                tasks.add(task)
-        """)
-        assert findings == []
-
-    def test_quiet_when_awaited(self):
-        findings = run_rules("""
-            import asyncio
-
-            async def kick(coro):
-                await asyncio.create_task(coro())
-        """)
-        assert findings == []
-
-    def test_quiet_when_passed_or_returned(self):
-        findings = run_rules("""
-            import asyncio
-
-            def kick(tasks, coro):
-                tasks.append(asyncio.create_task(coro()))
-                return asyncio.create_task(coro())
-        """)
-        assert findings == []
-
-    def test_quiet_on_task_group_create_task(self):
-        findings = run_rules("""
-            async def run_all(coro):
-                import asyncio
-                async with asyncio.TaskGroup() as tg:
-                    tg.create_task(coro())
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            import asyncio
-
-            def kick(coro):
-                asyncio.create_task(coro())  # avilint: disable=AVI007
-        """, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI007"]
 
 
 # ---------------------------------------------------------------------------
@@ -759,351 +459,3 @@ class TestAVI009:
         """, tmp_path=tmp_path)
         assert active == []
         assert rule_ids(suppressed) == ["AVI009"]
-
-
-# ---------------------------------------------------------------------------
-# AVI010 — lock discipline and use-after-close
-# ---------------------------------------------------------------------------
-
-class TestAVI010:
-    def test_fires_when_lock_is_never_released(self):
-        findings = run_rules("""
-            import fcntl
-
-            def wedge(path):
-                stream = open(path, "w")
-                fcntl.flock(stream, fcntl.LOCK_EX)
-                stream.write("x")
-        """)
-        assert rule_ids(findings) == ["AVI010"]
-        assert "never released" in findings[0].message
-
-    def test_fires_on_happy_path_only_release(self):
-        findings = run_rules("""
-            import fcntl
-
-            def racy(path):
-                stream = open(path, "w")
-                fcntl.flock(stream, fcntl.LOCK_EX)
-                stream.write("x")
-                fcntl.flock(stream, fcntl.LOCK_UN)
-                stream.close()
-        """)
-        assert rule_ids(findings) == ["AVI010"]
-        assert "happy path" in findings[0].message
-
-    def test_fires_on_use_after_close(self):
-        findings = run_rules("""
-            def finish(writer):
-                writer.close()
-                writer.flush()
-        """)
-        assert rule_ids(findings) == ["AVI010"]
-        assert "after close()" in findings[0].message
-
-    def test_quiet_on_release_in_finally(self):
-        findings = run_rules("""
-            import fcntl
-
-            def safe(path):
-                stream = open(path, "w")
-                fcntl.flock(stream, fcntl.LOCK_EX)
-                try:
-                    stream.write("x")
-                finally:
-                    fcntl.flock(stream, fcntl.LOCK_UN)
-                    stream.close()
-        """)
-        assert findings == []
-
-    def test_quiet_when_locked_stream_escapes(self):
-        findings = run_rules("""
-            import fcntl
-
-            def lock_writer(path):
-                stream = open(path, "w")
-                fcntl.flock(stream, fcntl.LOCK_EX)
-                return stream
-        """)
-        assert findings == []
-
-    def test_quiet_on_caller_owned_subject(self):
-        findings = run_rules("""
-            import fcntl
-
-            def hold(stream):
-                fcntl.flock(stream.fileno(), fcntl.LOCK_EX)
-        """)
-        assert findings == []
-
-    def test_quiet_on_stats_after_close(self):
-        # Sealed-totals accessors are the documented post-close API.
-        findings = run_rules("""
-            def finish(writer):
-                writer.close()
-                return writer.stats()
-        """)
-        assert findings == []
-
-    def test_quiet_when_name_is_rebound_after_close(self):
-        findings = run_rules("""
-            def rotate(writer, factory):
-                writer.close()
-                writer = factory()
-                writer.write("b")
-        """)
-        assert findings == []
-
-    def test_quiet_on_branch_where_close_never_happened(self):
-        findings = run_rules("""
-            def maybe(writer, seal):
-                if seal:
-                    writer.close()
-                else:
-                    writer.write("x")
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            def finish(writer):
-                writer.close()
-                writer.flush()  # avilint: disable=AVI010
-        """, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI010"]
-
-
-# ---------------------------------------------------------------------------
-# AVI011 — perf-counter hygiene (project scope)
-# ---------------------------------------------------------------------------
-
-PERF_PATH = "src/avipack/perf.py"
-
-
-def analyze_pkg(tmp_path, monkeypatch, files):
-    """Run the full engine over a synthetic package tree."""
-    pkg = tmp_path / "src" / "avipack"
-    pkg.mkdir(parents=True, exist_ok=True)
-    for name, source in files.items():
-        (pkg / name).write_text(textwrap.dedent(source))
-    monkeypatch.chdir(tmp_path)
-    return AnalysisEngine().analyze_paths([str(tmp_path / "src")])
-
-
-class TestAVI011:
-    def test_fires_on_dead_registrations_standalone(self):
-        findings = run_rules("""
-            KERNELS = ("solver.solve",)
-            COUNTERS = ("results.rows",)
-        """, path=PERF_PATH)
-        assert rule_ids(findings) == ["AVI011"]
-        symbols = sorted(f.symbol for f in findings)
-        assert symbols == ["COUNTERS", "KERNELS"]
-
-    def test_fires_on_unregistered_increment(self, tmp_path, monkeypatch):
-        result = analyze_pkg(tmp_path, monkeypatch, {
-            "perf.py": 'COUNTERS = ("results.rows",)\n',
-            "ingest.py": """
-                from avipack import perf
-
-                def ingest(n):
-                    perf.increment("results.rows", n)
-                    perf.increment("results.ghost", n)
-            """,
-        })
-        unregistered = [f for f in result.findings
-                        if f.rule_id == "AVI011"
-                        and "not declared" in f.message]
-        assert len(unregistered) == 1
-        assert "results.ghost" in unregistered[0].message
-        assert unregistered[0].path == "src/avipack/ingest.py"
-
-    def test_fires_on_registered_but_never_incremented(
-            self, tmp_path, monkeypatch):
-        result = analyze_pkg(tmp_path, monkeypatch, {
-            "perf.py": 'COUNTERS = ("results.rows", "results.unused")\n',
-            "ingest.py": """
-                from avipack import perf
-
-                def ingest(n):
-                    perf.increment("results.rows", n)
-            """,
-        })
-        dead = [f for f in result.findings
-                if f.rule_id == "AVI011" and "eternal zero" in f.message]
-        assert len(dead) == 1
-        assert "results.unused" in dead[0].message
-        assert dead[0].path == "src/avipack/perf.py"
-        assert dead[0].symbol == "COUNTERS"
-
-    def test_constant_fed_name_resolves_across_modules(
-            self, tmp_path, monkeypatch):
-        result = analyze_pkg(tmp_path, monkeypatch, {
-            "perf.py": 'COUNTERS = ("results.rows",)\n',
-            "names.py": 'ROWS = "results.rows"\n',
-            "ingest.py": """
-                from avipack import perf
-                from avipack.names import ROWS
-
-                def ingest(n):
-                    perf.increment(ROWS, n)
-            """,
-        })
-        assert [f for f in result.findings
-                if f.rule_id == "AVI011"] == []
-
-    def test_dynamic_record_disables_dead_kernel_check(
-            self, tmp_path, monkeypatch):
-        result = analyze_pkg(tmp_path, monkeypatch, {
-            "perf.py": 'KERNELS = ("solver.solve", "solver.assemble")\n',
-            "solver.py": """
-                from avipack import perf
-
-                def run(kernel_name, wall):
-                    perf.record(kernel_name, wall)
-            """,
-        })
-        assert [f for f in result.findings
-                if f.rule_id == "AVI011"] == []
-
-    def test_suppressed_inline(self, tmp_path, monkeypatch):
-        result = analyze_pkg(tmp_path, monkeypatch, {
-            "perf.py": "COUNTERS = ()\n",
-            "ingest.py": """
-                from avipack import perf
-
-                def ingest(n):
-                    perf.increment("results.ghost", n)  # avilint: disable=AVI011
-            """,
-        })
-        assert [f for f in result.findings
-                if f.rule_id == "AVI011"] == []
-        assert rule_ids(result.suppressed) == ["AVI011"]
-
-
-# ---------------------------------------------------------------------------
-# AVI012 — resource-handle leaks on error paths
-# ---------------------------------------------------------------------------
-
-class TestAVI012:
-    def test_fires_when_handle_is_never_closed(self):
-        findings = run_rules("""
-            def read_header(path):
-                stream = open(path, "rb")
-                data = stream.read(16)
-                return data
-        """)
-        assert rule_ids(findings) == ["AVI012"]
-        assert "never closed" in findings[0].message
-
-    def test_fires_on_straight_line_only_close(self):
-        findings = run_rules("""
-            def copy(path, sink):
-                stream = open(path, "rb")
-                sink.write(stream.read())
-                stream.close()
-        """)
-        assert rule_ids(findings) == ["AVI012"]
-        assert "error" in findings[0].message or \
-            "straight-line" in findings[0].message
-
-    def test_fires_on_leaked_mmap(self):
-        findings = run_rules("""
-            import mmap
-
-            def peek(fileno):
-                mapping = mmap.mmap(fileno, 0)
-                return bytes(mapping[:16])
-        """)
-        assert rule_ids(findings) == ["AVI012"]
-        assert "mmap.mmap()" in findings[0].message
-
-    def test_quiet_on_close_in_finally(self):
-        findings = run_rules("""
-            def copy(path, sink):
-                stream = open(path, "rb")
-                try:
-                    sink.write(stream.read())
-                finally:
-                    stream.close()
-        """)
-        assert findings == []
-
-    def test_quiet_on_close_in_except(self):
-        findings = run_rules("""
-            def load(path, parse):
-                stream = open(path, "rb")
-                try:
-                    return parse(stream)
-                except ValueError:
-                    stream.close()
-                    raise
-        """)
-        assert findings == []
-
-    def test_quiet_on_with_statement(self):
-        findings = run_rules("""
-            def read_all(path):
-                with open(path, "rb") as stream:
-                    return stream.read()
-        """)
-        assert findings == []
-
-    def test_quiet_on_ownership_transfer(self):
-        findings = run_rules("""
-            import io
-
-            def wrap(path):
-                stream = open(path, "rb")
-                return io.BufferedReader(stream)
-        """)
-        assert findings == []
-
-    def test_quiet_on_immediate_close(self):
-        findings = run_rules("""
-            def touch(path):
-                stream = open(path, "w")
-                stream.close()
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            def read_header(path):
-                stream = open(path, "rb")  # avilint: disable=AVI012
-                return stream.read(16)
-        """, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI012"]
-
-
-# ---------------------------------------------------------------------------
-# Baseline interaction (one representative rule per class of finding)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("source, path", [
-    ("def set_power(power_watts: float) -> None:\n    pass\n", IN_PACKAGE),
-    ("def f(x):\n    raise ValueError('bad')\n", IN_PACKAGE),
-    ("import time\n\ndef now():\n    return time.time()\n", IN_SWEEP),
-])
-def test_baselined_finding_does_not_gate(source, path):
-    ctx = FileContext.parse(path, source)
-    engine = AnalysisEngine()
-    raw = []
-    for rule in engine.rules:
-        raw.extend(rule.check(ctx))
-    assert raw, "fixture must produce at least one finding"
-
-    baseline = Baseline(tuple(raw))
-    active, baselined = baseline.partition(raw)
-    assert active == []
-    assert baselined == raw
-
-    # A *new* identical finding in a different symbol still gates.
-    mutated = [finding for finding in raw]
-    moved = mutated[0].__class__(**{**mutated[0].to_dict(),
-                                    "severity": mutated[0].severity,
-                                    "symbol": "other_function"})
-    active, _ = baseline.partition([moved])
-    assert active == [moved]

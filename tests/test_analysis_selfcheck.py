@@ -1,7 +1,8 @@
 """Self-check: the analyzer over the repo's own ``src/`` must be clean.
 
 This is the same gate CI runs (``python -m avipack.analysis src``): zero
-non-baselined findings against the checked-in ``analysis-baseline.json``.
+active findings, with inline ``# avilint: disable=`` as the only escape
+hatch.
 """
 
 from __future__ import annotations
@@ -10,19 +11,16 @@ import pathlib
 
 import pytest
 
-from avipack.analysis import AnalysisEngine, Baseline
+from avipack.analysis import AnalysisEngine
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "avipack"
-BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
 @pytest.fixture(scope="module")
 def result(monkeypatch_module):
     monkeypatch_module.chdir(REPO_ROOT)
-    baseline = Baseline.load(str(BASELINE))
-    engine = AnalysisEngine(baseline=baseline)
-    return engine.analyze_paths([str(SRC)])
+    return AnalysisEngine().analyze_paths([str(SRC)])
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +32,7 @@ def monkeypatch_module():
     patcher.undo()
 
 
-def test_src_has_zero_non_baselined_findings(result):
+def test_src_has_zero_active_findings(result):
     rendered = "\n".join(finding.render() for finding in result.findings)
     assert result.findings == [], f"active findings in src:\n{rendered}"
     assert result.errors == []
@@ -44,9 +42,3 @@ def test_src_has_zero_non_baselined_findings(result):
 def test_src_analysis_covers_the_package(result):
     # Guard against the gate silently analyzing nothing.
     assert result.files_analyzed >= 50
-
-
-def test_checked_in_baseline_is_empty(result):
-    # PR 9 fixed every real finding instead of grandfathering it; the
-    # gate must stay at zero debt (new findings get fixed, not listed).
-    assert len(Baseline.load(str(BASELINE))) == 0

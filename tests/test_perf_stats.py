@@ -6,6 +6,8 @@ hit, compilation invalidation on structural mutation, and the
 PERFORMANCE section of the sweep report.
 """
 
+import ast
+import pathlib
 import pickle
 
 import pytest
@@ -22,6 +24,8 @@ from avipack.thermal.conduction import (
 )
 from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
+
+PACKAGE = pathlib.Path(perf.__file__).resolve().parent
 
 
 @pytest.fixture(autouse=True)
@@ -130,9 +134,10 @@ class TestBatchedCounters:
 
 class TestRegistry:
     def test_record_accumulates(self):
-        perf.record("k", solves=1, iterations=4)
-        perf.record("k", solves=1, iterations=6, factorizations=1)
-        s = perf.stats("k")
+        perf.record("network.steady", solves=1, iterations=4)
+        perf.record("network.steady", solves=1, iterations=6,
+                    factorizations=1)
+        s = perf.stats("network.steady")
         assert s.solves == 2
         assert s.iterations == 10
         assert s.factorizations == 1
@@ -141,25 +146,26 @@ class TestRegistry:
         assert perf.stats("nope").empty
 
     def test_reset_single_kernel(self):
-        perf.record("a", solves=1)
-        perf.record("b", solves=1)
-        perf.reset("a")
-        assert perf.stats("a").empty
-        assert perf.stats("b").solves == 1
+        perf.record("conduction.steady", solves=1)
+        perf.record("network.steady", solves=1)
+        perf.reset("conduction.steady")
+        assert perf.stats("conduction.steady").empty
+        assert perf.stats("network.steady").solves == 1
 
     def test_delta_since_omits_unchanged(self):
-        perf.record("a", solves=1)
+        perf.record("conduction.steady", solves=1)
         before = perf.snapshot()
-        perf.record("b", solves=2)
+        perf.record("network.steady", solves=2)
         deltas = perf.delta_since(before)
-        assert [d.kernel for d in deltas] == ["b"]
+        assert [d.kernel for d in deltas] == ["network.steady"]
         assert deltas[0].solves == 2
 
     def test_delta_since_orders_by_kernel(self):
         before = perf.snapshot()
-        perf.record("z", solves=1)
-        perf.record("a", solves=1)
-        assert [d.kernel for d in perf.delta_since(before)] == ["a", "z"]
+        perf.record("network.steady", solves=1)
+        perf.record("conduction.steady", solves=1)
+        assert [d.kernel for d in perf.delta_since(before)] \
+            == ["conduction.steady", "network.steady"]
 
     def test_aggregate_merges_by_kernel(self):
         groups = [
@@ -172,10 +178,34 @@ class TestRegistry:
         assert merged[0].factorization_reuses == 1
 
     def test_timed_adds_wall_time(self):
-        with perf.timed("k"):
+        with perf.timed("service.job"):
             pass
-        assert perf.stats("k").wall_s >= 0.0
-        assert perf.stats("k").solves == 0
+        assert perf.stats("service.job").wall_s >= 0.0
+        assert perf.stats("service.job").solves == 0
+
+    def test_undeclared_names_are_rejected(self):
+        with pytest.raises(InputError, match="KERNELS"):
+            perf.record("k", solves=1)
+        ran = []
+        with pytest.raises(InputError, match="KERNELS"):
+            with perf.timed("k"):
+                ran.append(True)
+        assert ran == []
+        with pytest.raises(InputError, match="COUNTERS"):
+            perf.increment("results.ghost")
+        assert perf.snapshot() == {} and perf.counters() == {}
+
+    def test_every_declared_name_is_spelled_out_at_a_call_site(self):
+        literals = set()
+        for path in PACKAGE.rglob("*.py"):
+            if path.name == "perf.py" and path.parent == PACKAGE:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    literals.add(node.value)
+        declared = set(perf.KERNELS) | set(perf.COUNTERS)
+        assert declared - literals == set()
 
 
 class TestNetworkCounters:
