@@ -21,8 +21,10 @@ import pathlib
 import sys
 
 from avipack import perf
+from avipack.core.levels import run_pyramid
 from avipack.packaging.formfactors import ATR_WIDTHS, AtrCase
 from avipack.packaging.pcb import dummy_resistive_pcb
+from avipack.sweep.space import Candidate
 from avipack.thermal.batch import solve_batched
 from avipack.thermal.conduction import clear_factor_cache
 from avipack.thermal.network import ThermalNetwork
@@ -142,22 +144,34 @@ def build_level3_boards(n_boards=100):
     return boards
 
 
-def _measure(kernel, call, rounds):
+def build_rack_pyramid(n_modules=6):
+    """A series-fed rack whose modules all carry one board, as a sweep
+    candidate builds it: each slot solves the same board at its own
+    level-2 boundary."""
+    rack, _ = Candidate(n_modules=n_modules, series_fraction=1.0).build()
+    return rack
+
+
+def _measure(kernel, call, rounds, named=()):
     """Median wall time [ms] of ``call`` plus one instrumented pass.
 
     The instrumented pass runs first on a reset registry so the counter
     record reflects exactly one call against a cold compile; the timing
     rounds then run warm (compiled structure and LU cache populated),
-    which is the steady-state the benchmarks guard.
+    which is the steady-state the benchmarks guard.  ``named`` scalar
+    counters (:func:`avipack.perf.counter`) join the kernel's counters
+    under their dotted names.
     """
     call()  # warm: compile + factorize
-    perf.reset(kernel)
+    for name in (kernel, *named):
+        perf.reset(name)
     call()
     counters = perf.stats(kernel)
+    pinned = {name: getattr(counters, name) for name in EXACT_COUNTERS}
+    pinned.update((name, perf.counter(name)) for name in named)
     return {
         "median_ms": median_ms(timed_samples(call, rounds)),
-        "counters": {name: getattr(counters, name)
-                     for name in EXACT_COUNTERS},
+        "counters": pinned,
     }
 
 
@@ -208,6 +222,16 @@ def run_benches(rounds=25):
 
     benches["level3_board_sweep"] = _measure(
         "conduction.steady", level3_board_sweep, rounds)
+
+    rack = build_rack_pyramid()
+
+    def level3_rack_pyramid():
+        clear_factor_cache()
+        run_pyramid(rack)
+
+    benches["level3_rack_pyramid"] = _measure(
+        "conduction.steady", level3_rack_pyramid, rounds,
+        named=("levels.detail_builds",))
 
     return {
         "schema": 1,

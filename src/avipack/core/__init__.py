@@ -30,6 +30,7 @@ from .levels import (
     JUNCTION_LIMIT,
     Level1Result,
     Level2Result,
+    Level3Board,
     Level3Result,
     PyramidResult,
     run_level1,
@@ -85,6 +86,7 @@ __all__ = [
     "JUNCTION_LIMIT",
     "Level1Result",
     "Level2Result",
+    "Level3Board",
     "Level3Result",
     "MechanicalReview",
     "PackagingSpecification",

@@ -140,12 +140,15 @@ def run_mechanical_branch(rack: Rack, spec: PackagingSpecification,
     """Modal placement + random-vibration fatigue for the worst board.
 
     The worst board is the one with the lowest fundamental frequency
-    (softest, hence largest deflections).  ``cache`` memoises the review
-    under a fingerprint of exactly what the branch reads: the structural
-    plates and the specification's vibration requirements.
+    (softest, hence largest deflections).  Each distinct :class:`Pcb`
+    object is idealised once, in slot order, however many modules carry
+    it.  ``cache`` memoises the review under a fingerprint of exactly
+    what the branch reads: those structural plates and the
+    specification's vibration requirements.
     """
-    boards = [module.pcb.as_plate() for module in rack.modules
-              if module.pcb is not None]
+    pcbs = {id(module.pcb): module.pcb for module in rack.modules
+            if module.pcb is not None}
+    boards = [pcb.as_plate() for pcb in pcbs.values()]
     if not boards:
         raise InputError("mechanical branch needs at least one real PCB")
     if cache is not None:

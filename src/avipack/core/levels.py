@@ -23,12 +23,18 @@ fingerprint of the inputs, so a design-space sweep reaching the same
 sub-problem from different candidates computes it once.  ``run_level3``
 additionally accepts an injected detail solver, keeping the branch
 runners picklable and testable with instrumented solvers.
+
+Level 3 runs once per module, but the modules of a rack usually carry
+one board: :func:`run_pyramid` wraps each distinct board object in a
+:class:`Level3Board`, so its content digest is hashed once and its
+detail model is built once, however many slots solve it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..errors import ConvergenceError, InputError
 from ..fingerprint import stable_fingerprint
@@ -37,7 +43,7 @@ from ..packaging.cooling import (
     ModuleEnvelope,
     compare_techniques,
 )
-from ..packaging.pcb import Pcb
+from ..packaging.pcb import Pcb, PcbDetailModel
 from ..packaging.rack import Rack, SlotResult
 from ..resilience.faults import fire as _fire_fault
 from ..units import celsius_to_kelvin
@@ -166,7 +172,33 @@ class Level3Result:
         return not self.violations
 
 
-def run_level3(pcb: Pcb, board_boundary_temperature: float,
+class Level3Board:
+    """One populated board prepared for level-3 solves at many boundaries.
+
+    ``digest`` (``stable_fingerprint(pcb)``, the board part of the
+    level-3 cache key) is hashed on first use and the
+    :class:`~avipack.packaging.pcb.PcbDetailModel` is built on the first
+    solve that misses the cache; both are then shared by every module
+    slot holding the same :class:`Pcb` object.  Like the detail model,
+    it is a snapshot of the board.
+    """
+
+    def __init__(self, pcb: Pcb) -> None:
+        self.pcb = pcb
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of the board."""
+        return stable_fingerprint(self.pcb)
+
+    @cached_property
+    def detail_model(self) -> PcbDetailModel:
+        """The board's detail model, built on first use."""
+        return PcbDetailModel(self.pcb)
+
+
+def run_level3(pcb: Union[Pcb, Level3Board],
+               board_boundary_temperature: float,
                h_film: float = 15.0,
                junction_limit: float = JUNCTION_LIMIT,
                cache=None,
@@ -177,29 +209,35 @@ def run_level3(pcb: Pcb, board_boundary_temperature: float,
     ``board_boundary_temperature`` is the level-2 air/wall boundary handed
     down the pyramid; the board is solved with film cooling on both faces
     against it, and each junction follows from the local board temperature
-    through the package model.
+    through the package model.  ``pcb`` is the board, or its
+    :class:`Level3Board` when the caller solves it at several boundaries.
 
-    ``detail_solver`` overrides the board solver (default
-    :meth:`~avipack.packaging.pcb.Pcb.solve_detail`); it must accept the
-    same keyword arguments and return an object with
-    ``junction_temperatures``.  ``cache`` memoises the level result under
-    a content key of the board and boundary, so identical boards at the
-    same boundary (e.g. replicated modules in a parallel-fed rack, or
-    the same stack reached from different sweep candidates) solve once.
+    ``detail_solver`` overrides the board solver (default: the board's
+    :class:`~avipack.packaging.pcb.PcbDetailModel`); it must accept the
+    keyword arguments ``h_top``, ``h_bottom`` and ``ambient`` and return
+    an object with ``junction_temperatures``.  ``cache`` memoises the
+    level result under ``stable_fingerprint("level3", board digest,
+    boundary, h_film, junction_limit, detail_solver)``, so identical
+    boards at the same boundary (e.g. replicated modules in a
+    parallel-fed rack, or the same stack reached from different sweep
+    candidates) solve once.
     """
     _fire_fault("levels.level3")
     if board_boundary_temperature <= 0.0:
         raise InputError("boundary temperature must be positive kelvin")
-    if not pcb.components:
+    board = pcb if isinstance(pcb, Level3Board) else Level3Board(pcb)
+    if not board.pcb.components:
         raise InputError("level-3 needs a populated board")
     if cache is not None:
-        key = stable_fingerprint("level3", pcb, board_boundary_temperature,
-                                 h_film, junction_limit, detail_solver)
+        key = stable_fingerprint("level3", board.digest,
+                                 board_boundary_temperature, h_film,
+                                 junction_limit, detail_solver)
         return cache.get_or_compute(
-            key, lambda: run_level3(pcb, board_boundary_temperature,
+            key, lambda: run_level3(board, board_boundary_temperature,
                                     h_film, junction_limit,
                                     detail_solver=detail_solver))
-    solve = detail_solver if detail_solver is not None else pcb.solve_detail
+    solve = (detail_solver if detail_solver is not None
+             else board.detail_model.solve)
     detail = solve(h_top=h_film, h_bottom=h_film,
                    ambient=board_boundary_temperature)
     junctions = detail.junction_temperatures
@@ -271,7 +309,10 @@ def run_pyramid(rack: Rack,
 
     Level 1 checks the rack total power; level 2 resolves per-slot board
     temperatures; level 3 runs on every module that has a populated PCB,
-    using its slot's mean air temperature as the boundary.  ``cache`` is
+    using its slot's mean air temperature as the boundary.  Modules
+    holding the same :class:`Pcb` object share one :class:`Level3Board`
+    (one digest, one detail model); each slot still makes its own
+    supervised, cached level-3 call.  ``cache`` is
     threaded through every level's runner.  ``envelope`` overrides the
     level-1 cooling envelope (default: the standard module envelope, as
     the preliminary-design scan has always assumed).
@@ -294,18 +335,21 @@ def run_pyramid(rack: Rack,
             "levels.level2", lambda: run_level2(rack, cache=cache),
             retry_on=(ConvergenceError,))
     level3: Dict[str, Level3Result] = {}
+    boards: Dict[int, Level3Board] = {}
     for module, slot in zip(rack.modules, level2.slots, strict=True):
         if module.pcb is None or not module.pcb.components:
             continue
+        board = boards.get(id(module.pcb))
+        if board is None:
+            board = boards[id(module.pcb)] = Level3Board(module.pcb)
         boundary = 0.5 * (slot.inlet_temperature
                           + slot.outlet_temperature)
         if supervisor is None:
-            level3[module.name] = run_level3(module.pcb, boundary,
-                                             cache=cache)
+            level3[module.name] = run_level3(board, boundary, cache=cache)
             continue
 
-        def compute(pcb=module.pcb, b=boundary):
-            return run_level3(pcb, b, cache=cache)
+        def compute(board=board, b=boundary):
+            return run_level3(board, b, cache=cache)
 
         fallback = None
         if supervisor.policy.degrade_level3:

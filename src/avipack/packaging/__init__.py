@@ -20,6 +20,7 @@ from .ife import IfeSystem, compare_cooling_strategies
 from .module import Module, module_generation
 from .pcb import (
     Pcb,
+    PcbDetailModel,
     PcbDetailResult,
     dummy_resistive_pcb,
     optimize_copper_coverage,
@@ -51,6 +52,7 @@ __all__ = [
     "PACKAGE_FAMILIES",
     "PackageFamily",
     "Pcb",
+    "PcbDetailModel",
     "PcbDetailResult",
     "Rack",
     "SeatElectronicsBox",

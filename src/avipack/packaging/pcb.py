@@ -9,8 +9,9 @@ as discrete footprint sources on a finite-volume grid (detailed design).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
+from .. import perf
 from ..errors import InputError
 from ..materials.library import pcb_effective_conductivity
 from ..mechanical.plate import PlateSpec
@@ -153,30 +154,12 @@ class Pcb:
                      ) -> "PcbDetailResult":
         """Solve the level-3 board model with film cooling on both faces.
 
+        Builds the board's :class:`PcbDetailModel` and solves it once;
+        callers solving one board at several ambients keep the model.
         Returns board temperature field plus per-component junction
         temperatures (local board temperature + R_jb rise).
         """
-        if h_top <= 0.0 or h_bottom <= 0.0:
-            raise InputError("film coefficients must be positive")
-        if ambient <= 0.0:
-            raise InputError("ambient must be positive kelvin")
-        grid = self.detail_grid(nx, ny)
-        solver = ConductionSolver(grid)
-        solver.set_boundary("z_max",
-                            BoundaryCondition("convection", h_top, ambient))
-        solver.set_boundary("z_min",
-                            BoundaryCondition("convection", h_bottom,
-                                              ambient))
-        solution = solver.solve_steady()
-        junctions = {}
-        for component in self.components:
-            ix = min(int(component.position[0] / self.length * nx), nx - 1)
-            iy = min(int(component.position[1] / self.width * ny), ny - 1)
-            board_t = float(solution.temperatures[ix, iy, -1])
-            junctions[component.name] = \
-                component.junction_temperature_from_board(board_t)
-        return PcbDetailResult(solution.temperatures, junctions,
-                               solution.max_temperature)
+        return PcbDetailModel(self, nx, ny).solve(h_top, h_bottom, ambient)
 
 
 @dataclass(frozen=True)
@@ -194,6 +177,54 @@ class PcbDetailResult:
         name = max(self.junction_temperatures,
                    key=self.junction_temperatures.get)
         return name, self.junction_temperatures[name]
+
+
+class PcbDetailModel:
+    """A board's level-3 model, built once and solved at many ambients.
+
+    Holds everything a detail solve needs that does not depend on the
+    film ambient: the :meth:`Pcb.detail_grid`, the grid cell under each
+    component, and the conduction operator key per film-coefficient
+    pair (hashing the conductivity fields is the costly part of a
+    factor-cache lookup).  Every module of a rack that carries the same
+    board solves through one model.  The model is a snapshot: a
+    component placed on the board afterwards is not seen.
+    """
+
+    def __init__(self, pcb: Pcb, nx: int = 34, ny: int = 26) -> None:
+        self.grid = pcb.detail_grid(nx, ny)
+        self._junction_cells = tuple(
+            (component,
+             min(int(component.position[0] / pcb.length * nx), nx - 1),
+             min(int(component.position[1] / pcb.width * ny), ny - 1))
+            for component in pcb.components)
+        self._operator_keys: Dict[Tuple[float, float], str] = {}
+        perf.increment("levels.detail_builds")
+
+    def solve(self, h_top: float, h_bottom: float,
+              ambient: float) -> PcbDetailResult:
+        """Solve with film cooling on both faces against ``ambient`` [K]."""
+        if h_top <= 0.0 or h_bottom <= 0.0:
+            raise InputError("film coefficients must be positive")
+        if ambient <= 0.0:
+            raise InputError("ambient must be positive kelvin")
+        solver = ConductionSolver(self.grid)
+        solver.set_boundary("z_max",
+                            BoundaryCondition("convection", h_top, ambient))
+        solver.set_boundary("z_min",
+                            BoundaryCondition("convection", h_bottom,
+                                              ambient))
+        key = self._operator_keys.get((h_top, h_bottom))
+        if key is None:
+            key = self._operator_keys[(h_top, h_bottom)] = \
+                solver.operator_key()
+        solution = solver.solve_steady(operator_key=key)
+        junctions = {
+            component.name: component.junction_temperature_from_board(
+                float(solution.temperatures[ix, iy, -1]))
+            for component, ix, iy in self._junction_cells}
+        return PcbDetailResult(solution.temperatures, junctions,
+                               solution.max_temperature)
 
 
 def optimize_copper_coverage(board: Pcb, boundary_temperature: float,

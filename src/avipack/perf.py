@@ -76,7 +76,8 @@ KERNELS = ("network.steady", "network.transient", "network.batched",
 #: :func:`increment` rejects any name not declared here, and a test
 #: checks that every entry is spelled out at a call site, so dashboards
 #: can enumerate this tuple and trust that each name is real and fed.
-COUNTERS = ("results.blob_fetches", "results.quarantined_checksum",
+COUNTERS = ("levels.detail_builds",
+            "results.blob_fetches", "results.quarantined_checksum",
             "results.quarantined_header",
             "results.quarantined_truncation", "results.rows_ingested",
             "results.shards_quarantined", "results.shards_written",

@@ -147,6 +147,9 @@ class Candidate:
     def build(self) -> Tuple[Rack, PackagingSpecification]:
         """Realise the candidate into a rack and its specification.
 
+        Every module carries the same :class:`Pcb` object, so the
+        pyramid builds and keys the board's level-3 model once.
+
         Raises
         ------
         InputError
@@ -159,12 +162,13 @@ class Candidate:
             raise InputError("power per module must be positive")
         technique = _coerce_cooling(self.cooling)
         envelope = self.envelope()
+        board = self.board()
         rack = Rack(name=f"sweep_{self.form_factor}",
                     series_fraction=self.series_fraction)
         for slot in range(self.n_modules):
             rack.add_module(Module(
                 name=f"m{slot + 1}",
-                pcb=self.board(),
+                pcb=board,
                 envelope=envelope,
                 technique=technique,
             ))

@@ -331,7 +331,7 @@ class ConductionSolver:
     def _operator(self) -> csr_matrix:
         """Assemble the steady operator A of A·T = b (an M-matrix).
 
-        Reads only the inputs :meth:`_operator_key` covers: grid shape
+        Reads only the inputs :meth:`operator_key` covers: grid shape
         and spacing, the ``kx/ky/kz`` fields, which faces are
         temperature or convection, and the film coefficients.  Fully
         vectorised: interior-face conductances are computed as array
@@ -397,8 +397,13 @@ class ConductionSolver:
                 np.add.at(rhs, cells, g * bc.ambient)
         return rhs
 
-    def _operator_key(self) -> str:
-        """Fingerprint of exactly the inputs :meth:`_operator` reads."""
+    def operator_key(self) -> str:
+        """Fingerprint of exactly the inputs :meth:`_operator` reads.
+
+        The key of the per-process factor cache.  A caller solving one
+        operator at many ambients (a board's detail model) computes it
+        once and hands it to :meth:`solve_steady`.
+        """
         grid = self.grid
         faces = tuple(
             (face, bc.kind, bc.value if bc.kind == "convection" else None)
@@ -427,7 +432,9 @@ class ConductionSolver:
 
     # -- solving ------------------------------------------------------------------
 
-    def solve_steady(self, cache=None) -> ConductionSolution:
+    def solve_steady(self, cache=None,
+                     operator_key: Optional[str] = None
+                     ) -> ConductionSolution:
         """Solve the steady conduction problem.
 
         The operator's LU factorization is kept per process under a
@@ -441,14 +448,17 @@ class ConductionSolver:
 
         ``cache`` (optional, ``get_or_compute(key, compute)``) memoises
         the whole solution under :meth:`fingerprint`, so a byte-identical
-        board skips even the back-substitution.
+        board skips even the back-substitution.  ``operator_key`` is this
+        problem's :meth:`operator_key` when the caller already holds it;
+        it is trusted, not recomputed.
         """
         if cache is not None:
             return cache.get_or_compute(self.fingerprint(),
                                         self.solve_steady)
         self._check_well_posed()
         start = time.perf_counter()
-        key = self._operator_key()
+        key = (operator_key if operator_key is not None
+               else self.operator_key())
         rhs = self._rhs()
         # One lock over lookup, factorization, insert, eviction and the
         # back-substitution: concurrent sweeps in executor threads share
