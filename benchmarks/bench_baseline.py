@@ -25,7 +25,6 @@ from avipack.core.levels import run_pyramid
 from avipack.packaging.formfactors import ATR_WIDTHS, AtrCase
 from avipack.packaging.pcb import dummy_resistive_pcb
 from avipack.sweep.space import Candidate
-from avipack.thermal.batch import solve_batched
 from avipack.thermal.conduction import clear_factor_cache
 from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
@@ -36,8 +35,7 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent \
 
 #: Counters whose baseline values must be reproduced exactly.
 EXACT_COUNTERS = ("compilations", "assemblies", "factorizations",
-                  "factorization_reuses", "solves", "iterations",
-                  "batched_solves", "batch_width")
+                  "factorization_reuses", "solves", "iterations")
 
 
 def build_linear_network(n_chains=30, chain_length=6):
@@ -92,33 +90,6 @@ def build_transient_chain(n_nodes=30):
         net.add_conductance(name, previous, 2.0)
         previous = name
     return net
-
-
-def build_candidate_grid(n_powers=100, g_scales=(1.0, 1.6),
-                         chain_length=10):
-    """A 200-candidate topology-sharing sweep grid, built fresh.
-
-    Every candidate is the same board-stack chain; candidates differ in
-    the per-board power level (the multi-RHS axis — same operator,
-    different right-hand side) and in a global conductance scale (the
-    stacked-assembly axis — one sparse template, different data).  Each
-    call rebuilds the networks, as a sweep does, so compile/assembly
-    counters are deterministic per call.
-    """
-    networks = []
-    for scale in g_scales:
-        for k in range(n_powers):
-            power = 2.0 + 0.08 * k
-            net = ThermalNetwork()
-            net.add_node("sink", fixed_temperature=300.0)
-            previous = "sink"
-            for i in range(chain_length):
-                name = f"seg{i}"
-                net.add_node(name, heat_load=power / chain_length)
-                net.add_conductance(name, previous, 4.0 * scale)
-                previous = name
-            networks.append(net)
-    return networks
 
 
 def build_level3_boards(n_boards=100):
@@ -199,19 +170,6 @@ def run_benches(rounds=25):
         "network.transient",
         lambda: solver.integrate(duration=500.0, time_step=1.0),
         rounds)
-
-    def batched_grid():
-        outcomes = solve_batched(build_candidate_grid())
-        assert all(o.ok for o in outcomes)
-
-    def scalar_grid():
-        for net in build_candidate_grid():
-            net.solve()
-
-    benches["sweep_batched_grid"] = _measure(
-        "network.batched", batched_grid, rounds)
-    benches["sweep_scalar_grid"] = _measure(
-        "network.steady", scalar_grid, rounds)
 
     boards = build_level3_boards()
 

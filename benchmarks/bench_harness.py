@@ -9,9 +9,8 @@ returning ``{"benches": {name: {"median_ms": ..., "counters": {...}}},
 * ``compare`` re-measures and fails (exit 1) when a median exceeds the
   ``--tolerance`` factor times its baseline (default 3x, so
   shared-runner noise never fails a build), when any counter differs
-  from its baseline value in either direction, or when a batched
-  bench's candidates-per-factorization drops.  ``--report`` writes the
-  comparison document as JSON.
+  from its baseline value in either direction.  ``--report`` writes
+  the comparison document as JSON.
 
 Usage, from the repository root::
 
@@ -52,15 +51,6 @@ def _write_json(path: pathlib.Path, document: Dict) -> None:
     tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
     tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
-
-
-def _candidates_per_factorization(counters: Dict) -> float:
-    """Derived batch-amortization figure from a counter dict (0 = n/a)."""
-    width = counters.get("batch_width", 0)
-    factorizations = counters.get("factorizations", 0)
-    if not width or not factorizations:
-        return 0.0
-    return width / factorizations
 
 
 @dataclass(frozen=True)
@@ -141,30 +131,17 @@ class Suite:
                     f"{name}: counter {counter} drifted: baseline "
                     f"{expected} -> measured {got} "
                     f"({self.discipline} discipline broken)")
-        entry = {
+        print(f"{name:<{width}} {measured['median_ms']:>9.3f} ms "
+              f"(baseline {pinned['median_ms']:.3f}, "
+              f"limit {limit:.3f})  {verdict}")
+        return {
             "baseline_ms": pinned["median_ms"],
             "measured_ms": measured["median_ms"],
             "limit_ms": round(limit, 4),
             "baseline_counters": pinned["counters"],
             "measured_counters": measured["counters"],
+            "verdict": verdict,
         }
-        if "batch_width" in pinned["counters"]:
-            base_cpf = _candidates_per_factorization(pinned["counters"])
-            got_cpf = _candidates_per_factorization(measured["counters"])
-            if base_cpf and got_cpf < base_cpf:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{name}: candidates-per-factorization regressed: "
-                    f"baseline {base_cpf:.1f} -> measured {got_cpf:.1f}")
-            entry["baseline_candidates_per_factorization"] = \
-                round(base_cpf, 2)
-            entry["measured_candidates_per_factorization"] = \
-                round(got_cpf, 2)
-        entry["verdict"] = verdict
-        print(f"{name:<{width}} {measured['median_ms']:>9.3f} ms "
-              f"(baseline {pinned['median_ms']:.3f}, "
-              f"limit {limit:.3f})  {verdict}")
-        return entry
 
     def main(self, argv: Optional[List[str]] = None) -> int:
         parser = argparse.ArgumentParser(description=self.title)

@@ -1,7 +1,7 @@
 """Design-space sweep engine performance benchmarks.
 
 Companion to ``test_solver_performance.py``: where that file guards the
-numerical kernels, this one guards the batch layer above them — the
+numerical kernels, this one guards the sweep layer above them — the
 sweep engine must make a 200+ candidate grid *cheaper than the sum of
 its candidates*, through process fan-out and cross-candidate solver
 caching.  The headline check pits the sum of the candidates (a serial

@@ -83,17 +83,14 @@ def energy_balance_residual_c(result: "CandidateResult") -> float:
 
 
 def audit_result(result: "CandidateResult",
-                 recompute_level2: bool = True,
-                 model_checks: bool = True) -> Tuple[str, ...]:
+                 recompute_level2: bool = True) -> Tuple[str, ...]:
     """Invariant violations of one restored result (empty = trusted).
 
-    ``model_checks=False`` skips the two invariants that are bound to
-    the *default* design-procedure workload — the rack-supply first-law
-    floor and the level-2 energy-balance recheck — because a sweep run
-    with a custom evaluator (e.g. :class:`~avipack.sweep.
-    NetworkSweepEvaluator` over arbitrary networks) makes neither
-    guarantee.  The model-free battery (fingerprint integrity,
-    temperature sanity bounds, margin/record consistency) always runs.
+    Runs the whole battery listed in the module docstring: fingerprint
+    integrity, temperature bounds including the rack-supply first-law
+    floor, margin/record consistency and, with ``recompute_level2``,
+    the level-2 energy-balance recheck.  Every restored record gets all
+    of them, whichever evaluator produced it.
     """
     issues: List[str] = []
     try:
@@ -111,7 +108,7 @@ def audit_result(result: "CandidateResult",
     elif not -273.15 < board_c < _BOARD_CEILING_C:
         issues.append(f"worst_board_c {board_c:g} degC is outside the "
                       f"physical range (-273.15, {_BOARD_CEILING_C:g})")
-    elif model_checks and board_c < supply_c - _CONSISTENCY_TOL:
+    elif board_c < supply_c - _CONSISTENCY_TOL:
         issues.append(
             f"worst_board_c {board_c:g} degC is below the rack supply "
             f"{supply_c:g} degC: a dissipating board cannot undercut "
@@ -134,7 +131,7 @@ def audit_result(result: "CandidateResult",
             issues.append(
                 f"record is compliant at {board_c:g} degC, above the "
                 f"{AUDIT_BOARD_LIMIT_C:g} degC board rule")
-    if model_checks and recompute_level2 and not issues:
+    if recompute_level2 and not issues:
         try:
             residual = energy_balance_residual_c(result)
         except Exception as exc:
@@ -184,8 +181,7 @@ def audit_headroom_monotonicity(
 
 
 def audit_outcomes(outcomes: Iterable["CandidateOutcome"],
-                   recompute_level2: bool = True,
-                   model_checks: bool = True
+                   recompute_level2: bool = True
                    ) -> Dict[str, Tuple[str, ...]]:
     """Audit a restored outcome set; returns ``fingerprint -> issues``.
 
@@ -193,8 +189,6 @@ def audit_outcomes(outcomes: Iterable["CandidateOutcome"],
     monotonicity check; failures only need fingerprint integrity (their
     payload never enters the ranked table).  Any flagged fingerprint
     should be dropped from the restore set and recomputed.
-    ``model_checks=False`` relaxes the default-workload invariants for
-    custom-evaluator sweeps (see :func:`audit_result`).
     """
     outcomes = list(outcomes)
     flagged: Dict[str, Tuple[str, ...]] = {}
@@ -202,8 +196,7 @@ def audit_outcomes(outcomes: Iterable["CandidateOutcome"],
     for outcome in outcomes:
         if hasattr(outcome, "margins"):
             issues = audit_result(outcome,
-                                  recompute_level2=recompute_level2,
-                                  model_checks=model_checks)
+                                  recompute_level2=recompute_level2)
             if issues:
                 flagged[outcome.fingerprint] = issues
             else:

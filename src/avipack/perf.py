@@ -69,8 +69,8 @@ __all__ = [
 #: evaluated, ``wall_s`` = job wall-clock) the job server records so
 #: service throughput shows up in the same registry as solver work.
 #: :func:`record` and :func:`timed` reject any other name.
-KERNELS = ("network.steady", "network.transient", "network.batched",
-           "conduction.steady", "conduction.transient", "service.job")
+KERNELS = ("network.steady", "network.transient", "conduction.steady",
+           "conduction.transient", "service.job")
 
 #: Registry of the named scalar counters (:func:`increment` family).
 #: :func:`increment` rejects any name not declared here, and a test
@@ -110,16 +110,6 @@ class SolveStats:
         Top-level solve/integrate calls.
     iterations:
         Fixed-point iterations (steady) or time steps (transient).
-    batched_solves:
-        Batched group solves executed (one topology-sharing candidate
-        group advanced as a single vectorized system counts once,
-        however many candidates it carries).
-    batch_width:
-        Total candidates answered through the batch path — the
-        candidate axis the batched solver amortized structure over.
-        ``batch_width / factorizations`` is the candidates-per-
-        factorization figure the sweep throughput work targets
-        (:attr:`candidates_per_factorization`).
     wall_s:
         Wall-clock seconds spent inside the kernel.
     """
@@ -131,8 +121,6 @@ class SolveStats:
     factorization_reuses: int = 0
     solves: int = 0
     iterations: int = 0
-    batched_solves: int = 0
-    batch_width: int = 0
     wall_s: float = 0.0
 
     # -- arithmetic ----------------------------------------------------------
@@ -151,8 +139,6 @@ class SolveStats:
                                   + other.factorization_reuses),
             solves=self.solves + other.solves,
             iterations=self.iterations + other.iterations,
-            batched_solves=self.batched_solves + other.batched_solves,
-            batch_width=self.batch_width + other.batch_width,
             wall_s=self.wall_s + other.wall_s)
 
     def minus(self, earlier: "SolveStats") -> "SolveStats":
@@ -169,8 +155,6 @@ class SolveStats:
                                   - earlier.factorization_reuses),
             solves=self.solves - earlier.solves,
             iterations=self.iterations - earlier.iterations,
-            batched_solves=self.batched_solves - earlier.batched_solves,
-            batch_width=self.batch_width - earlier.batch_width,
             wall_s=self.wall_s - earlier.wall_s)
 
     @property
@@ -178,9 +162,7 @@ class SolveStats:
         """True when every counter is zero."""
         return not (self.compilations or self.assemblies
                     or self.factorizations or self.factorization_reuses
-                    or self.solves or self.iterations
-                    or self.batched_solves or self.batch_width
-                    or self.wall_s)
+                    or self.solves or self.iterations or self.wall_s)
 
     @property
     def reuse_rate(self) -> float:
@@ -189,18 +171,6 @@ class SolveStats:
         if not total:
             return 0.0
         return self.factorization_reuses / total
-
-    @property
-    def candidates_per_factorization(self) -> float:
-        """Mean batch-path candidates amortized over one factorization.
-
-        Zero while the batch path has not run (or factorized nothing):
-        the figure only describes batched work, so scalar kernels report
-        0.0 rather than a misleading ratio.
-        """
-        if not self.batch_width or not self.factorizations:
-            return 0.0
-        return self.batch_width / self.factorizations
 
 
 _DECLARED_KERNELS = frozenset(KERNELS)
@@ -224,8 +194,8 @@ def _check_declared(name: str, declared: FrozenSet[str],
 
 def record(kernel: str, *, compilations: int = 0, assemblies: int = 0,
            factorizations: int = 0, factorization_reuses: int = 0,
-           solves: int = 0, iterations: int = 0, batched_solves: int = 0,
-           batch_width: int = 0, wall_s: float = 0.0) -> None:
+           solves: int = 0, iterations: int = 0,
+           wall_s: float = 0.0) -> None:
     """Accumulate counters for ``kernel`` in the process registry.
 
     Raises :class:`~avipack.errors.InputError` when ``kernel`` is not
@@ -236,8 +206,7 @@ def record(kernel: str, *, compilations: int = 0, assemblies: int = 0,
         kernel=kernel, compilations=compilations, assemblies=assemblies,
         factorizations=factorizations,
         factorization_reuses=factorization_reuses, solves=solves,
-        iterations=iterations, batched_solves=batched_solves,
-        batch_width=batch_width, wall_s=wall_s)
+        iterations=iterations, wall_s=wall_s)
     with _LOCK:
         current = _REGISTRY.get(kernel)
         _REGISTRY[kernel] = (increment if current is None
@@ -360,17 +329,10 @@ def format_stats(records: Union[Iterable[SolveStats],
     """
     if isinstance(records, Mapping):
         records = [records[kernel] for kernel in sorted(records)]
-    lines = []
-    for item in records:
-        line = (
-            f"{item.kernel:<22} solves {item.solves:>6}  "
-            f"iter {item.iterations:>7}  asm {item.assemblies:>6}  "
-            f"LU {item.factorizations:>5}  "
-            f"reuse {item.factorization_reuses:>7} "
-            f"({item.reuse_rate:.0%})  {item.wall_s:8.3f} s")
-        if item.batch_width:
-            line += (f"  batched {item.batched_solves} "
-                     f"width {item.batch_width} "
-                     f"(cand/LU {item.candidates_per_factorization:.0f})")
-        lines.append(line)
-    return tuple(lines)
+    return tuple(
+        f"{item.kernel:<22} solves {item.solves:>6}  "
+        f"iter {item.iterations:>7}  asm {item.assemblies:>6}  "
+        f"LU {item.factorizations:>5}  "
+        f"reuse {item.factorization_reuses:>7} "
+        f"({item.reuse_rate:.0%})  {item.wall_s:8.3f} s"
+        for item in records)

@@ -57,6 +57,7 @@ ROW_DTYPE = np.dtype([
     ("compliant", "?"),
     ("degraded", "?"),
     ("recovered", "?"),
+    # Retired: always False, kept so existing shards stay readable.
     ("batched", "?"),
     ("cost_rank", "<f8"),
     ("worst_board_c", "<f8"),
@@ -140,7 +141,7 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any,
     row["compliant"] = bool(outcome.compliant)
     row["degraded"] = bool(getattr(outcome, "degraded", False))
     row["recovered"] = bool(getattr(outcome, "recovered", False))
-    row["batched"] = bool(getattr(outcome, "batched", False))
+    row["batched"] = False
     row["elapsed_s"] = outcome.elapsed_s
     row["worker_pid"] = outcome.worker_pid
     row["n_recovery_trails"] = len(getattr(outcome, "recovery", ()))

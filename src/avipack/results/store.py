@@ -79,6 +79,13 @@ __all__ = ["DEFAULT_SHARD_ROWS", "ResultStore", "ResultStoreStats",
 #: small enough that a quarantined shard loses bounded work.
 DEFAULT_SHARD_ROWS = 65_536
 
+#: Rows of the open shard's first buffer; it doubles up to
+#: ``shard_rows`` as rows arrive.  A full 64k-row buffer is ~27 MB, and
+#: allocating one per writer (one per served job) made a long-lived
+#: process's RSS step up by that much whenever the allocator failed to
+#: reuse a freed buffer, so peak RSS varied from run to run.
+_FIRST_BUFFER_ROWS = 256
+
 _ROWS_MAGIC = "avipack-results-rows/1"
 _BLOBS_MAGIC = "avipack-results-blobs/1"
 _SHARD_PATTERN = re.compile(r"^shard-(\d{6})\.(rows|blobs)$")
@@ -232,9 +239,15 @@ class ResultStoreWriter:
         if self._lock_stream is None:
             raise InputError("result store writer is closed")
         if self._rows is None:
-            self._rows = np.zeros(self.shard_rows, dtype=ROW_DTYPE)
+            self._rows = np.zeros(min(self.shard_rows, _FIRST_BUFFER_ROWS),
+                                  dtype=ROW_DTYPE)
             self._count = 0
             self._blobs = bytearray()
+        elif self._count == len(self._rows):
+            grown = np.zeros(min(2 * self._count, self.shard_rows),
+                             dtype=ROW_DTYPE)
+            grown[:self._count] = self._rows
+            self._rows = grown
         blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         offset = len(self._blobs)
         self._blobs += blob

@@ -1,6 +1,6 @@
 """Parallel design-space sweep engine with solver caching.
 
-The batch counterpart of the single-candidate Fig. 1 procedure: sweep
+The many-candidate counterpart of the single-candidate Fig. 1 procedure: sweep
 hundreds of candidate packaging stacks (cooling mode × TIM × form
 factor × power budget × plenum layout) through the level-1/2/3 pyramid
 and the mechanical branch, in parallel, with cross-candidate reuse of
@@ -8,21 +8,17 @@ identical solver sub-problems.
 
 * :mod:`~avipack.sweep.space` — :class:`DesignSpace` / :class:`Candidate`
   grid-and-sampler API;
-* :mod:`~avipack.sweep.runner` — :class:`SweepRunner` process-pool
-  fan-out of :class:`SweepTask` records with serial fallback,
-  per-candidate failure isolation,
-  watchdog timeouts and supervised recovery
+* :mod:`~avipack.sweep.runner` — :class:`SweepRunner`: one serial or
+  process-pool route for :class:`SweepTask` records, with a serial
+  retry of whatever the pool left unfinished, per-candidate failure
+  isolation, watchdog timeouts and supervised recovery
   (see :mod:`avipack.resilience`);
 * :mod:`~avipack.sweep.cache` — :class:`SolverCache` keyed memoisation
   with hit/miss accounting;
-* :mod:`~avipack.sweep.batch` — :class:`NetworkSweepEvaluator`
-  batch-capable evaluator routing topology-sharing candidate groups
-  through the vectorized solver core (:mod:`avipack.thermal.batch`);
 * :mod:`~avipack.sweep.report` — :class:`SweepReport` observability and
   the ranked compliant-candidate document.
 """
 
-from .batch import NetworkSweepEvaluator
 from .cache import (
     DEFAULT_WORKER_CACHE_MAX_ENTRIES,
     CacheStats,
@@ -47,7 +43,6 @@ __all__ = [
     "CandidateResult",
     "DesignSpace",
     "DurabilityStats",
-    "NetworkSweepEvaluator",
     "SolverCache",
     "SweepReport",
     "SweepRunner",

@@ -113,16 +113,6 @@ class SweepReport:
         """Candidates whose design review closed with no violation."""
         return sum(1 for o in self.results if o.compliant)
 
-    @property
-    def n_batched(self) -> int:
-        """Candidates answered by the vectorized batch path.
-
-        Zero for classic per-candidate sweeps (and for outcomes
-        restored from pre-batching journals, which predate the flag).
-        """
-        return sum(1 for o in self.results
-                   if getattr(o, "batched", False))
-
     def ranked(self) -> List["CandidateResult"]:
         """Compliant candidates, cheapest first.
 
@@ -247,9 +237,6 @@ def render_sweep_document(report: SweepReport, top: int = 10) -> str:
     if report.cache.max_entries is not None:
         cache_line += f", bound {report.cache.max_entries} entries"
     lines.append(cache_line)
-    if report.n_batched:
-        lines.append(f"   batched              : {report.n_batched} "
-                     "candidates via topology-group solves")
     if report.result_store is not None:
         store = report.result_store
         lines.append(f"   result store         : {store.directory} "

@@ -1,8 +1,8 @@
-"""Batch evaluation of design-space candidates, serial or process-parallel.
+"""Evaluation of design-space candidates, serial or process-parallel.
 
 :class:`SweepRunner` turns each candidate into a :class:`SweepTask`
-and evaluates it serially, through an evaluator's batch scheduler, or
-over a :class:`concurrent.futures.ProcessPoolExecutor` (with a serial
+and evaluates it serially or over a
+:class:`concurrent.futures.ProcessPoolExecutor` (with a serial
 fallback that produces bit-identical results).  It is robust to
 individual candidate failures: a raised
 :class:`~avipack.errors.InputError`,
@@ -148,9 +148,6 @@ class CandidateResult:
     #: :mod:`avipack.perf` registry delta, shipped across the process
     #: boundary and aggregated into the sweep report).
     perf: Tuple[SolveStats, ...] = ()
-    #: Answered by the vectorized batch path (topology-group solve)
-    #: rather than a per-candidate scalar evaluation.
-    batched: bool = False
 
     @property
     def thermal_headroom_c(self) -> float:
@@ -347,8 +344,8 @@ class SweepRunner:
 
     :meth:`run` and :meth:`resume` share one campaign path: the pending
     candidates become :class:`SweepTask` records, go down one execution
-    route (batched, serial, or a process pool with a serial retry of
-    whatever the pool left unfinished), and every outcome passes through
+    route (serial, or a process pool with a serial retry of whatever
+    the pool left unfinished), and every outcome passes through
     one record step — journal, then result store, then ``progress`` —
     exactly once per candidate.
 
@@ -387,7 +384,9 @@ class SweepRunner:
         workloads on the sweep infrastructure — e.g. supervised raw
         network solves).  It is called with one :class:`SweepTask` and
         must return a :class:`CandidateResult` or
-        :class:`CandidateFailure`.
+        :class:`CandidateFailure`.  :meth:`resume` audits its journalled
+        results against the design procedure's invariants, so a result
+        that does not reproduce the level-2 airflow solve is recomputed.
     cache_dir:
         Directory for a persistent
         :class:`~avipack.durability.DiskSolverCache` shared by every
@@ -403,18 +402,6 @@ class SweepRunner:
         store does not yet hold are backfilled, keeping store and
         report in lockstep.  ``None`` (default) keeps results
         in-memory only.
-    batch:
-        Batch-scheduler switch.  ``None`` (default) batches whenever
-        the evaluator declares batch support (a truthy
-        ``supports_batch`` attribute and an ``evaluate_batch`` method —
-        e.g. :class:`~avipack.sweep.batch.NetworkSweepEvaluator`):
-        tasks are grouped and solved through the vectorized batch core
-        in-process instead of dispatched one by one.  ``False`` forces
-        the classic per-candidate paths (the parity baseline);
-        ``True`` requires a batch-capable evaluator and raises
-        :class:`~avipack.errors.InputError` otherwise.  Journaling,
-        failure isolation and cache semantics are identical either
-        way.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -424,8 +411,7 @@ class SweepRunner:
                  faults: Optional[FaultPlan] = None,
                  evaluator=None,
                  cache_dir: Optional[str] = None,
-                 result_store: Optional[str] = None,
-                 batch: Optional[bool] = None) -> None:
+                 result_store: Optional[str] = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise InputError("max_workers must be >= 0")
         if timeout_s is not None and timeout_s <= 0.0:
@@ -440,30 +426,17 @@ class SweepRunner:
             else evaluate_candidate
         self.cache_dir = cache_dir
         self.result_store = result_store
-        self.batch = batch
-        if batch is True and not self._evaluator_batches():
-            raise InputError(
-                "batch=True needs an evaluator with batch support "
-                "(supports_batch attribute and evaluate_batch method)")
 
     def _resolve_workers(self) -> int:
         if self.max_workers is not None:
             return self.max_workers
         return min(os.cpu_count() or 1, 8)
 
-    def _evaluator_batches(self) -> bool:
-        """Whether the configured evaluator can take whole task lists."""
-        return bool(getattr(self.evaluator, "supports_batch", False)
-                    and hasattr(self.evaluator, "evaluate_batch"))
-
     # -- execution -----------------------------------------------------------
 
-    def _run_cache(self) -> Optional[SolverCache]:
-        """The cache one in-process (serial, batched, retry) run uses."""
-        return resolve_cache(self.use_cache, self.cache_dir, fresh=True)
-
     def _run_serial(self, tasks: List[SweepTask], record) -> None:
-        cache = self._run_cache()
+        """In-process run (serial mode or pool retry) with one cache."""
+        cache = resolve_cache(self.use_cache, self.cache_dir, fresh=True)
         for task in tasks:
             record(self.evaluator(task, cache)
                    if self.evaluator is evaluate_candidate
@@ -586,13 +559,8 @@ class SweepRunner:
         resume dispatches only the unfinished subset).
         """
         workers = self._resolve_workers()
+        mode = "serial"
         try:
-            if self.batch is not False and self._evaluator_batches():
-                for outcome in self.evaluator.evaluate_batch(
-                        tasks, self._run_cache()):
-                    record(outcome)
-                return "batched", 1
-            mode = "serial"
             if self.parallel and workers > 1 and len(tasks) > 1:
                 mode, tasks = self._run_pool(tasks, workers, record)
             if tasks:
@@ -787,13 +755,7 @@ class SweepRunner:
                 f"journal {journal_path} has no intact plan record; "
                 "pass the candidate space to resume() explicitly")
         restored = dict(replay.outcomes)
-        # The supply-floor and level-2 energy-balance invariants hold
-        # only for the default design-procedure workload; a custom
-        # evaluator (arbitrary networks) would fail them on every
-        # intact record and resume would recompute the whole campaign.
-        flagged = audit_outcomes(
-            restored.values(),
-            model_checks=self.evaluator is evaluate_candidate)
+        flagged = audit_outcomes(restored.values())
         for fingerprint in flagged:
             restored.pop(fingerprint, None)
         journal = SweepJournal.append_to(journal_path,

@@ -13,12 +13,6 @@ the paper with from-scratch solvers of the same abstraction level:
   and climatic cycling.
 """
 
-from .batch import (
-    BatchOutcome,
-    group_by_structure,
-    solve_batched,
-    structural_fingerprint,
-)
 from .conduction import (
     ADIABATIC,
     FACES,
@@ -72,7 +66,6 @@ from .transient import (
 __all__ = [
     "ADIABATIC",
     "BOX_FACES",
-    "BatchOutcome",
     "BoxEnclosure",
     "BoundaryCondition",
     "CartesianGrid",
@@ -92,7 +85,6 @@ __all__ = [
     "forced_convection_conductance",
     "forced_convection_duct",
     "forced_convection_flat_plate",
-    "group_by_structure",
     "heat_sink_conductance",
     "linearized_radiation_coefficient",
     "natural_convection_conductance",
@@ -108,10 +100,8 @@ __all__ = [
     "reynolds_number",
     "series_resistance",
     "slab_resistance",
-    "solve_batched",
     "solve_radiosity",
     "spreading_resistance",
-    "structural_fingerprint",
     "view_factor_parallel_plates",
     "view_factor_perpendicular_plates",
 ]

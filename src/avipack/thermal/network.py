@@ -154,10 +154,8 @@ class _CompiledNetwork:
         indices = (unique % max(n_free, 1)).astype(np.intc)
         n_c = self.c_rows.size
         n_v = self.v_rows.size
-        #: Data-slot positions of constant-link, callable-link and
-        #: diagonal entries (the batched solver scatters per-candidate
-        #: conductance stacks through the same slots).
-        self.c_pos = inverse[:n_c]
+        #: Data-slot positions of callable-link and diagonal entries,
+        #: where each assembly adds its variable terms.
         self.v_pos = inverse[n_c:n_c + n_v]
         self.diag_pos = inverse[n_c + n_v:]
         #: Constant-conductance part of the operator data, assembled once.

@@ -21,9 +21,12 @@ from avipack.durability import (
 )
 from avipack.durability.journal import _canonical, _decode_payload, \
     _encode_payload
+from avipack.environments.arinc600 import STANDARD_INLET_TEMPERATURE
 from avipack.errors import JournalError
 from avipack.fingerprint import content_crc32, content_digest
+from avipack.service.server import _ThrottledEvaluator
 from avipack.sweep import Candidate, DesignSpace, SweepRunner
+from avipack.units import kelvin_to_celsius
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 20.0, 30.0),
@@ -205,6 +208,44 @@ class TestTamperAudit:
         damage_lines(path, first_completed, tamper)
         resumed = SweepRunner(parallel=False).resume(path)
         assert resumed.durability.n_audit_failures >= 1
+        assert ranking_signature(resumed) == ranking_signature(fresh)
+
+    def test_wrapped_evaluator_still_gets_the_supply_floor_check(
+            self, journalled):
+        # A served job with --throttle-s resumes through a picklable
+        # wrapper around evaluate_candidate.  Its records come from the
+        # design procedure, so a board below the rack supply (margin
+        # summary forged to match, so only the first-law floor can
+        # notice) must be flagged and recomputed as on the default path.
+        path, fresh = journalled
+        supply_c = kelvin_to_celsius(STANDARD_INLET_TEMPERATURE)
+
+        def tamper(envelope):
+            outcome = _decode_payload(envelope["body"]["payload"])
+            margins = dict(outcome.margins,
+                           worst_board_c=supply_c - 10.0)
+            outcome = dataclasses.replace(
+                outcome, worst_board_c=supply_c - 10.0, margins=margins)
+            envelope["body"]["payload"] = _encode_payload(outcome)
+            return reseal(envelope)
+
+        seen = []
+
+        def first_completed(body):
+            if body["kind"] == "completed" and not seen:
+                seen.append(body["fingerprint"])
+                return True
+            return False
+
+        damage_lines(path, first_completed, tamper)
+        resumed = SweepRunner(
+            parallel=False, evaluator=_ThrottledEvaluator(0.0)).resume(path)
+        stats = resumed.durability
+        assert stats.n_audit_failures == 1
+        assert stats.n_recomputed == 1
+        (fingerprint, issues), = stats.audit_issues
+        assert fingerprint == seen[0]
+        assert any("rack supply" in issue for issue in issues)
         assert ranking_signature(resumed) == ranking_signature(fresh)
 
 

@@ -81,57 +81,6 @@ class TestSolveStats:
         assert pickle.loads(pickle.dumps(s)) == s
 
 
-class TestBatchedCounters:
-    def test_merged_and_minus_carry_batch_counters(self):
-        a = SolveStats("k", batched_solves=1, batch_width=50,
-                       factorizations=1)
-        b = SolveStats("k", batched_solves=2, batch_width=150,
-                       factorizations=2)
-        m = a.merged(b)
-        assert m.batched_solves == 3
-        assert m.batch_width == 200
-        assert m.minus(a) == b
-
-    def test_batch_counters_alone_are_not_empty(self):
-        assert not SolveStats("k", batched_solves=1).empty
-        assert not SolveStats("k", batch_width=8).empty
-
-    def test_candidates_per_factorization(self):
-        s = SolveStats("k", batch_width=200, factorizations=2)
-        assert s.candidates_per_factorization == pytest.approx(100.0)
-        # Scalar kernels (no batch axis) and unfactorized records
-        # report 0 rather than a misleading ratio.
-        assert SolveStats("k", factorizations=5) \
-            .candidates_per_factorization == 0.0
-        assert SolveStats("k", batch_width=10) \
-            .candidates_per_factorization == 0.0
-
-    def test_record_accumulates_batch_counters(self):
-        perf.record("network.batched", batched_solves=1, batch_width=120,
-                    factorizations=2)
-        perf.record("network.batched", batched_solves=1, batch_width=80,
-                    factorizations=2)
-        s = perf.stats("network.batched")
-        assert s.batched_solves == 2
-        assert s.batch_width == 200
-        assert s.candidates_per_factorization == pytest.approx(50.0)
-
-    def test_format_stats_appends_batch_suffix(self):
-        batched = SolveStats("network.batched", solves=200,
-                             batched_solves=1, batch_width=200,
-                             factorizations=2)
-        line = format_stats([batched])[0]
-        assert "batched 1 width 200" in line
-        assert "cand/LU 100" in line
-        scalar_line = format_stats([SolveStats("k", solves=3)])[0]
-        assert "batched" not in scalar_line
-
-    def test_batch_counters_pickle_cleanly(self):
-        s = SolveStats("network.batched", batched_solves=1,
-                       batch_width=64, wall_s=0.01)
-        assert pickle.loads(pickle.dumps(s)) == s
-
-
 class TestRegistry:
     def test_record_accumulates(self):
         perf.record("network.steady", solves=1, iterations=4)

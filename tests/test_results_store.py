@@ -83,6 +83,25 @@ def test_round_trip_preserves_every_column(tmp_path):
         assert row["n_modules"] == outcome.candidate.n_modules
 
 
+def test_open_shard_buffer_grows_with_the_rows(tmp_path):
+    directory = str(tmp_path / "store")
+    outcomes = [make_result(i, power=10.0 + i) for i in range(600)]
+    with ResultStoreWriter(directory) as writer:
+        writer.add(outcomes[0])
+        # A small campaign never holds a full 64k-row shard buffer.
+        assert len(writer._rows) < writer.shard_rows
+        writer.add_many(outcomes[1:])
+    store = ResultStore.open(directory)
+    assert store.n_shards == 1
+    assert store.n_rows == 600
+    for row_id in (0, 255, 256, 511, 512, 599):
+        row = store.row(row_id)
+        assert row["index"] == row_id
+        assert row["fingerprint"].decode("ascii") == \
+            outcomes[row_id].fingerprint
+        assert store.fetch_outcome(row_id) == outcomes[row_id]
+
+
 def test_counters_track_rows_shards_and_fetches(tmp_path):
     directory = str(tmp_path / "store")
     perf.reset()
