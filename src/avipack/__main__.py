@@ -172,9 +172,6 @@ def _run_sweep(argv) -> int:
                              "of the grid instead of the full space")
     parser.add_argument("--seed", type=int, default=0,
                         help="sample seed (default 0)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="persistent on-disk solver cache shared "
-                             "across (resumed) runs")
     parser.add_argument("--serial", action="store_true",
                         help="force the serial execution path")
     parser.add_argument("--top", type=int, default=10,
@@ -195,7 +192,6 @@ def _run_sweep(argv) -> int:
     candidates = (space.sample(args.sample, seed=args.seed)
                   if args.sample is not None else space)
     runner = SweepRunner(parallel=not args.serial,
-                         cache_dir=args.cache_dir,
                          result_store=args.store_dir)
     if args.resume:
         try:
@@ -278,8 +274,8 @@ def _run_compact(argv) -> int:
         prog="python -m avipack compact",
         description="Compact a sweep journal (fold into a checkpoint "
                     "record) and/or a columnar result store (drop "
-                    "superseded rows and orphaned blobs); resume and "
-                    "rankings are byte-identical afterwards.")
+                    "superseded rows and retired blob pools); resume "
+                    "and rankings are byte-identical afterwards.")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="write-ahead journal to compact in place")
     parser.add_argument("--store", metavar="DIR", default=None,
@@ -300,8 +296,8 @@ def _run_compact(argv) -> int:
             print(f"store {args.store}: rewrote "
                   f"{rewritten.shards_rewritten} shard(s) into "
                   f"{rewritten.shards_published}, dropped "
-                  f"{rewritten.rows_dropped} superseded row(s), swept "
-                  f"{rewritten.orphan_blobs_removed} orphan blob "
+                  f"{rewritten.rows_dropped} superseded row(s), deleted "
+                  f"{rewritten.blob_pools_removed} retired blob "
                   f"pool(s) ({rewritten.bytes_reclaimed} bytes "
                   "reclaimed)")
     except DurabilityError as exc:

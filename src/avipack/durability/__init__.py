@@ -10,11 +10,6 @@ campaign crash-durable:
   write-ahead journal the runner writes outcomes to as they arrive,
   and :func:`replay_journal`, the verify-or-quarantine replay that
   never crashes and never silently trusts a damaged record;
-* :mod:`~avipack.durability.diskcache` — :class:`DiskSolverCache`, a
-  persistent solver-cache backend (atomic tmp-file + ``os.replace``
-  publication, checksummed entries, corrupt entries evicted through
-  the standard :class:`~avipack.sweep.cache.CacheStats.corrupt` path)
-  shared across resumed runs;
 * :mod:`~avipack.durability.audit` — the invariant battery
   (energy-balance residual of the level-2 thermal network, temperature
   bounds, fingerprint integrity, monotone-headroom sanity) every
@@ -36,7 +31,6 @@ from .audit import (
     audit_result,
     energy_balance_residual_c,
 )
-from .diskcache import DiskSolverCache, worker_disk_cache
 from .journal import (
     SCHEMA_VERSION,
     JournalReplay,
@@ -48,7 +42,6 @@ from .journal import (
 __all__ = [
     "AUDIT_BOARD_LIMIT_C",
     "SCHEMA_VERSION",
-    "DiskSolverCache",
     "JournalReplay",
     "QuarantinedRecord",
     "SweepJournal",
@@ -57,5 +50,4 @@ __all__ = [
     "audit_result",
     "energy_balance_residual_c",
     "replay_journal",
-    "worker_disk_cache",
 ]

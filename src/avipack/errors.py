@@ -174,8 +174,7 @@ class ResultStoreError(DurabilityError):
     ``.quarantine`` sidecar at open and their rows recomputed or
     re-ingested from the journal (see :mod:`avipack.results.store`).
     This error is reserved for the cases the store cannot work around:
-    writer-lock contention, a missing blob pool behind a lazy fetch, or
-    a blob whose checksum no longer matches its row.
+    a missing store directory or writer-lock contention.
 
     ``reason`` classifies the damage for the quarantine sidecars and
     the per-reason ``results.quarantined_*`` counters: ``"header"``

@@ -77,7 +77,7 @@ KERNELS = ("network.steady", "network.transient", "conduction.steady",
 #: checks that every entry is spelled out at a call site, so dashboards
 #: can enumerate this tuple and trust that each name is real and fed.
 COUNTERS = ("levels.detail_builds",
-            "results.blob_fetches", "results.quarantined_checksum",
+            "results.quarantined_checksum",
             "results.quarantined_header",
             "results.quarantined_truncation", "results.rows_ingested",
             "results.shards_quarantined", "results.shards_written",
@@ -180,7 +180,7 @@ _REGISTRY: Dict[str, SolveStats] = {}
 
 #: Named scalar counters for subsystems whose events do not fit the
 #: :class:`SolveStats` shape (dotted names, e.g. ``results.rows_ingested``,
-#: ``results.shards_written``, ``results.blob_fetches``).
+#: ``results.shards_written``).
 _COUNTERS: Dict[str, int] = {}
 _LOCK = threading.Lock()
 

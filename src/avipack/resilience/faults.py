@@ -14,20 +14,18 @@ Instrumented production sites call :func:`fire` with their site name
 no plan installed the call is a no-op costing one ``None`` check, so
 the instrumentation stays in release code.
 
-The durability layer (:mod:`avipack.durability`, PR 5) adds three
+The durability layer (:mod:`avipack.durability`) adds two
 *data-corruption* sites probed through :func:`corrupts` with the
 ``"cache_corrupt"`` kind:
 
 * ``"durability.journal_torn_write"`` — the journal truncates the
   record it is about to append (a power loss mid-``write``);
 * ``"durability.journal_bitflip"`` — the journal flips one bit in the
-  encoded record before appending it (storage bit rot);
-* ``"durability.cache_disk_corrupt"`` — the on-disk solver cache
-  treats the entry being read as damaged.
+  encoded record before appending it (storage bit rot).
 
 At these sites the injected error never propagates: the site *performs*
-the corruption (or damage classification) so the recovery machinery —
-checksums, quarantine, eviction — is exercised for real.
+the corruption so the recovery machinery — checksums and quarantine —
+is exercised for real.
 
 Determinism rules:
 

@@ -6,8 +6,8 @@ materialize per-candidate dataclasses (or unpickle one journal payload
 per record) dominate wall clock and memory.  This package stores each
 outcome as one row of a packed numpy structured array, persisted as
 checksummed, atomically-published, memory-mapped shards
-(:mod:`~avipack.results.store`); heavy payloads live in a side blob
-pool fetched lazily by row id.  Query primitives
+(:mod:`~avipack.results.store`); the full outcome objects stay in the
+campaign's write-ahead journal.  Query primitives
 (:mod:`~avipack.results.query`) and a columnar report renderer
 (:mod:`~avipack.results.report`) then answer "top 20 of a million" from
 typed columns alone, byte-identical to the in-memory ranking.

@@ -2,7 +2,7 @@
 
 Every query here runs on the store's typed columns — ranking, histograms
 and per-axis marginals over a million-candidate campaign touch memory-
-mapped float and byte arrays only, never the pickled outcome blobs.
+mapped float and byte arrays only, never a pickled outcome.
 
 The ranking contract matches :meth:`avipack.sweep.report.SweepReport.ranked`
 exactly: compliant candidates ordered by ``(cost_rank, -thermal_headroom_c,

@@ -2,7 +2,7 @@
 
 The columnar twin of :func:`avipack.sweep.report.render_sweep_document`:
 the ranking table, headroom histogram and axis marginals are computed
-from typed columns only — no outcome blob is unpickled, whatever the
+from typed columns only — no outcome is unpickled, whatever the
 campaign size.  The candidate description comes from the stored
 ``label`` column, which exists precisely so rendering stays
 zero-unpickle.

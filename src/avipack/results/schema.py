@@ -5,9 +5,9 @@ One sweep outcome — a :class:`~avipack.sweep.runner.CandidateResult` or
 :data:`ROW_DTYPE`, a packed numpy structured dtype.  Everything ranking,
 histogramming and report rendering needs lives in typed columns
 (fingerprint, margins, cost rank, thermal headroom, status flags,
-timings, the candidate axes); everything heavy (the full outcome object
-with its recovery trails, tracebacks and perf deltas) is pickled into
-the shard's side blob pool and fetched lazily by row id.
+timings, the candidate axes).  The full outcome object, with its
+recovery trails, tracebacks and perf deltas, lives in the campaign's
+write-ahead journal, not in the store.
 
 The dtype is part of the on-disk contract: :data:`DTYPE_FINGERPRINT`
 is stamped into every shard header, and a reader refuses (quarantines)
@@ -48,8 +48,7 @@ KIND_TIMEOUT = 2
 _BOARD_LIMIT_C = 85.0
 
 #: One outcome per row, packed little-endian.  Margin columns are NaN
-#: for failures; blob columns locate the pickled outcome in the shard's
-#: side pool.
+#: for failures.
 ROW_DTYPE = np.dtype([
     ("index", "<i8"),
     ("fingerprint", "S40"),
@@ -86,6 +85,9 @@ ROW_DTYPE = np.dtype([
     ("label", "S80"),
     ("stage", "S16"),
     ("error_type", "S40"),
+    # Retired: always 0.  They located a pickled outcome in a ``.blobs``
+    # pool the store no longer writes; kept so existing shards stay
+    # readable.
     ("blob_offset", "<i8"),
     ("blob_length", "<i8"),
     ("blob_crc32", "<u4"),
@@ -121,14 +123,11 @@ def _truncated(text: str, width: int) -> bytes:
     return text.encode("utf-8", errors="replace")[:width]
 
 
-def fill_row(rows: np.ndarray, position: int, outcome: Any,
-             blob_offset: int, blob_length: int,
-             blob_crc32: int) -> None:
+def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
     """Flatten one outcome into ``rows[position]``.
 
     ``rows`` must have dtype :data:`ROW_DTYPE` (typically the writer's
-    pre-allocated shard buffer); the blob triplet locates the pickled
-    outcome in the shard's side pool.
+    pre-allocated shard buffer).
     """
     row = rows[position]
     candidate = outcome.candidate
@@ -145,9 +144,9 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any,
     row["elapsed_s"] = outcome.elapsed_s
     row["worker_pid"] = outcome.worker_pid
     row["n_recovery_trails"] = len(getattr(outcome, "recovery", ()))
-    row["blob_offset"] = blob_offset
-    row["blob_length"] = blob_length
-    row["blob_crc32"] = blob_crc32
+    row["blob_offset"] = 0
+    row["blob_length"] = 0
+    row["blob_crc32"] = 0
 
     if failed:
         row["cost_rank"] = np.nan

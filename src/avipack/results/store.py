@@ -1,9 +1,8 @@
 """Memory-mapped, checksummed shard store for campaign results.
 
-The on-disk layout is a directory of immutable shard pairs::
+The on-disk layout is a directory of immutable shard files::
 
     shard-000000.rows     # header line + packed ROW_DTYPE records
-    shard-000000.blobs    # header line + concatenated pickled outcomes
     shard-000001.rows
     ...
 
@@ -13,19 +12,21 @@ checksums over the payload — CRC-32 (cheap first line of defence) and
 SHA-256 (authoritative) — mirroring the discipline of
 :mod:`avipack.durability.journal`.  Publication is atomic (payload to a
 temp file in the same directory, flush + ``fsync``, ``os.replace``),
-the blob pool lands before its rows file (the rows file is the commit
-point), and a shard that fails verification at open is renamed to a
+and a shard that fails verification at open is renamed to a
 ``.quarantine`` sidecar and skipped — its rows are recomputed or
 re-ingested from the journal, never trusted.
 
-Readers memory-map the row payloads (``np.memmap`` past the header), so
-ranking a million-candidate campaign touches only the columns it needs;
-full outcome objects are unpickled one at a time, on demand, via
-:meth:`ResultStore.fetch_outcome`.
+The store holds typed rows only.  A campaign's full outcome objects
+live in its write-ahead journal; ``shard-*.blobs`` files left by older
+writers are ignored here and deleted by
+:func:`avipack.retention.compact_store`.
 
-Observability: ``results.rows_ingested``, ``results.shards_written``,
-``results.blob_fetches`` and ``results.shards_quarantined`` named
-counters in :mod:`avipack.perf`; each quarantine additionally bumps a
+Readers memory-map the row payloads (``np.memmap`` past the header), so
+ranking a million-candidate campaign touches only the columns it needs.
+
+Observability: ``results.rows_ingested``, ``results.shards_written``
+and ``results.shards_quarantined`` named counters in
+:mod:`avipack.perf`; each quarantine additionally bumps a
 per-reason counter (``results.quarantined_header`` /
 ``results.quarantined_checksum`` / ``results.quarantined_truncation``)
 and writes a ``<file>.quarantine.reason`` sidecar recording *why* the
@@ -39,7 +40,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import re
 import tempfile
 import zlib
@@ -87,7 +87,6 @@ DEFAULT_SHARD_ROWS = 65_536
 _FIRST_BUFFER_ROWS = 256
 
 _ROWS_MAGIC = "avipack-results-rows/1"
-_BLOBS_MAGIC = "avipack-results-blobs/1"
 _SHARD_PATTERN = re.compile(r"^shard-(\d{6})\.(rows|blobs)$")
 _LOCK_NAME = ".writer.lock"
 _VERIFY_CHUNK = 1 << 20
@@ -170,31 +169,18 @@ def next_shard_number(directory: str) -> int:
     return highest + 1
 
 
-def publish_shard(directory: str, number: int, rows: np.ndarray,
-                  blobs: bytes) -> None:
-    """Atomically publish one sealed shard pair (blobs first, rows last).
+def publish_shard(directory: str, number: int, rows: np.ndarray) -> None:
+    """Atomically publish one sealed shard.
 
     The single publication path shared by :class:`ResultStoreWriter`
     and the retention compactor
-    (:func:`avipack.retention.compact_store`): the blob pool lands
-    before its rows file, so the rows file remains the commit point
-    whoever is writing — a crash between the two leaves an orphan
-    ``.blobs`` file that :meth:`ResultStore.open` never looks at.
+    (:func:`avipack.retention.compact_store`).
     """
-    rows_payload = rows.tobytes()
-    base = os.path.join(directory, f"shard-{number:06d}")
-    _publish(base + ".blobs",
-             _header_line(_BLOBS_MAGIC, len(rows),
-                          content_crc32(blobs),
-                          content_digest(blobs),
-                          len(blobs)),
-             blobs)
-    _publish(base + ".rows",
-             _header_line(_ROWS_MAGIC, len(rows),
-                          content_crc32(rows_payload),
-                          content_digest(rows_payload),
-                          len(rows_payload)),
-             rows_payload)
+    payload = rows.tobytes()
+    _publish(os.path.join(directory, f"shard-{number:06d}.rows"),
+             _header_line(_ROWS_MAGIC, len(rows), content_crc32(payload),
+                          content_digest(payload), len(payload)),
+             payload)
 
 
 class ResultStoreWriter:
@@ -223,7 +209,6 @@ class ResultStoreWriter:
         self._next_shard = self._scan_next_shard()
         self._rows: Optional[np.ndarray] = None
         self._count = 0
-        self._blobs = bytearray()
 
     def _scan_next_shard(self) -> int:
         return next_shard_number(self.directory)
@@ -242,18 +227,12 @@ class ResultStoreWriter:
             self._rows = np.zeros(min(self.shard_rows, _FIRST_BUFFER_ROWS),
                                   dtype=ROW_DTYPE)
             self._count = 0
-            self._blobs = bytearray()
         elif self._count == len(self._rows):
             grown = np.zeros(min(2 * self._count, self.shard_rows),
                              dtype=ROW_DTYPE)
             grown[:self._count] = self._rows
             self._rows = grown
-        blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        offset = len(self._blobs)
-        self._blobs += blob
-        fill_row(self._rows, self._count, outcome,
-                 blob_offset=offset, blob_length=len(blob),
-                 blob_crc32=zlib.crc32(blob) & 0xFFFFFFFF)
+        fill_row(self._rows, self._count, outcome)
         self._count += 1
         self.rows_added += 1
         self.added_fingerprints.add(outcome.fingerprint)
@@ -266,16 +245,14 @@ class ResultStoreWriter:
             self.add(outcome)
 
     def _seal(self) -> None:
-        """Publish the open shard: blob pool first, rows file last."""
+        """Publish the open shard."""
         if self._rows is None or self._count == 0:
             return
         number = self._next_shard
         self._next_shard += 1
-        publish_shard(self.directory, number,
-                      self._rows[:self._count], bytes(self._blobs))
+        publish_shard(self.directory, number, self._rows[:self._count])
         self._rows = None
         self._count = 0
-        self._blobs = bytearray()
         self.shards_sealed += 1
         _perf.increment("results.shards_written")
 
@@ -303,24 +280,14 @@ class _Shard:
     """One verified, memory-mapped shard (reader side)."""
 
     def __init__(self, directory: str, name: str, n_rows: int,
-                 header_bytes: int, row_base: int,
-                 blobs_available: bool, blobs_header_bytes: int) -> None:
-        self.name = name
+                 header_bytes: int, row_base: int) -> None:
         self.path = os.path.join(directory, name + ".rows")
-        self.blob_path = os.path.join(directory, name + ".blobs")
         self.n_rows = n_rows
         #: Global row id of this shard's first row.
         self.row_base = row_base
-        self.blobs_available = blobs_available
-        self._blobs_header_bytes = blobs_header_bytes
         self.rows: np.ndarray = np.memmap(
             self.path, dtype=ROW_DTYPE, mode="r",
             offset=header_bytes, shape=(n_rows,))
-
-    def read_blob(self, offset: int, length: int) -> bytes:
-        with open(self.blob_path, "rb") as stream:
-            stream.seek(self._blobs_header_bytes + offset)
-            return stream.read(length)
 
 
 def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
@@ -382,8 +349,10 @@ def _rename_aside(path: str) -> None:
         os.replace(path, path + ".quarantine")
 
 
-def _write_reason_sidecar(path: str, error: ResultStoreError) -> None:
-    """Atomically publish ``<path>.quarantine.reason`` describing why."""
+def _quarantine(path: str, error: ResultStoreError) -> None:
+    """Rename a damaged file aside; record why in an atomic
+    ``<path>.quarantine.reason`` sidecar."""
+    _rename_aside(path)
     sidecar = json.dumps({"file": os.path.basename(path),
                           "reason": error.reason,
                           "detail": str(error)}, sort_keys=True)
@@ -393,19 +362,6 @@ def _write_reason_sidecar(path: str, error: ResultStoreError) -> None:
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(tmp, path + ".quarantine.reason")
-
-
-def _quarantine(path: str,
-                error: Optional[ResultStoreError] = None) -> None:
-    """Rename a damaged file aside; record why in an atomic sidecar.
-
-    ``error`` is the verification failure for the file itself; pass
-    ``None`` for a companion file quarantined only because its partner
-    failed (no sidecar — the partner's sidecar tells the story).
-    """
-    _rename_aside(path)
-    if error is not None:
-        _write_reason_sidecar(path, error)
 
 
 def _count_quarantine(reason: str) -> None:
@@ -428,8 +384,7 @@ class ResultStore:
 
     Open with :meth:`open`; shards failing verification are quarantined
     (renamed, counted, skipped) rather than trusted or fatal.  Columns
-    are materialised lazily per name and cached; full outcomes are
-    fetched lazily per row from the blob pool.
+    are materialised lazily per name and cached.
     """
 
     def __init__(self, directory: str, shards: List[_Shard],
@@ -458,6 +413,7 @@ class ResultStore:
 
         Raises :class:`~avipack.errors.ResultStoreError` only when the
         directory itself is missing; per-shard damage is quarantined.
+        ``.blobs`` files that older writers published are ignored.
         """
         if not os.path.isdir(directory):
             raise ResultStoreError(
@@ -474,7 +430,6 @@ class ResultStore:
         row_base = 0
         for name in names:
             rows_path = os.path.join(directory, name + ".rows")
-            blobs_path = os.path.join(directory, name + ".blobs")
             try:
                 header, header_bytes = _verify_file(rows_path,
                                                     _ROWS_MAGIC)
@@ -486,30 +441,12 @@ class ResultStore:
                         "payload size", reason="header")
             except ResultStoreError as exc:
                 _quarantine(rows_path, exc)
-                _quarantine(blobs_path)
                 quarantined.append(name + ".rows")
                 reasons[name + ".rows"] = exc.reason
                 _count_quarantine(exc.reason)
                 continue
-            blobs_available = True
-            blobs_header_bytes = 0
-            try:
-                blob_header, blobs_header_bytes = _verify_file(
-                    blobs_path, _BLOBS_MAGIC)
-                if int(blob_header["rows"]) != n_rows:
-                    raise ResultStoreError(
-                        f"{blobs_path}: row count disagrees with "
-                        "rows file", reason="header")
-            except ResultStoreError as exc:
-                # Rows stay queryable; only lazy fetches are lost.
-                _quarantine(blobs_path, exc)
-                quarantined.append(name + ".blobs")
-                reasons[name + ".blobs"] = exc.reason
-                _count_quarantine(exc.reason)
-                blobs_available = False
             shards.append(_Shard(directory, name, n_rows, header_bytes,
-                                 row_base, blobs_available,
-                                 blobs_header_bytes))
+                                 row_base))
             row_base += n_rows
         return cls(directory, shards, tuple(quarantined), reasons)
 
@@ -541,10 +478,10 @@ class ResultStore:
     def shards(self) -> Tuple[_Shard, ...]:
         """The verified shards backing this view, in row order.
 
-        Reader internals (name, ``row_base``, memory-mapped ``rows``,
-        ``read_blob``) exposed for the retention compactor
+        Reader internals (``path``, ``row_base``, memory-mapped ``rows``)
+        exposed for the retention compactor
         (:func:`avipack.retention.compact_store`), which must copy
-        live rows and their blob bytes shard by shard.
+        live rows shard by shard.
         """
         return tuple(self._shards)
 
@@ -682,30 +619,3 @@ class ResultStore:
                                        side="right")) - 1
         shard = self._shards[position]
         return shard, row_id - shard.row_base
-
-    # -- lazy blobs ----------------------------------------------------------
-
-    def fetch_outcome(self, row_id: int) -> Any:
-        """Unpickle the full outcome behind one row (lazy, verified).
-
-        Raises :class:`~avipack.errors.ResultStoreError` when the
-        shard's blob pool was quarantined or the blob's checksum no
-        longer matches the row.
-        """
-        shard, local = self._locate(row_id)
-        if not shard.blobs_available:
-            raise ResultStoreError(
-                f"blob pool for {shard.name} was quarantined; row "
-                f"{row_id} has columns only — recompute or re-ingest "
-                "from the journal to restore payloads")
-        record = shard.rows[local]
-        blob = shard.read_blob(int(record["blob_offset"]),
-                               int(record["blob_length"]))
-        if len(blob) != int(record["blob_length"]) \
-                or (zlib.crc32(blob) & 0xFFFFFFFF) \
-                != int(record["blob_crc32"]):
-            raise ResultStoreError(
-                f"blob checksum mismatch for row {row_id} in "
-                f"{shard.name}")
-        _perf.increment("results.blob_fetches")
-        return pickle.loads(blob)

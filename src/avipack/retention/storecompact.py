@@ -1,38 +1,32 @@
-"""Result-store compaction: drop superseded rows and orphaned blobs.
+"""Result-store compaction: drop superseded rows and retired blob pools.
 
 A resumed or re-ingested campaign appends corrected rows for
 fingerprints the store already holds; queries hide the stale ones
 behind :meth:`~avipack.results.store.ResultStore.live_mask`, but their
-bytes — rows *and* their pickled blobs — stay on disk forever.
-:func:`compact_store` rewrites exactly the shards that contain dead
-rows, copying each live row (and its blob bytes, verbatim) into fresh
-shards, then deletes the originals.
+bytes stay on disk forever.  :func:`compact_store` rewrites exactly the
+shards that contain dead rows, copying each live row into fresh shards,
+then deletes the originals.  It also deletes every ``shard-*.blobs``
+file: older writers pickled each outcome into such a pool beside its
+rows, and nothing reads them any more.
 
 Crash-safety ordering, designed so SIGKILL anywhere preserves the
 ranking contract byte-for-byte:
 
 1. new shards are published first, under numbers *after* every
-   existing shard, via the store's own atomic blobs-then-rows path
+   existing shard, via the store's own atomic publication path
    (:func:`avipack.results.store.publish_shard`);
 2. only after every replacement shard is durable are the old shard
-   files deleted — rows file first (the commit point: once it is gone
-   the shard no longer exists to readers), then its blob pool.
+   files deleted.
 
 A crash between 1 and 2 leaves duplicate rows for some fingerprints —
 old copy in the original shard, identical new copy in a higher-numbered
 shard — which is exactly the state a resumed campaign produces anyway:
-``live_mask`` keeps the latest copy, and since the duplicate rows are
-byte-identical (same ``index`` tie-break column, same metrics),
-``ranking_signature`` is unchanged.  Re-running compaction finishes the
-job.  A crash between a shard's blobs and rows publication leaves an
-orphan ``.blobs`` file readers never look at; compaction sweeps such
-orphans too.
+``live_mask`` keeps the latest copy, and since the duplicate rows agree
+in every column the ranking reads (same ``index`` tie-break column,
+same metrics), ``ranking_signature`` is unchanged.  Re-running
+compaction finishes the job.
 
-Quarantined files are left untouched (evidence for the operator), and a
-shard whose blob pool was quarantined is *not* rewritten — its rows are
-still queryable, and rewriting them would silently discard the one
-remaining chance of re-pairing them with recovered blobs.
-
+Quarantined files are left untouched (evidence for the operator).
 Writers are excluded for the whole pass via the store's advisory
 ``.writer.lock``.
 """
@@ -41,13 +35,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .. import perf as _perf
 from ..errors import ResultStoreError
-from ..results.schema import ROW_DTYPE
 from ..results.store import (
     _LOCK_NAME,
     _SHARD_PATTERN,
@@ -59,6 +52,10 @@ from ..results.store import (
 )
 
 __all__ = ["StoreCompaction", "compact_store"]
+
+#: Retired row columns that located a pickled outcome in a ``.blobs``
+#: pool; rewritten rows carry them as 0, like freshly written ones.
+_BLOB_COLUMNS = ("blob_offset", "blob_length", "blob_crc32")
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ class StoreCompaction:
     shards_published: int
     #: Superseded rows dropped.
     rows_dropped: int
-    #: Orphan ``.blobs`` files (no ``.rows`` partner) swept.
-    orphan_blobs_removed: int
+    #: Retired ``.blobs`` files deleted.
+    blob_pools_removed: int
     bytes_before: int
     bytes_after: int
 
@@ -83,7 +80,7 @@ class StoreCompaction:
 
     @property
     def changed(self) -> bool:
-        return bool(self.shards_rewritten or self.orphan_blobs_removed)
+        return bool(self.shards_rewritten or self.blob_pools_removed)
 
 
 def _file_size(path: str) -> int:
@@ -93,23 +90,35 @@ def _file_size(path: str) -> int:
         return 0
 
 
-def _orphan_blobs(directory: str) -> List[str]:
-    """``shard-*.blobs`` files whose ``.rows`` partner is gone."""
-    orphans = []
-    for entry in sorted(os.listdir(directory)):
-        match = _SHARD_PATTERN.match(entry)
-        if match and match.group(2) == "blobs":
-            rows_name = f"shard-{match.group(1)}.rows"
-            if not os.path.exists(os.path.join(directory, rows_name)):
-                orphans.append(entry)
-    return orphans
+def _blob_pools(directory: str) -> List[str]:
+    """Every ``shard-*.blobs`` file an older writer left behind."""
+    return [entry for entry in sorted(os.listdir(directory))
+            if entry.endswith(".blobs") and _SHARD_PATTERN.match(entry)]
+
+
+def _live_blocks(rewrite: List[Tuple[object, np.ndarray]],
+                 shard_rows: int) -> Iterator[np.ndarray]:
+    """The rewritten shards' live rows, regrouped into ``shard_rows``
+    blocks (at most about two shards' rows held at once)."""
+    pending: List[np.ndarray] = []
+    held = 0
+    for shard, mask in rewrite:
+        pending.append(shard.rows[mask])
+        held += len(pending[-1])
+        while held >= shard_rows:
+            rows = np.concatenate(pending)
+            yield rows[:shard_rows]
+            pending = [rows[shard_rows:]]
+            held -= shard_rows
+    if held:
+        yield np.concatenate(pending)
 
 
 def compact_store(directory: str,
                   shard_rows: int = DEFAULT_SHARD_ROWS,
                   phase_hook: Optional[Callable[[str], None]] = None
                   ) -> StoreCompaction:
-    """Rewrite shards holding superseded rows; sweep orphan blob pools.
+    """Rewrite shards holding superseded rows; delete retired blob pools.
 
     Takes the store's writer lock for the whole pass (raises
     :class:`~avipack.errors.ResultStoreError` on contention or a
@@ -127,55 +136,41 @@ def compact_store(directory: str,
     _lock_writer(lock_stream, directory)
     try:
         hook("open")
-        orphans = _orphan_blobs(directory)
+        blob_pools = _blob_pools(directory)
         store = ResultStore.open(directory)
         live = store.live_mask()
         hook("plan")
         rewrite: List[Tuple[object, np.ndarray]] = []
         for shard in store.shards():
             mask = live[shard.row_base:shard.row_base + shard.n_rows]
-            if shard.blobs_available and not mask.all():
+            if not mask.all():
                 rewrite.append((shard, mask))
         bytes_before = sum(
             _file_size(os.path.join(directory, name))
-            for name in orphans)
+            for name in blob_pools)
         rows_dropped = 0
-        survivors: List[Tuple[object, int]] = []
         for shard, mask in rewrite:
             bytes_before += _file_size(shard.path)
-            bytes_before += _file_size(shard.blob_path)
             rows_dropped += int((~mask).sum())
-            survivors.extend(
-                (shard, local) for local in np.flatnonzero(mask))
         bytes_after = 0
         shards_published = 0
         number = next_shard_number(directory)
-        for start in range(0, len(survivors), shard_rows):
-            chunk = survivors[start:start + shard_rows]
-            rows = np.zeros(len(chunk), dtype=ROW_DTYPE)
-            blobs = bytearray()
-            for position, (shard, local) in enumerate(chunk):
-                record = shard.rows[local].copy()
-                blob = shard.read_blob(int(record["blob_offset"]),
-                                       int(record["blob_length"]))
-                record["blob_offset"] = len(blobs)
-                blobs += blob
-                rows[position] = record
+        for rows in _live_blocks(rewrite, shard_rows):
+            # Rows copied from an older writer's shard still locate a
+            # pickle in its blob pool, which is deleted below.
+            for name in _BLOB_COLUMNS:
+                rows[name] = 0
             hook("publish")
-            publish_shard(directory, number, rows, bytes(blobs))
-            base = os.path.join(directory, f"shard-{number:06d}")
-            bytes_after += _file_size(base + ".rows")
-            bytes_after += _file_size(base + ".blobs")
+            publish_shard(directory, number, rows)
+            bytes_after += _file_size(
+                os.path.join(directory, f"shard-{number:06d}.rows"))
             shards_published += 1
             number += 1
         hook("delete")
-        # Every replacement shard is durable; now retire the originals
-        # — rows file first (the commit point for readers), then the
-        # blob pool it indexed.
+        # Every replacement shard is durable; now retire the originals.
         for shard, _ in rewrite:
             os.unlink(shard.path)
-            os.unlink(shard.blob_path)
-        for name in orphans:
+        for name in blob_pools:
             os.unlink(os.path.join(directory, name))
         hook("done")
     finally:
@@ -183,7 +178,7 @@ def compact_store(directory: str,
     compaction = StoreCompaction(
         directory=directory, shards_rewritten=len(rewrite),
         shards_published=shards_published, rows_dropped=rows_dropped,
-        orphan_blobs_removed=len(orphans),
+        blob_pools_removed=len(blob_pools),
         bytes_before=bytes_before, bytes_after=bytes_after)
     if compaction.changed:
         _perf.increment("retention.store_compactions")

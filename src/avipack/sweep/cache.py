@@ -17,16 +17,15 @@ In a parallel sweep each worker process holds its own
 executes; per-task hit/miss deltas travel back with each result and are
 aggregated by the runner into sweep-level statistics.
 
-A stored entry that cannot be read back — a pickled entry whose bytes
-were corrupted, or a fault injected at the ``"sweep.cache"`` site — is
-never allowed to poison a campaign: the entry is evicted, counted in
-the ``corrupt`` statistic, and the lookup falls through to a recompute,
-exactly like a miss.
+The cache lives in process memory only.  A stored entry that cannot be
+read back — any error on the load path, such as a fault injected at
+the ``"sweep.cache"`` site — is never allowed to poison a campaign:
+the entry is evicted, counted in the ``corrupt`` statistic, and the
+lookup falls through to a recompute, exactly like a miss.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
@@ -102,24 +101,15 @@ class SolverCache:
         Optional bound on stored results.  When full, new results are
         still returned but not retained (sweeps favour predictability
         over eviction churn).
-    pickle_entries:
-        Store entries as pickled bytes and deserialize on every hit.
-        Costs a serialisation round-trip but makes the cache robust to
-        (and testable against) entry corruption: unreadable bytes are
-        treated as a counted miss, never an aborted sweep.  The default
-        in-memory mode applies the same treat-as-miss rule to any error
-        raised while loading an entry.
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 pickle_entries: bool = False) -> None:
+    def __init__(self, max_entries: Optional[int] = None) -> None:
         self._store: Dict[Any, Any] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._corrupt = 0
         self.max_entries = max_entries
-        self.pickle_entries = pickle_entries
 
     @property
     def hits(self) -> int:
@@ -142,42 +132,30 @@ class SolverCache:
     def __contains__(self, key: Any) -> bool:
         return key in self._store
 
-    def _dump(self, value: Any) -> Any:
-        if self.pickle_entries:
-            return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return value
-
-    def _load(self, raw: Any) -> Any:
-        _fire_fault("sweep.cache")
-        if self.pickle_entries:
-            return pickle.loads(raw)
-        return raw
-
     def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing it on a miss.
 
-        An entry that cannot be loaded (corrupt pickled bytes, injected
-        corruption, any error from the load path) is evicted, counted
-        in :attr:`corrupt`, and treated as a miss.
+        An entry whose load fails (a fault injected at the
+        ``"sweep.cache"`` site) is evicted, counted in :attr:`corrupt`,
+        and treated as a miss.
         """
         with self._lock:
             if key in self._store:
-                raw = self._store[key]
                 try:
-                    value = self._load(raw)
+                    _fire_fault("sweep.cache")
                 except Exception:
                     self._corrupt += 1
                     self._misses += 1
                     del self._store[key]
                 else:
                     self._hits += 1
-                    return value
+                    return self._store[key]
             else:
                 self._misses += 1
         value = compute()
         with self._lock:
             if self.max_entries is None or len(self._store) < self.max_entries:
-                self._store[key] = self._dump(value)
+                self._store[key] = value
         return value
 
     def stats(self) -> CacheStats:
@@ -218,15 +196,12 @@ def worker_cache() -> SolverCache:
     return _WORKER_CACHE
 
 
-def resolve_cache(use_cache: bool, cache_dir: Optional[str] = None,
-                  cache: Optional[SolverCache] = None, *,
+def resolve_cache(use_cache: bool, cache: Optional[SolverCache] = None, *,
                   fresh: bool = False) -> Optional[SolverCache]:
     """The cache one evaluation (or one in-process run) should use.
 
     ``None`` when caching is off; else an explicitly passed ``cache``;
-    else the process's persistent
-    :class:`~avipack.durability.DiskSolverCache` for ``cache_dir``; else
-    the :func:`worker_cache` singleton — or, with ``fresh``, a new
+    else the :func:`worker_cache` singleton — or, with ``fresh``, a new
     bounded :class:`SolverCache`, so an in-process run's reuse stays
     within that run.
     """
@@ -234,9 +209,6 @@ def resolve_cache(use_cache: bool, cache_dir: Optional[str] = None,
         return None
     if cache is not None:
         return cache
-    if cache_dir is not None:
-        from ..durability.diskcache import worker_disk_cache
-        return worker_disk_cache(cache_dir)
     if fresh:
         return SolverCache(max_entries=DEFAULT_WORKER_CACHE_MAX_ENTRIES)
     return worker_cache()

@@ -110,8 +110,6 @@ class SweepTask:
     #: Fault plan installed in the evaluating process, scoped to
     #: :attr:`index`.
     faults: Optional[FaultPlan] = None
-    #: Directory of a persistent on-disk solver cache, else in memory.
-    cache_dir: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,7 @@ def evaluate_candidate(task: SweepTask, cache: Optional[SolverCache] = None
     Module-level (hence picklable) worker entry point shared by the
     serial and process-pool paths.  ``cache`` overrides the per-process
     default chosen by :func:`~avipack.sweep.cache.resolve_cache`: the
-    process's :func:`~avipack.sweep.cache.worker_cache` singleton, or,
-    when the task names a ``cache_dir``, the process's persistent
-    :class:`~avipack.durability.DiskSolverCache` for that directory,
-    shared across workers and resumed runs.  Every
+    process's :func:`~avipack.sweep.cache.worker_cache` singleton.  Every
     expected failure mode — bad input, specification violations, solver
     non-convergence, out-of-range models, injected faults — is converted
     into a :class:`CandidateFailure` carrying the stage, message,
@@ -248,7 +243,7 @@ def evaluate_candidate(task: SweepTask, cache: Optional[SolverCache] = None
     """
     index, candidate = task.index, task.candidate
     injector = _faults.configure(task.faults)
-    cache = resolve_cache(task.use_cache, task.cache_dir, cache)
+    cache = resolve_cache(task.use_cache, cache)
     hits0 = cache.hits if cache else 0
     misses0 = cache.misses if cache else 0
     corrupt0 = cache.corrupt if cache else 0
@@ -387,11 +382,6 @@ class SweepRunner:
         :class:`CandidateFailure`.  :meth:`resume` audits its journalled
         results against the design procedure's invariants, so a result
         that does not reproduce the level-2 airflow solve is recomputed.
-    cache_dir:
-        Directory for a persistent
-        :class:`~avipack.durability.DiskSolverCache` shared by every
-        worker (and across resumed runs) instead of the per-process
-        in-memory cache.  ``None`` (default) keeps caching in memory.
     result_store:
         Directory for a columnar
         :class:`~avipack.results.store.ResultStoreWriter`: every
@@ -410,7 +400,6 @@ class SweepRunner:
                  policy: Optional[SupervisionPolicy] = None,
                  faults: Optional[FaultPlan] = None,
                  evaluator=None,
-                 cache_dir: Optional[str] = None,
                  result_store: Optional[str] = None) -> None:
         if max_workers is not None and max_workers < 0:
             raise InputError("max_workers must be >= 0")
@@ -424,7 +413,6 @@ class SweepRunner:
         self.faults = faults
         self.evaluator = evaluator if evaluator is not None \
             else evaluate_candidate
-        self.cache_dir = cache_dir
         self.result_store = result_store
 
     def _resolve_workers(self) -> int:
@@ -436,7 +424,7 @@ class SweepRunner:
 
     def _run_serial(self, tasks: List[SweepTask], record) -> None:
         """In-process run (serial mode or pool retry) with one cache."""
-        cache = resolve_cache(self.use_cache, self.cache_dir, fresh=True)
+        cache = resolve_cache(self.use_cache, fresh=True)
         for task in tasks:
             record(self.evaluator(task, cache)
                    if self.evaluator is evaluate_candidate
@@ -590,7 +578,7 @@ class SweepRunner:
         resuming = restored is not None
         restored = restored or {}
         pending = [SweepTask(index, candidate, self.use_cache, self.policy,
-                             self.faults, self.cache_dir)
+                             self.faults)
                    for index, candidate in enumerate(candidates)
                    if candidate.fingerprint not in restored]
         fresh: Dict[int, CandidateOutcome] = {}
@@ -656,8 +644,7 @@ class SweepRunner:
                      if isinstance(o, CandidateResult))
         corrupt = sum(o.cache_corrupt for o in outcomes
                       if isinstance(o, CandidateResult))
-        limit = (DEFAULT_WORKER_CACHE_MAX_ENTRIES
-                 if self.use_cache and self.cache_dir is None else None)
+        limit = DEFAULT_WORKER_CACHE_MAX_ENTRIES if self.use_cache else None
         cache_stats = CacheStats(hits=hits, misses=misses, entries=misses,
                                  corrupt=corrupt, max_entries=limit)
         perf_records = _perf.aggregate(

@@ -1,15 +1,22 @@
-"""Journals and result stores written before the batch route was removed
-still load.
+"""Journals and result stores written by older versions still load.
 
-Those artifacts pickled outcomes that carried a ``batched`` flag and
-solver counters that carried ``batch_width``/``batched_solves``.  Both
-are frozen dataclasses without slots, so unpickling puts the retired
-names back into the instance ``__dict__`` as stray attributes, outside
-every comparison.  Replay, the resume audit, the result store and the
-ranking must come out identical to the same campaign without them.
+Artifacts written before the batch route was removed pickled outcomes
+that carried a ``batched`` flag and solver counters that carried
+``batch_width``/``batched_solves``.  Both are frozen dataclasses without
+slots, so unpickling puts the retired names back into the instance
+``__dict__`` as stray attributes, outside every comparison.  Replay, the
+resume audit, the result store and the ranking must come out identical
+to the same campaign without them.
+
+Stores written before the blob pool was removed also hold one
+``.blobs`` file per shard, a checksummed pool of pickled outcomes that
+the rows' ``blob_*`` columns point into.  Readers ignore those files,
+and compaction deletes them.
 """
 
 import dataclasses
+import hashlib
+import os
 import pickle
 import zlib
 
@@ -19,9 +26,11 @@ import pytest
 from avipack.durability import audit_outcomes, replay_journal
 from avipack.durability.journal import SweepJournal
 from avipack.fingerprint import stable_fingerprint
-from avipack.results import ResultStore, ranking_signature
+from avipack.results import ResultStore, ResultStoreWriter, \
+    ranking_signature
 from avipack.results.schema import ROW_DTYPE, fill_row
-from avipack.results.store import publish_shard
+from avipack.results.store import _header_line, _publish, publish_shard
+from avipack.retention import compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
 
@@ -30,8 +39,11 @@ SPACE = DesignSpace(axes={
     "cooling": ("direct_air_flow", "air_flow_through"),
 })
 
-#: Row columns that locate the pickled outcome; a legacy blob is longer.
+#: Retired row columns that located an outcome in the ``.blobs`` pool.
 _BLOB_COLUMNS = ("blob_offset", "blob_length", "blob_crc32")
+
+#: Header magic of the retired ``.blobs`` pool.
+_BLOBS_MAGIC = "avipack-results-blobs/1"
 
 
 def legacy(outcome):
@@ -58,19 +70,39 @@ def write_journal(path, candidates, outcomes):
     return path
 
 
-def write_store(directory, outcomes, batched):
-    """One shard as the store writer lays it out, ``batched`` forced."""
-    directory.mkdir()
+def write_legacy_shard(directory, number, outcomes, batched):
+    """One shard pair as older writers laid it out: the outcomes pickled
+    into a checksummed ``.blobs`` pool that the ``.rows`` point into,
+    ``batched`` forced."""
     rows = np.zeros(len(outcomes), dtype=ROW_DTYPE)
     blobs = bytearray()
     for position, outcome in enumerate(outcomes):
         blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        fill_row(rows, position, outcome, blob_offset=len(blobs),
-                 blob_length=len(blob),
-                 blob_crc32=zlib.crc32(blob) & 0xFFFFFFFF)
+        fill_row(rows, position, outcome)
+        rows[position]["blob_offset"] = len(blobs)
+        rows[position]["blob_length"] = len(blob)
+        rows[position]["blob_crc32"] = zlib.crc32(blob) & 0xFFFFFFFF
         blobs += blob
     rows["batched"] = batched
-    publish_shard(str(directory), 0, rows, bytes(blobs))
+    base = os.path.join(directory, f"shard-{number:06d}")
+    _publish(base + ".blobs",
+             _header_line(_BLOBS_MAGIC, len(rows),
+                          f"{zlib.crc32(blobs) & 0xFFFFFFFF:08x}",
+                          hashlib.sha256(blobs).hexdigest(), len(blobs)),
+             bytes(blobs))
+    publish_shard(directory, number, rows)
+
+
+def write_legacy_store(directory, outcomes, batched):
+    directory.mkdir()
+    write_legacy_shard(str(directory), 0, outcomes, batched)
+    return str(directory)
+
+
+def write_store(directory, outcomes):
+    """The same outcomes through today's writer."""
+    with ResultStoreWriter(str(directory)) as writer:
+        writer.add_many(outcomes)
     return str(directory)
 
 
@@ -90,13 +122,12 @@ def artifacts(campaign, tmp_path):
     return {
         "plain": (write_journal(str(tmp_path / "plain.jsonl"),
                                 candidates, outcomes),
-                  write_store(tmp_path / "plain.results", outcomes,
-                              batched=False)),
+                  write_store(tmp_path / "plain.results", outcomes)),
         "legacy": (write_journal(str(tmp_path / "legacy.jsonl"),
                                  candidates, old),
-                   write_store(tmp_path / "legacy.results", old,
-                               batched=[hasattr(o, "batched")
-                                        for o in old])),
+                   write_legacy_store(tmp_path / "legacy.results", old,
+                                      batched=[hasattr(o, "batched")
+                                               for o in old])),
     }
 
 
@@ -142,15 +173,49 @@ class TestLegacyStore:
     def test_open_and_ranking_are_identical(self, artifacts):
         plain = ResultStore.open(artifacts["plain"][1])
         old = ResultStore.open(artifacts["legacy"][1])
+        assert old.quarantined == ()
+        assert os.path.exists(
+            os.path.join(artifacts["legacy"][1], "shard-000000.blobs"))
         assert old.n_rows == plain.n_rows
         assert old.column("batched").any()
+        assert old.column("blob_length").all()
         for name in ROW_DTYPE.names:
             if name not in _BLOB_COLUMNS + ("batched",):
                 np.testing.assert_array_equal(old.column(name),
                                               plain.column(name))
         assert ranking_signature(old) == ranking_signature(plain)
-        assert [old.fetch_outcome(i) for i in range(old.n_rows)] \
-            == [plain.fetch_outcome(i) for i in range(plain.n_rows)]
+
+    def test_compaction_deletes_every_blob_pool(self, campaign, tmp_path):
+        _, outcomes = campaign
+        old = [legacy(o) for o in outcomes]
+        batched = [hasattr(o, "batched") for o in old]
+        directory = tmp_path / "superseded.results"
+        write_legacy_store(directory, old, batched)
+        # A resumed campaign's corrections for the first two candidates.
+        write_legacy_shard(str(directory), 1, old[:2], batched[:2])
+        before = ranking_signature(ResultStore.open(str(directory)))
+        compaction = compact_store(str(directory))
+        assert compaction.rows_dropped == 2
+        assert compaction.blob_pools_removed == 2
+        assert not [name for name in os.listdir(directory)
+                    if name.endswith(".blobs")]
+        store = ResultStore.open(str(directory))
+        assert ranking_signature(store) == before
+        assert ranking_signature(store) == ranking_signature(
+            ResultStore.open(write_store(tmp_path / "plain", outcomes)))
+        # The rewritten shard no longer points into a deleted pool.
+        rewritten = store.shards()[-1].rows
+        for name in _BLOB_COLUMNS:
+            assert not rewritten[name].any()
+
+    def test_store_written_now_holds_rows_only(self, campaign, tmp_path):
+        _, outcomes = campaign
+        directory = write_store(tmp_path / "new.results", outcomes)
+        assert sorted(os.listdir(directory)) == [".writer.lock",
+                                                 "shard-000000.rows"]
+        store = ResultStore.open(directory)
+        for name in _BLOB_COLUMNS:
+            assert not store.column(name).any()
 
     def test_new_rows_write_the_retired_column_false(self, artifacts,
                                                      tmp_path):

@@ -1,8 +1,6 @@
-"""Columnar result store: shards, checksums, quarantine, lazy blobs."""
+"""Columnar result store: shards, checksums, quarantine."""
 
 import os
-import pickle
-import zlib
 
 import numpy as np
 import pytest
@@ -99,40 +97,21 @@ def test_open_shard_buffer_grows_with_the_rows(tmp_path):
         assert row["index"] == row_id
         assert row["fingerprint"].decode("ascii") == \
             outcomes[row_id].fingerprint
-        assert store.fetch_outcome(row_id) == outcomes[row_id]
 
 
-def test_counters_track_rows_shards_and_fetches(tmp_path):
+def test_counters_track_rows_and_shards(tmp_path):
     directory = str(tmp_path / "store")
     perf.reset()
     with ResultStoreWriter(directory, shard_rows=8) as writer:
         writer.add_many(outcomes_mixed(20))
-    assert perf.counter("results.rows_ingested") == 20
-    assert perf.counter("results.shards_written") == 3
-    store = ResultStore.open(directory)
-    store.fetch_outcome(0)
-    store.fetch_outcome(11)
-    assert perf.counter("results.blob_fetches") == 2
+    ResultStore.open(directory)
     assert perf.counters("results.") == {
-        "results.blob_fetches": 2,
         "results.rows_ingested": 20,
         "results.shards_written": 3,
     }
-    perf.reset("results.blob_fetches")
-    assert perf.counter("results.blob_fetches") == 0
+    perf.reset("results.shards_written")
+    assert perf.counter("results.shards_written") == 0
     assert perf.counter("results.rows_ingested") == 20
-
-
-def test_lazy_fetch_returns_the_exact_outcome(tmp_path):
-    directory = str(tmp_path / "store")
-    outcomes = outcomes_mixed(10)
-    with ResultStoreWriter(directory, shard_rows=64) as writer:
-        writer.add_many(outcomes)
-    store = ResultStore.open(directory)
-    for row_id in (0, 3, 9):
-        assert store.fetch_outcome(row_id) == outcomes[row_id]
-    with pytest.raises(InputError):
-        store.fetch_outcome(10)
 
 
 def test_corrupt_rows_shard_is_quarantined_not_fatal(tmp_path):
@@ -151,12 +130,10 @@ def test_corrupt_rows_shard_is_quarantined_not_fatal(tmp_path):
     assert "shard-000001.rows" in store.quarantined
     assert os.path.exists(victim + ".quarantine")
     assert not os.path.exists(victim)
-    # The paired blob pool is quarantined with its rows.
-    assert not os.path.exists(
-        os.path.join(directory, "shard-000001.blobs"))
     assert perf.counter("results.shards_quarantined") == 1
-    # Surviving shards still serve rows and blobs.
-    assert store.fetch_outcome(0).index == 0
+    # Surviving shards still serve their rows.
+    assert store.row(0)["index"] == 0
+    assert store.row(8)["index"] == 16
 
 
 def read_reason_sidecar(path):
@@ -180,10 +157,6 @@ def test_checksum_damage_is_classified_in_the_sidecar(tmp_path):
     assert sidecar["reason"] == "checksum"
     assert sidecar["file"] == "shard-000001.rows"
     assert "mismatch" in sidecar["detail"]
-    # The companion blob pool carries no sidecar of its own: the rows
-    # sidecar tells the story.
-    assert not os.path.exists(os.path.join(
-        directory, "shard-000001.blobs.quarantine.reason"))
     assert perf.counter("results.quarantined_checksum") == 1
     assert perf.counter("results.quarantined_header") == 0
     assert perf.counter("results.quarantined_truncation") == 0
@@ -218,39 +191,6 @@ def test_header_damage_is_classified_in_the_sidecar(tmp_path):
     assert store.quarantine_reasons["shard-000001.rows"] == "header"
     assert read_reason_sidecar(victim)["reason"] == "header"
     assert perf.counter("results.quarantined_header") == 1
-
-
-def test_blobs_only_damage_keeps_rows_queryable(tmp_path):
-    directory = str(tmp_path / "store")
-    with ResultStoreWriter(directory, shard_rows=8) as writer:
-        writer.add_many(outcomes_mixed(20))
-    victim = os.path.join(directory, "shard-000000.blobs")
-    payload = bytearray(open(victim, "rb").read())
-    payload[-5] ^= 0xFF
-    with open(victim, "wb") as stream:
-        stream.write(payload)
-    store = ResultStore.open(directory)
-    # Columns survive in full; only lazy fetches from shard 0 raise.
-    assert store.n_rows == 20
-    assert "shard-000000.blobs" in store.quarantined
-    assert store.row(0)["index"] == 0
-    with pytest.raises(ResultStoreError):
-        store.fetch_outcome(0)
-    assert store.fetch_outcome(8).index == 8  # other shards unaffected
-
-
-def test_blob_checksum_mismatch_raises_on_fetch(tmp_path):
-    directory = str(tmp_path / "store")
-    outcome = make_result(0)
-    with ResultStoreWriter(directory) as writer:
-        writer.add(outcome)
-    store = ResultStore.open(directory)
-    record = store.row(0)
-    # The stored CRC describes the pickled outcome; tamper with the row
-    # CRC path by checking the real one first.
-    blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-    assert int(record["blob_crc32"]) == (zlib.crc32(blob) & 0xFFFFFFFF)
-    assert store.fetch_outcome(0) == outcome
 
 
 def test_writer_lock_refuses_second_writer(tmp_path):

@@ -26,7 +26,7 @@ class TestDirectoryBytes:
         files = {"j000001.journal.jsonl": 512,
                  "j000001.manifest.json": 64,
                  "j000001.results/shard-000000.rows": 2048,
-                 "j000001.results/shard-000000.blobs": 4096}
+                 "j000001.results/shard-000001.rows": 4096}
         for rel, size in files.items():
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,10 @@
 """Result-store compaction: dead rows gone, ranking byte-identical.
 
-Superseded rows (hidden by ``live_mask``) and orphaned blob pools are
-the only things compaction may remove; ``ranking_signature`` — the
-store's externally observable contract — must be byte-identical before
-and after, including after a simulated crash at every phase seam.
+Superseded rows (hidden by ``live_mask``) and the ``.blobs`` pools
+older writers left are the only things compaction may remove;
+``ranking_signature`` — the store's externally observable contract —
+must be byte-identical before and after, including after a simulated
+crash at every phase seam.
 """
 
 import os
@@ -82,22 +83,6 @@ class TestCompaction:
         assert ranking_signature(after) == signature
         assert live_view(after) == view
 
-    def test_blobs_survive_the_rewrite_byte_for_byte(self, tmp_path):
-        directory = str(tmp_path / "store")
-        originals = [make_result(i, power=10.0 + i) for i in range(6)]
-        corrected = make_result(0, power=10.0, worst_board_c=48.0)
-        with ResultStoreWriter(directory, shard_rows=4) as writer:
-            writer.add_many(originals + [corrected])
-        compact_store(directory)
-        store = ResultStore.open(directory)
-        restored = {store.fetch_outcome(i).fingerprint:
-                    store.fetch_outcome(i) for i in range(store.n_rows)}
-        # Unsuperseded originals come back equal; the corrected
-        # fingerprint carries the correction, not the original.
-        for outcome in originals[1:]:
-            assert restored[outcome.fingerprint] == outcome
-        assert restored[corrected.fingerprint] == corrected
-
     def test_fully_dead_shard_is_deleted_without_replacement(
             self, tmp_path):
         directory = str(tmp_path / "store")
@@ -112,8 +97,6 @@ class TestCompaction:
         assert compaction.shards_published == 0
         assert not os.path.exists(
             os.path.join(directory, "shard-000000.rows"))
-        assert not os.path.exists(
-            os.path.join(directory, "shard-000000.blobs"))
         store = ResultStore.open(directory)
         assert store.n_rows == 4
 
@@ -130,18 +113,26 @@ class TestCompaction:
         assert sorted(os.listdir(directory)) == listing
         assert perf.counter("retention.store_compactions") == 0
 
-    def test_orphan_blob_pools_are_swept(self, tmp_path):
+    def test_retired_blob_pools_are_deleted(self, tmp_path):
+        # An all-live store still loses the pools older writers left,
+        # with or without a rows partner.
         directory = str(tmp_path / "store")
         with ResultStoreWriter(directory, shard_rows=4) as writer:
             writer.add_many(make_result(i, power=10.0 + i)
                             for i in range(4))
-        orphan = os.path.join(directory, "shard-000099.blobs")
-        with open(orphan, "wb") as stream:
-            stream.write(b"abandoned mid-publish")
+        signature = ranking_signature(ResultStore.open(directory))
+        pools = [os.path.join(directory, name)
+                 for name in ("shard-000000.blobs", "shard-000099.blobs")]
+        for pool in pools:
+            with open(pool, "wb") as stream:
+                stream.write(b"pickled outcomes nothing reads")
         compaction = compact_store(directory)
-        assert compaction.orphan_blobs_removed == 1
+        assert compaction.blob_pools_removed == 2
+        assert compaction.shards_rewritten == 0
         assert compaction.changed is True
-        assert not os.path.exists(orphan)
+        assert compaction.bytes_reclaimed == 60
+        assert not any(os.path.exists(pool) for pool in pools)
+        assert ranking_signature(ResultStore.open(directory)) == signature
 
     def test_quarantined_shards_are_left_as_evidence(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -159,25 +150,6 @@ class TestCompaction:
         survivors = sorted(name for name in os.listdir(directory)
                            if ".quarantine" in name)
         assert survivors == quarantined
-
-    def test_blob_quarantined_shard_is_not_rewritten(self, tmp_path):
-        # Rows whose blob pool is damaged stay queryable; rewriting
-        # them would discard the last chance of re-pairing with
-        # recovered blobs, so compaction must skip the shard even when
-        # it holds superseded rows.
-        directory = str(tmp_path / "store")
-        build_superseded_store(directory, n=8, shard_rows=4)
-        victim = os.path.join(directory, "shard-000000.blobs")
-        payload = bytearray(open(victim, "rb").read())
-        payload[-3] ^= 0xFF
-        with open(victim, "wb") as stream:
-            stream.write(payload)
-        ResultStore.open(directory)
-        rows_before = open(
-            os.path.join(directory, "shard-000000.rows"), "rb").read()
-        compact_store(directory)
-        assert open(os.path.join(directory, "shard-000000.rows"),
-                    "rb").read() == rows_before
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(ResultStoreError):
