@@ -20,21 +20,23 @@ Every runner optionally accepts a ``cache`` — any object exposing
 ``get_or_compute(key, compute)``, typically an
 :class:`avipack.sweep.cache.SolverCache` — keyed on a stable content
 fingerprint of the inputs, so a design-space sweep reaching the same
-sub-problem from different candidates computes it once.  ``run_level3``
-additionally accepts an injected detail solver, keeping the branch
-runners picklable and testable with instrumented solvers.
+sub-problem from different candidates computes it once.
 
 Level 3 runs once per module, but the modules of a rack usually carry
-one board: :func:`run_pyramid` wraps each distinct board object in a
-:class:`Level3Board`, so its content digest is hashed once and its
-detail model is built once, however many slots solve it.
+one board, each at its own slot temperature.  The board problem is
+linear, so a junction at boundary ``T_b`` is ``T_b`` plus a rise that
+does not depend on ``T_b``: the rise is solved and cached once per
+distinct board and film coefficient, and every slot adds its own
+boundary.  :func:`run_pyramid` wraps each distinct board object in a
+:class:`Level3Board`, so its content digest and level-3 key are hashed
+once and its detail model is built once, however many slots use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ConvergenceError, InputError
 from ..fingerprint import stable_fingerprint
@@ -175,16 +177,17 @@ class Level3Result:
 class Level3Board:
     """One populated board prepared for level-3 solves at many boundaries.
 
-    ``digest`` (``stable_fingerprint(pcb)``, the board part of the
-    level-3 cache key) is hashed on first use and the
+    ``digest`` (``stable_fingerprint(pcb)``) is hashed on first use, the
+    level-3 cache key once per film coefficient, and the
     :class:`~avipack.packaging.pcb.PcbDetailModel` is built on the first
-    solve that misses the cache; both are then shared by every module
+    solve that misses the cache; all are then shared by every module
     slot holding the same :class:`Pcb` object.  Like the detail model,
     it is a snapshot of the board.
     """
 
     def __init__(self, pcb: Pcb) -> None:
         self.pcb = pcb
+        self._keys: Dict[float, str] = {}
 
     @cached_property
     def digest(self) -> str:
@@ -196,14 +199,29 @@ class Level3Board:
         """The board's detail model, built on first use."""
         return PcbDetailModel(self.pcb)
 
+    def level3_key(self, h_film: float) -> str:
+        """Cache key of the board's junction rises under ``h_film``."""
+        key = self._keys.get(h_film)
+        if key is None:
+            key = self._keys[h_film] = stable_fingerprint(
+                "level3", self.digest, h_film)
+        return key
+
+    def junction_rises(self, h_film: float, cache=None
+                       ) -> Tuple[Tuple[str, float], ...]:
+        """``(name, rise)`` per component above the film ambient [K]."""
+        if cache is None:
+            return self.detail_model.junction_rises(h_film, h_film)
+        return cache.get_or_compute(
+            self.level3_key(h_film),
+            lambda: self.detail_model.junction_rises(h_film, h_film))
+
 
 def run_level3(pcb: Union[Pcb, Level3Board],
                board_boundary_temperature: float,
                h_film: float = 15.0,
                junction_limit: float = JUNCTION_LIMIT,
-               cache=None,
-               detail_solver: Optional[Callable[..., "object"]] = None
-               ) -> Level3Result:
+               cache=None) -> Level3Result:
     """Level-3: detailed board solve with discrete component footprints.
 
     ``board_boundary_temperature`` is the level-2 air/wall boundary handed
@@ -212,15 +230,13 @@ def run_level3(pcb: Union[Pcb, Level3Board],
     through the package model.  ``pcb`` is the board, or its
     :class:`Level3Board` when the caller solves it at several boundaries.
 
-    ``detail_solver`` overrides the board solver (default: the board's
-    :class:`~avipack.packaging.pcb.PcbDetailModel`); it must accept the
-    keyword arguments ``h_top``, ``h_bottom`` and ``ambient`` and return
-    an object with ``junction_temperatures``.  ``cache`` memoises the
-    level result under ``stable_fingerprint("level3", board digest,
-    boundary, h_film, junction_limit, detail_solver)``, so identical
-    boards at the same boundary (e.g. replicated modules in a
-    parallel-fed rack, or the same stack reached from different sweep
-    candidates) solve once.
+    The board is solved once per film coefficient for its junction
+    rises above the ambient (:meth:`PcbDetailModel.junction_rises`);
+    this call adds ``board_boundary_temperature`` and checks each
+    junction against ``junction_limit``.  ``cache`` memoises the rises
+    under ``stable_fingerprint("level3", board digest, h_film)``, so
+    every slot and every sweep candidate carrying an equal board shares
+    one solve, whatever its boundary.
     """
     _fire_fault("levels.level3")
     if board_boundary_temperature <= 0.0:
@@ -228,19 +244,8 @@ def run_level3(pcb: Union[Pcb, Level3Board],
     board = pcb if isinstance(pcb, Level3Board) else Level3Board(pcb)
     if not board.pcb.components:
         raise InputError("level-3 needs a populated board")
-    if cache is not None:
-        key = stable_fingerprint("level3", board.digest,
-                                 board_boundary_temperature, h_film,
-                                 junction_limit, detail_solver)
-        return cache.get_or_compute(
-            key, lambda: run_level3(board, board_boundary_temperature,
-                                    h_film, junction_limit,
-                                    detail_solver=detail_solver))
-    solve = (detail_solver if detail_solver is not None
-             else board.detail_model.solve)
-    detail = solve(h_top=h_film, h_bottom=h_film,
-                   ambient=board_boundary_temperature)
-    junctions = detail.junction_temperatures
+    junctions = {name: board_boundary_temperature + rise
+                 for name, rise in board.junction_rises(h_film, cache)}
     violations = tuple(
         name for name, t_j in sorted(junctions.items())
         if t_j > junction_limit)
@@ -311,8 +316,8 @@ def run_pyramid(rack: Rack,
     temperatures; level 3 runs on every module that has a populated PCB,
     using its slot's mean air temperature as the boundary.  Modules
     holding the same :class:`Pcb` object share one :class:`Level3Board`
-    (one digest, one detail model); each slot still makes its own
-    supervised, cached level-3 call.  ``cache`` is
+    (one digest, one detail model, one rise solve per film coefficient);
+    each slot still makes its own supervised level-3 call.  ``cache`` is
     threaded through every level's runner.  ``envelope`` overrides the
     level-1 cooling envelope (default: the standard module envelope, as
     the preliminary-design scan has always assumed).

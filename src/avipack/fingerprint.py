@@ -32,72 +32,107 @@ import dataclasses
 import enum
 import hashlib
 import zlib
-from typing import Any, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 import numpy as np
 
 __all__ = ["content_crc32", "content_digest", "stable_fingerprint"]
 
 
-def _feed(digest: "hashlib._Hash", value: Any) -> None:
-    """Feed one value into ``digest`` using a canonical type-tagged form."""
-    if value is None:
-        digest.update(b"N;")
-    elif isinstance(value, bool):
-        digest.update(b"b1;" if value else b"b0;")
-    elif isinstance(value, int):
-        digest.update(b"i" + repr(value).encode() + b";")
-    elif isinstance(value, float):
-        digest.update(b"f" + repr(value).encode() + b";")
-    elif isinstance(value, str):
-        digest.update(b"s" + value.encode("utf-8") + b";")
-    elif isinstance(value, bytes):
-        digest.update(b"y" + value + b";")
-    elif isinstance(value, enum.Enum):
-        digest.update(b"e" + type(value).__qualname__.encode() + b":")
-        _feed(digest, value.value)
-    elif isinstance(value, np.ndarray):
-        digest.update(b"a" + str(value.dtype).encode() + b":"
-                      + repr(value.shape).encode() + b":")
-        digest.update(np.ascontiguousarray(value).tobytes())
-        digest.update(b";")
-    elif isinstance(value, np.generic):
-        _feed(digest, value.item())
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        digest.update(b"d" + type(value).__qualname__.encode() + b"{")
-        for field in dataclasses.fields(value):
-            digest.update(field.name.encode() + b"=")
-            _feed(digest, getattr(value, field.name))
-        digest.update(b"};")
-    elif isinstance(value, dict):
-        digest.update(b"m{")
-        for key in sorted(value, key=repr):
-            _feed(digest, key)
-            digest.update(b":")
-            _feed(digest, value[key])
-        digest.update(b"};")
-    elif isinstance(value, (list, tuple)):
-        digest.update(b"l[" if isinstance(value, list) else b"t[")
+#: Per-class encoding of dataclass instances: the ``d<qualname>{``
+#: opening and each field's name with its ``name=`` bytes.  Filled the
+#: first time a class reaches the dataclass branch of :func:`_feed`,
+#: so ``dataclasses.fields`` runs once per class.
+_DATACLASS_LAYOUTS: Dict[type, Tuple[bytes, Tuple[Tuple[str, bytes], ...]]] = {}
+
+
+def _feed(update: Callable[[bytes], None], value: Any) -> None:
+    """Feed one value into a digest's ``update`` in canonical type-tagged form.
+
+    The first branches are exact-type fast paths for the commonest
+    values; each yields the bytes the general chain below it would.
+    """
+    kind = type(value)
+    if kind is float:
+        update(f"f{value!r};".encode())
+    elif kind is str:
+        update(b"s" + value.encode("utf-8") + b";")
+    elif kind is int:
+        update(f"i{value!r};".encode())
+    elif kind is tuple:
+        update(b"t[")
         for item in value:
-            _feed(digest, item)
-        digest.update(b"];")
+            _feed(update, item)
+        update(b"];")
+    elif kind in _DATACLASS_LAYOUTS:
+        _feed_dataclass(update, value, _DATACLASS_LAYOUTS[kind])
+    elif value is None:
+        update(b"N;")
+    elif isinstance(value, bool):
+        update(b"b1;" if value else b"b0;")
+    elif isinstance(value, int):
+        update(b"i" + repr(value).encode() + b";")
+    elif isinstance(value, float):
+        update(b"f" + repr(value).encode() + b";")
+    elif isinstance(value, str):
+        update(b"s" + value.encode("utf-8") + b";")
+    elif isinstance(value, bytes):
+        update(b"y" + value + b";")
+    elif isinstance(value, enum.Enum):
+        update(b"e" + kind.__qualname__.encode() + b":")
+        _feed(update, value.value)
+    elif isinstance(value, np.ndarray):
+        update(b"a" + str(value.dtype).encode() + b":"
+               + repr(value.shape).encode() + b":")
+        update(np.ascontiguousarray(value).tobytes())
+        update(b";")
+    elif isinstance(value, np.generic):
+        _feed(update, value.item())
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        layout = _DATACLASS_LAYOUTS[kind] = (
+            b"d" + kind.__qualname__.encode() + b"{",
+            tuple((field.name, field.name.encode() + b"=")
+                  for field in dataclasses.fields(kind)))
+        _feed_dataclass(update, value, layout)
+    elif isinstance(value, dict):
+        update(b"m{")
+        for key in sorted(value, key=repr):
+            _feed(update, key)
+            update(b":")
+            _feed(update, value[key])
+        update(b"};")
+    elif isinstance(value, (list, tuple)):
+        update(b"l[" if isinstance(value, list) else b"t[")
+        for item in value:
+            _feed(update, item)
+        update(b"];")
     elif isinstance(value, (set, frozenset)):
-        digest.update(b"S{")
+        update(b"S{")
         for item in sorted(value, key=repr):
-            _feed(digest, item)
-        digest.update(b"};")
+            _feed(update, item)
+        update(b"};")
     elif hasattr(value, "fingerprint") and callable(value.fingerprint):
-        digest.update(b"F" + value.fingerprint().encode() + b";")
+        update(b"F" + value.fingerprint().encode() + b";")
     elif callable(value):
         module = getattr(value, "__module__", "") or ""
         qualname = getattr(value, "__qualname__", repr(value))
-        digest.update(b"c" + module.encode() + b":"
-                      + qualname.encode() + b";")
+        update(b"c" + module.encode() + b":" + qualname.encode() + b";")
     else:
         # Last resort: type + repr.  Adequate for simple value objects;
         # objects with unstable reprs should grow a fingerprint() method.
-        digest.update(b"r" + type(value).__qualname__.encode() + b":"
-                      + repr(value).encode() + b";")
+        update(b"r" + kind.__qualname__.encode() + b":"
+               + repr(value).encode() + b";")
+
+
+def _feed_dataclass(update: Callable[[bytes], None], value: Any,
+                    layout: Tuple[bytes, Tuple[Tuple[str, bytes], ...]]
+                    ) -> None:
+    opening, fields = layout
+    update(opening)
+    for name, label in fields:
+        update(label)
+        _feed(update, getattr(value, name))
+    update(b"};")
 
 
 def stable_fingerprint(*values: Any) -> str:
@@ -109,8 +144,9 @@ def stable_fingerprint(*values: Any) -> str:
     ``stable_fingerprint("level2", rack, board_limit)`` directly.
     """
     digest = hashlib.sha1()
+    update = digest.update
     for value in values:
-        _feed(digest, value)
+        _feed(update, value)
     return digest.hexdigest()
 
 

@@ -13,11 +13,13 @@ from typing import Dict, List, Tuple
 
 from .. import perf
 from ..errors import InputError
+from ..fingerprint import stable_fingerprint
 from ..materials.library import pcb_effective_conductivity
 from ..mechanical.plate import PlateSpec
 from ..thermal.conduction import (
     BoundaryCondition,
     CartesianGrid,
+    ConductionSolution,
     ConductionSolver,
 )
 from .component import Component
@@ -183,13 +185,24 @@ class PcbDetailModel:
     """A board's level-3 model, built once and solved at many ambients.
 
     Holds everything a detail solve needs that does not depend on the
-    film ambient: the :meth:`Pcb.detail_grid`, the grid cell under each
-    component, and the conduction operator key per film-coefficient
-    pair (hashing the conductivity fields is the costly part of a
-    factor-cache lookup).  Every module of a rack that carries the same
-    board solves through one model.  The model is a snapshot: a
-    component placed on the board afterwards is not seen.
+    film ambient: the :meth:`Pcb.detail_grid` and the grid cell under
+    each component.  Every module of a rack that carries the same board
+    solves through one model.  The model is a snapshot: a component
+    placed on the board afterwards is not seen.
+
+    The problem is linear (constant conductivities, component-power
+    sources, film cooling on both faces to one ambient, adiabatic
+    edges), so the field at ambient ``T_a`` is ``T_a + u`` with ``u``
+    the rise field at 0 K, and every junction temperature is ``T_a``
+    plus a rise that depends only on the film pair.
+    :meth:`junction_rises` solves once per film pair and keeps the
+    result, so a board met at many slot temperatures costs one solve.
     """
+
+    #: Ambient of the rise solve [K].  Any positive value gives the
+    #: same rises (linearity); a small one keeps the subtraction exact
+    #: to the rise's own rounding.
+    RISE_REFERENCE_AMBIENT = 1.0
 
     def __init__(self, pcb: Pcb, nx: int = 34, ny: int = 26) -> None:
         self.grid = pcb.detail_grid(nx, ny)
@@ -198,12 +211,23 @@ class PcbDetailModel:
              min(int(component.position[0] / pcb.length * nx), nx - 1),
              min(int(component.position[1] / pcb.width * ny), ny - 1))
             for component in pcb.components)
-        self._operator_keys: Dict[Tuple[float, float], str] = {}
+        # The grid's conductivity is uniform per axis by construction,
+        # so its shape, spacing and the two effective conductivities fix
+        # the operator; keying on them replaces hashing kx/ky/kz.
+        self._operator_inputs = (
+            self.grid.shape, self.grid.spacing,
+            tuple(float(k) for k in pcb.effective_conductivity()))
+        self._rises: Dict[Tuple[float, float],
+                          Tuple[Tuple[str, float], ...]] = {}
         perf.increment("levels.detail_builds")
 
-    def solve(self, h_top: float, h_bottom: float,
-              ambient: float) -> PcbDetailResult:
-        """Solve with film cooling on both faces against ``ambient`` [K]."""
+    def operator_key(self, h_top: float, h_bottom: float) -> str:
+        """Factor-cache key of the board operator under a film pair."""
+        return stable_fingerprint("pcb_detail_operator",
+                                  self._operator_inputs, (h_top, h_bottom))
+
+    def _solve(self, h_top: float, h_bottom: float,
+               ambient: float) -> ConductionSolution:
         if h_top <= 0.0 or h_bottom <= 0.0:
             raise InputError("film coefficients must be positive")
         if ambient <= 0.0:
@@ -214,17 +238,38 @@ class PcbDetailModel:
         solver.set_boundary("z_min",
                             BoundaryCondition("convection", h_bottom,
                                               ambient))
-        key = self._operator_keys.get((h_top, h_bottom))
-        if key is None:
-            key = self._operator_keys[(h_top, h_bottom)] = \
-                solver.operator_key()
-        solution = solver.solve_steady(operator_key=key)
+        return solver.solve_steady(
+            operator_key=self.operator_key(h_top, h_bottom))
+
+    def solve(self, h_top: float, h_bottom: float,
+              ambient: float) -> PcbDetailResult:
+        """Solve with film cooling on both faces against ``ambient`` [K]."""
+        solution = self._solve(h_top, h_bottom, ambient)
         junctions = {
             component.name: component.junction_temperature_from_board(
                 float(solution.temperatures[ix, iy, -1]))
             for component, ix, iy in self._junction_cells}
         return PcbDetailResult(solution.temperatures, junctions,
                                solution.max_temperature)
+
+    def junction_rises(self, h_top: float, h_bottom: float
+                       ) -> Tuple[Tuple[str, float], ...]:
+        """``(name, rise)`` per component: junction above the ambient [K].
+
+        The rise is the component cell's rise over the film ambient
+        plus the package's ``P·R_jb``, so the junction at ambient
+        ``T_a`` is ``T_a + rise``.  Solved once per film pair.
+        """
+        rises = self._rises.get((h_top, h_bottom))
+        if rises is None:
+            reference = self.RISE_REFERENCE_AMBIENT
+            field_ = self._solve(h_top, h_bottom, reference).temperatures
+            rises = self._rises[(h_top, h_bottom)] = tuple(
+                (component.name,
+                 float(field_[ix, iy, -1]) - reference
+                 + component.power * component.package.r_junction_board)
+                for component, ix, iy in self._junction_cells)
+        return rises
 
 
 def optimize_copper_coverage(board: Pcb, boundary_temperature: float,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..core.design_flow import PackagingSpecification
@@ -97,10 +98,18 @@ class Candidate:
     n_components: int = 6
     long_case: bool = False
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """Stable content fingerprint of the design point."""
+        """Stable content fingerprint of the design point (hashed once)."""
         return stable_fingerprint(self)
+
+    def __getstate__(self) -> dict:
+        # The cached fingerprint stays out of the pickle: a candidate's
+        # bytes do not depend on whether it was read, and an unpickled
+        # candidate re-derives it from its fields.
+        state = self.__dict__.copy()
+        state.pop("fingerprint", None)
+        return state
 
     @property
     def label(self) -> str:

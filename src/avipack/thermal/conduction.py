@@ -17,6 +17,8 @@ use unconditionally stable backward-Euler stepping on the same operator.
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import threading
 import time
@@ -127,6 +129,9 @@ class CartesianGrid:
         self.size = tuple(float(s) for s in size)
         self.spacing = tuple(
             s / n for s, n in zip(self.size, self.shape, strict=True))
+        # Cell centres per axis, kept as floats for region_slices.
+        self._centers = tuple([(i + 0.5) * d for i in range(n)]
+                              for n, d in zip(self.shape, self.spacing))
         full = self.shape
         self.kx = np.full(full, float(conductivity))
         self.ky = np.full(full, float(conductivity))
@@ -152,9 +157,7 @@ class CartesianGrid:
         """Cell-centre coordinates along ``axis`` (0=x, 1=y, 2=z) [m]."""
         if axis not in (0, 1, 2):
             raise InputError("axis must be 0, 1 or 2")
-        n = self.shape[axis]
-        d = self.spacing[axis]
-        return (np.arange(n) + 0.5) * d
+        return np.array(self._centers[axis])
 
     def region_slices(self, x_range: Tuple[float, float],
                       y_range: Tuple[float, float],
@@ -165,12 +168,15 @@ class CartesianGrid:
         for axis, (lo, hi) in enumerate((x_range, y_range, z_range)):
             if lo > hi:
                 raise InputError("range lower bound exceeds upper bound")
-            centers = self.cell_centers(axis)
-            inside = np.where((centers >= lo) & (centers <= hi))[0]
-            if inside.size == 0:
+            # Centres increase along the axis, so the ones inside the
+            # range are a run found by bisection; a NaN bound holds none.
+            centers = self._centers[axis]
+            start = bisect.bisect_left(centers, lo)
+            stop = bisect.bisect_right(centers, hi)
+            if start >= stop or lo != lo or hi != hi:
                 raise InputError(
                     f"region does not cover any cell centre on axis {axis}")
-            slices.append(slice(int(inside[0]), int(inside[-1]) + 1))
+            slices.append(slice(start, stop))
         return tuple(slices)
 
     # -- field editing ---------------------------------------------------------
@@ -214,7 +220,7 @@ class CartesianGrid:
         """Distribute ``power`` [W] uniformly over the region's cells."""
         if power < 0.0:
             raise InputError("power must be non-negative")
-        count = int(np.prod([s.stop - s.start for s in region]))
+        count = math.prod(s.stop - s.start for s in region)
         if count == 0:
             raise InputError("region covers no cells")
         self.source[region] += power / (count * self.cell_volume)
@@ -400,9 +406,10 @@ class ConductionSolver:
     def operator_key(self) -> str:
         """Fingerprint of exactly the inputs :meth:`_operator` reads.
 
-        The key of the per-process factor cache.  A caller solving one
-        operator at many ambients (a board's detail model) computes it
-        once and hands it to :meth:`solve_steady`.
+        The default key of the per-process factor cache.  It hashes the
+        ``kx/ky/kz`` fields; a caller that can name its operator from
+        fewer inputs (a board's detail model, whose conductivity is
+        uniform per axis) passes its own key to :meth:`solve_steady`.
         """
         grid = self.grid
         faces = tuple(
@@ -448,9 +455,9 @@ class ConductionSolver:
 
         ``cache`` (optional, ``get_or_compute(key, compute)``) memoises
         the whole solution under :meth:`fingerprint`, so a byte-identical
-        board skips even the back-substitution.  ``operator_key`` is this
-        problem's :meth:`operator_key` when the caller already holds it;
-        it is trusted, not recomputed.
+        board skips even the back-substitution.  ``operator_key``
+        replaces :meth:`operator_key` as the factor-cache key; it must
+        change whenever the operator does, and is trusted, not checked.
         """
         if cache is not None:
             return cache.get_or_compute(self.fingerprint(),

@@ -8,7 +8,7 @@ import pytest
 from avipack.fingerprint import stable_fingerprint
 from avipack.packaging.cooling import CoolingTechnique, ModuleEnvelope
 from avipack.sweep import DEFAULT_WORKER_CACHE_MAX_ENTRIES, CacheStats, \
-    SolverCache, worker_cache
+    Candidate, SolverCache, worker_cache
 
 
 class TestSolverCache:
@@ -137,3 +137,32 @@ class TestStableFingerprint:
     def test_none_is_distinct(self):
         assert stable_fingerprint(None) != stable_fingerprint(0)
         assert stable_fingerprint(None) != stable_fingerprint("")
+
+
+class TestFingerprintGolden:
+    """Journals and result stores persist these digests: the encoder's
+    bytes must not change, however it is sped up."""
+
+    def test_default_candidate(self):
+        assert Candidate().fingerprint \
+            == "2bc52d60ec82cc5c2fec4b24640a2df3b004300c"
+
+    def test_default_board(self):
+        assert stable_fingerprint(Candidate().board()) \
+            == "3675476312daf9f390cce0ec4c823490e41562ca"
+
+    def test_built_rack(self):
+        candidate = Candidate(cooling="free_convection", long_case=True)
+        assert candidate.fingerprint \
+            == "100e4f0948430c36f87b9f1e2e6bd57c6866a419"
+        assert stable_fingerprint(candidate.build()[0]) \
+            == "05661cd991805e6ac5325a24f0ca59e054f34709"
+
+    def test_every_value_kind(self):
+        mixed = (None, True, 7, -2.5, "\u00e9", b"\x00",
+                 CoolingTechnique.FREE_CONVECTION,
+                 np.arange(4.0).reshape(2, 2), np.float64(1.25),
+                 {"b": [1, (2.0,)], "a": {3}}, frozenset({"x"}),
+                 ModuleEnvelope(), len)
+        assert stable_fingerprint(*mixed) \
+            == "7fb94bc518bda4f15c2255e64d1b8adfc1dea38f"

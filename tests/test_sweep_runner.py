@@ -2,7 +2,7 @@
 
 import pytest
 
-from avipack.core.levels import run_level1, run_level2, run_level3, run_pyramid
+from avipack.core.levels import run_level1, run_level2, run_pyramid
 from avipack.errors import InputError
 from avipack.sweep import (
     Candidate,
@@ -146,21 +146,6 @@ class TestLevelRunnersWithCache:
         second = run_level1(60.0, cache=cache)
         assert first is second
         assert cache.hits == 1
-
-    def test_run_level3_accepts_injected_solver(self):
-        calls = []
-        pcb = Candidate().board()
-
-        class FakeDetail:
-            junction_temperatures = {"r1": 350.0}
-
-        def fake_solver(**kwargs):
-            calls.append(kwargs)
-            return FakeDetail()
-
-        result = run_level3(pcb, 330.0, detail_solver=fake_solver)
-        assert calls and calls[0]["ambient"] == 330.0
-        assert result.max_junction == 350.0
 
     def test_run_pyramid_threads_cache(self):
         rack, _ = Candidate().build()

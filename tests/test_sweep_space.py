@@ -1,5 +1,7 @@
 """Design-space enumeration: Candidate realisation and DesignSpace grids."""
 
+import pickle
+
 import pytest
 
 from avipack.core.design_flow import PackagingSpecification
@@ -42,6 +44,15 @@ class TestCandidate:
         c = Candidate(power_per_module=13.0)
         assert a.fingerprint == b.fingerprint
         assert a.fingerprint != c.fingerprint
+
+    def test_fingerprint_is_hashed_once_and_kept_out_of_the_pickle(self):
+        candidate = Candidate(power_per_module=12.5, n_modules=3)
+        before = pickle.dumps(candidate)
+        assert candidate.fingerprint is candidate.fingerprint
+        assert pickle.dumps(candidate) == before
+        restored = pickle.loads(before)
+        assert "fingerprint" not in vars(restored)
+        assert restored.fingerprint == candidate.fingerprint
 
     def test_fingerprint_insensitive_to_cooling_spelling(self):
         # Enum and its string value are distinct contents by design:

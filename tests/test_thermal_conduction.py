@@ -123,6 +123,30 @@ class TestGrid:
         with pytest.raises(InputError):
             grid.region_slices((0.2, 0.3), (0.0, 0.1), (0.0, 0.001))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), length=st.floats(1e-3, 1.0),
+           bounds=st.lists(st.one_of(st.floats(-0.2, 1.2),
+                                     st.sampled_from((float("nan"),
+                                                      float("inf")))),
+                           min_size=2, max_size=2),
+           on_centre=st.sampled_from((None, 0, 1)), cell=st.integers(0, 39))
+    def test_region_holds_exactly_the_centres_inside(self, n, length,
+                                                     bounds, on_centre,
+                                                     cell):
+        grid = CartesianGrid((n, 1, 1), (length, 1.0, 1.0))
+        centers = grid.cell_centers(0)
+        if on_centre is not None:  # a bound exactly on a cell centre
+            bounds[on_centre] = float(centers[cell % n])
+        lo, hi = bounds
+        inside = np.where((centers >= lo) & (centers <= hi))[0]
+        if lo > hi or inside.size == 0:
+            with pytest.raises(InputError):
+                grid.region_slices((lo, hi), (0.0, 1.0), (0.0, 1.0))
+            return
+        region = grid.region_slices((lo, hi), (0.0, 1.0), (0.0, 1.0))
+        assert region[0] == slice(int(inside[0]), int(inside[-1]) + 1)
+        assert region[1:] == (slice(0, 1), slice(0, 1))
+
     def test_invalid_shape(self):
         with pytest.raises(InputError):
             CartesianGrid((0, 1, 1), (1.0, 1.0, 1.0))
