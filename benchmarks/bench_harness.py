@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+from avipack.durability.files import atomic_write
 
 __all__ = ["Suite", "median_ms", "timed_samples"]
 
@@ -45,12 +46,6 @@ def timed_samples(call: Callable[[], object], rounds: int) -> List[float]:
 def median_ms(samples: List[float]) -> float:
     """Median of wall-time samples [s] in milliseconds, as pinned."""
     return round(statistics.median(samples) * 1e3, 4)
-
-
-def _write_json(path: pathlib.Path, document: Dict) -> None:
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,8 @@ class Suite:
 
     def write(self, path: pathlib.Path, rounds: int) -> int:
         document = self.run_benches(rounds)
-        _write_json(path, document)
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        atomic_write(str(path), text.encode())
         print(f"wrote {path} ({len(document['benches'])} benches)")
         return 0
 
@@ -99,7 +95,8 @@ class Suite:
                       "benches": benches, "failures": failures,
                       "ok": not failures}
         if report_path is not None:
-            _write_json(report_path, comparison)
+            text = json.dumps(comparison, indent=2, sort_keys=True) + "\n"
+            atomic_write(str(report_path), text.encode())
             print(f"comparison written to {report_path}")
         if failures:
             print("\n" + "\n".join(f"FAIL: {line}" for line in failures))

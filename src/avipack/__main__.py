@@ -122,29 +122,6 @@ def _report_json_payload(report, top: int) -> dict:
     return payload
 
 
-def _write_report_json(path: str, report, top: int) -> None:
-    """Atomically publish the ranked report as JSON (tmp + os.replace)."""
-    import json
-    import os
-    import tempfile
-
-    payload = _report_json_payload(report, top)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".tmp.")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _run_sweep(argv) -> int:
     """``python -m avipack sweep`` — a durable design-space campaign.
 
@@ -153,7 +130,10 @@ def _run_sweep(argv) -> int:
     ``--resume`` journal is unusable (missing, unreadable, or every
     record quarantined).
     """
+    import json
+
     from .durability import replay_journal
+    from .durability.files import atomic_write
     from .errors import JournalError
     from .sweep import DesignSpace, SweepRunner, render_sweep_document
 
@@ -218,7 +198,9 @@ def _run_sweep(argv) -> int:
         report = runner.run(candidates, journal_path=args.journal)
     print(render_sweep_document(report, top=args.top))
     if args.report_json is not None:
-        _write_report_json(args.report_json, report, args.top)
+        document = json.dumps(_report_json_payload(report, args.top),
+                              indent=2, sort_keys=True) + "\n"
+        atomic_write(args.report_json, document.encode("ascii"))
     return 0 if report.n_compliant else 1
 
 

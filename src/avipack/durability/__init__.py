@@ -10,6 +10,10 @@ campaign crash-durable:
   write-ahead journal the runner writes outcomes to as they arrive,
   and :func:`replay_journal`, the verify-or-quarantine replay that
   never crashes and never silently trusts a damaged record;
+* :mod:`~avipack.durability.files` — the one way any layer publishes
+  a durable file (:func:`~avipack.durability.files.atomic_write`),
+  takes a single-writer ``flock``, sweeps temps a killed write left
+  behind, and quarantines a damaged file;
 * :mod:`~avipack.durability.audit` — the invariant battery
   (energy-balance residual of the level-2 thermal network, temperature
   bounds, fingerprint integrity, monotone-headroom sanity) every

@@ -57,21 +57,18 @@ import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - availability depends on the platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from ..errors import DurabilityError, InputError, JournalError
 from ..fingerprint import content_crc32, content_digest
 from ..resilience.faults import corrupts as _corrupts
+from .files import atomic_write, open_locked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sweep.runner import CandidateOutcome
     from ..sweep.space import Candidate
 
 __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
-           "SweepJournal", "encode_record", "replay_journal"]
+           "SweepJournal", "encode_record", "outcome_kind",
+           "replay_journal"]
 
 #: Bump when the record encoding changes; replay quarantines any other
 #: version rather than guessing at its layout.
@@ -86,28 +83,29 @@ class _DamagedRecord(ValueError):
     surfaced (a damaged record is quarantined, not raised)."""
 
 
-def _lock_exclusive(stream, path: str) -> None:
-    """Take a non-blocking advisory ``flock`` on an open journal stream.
+def _open_locked(path: str):
+    """Open a journal for append under its advisory writer lock.
 
     Two processes appending to one journal interleave records — a
     corruption the checksums can detect but never repair — so the
     second writer is refused eagerly with :class:`DurabilityError`.
-    The lock lives on the open file description: closing the stream
-    (or the process dying, however violently) releases it.  On
-    platforms without ``fcntl`` the guard degrades to the previous
-    unlocked behaviour.
     """
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        return
-    try:
-        fcntl.flock(stream.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError as exc:
-        stream.close()
-        raise DurabilityError(
-            f"journal {path} is locked by another writer (advisory "
-            "flock contention): concurrent appends would interleave "
-            "records; wait for the other process to close the journal "
-            "or give this run its own --journal path") from exc
+    return open_locked(path, DurabilityError(
+        f"journal {path} is locked by another writer (advisory "
+        "flock contention): concurrent appends would interleave "
+        "records; wait for the other process to close the journal "
+        "or give this run its own --journal path"))
+
+
+def outcome_kind(outcome: "CandidateOutcome") -> str:
+    """``"completed"``, ``"failed"`` or ``"timeout"`` — the one
+    classification of an outcome, shared by the journal record kind,
+    the result store's ``kind`` column and the service's events."""
+    if not hasattr(outcome, "error_type"):
+        return "completed"
+    if outcome.error_type == "WatchdogTimeout":
+        return "timeout"
+    return "failed"
 
 
 def _canonical(body: Dict[str, Any]) -> str:
@@ -170,8 +168,7 @@ class SweepJournal:
         :class:`~avipack.errors.DurabilityError` instead of silently
         destroying the live journal.
         """
-        stream = open(path, "ab")
-        _lock_exclusive(stream, path)
+        stream = _open_locked(path)
         # Anything failing past the lock — truncation on an exotic
         # filesystem, an unpicklable candidate in the plan record, a
         # full disk at the first fsync — must release the advisory
@@ -195,9 +192,7 @@ class SweepJournal:
         """
         if not os.path.exists(path):
             raise JournalError(f"journal not found: {path}")
-        stream = open(path, "ab")
-        _lock_exclusive(stream, path)
-        return cls(path, stream, next_seq)
+        return cls(path, _open_locked(path), next_seq)
 
     def __enter__(self) -> "SweepJournal":
         return self
@@ -229,13 +224,7 @@ class SweepJournal:
 
     def record_outcome(self, outcome: "CandidateOutcome") -> None:
         """Journal a finished candidate as it arrives from a worker."""
-        if getattr(outcome, "error_type", None) == "WatchdogTimeout":
-            kind = "timeout"
-        elif hasattr(outcome, "error_type"):
-            kind = "failed"
-        else:
-            kind = "completed"
-        self._append(kind, index=outcome.index,
+        self._append(outcome_kind(outcome), index=outcome.index,
                      fingerprint=outcome.fingerprint,
                      payload=_encode_payload(outcome))
 
@@ -326,12 +315,7 @@ def _write_quarantine(path: str,
                          "raw": base64.b64encode(record.raw).decode()},
                         sort_keys=True)
              for record in records]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write("\n".join(lines) + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def replay_journal(path: str, quarantine_path: Optional[str] = None,

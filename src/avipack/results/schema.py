@@ -21,6 +21,7 @@ from typing import Any, Tuple
 
 import numpy as np
 
+from ..durability.journal import outcome_kind
 from ..fingerprint import stable_fingerprint
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "ROW_DTYPE",
     "STORE_SCHEMA_VERSION",
     "fill_row",
-    "outcome_kind",
 ]
 
 #: Bump when :data:`ROW_DTYPE` changes; readers quarantine other versions.
@@ -42,6 +42,10 @@ STORE_SCHEMA_VERSION = 1
 KIND_COMPLETED = 0
 KIND_FAILED = 1
 KIND_TIMEOUT = 2
+
+#: :func:`~avipack.durability.journal.outcome_kind` -> ``kind`` column.
+_KIND_CODES = {"completed": KIND_COMPLETED, "failed": KIND_FAILED,
+               "timeout": KIND_TIMEOUT}
 
 #: The board-temperature limit [degC] behind ``thermal_headroom_c``
 #: (kept equal to :attr:`CandidateResult.thermal_headroom_c`).
@@ -109,15 +113,6 @@ _MARGIN_FIELDS = ("fundamental_hz", "fatigue_margin",
                   "deflection_margin", "mtbf_hours")
 
 
-def outcome_kind(outcome: Any) -> int:
-    """Classify one outcome with the journal's kind vocabulary."""
-    if getattr(outcome, "error_type", None) == "WatchdogTimeout":
-        return KIND_TIMEOUT
-    if hasattr(outcome, "error_type"):
-        return KIND_FAILED
-    return KIND_COMPLETED
-
-
 def _truncated(text: str, width: int) -> bytes:
     """UTF-8 encode ``text`` clipped to a fixed column width."""
     return text.encode("utf-8", errors="replace")[:width]
@@ -131,7 +126,7 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
     """
     row = rows[position]
     candidate = outcome.candidate
-    kind = outcome_kind(outcome)
+    kind = _KIND_CODES[outcome_kind(outcome)]
     failed = kind != KIND_COMPLETED
 
     row["index"] = outcome.index

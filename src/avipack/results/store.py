@@ -10,11 +10,11 @@ Each file opens with one JSON header line carrying a magic string, the
 store schema version, the dtype fingerprint, the row/byte count and two
 checksums over the payload — CRC-32 (cheap first line of defence) and
 SHA-256 (authoritative) — mirroring the discipline of
-:mod:`avipack.durability.journal`.  Publication is atomic (payload to a
-temp file in the same directory, flush + ``fsync``, ``os.replace``),
-and a shard that fails verification at open is renamed to a
-``.quarantine`` sidecar and skipped — its rows are recomputed or
-re-ingested from the journal, never trusted.
+:mod:`avipack.durability.journal`.  Publication is atomic
+(:func:`avipack.durability.files.atomic_write`), and a shard that fails
+verification at open is renamed to a ``.quarantine`` sidecar and
+skipped — its rows are recomputed or re-ingested from the journal,
+never trusted.
 
 The store holds typed rows only.  A campaign's full outcome objects
 live in its write-ahead journal; ``shard-*.blobs`` files left by older
@@ -41,7 +41,6 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import zlib
 from typing import (
     Any,
@@ -56,12 +55,8 @@ from typing import (
 
 import numpy as np
 
-try:  # pragma: no cover - availability depends on the platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from .. import perf as _perf
+from ..durability.files import atomic_write, open_locked, quarantine
 from ..errors import InputError, ResultStoreError
 from ..fingerprint import content_crc32, content_digest
 from .schema import (
@@ -104,19 +99,19 @@ class ResultStoreStats:
     shards_sealed: int = 0
 
 
-def _lock_writer(stream: Any, directory: str) -> None:
-    """Non-blocking advisory ``flock`` guarding one writer per store."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        return
-    try:
-        fcntl.flock(stream.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError as exc:
-        stream.close()
-        raise ResultStoreError(
-            f"result store {directory} is locked by another writer "
-            "(advisory flock contention): concurrent writers would "
-            "race shard numbers; wait for the other process or give "
-            "this run its own store directory") from exc
+def _open_writer_lock(directory: str) -> Any:
+    """Take the store's advisory writer lock: one writer per store.
+
+    Held by :class:`ResultStoreWriter` and by
+    :func:`avipack.retention.compact_store`; close the returned stream
+    to release it.
+    """
+    refusal = ResultStoreError(
+        f"result store {directory} is locked by another writer "
+        "(advisory flock contention): concurrent writers would "
+        "race shard numbers; wait for the other process or give "
+        "this run its own store directory")
+    return open_locked(os.path.join(directory, _LOCK_NAME), refusal)
 
 
 def _header_line(magic: str, n_rows: int, payload_crc32: str,
@@ -132,24 +127,6 @@ def _header_line(magic: str, n_rows: int, payload_crc32: str,
     }
     return json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("ascii") + b"\n"
-
-
-def _publish(path: str, header: bytes, payload: bytes) -> None:
-    """Atomically publish one shard file (tmp + fsync + ``os.replace``)."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".tmp.")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(header)
-            stream.write(payload)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def next_shard_number(directory: str) -> int:
@@ -177,10 +154,10 @@ def publish_shard(directory: str, number: int, rows: np.ndarray) -> None:
     (:func:`avipack.retention.compact_store`).
     """
     payload = rows.tobytes()
-    _publish(os.path.join(directory, f"shard-{number:06d}.rows"),
-             _header_line(_ROWS_MAGIC, len(rows), content_crc32(payload),
-                          content_digest(payload), len(payload)),
-             payload)
+    header = _header_line(_ROWS_MAGIC, len(rows), content_crc32(payload),
+                          content_digest(payload), len(payload))
+    atomic_write(os.path.join(directory, f"shard-{number:06d}.rows"),
+                 header, payload)
 
 
 class ResultStoreWriter:
@@ -204,8 +181,7 @@ class ResultStoreWriter:
         #: resume backfill pass).
         self.added_fingerprints: Set[str] = set()
         os.makedirs(directory, exist_ok=True)
-        self._lock_stream = open(os.path.join(directory, _LOCK_NAME), "ab")
-        _lock_writer(self._lock_stream, directory)
+        self._lock_stream = _open_writer_lock(directory)
         self._next_shard = self._scan_next_shard()
         self._rows: Optional[np.ndarray] = None
         self._count = 0
@@ -342,28 +318,6 @@ def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
     return header, len(line)
 
 
-def _rename_aside(path: str) -> None:
-    """Move a damaged file to its ``.quarantine`` name (rename only —
-    no data is written, so durability ordering does not apply)."""
-    if os.path.exists(path):
-        os.replace(path, path + ".quarantine")
-
-
-def _quarantine(path: str, error: ResultStoreError) -> None:
-    """Rename a damaged file aside; record why in an atomic
-    ``<path>.quarantine.reason`` sidecar."""
-    _rename_aside(path)
-    sidecar = json.dumps({"file": os.path.basename(path),
-                          "reason": error.reason,
-                          "detail": str(error)}, sort_keys=True)
-    tmp = f"{path}.reason.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(sidecar + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path + ".quarantine.reason")
-
-
 def _count_quarantine(reason: str) -> None:
     """Bump the total and the per-reason quarantine counters.
 
@@ -440,7 +394,9 @@ class ResultStore:
                         f"{rows_path}: row count disagrees with "
                         "payload size", reason="header")
             except ResultStoreError as exc:
-                _quarantine(rows_path, exc)
+                quarantine(rows_path, {"file": name + ".rows",
+                                       "reason": exc.reason,
+                                       "detail": str(exc)})
                 quarantined.append(name + ".rows")
                 reasons[name + ".rows"] = exc.reason
                 _count_quarantine(exc.reason)

@@ -11,14 +11,16 @@ typically orders of magnitude smaller.
 
 Crash safety is the whole point of the design:
 
-* the checkpoint is written to a ``<journal>.compact.<pid>.tmp``
-  sibling, flushed and ``fsync``'d, and only then swapped in with
-  ``os.replace`` — until that one atomic rename the old journal is
-  untouched, so SIGKILL at *any* phase leaves either the old or the
-  new journal, both of which replay to the same state;
+* the checkpoint is published with
+  :func:`avipack.durability.files.atomic_write` — until its one atomic
+  rename the old journal is untouched, so SIGKILL at *any* phase
+  leaves either the old or the new journal, both of which replay to
+  the same state;
 * the journal's advisory ``flock`` is held for the whole pass, so a
   live writer cannot interleave appends with the swap (and compaction
-  refuses journals another process is writing);
+  refuses journals another process is writing); temps a killed earlier
+  compaction left are swept only once the lock is held, so a refused
+  compactor never deletes the lock holder's in-flight temp;
 * the checkpoint reuses the *last folded sequence number*, so a resume
   appended after compaction carries exactly the sequence numbers it
   would have carried on the uncompacted journal — seeded fault
@@ -33,13 +35,15 @@ they were never part of the verified state.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from .. import perf as _perf
+from ..durability.files import atomic_write, sweep_stale_tmp
 from ..durability.journal import (
     _encode_payload,
-    _lock_exclusive,
+    _open_locked,
     encode_record,
     replay_journal,
 )
@@ -65,18 +69,6 @@ class JournalCompaction:
         return max(0, self.bytes_before - self.bytes_after)
 
 
-def _sweep_stale_tmp(path: str) -> None:
-    """Remove tmp files a SIGKILL'd earlier compaction left behind."""
-    directory = os.path.dirname(path) or "."
-    prefix = os.path.basename(path) + ".compact."
-    for entry in os.listdir(directory):
-        if entry.startswith(prefix):
-            try:
-                os.unlink(os.path.join(directory, entry))
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                pass
-
-
 def compact_journal(path: str,
                     quarantine_path: Optional[str] = None,
                     phase_hook: Optional[Callable[[str], None]] = None
@@ -85,8 +77,8 @@ def compact_journal(path: str,
 
     Holds the journal's advisory lock for the whole pass (raises
     :class:`~avipack.errors.DurabilityError` if a writer holds it) and
-    publishes via tmp + ``fsync`` + ``os.replace`` — the old journal
-    stays valid until the atomic swap.  Raises
+    publishes via :func:`~avipack.durability.files.atomic_write` — the
+    old journal stays valid until the atomic swap.  Raises
     :class:`~avipack.errors.JournalError` when no intact plan or
     checkpoint record survives to anchor the candidate set (such a
     journal cannot support a resume, compacted or not).
@@ -97,12 +89,12 @@ def compact_journal(path: str,
     process at every phase boundary and assert recovery.
     """
     hook = phase_hook or (lambda phase: None)
-    _sweep_stale_tmp(path)
     if not os.path.exists(path):
         raise JournalError(f"journal not found: {path}")
-    stream = open(path, "ab")
-    _lock_exclusive(stream, path)
+    stream = _open_locked(path)
     try:
+        directory, name = os.path.split(path)
+        sweep_stale_tmp(directory or ".", re.escape(name))
         hook("replay")
         replay = replay_journal(path, quarantine_path)
         if replay.candidates is None:
@@ -128,15 +120,7 @@ def compact_journal(path: str,
         # identically (seeded fault injection scopes per seq).
         data = encode_record("checkpoint",
                              max(replay.next_seq - 1, 0), fields)
-        hook("write")
-        tmp = f"{path}.compact.{os.getpid()}.tmp"
-        with open(tmp, "wb") as out:
-            out.write(data)
-            out.flush()
-            hook("fsync")
-            os.fsync(out.fileno())
-        hook("replace")
-        os.replace(tmp, path)
+        atomic_write(path, data, phase_hook=hook)
         hook("done")
     finally:
         stream.close()

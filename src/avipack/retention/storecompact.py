@@ -28,7 +28,8 @@ compaction finishes the job.
 
 Quarantined files are left untouched (evidence for the operator).
 Writers are excluded for the whole pass via the store's advisory
-``.writer.lock``.
+``.writer.lock``, under which the pass also deletes the
+``shard-*.rows.tmp.*`` temps a killed shard publish left behind.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .. import perf as _perf
+from ..durability.files import sweep_stale_tmp
 from ..errors import ResultStoreError
 from ..results.store import (
-    _LOCK_NAME,
     _SHARD_PATTERN,
-    _lock_writer,
+    _open_writer_lock,
     DEFAULT_SHARD_ROWS,
     ResultStore,
     next_shard_number,
@@ -132,10 +133,13 @@ def compact_store(directory: str,
     if not os.path.isdir(directory):
         raise ResultStoreError(
             f"result store directory not found: {directory}")
-    lock_stream = open(os.path.join(directory, _LOCK_NAME), "ab")
-    _lock_writer(lock_stream, directory)
+    lock_stream = _open_writer_lock(directory)
     try:
         hook("open")
+        # Shard temps a killed publish left behind; the writer lock
+        # guarantees no publish is in flight.  Readers' reason-sidecar
+        # temps (``*.quarantine.reason.tmp.*``) do not match.
+        sweep_stale_tmp(directory, r"shard-\d{6}\.rows")
         blob_pools = _blob_pools(directory)
         store = ResultStore.open(directory)
         live = store.live_mask()

@@ -12,8 +12,9 @@ Two artefacts make every job crash-safe:
   outcome to, which makes candidate-level work durable;
 * its **manifest** (``<id>.manifest.json``) — a small JSON document
   holding the submission, priority, state and (on completion) the
-  ranking summary, rewritten atomically (tmp + ``os.replace``) on
-  every state change, which makes job-level *metadata* durable.
+  ranking summary, republished with
+  :func:`~avipack.durability.files.atomic_write` on every state
+  change, which makes job-level *metadata* durable.
 
 On restart the server replays the manifest directory: ``queued`` jobs
 re-enter the queue, ``running``/``interrupted`` jobs are resumed from
@@ -30,6 +31,7 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..durability.files import atomic_write
 from ..errors import ServiceError
 
 __all__ = ["ACTIVE_STATES", "TERMINAL_STATES", "Job", "JobStore"]
@@ -204,7 +206,7 @@ class JobStore:
         return os.path.join(self.journal_dir, job_id + _MANIFEST_SUFFIX)
 
     def save(self, job: Job) -> None:
-        """Atomically (re)write one job manifest (tmp + ``os.replace``)."""
+        """Atomically (re)write one job manifest."""
         self.save_manifest(job.job_id, job.to_manifest())
 
     def save_manifest(self, job_id: str,
@@ -215,13 +217,8 @@ class JobStore:
         job synchronously (the bytes reflect its state at the call
         site) and hand only this blocking write to a worker thread.
         """
-        path = self._manifest_path(job_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(manifest, stream, sort_keys=True)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
+        atomic_write(self._manifest_path(job_id),
+                     json.dumps(manifest, sort_keys=True).encode("utf-8"))
 
     def job_paths(self, job_id: str) -> List[str]:
         """Every on-disk path belonging to one job — journal,

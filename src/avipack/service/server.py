@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .. import perf as _perf
+from ..durability.journal import outcome_kind
 from ..errors import AvipackError, InputError, ServiceError
 from ..retention import (
     DiskBudget,
@@ -112,10 +113,6 @@ class ServiceConfig:
     #: Artificial per-candidate delay [s] — pacing hook for demos and
     #: the drain/chaos tests (0 disables).
     throttle_s: float = 0.0
-    #: Stream each job's outcomes into a per-job columnar result store
-    #: (``<journal_dir>/<job_id>.results``) so ``results`` requests are
-    #: answered from typed columns without unpickling any payload.
-    result_store: bool = True
     #: Events buffered per job for reconnect-and-replay.
     event_buffer: int = 10_000
     #: Install SIGTERM/SIGINT drain handlers (main-thread loops only).
@@ -432,8 +429,7 @@ class SweepService:
             max_workers=self.config.max_workers,
             timeout_s=self.config.candidate_timeout_s,
             evaluator=evaluator,
-            result_store=(self.store.result_dir(job.job_id)
-                          if self.config.result_store else None))
+            result_store=self.store.result_dir(job.job_id))
         hook = _LoopProgressHook(self, job)
         if job.resume and os.path.exists(job.journal_path):
             return runner.resume(job.journal_path, progress=hook)
@@ -842,7 +838,7 @@ class SweepService:
             return error_response(
                 "no_results",
                 f"job {job.job_id} has no columnar result store "
-                "(stores disabled, or no outcome produced yet)")
+                "(no outcome recorded for it yet)")
         assert self._loop is not None
         return await self._loop.run_in_executor(
             self._io_executor, self._read_results, job, directory,
@@ -948,12 +944,7 @@ class SweepService:
 
 def _outcome_event(outcome) -> Dict[str, Any]:
     """Flatten one candidate outcome into progress-event fields."""
-    if getattr(outcome, "error_type", None) == "WatchdogTimeout":
-        kind = "timeout"
-    elif hasattr(outcome, "error_type"):
-        kind = "failed"
-    else:
-        kind = "completed"
+    kind = outcome_kind(outcome)
     event: Dict[str, Any] = {"index": outcome.index,
                              "fingerprint": outcome.fingerprint,
                              "kind": kind}

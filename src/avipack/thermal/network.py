@@ -341,16 +341,6 @@ class _CompiledNetwork:
             g[self.var_sel] = self.eval_callables(temps, strict)
         return g
 
-    def heat_flows(self, temps: np.ndarray) -> Dict[str, float]:
-        """Per-link heat flows [W], keyed like the historical solver."""
-        q = self.link_conductances(temps) * (temps[self.ia] - temps[self.ib])
-        return dict(zip(self.flow_keys, map(float, q), strict=True))
-
-    def residual(self, temps: np.ndarray) -> float:
-        """Max energy-balance residual over free nodes [W]."""
-        q = self.link_conductances(temps) * (temps[self.ia] - temps[self.ib])
-        return self._residual_of(q)
-
     def _residual_of(self, q: np.ndarray) -> float:
         if self.n_free == 0:
             return 0.0
@@ -565,34 +555,6 @@ class ThermalNetwork:
         except KeyError:
             raise InputError(f"unknown node {name!r}") from None
 
-    def _has_nonlinear_links(self) -> bool:
-        return any(callable(link.conductance) for link in self._links)
-
-    def _check_connectivity(self) -> None:
-        """Every free node must reach a fixed-temperature node.
-
-        A floating island has no defined temperature (singular system);
-        report it by name instead of failing inside the linear solver.
-        """
-        adjacency: Dict[str, list] = {name: [] for name in self._nodes}
-        for link in self._links:
-            adjacency[link.node_a].append(link.node_b)
-            adjacency[link.node_b].append(link.node_a)
-        reached = set()
-        frontier = [name for name, node in self._nodes.items()
-                    if node.fixed_temperature is not None]
-        while frontier:
-            name = frontier.pop()
-            if name in reached:
-                continue
-            reached.add(name)
-            frontier.extend(adjacency[name])
-        floating = sorted(set(self._nodes) - reached)
-        if floating:
-            raise InputError(
-                "nodes not connected to any fixed-temperature node: "
-                + ", ".join(floating))
-
     # -- solving -------------------------------------------------------------
 
     def solve(self, initial_guess: float = 320.0, max_iterations: int = 200,
@@ -712,29 +674,6 @@ class ThermalNetwork:
                     factorization_reuses=reuses,
                     wall_s=time.perf_counter() - start)
         return NetworkSolution(solution_temps, flows, iterations, residual)
-
-    @staticmethod
-    def _evaluate(link: _Link, t_a: float, t_b: float) -> float:
-        if callable(link.conductance):
-            g = float(link.conductance(t_a, t_b))
-            if g < 0.0:
-                raise InputError(
-                    f"conductance callable for {link.node_a}-{link.node_b} "
-                    f"returned negative value {g}")
-            return max(g, 1e-12)
-        return float(link.conductance)
-
-    def _heat_flows(self, temps: Dict[str, float]) -> Dict[str, float]:
-        """Per-link heat flows at the given node temperatures [W]."""
-        comp = self._compiled()
-        array = np.array([temps[name] for name in comp.names])
-        return comp.heat_flows(array)
-
-    def _residual(self, temps: Dict[str, float]) -> float:
-        """Max energy-balance residual over free nodes [W]."""
-        comp = self._compiled()
-        array = np.array([temps[name] for name in comp.names])
-        return comp.residual(array)
 
 
 def series_resistance(*resistances: float) -> float:

@@ -218,12 +218,6 @@ class TransientNetworkSolver:
                 f"boundary schedule for {name!r} returned {value} K")
         return value
 
-    def _load_value(self, name: str, time: float) -> float:
-        schedule = self.load_schedules.get(name)
-        if schedule is not None:
-            return float(schedule(time))
-        return self.network.node_heat_load(name)
-
     def _operator_solver(self, comp, capacity_dt: np.ndarray, dt: float,
                          temps: np.ndarray, counters: Dict[str, int]):
         """Factorized ``diag(C/Δt) + K`` for this step, reused when constant.

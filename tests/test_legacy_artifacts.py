@@ -29,7 +29,8 @@ from avipack.fingerprint import stable_fingerprint
 from avipack.results import ResultStore, ResultStoreWriter, \
     ranking_signature
 from avipack.results.schema import ROW_DTYPE, fill_row
-from avipack.results.store import _header_line, _publish, publish_shard
+from avipack.durability.files import atomic_write
+from avipack.results.store import _header_line, publish_shard
 from avipack.retention import compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
@@ -85,11 +86,11 @@ def write_legacy_shard(directory, number, outcomes, batched):
         blobs += blob
     rows["batched"] = batched
     base = os.path.join(directory, f"shard-{number:06d}")
-    _publish(base + ".blobs",
-             _header_line(_BLOBS_MAGIC, len(rows),
-                          f"{zlib.crc32(blobs) & 0xFFFFFFFF:08x}",
-                          hashlib.sha256(blobs).hexdigest(), len(blobs)),
-             bytes(blobs))
+    atomic_write(base + ".blobs",
+                 _header_line(_BLOBS_MAGIC, len(rows),
+                              f"{zlib.crc32(blobs) & 0xFFFFFFFF:08x}",
+                              hashlib.sha256(blobs).hexdigest(), len(blobs)),
+                 bytes(blobs))
     publish_shard(directory, number, rows)
 
 

@@ -104,7 +104,7 @@ class TestJournalKill:
         assert resumed.durability.n_recomputed == 0
         assert ranking(resumed) == expected
         debris = [name for name in os.listdir(tmp_path)
-                  if ".compact." in name]
+                  if ".tmp." in name]
         assert debris == []
 
 

@@ -254,7 +254,7 @@ class TestPhaseAborts:
         assert replay_state(journalled) == before
         # ...and leaves no tmp debris behind.
         debris = [name for name in os.listdir(os.path.dirname(journalled))
-                  if ".compact." in name]
+                  if ".tmp." in name]
         assert debris == []
 
 

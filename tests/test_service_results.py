@@ -75,21 +75,24 @@ def test_results_op_serves_store_backed_ranking(sockets, tmp_path):
 
 
 def test_results_op_structured_errors(sockets, tmp_path):
-    config = make_config(sockets, tmp_path, result_store=False)
+    config = make_config(sockets, tmp_path, throttle_s=0.2)
     with ThreadedService(config):
         client = ServiceClient(config.socket_path)
         with pytest.raises(ServiceError) as unknown:
             client.results("job-nope")
         assert unknown.value.code == "unknown_job"
-        job_id = client.submit(axes=AXES)["job_id"]
-        final = client.wait(job_id, timeout_s=120.0)
-        assert final["state"] == "completed"
-        # Stores disabled: ranking still served via the manifest path,
-        # but the results op reports no store, with a structured code.
-        assert final["result_store"] is False
+        # One job runs (slowly); the next waits in the queue, so it has
+        # no result store yet and the results op says so.
+        running = client.submit(axes=AXES, seed=1)["job_id"]
+        queued = client.submit(axes=AXES, sample=6, seed=2)["job_id"]
+        status = client.status(queued)
+        assert status["state"] == "queued"
+        assert status["result_store"] is False
         with pytest.raises(ServiceError) as missing:
-            client.results(job_id)
+            client.results(queued)
         assert missing.value.code == "no_results"
+        client.cancel(queued)
+        client.cancel(running)
     assert "no_results" in ERROR_CODES
 
 
