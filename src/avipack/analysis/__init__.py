@@ -9,18 +9,16 @@ itself.  Each rule encodes a failure class this codebase has met:
 AVI002    error-taxonomy enforcement (avipack.errors types, picklable
           custom exceptions)
 AVI003    worker-boundary pickle safety (no lambdas/local defs into pools)
-AVI006    durable-write discipline (state files written via tmp + replace)
+AVI006    durable-write discipline (os.replace/fsync/flock/mkstemp only
+          inside avipack.durability; no direct JSON writes)
 AVI008    no blocking calls reachable from async code (call-graph based)
-AVI009    atomic-persist ordering (write -> flush -> fsync -> replace
-          on every path)
 ========  ===================================================================
 
 The engine is one serial pass: parse every file, summarize it
 (:mod:`avipack.analysis.project`), build the call graph, then check
-every file.  AVI009 reasons over bounded path enumeration within a
-function (:mod:`avipack.analysis.flow`); AVI008 follows calls across
-modules through the graph.  Use ``rule_range()`` rather than
-hard-coding the id span.
+every file.  AVI006 resolves call names through the file's import
+bindings; AVI008 follows calls across modules through the graph.  Use
+``rule_range()`` rather than hard-coding the id span.
 
 Run it with ``python -m avipack.analysis [paths]`` (text report, exit
 1 on findings) or ``--list-rules``.  A finding is silenced only inline,

@@ -14,6 +14,9 @@ cross-module view, and this module supplies it:
   call graph with a transitive *blocking* classification and a witness
   chain for diagnostics.
 
+AVI006 reuses the bindings alone, through :func:`call_target`, to name
+the function a call really invokes.
+
 Resolution is conservative by construction — a call is only resolved
 when its target is structurally evident (a direct name binding, a
 ``self.method``, a ``self.attr.method`` whose attribute type is
@@ -37,6 +40,7 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "ProjectGraph",
+    "call_target",
     "graph_of",
     "summarize",
 ]
@@ -126,6 +130,32 @@ def _dotted(node: ast.expr) -> Optional[str]:
         return None
     parts.append(current.id)
     return ".".join(reversed(parts))
+
+
+def _resolve_dotted(bindings: Dict[str, str], dotted: str) -> str:
+    """Normalise an aliased dotted call head (``socket_mod.x``)."""
+    head, _, rest = dotted.partition(".")
+    bound = bindings.get(head)
+    if bound is not None and ":" not in bound and rest:
+        return f"{bound}.{rest}"
+    if bound is not None and ":" in bound:
+        # ``from time import sleep`` -> sleep(); ``from os import
+        # path`` -> path.x (the symbol is itself a module).
+        module, _, symbol = bound.partition(":")
+        return (f"{module}.{symbol}.{rest}" if rest
+                else f"{module}.{symbol}")
+    return dotted
+
+
+def call_target(bindings: Dict[str, str], call: ast.Call) -> Optional[str]:
+    """Dotted name ``call`` invokes, through the file's import bindings.
+
+    ``from os import replace as swap; swap(a, b)`` -> ``"os.replace"``;
+    unbound heads are returned as written; ``None`` for calls that are
+    not a pure name/attribute chain (``f()()``, ``x[0]()``).
+    """
+    dotted = _dotted(call.func)
+    return None if dotted is None else _resolve_dotted(bindings, dotted)
 
 
 def _resolve_relative(package_parts: Tuple[str, ...], level: int,
@@ -283,7 +313,7 @@ class _Extractor:
             return
         dotted = _dotted(func)
         if dotted is not None:
-            resolved = self._resolve_dotted_call(dotted)
+            resolved = _resolve_dotted(self.summary.bindings, dotted)
             if resolved in _BLOCKING_CALLS:
                 blocking.append(BlockingOp(line, col,
                                            _BLOCKING_CALLS[resolved]))
@@ -302,20 +332,6 @@ class _Extractor:
                     line, col,
                     f"socket.{func.attr}() performs blocking network "
                     f"I/O"))
-
-    def _resolve_dotted_call(self, dotted: str) -> str:
-        """Normalise an aliased dotted call head (``socket_mod.x``)."""
-        head, _, rest = dotted.partition(".")
-        bound = self.summary.bindings.get(head)
-        if bound is not None and ":" not in bound and rest:
-            return f"{bound}.{rest}"
-        if bound is not None and ":" in bound:
-            # ``from time import sleep`` -> sleep(); ``from os import
-            # path`` -> path.x (the symbol is itself a module).
-            module, _, symbol = bound.partition(":")
-            return (f"{module}.{symbol}.{rest}" if rest
-                    else f"{module}.{symbol}")
-        return dotted
 
     def _project_ref(self, dotted: str, class_name: Optional[str],
                      local_types: Dict[str, str]) -> Optional[str]:

@@ -68,7 +68,7 @@ def all_rules() -> Tuple[Rule, ...]:
 
 
 def rule_range() -> str:
-    """Human-readable id range of the registry, e.g. ``AVI002-AVI009``.
+    """Human-readable id range of the registry, e.g. ``AVI002-AVI008``.
 
     Derived, never hardcoded: CLI help and docs pull from here so a new
     rule cannot leave a stale range behind.
@@ -86,5 +86,4 @@ def rule_range() -> str:
 from . import async_blocking  # noqa: E402,F401
 from . import atomic_writes  # noqa: E402,F401
 from . import error_taxonomy  # noqa: E402,F401
-from . import persist_ordering  # noqa: E402,F401
 from . import pickle_safety  # noqa: E402,F401

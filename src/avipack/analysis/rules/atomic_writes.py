@@ -1,35 +1,38 @@
-"""AVI006 — persisted artefacts must be written atomically.
+"""AVI006 — durable files are written in one place.
 
-The durability layer (PR 5) guarantees that every on-disk artefact a
-crash can interrupt — journals, baselines, caches, benchmark records —
-is either the old version or the new version, never a torn half-write.
-That guarantee dies wherever code opens the destination path directly
-in write mode: a crash (or a concurrent reader) between ``open`` and
-``close`` observes a truncated file.  This rule flags the non-atomic
-idiom at the source:
+Every artifact a crash can interrupt — shards, checkpoints, manifests,
+quarantine sidecars, reports, bench baselines — is published by
+:func:`avipack.durability.files.atomic_write` (write, flush,
+``os.fsync``, ``os.replace`` through a same-directory temp) and locked
+by :func:`~avipack.durability.files.open_locked`.  That ordering is
+pinned by the durability package's own tests, so this rule does not
+re-derive it per call site; it keeps the idiom from reappearing
+anywhere else:
 
+* outside the ``avipack/durability/`` package, any call to
+  ``os.replace``, ``os.rename``, ``os.fsync``, ``fcntl.flock``,
+  ``fcntl.lockf`` or ``tempfile.mkstemp`` is a finding, correctly
+  ordered or not.  Names resolve through the file's module-level import
+  bindings, so ``from os import replace as swap`` is caught too;
 * ``open(path, "w")`` where the destination is a JSON-ish literal
   (``*.json`` / ``*.jsonl``) or where the opened stream receives a
   ``json.dump`` in the enclosing ``with`` — a persisted document, not
-  a scratch file;
+  a scratch file — torn by a crash between ``open`` and ``close``;
 * ``path.write_text(json.dumps(...))`` / ``write_bytes`` of an encoded
   ``json.dumps`` — the same torn-write window behind a helper.
 
-The accepted idiom — write the full payload to a temporary file in the
-*same directory*, flush, then ``os.replace`` it onto the destination —
-exempts the enclosing function: any scope that calls ``os.replace``
-is presumed to be implementing exactly that pattern.  Appends
-(``"a"`` modes) are out of scope: the journal's record-level framing
-handles torn appends by design.
+Appends (``"a"`` modes) are out of scope: the journal's record-level
+framing handles torn appends by design.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional
 
 from ..context import FileContext
 from ..findings import Finding, Severity
+from ..project import call_target, graph_of
 from . import Rule, register
 
 __all__ = ["AVI006AtomicPersist"]
@@ -38,8 +41,13 @@ __all__ = ["AVI006AtomicPersist"]
 #: stream usage cannot be traced.
 _PERSISTED_SUFFIXES = (".json", ".jsonl")
 
-_SUGGESTION = ("write the payload to a temp file in the same directory "
-               "and os.replace() it onto the destination")
+_SUGGESTION = ("publish with avipack.durability.files.atomic_write() "
+               "and lock with open_locked()")
+
+#: Durable-file primitives only ``avipack/durability/`` may call.
+_DURABLE_PRIMITIVES = frozenset({
+    "os.replace", "os.rename", "os.fsync",
+    "fcntl.flock", "fcntl.lockf", "tempfile.mkstemp"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -113,22 +121,29 @@ def _calls_json_dumps(node: ast.expr) -> bool:
 
 @register
 class AVI006AtomicPersist(Rule):
-    """Flag non-atomic writes of persisted JSON documents."""
+    """Flag durable-file writes made outside the one publish site."""
 
     rule_id = "AVI006"
     name = "atomic-persist"
     severity = Severity.ERROR
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
+        _, summary = graph_of(ctx)
+        outside_durability = ctx.package_parts[:2] != ("avipack",
+                                                       "durability")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             message = self._classify(ctx, node)
-            if message is None:
-                continue
-            if self._scope_uses_replace(ctx, node):
-                continue
-            yield self.finding(ctx, node, message, suggestion=_SUGGESTION)
+            if message is None and outside_durability:
+                target = call_target(summary.bindings, node)
+                if target in _DURABLE_PRIMITIVES:
+                    message = (f"{target}() outside avipack.durability: "
+                               "durable files are published and locked "
+                               "in one place")
+            if message is not None:
+                yield self.finding(ctx, node, message,
+                                   suggestion=_SUGGESTION)
 
     # -- classification ------------------------------------------------------
 
@@ -180,21 +195,3 @@ class AVI006AtomicPersist(Rule):
                     and isinstance(item.optional_vars, ast.Name):
                 return item.optional_vars.id
         return None
-
-    @staticmethod
-    def _scope_uses_replace(ctx: FileContext, call: ast.Call) -> bool:
-        """True when the enclosing function (or module, for module-level
-        code) also calls ``os.replace`` — the atomic-publish idiom."""
-        scope: ast.AST = ctx.tree
-        for ancestor in ctx.ancestors(call):
-            if isinstance(ancestor, _FUNCTION_NODES):
-                scope = ancestor
-                break
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "replace" \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == "os":
-                return True
-        return False

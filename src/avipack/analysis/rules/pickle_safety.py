@@ -21,7 +21,7 @@ parallelism the sweep engine exists to provide.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set
 
 from ..context import FileContext
 from ..findings import Finding, Severity

@@ -5,7 +5,7 @@ as the flagged construct (for multi-line statements: the line the
 statement *starts* on, which is where findings anchor)::
 
     raise ValueError("legacy API")  # avilint: disable=AVI002
-    os.replace(tmp, path)           # avilint: disable=AVI008,AVI009
+    os.replace(tmp, path)           # avilint: disable=AVI006,AVI008
     legacy_shim()                   # avilint: disable=all
 
 ``disable=all`` silences every rule on that line.  Suppressions are

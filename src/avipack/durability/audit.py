@@ -50,7 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AUDIT_BOARD_LIMIT_C", "audit_headroom_monotonicity",
            "audit_outcomes", "audit_result", "energy_balance_residual_c"]
 
-#: The 85 °C board acceptance rule the headroom checks audit against.
+#: The 85 °C board acceptance rule [°C]: the one definition behind
+#: ``CandidateResult.thermal_headroom_c``, the result store's headroom
+#: column and the headroom checks audited here.
 AUDIT_BOARD_LIMIT_C = 85.0
 
 #: Physical sanity ceiling for a board temperature [°C]; anything above

@@ -12,10 +12,11 @@ campaign's write-ahead journal.  Query primitives
 (:mod:`~avipack.results.report`) then answer "top 20 of a million" from
 typed columns alone, byte-identical to the in-memory ranking.
 
-Ingestion paths: live (``SweepRunner(result_store=...)`` streams
-outcomes through the journal observer) and offline
-(:func:`~avipack.results.ingest.ingest_journal` projects an existing
-write-ahead journal into a store).
+Ingestion paths: live (``SweepRunner(result_store=...)`` adds each
+outcome to a :class:`~avipack.results.store.ResultStoreWriter` after
+journalling it; a shard is published when it fills or at close) and
+offline (:func:`~avipack.results.ingest.ingest_journal` projects an
+existing write-ahead journal into a store).
 """
 
 from .ingest import IngestSummary, ingest_journal

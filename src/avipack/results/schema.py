@@ -21,6 +21,7 @@ from typing import Any, Tuple
 
 import numpy as np
 
+from ..durability.audit import AUDIT_BOARD_LIMIT_C
 from ..durability.journal import outcome_kind
 from ..fingerprint import stable_fingerprint
 
@@ -46,10 +47,6 @@ KIND_TIMEOUT = 2
 #: :func:`~avipack.durability.journal.outcome_kind` -> ``kind`` column.
 _KIND_CODES = {"completed": KIND_COMPLETED, "failed": KIND_FAILED,
                "timeout": KIND_TIMEOUT}
-
-#: The board-temperature limit [degC] behind ``thermal_headroom_c``
-#: (kept equal to :attr:`CandidateResult.thermal_headroom_c`).
-_BOARD_LIMIT_C = 85.0
 
 #: One outcome per row, packed little-endian.  Margin columns are NaN
 #: for failures.
@@ -160,7 +157,7 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
         row["worst_board_c"] = outcome.worst_board_c
         # Stored rather than derived at query time; the float64
         # subtraction here is bit-identical to the dataclass property.
-        row["thermal_headroom_c"] = _BOARD_LIMIT_C - outcome.worst_board_c
+        row["thermal_headroom_c"] = AUDIT_BOARD_LIMIT_C - outcome.worst_board_c
         margins = outcome.margins
         for name in _MARGIN_FIELDS:
             value = margins.get(name)

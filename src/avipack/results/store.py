@@ -182,12 +182,9 @@ class ResultStoreWriter:
         self.added_fingerprints: Set[str] = set()
         os.makedirs(directory, exist_ok=True)
         self._lock_stream = _open_writer_lock(directory)
-        self._next_shard = self._scan_next_shard()
+        self._next_shard = next_shard_number(directory)
         self._rows: Optional[np.ndarray] = None
         self._count = 0
-
-    def _scan_next_shard(self) -> int:
-        return next_shard_number(self.directory)
 
     def __enter__(self) -> "ResultStoreWriter":
         return self
@@ -231,10 +228,6 @@ class ResultStoreWriter:
         self._count = 0
         self.shards_sealed += 1
         _perf.increment("results.shards_written")
-
-    def flush(self) -> None:
-        """Seal the partial shard now (durability checkpoint)."""
-        self._seal()
 
     def close(self) -> None:
         """Seal any partial shard and release the writer lock."""

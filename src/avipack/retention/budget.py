@@ -30,9 +30,15 @@ __all__ = ["DiskBudget", "RetentionPolicy", "directory_bytes"]
 def directory_bytes(path: str) -> int:
     """Total bytes of every regular file under ``path`` (0 if absent).
 
-    Tolerates concurrent deletion: a file that vanishes between
-    listing and ``stat`` simply contributes nothing.
+    A plain file counts as its own size.  Tolerates concurrent
+    deletion: a file that vanishes between listing and ``stat`` simply
+    contributes nothing.
     """
+    if os.path.isfile(path):
+        try:
+            return os.path.getsize(path)
+        except OSError:
+            return 0
     total = 0
     for root, _dirs, files in os.walk(path):
         for name in files:

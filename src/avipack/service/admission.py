@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 __all__ = ["AdmissionPolicy", "JobQueue", "Rejection", "admit"]
 
@@ -88,40 +88,36 @@ class JobQueue:
     """Priority-then-FIFO ready queue of job ids.
 
     Heap entries are ``(-priority, submit_order, job_id)``; removal
-    (queued-job cancellation) is lazy via a tombstone set, so pops stay
-    O(log n).
+    (queued-job cancellation) is lazy: ``_live`` holds the ids actually
+    queued, pops skip heap entries no longer in it, so pops stay
+    O(log n) and removing an id that was never queued changes nothing.
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, str]] = []
-        self._removed: set = set()
+        self._live: Set[str] = set()
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._removed)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._live)
 
     def push(self, job_id: str, priority: int, submit_order: int) -> None:
-        self._removed.discard(job_id)
+        self._live.add(job_id)
         heapq.heappush(self._heap, (-priority, submit_order, job_id))
 
     def pop(self) -> Optional[str]:
         """Highest-priority, oldest job id (``None`` when empty)."""
         while self._heap:
             _, _, job_id = heapq.heappop(self._heap)
-            if job_id in self._removed:
-                self._removed.discard(job_id)
-                continue
-            return job_id
+            if job_id in self._live:
+                self._live.discard(job_id)
+                return job_id
         return None
 
     def remove(self, job_id: str) -> None:
-        """Tombstone a queued job (cancellation before it ran)."""
-        self._removed.add(job_id)
+        """Drop a queued job (cancellation before it ran)."""
+        self._live.discard(job_id)
 
     def ids(self) -> List[str]:
         """Queued job ids in pop order (diagnostics only)."""
-        live = [entry for entry in self._heap
-                if entry[2] not in self._removed]
+        live = [entry for entry in self._heap if entry[2] in self._live]
         return [job_id for _, _, job_id in sorted(live)]

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from ..durability.files import atomic_write
 from ..errors import ServiceError
+from ..retention.budget import directory_bytes
 
 __all__ = ["ACTIVE_STATES", "TERMINAL_STATES", "Job", "JobStore"]
 
@@ -234,22 +235,7 @@ class JobStore:
 
     def job_bytes(self, job_id: str) -> int:
         """On-disk footprint of one job, result store included."""
-        total = 0
-        for path in self.job_paths(job_id):
-            if os.path.isdir(path):
-                for root, _dirs, files in os.walk(path):
-                    for name in files:
-                        try:
-                            total += os.path.getsize(
-                                os.path.join(root, name))
-                        except OSError:
-                            continue
-            else:
-                try:
-                    total += os.path.getsize(path)
-                except OSError:
-                    continue
-        return total
+        return sum(directory_bytes(path) for path in self.job_paths(job_id))
 
     def remove_job(self, job_id: str) -> int:
         """Delete every file of one evicted job; returns bytes removed.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ServiceError
 from ..fingerprint import stable_fingerprint
@@ -241,8 +241,6 @@ def normalize_submission(params: Dict[str, Any]) -> Dict[str, Any]:
     }
     if axes is not None:
         submission["axes"] = _validate_axes(axes)
-        if sample is not None and candidates is None:
-            pass  # sampled grid; size computed below
     else:
         if sample is not None:
             raise ProtocolError(

@@ -71,7 +71,6 @@ from ..sweep.runner import SweepRunner, SweepTask, evaluate_candidate
 from .admission import AdmissionPolicy, JobQueue, admit
 from .jobs import Job, JobStore
 from .protocol import (
-    TERMINAL_EVENTS,
     ProtocolError,
     build_candidates,
     decode_line,
@@ -115,8 +114,6 @@ class ServiceConfig:
     throttle_s: float = 0.0
     #: Events buffered per job for reconnect-and-replay.
     event_buffer: int = 10_000
-    #: Install SIGTERM/SIGINT drain handlers (main-thread loops only).
-    install_signal_handlers: bool = True
     #: High disk watermark [bytes] over ``journal_dir``: reaching it
     #: triggers a retention pass and latches degraded (``disk_low``)
     #: admission.  ``None`` disables the governor.
@@ -287,8 +284,7 @@ class SweepService:
             probe.close()
 
     def _install_signal_handlers(self) -> None:
-        if not self.config.install_signal_handlers:
-            return
+        """SIGTERM/SIGINT drain the server (main-thread loops only)."""
         if threading.current_thread() is not threading.main_thread():
             return
         assert self._loop is not None
@@ -959,14 +955,13 @@ class ThreadedService:
     """Run a :class:`SweepService` on a background thread (tests, demos,
     embedding into synchronous programs).
 
-    Signal handlers are disabled (loops off the main thread cannot own
-    them); stop the service with :meth:`stop`, which performs the same
-    graceful drain a SIGTERM would.
+    It installs no signal handlers (a loop off the main thread cannot
+    own them); stop the service with :meth:`stop`, which performs the
+    same graceful drain a SIGTERM would.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
-        self.config = dataclasses.replace(config,
-                                          install_signal_handlers=False)
+        self.config = config
         self.service = SweepService(self.config)
         self._thread: Optional[threading.Thread] = None
 
@@ -1013,7 +1008,3 @@ class ThreadedService:
                                       "ThreadedService.stop")
         if self._thread is not None:
             self._thread.join(timeout=timeout_s)
-
-
-#: Re-export for handlers that want the terminal vocabulary.
-TERMINAL_EVENT_TYPES = TERMINAL_EVENTS

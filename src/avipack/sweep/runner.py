@@ -55,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .. import perf as _perf
 from ..core.design_flow import run_design_procedure
 from ..core.report import summarize_margins
+from ..durability.audit import AUDIT_BOARD_LIMIT_C
 from ..errors import InputError, JournalError
 from ..perf import SolveStats
 from ..packaging.cooling import CoolingTechnique
@@ -150,7 +151,7 @@ class CandidateResult:
     @property
     def thermal_headroom_c(self) -> float:
         """Board-limit margin [°C]; larger is cooler."""
-        return 85.0 - self.worst_board_c
+        return AUDIT_BOARD_LIMIT_C - self.worst_board_c
 
     @property
     def recovered(self) -> bool:
@@ -385,9 +386,12 @@ class SweepRunner:
     result_store:
         Directory for a columnar
         :class:`~avipack.results.store.ResultStoreWriter`: every
-        outcome is appended to memory-mapped, checksummed shards as it
-        arrives (after journalling, when both are enabled), so ranking
-        and report analytics run zero-unpickle afterwards.  On
+        outcome becomes a row as it arrives (after journalling, when
+        both are enabled); rows are published as a checksummed,
+        memory-mapped shard when a shard fills
+        (:data:`~avipack.results.store.DEFAULT_SHARD_ROWS`, 65,536
+        rows) or when the run ends, so ranking and report analytics
+        run zero-unpickle afterwards.  On
         :meth:`resume`, outcomes restored from the journal that the
         store does not yet hold are backfilled, keeping store and
         report in lockstep.  ``None`` (default) keeps results

@@ -1,6 +1,4 @@
-"""Unit tests for the call graph (:mod:`avipack.analysis.project`)
-and the path-enumeration primitives (:mod:`avipack.analysis.flow`).
-"""
+"""Unit tests for the call graph (:mod:`avipack.analysis.project`)."""
 
 from __future__ import annotations
 
@@ -8,8 +6,12 @@ import ast
 import textwrap
 
 from avipack.analysis import FileContext
-from avipack.analysis.flow import enumerate_paths, must_precede
-from avipack.analysis.project import ProjectGraph, graph_of, summarize
+from avipack.analysis.project import (
+    ProjectGraph,
+    call_target,
+    graph_of,
+    summarize,
+)
 
 
 def ctx_of(rel_path, source):
@@ -41,6 +43,23 @@ class TestSummarize:
         assert summary.bindings["ResultStore"] \
             == "avipack.results:ResultStore"
         assert summary.bindings["np"] == "numpy"
+
+    def test_call_target_resolves_through_bindings(self):
+        ctx = ctx_of("src/avipack/mod.py", """
+            import os as system
+            from os import replace as swap
+
+            swap("a", "b")
+            system.fsync(3)
+            os.rename("a", "b")
+            name.replace(".", "_")
+            make()()
+        """)
+        bindings = summarize(ctx).bindings
+        calls = [node for node in ctx.tree.body
+                 if isinstance(node, ast.Expr)]
+        assert [call_target(bindings, call.value) for call in calls] == [
+            "os.replace", "os.fsync", "os.rename", "name.replace", None]
 
     def test_blocking_ops_and_async_flag(self):
         summary = summarize(ctx_of("src/avipack/mod.py", """
@@ -144,83 +163,3 @@ def pong(n):
         graph, summary = graph_of(ctx)
         assert summary.module == "avipack.mod"
         assert graph.blocking_chain("avipack.mod:pace") is not None
-
-# ---------------------------------------------------------------------------
-# Flow primitives
-# ---------------------------------------------------------------------------
-
-def paths_of(source):
-    tree = ast.parse(textwrap.dedent(source))
-    func = tree.body[0]
-
-    def events_of(node):
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call) \
-                    and isinstance(child.func, ast.Name):
-                yield child.func.id
-    return enumerate_paths(func.body, events_of)
-
-
-class TestFlow:
-    def test_if_explores_both_branches(self):
-        paths = paths_of("""
-            def f(x):
-                if x:
-                    a()
-                else:
-                    b()
-                c()
-        """)
-        assert sorted(paths) == [("a", "c"), ("b", "c")]
-
-    def test_return_terminates_a_path(self):
-        paths = paths_of("""
-            def f(x):
-                if x:
-                    return a()
-                b()
-        """)
-        assert sorted(paths) == [("a",), ("b",)]
-
-    def test_try_handler_entered_with_empty_prefix(self):
-        paths = paths_of("""
-            def f(x):
-                try:
-                    a()
-                except ValueError:
-                    b()
-                finally:
-                    c()
-        """)
-        assert ("a", "c") in paths
-        assert ("b", "c") in paths  # handler path: a() may never run
-
-    def test_loop_runs_zero_and_one_times(self):
-        paths = paths_of("""
-            def f(xs):
-                for x in xs:
-                    a()
-                b()
-        """)
-        assert ("b",) in paths
-        assert ("a", "b") in paths
-
-    def test_overflow_returns_none(self):
-        branches = "\n".join(
-            f"    if x{i}:\n        a()\n    else:\n        b()"
-            for i in range(12))
-        source = "def f(**kw):\n" + branches + "\n    c()\n"
-        tree = ast.parse(source)
-
-        def events_of(node):
-            return ()
-        assert enumerate_paths(tree.body[0].body, events_of,
-                               max_paths=16) is None
-
-    def test_must_precede(self):
-        paths = (("w", "f", "r"), ("w", "r"))
-        violation = must_precede(paths,
-                                 lambda e: e == "f", lambda e: e == "r")
-        assert violation == "r"
-        assert must_precede((("f", "r"),), lambda e: e == "f",
-                            lambda e: e == "r") is None

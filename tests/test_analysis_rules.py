@@ -1,4 +1,4 @@
-"""Per-rule fixtures for :mod:`avipack.analysis` (AVI002-AVI009).
+"""Per-rule fixtures for :mod:`avipack.analysis` (AVI002-AVI008).
 
 Every rule gets at least: one positive fixture proving it fires, one
 negative fixture proving it stays quiet on conforming code, and one
@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from avipack.analysis import AnalysisEngine, FileContext
 
 IN_PACKAGE = "src/avipack/somemodule.py"
+DURABILITY = "src/avipack/durability/files.py"
 OUTSIDE = "scripts/tool.py"
 
 
@@ -230,21 +233,116 @@ class TestAVI006:
         """, path=OUTSIDE)
         assert rule_ids(findings) == ["AVI006"]
 
-    def test_quiet_on_tmp_file_plus_os_replace(self):
-        # flush + fsync included: the durable idiom satisfies AVI009 too.
+    # A correctly ordered hand-rolled publish: write, flush, fsync,
+    # replace.  Only avipack/durability/ may spell it out.
+    DURABLE_PUBLISH = """
+        import os
+
+        def save(path, payload):
+            tmp = f"{path}.tmp.{os.getpid()}"
+            with open(tmp, "wb") as stream:
+                stream.write(payload)
+                stream.flush()
+                os.fsync(stream.fileno())
+            os.replace(tmp, path)
+    """
+
+    def test_tmp_file_plus_os_replace_flagged_outside_durability(self):
+        findings = run_rules(self.DURABLE_PUBLISH)
+        assert rule_ids(findings) == ["AVI006"]
+        assert sorted(f.message.split("()")[0] for f in findings) \
+            == ["os.fsync", "os.replace"]
+        assert "atomic_write" in findings[0].suggestion
+
+    def test_full_durable_idiom_quiet_under_durability(self):
+        assert run_rules(self.DURABLE_PUBLISH, path=DURABILITY) == []
+
+    def test_fires_when_a_branch_skips_the_fsync(self):
         findings = run_rules("""
             import json
             import os
 
-            def save(path, payload):
+            def publish(path, payload, durable):
                 tmp = f"{path}.tmp.{os.getpid()}"
                 with open(tmp, "w", encoding="utf-8") as stream:
                     json.dump(payload, stream)
                     stream.flush()
+                    if durable:
+                        os.fsync(stream.fileno())
+                os.replace(tmp, path)
+        """)
+        assert rule_ids(findings) == ["AVI006"]
+        assert any(f.message.startswith("os.replace()") for f in findings)
+
+    def test_fires_on_fsync_without_flush(self):
+        findings = run_rules("""
+            import json
+            import os
+
+            def publish(path, payload):
+                tmp = f"{path}.tmp.{os.getpid()}"
+                with open(tmp, "w", encoding="utf-8") as stream:
+                    json.dump(payload, stream)
                     os.fsync(stream.fileno())
                 os.replace(tmp, path)
         """)
+        assert rule_ids(findings) == ["AVI006"]
+        assert any(f.message.startswith("os.fsync()") for f in findings)
+
+    def test_fires_on_rename_only_use_of_replace(self):
+        findings = run_rules("""
+            import os
+
+            def quarantine(shard, graveyard):
+                os.replace(shard, graveyard)
+        """)
+        assert rule_ids(findings) == ["AVI006"]
+        assert findings[0].symbol == "quarantine"
+
+    def test_fires_on_aliased_from_import(self):
+        findings = run_rules("""
+            from os import replace as swap
+
+            def rotate(old, new):
+                swap(old, new)
+        """)
+        assert rule_ids(findings) == ["AVI006"]
+        assert findings[0].message.startswith("os.replace()")
+
+    @pytest.mark.parametrize("call", [
+        "os.rename(a, b)", "fcntl.flock(a, b)", "fcntl.lockf(a, b)",
+        "tempfile.mkstemp(dir=a)"])
+    def test_fires_on_every_durable_primitive(self, call):
+        findings = run_rules(f"""
+            import fcntl
+            import os
+            import tempfile
+
+            def touch(a, b):
+                {call}
+        """, path=OUTSIDE)
+        assert rule_ids(findings) == ["AVI006"]
+        assert findings[0].message.startswith(call.split("(")[0] + "()")
+
+    def test_quiet_on_lookalike_replace_and_rename(self):
+        findings = run_rules("""
+            import os
+
+            def tidy(path, name, frame):
+                os.path.join(path, name.replace(".", "_"))
+                frame.rename(columns={"a": "b"})
+        """)
         assert findings == []
+
+    def test_suppressed_on_os_replace_line(self, tmp_path):
+        active, suppressed = run_engine("""
+            import os
+
+            def rotate(old, new):
+                os.replace(old, new)  # avilint: disable=AVI006
+        """, tmp_path=tmp_path)
+        assert active == []
+        assert rule_ids(suppressed) == ["AVI006"]
 
     def test_quiet_on_append_mode(self):
         findings = run_rules("""
@@ -306,6 +404,7 @@ class TestAVI008:
         assert "open()" in findings[0].message
 
     def test_fires_through_a_sync_helper(self):
+        # Under durability/, where AVI006 allows the primitive.
         findings = run_rules("""
             import os
 
@@ -314,13 +413,14 @@ class TestAVI008:
 
             async def persist(tmp, path):
                 _publish(tmp, path)
-        """)
+        """, path=DURABILITY)
         assert rule_ids(findings) == ["AVI008"]
         assert "_publish" in findings[0].message
         assert "os.replace" in findings[0].message
         assert findings[0].symbol == "persist"
 
     def test_fires_through_a_method_chain(self):
+        # Under durability/, where AVI006 allows the primitive.
         findings = run_rules("""
             import os
 
@@ -334,7 +434,7 @@ class TestAVI008:
 
                 async def run(self, path):
                     self.store.save(path)
-        """)
+        """, path=DURABILITY)
         assert rule_ids(findings) == ["AVI008"]
         assert "self.store.save" in findings[0].message
 
@@ -378,84 +478,3 @@ class TestAVI008:
         """, tmp_path=tmp_path)
         assert active == []
         assert rule_ids(suppressed) == ["AVI008"]
-
-
-# ---------------------------------------------------------------------------
-# AVI009 — flow-sensitive atomic-persist ordering
-# ---------------------------------------------------------------------------
-
-class TestAVI009:
-    def test_fires_when_a_branch_skips_the_fsync(self):
-        findings = run_rules("""
-            import json
-            import os
-
-            def publish(path, payload, durable):
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream)
-                    stream.flush()
-                    if durable:
-                        os.fsync(stream.fileno())
-                os.replace(tmp, path)
-        """)
-        assert "AVI009" in rule_ids(findings)
-        messages = [f.message for f in findings
-                    if f.rule_id == "AVI009"]
-        assert any("no os.fsync()" in m for m in messages)
-
-    def test_fires_on_fsync_without_flush(self):
-        findings = run_rules("""
-            import json
-            import os
-
-            def publish(path, payload):
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream)
-                    os.fsync(stream.fileno())
-                os.replace(tmp, path)
-        """)
-        assert "AVI009" in rule_ids(findings)
-        messages = [f.message for f in findings
-                    if f.rule_id == "AVI009"]
-        assert any("without a preceding flush" in m for m in messages)
-
-    def test_quiet_on_the_full_durable_idiom(self):
-        findings = run_rules("""
-            import json
-            import os
-
-            def publish(path, payload):
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream)
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                os.replace(tmp, path)
-        """)
-        assert findings == []
-
-    def test_quiet_on_rename_only_use_of_replace(self):
-        findings = run_rules("""
-            import os
-
-            def quarantine(shard, graveyard):
-                os.replace(shard, graveyard)
-        """)
-        assert findings == []
-
-    def test_suppressed(self, tmp_path):
-        active, suppressed = run_engine("""
-            import json
-            import os
-
-            def publish(path, payload):
-                tmp = f"{path}.tmp.{os.getpid()}"
-                with open(tmp, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream)
-                    stream.flush()
-                os.replace(tmp, path)  # avilint: disable=AVI009
-        """, tmp_path=tmp_path)
-        assert active == []
-        assert rule_ids(suppressed) == ["AVI009"]

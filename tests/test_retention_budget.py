@@ -16,6 +16,10 @@ class TestDirectoryBytes:
         (nested / "b.bin").write_bytes(b"y" * 23)
         assert directory_bytes(str(tmp_path)) == 123
 
+    def test_plain_file_counts_as_its_own_size(self, tmp_path):
+        (tmp_path / "j000001.journal.jsonl").write_bytes(b"x" * 77)
+        assert directory_bytes(str(tmp_path / "j000001.journal.jsonl")) == 77
+
     def test_missing_directory_is_zero(self, tmp_path):
         assert directory_bytes(str(tmp_path / "absent")) == 0
 

@@ -229,6 +229,19 @@ class TestJobQueue:
         assert queue.pop() == "b"
         assert queue.pop() is None
 
+    def test_remove_of_never_queued_id_changes_nothing(self):
+        # A cancel that lands before its submit's push: the id was
+        # never queued, so the queue must not count it.
+        queue = JobQueue()
+        queue.remove("ghost")
+        assert len(queue) == 0
+        assert not queue
+        queue.push("a", 0, 0)
+        assert len(queue) == 1
+        assert queue.pop() == "a"
+        assert len(queue) == 0
+        assert queue.pop() is None
+
     def test_ids_in_pop_order(self):
         queue = JobQueue()
         queue.push("a", 0, 0)
@@ -301,6 +314,17 @@ class TestJobStore:
                      if ".tmp." in name.name]
         assert leftovers == []
 
+
+    def test_job_bytes_sums_files_and_store_directory(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        store.save(make_job(tmp_path=tmp_path))
+        manifest = (tmp_path / "j000001.manifest.json").stat().st_size
+        (tmp_path / "j000001.journal.jsonl").write_bytes(b"j" * 100)
+        shards = tmp_path / "j000001.results"
+        shards.mkdir()
+        (shards / "shard-000000.rows").write_bytes(b"r" * 40)
+        (tmp_path / "j000002.journal.jsonl").write_bytes(b"n" * 7)
+        assert store.job_bytes("j000001") == manifest + 100 + 40
 
 class TestServiceStats:
     def test_reject_counting(self):

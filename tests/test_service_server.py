@@ -12,7 +12,10 @@ of killing the process (the subprocess drills live in
 
 import os
 import shutil
+import signal
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -23,6 +26,7 @@ from avipack.service import (
     ServiceConfig,
     ThreadedService,
 )
+from avipack.service.jobs import JobStore
 from avipack.sweep import DesignSpace, SweepRunner
 
 #: Mixed-compliance space (8 of 12 comply) shared with the chaos tests.
@@ -59,6 +63,20 @@ def make_config(sockets, tmp_path, name="a", **overrides):
         stall_timeout_s=60.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
+
+
+class TestThreadedService:
+    def test_start_stop_leaves_signal_handlers_as_found(self, sockets,
+                                                         tmp_path):
+        # The loop runs off the main thread, which cannot own signal
+        # handlers: SIGTERM/SIGINT must be exactly as they were.
+        signals = (signal.SIGTERM, signal.SIGINT)
+        before = [signal.getsignal(signum) for signum in signals]
+        config = make_config(sockets, tmp_path)
+        with ThreadedService(config):
+            assert ServiceClient(config.socket_path).ping()["ok"]
+            assert [signal.getsignal(s) for s in signals] == before
+        assert [signal.getsignal(s) for s in signals] == before
 
 
 class TestSubmitAndComplete:
@@ -257,6 +275,52 @@ class TestCancellation:
         replay = replay_journal(journal, write_quarantine=False)
         assert replay.n_quarantined == 0
         assert len(replay.outcomes) == final["done"]
+
+    def test_cancel_during_submit_save_keeps_queue_count(
+            self, sockets, tmp_path, monkeypatch):
+        # Hold the submit's manifest save until a cancel has landed: the
+        # job is registered but was never pushed onto the ready queue,
+        # so the cancel must not leave the queue counting it.
+        saving, release = threading.Event(), threading.Event()
+        original = JobStore.save_manifest
+
+        def held_save(store, job_id, manifest):
+            if job_id == "j000000" and not release.is_set():
+                saving.set()
+                release.wait(timeout=30.0)
+            original(store, job_id, manifest)
+
+        monkeypatch.setattr(JobStore, "save_manifest", held_save)
+        config = make_config(sockets, tmp_path)
+        replies = {}
+
+        def call(name, op, *args, **kwargs):
+            replies[name] = getattr(
+                ServiceClient(config.socket_path), op)(*args, **kwargs)
+
+        with ThreadedService(config):
+            client = ServiceClient(config.socket_path)
+            submit = threading.Thread(target=call, args=("submit", "submit"),
+                                      kwargs={"axes": AXES, "sample": 2})
+            submit.start()
+            assert saving.wait(timeout=30.0)
+            cancel = threading.Thread(target=call,
+                                      args=("cancel", "cancel", "j000000"))
+            cancel.start()
+            deadline = time.monotonic() + 30.0
+            while client.status("j000000")["state"] != "cancelled":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            release.set()
+            submit.join(timeout=30.0)
+            cancel.join(timeout=30.0)
+            assert replies["submit"]["state"] == "cancelled"
+            assert replies["cancel"]["state"] == "cancelled"
+            assert client.stats()["queued"] == 0
+            later = client.submit(axes=AXES, sample=2, seed=3)
+            assert later["state"] == "queued"
+            assert client.wait(later["job_id"],
+                               timeout_s=120.0)["state"] == "completed"
 
     def test_cancel_terminal_job_refused(self, sockets, tmp_path):
         config = make_config(sockets, tmp_path)
