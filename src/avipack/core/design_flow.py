@@ -19,18 +19,15 @@ The flow object here is deliberately close to the industrial artefact:
   the "design at a minimum cost and in one shot" objective.
 
 Both branch runners are plain module-level functions (hence picklable
-for process-pool sweeps), accept an optional solver ``cache`` (any
-object with ``get_or_compute(key, compute)``), and can be replaced
-wholesale through :func:`run_design_procedure`'s ``thermal_branch`` /
-``mechanical_branch`` injection points — the hooks
-:mod:`avipack.sweep` uses to batch-evaluate candidate stacks.
+for process-pool sweeps) and accept an optional solver ``cache`` (any
+object with ``get_or_compute(key, compute)``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..environments.do160 import (
     TemperatureCategory,
@@ -204,10 +201,6 @@ def run_thermal_branch(rack: Rack, spec: PackagingSpecification,
                        supervisor=supervisor)
 
 
-#: Signature shared by injectable Fig. 1 branch runners.
-BranchRunner = Callable[..., object]
-
-
 @dataclass(frozen=True)
 class DesignReview:
     """The packaging design document's verdict block."""
@@ -228,8 +221,6 @@ def run_design_procedure(rack: Rack, spec: PackagingSpecification,
                          parts: Optional[List[PartReliability]] = None,
                          strict: bool = False,
                          cache=None,
-                         thermal_branch: Optional[BranchRunner] = None,
-                         mechanical_branch: Optional[BranchRunner] = None,
                          supervisor=None) -> DesignReview:
     """Run the full Fig. 1 procedure on a rack against a specification.
 
@@ -238,25 +229,16 @@ def run_design_procedure(rack: Rack, spec: PackagingSpecification,
     design raises :class:`SpecificationError` instead of returning.
 
     ``cache`` memoises solver sub-results across calls (see
-    :mod:`avipack.sweep.cache`); ``thermal_branch`` and
-    ``mechanical_branch`` replace the default branch runners
-    (:func:`run_thermal_branch`, :func:`run_mechanical_branch`) — both
-    are called as ``branch(rack, spec, cache=cache)``.
+    :mod:`avipack.sweep.cache`).
 
     ``supervisor`` (an :class:`avipack.resilience.Supervisor`, optional)
     applies the campaign's retry/escalation/degradation policy to the
-    default thermal branch — the paper's iterate-until-compliant loop
-    made survivable.  Custom branch runners keep their historical
-    two-argument call shape and are not supervised here.
+    thermal branch — the paper's iterate-until-compliant loop made
+    survivable.
     """
-    mechanical_runner = (mechanical_branch if mechanical_branch is not None
-                         else run_mechanical_branch)
-    if thermal_branch is not None:
-        thermal = thermal_branch(rack, spec, cache=cache)
-    else:
-        thermal = run_thermal_branch(rack, spec, cache=cache,
-                                     supervisor=supervisor)
-    mechanical = mechanical_runner(rack, spec, cache=cache)
+    thermal = run_thermal_branch(rack, spec, cache=cache,
+                                 supervisor=supervisor)
+    mechanical = run_mechanical_branch(rack, spec, cache=cache)
     violations: List[str] = []
     if not thermal.level1.is_feasible:
         violations.append("level1: no feasible cooling technique")

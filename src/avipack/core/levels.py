@@ -48,6 +48,8 @@ from ..packaging.cooling import (
 from ..packaging.pcb import Pcb, PcbDetailModel
 from ..packaging.rack import Rack, SlotResult
 from ..resilience.faults import fire as _fire_fault
+from ..resilience.policy import NO_SUPERVISION
+from ..resilience.supervisor import Supervisor
 from ..units import celsius_to_kelvin
 
 #: The paper's component environment ceiling (85 degC ambient rule).
@@ -322,23 +324,24 @@ def run_pyramid(rack: Rack,
     level-1 cooling envelope (default: the standard module envelope, as
     the preliminary-design scan has always assumed).
 
-    ``supervisor`` (an :class:`avipack.resilience.Supervisor`, optional)
-    wraps the iterative levels with the campaign's recovery policy:
-    transient :class:`~avipack.errors.ConvergenceError` at level 2/3 is
-    retried, and a level-3 component solve that stays broken degrades
-    to :func:`degraded_level3` when the policy allows — each attempt
-    recorded on the supervisor's recovery trails.
+    ``supervisor`` (an :class:`avipack.resilience.Supervisor`) wraps
+    the iterative levels with the campaign's recovery policy: transient
+    :class:`~avipack.errors.ConvergenceError` at level 2/3 is retried,
+    and a level-3 component solve that stays broken degrades to
+    :func:`degraded_level3` when the policy allows — each attempt
+    recorded on the supervisor's recovery trails.  ``None`` uses a
+    fresh ``Supervisor(NO_SUPERVISION)``: one attempt per level, and
+    failures propagate as raised.
     """
     if envelope is None:
         envelope = ModuleEnvelope()
     level1 = run_level1(max(rack.total_power, 1e-9), envelope=envelope,
                         ambient=ambient, cache=cache)
     if supervisor is None:
-        level2 = run_level2(rack, cache=cache)
-    else:
-        level2 = supervisor.call(
-            "levels.level2", lambda: run_level2(rack, cache=cache),
-            retry_on=(ConvergenceError,))
+        supervisor = Supervisor(NO_SUPERVISION)
+    level2 = supervisor.call(
+        "levels.level2", lambda: run_level2(rack, cache=cache),
+        retry_on=(ConvergenceError,))
     level3: Dict[str, Level3Result] = {}
     boards: Dict[int, Level3Board] = {}
     for module, slot in zip(rack.modules, level2.slots, strict=True):
@@ -349,9 +352,6 @@ def run_pyramid(rack: Rack,
             board = boards[id(module.pcb)] = Level3Board(module.pcb)
         boundary = 0.5 * (slot.inlet_temperature
                           + slot.outlet_temperature)
-        if supervisor is None:
-            level3[module.name] = run_level3(board, boundary, cache=cache)
-            continue
 
         def compute(board=board, b=boundary):
             return run_level3(board, b, cache=cache)

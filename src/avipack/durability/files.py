@@ -32,6 +32,7 @@ import json
 import os
 import re
 import tempfile
+import weakref
 from typing import Any, BinaryIO, Callable, Dict, Optional
 
 try:  # pragma: no cover - availability depends on the platform
@@ -99,9 +100,10 @@ def open_locked(path: str, refusal: Exception) -> BinaryIO:
     """Open ``path`` for append and take a non-blocking exclusive ``flock``.
 
     The lock lives on the open file description: closing the returned
-    stream, or the process dying however violently, releases it.  When
-    another process holds it, the stream is closed and ``refusal`` is
-    raised from the ``OSError``.  Without ``fcntl`` (non-POSIX) the
+    stream, or the process dying however violently, releases it.  A
+    forked child does not share it (see :func:`_drop_inherited_locks`).
+    When another process holds it, the stream is closed and ``refusal``
+    is raised from the ``OSError``.  Without ``fcntl`` (non-POSIX) the
     stream is returned unlocked.
     """
     stream = open(path, "ab")
@@ -112,7 +114,37 @@ def open_locked(path: str, refusal: Exception) -> BinaryIO:
     except OSError as exc:
         stream.close()
         raise refusal from exc
+    _LOCKED.add(stream)
     return stream
+
+
+#: Streams :func:`open_locked` handed out (closed ones drop out).
+_LOCKED: "weakref.WeakSet[BinaryIO]" = weakref.WeakSet()
+
+
+def _drop_inherited_locks() -> None:
+    """Point a forked child's copies of the lock descriptors at /dev/null.
+
+    A fork shares every open file description, and with it each
+    ``flock``: a pool worker forked while a journal or store was open
+    would hold that lock for as long as it lives.  A worker the
+    watchdog abandoned can outlive its campaign by far, and would then
+    refuse the next resume or compaction of that journal or store.  The
+    parent keeps its descriptor and its lock.
+    """
+    streams = [stream for stream in list(_LOCKED) if not stream.closed]
+    if not streams:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        for stream in streams:
+            os.dup2(devnull, stream.fileno())
+    finally:
+        os.close(devnull)
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
+    os.register_at_fork(after_in_child=_drop_inherited_locks)
 
 
 def quarantine(path: str, reason: Dict[str, Any]) -> None:

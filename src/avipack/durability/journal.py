@@ -188,11 +188,24 @@ class SweepJournal:
         """Open an existing journal for appending (resume path).
 
         Raises :class:`~avipack.errors.DurabilityError` when another
-        process holds the journal's advisory lock.
+        process holds the journal's advisory lock.  A torn last line
+        (the crash left no newline) is ended first, so the first
+        appended record starts a line of its own instead of being
+        glued to the damaged bytes and quarantined with them.
         """
         if not os.path.exists(path):
             raise JournalError(f"journal not found: {path}")
-        return cls(path, _open_locked(path), next_seq)
+        stream = _open_locked(path)
+        try:
+            if os.path.getsize(path):
+                with open(path, "rb") as tail:
+                    tail.seek(-1, os.SEEK_END)
+                    if tail.read(1) != b"\n":
+                        stream.write(b"\n")
+        except BaseException:
+            stream.close()
+            raise
+        return cls(path, stream, next_seq)
 
     def __enter__(self) -> "SweepJournal":
         return self

@@ -53,16 +53,6 @@ class Supervisor:
         """Every recovery trail recorded so far, in occurrence order."""
         return tuple(self._trails)
 
-    @property
-    def any_degraded(self) -> bool:
-        """True when any site survived only by lowering fidelity."""
-        return any(trail.degraded for trail in self._trails)
-
-    @property
-    def any_recovered(self) -> bool:
-        """True when any site recovered at full fidelity after a retry."""
-        return any(trail.recovered for trail in self._trails)
-
     def record(self, trail: RecoveryTrail) -> None:
         """Append a trail (used by :func:`solve_network` and helpers)."""
         self._trails.append(trail)

@@ -12,8 +12,9 @@ lands in the process-wide :mod:`avipack.perf` registry under the
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from .. import perf as _perf
 
@@ -86,34 +87,4 @@ class ServiceStats:
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready copy for the ``stats`` response."""
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "deduplicated": self.deduplicated,
-            "rejected": dict(self.rejected),
-            "n_rejected": self.n_rejected,
-            "started": self.started,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "interrupted": self.interrupted,
-            "recovered_jobs": self.recovered_jobs,
-            "restored_candidates": self.restored_candidates,
-            "evaluated_candidates": self.evaluated_candidates,
-            "heartbeats": self.heartbeats,
-            "events": self.events,
-            "connections": self.connections,
-            "replays": self.replays,
-            "replay_gaps": self.replay_gaps,
-            "drains": self.drains,
-            "retention_passes": self.retention_passes,
-            "compacted_jobs": self.compacted_jobs,
-            "evicted_jobs": self.evicted_jobs,
-            "reclaimed_bytes": self.reclaimed_bytes,
-        }
-
-    def to_lines(self) -> Tuple[str, ...]:
-        """Aligned plain-text rendering (report furniture)."""
-        snapshot = self.snapshot()
-        return tuple(f"{name:<22}: {value}"
-                     for name, value in snapshot.items())
+        return {**dataclasses.asdict(self), "n_rejected": self.n_rejected}

@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["DurabilityStats", "SweepReport", "render_sweep_document"]
 
 
+def _rank_key(outcome: "CandidateResult") -> Tuple[float, float, int]:
+    """Ranking order: cheapest, then coolest, then candidate index."""
+    return (outcome.cost_rank, -outcome.thermal_headroom_c, outcome.index)
+
+
 @dataclass(frozen=True)
 class DurabilityStats:
     """What the durability layer did for one (journalled) sweep.
@@ -119,10 +124,8 @@ class SweepReport:
         Ordering is fully deterministic: ascending installation-cost
         rank, then descending thermal headroom, then candidate index.
         """
-        compliant = [o for o in self.results if o.compliant]
-        return sorted(compliant,
-                      key=lambda o: (o.cost_rank, -o.thermal_headroom_c,
-                                     o.index))
+        return sorted((o for o in self.results if o.compliant),
+                      key=_rank_key)
 
     def top(self, k: int) -> List["CandidateResult"]:
         """The ``k`` best compliant candidates, in :meth:`ranked` order.
@@ -134,12 +137,8 @@ class SweepReport:
         """
         compliant = [o for o in self.results if o.compliant]
         if k >= len(compliant):
-            return sorted(compliant,
-                          key=lambda o: (o.cost_rank,
-                                         -o.thermal_headroom_c, o.index))
-        return heapq.nsmallest(
-            k, compliant,
-            key=lambda o: (o.cost_rank, -o.thermal_headroom_c, o.index))
+            return sorted(compliant, key=_rank_key)
+        return heapq.nsmallest(k, compliant, key=_rank_key)
 
     def best(self) -> Optional["CandidateResult"]:
         """The minimum-cost compliant candidate, if any."""

@@ -297,8 +297,7 @@ def evaluate_candidate(task: SweepTask, cache: Optional[SolverCache] = None
         worker_pid=os.getpid(),
         cache_hits=(cache.hits - hits0) if cache else 0,
         cache_misses=(cache.misses - misses0) if cache else 0,
-        degraded=(review.thermal.degraded
-                  if hasattr(review.thermal, "degraded") else False),
+        degraded=review.thermal.degraded,
         recovery=supervisor.trails,
         cache_corrupt=(cache.corrupt - corrupt0) if cache else 0,
         perf=_perf.delta_since(perf_before),

@@ -1,6 +1,10 @@
 """Shared fixtures for the avipack test suite."""
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings
 
 from avipack.packaging.seb import (
     SeatElectronicsBox,
@@ -10,6 +14,19 @@ from avipack.packaging.seb import (
 from avipack.mechanical.random_vibration import PowerSpectralDensity
 from avipack.twophase.heatpipe import standard_copper_water_heatpipe
 from avipack.twophase.loopheatpipe import cosee_ammonia_lhp
+from avipack.resilience import faults
+
+#: The route matrix's long search (CI: ``--hypothesis-profile=...``);
+#: the tier-1 run uses Hypothesis's default profile.
+settings.register_profile("route-matrix-long", max_examples=500)
+
+
+@pytest.fixture(autouse=True)
+def _no_fault_plan():
+    """No test starts or ends with a fault plan installed."""
+    faults.uninstall()
+    yield
+    faults.uninstall()
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +64,15 @@ def copper_water_hp():
 @pytest.fixture(scope="session")
 def cosee_lhp():
     return cosee_ammonia_lhp()
+
+
+@pytest.fixture()
+def sockets():
+    """A short /tmp directory for service sockets: AF_UNIX paths are
+    capped around 108 bytes, which pytest tmp paths can exceed."""
+    sock_dir = tempfile.mkdtemp(prefix="avisvc", dir="/tmp")
+    yield sock_dir
+    shutil.rmtree(sock_dir, ignore_errors=True)
 
 
 @pytest.fixture

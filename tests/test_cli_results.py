@@ -6,6 +6,7 @@ import os
 from avipack.__main__ import main
 from avipack.results import ResultStore, ranking_signature
 from avipack.sweep import DesignSpace, SweepRunner
+from tests.routes import report_signature
 
 
 def run_sweep_cli(tmp_path, *extra):
@@ -49,9 +50,7 @@ def test_store_dir_then_results_subcommand(tmp_path, capsys):
     store = ResultStore.open(str(store_dir))
     assert store.n_rows == 12
     baseline = expected_report()
-    assert ranking_signature(store) == [
-        (o.fingerprint, o.cost_rank, o.worst_board_c)
-        for o in baseline.ranked()]
+    assert ranking_signature(store) == report_signature(baseline)
 
     rc = main(["results", "--store", str(store_dir), "--top", "3"])
     out = capsys.readouterr().out

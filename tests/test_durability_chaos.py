@@ -16,12 +16,10 @@ import sys
 import textwrap
 import time
 
-import pytest
-
 from avipack.durability import replay_journal
-from avipack.resilience import faults as faults_mod
 from avipack.resilience.faults import FaultPlan, FaultSpec
 from avipack.sweep import DesignSpace, SweepRunner
+from tests.routes import report_signature
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,18 +50,6 @@ CHILD_SCRIPT = textwrap.dedent("""
     SweepRunner(parallel=False, evaluator=slow).run(
         space, journal_path=sys.argv[1])
 """)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    faults_mod.uninstall()
-    yield
-    faults_mod.uninstall()
-
-
-def ranking_signature(report):
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c)
-            for o in report.ranked()]
 
 
 class TestKillResume:
@@ -111,13 +97,13 @@ class TestKillResume:
         stats = resumed.durability
         assert stats.n_resumed >= 3
         assert stats.n_resumed + stats.n_recomputed == KILL_SPACE.size
-        assert ranking_signature(resumed) == ranking_signature(fresh)
+        assert report_signature(resumed) == report_signature(fresh)
 
         # The resumed journal is complete: one more resume restores
         # everything without recomputing.
         again = SweepRunner(parallel=False).resume(journal)
         assert again.durability.n_recomputed == 0
-        assert ranking_signature(again) == ranking_signature(fresh)
+        assert report_signature(again) == report_signature(fresh)
 
 
 class TestInjectedJournalDamage:
@@ -148,14 +134,14 @@ class TestInjectedJournalDamage:
         assert stats.n_resumed == 3
         assert stats.n_recomputed == 3
         assert stats.n_audit_failures == 0
-        assert ranking_signature(resumed) == ranking_signature(fresh)
+        assert report_signature(resumed) == report_signature(fresh)
         assert os.path.exists(journal + ".quarantine")
 
         # Convergence: the resume journalled its recomputes, so the
         # next resume trusts everything.
         again = SweepRunner(parallel=False).resume(journal)
         assert again.durability.n_recomputed == 0
-        assert ranking_signature(again) == ranking_signature(fresh)
+        assert report_signature(again) == report_signature(fresh)
 
     def test_random_rate_damage_never_crashes_resume(self, tmp_path):
         # Seeded but untargeted: whatever the coin flips hit, resume
@@ -174,5 +160,5 @@ class TestInjectedJournalDamage:
         resumed = SweepRunner(parallel=False).resume(journal)
         stats = resumed.durability
         assert stats.n_resumed + stats.n_recomputed == 6
-        assert ranking_signature(resumed) == ranking_signature(reference)
-        assert ranking_signature(fresh) == ranking_signature(reference)
+        assert report_signature(resumed) == report_signature(reference)
+        assert report_signature(fresh) == report_signature(reference)

@@ -131,6 +131,27 @@ class TestLocksAndSweeps:
             held.close()
         open_locked(path, DurabilityError("released")).close()
 
+    def test_forked_child_does_not_hold_the_lock(self, tmp_path):
+        # A pool worker the watchdog abandons outlives its campaign; the
+        # lock it inherited must not outlive the parent's stream.
+        path = str(tmp_path / "artifact.lock")
+        held = open_locked(path, DurabilityError("first"))
+        started, hold = os.pipe(), os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            os.write(started[1], b"x")
+            os.read(hold[0], 1)
+            os._exit(0)
+        try:
+            os.read(started[0], 1)
+            held.close()
+            open_locked(path, DurabilityError("inherited")).close()
+        finally:
+            os.write(hold[1], b"x")
+            os.waitpid(child, 0)
+            for fd in started + hold:
+                os.close(fd)
+
     def test_sweep_removes_only_matching_temps(self, tmp_path):
         names = ["j.jsonl", "j.jsonl.tmp.ab_12", "j.jsonl.tmp.4242",
                  "j.jsonl.quarantine.tmp.x1", "jj.jsonl.tmp.y2",

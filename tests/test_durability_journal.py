@@ -27,13 +27,6 @@ from avipack.resilience import faults as faults_mod
 from avipack.sweep import Candidate, CandidateFailure, CandidateResult
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_plan():
-    faults_mod.uninstall()
-    yield
-    faults_mod.uninstall()
-
-
 def make_candidates(n=3):
     return tuple(Candidate(power_per_module=10.0 + 5.0 * i)
                  for i in range(n))
@@ -136,6 +129,21 @@ class TestRoundTrip:
         assert again.n_quarantined == 0
         assert len(again.outcomes) == 2
         assert again.next_seq == replay.next_seq + 1
+
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        candidates = make_candidates(2)
+        path = tmp_path / "sweep.jsonl"
+        write_journal(path, candidates, [make_result(0, candidates[0])])
+        torn = path.read_bytes()[:-40]
+        path.write_bytes(torn)
+        replay = replay_journal(str(path), write_quarantine=False)
+        with SweepJournal.append_to(str(path),
+                                    next_seq=replay.next_seq) as journal:
+            journal.record_outcome(make_result(1, candidates[1]))
+        assert path.read_bytes().startswith(torn + b"\n")
+        again = replay_journal(str(path), write_quarantine=False)
+        assert candidates[1].fingerprint in again.outcomes
+        assert again.n_quarantined == 1
 
     def test_append_to_missing_journal_raises(self, tmp_path):
         with pytest.raises(JournalError):

@@ -34,6 +34,7 @@ from avipack.results.store import _header_line, publish_shard
 from avipack.retention import compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
+from tests.routes import report_signature
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 30.0),
@@ -166,8 +167,7 @@ class TestLegacyJournal:
         assert old.durability.n_audit_failures == 0
         assert old.outcomes == plain.outcomes
         assert old.perf == plain.perf
-        assert [o.fingerprint for o in old.ranked()] \
-            == [o.fingerprint for o in plain.ranked()]
+        assert report_signature(old) == report_signature(plain)
 
 
 class TestLegacyStore:

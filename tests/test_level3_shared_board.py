@@ -51,13 +51,6 @@ from avipack.thermal.conduction import (
 FEEDS = {"series": 1.0, "parallel": 0.0}
 
 
-@pytest.fixture(autouse=True)
-def _clean_installation():
-    faults_mod.uninstall()
-    yield
-    faults_mod.uninstall()
-
-
 def shared_and_distinct(series_fraction, n_modules=4):
     """The same candidate as a shared-board rack and as one board per
     slot (equal content, distinct objects)."""

@@ -17,13 +17,6 @@ from avipack.resilience import faults as faults_mod
 from avipack.sweep import SolverCache
 
 
-@pytest.fixture(autouse=True)
-def _clean_installation():
-    faults_mod.uninstall()
-    yield
-    faults_mod.uninstall()
-
-
 def plan(*specs, **kwargs):
     return FaultPlan(specs=tuple(specs), **kwargs)
 

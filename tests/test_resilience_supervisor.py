@@ -14,10 +14,13 @@ from avipack.resilience import (
     DEFAULT_NETWORK_ESCALATION,
     NO_SUPERVISION,
     EscalationStep,
+    FaultPlan,
+    FaultSpec,
     Supervisor,
     SupervisionPolicy,
     solve_network,
 )
+from avipack.resilience import faults
 from avipack.sweep import Candidate
 from avipack.thermal.network import ThermalNetwork
 
@@ -83,8 +86,8 @@ class TestNetworkEscalation:
         solution = solve_network(ill_conditioned_network(k=0.08),
                                  supervisor=supervisor)
         assert solution.temperature("chip") == pytest.approx(350.0, abs=0.5)
-        assert supervisor.any_recovered
-        trail = supervisor.trails[0]
+        trail, = supervisor.trails
+        assert trail.recovered
         assert trail.site == "thermal.network.solve"
         assert trail.attempts[0].error_type == "ConvergenceError"
         assert trail.attempts[-1].ok
@@ -244,3 +247,10 @@ class TestSupervisedPyramid:
             == pytest.approx(plain.level2.worst_board_temperature)
         assert supervisor.trails == ()
         assert not supervised.degraded
+
+    def test_unsupervised_pyramid_propagates_level2_failure(self):
+        rack, _ = Candidate().build()
+        plan = FaultPlan(specs=(FaultSpec("levels.level2", "convergence"),))
+        faults.install(plan)
+        with pytest.raises(ConvergenceError, match="injected"):
+            run_pyramid(rack)

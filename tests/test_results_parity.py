@@ -1,26 +1,21 @@
-"""Store/journal parity: ingesting a replayed journal reproduces the
-in-memory ranking exactly — recovered, degraded and timed-out candidates
-included, quarantined-record gaps and all."""
+"""Journal -> store ingestion: status flags, quarantined records and
+re-ingestion.  Ranking parity of ingestion against every other route is
+checked by the route matrix (``test_route_matrix.py``)."""
 
 import json
 import os
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from avipack.durability.journal import SweepJournal, replay_journal
+from avipack.durability.journal import SweepJournal
 from avipack.fingerprint import stable_fingerprint
 from avipack.resilience.policy import RecoveryTrail
 from avipack.results import ResultStore, ingest_journal, ranking_signature
 from avipack.sweep.runner import CandidateFailure, CandidateResult
 from avipack.sweep.space import Candidate
-
-_LIMIT_C = 85.0
+from tests.routes import journal_outcomes, report_signature
 
 
 def build_outcome(index, spec):
-    """One outcome from a hypothesis-drawn ``spec`` dict."""
+    """One outcome from a ``spec`` dict."""
     candidate = Candidate(power_per_module=10.0 + index * 0.5,
                           n_modules=2 + index % 7)
     if spec["kind"] == "timeout":
@@ -86,59 +81,6 @@ def corrupt_outcome_records(path, victims):
     return corrupted
 
 
-def reference_signature(path):
-    """The in-memory ranking a resume of this journal would produce."""
-    replay = replay_journal(path, write_quarantine=False)
-    survivors = [o for o in replay.outcomes.values() if o.compliant]
-    ranked = sorted(survivors, key=lambda o: (o.cost_rank,
-                                              -o.thermal_headroom_c,
-                                              o.index))
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c) for o in ranked]
-
-
-outcome_specs = st.fixed_dictionaries({
-    "kind": st.sampled_from(["completed", "completed", "completed",
-                             "failed", "timeout"]),
-    "compliant": st.booleans(),
-    "cost_class": st.integers(min_value=0, max_value=2),
-    # Deci-degree grid forces headroom ties across candidates.
-    "worst_decidegrees": st.integers(min_value=500, max_value=840),
-    "degraded": st.booleans(),
-    "recovered": st.booleans(),
-})
-
-
-@settings(max_examples=25, deadline=None)
-@given(specs=st.lists(outcome_specs, min_size=1, max_size=40),
-       victims=st.sets(st.integers(min_value=0, max_value=39),
-                       max_size=5))
-def test_ingested_store_ranks_identically(tmp_path_factory, specs,
-                                          victims):
-    base = tmp_path_factory.mktemp("parity")
-    journal_path = str(base / "sweep.journal.jsonl")
-    store_dir = str(base / "store")
-    outcomes = [build_outcome(index, spec)
-                for index, spec in enumerate(specs)]
-    write_journal(journal_path, outcomes)
-    corrupt_outcome_records(journal_path, victims)
-
-    expected = reference_signature(journal_path)
-    summary = ingest_journal(journal_path, store_dir,
-                             write_quarantine=False)
-    store = ResultStore.open(store_dir)
-    assert ranking_signature(store) == expected
-    for k in (1, 3, len(expected) or 1):
-        assert ranking_signature(store, k) == expected[:k]
-    # Quarantined records are gaps, not rows.
-    survivors = len(replay_outcomes(journal_path))
-    assert summary.n_rows == survivors
-    assert store.n_rows == survivors
-
-
-def replay_outcomes(path):
-    return replay_journal(path, write_quarantine=False).outcomes
-
-
 def test_status_flags_survive_the_columnar_trip(tmp_path):
     journal_path = str(tmp_path / "sweep.journal.jsonl")
     store_dir = str(tmp_path / "store")
@@ -164,7 +106,7 @@ def test_status_flags_survive_the_columnar_trip(tmp_path):
     assert (store.column("error_type")[3].decode("ascii")
             == "WatchdogTimeout")
     # Identical headroom + cost: index breaks the tie deterministically.
-    assert ranking_signature(store) == reference_signature(journal_path)
+    assert ranking_signature(store) == report_signature(outcomes)
 
 
 def test_every_record_quarantined_yields_empty_store(tmp_path):
@@ -201,18 +143,5 @@ def test_reingesting_same_journal_is_idempotent_via_live_mask(tmp_path):
     assert store.n_rows == 18
     # ...but the live mask keeps one row per fingerprint, so the
     # ranking is unchanged.
-    assert ranking_signature(store) == reference_signature(journal_path)
-
-
-@pytest.mark.parametrize("shard_rows", [1, 4, 1000])
-def test_parity_holds_across_shard_sizes(tmp_path, shard_rows):
-    journal_path = str(tmp_path / "sweep.journal.jsonl")
-    store_dir = str(tmp_path / f"store-{shard_rows}")
-    specs = [{"kind": "completed", "compliant": True, "cost_class": i % 3,
-              "worst_decidegrees": 840 - i, "degraded": False,
-              "recovered": False} for i in range(25)]
-    outcomes = [build_outcome(i, spec) for i, spec in enumerate(specs)]
-    write_journal(journal_path, outcomes)
-    ingest_journal(journal_path, store_dir, shard_rows=shard_rows)
-    store = ResultStore.open(store_dir)
-    assert ranking_signature(store) == reference_signature(journal_path)
+    assert ranking_signature(store) \
+        == report_signature(journal_outcomes(journal_path))

@@ -17,6 +17,7 @@ from avipack.results import (
 )
 from avipack.sweep.runner import CandidateResult
 from avipack.sweep.space import Candidate
+from tests.routes import report_signature
 
 
 def synthetic_results(n, seed=0, tie_classes=4):
@@ -45,14 +46,6 @@ def synthetic_results(n, seed=0, tie_classes=4):
     return outcomes
 
 
-def reference_ranking(outcomes):
-    compliant = [o for o in outcomes if o.compliant]
-    ranked = sorted(compliant, key=lambda o: (o.cost_rank,
-                                              -o.thermal_headroom_c,
-                                              o.index))
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c) for o in ranked]
-
-
 @pytest.fixture(scope="module")
 def populated(tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("query") / "store")
@@ -64,13 +57,13 @@ def populated(tmp_path_factory):
 
 def test_full_ranking_matches_sorted_baseline(populated):
     store, outcomes = populated
-    assert ranking_signature(store) == reference_ranking(outcomes)
+    assert ranking_signature(store) == report_signature(outcomes)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 17, 100, 399, 400, 10_000])
 def test_top_k_equals_full_ranking_prefix(populated, k):
     store, outcomes = populated
-    expected = reference_ranking(outcomes)
+    expected = report_signature(outcomes)
     assert ranking_signature(store, k) == expected[:k]
 
 
@@ -82,7 +75,7 @@ def test_top_k_survives_single_cost_class(tmp_path):
     with ResultStoreWriter(directory) as writer:
         writer.add_many(outcomes)
     store = ResultStore.open(directory)
-    expected = reference_ranking(outcomes)
+    expected = report_signature(outcomes)
     for k in (1, 10, 299):
         assert ranking_signature(store, k) == expected[:k]
 

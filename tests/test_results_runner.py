@@ -7,7 +7,7 @@ import pytest
 from avipack import perf
 from avipack.results import ResultStore, ranking_signature
 from avipack.sweep import DesignSpace, SweepRunner, render_sweep_document
-from avipack.sweep.space import Candidate
+from tests.routes import report_signature
 
 
 def small_space():
@@ -16,11 +16,6 @@ def small_space():
         "n_modules": [2, 4],
         "cooling": ["free_convection", "direct_air_flow"],
     })
-
-
-def signature(report):
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c)
-            for o in report.ranked()]
 
 
 def test_run_streams_outcomes_into_the_store(tmp_path):
@@ -34,7 +29,7 @@ def test_run_streams_outcomes_into_the_store(tmp_path):
     assert perf.counter("results.rows_ingested") == report.n_candidates
     store = ResultStore.open(store_dir)
     assert store.n_rows == report.n_candidates
-    assert ranking_signature(store) == signature(report)
+    assert ranking_signature(store) == report_signature(report)
     document = render_sweep_document(report)
     assert "result store" in document
 
@@ -43,51 +38,6 @@ def test_run_without_store_keeps_report_unchanged(tmp_path):
     report = SweepRunner(parallel=False).run(small_space())
     assert report.result_store is None
     assert "result store" not in render_sweep_document(report)
-
-
-def test_resume_backfills_restored_outcomes(tmp_path):
-    journal_path = str(tmp_path / "sweep.journal.jsonl")
-    first_dir = str(tmp_path / "first")
-    # Journalled run WITHOUT a store...
-    baseline = SweepRunner(parallel=False).run(
-        small_space(), journal_path=journal_path)
-    # ...then a full resume WITH a store: nothing pending, everything
-    # restored from the journal must be backfilled into the store.
-    resumed = SweepRunner(parallel=False,
-                          result_store=first_dir).resume(journal_path)
-    assert resumed.result_store.rows_added == resumed.n_candidates
-    store = ResultStore.open(first_dir)
-    assert store.n_rows == resumed.n_candidates
-    assert ranking_signature(store) == signature(resumed)
-    assert signature(resumed) == signature(baseline)
-
-
-def test_resume_into_same_store_adds_nothing_new(tmp_path):
-    journal_path = str(tmp_path / "sweep.journal.jsonl")
-    store_dir = str(tmp_path / "store")
-    report = SweepRunner(parallel=False, result_store=store_dir).run(
-        small_space(), journal_path=journal_path)
-    resumed = SweepRunner(parallel=False,
-                          result_store=store_dir).resume(journal_path)
-    assert resumed.result_store.rows_added == 0
-    store = ResultStore.open(store_dir)
-    assert store.n_rows == report.n_candidates
-    assert int(store.live_mask().sum()) == resumed.n_candidates
-    assert ranking_signature(store) == signature(resumed)
-
-
-def test_store_and_journal_rank_identically_with_failures(tmp_path):
-    store_dir = str(tmp_path / "store")
-    candidates = list(small_space().grid())
-    # An impossible candidate fails at evaluation and must land in the
-    # store as a row with NaN metrics, not poison the ranking.
-    candidates.append(Candidate(power_per_module=1.0e6, n_modules=2))
-    report = SweepRunner(parallel=False,
-                         result_store=store_dir).run(candidates)
-    assert len(report.failures) >= 1
-    store = ResultStore.open(store_dir)
-    assert store.n_rows == len(candidates)
-    assert ranking_signature(store) == signature(report)
 
 
 # -- SweepReport.top(): the O(n log k) satellite -----------------------------

@@ -17,11 +17,11 @@ import textwrap
 
 import pytest
 
-from avipack.durability import replay_journal
-from avipack.results import ResultStore, ResultStoreWriter, \
-    ranking_signature
+from avipack.results import ResultStore
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import DesignSpace, SweepRunner
+from tests.routes import report_signature, store_signature
+from tests.test_retention_checkpoint import replay_state
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,18 +62,6 @@ def kill_compaction(path, phase, kind):
         f"phase {phase!r}: {child.stderr.decode()}"
 
 
-def ranking(report):
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c)
-            for o in report.ranked()]
-
-
-def replay_state(path):
-    replay = replay_journal(path, write_quarantine=False)
-    return (replay.candidates, replay.space_fingerprint,
-            dict(replay.outcomes), dict(replay.dispatched),
-            replay.next_seq)
-
-
 class TestJournalKill:
     @pytest.fixture(scope="class")
     def referee(self, tmp_path_factory):
@@ -81,7 +69,7 @@ class TestJournalKill:
         root = tmp_path_factory.mktemp("referee")
         path = str(root / "sweep.jsonl")
         report = SweepRunner(parallel=False).run(SPACE, journal_path=path)
-        return path, ranking(report)
+        return path, report_signature(report)
 
     @pytest.mark.parametrize("phase", JOURNAL_PHASES)
     def test_sigkill_at_phase_then_resume_ranks_identically(
@@ -102,7 +90,7 @@ class TestJournalKill:
         assert replay_state(journal) == before
         resumed = SweepRunner(parallel=False).resume(journal)
         assert resumed.durability.n_recomputed == 0
-        assert ranking(resumed) == expected
+        assert report_signature(resumed) == expected
         debris = [name for name in os.listdir(tmp_path)
                   if ".tmp." in name]
         assert debris == []
@@ -116,7 +104,7 @@ class TestStoreKill:
         root = tmp_path_factory.mktemp("referee")
         directory = str(root / "store")
         build_superseded_store(directory)
-        return directory, ranking_signature(ResultStore.open(directory))
+        return directory, store_signature(directory)
 
     @pytest.mark.parametrize("phase", STORE_PHASES)
     def test_sigkill_at_phase_preserves_signature_then_converges(
@@ -128,10 +116,9 @@ class TestStoreKill:
         kill_compaction(directory, phase, "store")
 
         # Duplicates or originals, the ranking contract holds...
-        assert ranking_signature(ResultStore.open(directory)) == expected
+        assert store_signature(directory) == expected
         # ...and a restarted compactor converges to the clean state.
         compact_store(directory)
-        store = ResultStore.open(directory)
-        assert ranking_signature(store) == expected
-        assert bool(store.live_mask().all())
+        assert store_signature(directory) == expected
+        assert bool(ResultStore.open(directory).live_mask().all())
         assert compact_store(directory).changed is False

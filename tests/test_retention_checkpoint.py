@@ -1,12 +1,12 @@
 """Journal compaction: one checkpoint record, byte-identical resume.
 
 The contract under test is absolute: folding a journal into its
-checkpoint must change *nothing* observable — replay state, resume
-ranking, the sequence numbers future appends will carry — while the
-file shrinks to one line.  The truncation sweep then holds the
-checkpoint record to the same every-byte-offset standard as live
-journal lines, and the phase-abort battery proves the swap is atomic
-at every seam.
+checkpoint must change *nothing* observable — replay state and the
+sequence numbers future appends will carry — while the file shrinks to
+one line (that a compacted journal resumes to the same ranking is the
+route matrix's job).  The truncation sweep then holds the checkpoint
+record to the same every-byte-offset standard as live journal lines,
+and the phase-abort battery proves the swap is atomic at every seam.
 """
 
 import json
@@ -21,43 +21,11 @@ from avipack.durability.journal import _canonical
 from avipack.errors import DurabilityError, JournalError
 from avipack.fingerprint import content_crc32, content_digest
 from avipack.retention import compact_journal
-from avipack.sweep import Candidate, DesignSpace, SweepRunner
-from avipack.sweep.runner import CandidateResult
-
-SPACE = DesignSpace(axes={
-    "power_per_module": (10.0, 20.0),
-    "cooling": ("direct_air_flow", "air_flow_through"),
-})
-
-
-def ranking_signature(report):
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c)
-            for o in report.ranked()]
-
-
-def make_candidates(n=3):
-    return tuple(Candidate(power_per_module=10.0 + 5.0 * i)
-                 for i in range(n))
-
-
-def make_result(index, candidate, worst_board_c=60.0):
-    return CandidateResult(
-        index=index, candidate=candidate,
-        fingerprint=candidate.fingerprint, compliant=True,
-        violations=(), margins={"worst_board_c": worst_board_c},
-        worst_board_c=worst_board_c,
-        recommended_cooling="direct_air_flow",
-        declared_cooling_feasible=True, cost_rank=10.0,
-        elapsed_s=0.01, worker_pid=os.getpid(),
-        cache_hits=0, cache_misses=1)
-
-
-def write_journal(path, candidates, outcomes):
-    with SweepJournal.create(str(path), candidates) as journal:
-        for index, candidate in enumerate(candidates):
-            journal.record_dispatched(index, candidate)
-        for outcome in outcomes:
-            journal.record_outcome(outcome)
+from tests.test_durability_journal import (
+    make_candidates,
+    make_result,
+    write_journal,
+)
 
 
 def replay_state(path):
@@ -192,40 +160,6 @@ class TestSequenceParity:
         assert seqs[plain] == seqs[folded]
         # And both journals now replay to the same state.
         assert replay_state(plain) == replay_state(folded)
-
-
-class TestResumeParity:
-    def test_compacted_partial_journal_resumes_to_identical_ranking(
-            self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        fresh = SweepRunner(parallel=False).run(SPACE, journal_path=path)
-        # Cut the last two lines: a mid-campaign crash image.
-        lines = open(path, "rb").read().splitlines(keepends=True)
-        with open(path, "wb") as stream:
-            stream.write(b"".join(lines[:-2]))
-        folded = str(tmp_path / "folded.jsonl")
-        shutil.copy(path, folded)
-        compact_journal(folded)
-
-        plain_resume = SweepRunner(parallel=False).resume(path)
-        folded_resume = SweepRunner(parallel=False).resume(folded)
-        assert folded_resume.durability.n_resumed \
-            == plain_resume.durability.n_resumed
-        assert folded_resume.durability.n_recomputed \
-            == plain_resume.durability.n_recomputed
-        assert ranking_signature(folded_resume) \
-            == ranking_signature(plain_resume) \
-            == ranking_signature(fresh)
-
-    def test_complete_compacted_journal_resumes_without_recompute(
-            self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        fresh = SweepRunner(parallel=False).run(SPACE, journal_path=path)
-        compact_journal(path)
-        resumed = SweepRunner(parallel=False).resume(path)
-        assert resumed.durability.n_recomputed == 0
-        assert resumed.durability.n_resumed == fresh.n_candidates
-        assert ranking_signature(resumed) == ranking_signature(fresh)
 
 
 class TestPhaseAborts:

@@ -10,7 +10,6 @@ crash at every phase seam.
 import os
 import shutil
 
-import numpy as np
 import pytest
 
 from avipack import perf
@@ -20,6 +19,7 @@ from avipack.results import ResultStore, ResultStoreWriter, \
 from avipack.retention import compact_store
 from avipack.sweep.runner import CandidateResult
 from avipack.sweep.space import Candidate
+from tests.routes import store_rows, store_signature
 
 
 def make_result(index, *, power=20.0, modules=4, compliant=True,
@@ -53,36 +53,7 @@ def build_superseded_store(directory, n=12, shard_rows=4):
     return len(corrections)
 
 
-def live_view(store):
-    """Fingerprint -> live row metrics, the queryable end state."""
-    mask = store.live_mask()
-    fingerprints = store.column("fingerprint")[mask]
-    worst = store.column("worst_board_c")[mask]
-    cost = store.column("cost_rank")[mask]
-    return {fp: (w, c) for fp, w, c
-            in zip(fingerprints.tolist(), worst.tolist(), cost.tolist())}
-
-
 class TestCompaction:
-    def test_drops_superseded_rows_and_preserves_ranking(self, tmp_path):
-        directory = str(tmp_path / "store")
-        n_dead = build_superseded_store(directory)
-        before = ResultStore.open(directory)
-        signature = ranking_signature(before)
-        view = live_view(before)
-        n_live = int(before.live_mask().sum())
-
-        compaction = compact_store(directory)
-        assert compaction.rows_dropped == n_dead
-        assert compaction.shards_rewritten > 0
-        assert compaction.bytes_reclaimed > 0
-
-        after = ResultStore.open(directory)
-        assert after.n_rows == n_live
-        assert bool(after.live_mask().all())
-        assert ranking_signature(after) == signature
-        assert live_view(after) == view
-
     def test_fully_dead_shard_is_deleted_without_replacement(
             self, tmp_path):
         directory = str(tmp_path / "store")
@@ -177,8 +148,8 @@ class TestCrashSeams:
             self, tmp_path, target):
         pristine = str(tmp_path / "pristine")
         build_superseded_store(pristine)
-        signature = ranking_signature(ResultStore.open(pristine))
-        view = live_view(ResultStore.open(pristine))
+        signature = store_signature(pristine)
+        view = store_rows(pristine)
 
         directory = str(tmp_path / f"crash-{target}")
         shutil.copytree(pristine, directory)
@@ -195,9 +166,8 @@ class TestCrashSeams:
 
         # Whatever the abort left behind — originals, duplicates, or
         # the finished state — the store answers identically.
-        store = ResultStore.open(directory)
-        assert ranking_signature(store) == signature
-        assert live_view(store) == view
+        assert store_signature(directory) == signature
+        assert store_rows(directory) == view
 
         # And a retried pass converges to the fully compacted state.
         compact_store(directory)

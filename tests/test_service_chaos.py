@@ -11,44 +11,19 @@ observes the job through to its terminal event.
 """
 
 import os
-import shutil
-import signal
 import subprocess
 import sys
-import tempfile
 import time
-
-import pytest
 
 from avipack.durability import replay_journal
 from avipack.errors import ServiceError
-from avipack.service import JobStore, ServiceClient
-from avipack.sweep import DesignSpace, SweepRunner
+from avipack.service import ServiceClient
+from tests.routes import SERVICE_AXES as AXES
+from tests.routes import served_ranking, service_signature
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-AXES = {
-    "power_per_module": [8.0, 12.0, 16.0, 20.0, 24.0, 28.0],
-    "cooling": ["direct_air_flow", "air_flow_through"],
-}
-
-
-def expected_ranking():
-    space = DesignSpace(axes={name: tuple(values)
-                              for name, values in AXES.items()})
-    report = SweepRunner(parallel=False).run(space)
-    return [[o.fingerprint, o.cost_rank, round(o.worst_board_c, 9)]
-            for o in report.ranked()]
-
-
-@pytest.fixture()
-def sockets():
-    sock_dir = tempfile.mkdtemp(prefix="avichaos", dir="/tmp")
-    yield sock_dir
-    shutil.rmtree(sock_dir, ignore_errors=True)
-
-
-def start_server(socket_path, journal_dir, throttle_s):
+def start_server(socket_path, journal_dir, throttle_s=0.15):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     process = subprocess.Popen(
@@ -56,7 +31,8 @@ def start_server(socket_path, journal_dir, throttle_s):
          "--socket", socket_path, "--journal-dir", journal_dir,
          "--serial", "--heartbeat-s", "0.1",
          "--throttle-s", str(throttle_s)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        env=env, cwd=os.path.dirname(journal_dir),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     client = ServiceClient(socket_path, timeout_s=10.0, retries=2)
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
@@ -122,7 +98,8 @@ class TestKillRecovery:
             final = client2.wait(job_id, timeout_s=120.0)
             assert final["state"] == "completed"
             assert final["restored"] >= len(partial.outcomes) - 1
-            assert final["result"]["ranking"] == expected_ranking()
+            assert final["result"]["ranking"] \
+                == served_ranking(service_signature())
 
             queued_final = client2.wait(queued_id, timeout_s=120.0)
             assert queued_final["state"] == "completed"
@@ -170,7 +147,8 @@ class TestKillRecovery:
             # The job really completed with full parity.
             final = ServiceClient(socket_path).status(job_id)
             assert final["state"] == "completed"
-            assert final["result"]["ranking"] == expected_ranking()
+            assert final["result"]["ranking"] \
+                == served_ranking(service_signature())
         finally:
             for proc in (process, process2):
                 if proc is not None and proc.poll() is None:

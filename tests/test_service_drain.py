@@ -8,78 +8,15 @@ and finishes with rankings identical to an uninterrupted run.
 """
 
 import os
-import shutil
 import signal
-import subprocess
-import sys
-import tempfile
 import time
-
-import pytest
 
 from avipack.durability import replay_journal
 from avipack.errors import ServiceError
-from avipack.service import JobStore, ServiceClient
-from avipack.sweep import DesignSpace, SweepRunner
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-AXES = {
-    "power_per_module": [8.0, 12.0, 16.0, 20.0, 24.0, 28.0],
-    "cooling": ["direct_air_flow", "air_flow_through"],
-}
-
-
-def expected_ranking():
-    space = DesignSpace(axes={name: tuple(values)
-                              for name, values in AXES.items()})
-    report = SweepRunner(parallel=False).run(space)
-    return [[o.fingerprint, o.cost_rank, round(o.worst_board_c, 9)]
-            for o in report.ranked()]
-
-
-@pytest.fixture()
-def sockets():
-    sock_dir = tempfile.mkdtemp(prefix="avidrain", dir="/tmp")
-    yield sock_dir
-    shutil.rmtree(sock_dir, ignore_errors=True)
-
-
-def start_server(socket_path, journal_dir, throttle_s=0.15):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "avipack", "serve",
-         "--socket", socket_path, "--journal-dir", journal_dir,
-         "--serial", "--heartbeat-s", "0.1",
-         "--throttle-s", str(throttle_s)],
-        env=env, cwd=journal_dir and os.path.dirname(journal_dir) or None,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    client = ServiceClient(socket_path, timeout_s=10.0, retries=2)
-    deadline = time.monotonic() + 60.0
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise AssertionError(
-                f"server died during startup: "
-                f"{process.stderr.read().decode()}")
-        try:
-            client.ping()
-            return process, client
-        except ServiceError:
-            time.sleep(0.1)
-    process.kill()
-    raise AssertionError("server did not become ready")
-
-
-def wait_for_progress(client, job_id, at_least, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        status = client.status(job_id)
-        if status["done"] >= at_least:
-            return status
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} never reached "
-                         f"{at_least} candidates")
+from avipack.service import JobStore
+from tests.routes import SERVICE_AXES as AXES
+from tests.routes import served_ranking, service_signature
+from tests.test_service_chaos import start_server, wait_for_progress
 
 
 class TestGracefulDrain:
@@ -120,7 +57,8 @@ class TestGracefulDrain:
             final = client2.wait(job_id, timeout_s=120.0)
             assert final["state"] == "completed"
             assert final["restored"] == len(replay.outcomes)
-            assert final["result"]["ranking"] == expected_ranking()
+            assert final["result"]["ranking"] \
+                == served_ranking(service_signature())
             client2.shutdown()
             rc2 = process2.wait(timeout=60.0)
             assert rc2 == 0

@@ -344,12 +344,6 @@ class TestServiceStats:
         assert record.iterations == 12
         assert record.wall_s == pytest.approx(3.5)
 
-    def test_to_lines_covers_snapshot(self):
-        stats = ServiceStats()
-        lines = stats.to_lines()
-        assert len(lines) == len(stats.snapshot())
-        assert any("submitted" in line for line in lines)
-
 
 def test_json_wire_format_is_plain():
     # The wire format must stay language-agnostic: plain JSON, no

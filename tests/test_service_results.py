@@ -1,8 +1,6 @@
 """The service's ``results`` op: zero-unpickle analytics per job."""
 
 import os
-import shutil
-import tempfile
 
 import pytest
 
@@ -13,28 +11,8 @@ from avipack.service import (
     ThreadedService,
 )
 from avipack.service.protocol import ERROR_CODES, validate_request
-from avipack.sweep import DesignSpace, SweepRunner
-
-AXES = {
-    "power_per_module": [8.0, 12.0, 16.0, 20.0, 24.0, 28.0],
-    "cooling": ["direct_air_flow", "air_flow_through"],
-}
-
-
-def expected_signature(k=None):
-    space = DesignSpace(axes={name: tuple(values)
-                              for name, values in AXES.items()})
-    report = SweepRunner(parallel=False).run(space)
-    ranked = report.ranked() if k is None else report.top(k)
-    return [(o.fingerprint, o.cost_rank, o.worst_board_c)
-            for o in ranked]
-
-
-@pytest.fixture()
-def sockets():
-    sock_dir = tempfile.mkdtemp(prefix="avisvc", dir="/tmp")
-    yield sock_dir
-    shutil.rmtree(sock_dir, ignore_errors=True)
+from tests.routes import SERVICE_AXES as AXES
+from tests.routes import service_signature
 
 
 def make_config(sockets, tmp_path, **overrides):
@@ -63,7 +41,7 @@ def test_results_op_serves_store_backed_ranking(sockets, tmp_path):
     assert results["quarantined_shards"] == []
     served = [(entry["fingerprint"], entry["cost_rank"],
                entry["worst_board_c"]) for entry in results["top"]]
-    assert served == expected_signature(5)
+    assert served == service_signature()[:5]
     assert [entry["position"] for entry in results["top"]] == [1, 2, 3,
                                                                4, 5]
     histogram = results["headroom_histogram"]

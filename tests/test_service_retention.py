@@ -10,8 +10,6 @@ every read path keeps serving, and both ``finished_wall`` and the
 
 import json
 import os
-import shutil
-import tempfile
 import time
 
 import pytest
@@ -29,13 +27,6 @@ from avipack.service import (
 #: One-candidate space variants: jobs finish in one solve.
 def axes_for(power):
     return {"power_per_module": [power], "cooling": ["direct_air_flow"]}
-
-
-@pytest.fixture()
-def sockets():
-    sock_dir = tempfile.mkdtemp(prefix="avisvc", dir="/tmp")
-    yield sock_dir
-    shutil.rmtree(sock_dir, ignore_errors=True)
 
 
 def make_config(sockets, tmp_path, name="a", **overrides):

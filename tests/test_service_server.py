@@ -11,9 +11,7 @@ of killing the process (the subprocess drills live in
 """
 
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import time
 
@@ -27,31 +25,9 @@ from avipack.service import (
     ThreadedService,
 )
 from avipack.service.jobs import JobStore
-from avipack.sweep import DesignSpace, SweepRunner
-
-#: Mixed-compliance space (8 of 12 comply) shared with the chaos tests.
-AXES = {
-    "power_per_module": [8.0, 12.0, 16.0, 20.0, 24.0, 28.0],
-    "cooling": ["direct_air_flow", "air_flow_through"],
-}
-
-SPACE = DesignSpace(axes={name: tuple(values)
-                          for name, values in AXES.items()})
-
-
-def expected_ranking():
-    report = SweepRunner(parallel=False).run(SPACE)
-    return [[o.fingerprint, o.cost_rank, round(o.worst_board_c, 9)]
-            for o in report.ranked()]
-
-
-@pytest.fixture()
-def sockets():
-    # AF_UNIX paths are capped around 108 bytes; pytest tmp paths can
-    # blow past that, so sockets live in a short-lived /tmp dir.
-    sock_dir = tempfile.mkdtemp(prefix="avisvc", dir="/tmp")
-    yield sock_dir
-    shutil.rmtree(sock_dir, ignore_errors=True)
+from avipack.sweep import SweepRunner
+from tests.routes import SERVICE_AXES as AXES
+from tests.routes import served_ranking, service_signature
 
 
 def make_config(sockets, tmp_path, name="a", **overrides):
@@ -91,7 +67,8 @@ class TestSubmitAndComplete:
         assert final["state"] == "completed"
         assert final["done"] == 12
         assert final["result"]["n_compliant"] == 8
-        assert final["result"]["ranking"] == expected_ranking()
+        assert final["result"]["ranking"] \
+            == served_ranking(service_signature())
 
     def test_worker_crash_keeps_done_equal_to_total(
             self, sockets, tmp_path, monkeypatch):
@@ -393,7 +370,8 @@ class TestDrainResume:
             stats = client2.stats()["stats"]
         assert final["state"] == "completed"
         assert final["restored"] == len(partial.outcomes)
-        assert final["result"]["ranking"] == expected_ranking()
+        assert final["result"]["ranking"] \
+            == served_ranking(service_signature())
         assert stats["recovered_jobs"] == 1
         assert stats["restored_candidates"] == len(partial.outcomes)
 
