@@ -400,19 +400,22 @@ class ResultStore:
         return cls(directory, shards, tuple(quarantined), reasons)
 
     @classmethod
-    def live_fingerprints(cls, directory: str) -> Set[str]:
-        """Fingerprints currently live in the store (empty if absent).
+    def live_fingerprints(cls, directory: str) -> Dict[str, int]:
+        """Fingerprint -> candidate index of each live row (empty if
+        the store is absent).
 
-        The cheap existence probe the resume backfill uses; never
+        The cheap probe the resume backfill uses to add the restored
+        outcomes the store lacks or holds under another index; never
         raises for a missing or empty directory.
         """
         if not os.path.isdir(directory):
-            return set()
+            return {}
         store = cls.open(directory)
         if store.n_rows == 0:
-            return set()
-        fps = store.column("fingerprint")[store.live_mask()]
-        return {fp.decode("ascii") for fp in fps}
+            return {}
+        live = store.live_mask()
+        return {fp.decode("ascii"): int(index) for fp, index in zip(
+            store.column("fingerprint")[live], store.column("index")[live])}
 
     # -- shape ---------------------------------------------------------------
 

@@ -392,9 +392,9 @@ class SweepRunner:
         rows) or when the run ends, so ranking and report analytics
         run zero-unpickle afterwards.  On
         :meth:`resume`, outcomes restored from the journal that the
-        store does not yet hold are backfilled, keeping store and
-        report in lockstep.  ``None`` (default) keeps results
-        in-memory only.
+        store does not yet hold, or holds under another candidate
+        index, are backfilled, keeping store and report in lockstep.
+        ``None`` (default) keeps results in-memory only.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -573,9 +573,10 @@ class SweepRunner:
         Dispatches every candidate without a ``restored`` outcome
         (matched by fingerprint; ``None`` on a fresh run), records each
         fresh outcome (journal, then store, then ``progress``), merges
-        restored and fresh outcomes in candidate order, backfills
-        restored outcomes the store has never seen, and assembles the
-        report.  Closes ``journal``.
+        restored and fresh outcomes in candidate order, journals again
+        each restored outcome whose index the order changed, backfills
+        restored outcomes the store lacks or holds under another index,
+        and assembles the report.  Closes ``journal``.
         """
         start = time.perf_counter()
         resuming = restored is not None
@@ -593,7 +594,7 @@ class SweepRunner:
                 # adds each restored outcome at most once across
                 # repeated resumes.
                 stored = (ResultStore.live_fingerprints(self.result_store)
-                          if restored else set())
+                          if restored else {})
                 store = ResultStoreWriter(self.result_store)
 
             def record(outcome: CandidateOutcome) -> None:
@@ -617,9 +618,14 @@ class SweepRunner:
                 if outcome is None:
                     outcome = restored[candidate.fingerprint]
                     if outcome.index != index:
+                        # A re-ordered resume: journal the outcome under
+                        # its new index too, so a replay or ingest of
+                        # the journal ranks as this report does.
                         outcome = dataclasses.replace(outcome, index=index)
+                        if journal is not None:
+                            journal.record_outcome(outcome)
                     if (store is not None
-                            and outcome.fingerprint not in stored
+                            and stored.get(outcome.fingerprint) != index
                             and outcome.fingerprint
                             not in store.added_fingerprints):
                         store.add(outcome)

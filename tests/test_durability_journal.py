@@ -11,6 +11,7 @@ tail.
 import base64
 import json
 import os
+import zlib
 
 import pytest
 
@@ -24,7 +25,9 @@ from avipack.errors import DurabilityError, InputError, JournalError
 from avipack.fingerprint import content_crc32, content_digest
 from avipack.resilience import FaultPlan, FaultSpec
 from avipack.resilience import faults as faults_mod
-from avipack.sweep import Candidate, CandidateFailure, CandidateResult
+from avipack.sweep import Candidate, CandidateFailure, CandidateResult, \
+    SweepRunner
+from tests.routes import POOL, report_signature
 
 
 def make_candidates(n=3):
@@ -62,6 +65,16 @@ def make_failure(index, candidate, error_type="ConvergenceError"):
         elapsed_s=0.01,
         worker_pid=os.getpid(),
     )
+
+
+def reseal(line, **changes):
+    """``line`` with its body fields changed and valid checksums."""
+    envelope = json.loads(line)
+    envelope["body"].update(changes)
+    canonical = _canonical(envelope["body"])
+    envelope["crc32"] = content_crc32(canonical)
+    envelope["sha256"] = content_digest(canonical)
+    return (json.dumps(envelope, sort_keys=True) + "\n").encode()
 
 
 def write_journal(path, candidates, outcomes):
@@ -189,21 +202,17 @@ class TestDamage:
         assert base64.b64decode(entry["raw"]) == lines[-1].rstrip(b"\n")
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
-        # Valid checksums over a stale schema: integrity alone must not
-        # be enough — the layout is untrusted.
+        # Valid checksums over a schema without a decoder (only 1 and 2
+        # have one): integrity alone must not be enough — the layout is
+        # untrusted.
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
-        envelope = json.loads(lines[-1])
-        envelope["body"]["schema_version"] = SCHEMA_VERSION + 1
-        canonical = _canonical(envelope["body"])
-        envelope["crc32"] = content_crc32(canonical)
-        envelope["sha256"] = content_digest(canonical)
-        lines[-1] = (json.dumps(envelope, sort_keys=True) + "\n").encode()
-        path.write_bytes(b"".join(lines))
-
-        replay = replay_journal(str(path))
-        assert replay.n_quarantined == 1
-        assert "schema_version" in replay.quarantined[0].reason
+        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, True, None):
+            path.write_bytes(b"".join(
+                lines[:-1] + [reseal(lines[-1], schema_version=version)]))
+            replay = replay_journal(str(path), write_quarantine=False)
+            assert replay.n_quarantined == 1, version
+            assert "schema_version" in replay.quarantined[0].reason
 
     def test_unknown_kind_is_quarantined(self, tmp_path):
         path, _ = self._journal(tmp_path)
@@ -223,17 +232,39 @@ class TestDamage:
     def test_unpicklable_payload_is_quarantined(self, tmp_path):
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
-        envelope = json.loads(lines[-1])
-        envelope["body"]["payload"] = base64.b64encode(
-            b"not a pickle").decode()
-        canonical = _canonical(envelope["body"])
-        envelope["crc32"] = content_crc32(canonical)
-        envelope["sha256"] = content_digest(canonical)
-        lines[-1] = (json.dumps(envelope, sort_keys=True) + "\n").encode()
+        lines[-1] = reseal(lines[-1], payload=base64.b64encode(
+            b"not a pickle").decode())
         path.write_bytes(b"".join(lines))
         replay = replay_journal(str(path))
         assert replay.n_quarantined == 1
         assert len(replay.outcomes) == len(candidates) - 1
+
+    @pytest.mark.parametrize("payload", [
+        b"not zlib data",
+        zlib.compress(b"zlib data that is not a pickle"),
+    ], ids=["not-zlib", "not-a-pickle"])
+    def test_damaged_compressed_payload_is_recomputed(self, tmp_path,
+                                                      payload):
+        # A schema-2 outcome whose checksums hold but whose payload does
+        # not decode: quarantined, and the resume computes it again.
+        candidates = [POOL[i] for i in (0, 4, 12)]
+        path = str(tmp_path / "sweep.jsonl")
+        clean = SweepRunner(parallel=False).run(candidates,
+                                                journal_path=path)
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        assert json.loads(lines[-1])["body"]["schema_version"] == 2
+        lines[-1] = reseal(lines[-1],
+                           payload=base64.b64encode(payload).decode())
+        with open(path, "wb") as stream:
+            stream.write(b"".join(lines))
+        replay = replay_journal(path, write_quarantine=False)
+        assert replay.n_quarantined == 1
+        assert len(replay.outcomes) == len(candidates) - 1
+        resumed = SweepRunner(parallel=False).resume(path)
+        assert resumed.durability.n_quarantined == 1
+        assert resumed.durability.n_recomputed == 1
+        assert report_signature(resumed) == report_signature(clean)
 
     def test_quarantine_sidecar_optional(self, tmp_path):
         path, _ = self._journal(tmp_path)

@@ -7,8 +7,10 @@ report must rank identically.
 """
 
 import dataclasses
+import errno
 import json
 import math
+import os
 
 import pytest
 
@@ -27,7 +29,8 @@ from avipack.fingerprint import content_crc32, content_digest
 from avipack.service.server import _ThrottledEvaluator
 from avipack.sweep import Candidate, DesignSpace, SweepRunner
 from avipack.units import kelvin_to_celsius
-from tests.routes import projections, report_signature
+from tests.routes import POOL, projections, report_signature, \
+    store_signature
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 20.0, 30.0),
@@ -88,6 +91,10 @@ class TestResume:
         assert [o.index for o in resumed.outcomes] == list(
             range(len(reordered)))
         assert report_signature(resumed) == report_signature(fresh)
+        # The journal now carries the new indices too.
+        assert {fp: o.index
+                for fp, o in replay_journal(path).outcomes.items()} \
+            == {o.fingerprint: o.index for o in resumed.outcomes}
 
     def test_resume_survives_extended_space(self, journalled):
         path, fresh = journalled
@@ -111,6 +118,46 @@ class TestResume:
             SweepRunner(parallel=False).resume(path)
         resumed = SweepRunner(parallel=False).resume(path, space=SPACE)
         assert report_signature(resumed) == report_signature(fresh)
+
+
+class TestDiskFull:
+    """``ENOSPC`` at a journal append stops the campaign with the error;
+    once space returns, the resume finishes it like a clean run."""
+
+    @pytest.mark.parametrize("route", [
+        dict(parallel=False), dict(parallel=True, max_workers=2)],
+        ids=["serial", "pool"])
+    def test_enospc_at_the_third_outcome_then_resume(self, route, tmp_path,
+                                                     monkeypatch):
+        candidates = list(POOL[:8])
+        path = str(tmp_path / "sweep.jsonl")
+        store = str(tmp_path / "store")
+        fsync = os.fsync
+        appends = []
+
+        def full_disk_fsync(fd):
+            if (os.path.exists(path)
+                    and os.path.samestat(os.fstat(fd), os.stat(path))):
+                appends.append(fd)
+                # The plan record's fsync, then the third outcome's.
+                if len(appends) == 4:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", full_disk_fsync)
+        with pytest.raises(OSError) as raised:
+            SweepRunner(result_store=store, **route).run(
+                candidates, journal_path=path)
+        assert raised.value.errno == errno.ENOSPC
+        monkeypatch.setattr(os, "fsync", fsync)
+
+        resumed = SweepRunner(result_store=store, **route).resume(path)
+        assert resumed.durability.n_quarantined == 0
+        assert resumed.durability.n_resumed == 3
+        assert resumed.durability.n_recomputed == 5
+        clean = report_signature(SweepRunner(parallel=False).run(candidates))
+        assert report_signature(resumed) == clean
+        assert store_signature(store) == clean
 
 
 class TestTamperAudit:

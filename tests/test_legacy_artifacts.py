@@ -12,10 +12,17 @@ Stores written before the blob pool was removed also hold one
 ``.blobs`` file per shard, a checksummed pool of pickled outcomes that
 the rows' ``blob_*`` columns point into.  Readers ignore those files,
 and compaction deletes them.
+
+Journals written before payload compression (``schema_version`` 1)
+hold plain base64 pickles.  Replay, resume (which appends schema-2
+records and so leaves a mixed journal), ingest and compaction must rank
+them like a fresh run.
 """
 
+import base64
 import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import zlib
@@ -24,17 +31,19 @@ import numpy as np
 import pytest
 
 from avipack.durability import audit_outcomes, replay_journal
-from avipack.durability.journal import SweepJournal
-from avipack.fingerprint import stable_fingerprint
+from avipack.durability.journal import SweepJournal, _canonical, \
+    outcome_kind
+from avipack.fingerprint import content_crc32, content_digest, \
+    stable_fingerprint
 from avipack.results import ResultStore, ResultStoreWriter, \
-    ranking_signature
+    ingest_journal, ranking_signature
 from avipack.results.schema import ROW_DTYPE, fill_row
 from avipack.durability.files import atomic_write
 from avipack.results.store import _header_line, publish_shard
-from avipack.retention import compact_store
+from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
-from tests.routes import report_signature
+from tests.routes import POOL, report_signature
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 30.0),
@@ -70,6 +79,45 @@ def write_journal(path, candidates, outcomes):
         for outcome in outcomes:
             journal.record_outcome(outcome)
     return path
+
+
+def schema1_line(seq, kind, **fields):
+    """One journal line as schema-1 writers checksummed it."""
+    body = {"schema_version": 1, "seq": seq, "kind": kind, **fields}
+    canonical = _canonical(body)
+    return (json.dumps({"body": body, "crc32": content_crc32(canonical),
+                        "sha256": content_digest(canonical)},
+                       sort_keys=True) + "\n").encode()
+
+
+def schema1_payload(value):
+    """A schema-1 payload: the plain base64 pickle."""
+    return base64.b64encode(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode()
+
+
+def schema1_outcome_line(seq, outcome):
+    return schema1_line(seq, outcome_kind(outcome), index=outcome.index,
+                        fingerprint=outcome.fingerprint,
+                        payload=schema1_payload(outcome))
+
+
+def write_schema1_journal(path, candidates, outcomes):
+    """A plan plus one outcome line each, in the schema-1 encoding."""
+    lines = [schema1_line(
+        0, "plan", n_candidates=len(candidates),
+        space_fingerprint=stable_fingerprint(tuple(candidates)),
+        candidates=schema1_payload(tuple(candidates)))]
+    lines += [schema1_outcome_line(seq, outcome)
+              for seq, outcome in enumerate(outcomes, start=1)]
+    with open(path, "wb") as stream:
+        stream.write(b"".join(lines))
+    return path
+
+
+def journal_lines(path):
+    with open(path, "rb") as stream:
+        return [json.loads(line) for line in stream.read().splitlines()]
 
 
 def write_legacy_shard(directory, number, outcomes, batched):
@@ -226,3 +274,85 @@ class TestLegacyStore:
         store = ResultStore.open(directory)
         assert store.n_rows == 5
         assert not store.column("batched").any()
+
+
+class TestSchema1Journal:
+    """Plain-pickle journals replay, resume, ingest and compact."""
+
+    @pytest.fixture()
+    def journal(self, campaign, tmp_path):
+        candidates, outcomes = campaign
+        return write_schema1_journal(str(tmp_path / "schema1.jsonl"),
+                                     candidates, outcomes)
+
+    def test_replay_ranks_like_a_fresh_run(self, campaign, journal):
+        _, outcomes = campaign
+        replay = replay_journal(journal)
+        assert replay.n_quarantined == 0
+        assert replay.outcomes == {o.fingerprint: o for o in outcomes}
+        assert report_signature(replay.outcomes.values()) \
+            == report_signature(outcomes)
+
+    def test_resume_leaves_a_mixed_journal_that_ranks_alike(
+            self, campaign, journal, tmp_path):
+        _, outcomes = campaign
+        # The crash took the last two outcome lines.
+        with open(journal, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        with open(journal, "wb") as stream:
+            stream.write(b"".join(lines[:-2]))
+        store = str(tmp_path / "resumed.results")
+        report = SweepRunner(parallel=False, result_store=store).resume(
+            journal)
+        assert report.durability.n_resumed == len(outcomes) - 2
+        assert report.durability.n_recomputed == 2
+        assert report_signature(report) == report_signature(outcomes)
+        assert ranking_signature(ResultStore.open(store)) \
+            == report_signature(outcomes)
+        versions = [line["body"]["schema_version"]
+                    for line in journal_lines(journal)]
+        assert versions == [1] * (len(lines) - 2) + [2, 2]
+        mixed = replay_journal(journal)
+        assert mixed.n_quarantined == 0
+        assert report_signature(mixed.outcomes.values()) \
+            == report_signature(outcomes)
+
+    def test_ingest_ranks_like_a_fresh_run(self, campaign, journal,
+                                           tmp_path):
+        _, outcomes = campaign
+        store = str(tmp_path / "ingested.results")
+        summary = ingest_journal(journal, store)
+        assert summary.n_rows == len(outcomes)
+        assert summary.n_quarantined_records == 0
+        assert ranking_signature(ResultStore.open(store)) \
+            == report_signature(outcomes)
+
+    def test_compaction_writes_a_schema2_checkpoint(self, campaign,
+                                                    journal):
+        _, outcomes = campaign
+        compaction = compact_journal(journal)
+        assert compaction.n_folded == 1 + len(outcomes)
+        assert compaction.bytes_reclaimed > 0
+        (checkpoint,) = journal_lines(journal)
+        assert checkpoint["body"]["kind"] == "checkpoint"
+        assert checkpoint["body"]["schema_version"] == 2
+        replay = replay_journal(journal)
+        assert replay.outcomes == {o.fingerprint: o for o in outcomes}
+        assert report_signature(replay.outcomes.values()) \
+            == report_signature(outcomes)
+
+
+def test_schema2_outcome_payloads_are_at_most_60pct_of_schema1(tmp_path):
+    """The compressed payloads of a journal's outcome lines are at most
+    60% of the plain pickles a schema-1 journal held for them."""
+    path = str(tmp_path / "pool.jsonl")
+    SweepRunner(parallel=False).run(POOL, journal_path=path)
+    compressed = [line["body"] for line in journal_lines(path)
+                  if "payload" in line["body"]]
+    assert len(compressed) == len(POOL)
+    assert {body["schema_version"] for body in compressed} == {2}
+    plain = replay_journal(path).outcomes
+    schema1 = sum(len(schema1_payload(plain[body["fingerprint"]]))
+                  for body in compressed)
+    schema2 = sum(len(body["payload"]) for body in compressed)
+    assert schema2 <= 0.6 * schema1

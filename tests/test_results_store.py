@@ -248,7 +248,7 @@ def test_closed_writer_rejects_adds(tmp_path):
 def test_open_missing_directory_raises(tmp_path):
     with pytest.raises(ResultStoreError):
         ResultStore.open(str(tmp_path / "absent"))
-    assert ResultStore.live_fingerprints(str(tmp_path / "absent")) == set()
+    assert ResultStore.live_fingerprints(str(tmp_path / "absent")) == {}
 
 
 def test_dtype_fingerprint_guards_schema_drift(tmp_path):

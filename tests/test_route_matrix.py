@@ -3,18 +3,21 @@
 One property draws 2–8 pool candidates, an optional seeded fault plan
 and a dispatch route (serial, chunked pool, watchdog pool; a worker
 crash takes the broken-pool serial retry), runs a journalled campaign
-into a result store, then chains post-steps: a crash cut plus resume,
-journal compaction, store compaction, re-ingest into a fresh store.
+into a result store, then chains post-steps: a crash cut plus resume
+(over the same or a re-ordered candidate list), journal compaction,
+store compaction, re-ingest into a fresh store.
 After every step the report, journal and store must agree with a plain
 serial run under the same plan.  The served route runs as fixed cases
 (a server start is too dear to draw).  Every route is pinned with
 ``@example``; search longer with ``--hypothesis-profile=route-matrix-long``.
 """
 
+import dataclasses
 import functools
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -60,12 +63,16 @@ def plan(*specs, **options):
 class Resume:
     """Cut the journal to ``cut`` of its bytes (a crash image: a verified
     prefix plus at most one torn tail), fold what is left when ``fold``,
-    then resume over ``route`` into the store, or a new one."""
+    then resume over ``route`` into the store, or a new one.  With
+    ``order``, a permutation of ``range(8)`` whose positions past the
+    candidate count are skipped, the resume is passed the candidates in
+    that order."""
 
     cut: float
     route: str
     fresh_store: bool = False
     fold: bool = False
+    order: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ plans = st.none() | st.builds(
 
 steps = st.lists(st.one_of(
     st.builds(Resume, st.floats(0.0, 1.0), st.sampled_from(sorted(ROUTES)),
-              st.booleans(), st.booleans()),
+              st.booleans(), st.booleans(),
+              st.none() | st.permutations(range(8)).map(tuple)),
     st.sampled_from(("compact-journal", "compact-store")),
     st.builds(Ingest, st.integers(1, 8))), max_size=4)
 
@@ -112,12 +120,13 @@ def check_route(report, route, fresh):
 
 
 def check_parity(reference, report, journal, store):
-    """Report, journal and store all agree with the serial reference."""
+    """Report, journal and store all agree with the ``reference``
+    outcomes."""
     expected = report_signature(reference)
     journalled = journal_outcomes(journal)
     assert report_signature(report) == expected
-    assert projections(report.outcomes) == projections(reference.outcomes)
-    assert projections(journalled) == projections(reference.outcomes)
+    assert projections(report.outcomes) == projections(reference)
+    assert projections(journalled) == projections(reference)
     # Same records, not merely equal projections: the report holds the
     # journal's latest outcomes and the store's live rows encode them.
     assert outcome_rows(report.outcomes) == outcome_rows(journalled)
@@ -125,28 +134,51 @@ def check_parity(reference, report, journal, store):
     assert store_rows(store) == outcome_rows(journalled)
 
 
-def resume(step, candidates, faults, journal, store):
+def resume(step, candidates, reference, faults, journal, store):
+    """Run the ``step``; returns the report and the reference outcomes
+    in the order it resumed."""
     with open(journal, "r+b") as stream:
         stream.truncate(int(step.cut * os.path.getsize(journal)))
     crashed = replay_journal(journal, write_quarantine=False)
     if step.fold and crashed.candidates is not None:
         compact_journal(journal)
+    # The order the journal's surviving plan gives (a cut may drop the
+    # plan a re-ordered resume appended), unless the step re-orders.
+    order = list(crashed.candidates or candidates)
+    space = None if crashed.candidates else candidates
+    if step.order is not None:
+        space = order = [order[i] for i in step.order if i < len(order)]
+    live = ResultStore.live_fingerprints(store)
     runner = SweepRunner(faults=faults, result_store=store,
                          **ROUTES[step.route])
-    report = runner.resume(
-        journal, space=None if crashed.candidates else candidates)
+    report = runner.resume(journal, space=space)
     stats = report.durability
     assert stats.n_audit_failures == 0
     assert stats.n_resumed == len(crashed.outcomes)
     assert stats.n_resumed + stats.n_recomputed == len(candidates)
     # Each recomputed outcome is added once; restored ones only when
-    # the store has never held them.
-    assert report.result_store.rows_added == (
-        len(candidates) if step.fresh_store else stats.n_recomputed)
+    # the store lacks them or holds them under another index.
+    assert report.result_store.rows_added == stats.n_recomputed + sum(
+        live.get(o.fingerprint) != o.index for o in report.outcomes
+        if o.fingerprint in crashed.outcomes)
     check_route(report, step.route,
                 [o for o in report.outcomes
                  if o.fingerprint not in crashed.outcomes])
-    return report
+    if [o.fingerprint for o in reference] != \
+            [c.fingerprint for c in order]:
+        # A fault plan decides by candidate index, so a new order
+        # changes what a recomputed candidate meets: restored outcomes
+        # keep their values under the new index, recomputed ones match
+        # a serial run of the new order.
+        fresh = SweepRunner(parallel=False, faults=faults).run(order)
+        reference = [
+            dataclasses.replace(crashed.outcomes[o.fingerprint],
+                                index=o.index)
+            if o.fingerprint in crashed.outcomes else o
+            for o in fresh.outcomes]
+        if faults is None:
+            assert projections(reference) == projections(fresh.outcomes)
+    return report, reference
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -180,9 +212,15 @@ def resume(step, candidates, faults, journal, store):
          route="pool",
          steps=["compact-journal", Resume(0.7, "watchdog", fold=True),
                 "compact-store", Resume(0.9, "serial")])
+# A complete journal resumed over the reversed list into the same store:
+# the cost-and-headroom twins 0 and 12 swap, so the store and a journal
+# re-ingest must carry the new indices.
+@example(picks=[0, 12, 4, 13], faults=None, route="serial",
+         steps=[Resume(1.0, "serial", order=(3, 2, 1, 0)), Ingest(2)])
 def test_every_route_ranks_like_a_serial_run(picks, faults, route, steps):
     candidates = [POOL[i] for i in picks]
-    reference = SweepRunner(parallel=False, faults=faults).run(candidates)
+    reference = SweepRunner(parallel=False,
+                            faults=faults).run(candidates).outcomes
     with tempfile.TemporaryDirectory() as work:
         journal = os.path.join(work, "sweep.jsonl")
         store = os.path.join(work, "store")
@@ -195,7 +233,9 @@ def test_every_route_ranks_like_a_serial_run(picks, faults, route, steps):
             if isinstance(step, Resume):
                 if step.fresh_store:
                     store = os.path.join(work, f"store{number}")
-                report = resume(step, candidates, faults, journal, store)
+                report, reference = resume(step, candidates, reference,
+                                           faults, journal, store)
+                candidates = [o.candidate for o in reference]
             elif step == "compact-journal":
                 compact_journal(journal)
             elif step == "compact-store":
