@@ -19,6 +19,10 @@ Quick start::
 
 Subpackages
 -----------
+``import avipack`` loads none of these: each subpackage, and each name
+re-exported below, loads on first attribute access, so a process
+imports only the modules it runs.
+
 ``materials``
     Solid/fluid property database, PCB layup models.
 ``thermal``
@@ -51,30 +55,13 @@ Subpackages
     Canned builders for every paper figure and claim.
 """
 
-from . import (
-    core,
-    environments,
-    experiments,
-    materials,
-    mechanical,
-    packaging,
-    perf,
-    reliability,
-    resilience,
-    retention,
-    service,
-    sweep,
-    thermal,
-    tim,
-    twophase,
-    units,
-)
+from ._exports import lazy_exports
 from .errors import (
     AvipackError,
     CacheCorruptionError,
     ConvergenceError,
-    InputError,
     DurabilityError,
+    InputError,
     MaterialNotFoundError,
     ModelRangeError,
     OperatingLimitError,
@@ -84,39 +71,37 @@ from .errors import (
     WorkerCrashError,
 )
 
-# The most-used entry points, re-exported flat.
-from .core import (
-    FrequencyAllocation,
-    PackagingSpecification,
-    run_campaign,
-    run_design_procedure,
-    run_pyramid,
-    select_architecture,
-)
-from .packaging import (
-    Module,
-    Pcb,
-    Rack,
-    SeatElectronicsBox,
-    SebConfiguration,
-)
-from .resilience import (
-    FaultPlan,
-    FaultSpec,
-    RecoveryTrail,
-    SupervisionPolicy,
-    Supervisor,
-)
-from .service import ServiceClient, SweepService
-from .sweep import (
-    Candidate,
-    DesignSpace,
-    SolverCache,
-    SweepReport,
-    SweepRunner,
-)
-from .thermal import ThermalNetwork
-from .twophase import HeatPipe, LoopHeatPipe, Thermosyphon
+# The most-used entry points, re-exported flat from their defining
+# modules; every subpackage loads on first access.
+_EXPORTS = {
+    ".core.design_flow": ("FrequencyAllocation", "PackagingSpecification",
+                          "run_design_procedure"),
+    ".core.levels": ("run_pyramid",),
+    ".core.qualification": ("run_campaign",),
+    ".core.selector": ("select_architecture",),
+    ".packaging.module": ("Module",),
+    ".packaging.pcb": ("Pcb",),
+    ".packaging.rack": ("Rack",),
+    ".packaging.seb": ("SeatElectronicsBox", "SebConfiguration"),
+    ".resilience.faults": ("FaultPlan", "FaultSpec"),
+    ".resilience.policy": ("RecoveryTrail", "SupervisionPolicy"),
+    ".resilience.supervisor": ("Supervisor",),
+    ".service.client": ("ServiceClient",),
+    ".service.server": ("SweepService",),
+    ".sweep.cache": ("SolverCache",),
+    ".sweep.report": ("SweepReport",),
+    ".sweep.runner": ("SweepRunner",),
+    ".sweep.space": ("Candidate", "DesignSpace"),
+    ".thermal.network": ("ThermalNetwork",),
+    ".twophase.heatpipe": ("HeatPipe",),
+    ".twophase.loopheatpipe": ("LoopHeatPipe",),
+    ".twophase.thermosyphon": ("Thermosyphon",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, submodules=(
+    "core", "durability", "environments", "experiments", "fingerprint",
+    "materials", "mechanical", "packaging", "perf", "reliability",
+    "resilience", "results", "retention", "service", "sweep", "thermal",
+    "tim", "twophase", "units"))
 
 __version__ = "1.0.0"
 

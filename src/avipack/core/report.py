@@ -9,12 +9,14 @@ reliability figure, and the violation list.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ..errors import InputError
 from ..units import kelvin_to_celsius
 from .design_flow import DesignReview
-from .qualification import QualificationReport
+
+if TYPE_CHECKING:  # annotation only; a sweep never runs qualification
+    from .qualification import QualificationReport
 
 
 def section_header(title: str) -> List[str]:

@@ -300,6 +300,12 @@ class JournalReplay:
     n_records: int = 0
     next_seq: int = 0
     quarantined: Tuple[QuarantinedRecord, ...] = ()
+    #: With ``keep_payloads``, the encoded text of the latest plan's
+    #: candidate list if its record is at :data:`SCHEMA_VERSION`.
+    candidates_payload: Optional[str] = None
+    #: With ``keep_payloads``, the encoded text of each latest outcome
+    #: whose record is at :data:`SCHEMA_VERSION`.
+    outcome_payloads: Dict[str, str] = field(default_factory=dict)
 
     @property
     def n_quarantined(self) -> int:
@@ -343,8 +349,19 @@ def _write_quarantine(path: str,
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _replay_outcome(replay: JournalReplay, fingerprint: str, payload: str,
+                    version: int, keep: bool) -> None:
+    """Decode one outcome payload into ``replay``, latest-wins."""
+    replay.outcomes[fingerprint] = _decode_payload(payload, version)
+    if keep:
+        replay.outcome_payloads[fingerprint] = payload
+    else:
+        replay.outcome_payloads.pop(fingerprint, None)
+
+
 def replay_journal(path: str, quarantine_path: Optional[str] = None,
-                   write_quarantine: bool = True) -> JournalReplay:
+                   write_quarantine: bool = True, *,
+                   keep_payloads: bool = False) -> JournalReplay:
     """Verify and replay a journal; damage is quarantined, never fatal.
 
     Every line is independently decoded and checksum-verified; lines
@@ -355,6 +372,10 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
     ``write_quarantine`` is set — and replay continues.  Only a
     missing/unreadable journal *file* raises
     :class:`~avipack.errors.JournalError`.
+
+    ``keep_payloads`` also keeps the encoded text of every current-schema
+    payload it decoded (:attr:`JournalReplay.outcome_payloads`), so a
+    compaction need not encode the same objects again.
     """
     try:
         with open(path, "rb") as stream:
@@ -373,33 +394,32 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
             body = _verify_line(line)
             kind = body["kind"]
             version = body["schema_version"]
-            if kind == "plan":
+            keep = keep_payloads and version == SCHEMA_VERSION
+            if kind in ("plan", "checkpoint"):
                 replay.candidates = tuple(
                     _decode_payload(body["candidates"], version))
                 replay.space_fingerprint = str(
                     body.get("space_fingerprint", ""))
-            elif kind == "dispatched":
+                replay.candidates_payload = (body["candidates"] if keep
+                                             else None)
+            if kind == "dispatched":
                 replay.dispatched[str(body["fingerprint"])] = \
                     int(body["index"])
             elif kind in _OUTCOME_KINDS:
-                outcome = _decode_payload(body["payload"], version)
-                replay.outcomes[str(body["fingerprint"])] = outcome
+                _replay_outcome(replay, str(body["fingerprint"]),
+                                body["payload"], version, keep)
             elif kind == "checkpoint":
                 # One folded prefix (see avipack.retention): apply it
                 # wholesale, then let any live-tail records appended
                 # after compaction override entries latest-wins, just
                 # as the uncompacted stream would have.
-                replay.candidates = tuple(
-                    _decode_payload(body["candidates"], version))
-                replay.space_fingerprint = str(
-                    body.get("space_fingerprint", ""))
                 for fp, payload in body["outcomes"].items():
-                    replay.outcomes[str(fp)] = _decode_payload(payload,
-                                                              version)
+                    _replay_outcome(replay, str(fp), payload, version,
+                                    keep)
                 for fp, index in body["dispatched"].items():
                     replay.dispatched[str(fp)] = int(index)
                 replay.n_records += int(body.get("n_folded", 1)) - 1
-            else:
+            elif kind != "plan":
                 raise _DamagedRecord(f"unknown record kind {kind!r}")
         except (ValueError, KeyError, TypeError, zlib.error,
                 pickle.UnpicklingError, EOFError, AttributeError,

@@ -8,42 +8,23 @@
   (the COSEE campaign).
 """
 
-from .arinc600 import (
-    STANDARD_FLOW_KG_H_PER_KW,
-    STANDARD_INLET_TEMPERATURE,
-    CardChannel,
-    ForcedAirPerformance,
-    allocated_mass_flow,
-    hotspot_surface_rise,
-    module_performance,
-    required_flow_multiplier,
-)
-from .do160 import (
-    TEMPERATURE_CATEGORIES,
-    TemperatureCategory,
-    ambient_pressure_at_altitude,
-    curve_names,
-    temperature_category,
-    vibration_curve,
-)
-from .ingress import (
-    ZONE_SEALING,
-    SealingAssessment,
-    SealingLevel,
-    assess_sealing,
-    compatible_techniques,
-    required_sealing,
-    seb_zone_explains_passive_choice,
-    technique_compatible,
-)
-from .profiles import (
-    AccelerationTest,
-    ClimaticTest,
-    QualificationCampaign,
-    ThermalShockTest,
-    VibrationTest,
-    cosee_campaign,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".arinc600": ("STANDARD_FLOW_KG_H_PER_KW", "STANDARD_INLET_TEMPERATURE",
+                  "CardChannel", "ForcedAirPerformance", "allocated_mass_flow",
+                  "hotspot_surface_rise", "module_performance",
+                  "required_flow_multiplier"),
+    ".do160": ("TEMPERATURE_CATEGORIES", "TemperatureCategory",
+               "ambient_pressure_at_altitude", "curve_names",
+               "temperature_category", "vibration_curve"),
+    ".ingress": ("ZONE_SEALING", "SealingAssessment", "SealingLevel",
+                 "assess_sealing", "compatible_techniques", "required_sealing",
+                 "seb_zone_explains_passive_choice", "technique_compatible"),
+    ".profiles": ("AccelerationTest", "ClimaticTest", "QualificationCampaign",
+                  "ThermalShockTest", "VibrationTest", "cosee_campaign"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AccelerationTest",

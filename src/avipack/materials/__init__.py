@@ -6,25 +6,17 @@
   saturation-line properties of two-phase working fluids.
 """
 
-from .fluids import (
-    FluidState,
-    SaturationState,
-    air_properties,
-    list_working_fluids,
-    rank_working_fluids,
-    saturation_properties,
-    water_properties,
-)
-from .library import (
-    CARBON_COMPOSITE,
-    DEFAULT_LIBRARY,
-    FR4_LAMINATE,
-    Material,
-    MaterialLibrary,
-    OrthotropicMaterial,
-    get_material,
-    pcb_effective_conductivity,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".fluids": ("FluidState", "SaturationState", "air_properties",
+                "list_working_fluids", "rank_working_fluids",
+                "saturation_properties", "water_properties"),
+    ".library": ("CARBON_COMPOSITE", "DEFAULT_LIBRARY", "FR4_LAMINATE",
+                 "Material", "MaterialLibrary", "OrthotropicMaterial",
+                 "get_material", "pcb_effective_conductivity"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "CARBON_COMPOSITE",

@@ -12,69 +12,40 @@
 * :mod:`~avipack.mechanical.shock` — SRS and quasi-static acceleration.
 """
 
-from .beam import BeamModel, BeamSection, simply_supported_beam_frequency
-from .fatigue import (
-    BAND_FRACTIONS,
-    COMPONENT_CONSTANTS,
-    CYCLES_TO_FAIL_RANDOM,
-    fatigue_life_hours,
-    margin_of_safety,
-    sn_cycles_to_failure,
-    steinberg_allowable_deflection,
-    thermal_cycling_life_coffin_manson,
-    three_band_damage_rate,
-)
-from .isolation import (
-    Isolator,
-    damper_tuning,
-    design_isolator,
-    static_sag,
-    stiffness_for_frequency,
-)
-from .plate import (
-    PlateMode,
-    PlateSpec,
-    fundamental_frequency,
-    mode_shape,
-    plate_modes,
-    stiffener_rigidity_for_frequency,
-    thickness_for_frequency,
-)
-from .random_vibration import (
-    PowerSpectralDensity,
-    default_q_factor,
-    miles_rms_acceleration,
-    positive_crossings_per_second,
-    rms_displacement_from_acceleration,
-    three_sigma,
-)
-from .shock import (
-    QuasiStaticLoadCase,
-    bracket_stress,
-    fastener_shear_stress,
-    half_sine_pulse,
-    sdof_peak_response,
-    shock_response_spectrum,
-    terminal_sawtooth_pulse,
-)
-from .sine import (
-    SineSpec,
-    do160_propeller_sine,
-    peak_sine_response,
-    resonance_dwell_cycles,
-    sdof_magnification,
-)
-from .thermomechanical import (
-    Layer,
-    SolderJointAssessment,
-    bimaterial_bow,
-    bimaterial_curvature,
-    bimaterial_interface_stress,
-    constrained_thermal_stress,
-    qualification_shock_joint_life,
-    solder_joint_assessment,
-    underfill_benefit_factor,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".beam": ("BeamModel", "BeamSection", "simply_supported_beam_frequency"),
+    ".fatigue": ("BAND_FRACTIONS", "COMPONENT_CONSTANTS",
+                 "CYCLES_TO_FAIL_RANDOM", "fatigue_life_hours",
+                 "margin_of_safety", "sn_cycles_to_failure",
+                 "steinberg_allowable_deflection",
+                 "thermal_cycling_life_coffin_manson",
+                 "three_band_damage_rate"),
+    ".isolation": ("Isolator", "damper_tuning", "design_isolator",
+                   "static_sag", "stiffness_for_frequency"),
+    ".plate": ("PlateMode", "PlateSpec", "fundamental_frequency", "mode_shape",
+               "plate_modes", "stiffener_rigidity_for_frequency",
+               "thickness_for_frequency"),
+    ".random_vibration": ("PowerSpectralDensity", "default_q_factor",
+                          "miles_rms_acceleration",
+                          "positive_crossings_per_second",
+                          "rms_displacement_from_acceleration", "three_sigma"),
+    ".shock": ("QuasiStaticLoadCase", "bracket_stress",
+               "fastener_shear_stress", "half_sine_pulse",
+               "sdof_peak_response", "shock_response_spectrum",
+               "terminal_sawtooth_pulse"),
+    ".sine": ("SineSpec", "do160_propeller_sine", "peak_sine_response",
+              "resonance_dwell_cycles", "sdof_magnification"),
+    ".thermomechanical": ("Layer", "SolderJointAssessment", "bimaterial_bow",
+                          "bimaterial_curvature",
+                          "bimaterial_interface_stress",
+                          "constrained_thermal_stress",
+                          "qualification_shock_joint_life",
+                          "solder_joint_assessment",
+                          "underfill_benefit_factor"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BAND_FRACTIONS",

@@ -1,24 +1,17 @@
 """Reliability prediction from junction temperatures (level-3 output)."""
 
-from .mission import (
-    MissionPhase,
-    MissionPrediction,
-    degraded_cooling_penalty,
-    predict_mission_mtbf,
-    standard_flight_profile,
-)
-from .mtbf import (
-    ENVIRONMENT_FACTORS,
-    MAX_AMBIENT,
-    MAX_JUNCTION,
-    QUALITY_FACTORS,
-    REFERENCE_JUNCTION,
-    PartReliability,
-    ReliabilityPrediction,
-    fan_reliability_penalty,
-    mtbf_improvement_factor,
-    predict_mtbf,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".mission": ("MissionPhase", "MissionPrediction",
+                 "degraded_cooling_penalty", "predict_mission_mtbf",
+                 "standard_flight_profile"),
+    ".mtbf": ("ENVIRONMENT_FACTORS", "MAX_AMBIENT", "MAX_JUNCTION",
+              "QUALITY_FACTORS", "REFERENCE_JUNCTION", "PartReliability",
+              "ReliabilityPrediction", "fan_reliability_penalty",
+              "mtbf_improvement_factor", "predict_mtbf"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ENVIRONMENT_FACTORS",

@@ -96,17 +96,21 @@ def compact_journal(path: str,
         directory, name = os.path.split(path)
         sweep_stale_tmp(directory or ".", re.escape(name))
         hook("replay")
-        replay = replay_journal(path, quarantine_path)
+        replay = replay_journal(path, quarantine_path, keep_payloads=True)
         if replay.candidates is None:
             raise JournalError(
                 f"cannot compact {path}: no intact plan or checkpoint "
                 "record survives to anchor the candidate set")
         bytes_before = os.path.getsize(path)
         hook("encode")
+        # Current-schema payloads are carried over verbatim; only older
+        # records are encoded again, so the checkpoint is all current.
+        kept = replay.outcome_payloads
         fields: Dict[str, Any] = {
-            "candidates": _encode_payload(tuple(replay.candidates)),
+            "candidates": (replay.candidates_payload
+                           or _encode_payload(tuple(replay.candidates))),
             "space_fingerprint": replay.space_fingerprint,
-            "outcomes": {fp: _encode_payload(outcome)
+            "outcomes": {fp: kept.get(fp) or _encode_payload(outcome)
                          for fp, outcome
                          in sorted(replay.outcomes.items())},
             "dispatched": {fp: int(index)

@@ -20,6 +20,7 @@ Layering::
     client     blocking ServiceClient with reconnect-and-replay
 """
 
+from .._exports import lazy_exports
 from .admission import AdmissionPolicy, JobQueue, Rejection, admit
 from .client import ServiceClient
 from .jobs import ACTIVE_STATES, TERMINAL_STATES, Job, JobStore
@@ -32,8 +33,12 @@ from .protocol import (
     normalize_submission,
     submission_fingerprint,
 )
-from .server import ServiceConfig, SweepService, ThreadedService
 from .stats import SERVICE_KERNEL, ServiceStats
+
+# The asyncio server loads on first access: a client, a sweep and the
+# CLI's other commands never start one.
+_EXPORTS = {".server": ("ServiceConfig", "SweepService", "ThreadedService")}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ACTIVE_STATES",

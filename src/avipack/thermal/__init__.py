@@ -13,55 +13,34 @@ the paper with from-scratch solvers of the same abstraction level:
   and climatic cycling.
 """
 
-from .conduction import (
-    ADIABATIC,
-    FACES,
-    BoundaryCondition,
-    CartesianGrid,
-    ConductionSolution,
-    ConductionSolver,
-    TransientConductionResult,
-)
-from .convection import (
-    air_outlet_temperature,
-    duct_velocity,
-    fin_efficiency,
-    forced_convection_conductance,
-    forced_convection_duct,
-    forced_convection_flat_plate,
-    heat_sink_conductance,
-    natural_convection_conductance,
-    natural_convection_enclosure,
-    natural_convection_horizontal_cylinder,
-    natural_convection_horizontal_plate_down,
-    natural_convection_horizontal_plate_up,
-    natural_convection_vertical_plate,
-    rayleigh_number,
-    reynolds_number,
-)
-from .enclosure import BOX_FACES, BoxEnclosure
-from .network import (
-    NetworkSolution,
-    ThermalNetwork,
-    parallel_resistance,
-    series_resistance,
-    slab_resistance,
-    spreading_resistance,
-)
-from .radiation import (
-    enclosure_exchange_factor,
-    linearized_radiation_coefficient,
-    radiation_conductance,
-    solve_radiosity,
-    view_factor_parallel_plates,
-    view_factor_perpendicular_plates,
-)
-from .transient import (
-    TransientNetworkResult,
-    TransientNetworkSolver,
-    cyclic_profile,
-    ramp_profile,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".conduction": ("ADIABATIC", "FACES", "BoundaryCondition", "CartesianGrid",
+                    "ConductionSolution", "ConductionSolver",
+                    "TransientConductionResult"),
+    ".convection": ("air_outlet_temperature", "duct_velocity",
+                    "fin_efficiency", "forced_convection_conductance",
+                    "forced_convection_duct", "forced_convection_flat_plate",
+                    "heat_sink_conductance", "natural_convection_conductance",
+                    "natural_convection_enclosure",
+                    "natural_convection_horizontal_cylinder",
+                    "natural_convection_horizontal_plate_down",
+                    "natural_convection_horizontal_plate_up",
+                    "natural_convection_vertical_plate", "rayleigh_number",
+                    "reynolds_number"),
+    ".enclosure": ("BOX_FACES", "BoxEnclosure"),
+    ".network": ("NetworkSolution", "ThermalNetwork", "parallel_resistance",
+                 "series_resistance", "slab_resistance",
+                 "spreading_resistance"),
+    ".radiation": ("enclosure_exchange_factor",
+                   "linearized_radiation_coefficient", "radiation_conductance",
+                   "solve_radiosity", "view_factor_parallel_plates",
+                   "view_factor_perpendicular_plates"),
+    ".transient": ("TransientNetworkResult", "TransientNetworkSolver",
+                   "cyclic_profile", "ramp_profile"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ADIABATIC",

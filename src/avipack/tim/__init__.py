@@ -10,30 +10,21 @@
   NANOPACK developments (6 / 9.5 / 20 W/m·K).
 """
 
-from .catalog import TimMaterial, best_tim_for_target, get_tim, list_tims
-from .interface import (
-    ThermalInterface,
-    bond_line_thickness,
-    contact_resistance_mikic,
-    meets_nanopack_target,
-    series_interface_resistance,
-)
-from .models import (
-    LEWIS_NIELSEN_SHAPES,
-    bruggeman,
-    cnt_array_conductivity,
-    electrical_resistivity_filled,
-    lewis_nielsen,
-    loading_for_conductivity,
-    maxwell_garnett,
-    percolation_conductivity,
-)
-from .tester import (
-    D5470Measurement,
-    D5470Tester,
-    FourWireOhmmeter,
-    TimCharacterization,
-)
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".catalog": ("TimMaterial", "best_tim_for_target", "get_tim", "list_tims"),
+    ".interface": ("ThermalInterface", "bond_line_thickness",
+                   "contact_resistance_mikic", "meets_nanopack_target",
+                   "series_interface_resistance"),
+    ".models": ("LEWIS_NIELSEN_SHAPES", "bruggeman", "cnt_array_conductivity",
+                "electrical_resistivity_filled", "lewis_nielsen",
+                "loading_for_conductivity", "maxwell_garnett",
+                "percolation_conductivity"),
+    ".tester": ("D5470Measurement", "D5470Tester", "FourWireOhmmeter",
+                "TimCharacterization"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "D5470Measurement",

@@ -5,23 +5,19 @@ project: heat pipes, loop heat pipes and thermosyphons, plus the wick
 structures and working-fluid models they share.
 """
 
-from .heatpipe import (
-    NUCLEATION_RADIUS,
-    HeatPipe,
-    HeatPipeGeometry,
-    standard_copper_water_heatpipe,
-)
-from .loopheatpipe import LoopHeatPipe, TransportLine, cosee_ammonia_lhp
-from .thermosyphon import Thermosyphon
-from .vaporchamber import VaporChamber, electronics_vapor_chamber
-from .wick import (
-    Wick,
-    axial_groove_wick,
-    screen_mesh_wick,
-    sintered_necked_wick,
-    sintered_powder_wick,
-)
-from .workingfluid import WorkingFluid, select_fluid
+from .._exports import lazy_exports
+
+_EXPORTS = {
+    ".heatpipe": ("NUCLEATION_RADIUS", "HeatPipe", "HeatPipeGeometry",
+                  "standard_copper_water_heatpipe"),
+    ".loopheatpipe": ("LoopHeatPipe", "TransportLine", "cosee_ammonia_lhp"),
+    ".thermosyphon": ("Thermosyphon",),
+    ".vaporchamber": ("VaporChamber", "electronics_vapor_chamber"),
+    ".wick": ("Wick", "axial_groove_wick", "screen_mesh_wick",
+              "sintered_necked_wick", "sintered_powder_wick"),
+    ".workingfluid": ("WorkingFluid", "select_fluid"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "HeatPipe",

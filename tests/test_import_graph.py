@@ -1,0 +1,135 @@
+"""The import graph: a campaign process loads only what it runs.
+
+Importing the sweep path (``avipack.sweep``, ``.results``,
+``.retention``) or the service client must not execute the paper-figure
+builders, the two-phase models, the design advisor, the qualification
+campaign, the SEB model, the asyncio server or static analysis.  Each
+check imports in a fresh interpreter, because this test session has
+long since loaded every module.
+
+The packages whose ``__init__`` re-exports lazily (PEP 562) must still
+behave like the eager ones they replaced: every ``__all__`` name
+resolves to its defining module's object, ``dir()`` lists it, ``from
+pkg import *`` binds it, and an unknown name raises AttributeError.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import avipack
+
+SRC = os.path.dirname(os.path.dirname(avipack.__file__))
+
+#: Modules the sweep path must not load.
+SWEEP_FORBIDDEN = (
+    "avipack.experiments",
+    "avipack.analysis",
+    "avipack.twophase",
+    "avipack.core.advisor",
+    "avipack.core.qualification",
+    "avipack.packaging.seb",
+    "avipack.service.server",
+    "asyncio",
+)
+
+#: Packages whose re-exports resolve on first access.
+LAZY_PACKAGES = (
+    "avipack", "avipack.core", "avipack.environments", "avipack.materials",
+    "avipack.mechanical", "avipack.packaging", "avipack.reliability",
+    "avipack.service", "avipack.thermal", "avipack.tim",
+    "avipack.twophase",
+)
+
+
+def loaded_after(statement):
+    """Names in ``sys.modules`` after ``statement`` in a fresh process."""
+    probe = (f"{statement}\nimport json, sys\n"
+             "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    return set(json.loads(out.stdout))
+
+
+def forbidden_loaded(modules, forbidden):
+    return sorted(name for name in modules for root in forbidden
+                  if name == root or name.startswith(root + "."))
+
+
+def test_sweep_path_loads_only_what_a_campaign_runs():
+    modules = loaded_after(
+        "import avipack.sweep, avipack.results, avipack.retention")
+    assert "avipack.sweep.runner" in modules
+    assert forbidden_loaded(modules, SWEEP_FORBIDDEN) == []
+
+
+def test_service_client_loads_no_asyncio():
+    modules = loaded_after("import avipack.service.client")
+    assert "avipack.service.client" in modules
+    assert forbidden_loaded(modules, ("asyncio", "avipack.service.server")) \
+        == []
+
+
+def test_bare_package_import_loads_no_subpackage():
+    modules = loaded_after("import avipack")
+    assert sorted(name for name in modules
+                  if name.startswith("avipack.")) \
+        == ["avipack._exports", "avipack.errors"]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+class TestLazyPackage:
+    def test_every_name_is_its_defining_modules_object(self, package):
+        module = importlib.import_module(package)
+        owners = {name: owner for owner, names in module._EXPORTS.items()
+                  for name in names}
+        assert set(owners) <= set(module.__all__)
+        for name in module.__all__:
+            if name in owners:
+                defining = importlib.import_module(owners[name], package)
+                assert getattr(module, name) is getattr(defining, name), \
+                    name
+            else:  # an eager import or a subpackage
+                assert hasattr(module, name), name
+
+    def test_dir_lists_every_export(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+
+    def test_star_import_binds_every_export(self, package):
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), name
+
+    def test_unknown_name_raises_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "no_such_name")
+
+
+def test_reexport_is_read_anew_on_every_access(monkeypatch):
+    """A rebinding in the defining module shows through the package
+    and is gone with it: nothing is cached in the package."""
+    from avipack import core
+    from avipack.core import levels
+
+    original = levels.run_level1
+
+    def stand_in(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    assert core.run_level1 is original
+    monkeypatch.setattr(levels, "run_level1", stand_in)
+    assert core.run_level1 is stand_in
+    monkeypatch.undo()
+    assert core.run_level1 is original
+    assert "run_level1" not in vars(core)

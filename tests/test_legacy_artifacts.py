@@ -40,6 +40,7 @@ from avipack.results import ResultStore, ResultStoreWriter, \
 from avipack.results.schema import ROW_DTYPE, fill_row
 from avipack.durability.files import atomic_write
 from avipack.results.store import _header_line, publish_shard
+from avipack.retention import checkpoint as checkpoint_mod
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
@@ -337,6 +338,45 @@ class TestSchema1Journal:
         assert checkpoint["body"]["kind"] == "checkpoint"
         assert checkpoint["body"]["schema_version"] == 2
         replay = replay_journal(journal)
+        assert replay.outcomes == {o.fingerprint: o for o in outcomes}
+        assert report_signature(replay.outcomes.values()) \
+            == report_signature(outcomes)
+
+    def test_mixed_journal_compacts_and_ranks_like_a_fresh_run(
+            self, campaign, journal, monkeypatch):
+        _, outcomes = campaign
+        # Schema-2 records supersede the schema-1 ones of every second
+        # outcome, as a resume that recomputed them would append.
+        superseded = outcomes[::2]
+        next_seq = replay_journal(journal).next_seq
+        with SweepJournal.append_to(journal, next_seq=next_seq) as writer:
+            for outcome in superseded:
+                writer.record_outcome(outcome)
+        source = {line["body"]["fingerprint"]: line["body"]
+                  for line in journal_lines(journal)
+                  if "payload" in line["body"]}
+        encode = checkpoint_mod._encode_payload
+        encoded = []
+        monkeypatch.setattr(checkpoint_mod, "_encode_payload",
+                            lambda value: encoded.append(value)
+                            or encode(value))
+        compaction = compact_journal(journal)
+        # Only the schema-1 plan and the outcomes still at schema 1.
+        assert len(encoded) == 1 + len(outcomes) - len(superseded)
+        assert compaction.n_folded == 1 + len(outcomes) + len(superseded)
+        (checkpoint,) = journal_lines(journal)
+        assert checkpoint["body"]["schema_version"] == 2
+        for fingerprint, text in checkpoint["body"]["outcomes"].items():
+            body = source[fingerprint]
+            if body["schema_version"] == 2:
+                assert text == body["payload"]
+            else:  # re-encoded: zlib'd, never the plain schema-1 text
+                assert text != body["payload"]
+                zlib.decompress(base64.b64decode(text))
+        assert {body["schema_version"] for body in source.values()} \
+            == {1, 2}
+        replay = replay_journal(journal)
+        assert replay.n_quarantined == 0
         assert replay.outcomes == {o.fingerprint: o for o in outcomes}
         assert report_signature(replay.outcomes.values()) \
             == report_signature(outcomes)

@@ -9,26 +9,45 @@ The board problem is linear, so level 3 solves each distinct board once
 per film coefficient for its junction rises and every slot adds its own
 boundary.  The property tests check that against a fresh solve at the
 slot's ambient, and that the level-3 key and the detail operator key
-change exactly when what they stand for changes.
+change exactly when what they stand for changes.  The cache keys of
+level 1, level 2 and the mechanical branch are held to the same rule:
+any input the solve reads changes its key, and a direct call asks for
+the key the design procedure stores.
 """
 
 import dataclasses
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avipack import perf
-from avipack.core.design_flow import run_mechanical_branch
-from avipack.core.levels import Level3Board, run_level3, run_pyramid
+from avipack.core.design_flow import (
+    FrequencyAllocation,
+    PackagingSpecification,
+    run_design_procedure,
+    run_mechanical_branch,
+)
+from avipack.core.levels import (
+    BOARD_LIMIT,
+    Level3Board,
+    run_level1,
+    run_level2,
+    run_level3,
+    run_pyramid,
+)
+from avipack.environments.do160 import curve_names
 from avipack.errors import InputError
+from avipack.mechanical.fatigue import COMPONENT_CONSTANTS
 from avipack.packaging.component import (
     PACKAGE_FAMILIES,
     Component,
     get_package,
 )
+from avipack.packaging.cooling import ModuleEnvelope
 from avipack.packaging.formfactors import ATR_WIDTHS
+from avipack.packaging.module import Module
 from avipack.packaging.pcb import Pcb, PcbDetailModel, dummy_resistive_pcb
 from avipack.packaging.rack import Rack
 from avipack.resilience import FaultPlan, FaultSpec, Supervisor
@@ -349,6 +368,202 @@ class TestLevel3Key:
         cache = SolverCache()
         run_pyramid(rack, cache=cache)
         assert Level3Board(Candidate().board()).level3_key(15.0) in cache
+
+
+class KeyProbe:
+    """A cache that records the key it is asked for and solves nothing."""
+
+    def __init__(self):
+        self.keys = []
+
+    def get_or_compute(self, key, compute):
+        self.keys.append(key)
+
+
+def key_of(run, *args, **kwargs):
+    """The one cache key ``run`` asks for on these arguments."""
+    probe = KeyProbe()
+    run(*args, cache=probe, **kwargs)
+    (key,) = probe.keys
+    return key
+
+
+def changed_module(rack, data, name, values):
+    """``rack`` with one drawn module's ``name`` set to a new value."""
+    modules = list(rack.modules)
+    k = data.draw(st.integers(0, len(modules) - 1))
+    old = getattr(modules[k], name)
+    modules[k] = dataclasses.replace(
+        modules[k], **{name: data.draw(values.filter(lambda v: v != old))})
+    return dataclasses.replace(rack, modules=modules)
+
+
+def changed_module_power(rack, data, name, values):
+    """``rack`` with one drawn module's power overridden anew."""
+    modules = list(rack.modules)
+    k = data.draw(st.integers(0, len(modules) - 1))
+    old = modules[k].power
+    modules[k] = dataclasses.replace(
+        modules[k], power_override=data.draw(
+            values.filter(lambda v: v != old)))
+    return dataclasses.replace(rack, modules=modules)
+
+
+def changed_channel(rack, data, name, values):
+    """``rack`` with its card channel's ``name`` set to a new value."""
+    return dataclasses.replace(
+        rack, channel=changed_field(rack.channel, data, name, values))
+
+
+def changed_slot_count(rack, data, name, values):
+    """``rack`` with slots added, or the last ones dropped."""
+    count = data.draw(values.filter(lambda n: n != len(rack.modules)))
+    modules = [rack.modules[i % len(rack.modules)]
+               for i in range(count)]
+    return dataclasses.replace(rack, modules=modules)
+
+
+def changed_package_mass(board, data, name, values):
+    """``board`` with one component swapped to a package of other mass."""
+    parts = list(board.components)
+    k = data.draw(st.integers(0, len(parts) - 1))
+    mass = parts[k].package.mass
+    parts[k] = dataclasses.replace(parts[k], package=data.draw(
+        values.filter(lambda p: p.mass != mass)))
+    return dataclasses.replace(board, components=parts)
+
+
+LEVEL1_INPUTS = {"total_power": st.floats(1.0, 500.0),
+                 "ambient": st.floats(220.0, 360.0)}
+LEVEL1_INPUTS.update(
+    (f.name, st.floats(1e-3, 2.0) if f.name != "shell_emissivity"
+     else st.floats(0.05, 1.0))
+    for f in dataclasses.fields(ModuleEnvelope))
+
+LEVEL2_CHANGES = {
+    "module power": (changed_module_power, None, st.floats(0.0, 80.0)),
+    "module name": (changed_module, "name", st.text(min_size=1)),
+    "slot count": (changed_slot_count, None, st.integers(1, 6)),
+    "card_height": (changed_channel, "card_height", st.floats(0.05, 0.4)),
+    "card_depth": (changed_channel, "card_depth", st.floats(0.05, 0.5)),
+    "channel_gap": (changed_channel, "channel_gap", st.floats(1e-3, 0.02)),
+    "supply_temperature": (changed_field, "supply_temperature",
+                           st.floats(220.0, 360.0)),
+    "series_fraction": (changed_field, "series_fraction",
+                        st.floats(0.0, 1.0)),
+}
+
+MECHANICAL_BOARD_CHANGES = {
+    "length": (changed_field, st.floats(0.15, 0.4)),
+    "width": (changed_field, st.floats(0.1, 0.3)),
+    "thickness": (changed_field, st.floats(5e-4, 4e-3)),
+    "component mass": (changed_package_mass,
+                       st.sampled_from(sorted(PACKAGE_FAMILIES.values(),
+                                              key=lambda p: p.name))),
+}
+
+MECHANICAL_SPEC_CHANGES = {
+    "vibration_curve_name": st.sampled_from(curve_names()),
+    "frequency_allocation": st.one_of(st.none(), st.builds(
+        lambda low, span: FrequencyAllocation(low, low + span),
+        st.floats(10.0, 800.0), st.floats(1.0, 500.0))),
+    "mission_vibration_hours": st.floats(1.0, 1e5),
+}
+
+
+def board_rack(board):
+    """Two slots carrying ``board``, with a specification."""
+    rack = Rack(name="keys")
+    for slot in range(2):
+        rack.add_module(Module(name=f"m{slot + 1}", pcb=board))
+    return rack, PackagingSpecification(name="keys")
+
+
+class TestLevel1Key:
+    @pytest.mark.parametrize("change", sorted(LEVEL1_INPUTS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_input_changes_the_key(self, change, data):
+        envelope = ModuleEnvelope()
+        inputs = {"total_power": 120.0, "ambient": 313.15}
+        values = LEVEL1_INPUTS[change]
+        if change in inputs:
+            old = inputs[change]
+            inputs[change] = data.draw(values.filter(lambda v: v != old))
+            changed = envelope
+        else:
+            changed = changed_field(envelope, data, change, values)
+        base = key_of(run_level1, 120.0, envelope, 313.15)
+        assert key_of(run_level1, inputs["total_power"], changed,
+                      inputs["ambient"]) != base
+
+
+class TestLevel2Key:
+    @pytest.mark.parametrize("change", sorted(LEVEL2_CHANGES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_input_changes_the_key(self, change, data):
+        rack, _ = Candidate(n_modules=3).build()
+        change_of, name, values = LEVEL2_CHANGES[change]
+        changed = change_of(rack, data, name, values)
+        assert key_of(run_level2, changed) != key_of(run_level2, rack)
+
+    @settings(max_examples=15, deadline=None)
+    @given(limit=st.floats(300.0, 420.0))
+    def test_board_limit_changes_the_key(self, limit):
+        rack, _ = Candidate().build()
+        assume(limit != BOARD_LIMIT)
+        assert key_of(run_level2, rack, limit) \
+            != key_of(run_level2, rack, BOARD_LIMIT)
+
+
+class TestMechanicalKey:
+    @pytest.mark.parametrize("change", sorted(MECHANICAL_BOARD_CHANGES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_board_input_changes_the_key(self, change, data):
+        rack, spec = board_rack(base_board())
+        change_of, values = MECHANICAL_BOARD_CHANGES[change]
+        changed, _ = board_rack(change_of(base_board(), data, change,
+                                          values))
+        assert key_of(run_mechanical_branch, changed, spec) \
+            != key_of(run_mechanical_branch, rack, spec)
+
+    @pytest.mark.parametrize("change", sorted(MECHANICAL_SPEC_CHANGES))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_any_requirement_changes_the_key(self, change, data):
+        rack, spec = board_rack(base_board())
+        changed = changed_field(spec, data, change,
+                                MECHANICAL_SPEC_CHANGES[change])
+        assert key_of(run_mechanical_branch, rack, changed) \
+            != key_of(run_mechanical_branch, rack, spec)
+
+    @settings(max_examples=15, deadline=None)
+    @given(length=st.floats(1e-3, 0.05),
+           kind=st.sampled_from(sorted(COMPONENT_CONSTANTS)))
+    def test_critical_component_changes_the_key(self, length, kind):
+        rack, spec = board_rack(base_board())
+        assume((length, kind) != (0.02, "smt_gullwing"))
+        assert key_of(run_mechanical_branch, rack, spec, length, kind) \
+            != key_of(run_mechanical_branch, rack, spec)
+
+
+class TestProcedureKeys:
+    @settings(max_examples=8, deadline=None)
+    @given(candidate=st.builds(
+        Candidate, power_per_module=st.floats(5.0, 60.0),
+        n_modules=st.integers(1, 4), series_fraction=st.floats(0.0, 1.0),
+        form_factor=st.sampled_from(sorted(ATR_WIDTHS))))
+    def test_direct_calls_and_the_procedure_share_keys(self, candidate):
+        rack, spec = candidate.build()
+        cache = SolverCache()
+        run_design_procedure(rack, spec, cache=cache)
+        assert key_of(run_level1, rack.total_power,
+                      rack.modules[0].envelope,
+                      spec.category.operating_high) in cache
+        assert key_of(run_level2, rack) in cache
+        assert key_of(run_mechanical_branch, rack, spec) in cache
 
 
 def solver_operator_key(model, h_top, h_bottom):

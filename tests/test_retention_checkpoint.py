@@ -20,7 +20,7 @@ from avipack.durability import SweepJournal, replay_journal
 from avipack.durability.journal import _canonical
 from avipack.errors import DurabilityError, JournalError
 from avipack.fingerprint import content_crc32, content_digest
-from avipack.retention import compact_journal
+from avipack.retention import checkpoint, compact_journal
 from tests.test_durability_journal import (
     make_candidates,
     make_result,
@@ -83,6 +83,33 @@ class TestFold:
         again = compact_journal(journalled)
         assert open(journalled, "rb").read() == first
         assert again.bytes_reclaimed == 0
+
+    def test_checkpoint_carries_payload_texts_verbatim(self, journalled):
+        # A superseding record: the checkpoint must carry the latest one.
+        candidates = make_candidates(4)
+        next_seq = replay_journal(journalled,
+                                  write_quarantine=False).next_seq
+        with SweepJournal.append_to(journalled,
+                                    next_seq=next_seq) as journal:
+            journal.record_outcome(make_result(0, candidates[0],
+                                               worst_board_c=71.0))
+        source = [json.loads(line)["body"]
+                  for line in open(journalled, "rb").read().splitlines()]
+        latest = {body["fingerprint"]: body["payload"]
+                  for body in source if "payload" in body}
+        compact_journal(journalled)
+        (line,) = open(journalled, "rb").read().splitlines()
+        body = json.loads(line)["body"]
+        assert body["outcomes"] == latest
+        assert body["candidates"] == source[0]["candidates"]
+
+    def test_current_schema_payloads_are_not_encoded_again(
+            self, journalled, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(checkpoint, "_encode_payload",
+                            lambda value: encoded.append(value))
+        compact_journal(journalled)
+        assert encoded == []
 
     def test_counters_track_compactions_and_bytes(self, journalled):
         perf.reset()

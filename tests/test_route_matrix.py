@@ -164,12 +164,15 @@ def resume(step, candidates, reference, faults, journal, store):
     check_route(report, step.route,
                 [o for o in report.outcomes
                  if o.fingerprint not in crashed.outcomes])
-    if [o.fingerprint for o in reference] != \
+    if faults is not None or [o.fingerprint for o in reference] != \
             [c.fingerprint for c in order]:
         # A fault plan decides by candidate index, so a new order
         # changes what a recomputed candidate meets: restored outcomes
         # keep their values under the new index, recomputed ones match
-        # a serial run of the new order.
+        # a serial run of the new order.  Under a plan this holds even
+        # when this resume keeps the order: an earlier re-ordered
+        # resume may have restored an outcome that was computed at
+        # another index, and a cut may now drop it for recomputation.
         fresh = SweepRunner(parallel=False, faults=faults).run(order)
         reference = [
             dataclasses.replace(crashed.outcomes[o.fingerprint],
@@ -217,6 +220,14 @@ def resume(step, candidates, reference, faults, journal, store):
 # re-ingest must carry the new indices.
 @example(picks=[0, 12, 4, 13], faults=None, route="serial",
          steps=[Resume(1.0, "serial", order=(3, 2, 1, 0)), Ingest(2)])
+# A complete journal resumed re-ordered, then cut to nothing: the plan
+# now meets every candidate at the index it has in the new order, not
+# the one its restored outcome was computed at.
+@example(picks=[0, 1, 2],
+         faults=plan(("levels.level2", "convergence", 0.25), persist=3),
+         route="pool",
+         steps=[Resume(1.0, "pool", order=(0, 2, 1, 3, 4, 5, 6, 7)),
+                Resume(0.0, "pool")])
 def test_every_route_ranks_like_a_serial_run(picks, faults, route, steps):
     candidates = [POOL[i] for i in picks]
     reference = SweepRunner(parallel=False,
