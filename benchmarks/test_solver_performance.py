@@ -7,8 +7,6 @@ library against performance regressions — level-3 sweeps call these
 kernels thousands of times during a design study.
 """
 
-import pytest
-
 from avipack import perf
 from avipack.materials.fluids import saturation_properties
 from avipack.mechanical.beam import BeamModel, BeamSection
@@ -18,9 +16,14 @@ from avipack.thermal.conduction import (
     CartesianGrid,
     ConductionSolver,
 )
-from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
 from avipack.twophase.heatpipe import standard_copper_water_heatpipe
+from bench_baseline import (
+    build_linear_network,
+    build_nonlinear_network,
+    build_radiation_chain,
+    build_transient_chain,
+)
 
 
 def build_board_solver():
@@ -38,19 +41,6 @@ def build_board_solver():
     return solver
 
 
-def build_network(n_chains=30, chain_length=6):
-    net = ThermalNetwork()
-    net.add_node("sink", fixed_temperature=300.0)
-    for c in range(n_chains):
-        previous = "sink"
-        for i in range(chain_length):
-            name = f"n{c}_{i}"
-            net.add_node(name, heat_load=1.0)
-            net.add_resistance(name, previous, 0.5)
-            previous = name
-    return net
-
-
 def test_perf_fv_board_solve(benchmark):
     """3 600-cell orthotropic board: assemble + direct solve."""
     solver = build_board_solver()
@@ -60,50 +50,16 @@ def test_perf_fv_board_solve(benchmark):
 
 def test_perf_network_solve(benchmark):
     """180-node linear network solve."""
-    net = build_network()
+    net = build_linear_network()
     solution = benchmark(net.solve)
     assert solution.residual < 1e-6
 
 
 def test_perf_nonlinear_network(benchmark):
     """Nonlinear (radiation-like) network fixed point."""
-    net = ThermalNetwork()
-    net.add_node("sink", fixed_temperature=300.0)
-    for i in range(20):
-        net.add_node(f"n{i}", heat_load=5.0)
-        net.add_conductance(
-            f"n{i}", "sink",
-            lambda a, b: 1e-9 * (a * a + b * b) * (a + b))
+    net = build_nonlinear_network()
     solution = benchmark(net.solve)
     assert solution.residual < 1e-4
-
-
-def build_radiation_chain(n_stages=15):
-    """Serial radiation-like chain whose fixed point needs ~200 passes."""
-    net = ThermalNetwork()
-    net.add_node("amb", fixed_temperature=260.0)
-    previous = "amb"
-    for i in range(n_stages):
-        name = f"stage{i}"
-        net.add_node(name, heat_load=3.0)
-        net.add_conductance(name, previous,
-                            lambda a, b: 5.67e-10 * (a * a + b * b)
-                            * (a + b))
-        previous = name
-    return net
-
-
-def build_transient_chain(n_nodes=30):
-    """Constant-conductance ladder for LU-reuse transient stepping."""
-    net = ThermalNetwork()
-    net.add_node("amb", fixed_temperature=300.0)
-    previous = "amb"
-    for i in range(n_nodes):
-        name = f"m{i}"
-        net.add_node(name, heat_load=0.5, capacitance=20.0)
-        net.add_conductance(name, previous, 2.0)
-        previous = name
-    return net
 
 
 def test_perf_nonlinear_fixed_point_200(benchmark):

@@ -21,6 +21,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -132,7 +133,6 @@ def _run_sweep(argv) -> int:
     """
     import json
 
-    from .durability import replay_journal
     from .durability.files import atomic_write
     from .errors import JournalError
     from .sweep import DesignSpace, SweepRunner, render_sweep_document
@@ -175,32 +175,21 @@ def _run_sweep(argv) -> int:
                          result_store=args.store_dir)
     if args.resume:
         try:
-            replay = replay_journal(args.journal, write_quarantine=True)
-        except JournalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        if replay.n_records == 0:
-            print(
-                f"error: journal {args.journal} holds no usable records"
-                f" ({replay.n_quarantined} damaged record(s) quarantined"
-                f" to {args.journal}.quarantine); the campaign cannot be"
-                " resumed. Restore the journal from a backup, or re-run"
-                " without --resume to start fresh.",
-                file=sys.stderr)
-            return 3
-        try:
             report = runner.resume(args.journal)
         except JournalError as exc:
-            print(f"error: cannot resume from {args.journal}: {exc}",
-                  file=sys.stderr)
+            print(f"error: cannot resume from {args.journal}: {exc}\n"
+                  f"Damaged records are quarantined to {args.journal}"
+                  ".quarantine. A journal with no usable records cannot"
+                  " be resumed: restore it from a backup, or re-run"
+                  " without --resume to start fresh.", file=sys.stderr)
             return 3
     else:
         report = runner.run(candidates, journal_path=args.journal)
-    print(render_sweep_document(report, top=args.top))
     if args.report_json is not None:
         document = json.dumps(_report_json_payload(report, args.top),
                               indent=2, sort_keys=True) + "\n"
         atomic_write(args.report_json, document.encode("ascii"))
+    print(render_sweep_document(report, top=args.top))
     return 0 if report.n_compliant else 1
 
 
@@ -417,7 +406,26 @@ _ARG_COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """CLI dispatcher; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes the pipe early (``python -m avipack results
+    ... | head -1``) ends any command quietly with exit code 1 instead
+    of a ``BrokenPipeError`` traceback.
+    """
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so the
+        # flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv) -> int:
+    """Run the command named by ``argv[0]``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
         _print_fig10()

@@ -232,9 +232,8 @@ def run_design_procedure(rack: Rack, spec: PackagingSpecification,
     :mod:`avipack.sweep.cache`).
 
     ``supervisor`` (an :class:`avipack.resilience.Supervisor`, optional)
-    applies the campaign's retry/escalation/degradation policy to the
-    thermal branch — the paper's iterate-until-compliant loop made
-    survivable.
+    applies the campaign's retry/degradation policy to the thermal
+    branch — the paper's iterate-until-compliant loop made survivable.
     """
     thermal = run_thermal_branch(rack, spec, cache=cache,
                                  supervisor=supervisor)

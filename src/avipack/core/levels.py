@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
-from ..errors import ConvergenceError, InputError
+from ..errors import InputError
 from ..fingerprint import stable_fingerprint
 from ..packaging.cooling import (
     CoolingTechnique,
@@ -340,8 +340,7 @@ def run_pyramid(rack: Rack,
     if supervisor is None:
         supervisor = Supervisor(NO_SUPERVISION)
     level2 = supervisor.call(
-        "levels.level2", lambda: run_level2(rack, cache=cache),
-        retry_on=(ConvergenceError,))
+        "levels.level2", lambda: run_level2(rack, cache=cache))
     level3: Dict[str, Level3Result] = {}
     boards: Dict[int, Level3Board] = {}
     for module, slot in zip(rack.modules, level2.slots, strict=True):
@@ -362,7 +361,5 @@ def run_pyramid(rack: Rack,
                 return degraded_level3(pcb, b)
 
         level3[module.name] = supervisor.call(
-            f"levels.level3[{module.name}]", compute,
-            retry_on=(ConvergenceError,), fallback=fallback,
-            fallback_label="degrade-to-level2")
+            f"levels.level3[{module.name}]", compute, fallback=fallback)
     return PyramidResult(level1=level1, level2=level2, level3=level3)

@@ -42,8 +42,8 @@ class ConvergenceError(AvipackError, RuntimeError):
         Last residual norm observed (``float('nan')`` if unknown).
     last_iterate:
         Optional snapshot of the solver state at the moment it gave up
-        (for the network solver: node name → temperature [K]).  Retry
-        policies use it to warm-start the next, better-damped attempt.
+        (for the network solver: node name → temperature [K]), which a
+        caller can pass back as a warm start.
     """
 
     def __init__(self, message: str, iterations: int = 0,

@@ -1,17 +1,18 @@
-"""Solver supervision: retry/escalation policies and fault injection.
+"""Solver supervision: retry and degradation policies, fault injection.
 
 The paper's Fig. 1 design procedure is explicitly iterative — analyses
 loop against the specification until the design converges — and an
 industrial campaign must survive individual analyses failing without
 losing the batch.  This package is that survival layer:
 
-* :mod:`~avipack.resilience.policy` — escalation ladders,
-  :class:`SupervisionPolicy`, and the :class:`RecoveryTrail` diagnostic
-  attached to recovered/degraded results;
-* :mod:`~avipack.resilience.supervisor` — :class:`Supervisor` (generic
-  retry-then-degrade around solver call sites) and
-  :func:`solve_network` (the relaxation/iteration/warm-start escalation
-  ladder for the thermal network solver);
+* :mod:`~avipack.resilience.policy` — :class:`SupervisionPolicy` (the
+  retry budget and level-3 degradation switch) and the
+  :class:`RecoveryTrail` diagnostic attached to recovered/degraded
+  results;
+* :mod:`~avipack.resilience.supervisor` — :class:`Supervisor`, which
+  retries a transient :class:`~avipack.errors.ConvergenceError` at the
+  level-2/3 sites of the Fig. 4 pyramid and degrades a level-3 site
+  that stays broken;
 * :mod:`~avipack.resilience.faults` — deterministic, seeded fault
   injection at named production sites (convergence failures,
   model-range errors, worker crashes, hangs, corrupted cache entries),
@@ -32,19 +33,15 @@ from .faults import (
     uninstall,
 )
 from .policy import (
-    DEFAULT_NETWORK_ESCALATION,
     NO_SUPERVISION,
     AttemptRecord,
-    EscalationStep,
     RecoveryTrail,
     SupervisionPolicy,
 )
-from .supervisor import Supervisor, solve_network
+from .supervisor import Supervisor
 
 __all__ = [
     "AttemptRecord",
-    "DEFAULT_NETWORK_ESCALATION",
-    "EscalationStep",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
@@ -58,6 +55,5 @@ __all__ = [
     "corrupts",
     "fire",
     "install",
-    "solve_network",
     "uninstall",
 ]

@@ -9,10 +9,9 @@ parallel run of the same plan fault the same candidates and rank the
 same survivors.
 
 Instrumented production sites call :func:`fire` with their site name
-(``"thermal.network.solve"``, ``"levels.level2"``,
-``"levels.level3[m2]"``, ``"sweep.worker"``, ``"sweep.cache"``).  With
-no plan installed the call is a no-op costing one ``None`` check, so
-the instrumentation stays in release code.
+(``"levels.level2"``, ``"levels.level3[m2]"``, ``"sweep.worker"``,
+``"sweep.cache"``).  With no plan installed the call is a no-op costing
+one ``None`` check, so the instrumentation stays in release code.
 
 The durability layer (:mod:`avipack.durability`) adds two
 *data-corruption* sites probed through :func:`corrupts` with the

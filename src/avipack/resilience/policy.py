@@ -1,24 +1,20 @@
-"""Retry/escalation vocabulary and the structured recovery diagnostics.
+"""Retry policy and the structured recovery diagnostics.
 
 The paper's design procedure (Fig. 1) is an *iterate-until-compliant*
 loop: thermal and mechanical analyses are re-run against the
 specification until the design converges.  An industrial campaign must
 survive individual analyses failing without losing the batch, so every
-supervised solver attempt — the baseline call, each escalated retry,
-and any fidelity degradation — is recorded in a structured
+supervised solver attempt — the baseline call, each retry, and any
+fidelity degradation — is recorded in a structured
 :class:`RecoveryTrail` that travels with the result (and pickles
 cleanly across sweep worker processes).
 
-Three kinds of object live here:
+Two kinds of object live here:
 
 * :class:`AttemptRecord` / :class:`RecoveryTrail` — the diagnostic
   ledger of one supervised call site;
-* :class:`EscalationStep` — one rung of a solver-parameter escalation
-  ladder (e.g. halve the relaxation, double the iteration budget,
-  warm-start from the last iterate);
-* :class:`SupervisionPolicy` — the per-sweep knobs: retry budget,
-  whether level-3 failures degrade to level-2 fidelity, and the
-  network-solver escalation ladder.
+* :class:`SupervisionPolicy` — the per-sweep knobs: retry budget and
+  whether level-3 failures degrade to level-2 fidelity.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ from ..errors import InputError
 
 __all__ = [
     "AttemptRecord",
-    "DEFAULT_NETWORK_ESCALATION",
-    "EscalationStep",
     "NO_SUPERVISION",
     "RecoveryTrail",
     "SupervisionPolicy",
@@ -47,9 +41,8 @@ class AttemptRecord:
     attempt:
         Zero-based attempt counter within the site.
     action:
-        What was tried: ``"call"``, ``"retry#n"``, an escalation step
-        label such as ``"deep_relaxation(relaxation=0.175, ...)"``, or
-        a degradation label such as ``"degrade-to-level2"``.
+        What was tried: ``"call"``, ``"retry#n"`` or the degradation
+        ``"degrade-to-level2"``.
     outcome:
         ``"ok"`` or ``"failed"``.
     error_type, message:
@@ -77,7 +70,7 @@ class RecoveryTrail:
 
     A trail is only recorded when something went wrong: a site that
     succeeds on the first attempt leaves no trail.  ``recovered`` means
-    a retry/escalation eventually succeeded at full fidelity;
+    a retry eventually succeeded at full fidelity;
     ``degraded`` means the site only survived by lowering fidelity
     (e.g. level-3 falling back to the level-2 boundary estimate).  A
     trail with neither flag records a failure that exhausted its
@@ -111,53 +104,6 @@ class RecoveryTrail:
 
 
 @dataclass(frozen=True)
-class EscalationStep:
-    """One rung of a solver-parameter escalation ladder.
-
-    Scales are applied to the *caller's* baseline parameters, so a
-    ladder composes with whatever tolerances the workload already
-    chose.
-
-    Attributes
-    ----------
-    name:
-        Step label recorded in :class:`AttemptRecord.action`.
-    relaxation_scale:
-        Multiplier on the under-relaxation factor (values < 1 damp
-        harder).  The product is clamped to (0, 1].
-    iteration_scale:
-        Multiplier on the iteration budget.
-    warm_start:
-        Start from the previous attempt's last iterate (carried on
-        :attr:`avipack.errors.ConvergenceError.last_iterate`) instead
-        of the flat initial guess.
-    """
-
-    name: str
-    relaxation_scale: float = 1.0
-    iteration_scale: float = 1.0
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        if self.relaxation_scale <= 0.0:
-            raise InputError("relaxation_scale must be positive")
-        if self.iteration_scale < 1.0:
-            raise InputError("iteration_scale must be >= 1")
-
-
-#: Default ladder for :meth:`avipack.thermal.network.ThermalNetwork.solve`:
-#: the baseline attempt, then progressively stronger damping with a larger
-#: iteration budget, warm-started from wherever the failed attempt stopped.
-DEFAULT_NETWORK_ESCALATION: Tuple[EscalationStep, ...] = (
-    EscalationStep("baseline"),
-    EscalationStep("stronger_relaxation", relaxation_scale=0.5,
-                   iteration_scale=2.0, warm_start=True),
-    EscalationStep("deep_relaxation", relaxation_scale=0.25,
-                   iteration_scale=5.0, warm_start=True),
-)
-
-
-@dataclass(frozen=True)
 class SupervisionPolicy:
     """Per-campaign recovery knobs, picklable for sweep transport.
 
@@ -172,26 +118,17 @@ class SupervisionPolicy:
         fall back to the level-2 boundary estimate (junction = board
         boundary + P·R_jb) and flag the result ``degraded`` instead of
         failing the candidate.
-    network_escalation:
-        Ladder used by :func:`avipack.resilience.solve_network` when no
-        explicit ladder is given.
     """
 
     max_retries: int = 2
     degrade_level3: bool = True
-    network_escalation: Tuple[EscalationStep, ...] = \
-        DEFAULT_NETWORK_ESCALATION
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise InputError("max_retries must be >= 0")
-        if not self.network_escalation:
-            raise InputError("network_escalation needs at least one step")
 
 
 #: Policy that disables every recovery mechanism: no retries, no
-#: degradation, bare single-step escalation.  Failures propagate exactly
-#: as they would without a supervisor (trails are still recorded).
-NO_SUPERVISION = SupervisionPolicy(
-    max_retries=0, degrade_level3=False,
-    network_escalation=(EscalationStep("baseline"),))
+#: degradation.  Failures propagate exactly as they would without a
+#: supervisor (trails are still recorded).
+NO_SUPERVISION = SupervisionPolicy(max_retries=0, degrade_level3=False)

@@ -150,7 +150,7 @@ class SweepReport:
     @property
     def n_recovered(self) -> int:
         """Candidates that hit a solver fault but recovered at full
-        fidelity (retry or escalation succeeded)."""
+        fidelity (a retry succeeded)."""
         return sum(1 for o in self.results
                    if getattr(o, "recovered", False))
 

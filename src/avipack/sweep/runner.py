@@ -376,12 +376,12 @@ class SweepRunner:
         a serial and a parallel run of the same plan fault identically.
     evaluator:
         Picklable replacement for :func:`evaluate_candidate` (custom
-        workloads on the sweep infrastructure — e.g. supervised raw
-        network solves).  It is called with one :class:`SweepTask` and
-        must return a :class:`CandidateResult` or
-        :class:`CandidateFailure`.  :meth:`resume` audits its journalled
-        results against the design procedure's invariants, so a result
-        that does not reproduce the level-2 airflow solve is recomputed.
+        workloads on the sweep infrastructure).  It is called with one
+        :class:`SweepTask` and must return a :class:`CandidateResult`
+        or :class:`CandidateFailure`.  :meth:`resume` audits its
+        journalled results against the design procedure's invariants,
+        so a result that does not reproduce the level-2 airflow solve
+        is recomputed.
     result_store:
         Directory for a columnar
         :class:`~avipack.results.store.ResultStoreWriter`: every

@@ -42,7 +42,6 @@ _GSSV_OPTIONS = {"ColPerm": None}
 from .. import perf
 from ..errors import ConvergenceError, InputError
 from ..fingerprint import stable_fingerprint
-from ..resilience.faults import fire as _fire_fault
 
 #: Conductance type: constant [W/K] or callable ``g(t_a, t_b) -> W/K``.
 Conductance = Union[float, Callable[[float, float], float]]
@@ -74,8 +73,7 @@ class _CompiledNetwork:
     links are re-evaluated per fixed-point iteration or time step.
     Purely linear networks additionally cache an LU factorization
     (:func:`scipy.sparse.linalg.factorized`) so repeated solves — sweep
-    candidates, escalation retries, transient steps — refactorize
-    nothing.
+    candidates, retries, transient steps — refactorize nothing.
 
     The owning network invalidates its compiled instance on any
     structural mutation (``add_node``/``add_conductance``/
@@ -588,8 +586,8 @@ class ThermalNetwork:
             Optional per-node warm start (node name → K) overriding
             ``initial_guess``; names absent from the network are
             ignored, so a last iterate from a similar network can seed
-            the solve.  Retry policies use the ``last_iterate``
-            attribute of a raised :class:`ConvergenceError` here.
+            the solve, for example the ``last_iterate`` of a raised
+            :class:`ConvergenceError`.
 
         Raises
         ------
@@ -599,9 +597,8 @@ class ThermalNetwork:
         ConvergenceError
             If fixed-point iteration fails to converge.  The exception
             carries the iteration count, the last update norm, and the
-            last iterate for warm-started retries.
+            last iterate (usable as ``initial_temperatures``).
         """
-        _fire_fault("thermal.network.solve")
         if cache is not None:
             key = stable_fingerprint(
                 "network_solve", self.fingerprint(), initial_guess,

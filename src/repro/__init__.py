@@ -6,20 +6,26 @@ public API::
 
     import repro
     repro.SeatElectronicsBox  # same object as avipack.SeatElectronicsBox
+
+The shim binds avipack's PEP 562 hooks, so ``import repro`` loads no
+more than ``import avipack`` and each name resolves on first access.
 """
 
-from avipack import *  # noqa: F401,F403
 from avipack import (  # noqa: F401
+    AvipackError,
+    CacheCorruptionError,
+    ConvergenceError,
+    DurabilityError,
+    InputError,
+    MaterialNotFoundError,
+    ModelRangeError,
+    OperatingLimitError,
+    ServiceError,
+    SpecificationError,
+    WatchdogTimeout,
+    WorkerCrashError,
+    __all__,
+    __dir__,
+    __getattr__,
     __version__,
-    core,
-    environments,
-    experiments,
-    materials,
-    mechanical,
-    packaging,
-    reliability,
-    thermal,
-    tim,
-    twophase,
-    units,
 )

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import avipack
 from avipack.__main__ import main
 from avipack.results import ResultStore, ranking_signature
 from avipack.sweep import DesignSpace, SweepRunner
-from tests.routes import report_signature
+from tests.routes import POOL, report_signature
 
 
 def run_sweep_cli(tmp_path, *extra):
@@ -74,3 +77,27 @@ def test_sweep_mentions_store_in_document(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc in (0, 1)
     assert "result store" in out
+
+
+def test_closed_pipe_ends_results_without_traceback(tmp_path):
+    """``results ... | head -1``: the reader leaves after one line."""
+    store_dir = str(tmp_path / "store")
+    SweepRunner(parallel=False, result_store=store_dir).run(POOL[:4])
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(avipack.__file__)))
+    # 50 000 histogram lines overflow the pipe buffer, so the command is
+    # still writing when the reader closes.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "avipack", "results", "--store", store_dir,
+         "--bins", "50000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 1
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr

@@ -83,6 +83,18 @@ def test_bare_package_import_loads_no_subpackage():
         == ["avipack._exports", "avipack.errors"]
 
 
+def test_repro_shim_loads_no_more_than_avipack():
+    assert loaded_after("import repro") - loaded_after("import avipack") \
+        == {"repro"}
+
+
+def test_repro_shim_hands_out_avipacks_objects():
+    import repro
+
+    for name in avipack.__all__:
+        assert getattr(repro, name) is getattr(avipack, name), name
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 class TestLazyPackage:
     def test_every_name_is_its_defining_modules_object(self, package):

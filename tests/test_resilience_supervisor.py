@@ -1,4 +1,4 @@
-"""Supervision: retry/escalation policies, degradation, recovery trails."""
+"""Supervision: retry policy, degradation, recovery trails."""
 
 import math
 
@@ -11,14 +11,10 @@ from avipack.errors import (
     ModelRangeError,
 )
 from avipack.resilience import (
-    DEFAULT_NETWORK_ESCALATION,
-    NO_SUPERVISION,
-    EscalationStep,
     FaultPlan,
     FaultSpec,
     Supervisor,
     SupervisionPolicy,
-    solve_network,
 )
 from avipack.resilience import faults
 from avipack.sweep import Candidate
@@ -29,9 +25,7 @@ def ill_conditioned_network(k=0.12, heat_load=50.0):
     """Two-node network whose fixed-point map is unstable at the default
     relaxation: chip-to-ambient conductance grows exponentially with the
     chip temperature, so the undamped update overshoots harder the
-    closer it gets.  Steeper ``k`` needs deeper relaxation to converge
-    (k=0.08 recovers on the ladder's first escalation, k=0.12 only on
-    the deepest rung)."""
+    closer it gets.  Steeper ``k`` needs deeper relaxation to converge."""
     net = ThermalNetwork()
     net.add_node("chip", heat_load=heat_load)
     net.add_node("ambient", fixed_temperature=300.0)
@@ -80,61 +74,6 @@ class TestNonConvergencePath:
         assert solution.temperature("chip") == pytest.approx(350.0, abs=0.1)
 
 
-class TestNetworkEscalation:
-    def test_default_ladder_recovers_mildly_unstable_network(self):
-        supervisor = Supervisor()
-        solution = solve_network(ill_conditioned_network(k=0.08),
-                                 supervisor=supervisor)
-        assert solution.temperature("chip") == pytest.approx(350.0, abs=0.5)
-        trail, = supervisor.trails
-        assert trail.recovered
-        assert trail.site == "thermal.network.solve"
-        assert trail.attempts[0].error_type == "ConvergenceError"
-        assert trail.attempts[-1].ok
-        assert "warm-start" in trail.attempts[-1].action
-
-    def test_deep_rung_needed_for_steeper_network(self):
-        supervisor = Supervisor()
-        solution = solve_network(ill_conditioned_network(k=0.12),
-                                 supervisor=supervisor)
-        assert solution.temperature("chip") == pytest.approx(350.0, abs=0.5)
-        trail = supervisor.trails[0]
-        assert trail.n_attempts == 3
-        assert trail.attempts[-1].action.startswith("deep_relaxation")
-        assert trail.recovered and not trail.degraded
-
-    def test_clean_solve_leaves_no_trail(self):
-        net = ThermalNetwork()
-        net.add_node("chip", heat_load=10.0)
-        net.add_node("ambient", fixed_temperature=300.0)
-        net.add_resistance("chip", "ambient", 2.0)
-        supervisor = Supervisor()
-        solution = solve_network(net, supervisor=supervisor)
-        assert solution.temperature("chip") == pytest.approx(320.0)
-        assert supervisor.trails == ()
-
-    def test_exhausted_ladder_reraises_and_records_failure(self):
-        supervisor = Supervisor()
-        ladder = (EscalationStep("baseline"),)
-        with pytest.raises(ConvergenceError):
-            solve_network(ill_conditioned_network(), escalation=ladder,
-                          supervisor=supervisor)
-        trail = supervisor.trails[0]
-        assert not trail.resolved
-        assert trail.n_attempts == 1
-
-    def test_supervisor_method_uses_policy_ladder(self):
-        supervisor = Supervisor(SupervisionPolicy(
-            network_escalation=DEFAULT_NETWORK_ESCALATION))
-        solution = supervisor.solve_network(ill_conditioned_network(k=0.08))
-        assert solution.temperature("chip") == pytest.approx(350.0, abs=0.5)
-
-    def test_no_supervision_policy_fails_like_bare_solve(self):
-        supervisor = Supervisor(NO_SUPERVISION)
-        with pytest.raises(ConvergenceError):
-            supervisor.solve_network(ill_conditioned_network(k=0.08))
-
-
 class TestSupervisorCall:
     def test_transient_failure_retried_and_recorded(self):
         calls = []
@@ -173,13 +112,12 @@ class TestSupervisorCall:
 
         supervisor = Supervisor()
         value = supervisor.call("site", broken,
-                                fallback=lambda exc: "degraded-value",
-                                fallback_label="degrade")
+                                fallback=lambda exc: "degraded-value")
         assert value == "degraded-value"
         assert len(calls) == 1  # no retries burned on a non-retryable
         trail = supervisor.trails[0]
         assert trail.degraded and not trail.recovered
-        assert trail.attempts[-1].action == "degrade"
+        assert trail.attempts[-1].action == "degrade-to-level2"
 
     def test_foreign_exception_propagates_untouched(self):
         supervisor = Supervisor()

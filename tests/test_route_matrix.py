@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from avipack.durability import replay_journal
 from avipack.resilience import FaultPlan, FaultSpec
+from avipack.resilience import faults as faults_mod
 from avipack.results import ResultStore, ingest_journal
 from avipack.retention import compact_journal, compact_store
 from avipack.service import ServiceClient, ServiceConfig, ThreadedService
@@ -82,12 +83,14 @@ class Ingest:
     shard_rows: int
 
 
-FAULTS = st.sampled_from((
+#: The ``(site, kind)`` faults a drawn plan picks from; each one fires
+#: on some pool candidate (``test_every_drawn_fault_fires``).
+FAULT_CHOICES = (
     ("levels.level2", "convergence"), ("levels.level3", "convergence"),
-    ("thermal.network.solve", "convergence"),
     ("levels.level2", "model_range"), ("levels.level3", "model_range"),
     ("sweep.cache", "cache_corrupt"),
-    ("sweep.worker", "crash"), ("sweep.worker", "hang")))
+    ("sweep.worker", "crash"), ("sweep.worker", "hang"))
+FAULTS = st.sampled_from(FAULT_CHOICES)
 
 # Drawn hangs end inside the worker, well within the watchdog budget.
 plans = st.none() | st.builds(
@@ -104,6 +107,17 @@ steps = st.lists(st.one_of(
               st.none() | st.permutations(range(8)).map(tuple)),
     st.sampled_from(("compact-journal", "compact-store")),
     st.builds(Ingest, st.integers(1, 8))), max_size=4)
+
+
+@pytest.mark.parametrize("fault", FAULT_CHOICES, ids="-".join)
+def test_every_drawn_fault_fires(fault):
+    """A draw the matrix can make injects on the serial route: a fault
+    whose site no campaign reaches would only test the fault-free
+    path."""
+    injectors = []
+    SweepRunner(parallel=False, faults=plan((*fault, 1.0))).run(
+        POOL, progress=lambda _: injectors.append(faults_mod.active()))
+    assert injectors[-1].injected >= 1
 
 
 def check_route(report, route, fresh):

@@ -8,10 +8,6 @@ the instrumented sites, and the runner must classify every candidate
 the same survivors is the route matrix's job (``test_route_matrix.py``).
 """
 
-import math
-import os
-import time
-
 import pytest
 
 from avipack.errors import ConvergenceError
@@ -19,7 +15,6 @@ from avipack.resilience import (
     FaultPlan,
     FaultSpec,
     NO_SUPERVISION,
-    Supervisor,
     SupervisionPolicy,
 )
 from avipack.resilience import faults as faults_mod
@@ -33,7 +28,6 @@ from avipack.sweep import (
     evaluate_candidate,
     render_sweep_document,
 )
-from avipack.thermal.network import ThermalNetwork
 from tests.routes import projections
 
 #: >= 100 candidates, kept individually cheap (2 modules, 4 components).
@@ -283,82 +277,3 @@ class TestBrokenPoolRecovery:
         assert kinds.count("plan") == 1
         assert len(kinds) == 1 + 8
         assert ResultStore.open(store).n_rows == 8
-
-
-def _ill_conditioned_evaluator(task):
-    """Sweep-compatible evaluator: each candidate is a raw supervised
-    network solve whose conditioning worsens with the power budget."""
-    index, candidate, policy = task.index, task.candidate, task.policy
-    k = 0.04 + 0.002 * candidate.power_per_module
-    net = ThermalNetwork()
-    net.add_node("chip", heat_load=50.0)
-    net.add_node("ambient", fixed_temperature=300.0)
-    net.add_conductance(
-        "chip", "ambient",
-        lambda t_hot, t_cold, k=k: math.exp(k * (t_hot - 350.0)))
-    supervisor = Supervisor(policy)
-    start = time.perf_counter()
-    try:
-        solution = supervisor.solve_network(net)
-    except ConvergenceError as exc:
-        return CandidateFailure(
-            index=index, candidate=candidate,
-            fingerprint=candidate.fingerprint, stage="network",
-            error_type=type(exc).__name__, message=str(exc),
-            elapsed_s=time.perf_counter() - start, worker_pid=os.getpid(),
-            recovery=supervisor.trails)
-    chip_c = solution.temperature("chip") - 273.15
-    return CandidateResult(
-        index=index, candidate=candidate,
-        fingerprint=candidate.fingerprint, compliant=chip_c <= 85.0,
-        violations=(), margins={"chip_c": chip_c}, worst_board_c=chip_c,
-        recommended_cooling=None, declared_cooling_feasible=True,
-        cost_rank=float(index), elapsed_s=time.perf_counter() - start,
-        worker_pid=os.getpid(), cache_hits=0, cache_misses=0,
-        recovery=supervisor.trails)
-
-
-class TestIllConditionedNetworkInSweep:
-    """The acceptance scenario: a network that fails a bare ``solve()``
-    is solved automatically by the default escalation policy, and its
-    recovery trail is visible in the rendered sweep report."""
-
-    @pytest.fixture(scope="class")
-    def report(self):
-        candidates = [Candidate(power_per_module=float(p))
-                      for p in (10.0, 25.0, 40.0)]
-        return SweepRunner(parallel=False,
-                           evaluator=_ill_conditioned_evaluator,
-                           use_cache=False).run(candidates)
-
-    def test_bare_solve_fails_on_the_hard_candidate(self):
-        k = 0.04 + 0.002 * 40.0  # the steepest candidate's conditioning
-        net = ThermalNetwork()
-        net.add_node("chip", heat_load=50.0)
-        net.add_node("ambient", fixed_temperature=300.0)
-        net.add_conductance(
-            "chip", "ambient",
-            lambda t_hot, t_cold: math.exp(k * (t_hot - 350.0)))
-        with pytest.raises(ConvergenceError):
-            net.solve()
-
-    def test_escalation_solves_every_candidate(self, report):
-        assert not report.failures
-        for result in report.results:
-            assert result.worst_board_c == pytest.approx(350.0 - 273.15,
-                                                         abs=0.5)
-
-    def test_hard_candidates_recovered_via_ladder(self, report):
-        assert report.n_recovered >= 1
-        hard = report.outcomes[2]
-        assert hard.recovered
-        trail = hard.recovery[0]
-        assert trail.site == "thermal.network.solve"
-        assert trail.attempts[0].error_type == "ConvergenceError"
-        assert trail.attempts[-1].ok
-
-    def test_trail_visible_in_rendered_report(self, report):
-        text = render_sweep_document(report)
-        assert "4. RECOVERY" in text
-        assert "thermal.network.solve" in text
-        assert "failed(ConvergenceError)" in text
