@@ -36,11 +36,16 @@ are keyed by the candidate's content
 index, so a resume survives re-ordering or extension of the candidate
 space.
 
-The payloads are zlib-compressed pickles of the library's own records
-(schema 2: an outcome line takes roughly 35–50% fewer bytes than the
-plain pickle of schema 1 gave it); schema-1 journals still replay,
-resume, ingest and compact, and each line is decoded by its own
-``schema_version``.
+The payloads are pickles of the library's own records, compressed by
+zlib primed with a pinned preset dictionary
+(:data:`~avipack.durability._payload_dict.SCHEMA3_ZDICT`, schema 3):
+every line shares one copy of the pickle opcodes, module paths, class
+and field names it would otherwise repeat, so an outcome payload takes
+roughly 25–35% of the bytes schema 2's unprimed zlib gave it.
+Schema-1 (plain pickle) and schema-2 (unprimed zlib) journals still
+replay, resume, ingest and compact, and each line is decoded by its own
+``schema_version``.  A different dictionary is a new schema version;
+the old dictionary stays as the decoder of the journals written with it.
 The checksums protect against corruption in transit and at rest, not
 against an adversary who can rewrite the journal *and* its checksums —
 treat journal files with the same trust as the repository they live in.
@@ -65,6 +70,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..errors import DurabilityError, InputError, JournalError
 from ..fingerprint import content_crc32, content_digest
 from ..resilience.faults import corrupts as _corrupts
+from ._payload_dict import SCHEMA3_ZDICT
 from .files import atomic_write, open_locked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,11 +83,10 @@ __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
 
 #: Bump when the record encoding changes; replay quarantines any
 #: version it has no decoder for rather than guessing at its layout.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-#: Payload decoder per readable ``schema_version``: 1 wrote plain
-#: pickles, 2 writes zlib-compressed ones.
-_PAYLOAD_DECODERS = {1: lambda data: data, 2: zlib.decompress}
+#: The preset-dictionary flag (FDICT) of a zlib stream header's FLG byte.
+_FDICT = 0x20
 
 #: Record kinds carrying a pickled outcome payload.
 _OUTCOME_KINDS = ("completed", "failed", "timeout")
@@ -90,6 +95,31 @@ _OUTCOME_KINDS = ("completed", "failed", "timeout")
 class _DamagedRecord(ValueError):
     """Internal verification signal; always caught by replay, never
     surfaced (a damaged record is quarantined, not raised)."""
+
+
+def _inflate_primed(data: bytes) -> bytes:
+    """Decode a schema-3 payload: one whole zlib stream primed with
+    :data:`SCHEMA3_ZDICT`.
+
+    zlib accepts a stream written without a dictionary and stops
+    quietly at a truncated one, so both are refused here, and so are
+    bytes past the end of the stream.
+    """
+    if len(data) < 2 or not data[1] & _FDICT:
+        raise _DamagedRecord("payload lacks the preset-dictionary flag")
+    inflater = zlib.decompressobj(zdict=SCHEMA3_ZDICT)
+    plain = inflater.decompress(data)
+    if not inflater.eof:
+        raise _DamagedRecord("payload stream is truncated")
+    if inflater.unused_data:
+        raise _DamagedRecord("payload has bytes past its stream end")
+    return plain
+
+
+#: Payload decoder per readable ``schema_version``: 1 wrote plain
+#: pickles, 2 unprimed zlib, 3 zlib primed with :data:`SCHEMA3_ZDICT`.
+_PAYLOAD_DECODERS = {1: lambda data: data, 2: zlib.decompress,
+                     3: _inflate_primed}
 
 
 def _open_locked(path: str):
@@ -123,8 +153,10 @@ def _canonical(body: Dict[str, Any]) -> str:
 
 
 def _encode_payload(value: Any) -> str:
-    return base64.b64encode(zlib.compress(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))).decode()
+    deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
+    data = deflater.compress(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    return base64.b64encode(data + deflater.flush()).decode()
 
 
 def _decode_payload(text: str,

@@ -9,8 +9,10 @@ tail.
 """
 
 import base64
+import hashlib
 import json
 import os
+import pickle
 import zlib
 
 import pytest
@@ -20,6 +22,7 @@ from avipack.durability import (
     SweepJournal,
     replay_journal,
 )
+from avipack.durability._payload_dict import SCHEMA3_ZDICT
 from avipack.durability.journal import _canonical
 from avipack.errors import DurabilityError, InputError, JournalError
 from avipack.fingerprint import content_crc32, content_digest
@@ -77,6 +80,12 @@ def reseal(line, **changes):
     return (json.dumps(envelope, sort_keys=True) + "\n").encode()
 
 
+def primed(data):
+    """``data`` deflated with the schema-3 preset dictionary."""
+    deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
+    return deflater.compress(data) + deflater.flush()
+
+
 def write_journal(path, candidates, outcomes):
     with SweepJournal.create(str(path), candidates) as journal:
         for index, candidate in enumerate(candidates):
@@ -129,6 +138,29 @@ class TestRoundTrip:
             canonical = _canonical(body)
             assert envelope["crc32"] == content_crc32(canonical)
             assert envelope["sha256"] == content_digest(canonical)
+
+    def test_schema3_dictionary_is_pinned(self):
+        # Journals written at schema 3 decode only with these bytes: a
+        # different dictionary needs a new schema_version.
+        assert len(SCHEMA3_ZDICT) == 2691
+        assert hashlib.sha256(SCHEMA3_ZDICT).hexdigest() == (
+            "e5d0e574c7f22c84afb79b327df42dd6"
+            "3393f1cf4e4115f9618edbed455ba288")
+
+    def test_payloads_are_primed_with_the_dictionary(self, tmp_path):
+        candidates = make_candidates(1)
+        path = tmp_path / "sweep.jsonl"
+        write_journal(path, candidates, [make_result(0, candidates[0])])
+        for line in path.read_bytes().splitlines():
+            body = json.loads(line)["body"]
+            text = body.get("payload") or body.get("candidates")
+            if text is None:
+                continue
+            data = base64.b64decode(text)
+            # FDICT set, and the header names the dictionary's Adler-32.
+            assert data[1] & 0x20
+            assert data[2:6] == zlib.adler32(SCHEMA3_ZDICT).to_bytes(
+                4, "big")
 
     def test_append_to_continues_sequence(self, tmp_path):
         candidates = make_candidates(2)
@@ -202,12 +234,13 @@ class TestDamage:
         assert base64.b64decode(entry["raw"]) == lines[-1].rstrip(b"\n")
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
-        # Valid checksums over a schema without a decoder (only 1 and 2
-        # have one): integrity alone must not be enough — the layout is
-        # untrusted.
+        # Valid checksums over a schema without a decoder (only 1, 2
+        # and 3 have one): integrity alone must not be enough — the
+        # layout is untrusted.
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
-        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, True, None):
+        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, "3", 3.0, True,
+                        None):
             path.write_bytes(b"".join(
                 lines[:-1] + [reseal(lines[-1], schema_version=version)]))
             replay = replay_journal(str(path), write_quarantine=False)
@@ -239,27 +272,44 @@ class TestDamage:
         assert replay.n_quarantined == 1
         assert len(replay.outcomes) == len(candidates) - 1
 
-    @pytest.mark.parametrize("payload", [
-        b"not zlib data",
-        zlib.compress(b"zlib data that is not a pickle"),
-    ], ids=["not-zlib", "not-a-pickle"])
+    @pytest.mark.parametrize("schema, damage, reason", [
+        (2, lambda plain: b"not zlib data", ""),
+        (2, lambda plain: zlib.compress(b"zlib data that is not a pickle"),
+         ""),
+        (3, lambda plain: zlib.compress(plain), "preset-dictionary"),
+        (3, lambda plain: primed(plain)[:-4], "truncated"),
+        (3, lambda plain: primed(plain) + b"\x00", "past its stream end"),
+        (3, lambda plain: primed(b"primed data that is not a pickle"),
+         ""),
+    ], ids=["not-zlib", "not-a-pickle", "schema3-unprimed",
+            "schema3-truncated", "schema3-trailing-bytes",
+            "schema3-not-a-pickle"])
     def test_damaged_compressed_payload_is_recomputed(self, tmp_path,
-                                                      payload):
-        # A schema-2 outcome whose checksums hold but whose payload does
-        # not decode: quarantined, and the resume computes it again.
+                                                      schema, damage,
+                                                      reason):
+        # A compressed outcome whose checksums hold but whose payload
+        # does not decode: quarantined, never decoded, and the resume
+        # computes it again.  The unprimed, truncated and trailing-byte
+        # cases wrap the outcome's own pickle, which a lenient inflate
+        # would hand back whole.
         candidates = [POOL[i] for i in (0, 4, 12)]
         path = str(tmp_path / "sweep.jsonl")
         clean = SweepRunner(parallel=False).run(candidates,
                                                 journal_path=path)
         with open(path, "rb") as stream:
             lines = stream.read().splitlines(keepends=True)
-        assert json.loads(lines[-1])["body"]["schema_version"] == 2
-        lines[-1] = reseal(lines[-1],
-                           payload=base64.b64encode(payload).decode())
+        body = json.loads(lines[-1])["body"]
+        assert body["schema_version"] == SCHEMA_VERSION
+        plain = pickle.dumps(replay_journal(path).outcomes[
+            body["fingerprint"]], protocol=pickle.HIGHEST_PROTOCOL)
+        lines[-1] = reseal(lines[-1], schema_version=schema,
+                           payload=base64.b64encode(
+                               damage(plain)).decode())
         with open(path, "wb") as stream:
             stream.write(b"".join(lines))
         replay = replay_journal(path, write_quarantine=False)
         assert replay.n_quarantined == 1
+        assert reason in replay.quarantined[0].reason
         assert len(replay.outcomes) == len(candidates) - 1
         resumed = SweepRunner(parallel=False).resume(path)
         assert resumed.durability.n_quarantined == 1

@@ -14,9 +14,10 @@ the rows' ``blob_*`` columns point into.  Readers ignore those files,
 and compaction deletes them.
 
 Journals written before payload compression (``schema_version`` 1)
-hold plain base64 pickles.  Replay, resume (which appends schema-2
-records and so leaves a mixed journal), ingest and compaction must rank
-them like a fresh run.
+hold plain base64 pickles, and journals written before the preset
+dictionary (``schema_version`` 2) hold unprimed zlib streams.  Replay,
+resume (which appends current-schema records and so leaves a mixed
+journal), ingest and compaction must rank both like a fresh run.
 """
 
 import base64
@@ -30,9 +31,10 @@ import zlib
 import numpy as np
 import pytest
 
-from avipack.durability import audit_outcomes, replay_journal
+from avipack.durability import SCHEMA_VERSION, audit_outcomes, \
+    replay_journal
 from avipack.durability.journal import SweepJournal, _canonical, \
-    outcome_kind
+    _decode_payload, outcome_kind
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
 from avipack.results import ResultStore, ResultStoreWriter, \
@@ -82,9 +84,9 @@ def write_journal(path, candidates, outcomes):
     return path
 
 
-def schema1_line(seq, kind, **fields):
-    """One journal line as schema-1 writers checksummed it."""
-    body = {"schema_version": 1, "seq": seq, "kind": kind, **fields}
+def legacy_line(schema, seq, kind, **fields):
+    """One journal line as schema-``schema`` writers checksummed it."""
+    body = {"schema_version": schema, "seq": seq, "kind": kind, **fields}
     canonical = _canonical(body)
     return (json.dumps({"body": body, "crc32": content_crc32(canonical),
                         "sha256": content_digest(canonical)},
@@ -97,19 +99,27 @@ def schema1_payload(value):
         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode()
 
 
-def schema1_outcome_line(seq, outcome):
-    return schema1_line(seq, outcome_kind(outcome), index=outcome.index,
-                        fingerprint=outcome.fingerprint,
-                        payload=schema1_payload(outcome))
+def schema2_payload(value):
+    """A schema-2 payload: the base64 of an unprimed zlib stream."""
+    return base64.b64encode(zlib.compress(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))).decode()
 
 
-def write_schema1_journal(path, candidates, outcomes):
-    """A plan plus one outcome line each, in the schema-1 encoding."""
-    lines = [schema1_line(
-        0, "plan", n_candidates=len(candidates),
+#: Payload encoder of each retired schema.
+LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload}
+
+
+def write_legacy_journal(path, schema, candidates, outcomes):
+    """A plan plus one outcome line each, in a retired encoding."""
+    payload = LEGACY_PAYLOADS[schema]
+    lines = [legacy_line(
+        schema, 0, "plan", n_candidates=len(candidates),
         space_fingerprint=stable_fingerprint(tuple(candidates)),
-        candidates=schema1_payload(tuple(candidates)))]
-    lines += [schema1_outcome_line(seq, outcome)
+        candidates=payload(tuple(candidates)))]
+    lines += [legacy_line(schema, seq, outcome_kind(outcome),
+                          index=outcome.index,
+                          fingerprint=outcome.fingerprint,
+                          payload=payload(outcome))
               for seq, outcome in enumerate(outcomes, start=1)]
     with open(path, "wb") as stream:
         stream.write(b"".join(lines))
@@ -277,14 +287,18 @@ class TestLegacyStore:
         assert not store.column("batched").any()
 
 
-class TestSchema1Journal:
-    """Plain-pickle journals replay, resume, ingest and compact."""
+class _RetiredSchemaJournal:
+    """A journal in a retired encoding replays, resumes, ingests and
+    compacts; each subclass names the schema."""
+
+    schema = 0
 
     @pytest.fixture()
     def journal(self, campaign, tmp_path):
         candidates, outcomes = campaign
-        return write_schema1_journal(str(tmp_path / "schema1.jsonl"),
-                                     candidates, outcomes)
+        return write_legacy_journal(
+            str(tmp_path / f"schema{self.schema}.jsonl"), self.schema,
+            candidates, outcomes)
 
     def test_replay_ranks_like_a_fresh_run(self, campaign, journal):
         _, outcomes = campaign
@@ -312,7 +326,8 @@ class TestSchema1Journal:
             == report_signature(outcomes)
         versions = [line["body"]["schema_version"]
                     for line in journal_lines(journal)]
-        assert versions == [1] * (len(lines) - 2) + [2, 2]
+        assert versions == ([self.schema] * (len(lines) - 2)
+                            + [SCHEMA_VERSION] * 2)
         mixed = replay_journal(journal)
         assert mixed.n_quarantined == 0
         assert report_signature(mixed.outcomes.values()) \
@@ -328,15 +343,15 @@ class TestSchema1Journal:
         assert ranking_signature(ResultStore.open(store)) \
             == report_signature(outcomes)
 
-    def test_compaction_writes_a_schema2_checkpoint(self, campaign,
-                                                    journal):
+    def test_compaction_writes_a_current_schema_checkpoint(
+            self, campaign, journal):
         _, outcomes = campaign
         compaction = compact_journal(journal)
         assert compaction.n_folded == 1 + len(outcomes)
         assert compaction.bytes_reclaimed > 0
         (checkpoint,) = journal_lines(journal)
         assert checkpoint["body"]["kind"] == "checkpoint"
-        assert checkpoint["body"]["schema_version"] == 2
+        assert checkpoint["body"]["schema_version"] == SCHEMA_VERSION
         replay = replay_journal(journal)
         assert replay.outcomes == {o.fingerprint: o for o in outcomes}
         assert report_signature(replay.outcomes.values()) \
@@ -345,8 +360,8 @@ class TestSchema1Journal:
     def test_mixed_journal_compacts_and_ranks_like_a_fresh_run(
             self, campaign, journal, monkeypatch):
         _, outcomes = campaign
-        # Schema-2 records supersede the schema-1 ones of every second
-        # outcome, as a resume that recomputed them would append.
+        # Current-schema records supersede the retired ones of every
+        # second outcome, as a resume that recomputed them would append.
         superseded = outcomes[::2]
         next_seq = replay_journal(journal).next_seq
         with SweepJournal.append_to(journal, next_seq=next_seq) as writer:
@@ -361,38 +376,67 @@ class TestSchema1Journal:
                             lambda value: encoded.append(value)
                             or encode(value))
         compaction = compact_journal(journal)
-        # Only the schema-1 plan and the outcomes still at schema 1.
+        # Only the retired plan and the outcomes still at that schema.
         assert len(encoded) == 1 + len(outcomes) - len(superseded)
         assert compaction.n_folded == 1 + len(outcomes) + len(superseded)
         (checkpoint,) = journal_lines(journal)
-        assert checkpoint["body"]["schema_version"] == 2
+        assert checkpoint["body"]["schema_version"] == SCHEMA_VERSION
+        by_fingerprint = {o.fingerprint: o for o in outcomes}
         for fingerprint, text in checkpoint["body"]["outcomes"].items():
             body = source[fingerprint]
-            if body["schema_version"] == 2:
+            if body["schema_version"] == SCHEMA_VERSION:
                 assert text == body["payload"]
-            else:  # re-encoded: zlib'd, never the plain schema-1 text
+            else:  # encoded again at the current schema
                 assert text != body["payload"]
-                zlib.decompress(base64.b64decode(text))
+                assert _decode_payload(text) == by_fingerprint[fingerprint]
         assert {body["schema_version"] for body in source.values()} \
-            == {1, 2}
+            == {self.schema, SCHEMA_VERSION}
         replay = replay_journal(journal)
         assert replay.n_quarantined == 0
-        assert replay.outcomes == {o.fingerprint: o for o in outcomes}
+        assert replay.outcomes == by_fingerprint
         assert report_signature(replay.outcomes.values()) \
             == report_signature(outcomes)
 
 
-def test_schema2_outcome_payloads_are_at_most_60pct_of_schema1(tmp_path):
-    """The compressed payloads of a journal's outcome lines are at most
-    60% of the plain pickles a schema-1 journal held for them."""
-    path = str(tmp_path / "pool.jsonl")
+class TestSchema1Journal(_RetiredSchemaJournal):
+    """Plain-pickle journals replay, resume, ingest and compact."""
+
+    schema = 1
+
+
+class TestSchema2Journal(_RetiredSchemaJournal):
+    """Unprimed-zlib journals replay, resume, ingest and compact."""
+
+    schema = 2
+
+
+@pytest.fixture(scope="module")
+def pool_payloads(tmp_path_factory):
+    """Each POOL outcome and its payload text in a journal written now."""
+    path = str(tmp_path_factory.mktemp("pool") / "pool.jsonl")
     SweepRunner(parallel=False).run(POOL, journal_path=path)
-    compressed = [line["body"] for line in journal_lines(path)
-                  if "payload" in line["body"]]
-    assert len(compressed) == len(POOL)
-    assert {body["schema_version"] for body in compressed} == {2}
-    plain = replay_journal(path).outcomes
-    schema1 = sum(len(schema1_payload(plain[body["fingerprint"]]))
-                  for body in compressed)
-    schema2 = sum(len(body["payload"]) for body in compressed)
+    bodies = [line["body"] for line in journal_lines(path)
+              if "payload" in line["body"]]
+    assert len(bodies) == len(POOL)
+    assert {body["schema_version"] for body in bodies} == {SCHEMA_VERSION}
+    outcomes = replay_journal(path).outcomes
+    return [(outcomes[body["fingerprint"]], body["payload"])
+            for body in bodies]
+
+
+def test_schema2_outcome_payloads_are_at_most_60pct_of_schema1(
+        pool_payloads):
+    """Unprimed zlib payloads are at most 60% of the plain pickles a
+    schema-1 journal held for the same outcomes."""
+    schema1 = sum(len(schema1_payload(o)) for o, _ in pool_payloads)
+    schema2 = sum(len(schema2_payload(o)) for o, _ in pool_payloads)
     assert schema2 <= 0.6 * schema1
+
+
+def test_schema3_outcome_payloads_are_at_most_45pct_of_schema2(
+        pool_payloads):
+    """The dictionary-primed payloads a journal holds now are at most
+    45% of the unprimed zlib payloads of schema 2."""
+    schema2 = sum(len(schema2_payload(o)) for o, _ in pool_payloads)
+    schema3 = sum(len(text) for _, text in pool_payloads)
+    assert schema3 <= 0.45 * schema2
