@@ -97,17 +97,12 @@ class _DamagedRecord(ValueError):
     surfaced (a damaged record is quarantined, not raised)."""
 
 
-def _inflate_primed(data: bytes) -> bytes:
-    """Decode a schema-3 payload: one whole zlib stream primed with
-    :data:`SCHEMA3_ZDICT`.
+def _inflate_whole(inflater: Any, data: bytes) -> bytes:
+    """Run ``inflater`` over ``data``, which must be exactly one stream.
 
-    zlib accepts a stream written without a dictionary and stops
-    quietly at a truncated one, so both are refused here, and so are
-    bytes past the end of the stream.
+    zlib stops quietly at a truncated stream and ignores bytes past its
+    end, so both are refused here.
     """
-    if len(data) < 2 or not data[1] & _FDICT:
-        raise _DamagedRecord("payload lacks the preset-dictionary flag")
-    inflater = zlib.decompressobj(zdict=SCHEMA3_ZDICT)
     plain = inflater.decompress(data)
     if not inflater.eof:
         raise _DamagedRecord("payload stream is truncated")
@@ -116,9 +111,26 @@ def _inflate_primed(data: bytes) -> bytes:
     return plain
 
 
+def _inflate(data: bytes) -> bytes:
+    """Decode a schema-2 payload: one whole unprimed zlib stream."""
+    return _inflate_whole(zlib.decompressobj(), data)
+
+
+def _inflate_primed(data: bytes) -> bytes:
+    """Decode a schema-3 payload: one whole zlib stream primed with
+    :data:`SCHEMA3_ZDICT`.
+
+    zlib also accepts a stream written without a dictionary, so that is
+    refused here too.
+    """
+    if len(data) < 2 or not data[1] & _FDICT:
+        raise _DamagedRecord("payload lacks the preset-dictionary flag")
+    return _inflate_whole(zlib.decompressobj(zdict=SCHEMA3_ZDICT), data)
+
+
 #: Payload decoder per readable ``schema_version``: 1 wrote plain
 #: pickles, 2 unprimed zlib, 3 zlib primed with :data:`SCHEMA3_ZDICT`.
-_PAYLOAD_DECODERS = {1: lambda data: data, 2: zlib.decompress,
+_PAYLOAD_DECODERS = {1: lambda data: data, 2: _inflate,
                      3: _inflate_primed}
 
 

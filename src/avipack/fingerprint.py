@@ -16,11 +16,9 @@ canonical byte encoding into SHA-1:
 * numpy arrays encode dtype, shape and raw bytes;
 * dataclasses encode class qualname + every field, recursively;
 * mappings encode sorted items; sequences encode element order;
-* objects exposing a ``fingerprint()`` method delegate to it;
 * callables encode module + qualname only — *by identity of the code
   location, not behaviour* — so closures over changing state must not be
-  fingerprinted (the nonlinear-network caveat documented in
-  :meth:`avipack.thermal.network.ThermalNetwork.fingerprint`).
+  fingerprinted.
 
 Python's built-in ``hash`` is unsuitable: it is salted per process for
 strings, which would defeat cross-process cache accounting.
@@ -111,15 +109,13 @@ def _feed(update: Callable[[bytes], None], value: Any) -> None:
         for item in sorted(value, key=repr):
             _feed(update, item)
         update(b"};")
-    elif hasattr(value, "fingerprint") and callable(value.fingerprint):
-        update(b"F" + value.fingerprint().encode() + b";")
     elif callable(value):
         module = getattr(value, "__module__", "") or ""
         qualname = getattr(value, "__qualname__", repr(value))
         update(b"c" + module.encode() + b":" + qualname.encode() + b";")
     else:
         # Last resort: type + repr.  Adequate for simple value objects;
-        # objects with unstable reprs should grow a fingerprint() method.
+        # objects with unstable reprs must be fingerprinted as plain data.
         update(b"r" + kind.__qualname__.encode() + b":"
                + repr(value).encode() + b";")
 

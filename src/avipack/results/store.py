@@ -2,14 +2,15 @@
 
 The on-disk layout is a directory of immutable shard files::
 
-    shard-000000.rows     # header line + packed ROW_DTYPE records
+    shard-000000.rows     # header line + packed SHARD_DTYPE records
     shard-000001.rows
     ...
 
 Each file opens with one JSON header line carrying a magic string, the
-store schema version, the dtype fingerprint, the row/byte count and two
-checksums over the payload — CRC-32 (cheap first line of defence) and
-SHA-256 (authoritative) — mirroring the discipline of
+store schema version, the dtype fingerprint, the row/byte count, the
+shard's string tables and two checksums over the tables and the
+payload — CRC-32 (cheap first line of defence) and SHA-256
+(authoritative) — mirroring the discipline of
 :mod:`avipack.durability.journal`.  Publication is atomic
 (:func:`avipack.durability.files.atomic_write`), and a shard that fails
 verification at open is renamed to a ``.quarantine`` sidecar and
@@ -20,6 +21,13 @@ The store holds typed rows only.  A campaign's full outcome objects
 live in its write-ahead journal; ``shard-*.blobs`` files left by older
 writers are ignored here and deleted by
 :func:`avipack.retention.compact_store`.
+
+Schema 2 packs each logical row into 148 bytes
+(:data:`~avipack.results.schema.SHARD_DTYPE`): raw fingerprint bytes,
+no stored label, and the string columns coded as one-byte indices into
+the header's tables.  Schema-1 shards (434-byte rows) stay readable
+through their own layout, so a store may mix both; readers decode every
+shard to the same logical columns.
 
 Readers memory-map the row payloads (``np.memmap`` past the header), so
 ranking a million-candidate campaign touches only the columns it needs.
@@ -58,33 +66,45 @@ import numpy as np
 from .. import perf as _perf
 from ..durability.files import atomic_write, open_locked, quarantine
 from ..errors import InputError, ResultStoreError
-from ..fingerprint import content_crc32, content_digest
 from .schema import (
     DTYPE_FINGERPRINT,
     ROW_DTYPE,
+    SCHEMA1_DTYPE,
+    SCHEMA1_DTYPE_FINGERPRINT,
+    SHARD_DTYPE,
     STORE_SCHEMA_VERSION,
     fill_row,
+    pack_rows,
+    string_tables,
+    unpack_column,
 )
 
 __all__ = ["DEFAULT_SHARD_ROWS", "ResultStore", "ResultStoreStats",
            "ResultStoreWriter", "next_shard_number", "publish_shard"]
 
 #: Rows per sealed shard (the memmap granularity).  64k rows of the
-#: packed dtype is a ~20 MB shard — large enough to amortize headers,
-#: small enough that a quarantined shard loses bounded work.
+#: packed schema-2 dtype is a ~9.7 MB shard — large enough to amortize
+#: headers, small enough that a quarantined shard loses bounded work.
 DEFAULT_SHARD_ROWS = 65_536
 
 #: Rows of the open shard's first buffer; it doubles up to
-#: ``shard_rows`` as rows arrive.  A full 64k-row buffer is ~27 MB, and
-#: allocating one per writer (one per served job) made a long-lived
-#: process's RSS step up by that much whenever the allocator failed to
-#: reuse a freed buffer, so peak RSS varied from run to run.
+#: ``shard_rows`` as rows arrive.  The buffer holds logical rows
+#: (:data:`~avipack.results.schema.ROW_DTYPE`, packed only at
+#: publication), so a full 64k-row buffer is ~27 MB, and allocating one
+#: per writer (one per served job) made a long-lived process's RSS step
+#: up by that much whenever the allocator failed to reuse a freed
+#: buffer, so peak RSS varied from run to run.
 _FIRST_BUFFER_ROWS = 256
 
 _ROWS_MAGIC = "avipack-results-rows/1"
 _SHARD_PATTERN = re.compile(r"^shard-(\d{6})\.(rows|blobs)$")
 _LOCK_NAME = ".writer.lock"
 _VERIFY_CHUNK = 1 << 20
+
+#: On-disk row layout and its fingerprint per readable store schema.
+#: Schema 1 is read only; every shard is published at schema 2.
+_LAYOUTS = {1: (SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT),
+            STORE_SCHEMA_VERSION: (SHARD_DTYPE, DTYPE_FINGERPRINT)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,19 +134,9 @@ def _open_writer_lock(directory: str) -> Any:
     return open_locked(os.path.join(directory, _LOCK_NAME), refusal)
 
 
-def _header_line(magic: str, n_rows: int, payload_crc32: str,
-                 payload_sha256: str, n_bytes: int) -> bytes:
-    header = {
-        "magic": magic,
-        "schema": STORE_SCHEMA_VERSION,
-        "dtype": DTYPE_FINGERPRINT,
-        "rows": n_rows,
-        "nbytes": n_bytes,
-        "crc32": payload_crc32,
-        "sha256": payload_sha256,
-    }
-    return json.dumps(header, sort_keys=True,
-                      separators=(",", ":")).encode("ascii") + b"\n"
+def _canonical(value: Any) -> bytes:
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
 
 
 def next_shard_number(directory: str) -> int:
@@ -146,18 +156,40 @@ def next_shard_number(directory: str) -> int:
     return highest + 1
 
 
-def publish_shard(directory: str, number: int, rows: np.ndarray) -> None:
-    """Atomically publish one sealed shard.
+def publish_shard(directory: str, number: int, rows: np.ndarray) -> int:
+    """Atomically publish logical ``rows`` as schema-2 shard ``number``.
 
-    The single publication path shared by :class:`ResultStoreWriter`
-    and the retention compactor
-    (:func:`avipack.retention.compact_store`).
+    The single packing and publication path shared by
+    :class:`ResultStoreWriter` and the retention compactor
+    (:func:`avipack.retention.compact_store`).  Returns the number of
+    shards published: rows whose string columns hold more distinct
+    values than one shard's tables can code are split in halves across
+    consecutive shard numbers, in row order.
     """
-    payload = rows.tobytes()
-    header = _header_line(_ROWS_MAGIC, len(rows), content_crc32(payload),
-                          content_digest(payload), len(payload))
+    packed = pack_rows(rows)
+    if packed is None:
+        half = len(rows) // 2
+        published = publish_shard(directory, number, rows[:half])
+        return published + publish_shard(directory, number + published,
+                                         rows[half:])
+    records, tables = packed
+    payload = records.tobytes()
+    checked = _canonical(tables)
+    sha = hashlib.sha256(checked)
+    sha.update(payload)
+    header = _canonical({
+        "magic": _ROWS_MAGIC,
+        "schema": STORE_SCHEMA_VERSION,
+        "dtype": DTYPE_FINGERPRINT,
+        "rows": len(records),
+        "nbytes": len(payload),
+        "strings": tables,
+        "crc32": f"{zlib.crc32(payload, zlib.crc32(checked)):08x}",
+        "sha256": sha.hexdigest(),
+    })
     atomic_write(os.path.join(directory, f"shard-{number:06d}.rows"),
-                 header, payload)
+                 header + b"\n", payload)
+    return 1
 
 
 class ResultStoreWriter:
@@ -221,13 +253,13 @@ class ResultStoreWriter:
         """Publish the open shard."""
         if self._rows is None or self._count == 0:
             return
-        number = self._next_shard
-        self._next_shard += 1
-        publish_shard(self.directory, number, self._rows[:self._count])
+        published = publish_shard(self.directory, self._next_shard,
+                                  self._rows[:self._count])
+        self._next_shard += published
         self._rows = None
         self._count = 0
-        self.shards_sealed += 1
-        _perf.increment("results.shards_written")
+        self.shards_sealed += published
+        _perf.increment("results.shards_written", published)
 
     def close(self) -> None:
         """Seal any partial shard and release the writer lock."""
@@ -245,23 +277,70 @@ class ResultStoreWriter:
                                 shards_sealed=self.shards_sealed)
 
 
+#: Hex digit value per ASCII code (0 for a non-hex byte).
+_NIBBLES = np.zeros(256, dtype=np.uint8)
+_NIBBLES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = \
+    np.arange(16, dtype=np.uint8)
+
+
 class _Shard:
     """One verified, memory-mapped shard (reader side)."""
 
-    def __init__(self, directory: str, name: str, n_rows: int,
+    def __init__(self, path: str, header: Dict[str, Any],
                  header_bytes: int, row_base: int) -> None:
-        self.path = os.path.join(directory, name + ".rows")
-        self.n_rows = n_rows
+        self.path = path
+        self.n_rows = int(header["rows"])
+        #: Store schema the shard was written at.
+        self.schema: int = header["schema"]
         #: Global row id of this shard's first row.
         self.row_base = row_base
+        #: The on-disk records, in the shard schema's layout.
         self.rows: np.ndarray = np.memmap(
-            self.path, dtype=ROW_DTYPE, mode="r",
-            offset=header_bytes, shape=(n_rows,))
+            path, dtype=_LAYOUTS[self.schema][0], mode="r",
+            offset=header_bytes, shape=(self.n_rows,))
+        self._tables = (string_tables(header["strings"])
+                        if self.schema == STORE_SCHEMA_VERSION else None)
+
+    def _decode(self, rows: np.ndarray, name: str) -> np.ndarray:
+        if self._tables is None:
+            return np.asarray(rows[name])
+        return unpack_column(rows, self._tables, name)
+
+    def column(self, name: str, index: Any = None) -> np.ndarray:
+        """Logical values of column ``name`` at local rows ``index``
+        (every row when ``None``)."""
+        return self._decode(self.rows if index is None else self.rows[index],
+                            name)
+
+    def logical_rows(self, index: Any) -> np.ndarray:
+        """The rows at ``index`` as logical records for
+        :func:`publish_shard`, which does not store ``label``, so it is
+        left empty here."""
+        rows = self.rows[index]
+        out = np.zeros(len(rows), dtype=ROW_DTYPE)
+        for name in ROW_DTYPE.names:
+            if name != "label":
+                out[name] = self._decode(rows, name)
+        return out
+
+    def fingerprint_keys(self) -> np.ndarray:
+        """Each row's leading 8 raw fingerprint bytes as one ``<u8``."""
+        if self._tables is not None:
+            raw = np.ascontiguousarray(self.rows["fingerprint"])
+            head = raw.view(np.uint8).reshape(self.n_rows, 20)[:, :8]
+        else:
+            text = np.ascontiguousarray(self.rows["fingerprint"])
+            digits = _NIBBLES[text.view(np.uint8).reshape(
+                self.n_rows, 40)[:, :16]]
+            head = (digits[:, 0::2] << 4) | digits[:, 1::2]
+        return np.ascontiguousarray(head).view("<u8").reshape(-1)
 
 
 def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
     """Checksum-verify one shard file; returns (header, header_bytes).
 
+    The checksums cover a schema-2 shard's string tables (canonical
+    JSON) and then its payload, and a schema-1 shard's payload alone.
     Raises :class:`ResultStoreError` on any damage — the caller
     quarantines and moves on.
     """
@@ -278,15 +357,27 @@ def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
                     or header.get("magic") != magic:
                 raise ResultStoreError(f"{path}: wrong magic",
                                        reason="header")
-            if header.get("schema") != STORE_SCHEMA_VERSION:
+            schema = header.get("schema")
+            if type(schema) is not int or schema not in _LAYOUTS:
                 raise ResultStoreError(
-                    f"{path}: stale schema {header.get('schema')!r}",
+                    f"{path}: unreadable schema {schema!r}",
                     reason="header")
-            if header.get("dtype") != DTYPE_FINGERPRINT:
+            dtype, fingerprint = _LAYOUTS[schema]
+            if header.get("dtype") != fingerprint:
                 raise ResultStoreError(f"{path}: dtype mismatch",
                                        reason="header")
-            crc = 0
-            sha = hashlib.sha256()
+            rows = header.get("rows")
+            if type(rows) is not int or rows < 0 \
+                    or header.get("nbytes") != rows * dtype.itemsize:
+                raise ResultStoreError(
+                    f"{path}: row count disagrees with payload size",
+                    reason="header")
+            # The writer's checksums cover the tables, so tables that
+            # verify are well formed.
+            checked = (_canonical(header.get("strings"))
+                       if schema == STORE_SCHEMA_VERSION else b"")
+            crc = zlib.crc32(checked)
+            sha = hashlib.sha256(checked)
             n_bytes = 0
             while True:
                 chunk = stream.read(_VERIFY_CHUNK)
@@ -380,12 +471,6 @@ class ResultStore:
             try:
                 header, header_bytes = _verify_file(rows_path,
                                                     _ROWS_MAGIC)
-                n_rows = int(header["rows"])
-                if n_rows < 0 or header["nbytes"] != \
-                        n_rows * ROW_DTYPE.itemsize:
-                    raise ResultStoreError(
-                        f"{rows_path}: row count disagrees with "
-                        "payload size", reason="header")
             except ResultStoreError as exc:
                 quarantine(rows_path, {"file": name + ".rows",
                                        "reason": exc.reason,
@@ -394,9 +479,9 @@ class ResultStore:
                 reasons[name + ".rows"] = exc.reason
                 _count_quarantine(exc.reason)
                 continue
-            shards.append(_Shard(directory, name, n_rows, header_bytes,
+            shards.append(_Shard(rows_path, header, header_bytes,
                                  row_base))
-            row_base += n_rows
+            row_base += shards[-1].n_rows
         return cls(directory, shards, tuple(quarantined), reasons)
 
     @classmethod
@@ -445,10 +530,11 @@ class ResultStore:
         Numeric and boolean columns are cached (they are the sort keys
         and masks every query touches repeatedly, at 1-8 bytes per
         row).  Wide byte-string columns — ``label``, ``fingerprint``,
-        the axis strings — are concatenated fresh on each call and
-        released with the caller, so a report over a million-row store
-        never pins tens of megabytes of strings; use :meth:`gather`
-        when only a few rows of such a column are needed.
+        the axis strings — are decoded fresh on each call and released
+        with the caller, so a report over a million-row store never pins
+        tens of megabytes of strings.  Schema-2 shards rebuild ``label``
+        row by row, so use :meth:`gather` when only a few rows of such a
+        column are needed.
         """
         if name not in ROW_DTYPE.names:
             raise InputError(
@@ -459,8 +545,7 @@ class ResultStore:
             return cached
         if self._shards:
             values = np.concatenate(
-                [np.asarray(shard.rows[name])
-                 for shard in self._shards])
+                [shard.column(name) for shard in self._shards])
         else:
             values = np.empty(0, dtype=ROW_DTYPE[name])
         if ROW_DTYPE[name].kind != "S":
@@ -478,25 +563,33 @@ class ResultStore:
                 f"unknown column {name!r}; known: "
                 f"{', '.join(ROW_DTYPE.names)}")
         for shard in self._shards:
-            yield np.asarray(shard.rows[name])
+            yield shard.column(name)
 
     def gather(self, name: str, row_ids: Any) -> np.ndarray:
         """Column values at the given global row ids only.
 
-        Reads straight from the per-shard memory maps without
-        materializing (or caching) the full column — the top-k path
-        for wide byte columns, where the ranking needs 20 labels out
-        of a million rows.
+        Reads and decodes only those rows of the per-shard memory maps,
+        without materializing (or caching) the full column — the top-k
+        path for wide byte columns, where the ranking needs 20 labels
+        out of a million rows.
         """
         if name not in ROW_DTYPE.names:
             raise InputError(
                 f"unknown column {name!r}; known: "
                 f"{', '.join(ROW_DTYPE.names)}")
-        ids = np.asarray(row_ids, dtype=np.int64)
+        ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
         out = np.empty(len(ids), dtype=ROW_DTYPE[name])
-        for position, row_id in enumerate(ids):
-            shard, local = self._locate(int(row_id))
-            out[position] = shard.rows[local][name]
+        if not len(ids):
+            return out
+        if ids.min() < 0 or ids.max() >= self.n_rows:
+            raise InputError(
+                f"row ids outside [0, {self.n_rows}): "
+                f"{ids[(ids < 0) | (ids >= self.n_rows)].tolist()}")
+        owners = np.searchsorted(self._bases, ids, side="right") - 1
+        for position in np.unique(owners).tolist():
+            shard = self._shards[position]
+            hit = owners == position
+            out[hit] = shard.column(name, ids[hit] - shard.row_base)
         return out
 
     def live_mask(self) -> np.ndarray:
@@ -507,17 +600,18 @@ class ResultStore:
         per candidate — the newest — which mirrors the journal replay's
         latest-wins semantics.
 
-        Deduplication runs on 64-bit FNV hashes of the fingerprints (8
-        bytes per row instead of the 40-byte strings, computed shard by
-        shard off the memory maps); only rows sharing a hash — actual
-        duplicates, or the odd collision — are re-checked against their
-        exact bytes.
+        Deduplication runs on each fingerprint's leading 8 raw bytes
+        (one ``<u8`` per row, read shard by shard off the memory maps,
+        alike for schema-1 hex and schema-2 raw fingerprints); only rows
+        sharing those bytes — actual duplicates, or the odd collision —
+        are re-checked against their exact fingerprints.
         """
         if self._live is None:
             n = self.n_rows
             mask = np.zeros(n, dtype=bool)
             if n:
-                hashes = self._fingerprint_hashes()
+                hashes = np.concatenate([shard.fingerprint_keys()
+                                         for shard in self._shards])
                 order = np.argsort(hashes, kind="stable")
                 sorted_hashes = hashes[order]
                 new_run = np.empty(n, dtype=bool)
@@ -540,28 +634,13 @@ class ResultStore:
             self._live = mask
         return self._live
 
-    def _fingerprint_hashes(self) -> np.ndarray:
-        """Vectorized FNV-1a of every row's fingerprint, shard by shard."""
-        hashes = np.empty(self.n_rows, dtype=np.uint64)
-        offset = np.uint64(0xCBF29CE484222325)
-        prime = np.uint64(0x100000001B3)
-        base = 0
-        for shard in self._shards:
-            fps = np.ascontiguousarray(
-                np.asarray(shard.rows["fingerprint"]))
-            words = fps.view(np.uint64).reshape(len(fps), -1)
-            mixed = np.full(len(fps), offset)
-            for column in range(words.shape[1]):
-                mixed ^= words[:, column]
-                mixed *= prime
-            hashes[base:base + len(fps)] = mixed
-            base += len(fps)
-        return hashes
-
     def row(self, row_id: int) -> np.void:
-        """One full row record by global row id (copied)."""
+        """One full logical row record by global row id (copied)."""
         shard, local = self._locate(row_id)
-        return shard.rows[local].copy()
+        record = np.zeros(1, dtype=ROW_DTYPE)
+        for name in ROW_DTYPE.names:
+            record[name] = shard.column(name, [local])
+        return record[0]
 
     def _locate(self, row_id: int) -> Tuple[_Shard, int]:
         if row_id < 0 or row_id >= self.n_rows:

@@ -1,13 +1,15 @@
-"""Result-store compaction: drop superseded rows and retired blob pools.
+"""Result-store compaction: drop superseded rows, old layouts and blob pools.
 
 A resumed or re-ingested campaign appends corrected rows for
 fingerprints the store already holds; queries hide the stale ones
 behind :meth:`~avipack.results.store.ResultStore.live_mask`, but their
 bytes stay on disk forever.  :func:`compact_store` rewrites exactly the
-shards that contain dead rows, copying each live row into fresh shards,
-then deletes the originals.  It also deletes every ``shard-*.blobs``
-file: older writers pickled each outcome into such a pool beside its
-rows, and nothing reads them any more.
+shards that contain dead rows, plus every schema-1 shard (dead rows or
+not, so the store ends in the 148-byte schema-2 layout), copying each
+live row into fresh schema-2 shards, then deletes the originals.  It
+also deletes every ``shard-*.blobs`` file: older writers pickled each
+outcome into such a pool beside its rows, and nothing reads them any
+more.
 
 Crash-safety ordering, designed so SIGKILL anywhere preserves the
 ranking contract byte-for-byte:
@@ -43,6 +45,7 @@ import numpy as np
 from .. import perf as _perf
 from ..durability.files import sweep_stale_tmp
 from ..errors import ResultStoreError
+from ..results.schema import STORE_SCHEMA_VERSION
 from ..results.store import (
     _SHARD_PATTERN,
     _open_writer_lock,
@@ -54,17 +57,14 @@ from ..results.store import (
 
 __all__ = ["StoreCompaction", "compact_store"]
 
-#: Retired row columns that located a pickled outcome in a ``.blobs``
-#: pool; rewritten rows carry them as 0, like freshly written ones.
-_BLOB_COLUMNS = ("blob_offset", "blob_length", "blob_crc32")
-
 
 @dataclass(frozen=True)
 class StoreCompaction:
     """What one result-store compaction pass rewrote and reclaimed."""
 
     directory: str
-    #: Old shards rewritten (they contained superseded rows).
+    #: Old shards rewritten (they contained superseded rows or were
+    #: written at schema 1).
     shards_rewritten: int
     #: Replacement shards published.
     shards_published: int
@@ -99,12 +99,13 @@ def _blob_pools(directory: str) -> List[str]:
 
 def _live_blocks(rewrite: List[Tuple[object, np.ndarray]],
                  shard_rows: int) -> Iterator[np.ndarray]:
-    """The rewritten shards' live rows, regrouped into ``shard_rows``
-    blocks (at most about two shards' rows held at once)."""
+    """The rewritten shards' live rows as logical records, regrouped
+    into ``shard_rows`` blocks (at most about two shards' rows held at
+    once)."""
     pending: List[np.ndarray] = []
     held = 0
     for shard, mask in rewrite:
-        pending.append(shard.rows[mask])
+        pending.append(shard.logical_rows(mask))
         held += len(pending[-1])
         while held >= shard_rows:
             rows = np.concatenate(pending)
@@ -119,7 +120,8 @@ def compact_store(directory: str,
                   shard_rows: int = DEFAULT_SHARD_ROWS,
                   phase_hook: Optional[Callable[[str], None]] = None
                   ) -> StoreCompaction:
-    """Rewrite shards holding superseded rows; delete retired blob pools.
+    """Rewrite shards holding superseded rows and every schema-1 shard
+    at schema 2; delete retired blob pools.
 
     Takes the store's writer lock for the whole pass (raises
     :class:`~avipack.errors.ResultStoreError` on contention or a
@@ -147,7 +149,7 @@ def compact_store(directory: str,
         rewrite: List[Tuple[object, np.ndarray]] = []
         for shard in store.shards():
             mask = live[shard.row_base:shard.row_base + shard.n_rows]
-            if not mask.all():
+            if not mask.all() or shard.schema != STORE_SCHEMA_VERSION:
                 rewrite.append((shard, mask))
         bytes_before = sum(
             _file_size(os.path.join(directory, name))
@@ -160,16 +162,13 @@ def compact_store(directory: str,
         shards_published = 0
         number = next_shard_number(directory)
         for rows in _live_blocks(rewrite, shard_rows):
-            # Rows copied from an older writer's shard still locate a
-            # pickle in its blob pool, which is deleted below.
-            for name in _BLOB_COLUMNS:
-                rows[name] = 0
             hook("publish")
-            publish_shard(directory, number, rows)
-            bytes_after += _file_size(
-                os.path.join(directory, f"shard-{number:06d}.rows"))
-            shards_published += 1
-            number += 1
+            published = publish_shard(directory, number, rows)
+            bytes_after += sum(
+                _file_size(os.path.join(directory, f"shard-{n:06d}.rows"))
+                for n in range(number, number + published))
+            shards_published += published
+            number += published
         hook("delete")
         # Every replacement shard is durable; now retire the originals.
         for shard, _ in rewrite:

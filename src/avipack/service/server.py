@@ -852,7 +852,7 @@ class SweepService:
             n_live = int(live.sum())
             n_compliant = int((live & store.column("compliant")).sum())
             ids = ranked_row_ids(store, k)
-            columns = {name: store.column(name)[ids]
+            columns = {name: store.gather(name, ids)
                        for name in ("index", "fingerprint", "label",
                                     "cost_rank", "worst_board_c",
                                     "thermal_headroom_c")}

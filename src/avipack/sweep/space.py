@@ -31,6 +31,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from ..core.design_flow import PackagingSpecification
 from ..errors import InputError
 from ..fingerprint import stable_fingerprint
+from ..labels import candidate_label, cooling_name
 from ..packaging.cooling import CoolingTechnique, ModuleEnvelope
 from ..packaging.formfactors import ATR_WIDTHS, AtrCase
 from ..packaging.module import Module
@@ -114,12 +115,9 @@ class Candidate:
     @property
     def label(self) -> str:
         """Short human-readable identifier for tables and logs."""
-        technique = (self.cooling.value
-                     if isinstance(self.cooling, CoolingTechnique)
-                     else str(self.cooling))
-        return (f"{self.power_per_module:g}W x{self.n_modules} "
-                f"{self.form_factor} {technique} {self.tim_name} "
-                f"sf{self.series_fraction:g}")
+        return candidate_label(self.power_per_module, self.n_modules,
+                               self.form_factor, cooling_name(self.cooling),
+                               self.tim_name, self.series_fraction)
 
     # -- realisation ---------------------------------------------------------
 

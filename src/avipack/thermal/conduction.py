@@ -229,18 +229,6 @@ class CartesianGrid:
         """Total volumetric source power over the grid [W]."""
         return float(self.source.sum() * self.cell_volume)
 
-    def fingerprint(self) -> str:
-        """Stable content fingerprint of the grid's full state.
-
-        Covers the geometry and every material/source field byte-for-
-        byte, so two grids built through different call sequences but
-        holding identical fields hash identically.  Used by the sweep
-        cache to memoise solves across process boundaries.
-        """
-        return stable_fingerprint(
-            "cartesian_grid", self.shape, self.size,
-            self.kx, self.ky, self.kz, self.source, self.rho_cp)
-
 
 @dataclass(frozen=True)
 class ConductionSolution:
@@ -427,20 +415,9 @@ class ConductionSolver:
                 "problem is singular: at least one face needs a temperature "
                 "or convection boundary condition")
 
-    def fingerprint(self) -> str:
-        """Stable content fingerprint of the bound problem.
-
-        Combines the grid state with the boundary-condition set — the
-        key the sweep cache memoises :meth:`solve_steady` under.
-        """
-        return stable_fingerprint(
-            "conduction_solver", self.grid.fingerprint(),
-            tuple((face, self.boundaries[face]) for face in FACES))
-
     # -- solving ------------------------------------------------------------------
 
-    def solve_steady(self, cache=None,
-                     operator_key: Optional[str] = None
+    def solve_steady(self, operator_key: Optional[str] = None
                      ) -> ConductionSolution:
         """Solve the steady conduction problem.
 
@@ -453,15 +430,10 @@ class ConductionSolver:
         once and back-substitute afterwards, bit-identical to a fresh
         direct solve.
 
-        ``cache`` (optional, ``get_or_compute(key, compute)``) memoises
-        the whole solution under :meth:`fingerprint`, so a byte-identical
-        board skips even the back-substitution.  ``operator_key``
-        replaces :meth:`operator_key` as the factor-cache key; it must
-        change whenever the operator does, and is trusted, not checked.
+        ``operator_key`` replaces :meth:`operator_key` as the
+        factor-cache key; it must change whenever the operator does, and
+        is trusted, not checked.
         """
-        if cache is not None:
-            return cache.get_or_compute(self.fingerprint(),
-                                        self.solve_steady)
         self._check_well_posed()
         start = time.perf_counter()
         key = (operator_key if operator_key is not None

@@ -41,7 +41,6 @@ _GSSV_OPTIONS = {"ColPerm": None}
 
 from .. import perf
 from ..errors import ConvergenceError, InputError
-from ..fingerprint import stable_fingerprint
 
 #: Conductance type: constant [W/K] or callable ``g(t_a, t_b) -> W/K``.
 Conductance = Union[float, Callable[[float, float], float]]
@@ -528,25 +527,6 @@ class ThermalNetwork:
         for link in self._links:
             yield link.node_a, link.node_b, link.conductance, link.label
 
-    def fingerprint(self) -> str:
-        """Stable content fingerprint of the network's definition.
-
-        Two networks with the same nodes (loads, sinks, capacitances)
-        and the same links in the same order fingerprint identically in
-        every process — the key the sweep cache memoises
-        :meth:`solve` under.
-
-        Callable conductances are fingerprinted *by code location*
-        (module + qualname), not by captured state: closures over
-        mutable values defeat memoisation and should not be cached.
-        """
-        return stable_fingerprint(
-            "thermal_network",
-            tuple((node.name, node.heat_load, node.fixed_temperature,
-                   node.capacitance) for node in self._nodes.values()),
-            tuple((link.node_a, link.node_b, link.conductance, link.label)
-                  for link in self._links))
-
     def _require(self, name: str) -> _Node:
         try:
             return self._nodes[name]
@@ -557,7 +537,6 @@ class ThermalNetwork:
 
     def solve(self, initial_guess: float = 320.0, max_iterations: int = 200,
               tolerance: float = 1e-8, relaxation: float = 0.7,
-              cache=None,
               initial_temperatures: Optional[Dict[str, float]] = None
               ) -> NetworkSolution:
         """Solve the steady-state energy balance.
@@ -577,11 +556,6 @@ class ThermalNetwork:
             Convergence threshold on the max temperature update [K].
         relaxation:
             Under-relaxation factor in (0, 1].
-        cache:
-            Optional memo store (``get_or_compute(key, compute)``): the
-            solution is keyed on :meth:`fingerprint` plus the solver
-            settings, so identical networks reached from different
-            sweep candidates solve once per process.
         initial_temperatures:
             Optional per-node warm start (node name → K) overriding
             ``initial_guess``; names absent from the network are
@@ -599,16 +573,6 @@ class ThermalNetwork:
             carries the iteration count, the last update norm, and the
             last iterate (usable as ``initial_temperatures``).
         """
-        if cache is not None:
-            key = stable_fingerprint(
-                "network_solve", self.fingerprint(), initial_guess,
-                max_iterations, tolerance, relaxation,
-                tuple(sorted(initial_temperatures.items()))
-                if initial_temperatures else None)
-            return cache.get_or_compute(
-                key, lambda: self.solve(
-                    initial_guess, max_iterations, tolerance, relaxation,
-                    initial_temperatures=initial_temperatures))
         if not self._nodes:
             raise InputError("network has no nodes")
         if all(n.fixed_temperature is None for n in self._nodes.values()):

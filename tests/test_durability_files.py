@@ -251,6 +251,7 @@ def shard_publish(tmp_path):
     directory = tmp_path / "store"
     directory.mkdir()
     rows = np.zeros(3, dtype=ROW_DTYPE)
+    rows["fingerprint"] = b"0" * 40  # packable: 40 hex characters
     return (str(directory / "shard-000000.rows"),
             lambda: publish_shard(str(directory), 0, rows))
 

@@ -276,12 +276,15 @@ class TestDamage:
         (2, lambda plain: b"not zlib data", ""),
         (2, lambda plain: zlib.compress(b"zlib data that is not a pickle"),
          ""),
+        (2, lambda plain: zlib.compress(plain) + b"\x00",
+         "past its stream end"),
         (3, lambda plain: zlib.compress(plain), "preset-dictionary"),
         (3, lambda plain: primed(plain)[:-4], "truncated"),
         (3, lambda plain: primed(plain) + b"\x00", "past its stream end"),
         (3, lambda plain: primed(b"primed data that is not a pickle"),
          ""),
-    ], ids=["not-zlib", "not-a-pickle", "schema3-unprimed",
+    ], ids=["not-zlib", "not-a-pickle", "schema2-trailing-bytes",
+            "schema3-unprimed",
             "schema3-truncated", "schema3-trailing-bytes",
             "schema3-not-a-pickle"])
     def test_damaged_compressed_payload_is_recomputed(self, tmp_path,

@@ -11,7 +11,11 @@ to the same campaign without them.
 Stores written before the blob pool was removed also hold one
 ``.blobs`` file per shard, a checksummed pool of pickled outcomes that
 the rows' ``blob_*`` columns point into.  Readers ignore those files,
-and compaction deletes them.
+and compaction deletes them.  Those shards are at store schema 1: the
+434-byte row with the retired ``batched`` and ``blob_*`` columns, hex
+fingerprints and fixed-width strings.  They open, query, rank and
+render like a fresh store, alone or mixed with schema-2 shards, and
+compaction rewrites them at schema 2.
 
 Journals written before payload compression (``schema_version`` 1)
 hold plain base64 pickles, and journals written before the preset
@@ -37,11 +41,13 @@ from avipack.durability.journal import SweepJournal, _canonical, \
     _decode_payload, outcome_kind
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
+from avipack.errors import InputError
 from avipack.results import ResultStore, ResultStoreWriter, \
-    ingest_journal, ranking_signature
-from avipack.results.schema import ROW_DTYPE, fill_row
+    STORE_SCHEMA_VERSION, axis_marginals, headroom_histogram, \
+    ingest_journal, ranking_signature, render_store_report
+from avipack.results.schema import AXIS_FIELDS, ROW_DTYPE, \
+    SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT, SHARD_DTYPE, fill_row
 from avipack.durability.files import atomic_write
-from avipack.results.store import _header_line, publish_shard
 from avipack.retention import checkpoint as checkpoint_mod
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
@@ -53,10 +59,11 @@ SPACE = DesignSpace(axes={
     "cooling": ("direct_air_flow", "air_flow_through"),
 })
 
-#: Retired row columns that located an outcome in the ``.blobs`` pool.
-_BLOB_COLUMNS = ("blob_offset", "blob_length", "blob_crc32")
+#: Schema-1 row columns that schema 2 retired.
+_RETIRED_COLUMNS = ("batched", "blob_offset", "blob_length", "blob_crc32")
 
-#: Header magic of the retired ``.blobs`` pool.
+#: Header magic of a ``.rows`` shard and of the retired ``.blobs`` pool.
+_ROWS_MAGIC = "avipack-results-rows/1"
 _BLOBS_MAGIC = "avipack-results-blobs/1"
 
 
@@ -131,27 +138,40 @@ def journal_lines(path):
         return [json.loads(line) for line in stream.read().splitlines()]
 
 
+def schema1_header(magic, n_rows, payload):
+    """A header line as schema-1 writers stamped it."""
+    return json.dumps({
+        "magic": magic, "schema": 1, "dtype": SCHEMA1_DTYPE_FINGERPRINT,
+        "rows": n_rows, "nbytes": len(payload),
+        "crc32": f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}",
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+
+
 def write_legacy_shard(directory, number, outcomes, batched):
-    """One shard pair as older writers laid it out: the outcomes pickled
-    into a checksummed ``.blobs`` pool that the ``.rows`` point into,
+    """One shard pair as older writers laid it out: schema-1 rows that
+    point into a checksummed ``.blobs`` pool of the pickled outcomes,
     ``batched`` forced."""
-    rows = np.zeros(len(outcomes), dtype=ROW_DTYPE)
+    logical = np.zeros(len(outcomes), dtype=ROW_DTYPE)
+    rows = np.zeros(len(outcomes), dtype=SCHEMA1_DTYPE)
     blobs = bytearray()
     for position, outcome in enumerate(outcomes):
         blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        fill_row(rows, position, outcome)
+        fill_row(logical, position, outcome)
         rows[position]["blob_offset"] = len(blobs)
         rows[position]["blob_length"] = len(blob)
         rows[position]["blob_crc32"] = zlib.crc32(blob) & 0xFFFFFFFF
         blobs += blob
+    for name in ROW_DTYPE.names:
+        rows[name] = logical[name]
     rows["batched"] = batched
     base = os.path.join(directory, f"shard-{number:06d}")
     atomic_write(base + ".blobs",
-                 _header_line(_BLOBS_MAGIC, len(rows),
-                              f"{zlib.crc32(blobs) & 0xFFFFFFFF:08x}",
-                              hashlib.sha256(blobs).hexdigest(), len(blobs)),
+                 schema1_header(_BLOBS_MAGIC, len(rows), bytes(blobs)),
                  bytes(blobs))
-    publish_shard(directory, number, rows)
+    payload = rows.tobytes()
+    atomic_write(base + ".rows",
+                 schema1_header(_ROWS_MAGIC, len(rows), payload), payload)
 
 
 def write_legacy_store(directory, outcomes, batched):
@@ -229,6 +249,30 @@ class TestLegacyJournal:
         assert report_signature(old) == report_signature(plain)
 
 
+def without_directory(report):
+    """A rendered store report minus its store-directory line."""
+    return [line for line in report.splitlines()
+            if "Store directory" not in line]
+
+
+def assert_same_store(store, expected):
+    """``store`` answers every query exactly as ``expected`` does."""
+    assert store.n_rows == expected.n_rows
+    for name in ROW_DTYPE.names:
+        np.testing.assert_array_equal(store.column(name),
+                                      expected.column(name))
+    np.testing.assert_array_equal(store.live_mask(), expected.live_mask())
+    assert ranking_signature(store) == ranking_signature(expected)
+    for field in AXIS_FIELDS:
+        assert repr(axis_marginals(store, field)) \
+            == repr(axis_marginals(expected, field))
+    for got, want in zip(headroom_histogram(store),
+                         headroom_histogram(expected)):
+        np.testing.assert_array_equal(got, want)
+    assert without_directory(render_store_report(store)) \
+        == without_directory(render_store_report(expected))
+
+
 class TestLegacyStore:
     def test_open_and_ranking_are_identical(self, artifacts):
         plain = ResultStore.open(artifacts["plain"][1])
@@ -236,14 +280,15 @@ class TestLegacyStore:
         assert old.quarantined == ()
         assert os.path.exists(
             os.path.join(artifacts["legacy"][1], "shard-000000.blobs"))
-        assert old.n_rows == plain.n_rows
-        assert old.column("batched").any()
-        assert old.column("blob_length").all()
-        for name in ROW_DTYPE.names:
-            if name not in _BLOB_COLUMNS + ("batched",):
-                np.testing.assert_array_equal(old.column(name),
-                                              plain.column(name))
-        assert ranking_signature(old) == ranking_signature(plain)
+        # The retired columns sit in the schema-1 shard's raw rows only.
+        (shard,) = old.shards()
+        assert shard.schema == 1
+        assert shard.rows["batched"].any()
+        assert shard.rows["blob_length"].all()
+        for name in _RETIRED_COLUMNS:
+            with pytest.raises(InputError):
+                old.column(name)
+        assert_same_store(old, plain)
 
     def test_compaction_deletes_every_blob_pool(self, campaign, tmp_path):
         _, outcomes = campaign
@@ -263,10 +308,9 @@ class TestLegacyStore:
         assert ranking_signature(store) == before
         assert ranking_signature(store) == ranking_signature(
             ResultStore.open(write_store(tmp_path / "plain", outcomes)))
-        # The rewritten shard no longer points into a deleted pool.
-        rewritten = store.shards()[-1].rows
-        for name in _BLOB_COLUMNS:
-            assert not rewritten[name].any()
+        # The rewritten shards carry no retired column.
+        assert [shard.rows.dtype for shard in store.shards()] \
+            == [SHARD_DTYPE]
 
     def test_store_written_now_holds_rows_only(self, campaign, tmp_path):
         _, outcomes = campaign
@@ -274,17 +318,67 @@ class TestLegacyStore:
         assert sorted(os.listdir(directory)) == [".writer.lock",
                                                  "shard-000000.rows"]
         store = ResultStore.open(directory)
-        for name in _BLOB_COLUMNS:
-            assert not store.column(name).any()
+        assert [shard.rows.dtype for shard in store.shards()] \
+            == [SHARD_DTYPE]
 
-    def test_new_rows_write_the_retired_column_false(self, artifacts,
-                                                     tmp_path):
+    def test_new_rows_carry_no_retired_column(self, artifacts, tmp_path):
         directory = str(tmp_path / "resumed.results")
         SweepRunner(parallel=False, result_store=directory).resume(
             artifacts["legacy"][0])
         store = ResultStore.open(directory)
         assert store.n_rows == 5
-        assert not store.column("batched").any()
+        assert [shard.schema for shard in store.shards()] \
+            == [STORE_SCHEMA_VERSION]
+        assert not set(_RETIRED_COLUMNS) & set(ROW_DTYPE.names)
+
+
+class TestSchema1Store:
+    """A store written at schema 1 reads like one written now."""
+
+    @pytest.fixture()
+    def old_store(self, campaign, tmp_path):
+        _, outcomes = campaign
+        return write_legacy_store(tmp_path / "schema1.results", outcomes,
+                                  batched=[False] * len(outcomes))
+
+    def test_mixed_with_schema2_shards_it_ranks_alike(self, campaign,
+                                                      old_store, tmp_path):
+        _, outcomes = campaign
+        # Corrections of two candidates and one new row land in a
+        # schema-2 shard; the schema-1 copies of the two are dead.
+        extra = dataclasses.replace(outcomes[0], index=len(outcomes),
+                                    fingerprint="0" * 40)
+        with ResultStoreWriter(old_store) as writer:
+            writer.add_many(outcomes[1:3] + [extra])
+        mixed = ResultStore.open(old_store)
+        assert [shard.schema for shard in mixed.shards()] == [1, 2]
+        assert mixed.live_mask().tolist() \
+            == [True, False, False] + [True] * (len(outcomes) - 3) \
+            + [True] * 3
+        fresh = tmp_path / "fresh.results"
+        write_store(fresh, outcomes)
+        with ResultStoreWriter(str(fresh)) as writer:
+            writer.add_many(outcomes[1:3] + [extra])
+        assert_same_store(mixed, ResultStore.open(str(fresh)))
+        assert ranking_signature(mixed) == report_signature(
+            list(outcomes) + [extra])
+
+    def test_compaction_rewrites_it_at_schema2(self, campaign, old_store,
+                                               tmp_path):
+        _, outcomes = campaign
+        before = ranking_signature(ResultStore.open(old_store))
+        compaction = compact_store(old_store)
+        # No dead rows, but the old layout is rewritten all the same.
+        assert compaction.rows_dropped == 0
+        assert compaction.shards_rewritten == 1
+        assert compaction.bytes_after < compaction.bytes_before
+        store = ResultStore.open(old_store)
+        assert [shard.schema for shard in store.shards()] \
+            == [STORE_SCHEMA_VERSION]
+        assert ranking_signature(store) == before
+        assert_same_store(store, ResultStore.open(
+            write_store(tmp_path / "fresh.results", outcomes)))
+        assert not compact_store(old_store).changed
 
 
 class _RetiredSchemaJournal:

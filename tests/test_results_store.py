@@ -1,5 +1,7 @@
 """Columnar result store: shards, checksums, quarantine."""
 
+import dataclasses
+import json
 import os
 
 import numpy as np
@@ -9,17 +11,25 @@ from avipack import perf
 from avipack.errors import InputError, ResultStoreError
 from avipack.results import (
     DTYPE_FINGERPRINT,
-    ROW_DTYPE,
     ResultStore,
     ResultStoreWriter,
 )
+from avipack.results.schema import (
+    ROW_DTYPE,
+    SCHEMA1_DTYPE,
+    SCHEMA1_DTYPE_FINGERPRINT,
+    SHARD_DTYPE,
+)
+from avipack.results.store import publish_shard
 from avipack.sweep.runner import CandidateFailure, CandidateResult
-from avipack.sweep.space import Candidate
+from avipack.sweep.space import Candidate, DesignSpace
 
 
 def make_result(index, *, power=20.0, modules=4, compliant=True,
-                cost_rank=1.0, worst_board_c=70.0, degraded=False):
-    candidate = Candidate(power_per_module=power, n_modules=modules)
+                cost_rank=1.0, worst_board_c=70.0, degraded=False,
+                candidate=None):
+    candidate = candidate or Candidate(power_per_module=power,
+                                       n_modules=modules)
     return CandidateResult(
         index=index, candidate=candidate,
         fingerprint=candidate.fingerprint, compliant=compliant,
@@ -33,8 +43,9 @@ def make_result(index, *, power=20.0, modules=4, compliant=True,
         cache_hits=2, cache_misses=1, degraded=degraded)
 
 
-def make_failure(index, *, power=33.0, error_type="ConvergenceError"):
-    candidate = Candidate(power_per_module=power, n_modules=3)
+def make_failure(index, *, power=33.0, error_type="ConvergenceError",
+                 candidate=None):
+    candidate = candidate or Candidate(power_per_module=power, n_modules=3)
     return CandidateFailure(
         index=index, candidate=candidate,
         fingerprint=candidate.fingerprint, stage="level3",
@@ -253,15 +264,148 @@ def test_open_missing_directory_raises(tmp_path):
 
 def test_dtype_fingerprint_guards_schema_drift(tmp_path):
     # The header stamps the dtype; a reader with a different layout
-    # must refuse the shard rather than reinterpret bytes.
-    assert len(DTYPE_FINGERPRINT) == 40
-    assert ROW_DTYPE.itemsize == ROW_DTYPE.itemsize  # packed, stable
+    # must refuse the shard rather than reinterpret bytes.  Both
+    # readable layouts are pinned: the kept schema-1 row and the packed
+    # schema-2 row every shard is written in.
+    assert SCHEMA1_DTYPE.itemsize == 434
+    assert SCHEMA1_DTYPE_FINGERPRINT \
+        == "af9b384d77a2509a39628bab8fc2305292216edc"
+    assert SHARD_DTYPE.itemsize == 148
+    assert DTYPE_FINGERPRINT == "ebb9088503d9ca56c1a02e7087cbb89d9e2b5304"
     directory = str(tmp_path / "store")
     with ResultStoreWriter(directory) as writer:
         writer.add(make_result(0))
     path = os.path.join(directory, "shard-000000.rows")
-    header = open(path, "rb").readline()
-    assert DTYPE_FINGERPRINT.encode("ascii") in header
+    header = json.loads(open(path, "rb").readline())
+    assert header["schema"] == 2
+    assert header["dtype"] == DTYPE_FINGERPRINT
+    assert header["nbytes"] == SHARD_DTYPE.itemsize
+
+
+@pytest.mark.parametrize("fingerprint", [
+    "f", "0" * 39, "0" * 41, "A" * 40, "g" * 40, " " + "0" * 39,
+    "0x" + "0" * 38])
+def test_writer_refuses_a_fingerprint_it_cannot_store_exactly(
+        tmp_path, fingerprint):
+    directory = str(tmp_path / "store")
+    good = make_result(1, power=25.0)
+    with ResultStoreWriter(directory) as writer:
+        with pytest.raises(InputError):
+            writer.add(dataclasses.replace(make_result(0),
+                                           fingerprint=fingerprint))
+        assert writer.rows_added == 0
+        writer.add(good)
+    store = ResultStore.open(directory)
+    assert store.n_rows == 1
+    assert store.column("fingerprint").tolist() \
+        == [good.fingerprint.encode("ascii")]
+
+
+def test_writer_refuses_a_pid_its_packed_column_would_wrap(tmp_path):
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory) as writer:
+        with pytest.raises(InputError):
+            writer.add(dataclasses.replace(make_result(0),
+                                           worker_pid=2 ** 31))
+        writer.add(dataclasses.replace(make_result(1), worker_pid=-1))
+    assert ResultStore.open(directory).column("worker_pid").tolist() == [-1]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_modules", -1), ("n_modules", 70_000), ("n_components", -3),
+    ("n_components", 70_000)])
+def test_a_broken_count_is_stored_exactly(tmp_path, field, value):
+    # Such candidates fail at build; their failure rows must still be
+    # recorded, so the count columns hold any logical value.
+    directory = str(tmp_path / "store")
+    failure = make_failure(0, candidate=Candidate(**{field: value}))
+    with ResultStoreWriter(directory) as writer:
+        writer.add(failure)
+    store = ResultStore.open(directory)
+    assert store.column(field).tolist() == [value]
+    assert store.column("label").tolist() \
+        == [failure.candidate.label.encode()]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("fingerprint", b""), ("fingerprint", b"F" * 40),
+    ("worker_pid", 2 ** 40)])
+def test_publish_refuses_rows_it_cannot_pack_exactly(tmp_path, field,
+                                                     value):
+    rows = np.zeros(2, dtype=ROW_DTYPE)
+    rows["fingerprint"] = b"0" * 40
+    rows[field][1] = value
+    with pytest.raises(InputError):
+        publish_shard(str(tmp_path), 0, rows)
+    assert os.listdir(tmp_path) == []
+
+
+def test_live_mask_compares_whole_fingerprints_past_shared_bytes(
+        tmp_path):
+    # Dedup keys on the leading 8 raw bytes; rows sharing them but not
+    # the rest of the fingerprint are distinct candidates.
+    directory = str(tmp_path / "store")
+    first = dataclasses.replace(make_result(0),
+                                fingerprint="ab" * 8 + "0" * 24)
+    second = dataclasses.replace(make_result(1),
+                                 fingerprint="ab" * 8 + "1" * 24)
+    with ResultStoreWriter(directory, shard_rows=1) as writer:
+        writer.add_many([first, second])
+    store = ResultStore.open(directory)
+    assert store.live_mask().tolist() == [True, True]
+    assert ResultStore.live_fingerprints(directory) \
+        == {first.fingerprint: 0, second.fingerprint: 1}
+
+
+def test_string_tables_sit_in_the_checksummed_header(tmp_path):
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory) as writer:
+        writer.add_many(outcomes_mixed(10))
+    path = os.path.join(directory, "shard-000000.rows")
+    data = open(path, "rb").read()
+    header = json.loads(data.partition(b"\n")[0])
+    assert header["strings"]["error_type"] == ["", "ConvergenceError"]
+    assert header["strings"]["cooling"] == ["direct_air_flow"]
+    # A flipped letter in a table still parses; the checksum refuses it.
+    with open(path, "wb") as stream:
+        stream.write(data.replace(b"direct_air_flow", b"direct_air_flox"))
+    store = ResultStore.open(directory)
+    assert store.quarantine_reasons == {"shard-000000.rows": "checksum"}
+
+
+def test_rebuilt_labels_equal_candidate_labels(tmp_path):
+    candidates = list(DesignSpace.standard_tradeoff().grid())
+    outcomes = [make_result(i, candidate=c)
+                for i, c in enumerate(candidates)]
+    outcomes.append(make_failure(len(outcomes), candidate=Candidate(
+        power_per_module=12.5, n_modules=0, cooling="no_such_cooling",
+        tim_name="no_such_tim", series_fraction=0.125)))
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory, shard_rows=16) as writer:
+        writer.add_many(outcomes)
+    store = ResultStore.open(directory)
+    expected = [o.candidate.label.encode("utf-8") for o in outcomes]
+    assert store.column("label").tolist() == expected
+    ids = np.arange(len(outcomes))[::-7]
+    assert store.gather("label", ids).tolist() \
+        == [expected[i] for i in ids]
+
+
+def test_more_distinct_strings_than_a_code_indexes_split_the_shard(
+        tmp_path):
+    directory = str(tmp_path / "store")
+    outcomes = [make_failure(i, candidate=Candidate(tim_name=f"tim-{i}"))
+                for i in range(300)]
+    perf.reset()
+    with ResultStoreWriter(directory) as writer:
+        writer.add_many(outcomes)
+    assert writer.shards_sealed == 2
+    assert perf.counter("results.shards_written") == 2
+    store = ResultStore.open(directory)
+    assert store.n_shards == 2
+    assert store.column("index").tolist() == list(range(300))
+    assert store.column("tim_name").tolist() \
+        == [f"tim-{i}".encode() for i in range(300)]
 
 
 def test_gather_matches_column_fancy_indexing(tmp_path):

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from avipack.errors import ServiceError
+from avipack.results import ResultStore, ingest_journal, \
+    render_store_report
 from avipack.service import (
     ServiceClient,
     ServiceConfig,
@@ -50,6 +52,33 @@ def test_results_op_serves_store_backed_ranking(sockets, tmp_path):
     # The per-job store lives beside the journal, named after the job.
     assert os.path.isdir(os.path.join(config.journal_dir,
                                       job_id + ".results"))
+
+
+def test_results_op_labels_match_the_store_report(sockets, tmp_path):
+    # Re-ingesting the job's journal in 5-row shards supersedes every
+    # row the job wrote, so the top k spans several shards.
+    config = make_config(sockets, tmp_path)
+    with ThreadedService(config):
+        client = ServiceClient(config.socket_path)
+        job_id = client.submit(axes=AXES)["job_id"]
+        assert client.wait(job_id, timeout_s=120.0)["state"] == "completed"
+        directory = os.path.join(config.journal_dir, job_id + ".results")
+        ingest_journal(os.path.join(config.journal_dir,
+                                    job_id + ".journal.jsonl"),
+                       directory, shard_rows=5)
+        results = client.results(job_id, k=8)
+    store = ResultStore.open(directory)
+    assert store.n_shards == 4
+    assert results["n_rows"] == 24
+    assert results["n_live"] == 12
+    report = render_store_report(store, top=8).splitlines()
+    start = report.index("  TOP 8 BY COST RANK") + 2
+    assert len(results["top"]) == 8
+    for entry, line in zip(results["top"], report[start:start + 8]):
+        assert line.startswith(
+            f"  {entry['position']:>3}. {entry['label']:<44} cost ")
+    assert [entry["fingerprint"] for entry in results["top"]] \
+        == [fp for fp, _, _ in service_signature()[:8]]
 
 
 def test_results_op_structured_errors(sockets, tmp_path):
