@@ -9,7 +9,8 @@ the campaign the in-flight candidates, not the finished ones.
 * every record is one JSON line carrying a ``body`` plus two checksums
   over the canonical body encoding — CRC-32 (cheap first line of
   defence) and SHA-256 (authoritative) — and the journal
-  ``schema_version``;
+  ``schema_version``; :func:`seal` is the one function that writes a
+  line;
 * appends are atomic at the record level: the encoded line is written
   in a single call on an append-mode descriptor, flushed and
   ``fsync``'d before the runner proceeds, so after a crash the journal
@@ -42,8 +43,22 @@ zlib primed with a pinned preset dictionary
 every line shares one copy of the pickle opcodes, module paths, class
 and field names it would otherwise repeat, so an outcome payload takes
 roughly 25–35% of the bytes schema 2's unprimed zlib gave it.
-Schema-1 (plain pickle) and schema-2 (unprimed zlib) journals still
-replay, resume, ingest and compact, and each line is decoded by its own
+Schema 4 keeps that payload encoding and holds one copy of each fact
+per line:
+
+* an outcome payload is pickled with an empty ``fingerprint``; the
+  envelope's ``fingerprint`` (which also keys a checkpoint's
+  ``outcomes``) is written back into the unpickled outcome, so the
+  resume audit still compares it with the candidate's own fingerprint;
+* the line is written compactly, ``{"body":…,"crc32":…,"sha256":…}``,
+  straight from the canonical body text the checksums cover;
+* the SHA-256 is 43 characters of unpadded base64 instead of 64 hex
+  digits, still over the full digest.
+
+Together that is ~90 bytes less per outcome line.  Schema-1 (plain
+pickle), schema-2 (unprimed zlib) and schema-3 (hex SHA-256, payloads
+carrying their fingerprint) journals still replay, resume, ingest and
+compact, and each line is verified and decoded by its own
 ``schema_version``.  A different dictionary is a new schema version;
 the old dictionary stays as the decoder of the journals written with it.
 The checksums protect against corruption in transit and at rest, not
@@ -60,6 +75,8 @@ corrupts a deterministic subset of records.
 from __future__ import annotations
 
 import base64
+import copy
+import hashlib
 import json
 import os
 import pickle
@@ -79,11 +96,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
            "SweepJournal", "encode_record", "outcome_kind",
-           "replay_journal"]
+           "replay_journal", "seal"]
 
 #: Bump when the record encoding changes; replay quarantines any
 #: version it has no decoder for rather than guessing at its layout.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
+
+#: The first schema whose outcome payloads leave the fingerprint to the
+#: envelope and whose lines carry the SHA-256 as unpadded base64.
+_LEAN_SCHEMA = 4
 
 #: The preset-dictionary flag (FDICT) of a zlib stream header's FLG byte.
 _FDICT = 0x20
@@ -117,7 +138,7 @@ def _inflate(data: bytes) -> bytes:
 
 
 def _inflate_primed(data: bytes) -> bytes:
-    """Decode a schema-3 payload: one whole zlib stream primed with
+    """Decode a schema-3 or -4 payload: one whole zlib stream primed with
     :data:`SCHEMA3_ZDICT`.
 
     zlib also accepts a stream written without a dictionary, so that is
@@ -129,9 +150,10 @@ def _inflate_primed(data: bytes) -> bytes:
 
 
 #: Payload decoder per readable ``schema_version``: 1 wrote plain
-#: pickles, 2 unprimed zlib, 3 zlib primed with :data:`SCHEMA3_ZDICT`.
+#: pickles, 2 unprimed zlib, 3 and 4 zlib primed with
+#: :data:`SCHEMA3_ZDICT` (4 without the outcome's fingerprint).
 _PAYLOAD_DECODERS = {1: lambda data: data, 2: _inflate,
-                     3: _inflate_primed}
+                     3: _inflate_primed, 4: _inflate_primed}
 
 
 def _open_locked(path: str):
@@ -164,6 +186,31 @@ def _canonical(body: Dict[str, Any]) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256_text(data: bytes, schema_version: Any) -> str:
+    """The SHA-256 of ``data`` as a ``schema_version`` line carries it:
+    64 hex digits before schema 4, 43 characters of unpadded base64
+    from it on."""
+    if type(schema_version) is int and schema_version < _LEAN_SCHEMA:
+        return content_digest(data)
+    return base64.b64encode(hashlib.sha256(data).digest())[:-1].decode()
+
+
+def seal(body: Dict[str, Any]) -> bytes:
+    """One journal line: ``body`` in canonical form, its CRC-32 and its
+    SHA-256 (in the form of the body's ``schema_version``), and ``\\n``.
+
+    The line is assembled from the canonical text the checksums cover,
+    with the envelope keys in sorted order and no spaces.
+    """
+    data = _canonical(body).encode("utf-8")
+    return b"".join((
+        b'{"body":', data,
+        b',"crc32":"', content_crc32(data).encode("ascii"),
+        b'","sha256":"',
+        _sha256_text(data, body.get("schema_version")).encode("ascii"),
+        b'"}\n'))
+
+
 def _encode_payload(value: Any) -> str:
     deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
     data = deflater.compress(
@@ -177,8 +224,26 @@ def _decode_payload(text: str,
         base64.b64decode(text.encode())))
 
 
+def _encode_outcome(outcome: "CandidateOutcome") -> str:
+    """An outcome payload without the fingerprint its envelope carries."""
+    stripped = copy.copy(outcome)
+    object.__setattr__(stripped, "fingerprint", "")
+    return _encode_payload(stripped)
+
+
+def _decode_outcome(text: str, fingerprint: str,
+                    schema_version: int = SCHEMA_VERSION
+                    ) -> "CandidateOutcome":
+    """Decode an outcome payload; from schema 4 on, the outcome takes
+    ``fingerprint``, its envelope's copy."""
+    outcome = _decode_payload(text, schema_version)
+    if schema_version >= _LEAN_SCHEMA:
+        object.__setattr__(outcome, "fingerprint", fingerprint)
+    return outcome
+
+
 def encode_record(kind: str, seq: int, fields: Dict[str, Any]) -> bytes:
-    """Encode one journal record line (body + CRC-32 + SHA-256 + ``\\n``).
+    """Encode one journal record line at :data:`SCHEMA_VERSION`.
 
     The single encoding shared by live appends
     (:meth:`SweepJournal._append`) and the compaction checkpoint writer
@@ -188,12 +253,7 @@ def encode_record(kind: str, seq: int, fields: Dict[str, Any]) -> bytes:
     body: Dict[str, Any] = {"schema_version": SCHEMA_VERSION,
                             "seq": seq, "kind": kind}
     body.update(fields)
-    canonical = _canonical(body)
-    record = json.dumps({"body": body,
-                         "crc32": content_crc32(canonical),
-                         "sha256": content_digest(canonical)},
-                        sort_keys=True)
-    return record.encode("utf-8") + b"\n"
+    return seal(body)
 
 
 class SweepJournal:
@@ -294,7 +354,7 @@ class SweepJournal:
         """Journal a finished candidate as it arrives from a worker."""
         self._append(outcome_kind(outcome), index=outcome.index,
                      fingerprint=outcome.fingerprint,
-                     payload=_encode_payload(outcome))
+                     payload=_encode_outcome(outcome))
 
     def _append(self, kind: str, **fields: Any) -> None:
         """Checksum, encode and durably append one record.
@@ -367,12 +427,12 @@ def _verify_line(line: bytes) -> Dict[str, Any]:
             or not isinstance(envelope.get("body"), dict)):
         raise _DamagedRecord("record has no body")
     body = envelope["body"]
-    canonical = _canonical(body)
-    if envelope.get("crc32") != content_crc32(canonical):
-        raise _DamagedRecord("crc32 mismatch")
-    if envelope.get("sha256") != content_digest(canonical):
-        raise _DamagedRecord("sha256 mismatch")
+    data = _canonical(body).encode("utf-8")
     version = body.get("schema_version")
+    if envelope.get("crc32") != content_crc32(data):
+        raise _DamagedRecord("crc32 mismatch")
+    if envelope.get("sha256") != _sha256_text(data, version):
+        raise _DamagedRecord("sha256 mismatch")
     if type(version) is not int or version not in _PAYLOAD_DECODERS:
         raise _DamagedRecord(
             f"stale schema_version {version!r} "
@@ -396,7 +456,8 @@ def _write_quarantine(path: str,
 def _replay_outcome(replay: JournalReplay, fingerprint: str, payload: str,
                     version: int, keep: bool) -> None:
     """Decode one outcome payload into ``replay``, latest-wins."""
-    replay.outcomes[fingerprint] = _decode_payload(payload, version)
+    replay.outcomes[fingerprint] = _decode_outcome(payload, fingerprint,
+                                                   version)
     if keep:
         replay.outcome_payloads[fingerprint] = payload
     else:

@@ -57,6 +57,7 @@ __all__ = [
     "SCHEMA1_DTYPE_FINGERPRINT",
     "SHARD_DTYPE",
     "STORE_SCHEMA_VERSION",
+    "check_storable",
     "fill_row",
     "pack_rows",
     "string_tables",
@@ -220,21 +221,29 @@ def _require_pid_fit(low: Any, high: Any) -> None:
             "cannot be stored in the result store")
 
 
-def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
-    """Flatten one outcome into ``rows[position]``.
-
-    ``rows`` must have dtype :data:`ROW_DTYPE` (typically the writer's
-    shard buffer).  Raises :class:`~avipack.errors.InputError`, with
-    ``rows[position]`` left free for another outcome, when the outcome
-    cannot be stored exactly: a fingerprint that is not 40 lowercase hex
-    characters, or a worker pid outside its packed column's range.
-    """
+def check_storable(outcome: Any) -> None:
+    """Raise :class:`~avipack.errors.InputError` when ``outcome`` cannot
+    be stored exactly: a fingerprint that is not 40 lowercase hex
+    characters, or a worker pid outside its packed column's range."""
     fingerprint = outcome.fingerprint
     if not isinstance(fingerprint, str) \
             or not _HEX_FINGERPRINT.fullmatch(fingerprint):
         raise InputError(
             f"fingerprint {fingerprint!r} is not 40 lowercase hex "
             "characters; the result store keeps its 20 raw bytes")
+    _require_pid_fit(outcome.worker_pid, outcome.worker_pid)
+
+
+def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
+    """Flatten one outcome into ``rows[position]``.
+
+    ``rows`` must have dtype :data:`ROW_DTYPE` (typically the writer's
+    shard buffer).  Raises :class:`~avipack.errors.InputError`, with
+    ``rows[position]`` untouched, when :func:`check_storable` refuses
+    the outcome.
+    """
+    check_storable(outcome)
+    fingerprint = outcome.fingerprint
     row = rows[position]
     candidate = outcome.candidate
     kind = _KIND_CODES[outcome_kind(outcome)]
@@ -291,7 +300,6 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
     row["n_components"] = candidate.n_components
     row["long_case"] = bool(candidate.long_case)
     row["label"] = _truncated(candidate.label, 80)
-    _require_pid_fit(row["worker_pid"], row["worker_pid"])
 
 
 def pack_rows(rows: np.ndarray

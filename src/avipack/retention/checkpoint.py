@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, Optional
 from .. import perf as _perf
 from ..durability.files import atomic_write, sweep_stale_tmp
 from ..durability.journal import (
+    _encode_outcome,
     _encode_payload,
     _open_locked,
     encode_record,
@@ -110,7 +111,7 @@ def compact_journal(path: str,
             "candidates": (replay.candidates_payload
                            or _encode_payload(tuple(replay.candidates))),
             "space_fingerprint": replay.space_fingerprint,
-            "outcomes": {fp: kept.get(fp) or _encode_payload(outcome)
+            "outcomes": {fp: kept.get(fp) or _encode_outcome(outcome)
                          for fp, outcome
                          in sorted(replay.outcomes.items())},
             "dispatched": {fp: int(index)

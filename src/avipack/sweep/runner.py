@@ -572,7 +572,9 @@ class SweepRunner:
 
         Dispatches every candidate without a ``restored`` outcome
         (matched by fingerprint; ``None`` on a fresh run), records each
-        fresh outcome (journal, then store, then ``progress``), merges
+        fresh outcome (journal, then store, then ``progress``; an
+        outcome the store would refuse is refused before it is
+        journalled, so the two never diverge), merges
         restored and fresh outcomes in candidate order, journals again
         each restored outcome whose index the order changed, backfills
         restored outcomes the store lacks or holds under another index,
@@ -589,6 +591,7 @@ class SweepRunner:
         store = stored = None
         try:
             if self.result_store is not None:
+                from ..results.schema import check_storable
                 from ..results.store import ResultStore, ResultStoreWriter
                 # Read before this campaign appends, so the backfill
                 # adds each restored outcome at most once across
@@ -597,9 +600,14 @@ class SweepRunner:
                           if restored else {})
                 store = ResultStoreWriter(self.result_store)
 
-            def record(outcome: CandidateOutcome) -> None:
+            def journal_outcome(outcome: CandidateOutcome) -> None:
+                if store is not None:
+                    check_storable(outcome)
                 if journal is not None:
                     journal.record_outcome(outcome)
+
+            def record(outcome: CandidateOutcome) -> None:
+                journal_outcome(outcome)
                 if store is not None:
                     store.add(outcome)
                 fresh[outcome.index] = outcome
@@ -622,8 +630,7 @@ class SweepRunner:
                         # its new index too, so a replay or ingest of
                         # the journal ranks as this report does.
                         outcome = dataclasses.replace(outcome, index=index)
-                        if journal is not None:
-                            journal.record_outcome(outcome)
+                        journal_outcome(outcome)
                     if (store is not None
                             and stored.get(outcome.fingerprint) != index
                             and outcome.fingerprint

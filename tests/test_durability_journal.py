@@ -9,6 +9,7 @@ tail.
 """
 
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,9 +24,9 @@ from avipack.durability import (
     replay_journal,
 )
 from avipack.durability._payload_dict import SCHEMA3_ZDICT
-from avipack.durability.journal import _canonical
+from avipack.durability.journal import _canonical, seal
 from avipack.errors import DurabilityError, InputError, JournalError
-from avipack.fingerprint import content_crc32, content_digest
+from avipack.fingerprint import content_crc32
 from avipack.resilience import FaultPlan, FaultSpec
 from avipack.resilience import faults as faults_mod
 from avipack.sweep import Candidate, CandidateFailure, CandidateResult, \
@@ -72,12 +73,9 @@ def make_failure(index, candidate, error_type="ConvergenceError"):
 
 def reseal(line, **changes):
     """``line`` with its body fields changed and valid checksums."""
-    envelope = json.loads(line)
-    envelope["body"].update(changes)
-    canonical = _canonical(envelope["body"])
-    envelope["crc32"] = content_crc32(canonical)
-    envelope["sha256"] = content_digest(canonical)
-    return (json.dumps(envelope, sort_keys=True) + "\n").encode()
+    body = json.loads(line)["body"]
+    body.update(changes)
+    return seal(body)
 
 
 def primed(data):
@@ -131,13 +129,37 @@ class TestRoundTrip:
         candidates = make_candidates(1)
         path = tmp_path / "sweep.jsonl"
         write_journal(path, candidates, [make_result(0, candidates[0])])
-        for line in path.read_bytes().splitlines():
+        for line in path.read_bytes().splitlines(keepends=True):
             envelope = json.loads(line)
             body = envelope["body"]
             assert body["schema_version"] == SCHEMA_VERSION
             canonical = _canonical(body)
+            # One compact line, written from the checksummed text.
+            assert line == seal(body)
+            assert line.startswith(
+                b'{"body":' + canonical.encode() + b',"crc32":')
             assert envelope["crc32"] == content_crc32(canonical)
-            assert envelope["sha256"] == content_digest(canonical)
+            # The full 32-byte SHA-256, as unpadded base64.
+            assert len(envelope["sha256"]) == 43
+            assert base64.b64decode(envelope["sha256"] + "=") \
+                == hashlib.sha256(canonical.encode()).digest()
+
+    def test_outcome_payload_leaves_the_fingerprint_to_the_envelope(
+            self, tmp_path):
+        candidates = make_candidates(1)
+        outcome = make_result(0, candidates[0])
+        path = tmp_path / "sweep.jsonl"
+        write_journal(path, candidates, [outcome])
+        body = json.loads(path.read_bytes().splitlines()[-1])["body"]
+        assert body["fingerprint"] == outcome.fingerprint
+        deflated = base64.b64decode(body["payload"])
+        plain = zlib.decompressobj(zdict=SCHEMA3_ZDICT).decompress(deflated)
+        assert outcome.fingerprint.encode() not in plain
+        assert pickle.loads(plain) == dataclasses.replace(outcome,
+                                                          fingerprint="")
+        # The envelope's copy is written back on replay.
+        assert replay_journal(str(path)).outcomes == {
+            outcome.fingerprint: outcome}
 
     def test_schema3_dictionary_is_pinned(self):
         # Journals written at schema 3 decode only with these bytes: a
@@ -234,13 +256,13 @@ class TestDamage:
         assert base64.b64decode(entry["raw"]) == lines[-1].rstrip(b"\n")
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
-        # Valid checksums over a schema without a decoder (only 1, 2
-        # and 3 have one): integrity alone must not be enough — the
-        # layout is untrusted.
+        # Valid checksums over a schema without a decoder (only 1 to 4
+        # have one): integrity alone must not be enough — the layout is
+        # untrusted.
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
-        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, "3", 3.0, True,
-                        None):
+        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, "3", 3.0, "4",
+                        4.0, True, None):
             path.write_bytes(b"".join(
                 lines[:-1] + [reseal(lines[-1], schema_version=version)]))
             replay = replay_journal(str(path), write_quarantine=False)
@@ -251,16 +273,66 @@ class TestDamage:
         path, _ = self._journal(tmp_path)
         body = {"schema_version": SCHEMA_VERSION, "seq": 99,
                 "kind": "mystery"}
-        canonical = _canonical(body)
-        record = json.dumps({"body": body,
-                             "crc32": content_crc32(canonical),
-                             "sha256": content_digest(canonical)},
-                            sort_keys=True)
         with open(path, "ab") as stream:
-            stream.write(record.encode() + b"\n")
+            stream.write(seal(body))
         replay = replay_journal(str(path))
         assert replay.n_quarantined == 1
         assert "unknown record kind" in replay.quarantined[0].reason
+
+    @pytest.mark.parametrize("schema, digest", [
+        (SCHEMA_VERSION, lambda data: hashlib.sha256(data).hexdigest()),
+        (3, lambda data: base64.b64encode(
+            hashlib.sha256(data).digest())[:-1].decode()),
+    ], ids=["schema4-hex", "schema3-base64"])
+    def test_sha256_in_the_other_schemas_form_is_quarantined(
+            self, tmp_path, schema, digest):
+        # Each schema has one SHA-256 form; the other form of the same
+        # digest is damage, not an alternative.
+        path, candidates = self._journal(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = json.loads(lines[-1])["body"]
+        outcome = replay_journal(str(path)).outcomes[body["fingerprint"]]
+        body.update(schema_version=schema, payload=base64.b64encode(
+            primed(pickle.dumps(outcome))).decode())
+        lines[-1] = seal(body)
+        path.write_bytes(b"".join(lines))
+        assert replay_journal(str(path)).outcomes[
+            body["fingerprint"]] == outcome
+        envelope = json.loads(lines[-1])
+        envelope["sha256"] = digest(_canonical(body).encode())
+        lines[-1] = json.dumps(envelope).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+        replay = replay_journal(str(path), write_quarantine=False)
+        assert replay.n_quarantined == 1
+        assert "sha256 mismatch" in replay.quarantined[0].reason
+        assert len(replay.outcomes) == len(candidates) - 1
+
+    def test_rewritten_envelope_fingerprint_is_flagged_and_recomputed(
+            self, tmp_path):
+        # The envelope holds the only copy of an outcome's fingerprint,
+        # so pointing it at another candidate (checksums resealed) must
+        # still reach the resume audit's fingerprint-integrity check.
+        candidates = [POOL[i] for i in (0, 4, 12)]
+        path = str(tmp_path / "sweep.jsonl")
+        clean = SweepRunner(parallel=False).run(candidates,
+                                                journal_path=path)
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        other = candidates[0].fingerprint
+        lines[-1] = reseal(lines[-1], fingerprint=other)
+        with open(path, "wb") as stream:
+            stream.write(b"".join(lines))
+        restored = replay_journal(path).outcomes[other]
+        assert restored.fingerprint == other
+        assert restored.candidate == candidates[-1]
+        resumed = SweepRunner(parallel=False).resume(path)
+        assert resumed.durability.n_quarantined == 0
+        assert resumed.durability.n_audit_failures == 1
+        assert "fingerprint mismatch" in " ".join(
+            dict(resumed.durability.audit_issues)[other])
+        # The tampered record's own candidate and the one it overwrote.
+        assert resumed.durability.n_recomputed == 2
+        assert report_signature(resumed) == report_signature(clean)
 
     def test_unpicklable_payload_is_quarantined(self, tmp_path):
         path, candidates = self._journal(tmp_path)
@@ -283,10 +355,13 @@ class TestDamage:
         (3, lambda plain: primed(plain) + b"\x00", "past its stream end"),
         (3, lambda plain: primed(b"primed data that is not a pickle"),
          ""),
+        (4, lambda plain: primed(plain)[:-4], "truncated"),
+        (4, lambda plain: primed(plain) + b"\x00", "past its stream end"),
     ], ids=["not-zlib", "not-a-pickle", "schema2-trailing-bytes",
             "schema3-unprimed",
             "schema3-truncated", "schema3-trailing-bytes",
-            "schema3-not-a-pickle"])
+            "schema3-not-a-pickle",
+            "schema4-truncated", "schema4-trailing-bytes"])
     def test_damaged_compressed_payload_is_recomputed(self, tmp_path,
                                                       schema, damage,
                                                       reason):
@@ -303,8 +378,10 @@ class TestDamage:
             lines = stream.read().splitlines(keepends=True)
         body = json.loads(lines[-1])["body"]
         assert body["schema_version"] == SCHEMA_VERSION
-        plain = pickle.dumps(replay_journal(path).outcomes[
-            body["fingerprint"]], protocol=pickle.HIGHEST_PROTOCOL)
+        outcome = replay_journal(path).outcomes[body["fingerprint"]]
+        if schema >= 4:  # pickled without the envelope's fingerprint
+            outcome = dataclasses.replace(outcome, fingerprint="")
+        plain = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
         lines[-1] = reseal(lines[-1], schema_version=schema,
                            payload=base64.b64encode(
                                damage(plain)).decode())

@@ -21,11 +21,10 @@ from avipack.durability import (
     energy_balance_residual_c,
     replay_journal,
 )
-from avipack.durability.journal import _canonical, _decode_payload, \
-    _encode_payload
+from avipack.durability.journal import _decode_outcome, \
+    _encode_outcome, seal
 from avipack.environments.arinc600 import STANDARD_INLET_TEMPERATURE
 from avipack.errors import JournalError
-from avipack.fingerprint import content_crc32, content_digest
 from avipack.service.server import _ThrottledEvaluator
 from avipack.sweep import Candidate, DesignSpace, SweepRunner
 from avipack.units import kelvin_to_celsius
@@ -62,10 +61,13 @@ def damage_lines(path, predicate, mutate):
 
 def reseal(envelope):
     """Recompute both checksums after a body edit (tampering helper)."""
-    canonical = _canonical(envelope["body"])
-    envelope["crc32"] = content_crc32(canonical)
-    envelope["sha256"] = content_digest(canonical)
-    return (json.dumps(envelope, sort_keys=True) + "\n").encode()
+    return seal(envelope["body"])
+
+
+def decode(envelope):
+    """The outcome an outcome record's body holds."""
+    return _decode_outcome(envelope["body"]["payload"],
+                           envelope["body"]["fingerprint"])
 
 
 class TestResume:
@@ -168,9 +170,9 @@ class TestTamperAudit:
         path, fresh = journalled
 
         def tamper(envelope):
-            outcome = _decode_payload(envelope["body"]["payload"])
+            outcome = decode(envelope)
             outcome = dataclasses.replace(outcome, worst_board_c=-5.0)
-            envelope["body"]["payload"] = _encode_payload(outcome)
+            envelope["body"]["payload"] = _encode_outcome(outcome)
             return reseal(envelope)
 
         seen = []
@@ -197,11 +199,11 @@ class TestTamperAudit:
         candidates = list(SPACE.grid())
 
         def tamper(envelope):
-            outcome = _decode_payload(envelope["body"]["payload"])
+            outcome = decode(envelope)
             other = next(c for c in candidates
                          if c.fingerprint != outcome.fingerprint)
             outcome = dataclasses.replace(outcome, candidate=other)
-            envelope["body"]["payload"] = _encode_payload(outcome)
+            envelope["body"]["payload"] = _encode_outcome(outcome)
             return reseal(envelope)
 
         seen = []
@@ -228,12 +230,12 @@ class TestTamperAudit:
         supply_c = kelvin_to_celsius(STANDARD_INLET_TEMPERATURE)
 
         def tamper(envelope):
-            outcome = _decode_payload(envelope["body"]["payload"])
+            outcome = decode(envelope)
             margins = dict(outcome.margins,
                            worst_board_c=supply_c - 10.0)
             outcome = dataclasses.replace(
                 outcome, worst_board_c=supply_c - 10.0, margins=margins)
-            envelope["body"]["payload"] = _encode_payload(outcome)
+            envelope["body"]["payload"] = _encode_outcome(outcome)
             return reseal(envelope)
 
         seen = []

@@ -18,10 +18,13 @@ render like a fresh store, alone or mixed with schema-2 shards, and
 compaction rewrites them at schema 2.
 
 Journals written before payload compression (``schema_version`` 1)
-hold plain base64 pickles, and journals written before the preset
-dictionary (``schema_version`` 2) hold unprimed zlib streams.  Replay,
-resume (which appends current-schema records and so leaves a mixed
-journal), ingest and compaction must rank both like a fresh run.
+hold plain base64 pickles, journals written before the preset
+dictionary (``schema_version`` 2) hold unprimed zlib streams, and
+journals written before the lean line (``schema_version`` 3) hold
+primed payloads that carry their own fingerprint, with a spaced line
+and a hex SHA-256.  Replay, resume (which appends current-schema
+records and so leaves a mixed journal), ingest and compaction must rank
+all three like a fresh run.
 """
 
 import base64
@@ -37,8 +40,9 @@ import pytest
 
 from avipack.durability import SCHEMA_VERSION, audit_outcomes, \
     replay_journal
+from avipack.durability._payload_dict import SCHEMA3_ZDICT
 from avipack.durability.journal import SweepJournal, _canonical, \
-    _decode_payload, outcome_kind
+    _decode_outcome, outcome_kind
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
 from avipack.errors import InputError
@@ -112,8 +116,18 @@ def schema2_payload(value):
         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))).decode()
 
 
+def schema3_payload(value):
+    """A schema-3 payload: the base64 of a zlib stream primed with the
+    preset dictionary, over the whole pickle."""
+    deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
+    data = deflater.compress(
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    return base64.b64encode(data + deflater.flush()).decode()
+
+
 #: Payload encoder of each retired schema.
-LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload}
+LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload,
+                   3: schema3_payload}
 
 
 def write_legacy_journal(path, schema, candidates, outcomes):
@@ -464,11 +478,12 @@ class _RetiredSchemaJournal:
         source = {line["body"]["fingerprint"]: line["body"]
                   for line in journal_lines(journal)
                   if "payload" in line["body"]}
-        encode = checkpoint_mod._encode_payload
         encoded = []
-        monkeypatch.setattr(checkpoint_mod, "_encode_payload",
-                            lambda value: encoded.append(value)
-                            or encode(value))
+        for name in ("_encode_payload", "_encode_outcome"):
+            encode = getattr(checkpoint_mod, name)
+            monkeypatch.setattr(checkpoint_mod, name,
+                                lambda value, encode=encode:
+                                encoded.append(value) or encode(value))
         compaction = compact_journal(journal)
         # Only the retired plan and the outcomes still at that schema.
         assert len(encoded) == 1 + len(outcomes) - len(superseded)
@@ -482,7 +497,8 @@ class _RetiredSchemaJournal:
                 assert text == body["payload"]
             else:  # encoded again at the current schema
                 assert text != body["payload"]
-                assert _decode_payload(text) == by_fingerprint[fingerprint]
+                assert _decode_outcome(text, fingerprint) \
+                    == by_fingerprint[fingerprint]
         assert {body["schema_version"] for body in source.values()} \
             == {self.schema, SCHEMA_VERSION}
         replay = replay_journal(journal)
@@ -502,6 +518,13 @@ class TestSchema2Journal(_RetiredSchemaJournal):
     """Unprimed-zlib journals replay, resume, ingest and compact."""
 
     schema = 2
+
+
+class TestSchema3Journal(_RetiredSchemaJournal):
+    """Journals whose payloads carry their fingerprint, with hex
+    SHA-256 lines, replay, resume, ingest and compact."""
+
+    schema = 3
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from avipack import perf
+from avipack.durability import replay_journal
 from avipack.errors import InputError, ResultStoreError
 from avipack.results import (
     DTYPE_FINGERPRINT,
@@ -21,7 +22,8 @@ from avipack.results.schema import (
     SHARD_DTYPE,
 )
 from avipack.results.store import publish_shard
-from avipack.sweep.runner import CandidateFailure, CandidateResult
+from avipack.sweep.runner import CandidateFailure, CandidateResult, \
+    SweepRunner
 from avipack.sweep.space import Candidate, DesignSpace
 
 
@@ -309,6 +311,29 @@ def test_writer_refuses_a_pid_its_packed_column_would_wrap(tmp_path):
                                            worker_pid=2 ** 31))
         writer.add(dataclasses.replace(make_result(1), worker_pid=-1))
     assert ResultStore.open(directory).column("worker_pid").tolist() == [-1]
+
+
+def test_campaign_refuses_an_unstorable_outcome_before_journalling_it(
+        tmp_path):
+    # The store's refusal comes before the journal append, so the
+    # journal never holds an outcome the store did not take.
+    def evaluator(task):
+        return dataclasses.replace(
+            make_result(task.index, candidate=task.candidate),
+            worker_pid=2 ** 31 if task.index == 1 else os.getpid())
+
+    candidates = [Candidate(power_per_module=power)
+                  for power in (10.0, 20.0, 30.0)]
+    journal = str(tmp_path / "sweep.jsonl")
+    directory = str(tmp_path / "store")
+    with pytest.raises(InputError):
+        SweepRunner(parallel=False, evaluator=evaluator,
+                    result_store=directory).run(candidates,
+                                                journal_path=journal)
+    first = {candidates[0].fingerprint: 0}
+    assert {fp: outcome.index for fp, outcome
+            in replay_journal(journal).outcomes.items()} == first
+    assert ResultStore.live_fingerprints(directory) == first
 
 
 @pytest.mark.parametrize("field, value", [
