@@ -9,7 +9,6 @@ kernels thousands of times during a design study.
 
 from avipack import perf
 from avipack.materials.fluids import saturation_properties
-from avipack.mechanical.beam import BeamModel, BeamSection
 from avipack.mechanical.plate import PlateSpec, plate_modes
 from avipack.thermal.conduction import (
     BoundaryCondition,
@@ -108,16 +107,6 @@ def test_perf_plate_modes(benchmark):
                       component_mass=0.2)
     modes = benchmark(plate_modes, plate, 6)
     assert len(modes) == 6
-
-
-def test_perf_beam_fem(benchmark):
-    """60-element beam eigensolve."""
-    section = BeamSection.rectangular(0.02, 0.004, 70e9, 2700.0)
-    beam = BeamModel(0.5, section, 60)
-    beam.set_support("left", "pinned")
-    beam.set_support("right", "pinned")
-    frequencies = benchmark(beam.natural_frequencies, 5)
-    assert frequencies[0] > 0.0
 
 
 def test_perf_saturation_properties(benchmark):

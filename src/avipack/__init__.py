@@ -29,10 +29,10 @@ imports only the modules it runs.
     Resistance networks, finite-volume conduction, convection and
     radiation correlations, transient solvers.
 ``twophase``
-    Heat pipes, loop heat pipes, thermosyphons, wicks, working fluids.
+    Heat pipes, loop heat pipes, vapor chambers, wicks, working fluids.
 ``mechanical``
-    Plate/beam modal analysis, random vibration, fatigue, isolation,
-    shock.
+    Plate modal analysis, random vibration, fatigue, isolation,
+    thermomechanical stress.
 ``tim``
     Thermal-interface-material models, catalogue and virtual testers.
 ``environments``
@@ -95,7 +95,6 @@ _EXPORTS = {
     ".thermal.network": ("ThermalNetwork",),
     ".twophase.heatpipe": ("HeatPipe",),
     ".twophase.loopheatpipe": ("LoopHeatPipe",),
-    ".twophase.thermosyphon": ("Thermosyphon",),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, submodules=(
     "core", "durability", "environments", "experiments", "fingerprint",
@@ -138,7 +137,6 @@ __all__ = [
     "SweepRunner",
     "SweepService",
     "ThermalNetwork",
-    "Thermosyphon",
     "WatchdogTimeout",
     "WorkerCrashError",
     "core",

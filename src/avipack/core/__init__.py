@@ -28,8 +28,7 @@ _EXPORTS = {
                 "section_header", "summarize_margins"),
     ".selector": ("Architecture", "ArchitectureAssessment",
                   "ThermalRequirement", "assess",
-                  "forced_air_no_longer_applicable", "select_architecture",
-                  "select_for_zone"),
+                  "forced_air_no_longer_applicable", "select_architecture"),
     ".sensitivity": ("SensitivityEntry", "SensitivityStudy", "one_at_a_time",
                      "tornado_rows"),
     ".uncertainty": ("Distribution", "UncertaintyResult", "propagate"),
@@ -84,6 +83,5 @@ __all__ = [
     "run_vibration_test",
     "section_header",
     "select_architecture",
-    "select_for_zone",
     "summarize_margins",
 ]

@@ -178,46 +178,6 @@ def select_architecture(requirement: ThermalRequirement) -> Architecture:
                     for a in ranked))
 
 
-def select_for_zone(zone: str,
-                    requirement: ThermalRequirement) -> Architecture:
-    """Architecture selection constrained by the installation zone.
-
-    Combines the capability envelopes with the zone's ingress-protection
-    requirements (§II "fluid resistance, sand and dust"): a cabin-seat
-    zone rules out direct air through the electronics regardless of the
-    power class, which is exactly why the SEB went passive + two-phase.
-    """
-    from dataclasses import replace as _replace
-
-    from ..environments.ingress import SealingLevel, required_sealing
-
-    sealing = required_sealing(zone)
-    # Platform provisions per zone: only the avionics bay and cargo bay
-    # offer ECS air; only the avionics bay offers coldwall/liquid loops.
-    zone_air = zone in ("avionics_bay", "cargo_bay")
-    zone_coldwall = zone == "avionics_bay"
-    requirement = _replace(
-        requirement,
-        air_available=requirement.air_available and zone_air,
-        coldwall_available=(requirement.coldwall_available
-                            and zone_coldwall))
-    ranked = assess(requirement)
-    for assessment in ranked:
-        if not assessment.viable:
-            continue
-        if (assessment.architecture is Architecture.FORCED_AIR
-                and sealing >= SealingLevel.DUST_PROTECTED):
-            continue
-        if (assessment.architecture is Architecture.FREE_CONVECTION
-                and sealing >= SealingLevel.IMMERSION):
-            # Fully immersed equipment is sealed so tightly that its
-            # shell convection is compromised; require a pumped path.
-            continue
-        return assessment.architecture
-    raise InputError(
-        f"no architecture satisfies the requirement in zone {zone!r}")
-
-
 def forced_air_no_longer_applicable(requirement: ThermalRequirement) -> bool:
     """The paper's headline predicate.
 

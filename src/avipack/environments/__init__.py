@@ -18,9 +18,6 @@ _EXPORTS = {
     ".do160": ("TEMPERATURE_CATEGORIES", "TemperatureCategory",
                "ambient_pressure_at_altitude", "curve_names",
                "temperature_category", "vibration_curve"),
-    ".ingress": ("ZONE_SEALING", "SealingAssessment", "SealingLevel",
-                 "assess_sealing", "compatible_techniques", "required_sealing",
-                 "seb_zone_explains_passive_choice", "technique_compatible"),
     ".profiles": ("AccelerationTest", "ClimaticTest", "QualificationCampaign",
                   "ThermalShockTest", "VibrationTest", "cosee_campaign"),
 }
@@ -28,14 +25,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AccelerationTest",
-    "SealingAssessment",
-    "SealingLevel",
-    "ZONE_SEALING",
-    "assess_sealing",
-    "compatible_techniques",
-    "required_sealing",
-    "seb_zone_explains_passive_choice",
-    "technique_compatible",
     "CardChannel",
     "ClimaticTest",
     "ForcedAirPerformance",

@@ -4,11 +4,9 @@ The correlations here replace the CFD step of a tool like FloTHERM with
 validated engineering relations.  They cover the situations in the paper:
 
 * **natural convection** around cabin equipment (the SEB with fans removed),
-  on vertical/horizontal plates and from the seat-structure rods;
+  on vertical plates and from the seat-structure rods;
 * **forced convection** in avionics racks supplied by ARINC 600 air
-  (channel flow between boards, flow over components);
-* helpers producing temperature-dependent conductance callables for
-  :class:`avipack.thermal.network.ThermalNetwork`.
+  (channel flow between boards, flow over components).
 
 All functions take a :class:`~avipack.materials.fluids.FluidState` for the
 film-temperature fluid properties and return a mean film coefficient
@@ -18,10 +16,9 @@ film-temperature fluid properties and return a mean film coefficient
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from ..errors import InputError, ModelRangeError
-from ..materials.fluids import FluidState, air_properties
+from ..errors import InputError
+from ..materials.fluids import FluidState
 from ..units import G0
 
 
@@ -74,39 +71,6 @@ def natural_convection_vertical_plate(fluid: FluidState, delta_t: float,
     return nu * fluid.conductivity / height
 
 
-def natural_convection_horizontal_plate_up(fluid: FluidState, delta_t: float,
-                                           length: float,
-                                           width: float) -> float:
-    """Hot horizontal plate facing up (McAdams), h in W/(m²·K).
-
-    ``length`` and ``width`` define the characteristic length
-    L = A / P (area over perimeter).
-    """
-    _check_positive(length=length, width=width)
-    l_char = (length * width) / (2.0 * (length + width))
-    ra = rayleigh_number(fluid, delta_t, l_char)
-    if ra <= 0.0:
-        return 0.0
-    if ra < 1e7:
-        nu = 0.54 * ra ** 0.25
-    else:
-        nu = 0.15 * ra ** (1.0 / 3.0)
-    return nu * fluid.conductivity / l_char
-
-
-def natural_convection_horizontal_plate_down(fluid: FluidState,
-                                             delta_t: float, length: float,
-                                             width: float) -> float:
-    """Hot horizontal plate facing down (McAdams), h in W/(m²·K)."""
-    _check_positive(length=length, width=width)
-    l_char = (length * width) / (2.0 * (length + width))
-    ra = rayleigh_number(fluid, delta_t, l_char)
-    if ra <= 0.0:
-        return 0.0
-    nu = 0.27 * ra ** 0.25
-    return nu * fluid.conductivity / l_char
-
-
 def natural_convection_horizontal_cylinder(fluid: FluidState, delta_t: float,
                                            diameter: float) -> float:
     """Horizontal cylinder (Churchill & Chu 1975), h in W/(m²·K).
@@ -120,27 +84,6 @@ def natural_convection_horizontal_cylinder(fluid: FluidState, delta_t: float,
     term = (1.0 + (0.559 / pr) ** (9.0 / 16.0)) ** (8.0 / 27.0)
     nu = (0.60 + 0.387 * ra ** (1.0 / 6.0) / term) ** 2
     return nu * fluid.conductivity / diameter
-
-
-def natural_convection_enclosure(fluid: FluidState, delta_t: float,
-                                 gap: float, height: float) -> float:
-    """Vertical rectangular enclosure (MacGregor & Emery), h in W/(m²·K).
-
-    Models the buried/enclosed zones around cabin equipment: two vertical
-    walls ``gap`` apart and ``height`` tall.  Falls back to pure conduction
-    (Nu = 1) at low Rayleigh number.
-    """
-    _check_positive(gap=gap, height=height)
-    ra = rayleigh_number(fluid, delta_t, gap)
-    aspect = height / gap
-    if aspect < 1.0:
-        raise ModelRangeError("enclosure correlation needs height >= gap")
-    if ra < 1e3:
-        nu = 1.0
-    else:
-        nu = max(1.0, 0.42 * ra ** 0.25 * fluid.prandtl ** 0.012
-                 * aspect ** -0.3)
-    return nu * fluid.conductivity / gap
 
 
 # ---------------------------------------------------------------------------
@@ -203,117 +146,3 @@ def air_outlet_temperature(inlet_temperature: float, power: float,
     if power < 0.0:
         raise InputError("power must be non-negative")
     return inlet_temperature + power / (mass_flow * specific_heat)
-
-
-def fin_efficiency(height: float, thickness: float, conductivity: float,
-                   h_coefficient: float) -> float:
-    """Efficiency of a straight rectangular fin with adiabatic tip.
-
-    η = tanh(m·Lc) / (m·Lc) with m = sqrt(2h/(k·t)) and the corrected
-    length Lc = L + t/2.
-    """
-    _check_positive(height=height, thickness=thickness,
-                    conductivity=conductivity, h_coefficient=h_coefficient)
-    m = math.sqrt(2.0 * h_coefficient / (conductivity * thickness))
-    l_corr = height + thickness / 2.0
-    ml = m * l_corr
-    return math.tanh(ml) / ml if ml > 0.0 else 1.0
-
-
-def heat_sink_conductance(base_area: float, n_fins: int, fin_height: float,
-                          fin_thickness: float, fin_length: float,
-                          conductivity: float, h_coefficient: float) -> float:
-    """Total conductance of a plate-fin heat sink [W/K].
-
-    Sums the exposed base area and the fin area weighted by fin efficiency.
-    """
-    _check_positive(base_area=base_area, fin_height=fin_height,
-                    fin_thickness=fin_thickness, fin_length=fin_length,
-                    conductivity=conductivity, h_coefficient=h_coefficient)
-    if n_fins < 0:
-        raise InputError("fin count must be non-negative")
-    eta = fin_efficiency(fin_height, fin_thickness, conductivity,
-                         h_coefficient)
-    fin_area = n_fins * 2.0 * fin_height * fin_length
-    base_exposed = max(base_area - n_fins * fin_thickness * fin_length, 0.0)
-    return h_coefficient * (base_exposed + eta * fin_area)
-
-
-# ---------------------------------------------------------------------------
-# Network-ready conductance callables
-# ---------------------------------------------------------------------------
-
-def natural_convection_conductance(area: float, height: float,
-                                   orientation: str = "vertical",
-                                   width: float = 0.1,
-                                   pressure: float = 101_325.0
-                                   ) -> Callable[[float, float], float]:
-    """Build a ``g(t_surface, t_ambient)`` callable for a network link.
-
-    The callable re-evaluates air properties at the film temperature and
-    the appropriate natural-convection correlation at every solver
-    iteration, giving the network its nonlinearity.
-
-    Parameters
-    ----------
-    area:
-        Wetted surface area [m²].
-    height:
-        Characteristic length (plate height or cylinder diameter) [m].
-    orientation:
-        ``"vertical"``, ``"horizontal_up"``, ``"horizontal_down"`` or
-        ``"cylinder"``.
-    width:
-        Plate width for the horizontal correlations [m].
-    pressure:
-        Ambient pressure [Pa] (cabin altitude derating).
-    """
-    _check_positive(area=area, height=height)
-    correlations = {
-        "vertical": lambda f, dt: natural_convection_vertical_plate(
-            f, dt, height),
-        "horizontal_up": lambda f, dt: natural_convection_horizontal_plate_up(
-            f, dt, height, width),
-        "horizontal_down":
-            lambda f, dt: natural_convection_horizontal_plate_down(
-                f, dt, height, width),
-        "cylinder": lambda f, dt: natural_convection_horizontal_cylinder(
-            f, dt, height),
-    }
-    if orientation not in correlations:
-        raise InputError(f"unknown orientation {orientation!r}; expected one "
-                         f"of {sorted(correlations)}")
-    correlation = correlations[orientation]
-
-    def conductance(t_surface: float, t_ambient: float) -> float:
-        film = 0.5 * (t_surface + t_ambient)
-        fluid = air_properties(max(film, 200.0), pressure)
-        delta_t = max(abs(t_surface - t_ambient), 0.1)
-        h = correlation(fluid, delta_t)
-        return max(h * area, 1e-6)
-
-    return conductance
-
-
-def forced_convection_conductance(area: float, velocity: float,
-                                  length: float, duct: bool = False,
-                                  pressure: float = 101_325.0
-                                  ) -> Callable[[float, float], float]:
-    """Build a ``g(t_surface, t_fluid)`` callable for forced convection.
-
-    ``duct=True`` selects the internal-flow correlation with ``length`` as
-    the hydraulic diameter; otherwise external flat-plate flow with
-    ``length`` as the flow length.
-    """
-    _check_positive(area=area, velocity=velocity, length=length)
-
-    def conductance(t_surface: float, t_fluid: float) -> float:
-        film = 0.5 * (t_surface + t_fluid)
-        fluid = air_properties(max(film, 200.0), pressure)
-        if duct:
-            h = forced_convection_duct(fluid, velocity, length)
-        else:
-            h = forced_convection_flat_plate(fluid, velocity, length)
-        return max(h * area, 1e-6)
-
-    return conductance

@@ -1,175 +1,15 @@
-"""Thermal radiation: view factors and gray-body exchange.
+"""Thermal radiation: the linearised gray-body film coefficient.
 
-Radiation matters for passively cooled cabin equipment (the COSEE seat
+Radiation matters for passively cooled cabin equipment: the COSEE seat
 electronics box sheds a significant fraction of its heat by radiation to
-the cabin) and for sealed conduction-cooled modules.  This module provides
-
-* analytic view factors for the configurations that appear in equipment
-  models (parallel plates, perpendicular plates, small body in enclosure),
-* a gray-body exchange network solved exactly via the radiosity method,
-* linearised radiation conductances for use in thermal networks.
+the cabin.  The design flow folds that exchange into a linearised
+radiative film coefficient added to the convective one.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
-
-import numpy as np
-
 from ..errors import InputError
 from ..units import STEFAN_BOLTZMANN
-
-
-# ---------------------------------------------------------------------------
-# View factors
-# ---------------------------------------------------------------------------
-
-def view_factor_parallel_plates(width: float, height: float,
-                                distance: float) -> float:
-    """View factor between identical, aligned parallel rectangles.
-
-    Classical analytic result (Incropera Table 13.2) for two directly
-    opposed rectangles of dimensions ``width`` × ``height`` separated by
-    ``distance``.
-    """
-    if min(width, height, distance) <= 0.0:
-        raise InputError("width, height and distance must be positive")
-    x = width / distance
-    y = height / distance
-    x2, y2 = 1.0 + x * x, 1.0 + y * y
-    term1 = math.log(math.sqrt(x2 * y2 / (x2 + y2 - 1.0)))
-    term2 = x * math.sqrt(y2) * math.atan(x / math.sqrt(y2))
-    term3 = y * math.sqrt(x2) * math.atan(y / math.sqrt(x2))
-    term4 = -x * math.atan(x) - y * math.atan(y)
-    return 2.0 / (math.pi * x * y) * (term1 + term2 + term3 + term4)
-
-
-def view_factor_perpendicular_plates(width: float, height_1: float,
-                                     height_2: float) -> float:
-    """View factor between perpendicular rectangles sharing an edge.
-
-    Surface 1 has dimensions ``width`` × ``height_1`` (horizontal), surface
-    2 is ``width`` × ``height_2`` (vertical), sharing the ``width`` edge.
-    """
-    if min(width, height_1, height_2) <= 0.0:
-        raise InputError("dimensions must be positive")
-    h = height_2 / width
-    w = height_1 / width
-    h2, w2 = h * h, w * w
-    a = (1.0 + w2) * (1.0 + h2) / (1.0 + w2 + h2)
-    b = (w2 * (1.0 + w2 + h2) / ((1.0 + w2) * (w2 + h2))) ** w2
-    c = (h2 * (1.0 + h2 + w2) / ((1.0 + h2) * (h2 + w2))) ** h2
-    term = (w * math.atan(1.0 / w) + h * math.atan(1.0 / h)
-            - math.sqrt(h2 + w2) * math.atan(1.0 / math.sqrt(h2 + w2))
-            + 0.25 * math.log(a * b * c))
-    return term / (math.pi * w)
-
-
-def view_factor_enclosed_body(area_body: float, area_enclosure: float) -> float:
-    """View factor from a convex body to its enclosure (always 1.0).
-
-    Provided for symmetry with :func:`enclosure_exchange_factor`; validates
-    that the body fits in the enclosure.
-    """
-    if area_body <= 0.0 or area_enclosure <= 0.0:
-        raise InputError("areas must be positive")
-    if area_body > area_enclosure:
-        raise InputError("body area cannot exceed enclosure area")
-    return 1.0
-
-
-def enclosure_exchange_factor(emissivity_body: float,
-                              emissivity_enclosure: float,
-                              area_body: float,
-                              area_enclosure: float) -> float:
-    """Gray-body exchange factor for a convex body inside an enclosure.
-
-    F = 1 / (1/ε₁ + (A₁/A₂)(1/ε₂ − 1)); the net exchange is
-    ``Q = F·A₁·σ·(T₁⁴ − T₂⁴)``.  This is the standard two-surface
-    enclosure result used for boxes in a cabin.
-    """
-    for name, eps in (("body", emissivity_body),
-                      ("enclosure", emissivity_enclosure)):
-        if not 0.0 < eps <= 1.0:
-            raise InputError(f"{name} emissivity must be in (0, 1]")
-    view_factor_enclosed_body(area_body, area_enclosure)
-    denominator = (1.0 / emissivity_body
-                   + (area_body / area_enclosure)
-                   * (1.0 / emissivity_enclosure - 1.0))
-    return 1.0 / denominator
-
-
-# ---------------------------------------------------------------------------
-# Radiosity network
-# ---------------------------------------------------------------------------
-
-def solve_radiosity(areas: Sequence[float], emissivities: Sequence[float],
-                    view_factors: np.ndarray,
-                    temperatures: Sequence[float]) -> np.ndarray:
-    """Net radiative heat flow from each surface of a gray enclosure [W].
-
-    Solves the radiosity system ``J_i = ε_i·σ·T_i⁴ + (1−ε_i)·Σ_j F_ij·J_j``
-    and returns ``Q_i = A_i (J_i − Σ_j F_ij J_j)`` — positive when surface
-    *i* is a net emitter.
-
-    Parameters
-    ----------
-    areas, emissivities, temperatures:
-        Per-surface area [m²], emissivity (0–1] and temperature [K].
-    view_factors:
-        Matrix ``F[i, j]``; each row must sum to 1 (closed enclosure) and
-        satisfy reciprocity ``A_i F_ij = A_j F_ji`` within tolerance.
-    """
-    areas = np.asarray(areas, dtype=float)
-    eps = np.asarray(emissivities, dtype=float)
-    temps = np.asarray(temperatures, dtype=float)
-    f = np.asarray(view_factors, dtype=float)
-    n = areas.size
-    if not (eps.size == temps.size == n and f.shape == (n, n)):
-        raise InputError("inconsistent array sizes")
-    if np.any(areas <= 0.0):
-        raise InputError("areas must be positive")
-    if np.any((eps <= 0.0) | (eps > 1.0)):
-        raise InputError("emissivities must be in (0, 1]")
-    if np.any(temps <= 0.0):
-        raise InputError("temperatures must be positive kelvin")
-    row_sums = f.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise InputError("view-factor rows must sum to 1 (closed enclosure)")
-    reciprocity = areas[:, None] * f - (areas[:, None] * f).T
-    if np.max(np.abs(reciprocity)) > 1e-6 * np.max(areas):
-        raise InputError("view factors violate reciprocity A_i F_ij = A_j F_ji")
-
-    emissive_power = STEFAN_BOLTZMANN * temps ** 4
-    system = np.eye(n) - (1.0 - eps)[:, None] * f
-    radiosity = np.linalg.solve(system, eps * emissive_power)
-    incident = f @ radiosity
-    return areas * (radiosity - incident)
-
-
-# ---------------------------------------------------------------------------
-# Network helpers
-# ---------------------------------------------------------------------------
-
-def radiation_conductance(area: float, exchange_factor: float
-                          ) -> Callable[[float, float], float]:
-    """Temperature-dependent radiation conductance for a network link.
-
-    Returns ``g(T1, T2) = F·A·σ·(T1² + T2²)·(T1 + T2)`` so that
-    ``g·(T1 − T2)`` equals the exact gray-body exchange
-    ``F·A·σ·(T1⁴ − T2⁴)``.
-    """
-    if area <= 0.0:
-        raise InputError("area must be positive")
-    if not 0.0 < exchange_factor <= 1.0:
-        raise InputError("exchange factor must be in (0, 1]")
-
-    def conductance(t_1: float, t_2: float) -> float:
-        return (exchange_factor * area * STEFAN_BOLTZMANN
-                * (t_1 * t_1 + t_2 * t_2) * (t_1 + t_2))
-
-    return conductance
 
 
 def linearized_radiation_coefficient(emissivity: float,

@@ -1,7 +1,7 @@
 """Two-phase (phase-change) cooling devices.
 
 The novel cooling technologies the paper investigates through the COSEE
-project: heat pipes, loop heat pipes and thermosyphons, plus the wick
+project: heat pipes, loop heat pipes and vapor chambers, plus the wick
 structures and working-fluid models they share.
 """
 
@@ -11,7 +11,6 @@ _EXPORTS = {
     ".heatpipe": ("NUCLEATION_RADIUS", "HeatPipe", "HeatPipeGeometry",
                   "standard_copper_water_heatpipe"),
     ".loopheatpipe": ("LoopHeatPipe", "TransportLine", "cosee_ammonia_lhp"),
-    ".thermosyphon": ("Thermosyphon",),
     ".vaporchamber": ("VaporChamber", "electronics_vapor_chamber"),
     ".wick": ("Wick", "axial_groove_wick", "screen_mesh_wick",
               "sintered_necked_wick", "sintered_powder_wick"),
@@ -24,7 +23,6 @@ __all__ = [
     "HeatPipeGeometry",
     "LoopHeatPipe",
     "NUCLEATION_RADIUS",
-    "Thermosyphon",
     "TransportLine",
     "VaporChamber",
     "electronics_vapor_chamber",

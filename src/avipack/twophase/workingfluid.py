@@ -2,7 +2,7 @@
 
 Wraps the saturation-property correlations of
 :mod:`avipack.materials.fluids` into a :class:`WorkingFluid` object that a
-heat pipe, loop heat pipe or thermosyphon can hold, plus selection helpers
+heat pipe, loop heat pipe or vapor chamber can hold, plus selection helpers
 that rank candidate fluids for a given operating envelope — the trade
 study a packaging engineer runs before committing to ammonia (ITP/Euro
 Heat Pipes LHPs), water or methanol.
@@ -48,41 +48,6 @@ class WorkingFluid:
     def vapor_pressure(self, temperature: float) -> float:
         """Saturation pressure at ``temperature`` [Pa]."""
         return self.saturation(temperature).pressure
-
-    def operating_range(self) -> Tuple[float, float]:
-        """(t_min, t_max) validity range of the property correlations [K]."""
-
-        def valid(t: float) -> bool:
-            try:
-                saturation_properties(self.name, t)
-                return True
-            except ModelRangeError:
-                return False
-
-        # Locate any valid probe temperature, then bisect each boundary.
-        probe = next((t for t in (320.0, 280.0, 250.0, 360.0, 220.0)
-                      if valid(t)), None)
-        if probe is None:
-            raise InputError(
-                f"fluid {self.name!r} has no valid probe temperature")
-        lo, hi = 150.0, probe
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if valid(mid):
-                hi = mid
-            else:
-                lo = mid
-        t_min = hi
-        lo, hi = probe, 700.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if valid(mid):
-                lo = mid
-            else:
-                hi = mid
-        t_max = lo
-        return t_min, t_max
-
 
 def select_fluid(t_operating: float, t_min_survival: float = 218.15,
                  max_pressure: float = 4.0e6) -> Tuple[str, float]:

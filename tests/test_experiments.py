@@ -2,6 +2,7 @@
 
 import pytest
 
+from avipack.errors import InputError
 from avipack.experiments.cosee import (
     fig10_configurations,
     fig10_curves,
@@ -133,3 +134,28 @@ class TestD5470Campaign:
         assert "standard_grease" not in results
         for resistance in results.values():
             assert resistance >= 50e-6  # instrument floor
+
+
+class TestExperimentsExtensions:
+    """Ceiling-installation and altitude-derating studies."""
+
+    def test_ceiling_beats_seat(self):
+        from avipack.experiments.cosee import ceiling_installation_study
+
+        study = ceiling_installation_study(60.0)
+        assert study["ceiling_capability"] > study["seat_capability"]
+        assert study["ceiling_delta_t"] < study["seat_delta_t"]
+
+    def test_altitude_derates_monotonically(self):
+        from avipack.experiments.cosee import altitude_derating_study
+
+        study = altitude_derating_study(40.0)
+        pressures = sorted(study, reverse=True)
+        deltas = [study[p] for p in pressures]
+        assert deltas == sorted(deltas)
+
+    def test_altitude_study_validates_power(self):
+        from avipack.experiments.cosee import altitude_derating_study
+
+        with pytest.raises(InputError):
+            altitude_derating_study(-1.0)

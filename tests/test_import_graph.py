@@ -11,8 +11,13 @@ The packages whose ``__init__`` re-exports lazily (PEP 562) must still
 behave like the eager ones they replaced: every ``__all__`` name
 resolves to its defining module's object, ``dir()`` lists it, ``from
 pkg import *`` binds it, and an unknown name raises AttributeError.
+
+Every module has a user outside the tests: a static scan of the imports
+in ``src/``, ``examples/`` and ``benchmarks/`` reaches each one.
 """
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -24,6 +29,7 @@ import pytest
 import avipack
 
 SRC = os.path.dirname(os.path.dirname(avipack.__file__))
+ROOT = os.path.dirname(SRC)
 
 #: Modules the sweep path must not load.
 SWEEP_FORBIDDEN = (
@@ -145,3 +151,101 @@ def test_reexport_is_read_anew_on_every_access(monkeypatch):
     monkeypatch.undo()
     assert core.run_level1 is original
     assert "run_level1" not in vars(core)
+
+
+def _module_files():
+    """Dotted name -> (path, is_package) of every module under ``src``."""
+    modules = {}
+    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
+        parts = os.path.relpath(path, SRC)[:-3].split(os.sep)
+        package = parts[-1] == "__init__"
+        if package:
+            parts = parts[:-1]
+        modules[".".join(parts)] = (path, package)
+    return modules
+
+
+def _tree(path):
+    with open(path, encoding="utf-8") as stream:
+        return ast.parse(stream.read(), path)
+
+
+def _absolute(name, level, module, package):
+    """The dotted target of ``from <level dots><name> import ...``."""
+    if not level:
+        return name
+    parts = module.split(".") if package else module.split(".")[:-1]
+    base = parts[:len(parts) - (level - 1)]
+    return ".".join(base + ([name] if name else []))
+
+
+def _reexports(path, package, modules):
+    """Name -> defining module of what a package ``__init__`` re-exports:
+    its ``_EXPORTS`` map and its eager ``from .x import name`` lines."""
+    owners = {}
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_EXPORTS"
+                for target in node.targets):
+            for owner, names in ast.literal_eval(node.value).items():
+                owners.update((name, package + owner) for name in names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            owner = _absolute(node.module, node.level, package, True)
+            owners.update((alias.name, owner) for alias in node.names
+                          if f"{owner}.{alias.name}" not in modules)
+    return owners
+
+
+def _imported(path, module, package, modules, reexports):
+    """Modules an ``import`` in ``path`` binds, re-exports resolved.
+
+    A star import counts only its package, not every name it re-exports.
+    """
+    used = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            target = _absolute(node.module, node.level, module, package)
+            used.add(target)
+            for alias in node.names:
+                if f"{target}.{alias.name}" in modules:
+                    used.add(f"{target}.{alias.name}")
+                elif alias.name in reexports.get(target, {}):
+                    used.add(reexports[target][alias.name])
+    return used
+
+
+def _is_timing_suite(path):
+    """A benchmark that only times its modules is not a user of them."""
+    name = os.path.basename(path)
+    return name.startswith("bench_") or name.endswith("_performance.py")
+
+
+def test_every_module_has_a_user_outside_the_tests():
+    """No ``src/avipack`` module is reached only by its own tests and its
+    package's ``_EXPORTS`` map.  A module that fails here is dead code:
+    delete it with its tests, exports and DESIGN.md row, or give it a
+    user (an example, a paper-figure benchmark, a CLI command).
+
+    An import counts as a use even when the importing code is itself
+    never run, so a chain of dead modules passes (a module imported only
+    by an uncalled function of another).  A green guard does not mean no
+    dead module is left; ``benchmarks/call_probe.py``, which records the
+    calls every user path makes, is what finds such chains."""
+    modules = _module_files()
+    reexports = {name: _reexports(path, name, modules)
+                 for name, (path, package) in modules.items() if package}
+    used = set()
+    for name, (path, package) in modules.items():
+        # A package's eager imports count (they run with the package);
+        # its _EXPORTS entries count only when a user names them.
+        used |= _imported(path, name, package, modules, reexports) - {name}
+    for directory in ("examples", "benchmarks"):
+        for path in glob.glob(os.path.join(ROOT, directory, "*.py")):
+            if not _is_timing_suite(path):
+                used |= _imported(path, "", False, modules, reexports)
+    candidates = {name for name, (path, package) in modules.items()
+                  if name.startswith("avipack.") and not package
+                  and not name.endswith(".__main__")}
+    assert sorted(candidates - used) == []

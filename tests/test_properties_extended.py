@@ -1,12 +1,9 @@
 """Property-based tests for the extension modules."""
 
-import math
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avipack.mechanical.sine import sdof_magnification
 from avipack.mechanical.thermomechanical import (
     Layer,
     bimaterial_curvature,
@@ -80,21 +77,6 @@ class TestThermomechanicalProperties:
         large = solder_joint_assessment(dnp, height, 7e-6, 16e-6,
                                         swing * 1.5)
         assert large.cycles_to_failure <= small.cycles_to_failure
-
-
-class TestSineProperties:
-    @given(st.floats(min_value=1.0, max_value=2000.0),
-           st.floats(min_value=10.0, max_value=1000.0),
-           st.floats(min_value=1.0, max_value=50.0))
-    @settings(max_examples=100)
-    def test_magnification_positive(self, f, f_n, q):
-        assert sdof_magnification(f, f_n, q) > 0.0
-
-    @given(st.floats(min_value=10.0, max_value=1000.0),
-           st.floats(min_value=2.0, max_value=50.0))
-    def test_resonance_equals_q_within_tolerance(self, f_n, q):
-        assert sdof_magnification(f_n, f_n, q) \
-            == pytest.approx(math.sqrt(1.0 + q * q), rel=1e-9)
 
 
 class TestMissionProperties:

@@ -2,21 +2,14 @@
 
 import pytest
 
-from avipack.errors import InputError, ModelRangeError
+from avipack.errors import InputError
 from avipack.materials.fluids import air_properties
 from avipack.thermal.convection import (
     air_outlet_temperature,
     duct_velocity,
-    fin_efficiency,
-    forced_convection_conductance,
     forced_convection_duct,
     forced_convection_flat_plate,
-    heat_sink_conductance,
-    natural_convection_conductance,
-    natural_convection_enclosure,
     natural_convection_horizontal_cylinder,
-    natural_convection_horizontal_plate_down,
-    natural_convection_horizontal_plate_up,
     natural_convection_vertical_plate,
     rayleigh_number,
     reynolds_number,
@@ -57,24 +50,10 @@ class TestNaturalConvection:
         assert natural_convection_vertical_plate(air, 50.0, 0.2) \
             > natural_convection_vertical_plate(air, 10.0, 0.2)
 
-    def test_up_beats_down(self, air):
-        up = natural_convection_horizontal_plate_up(air, 30.0, 0.2, 0.2)
-        down = natural_convection_horizontal_plate_down(air, 30.0, 0.2, 0.2)
-        assert up > down
-
     def test_cylinder_magnitude(self, air):
         # 30 mm rod at 30 K: h ~ 6-9 W/m2K.
         h = natural_convection_horizontal_cylinder(air, 30.0, 0.03)
         assert 4.0 < h < 11.0
-
-    def test_enclosure_conduction_floor(self, air):
-        # Tiny Rayleigh -> Nu = 1 -> h = k/gap.
-        h = natural_convection_enclosure(air, 0.01, 0.005, 0.1)
-        assert h == pytest.approx(air.conductivity / 0.005, rel=1e-6)
-
-    def test_enclosure_aspect_validated(self, air):
-        with pytest.raises(ModelRangeError):
-            natural_convection_enclosure(air, 10.0, 0.2, 0.1)
 
     def test_zero_dt_gives_zero(self, air):
         assert natural_convection_vertical_plate(air, 0.0, 0.2) == 0.0
@@ -114,62 +93,3 @@ class TestForcedConvection:
     def test_outlet_requires_positive_flow(self):
         with pytest.raises(InputError):
             air_outlet_temperature(313.15, 100.0, 0.0)
-
-
-class TestFins:
-    def test_efficiency_bounds(self):
-        eta = fin_efficiency(0.02, 0.001, 200.0, 50.0)
-        assert 0.0 < eta <= 1.0
-
-    def test_short_fin_near_unity(self):
-        assert fin_efficiency(0.001, 0.002, 400.0, 5.0) > 0.99
-
-    def test_long_poor_fin_inefficient(self):
-        assert fin_efficiency(0.2, 0.0005, 5.0, 50.0) < 0.3
-
-    def test_heat_sink_conductance_grows_with_fins(self):
-        base = dict(base_area=0.01, fin_height=0.02, fin_thickness=0.001,
-                    fin_length=0.05, conductivity=200.0,
-                    h_coefficient=20.0)
-        g0 = heat_sink_conductance(n_fins=0, **base)
-        g10 = heat_sink_conductance(n_fins=10, **base)
-        assert g10 > 2.5 * g0
-
-    def test_heat_sink_invalid_fin_count(self):
-        with pytest.raises(InputError):
-            heat_sink_conductance(0.01, -1, 0.02, 0.001, 0.05, 200.0, 20.0)
-
-
-class TestNetworkCallables:
-    def test_natural_callable_positive(self):
-        g = natural_convection_conductance(0.1, 0.2)
-        assert g(330.0, 300.0) > 0.0
-
-    def test_natural_callable_grows_with_dt(self):
-        g = natural_convection_conductance(0.1, 0.2)
-        assert g(350.0, 300.0) > g(310.0, 300.0)
-
-    def test_natural_callable_orientations(self):
-        for orientation in ("vertical", "horizontal_up",
-                            "horizontal_down", "cylinder"):
-            g = natural_convection_conductance(0.1, 0.05,
-                                               orientation=orientation)
-            assert g(330.0, 300.0) > 0.0
-
-    def test_natural_callable_bad_orientation(self):
-        with pytest.raises(InputError):
-            natural_convection_conductance(0.1, 0.2, orientation="sideways")
-
-    def test_altitude_derates_natural_convection(self):
-        sea = natural_convection_conductance(0.1, 0.2)
-        cruise = natural_convection_conductance(0.1, 0.2,
-                                                pressure=30_000.0)
-        assert cruise(330.0, 300.0) < sea(330.0, 300.0)
-
-    def test_forced_callable(self):
-        g = forced_convection_conductance(0.05, 5.0, 0.2)
-        assert g(330.0, 310.0) > 0.0
-
-    def test_forced_duct_callable(self):
-        g = forced_convection_conductance(0.05, 5.0, 0.005, duct=True)
-        assert g(330.0, 310.0) > 0.0

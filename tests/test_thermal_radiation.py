@@ -1,120 +1,12 @@
-"""Tests for view factors and gray-body radiation exchange."""
+"""Tests for the linearised radiative film coefficient."""
 
-import numpy as np
 import pytest
 
 from avipack.errors import InputError
-from avipack.thermal.radiation import (
-    enclosure_exchange_factor,
-    linearized_radiation_coefficient,
-    radiation_conductance,
-    solve_radiosity,
-    view_factor_parallel_plates,
-    view_factor_perpendicular_plates,
-)
-from avipack.units import STEFAN_BOLTZMANN
-
-
-class TestViewFactors:
-    def test_parallel_plates_bounds(self):
-        f = view_factor_parallel_plates(0.1, 0.1, 0.05)
-        assert 0.0 < f < 1.0
-
-    def test_parallel_plates_close_approach_unity(self):
-        f = view_factor_parallel_plates(1.0, 1.0, 0.001)
-        assert f > 0.99
-
-    def test_parallel_plates_far_approach_zero(self):
-        f = view_factor_parallel_plates(0.1, 0.1, 10.0)
-        assert f < 0.01
-
-    def test_parallel_plates_textbook_value(self):
-        # X = Y = 1 (square plates, gap = side): F ~ 0.1998 (Incropera).
-        f = view_factor_parallel_plates(0.1, 0.1, 0.1)
-        assert f == pytest.approx(0.1998, rel=0.01)
-
-    def test_perpendicular_bounds(self):
-        f = view_factor_perpendicular_plates(0.1, 0.1, 0.1)
-        assert 0.0 < f < 0.5
-
-    def test_perpendicular_textbook_value(self):
-        # Equal squares sharing an edge: F ~ 0.2 (Incropera chart).
-        f = view_factor_perpendicular_plates(1.0, 1.0, 1.0)
-        assert f == pytest.approx(0.2, abs=0.02)
-
-    def test_invalid_dimensions(self):
-        with pytest.raises(InputError):
-            view_factor_parallel_plates(-0.1, 0.1, 0.1)
-
-
-class TestEnclosureFactor:
-    def test_black_surfaces_give_unity(self):
-        assert enclosure_exchange_factor(1.0, 1.0, 0.1, 1.0) \
-            == pytest.approx(1.0)
-
-    def test_gray_below_body_emissivity(self):
-        f = enclosure_exchange_factor(0.8, 0.9, 0.1, 1.0)
-        assert f < 0.8
-
-    def test_large_enclosure_approaches_body_emissivity(self):
-        f = enclosure_exchange_factor(0.8, 0.5, 0.01, 100.0)
-        assert f == pytest.approx(0.8, rel=0.01)
-
-    def test_body_larger_than_enclosure_rejected(self):
-        with pytest.raises(InputError):
-            enclosure_exchange_factor(0.8, 0.8, 2.0, 1.0)
-
-    def test_invalid_emissivity(self):
-        with pytest.raises(InputError):
-            enclosure_exchange_factor(0.0, 0.8, 0.1, 1.0)
-
-
-class TestRadiosity:
-    def _two_plate_system(self, eps1, eps2, t1, t2):
-        # Two infinite-ish parallel plates closed by a perfect mirror is
-        # awkward; instead use the two-surface enclosure: body inside shell.
-        a1, a2 = 0.1, 0.5
-        f = np.array([[0.0, 1.0], [a1 / a2, 1.0 - a1 / a2]])
-        return solve_radiosity([a1, a2], [eps1, eps2], f, [t1, t2])
-
-    def test_net_exchange_conserves_energy(self):
-        q = self._two_plate_system(0.8, 0.6, 400.0, 300.0)
-        assert q[0] + q[1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_hot_body_emits(self):
-        q = self._two_plate_system(0.8, 0.6, 400.0, 300.0)
-        assert q[0] > 0.0
-
-    def test_matches_two_surface_formula(self):
-        a1, a2 = 0.1, 0.5
-        eps1, eps2, t1, t2 = 0.8, 0.6, 400.0, 300.0
-        q = self._two_plate_system(eps1, eps2, t1, t2)
-        factor = enclosure_exchange_factor(eps1, eps2, a1, a2)
-        expected = factor * a1 * STEFAN_BOLTZMANN * (t1 ** 4 - t2 ** 4)
-        assert q[0] == pytest.approx(expected, rel=1e-6)
-
-    def test_equal_temperatures_no_exchange(self):
-        q = self._two_plate_system(0.8, 0.6, 350.0, 350.0)
-        assert np.allclose(q, 0.0, atol=1e-9)
-
-    def test_row_sum_validated(self):
-        f = np.array([[0.0, 0.5], [0.2, 0.8]])
-        with pytest.raises(InputError):
-            solve_radiosity([0.1, 0.5], [0.8, 0.6], f, [400.0, 300.0])
-
-    def test_reciprocity_validated(self):
-        f = np.array([[0.0, 1.0], [0.5, 0.5]])  # violates A1F12 = A2F21
-        with pytest.raises(InputError):
-            solve_radiosity([0.1, 0.5], [0.8, 0.6], f, [400.0, 300.0])
+from avipack.thermal.radiation import linearized_radiation_coefficient
 
 
 class TestLinearised:
-    def test_conductance_matches_exact_exchange(self):
-        g = radiation_conductance(0.1, 0.8)
-        t1, t2 = 380.0, 300.0
-        exact = 0.8 * 0.1 * STEFAN_BOLTZMANN * (t1 ** 4 - t2 ** 4)
-        assert g(t1, t2) * (t1 - t2) == pytest.approx(exact, rel=1e-12)
-
     def test_coefficient_magnitude_room_temperature(self):
         # eps=0.9 near 300 K: h_r ~ 5.5 W/m2K.
         h = linearized_radiation_coefficient(0.9, 310.0, 293.0)
@@ -127,7 +19,3 @@ class TestLinearised:
     def test_invalid_emissivity(self):
         with pytest.raises(InputError):
             linearized_radiation_coefficient(1.2, 310.0, 300.0)
-
-    def test_invalid_exchange_factor(self):
-        with pytest.raises(InputError):
-            radiation_conductance(0.1, 1.5)
