@@ -7,8 +7,6 @@ chamber buy?  And how does the whole COSEE chain derate when the cabin
 climbs (natural convection weakening with air density)?
 """
 
-import pytest
-
 from avipack.experiments.cosee import altitude_derating_study
 from avipack.twophase.vaporchamber import electronics_vapor_chamber
 

@@ -9,8 +9,6 @@ others at the COSEE baseline.
 
 from dataclasses import replace
 
-import pytest
-
 from avipack.materials.fluids import rank_working_fluids
 from avipack.twophase.heatpipe import standard_copper_water_heatpipe
 from avipack.twophase.loopheatpipe import TransportLine, cosee_ammonia_lhp

@@ -8,8 +8,6 @@ sweeps one lever with the rest at the COSEE baseline and reports the
 +150 % result.
 """
 
-import pytest
-
 from avipack.experiments.cosee import ceiling_installation_study
 from avipack.packaging.seb import (
     SeatElectronicsBox,

@@ -8,8 +8,6 @@ monotonically (junction > board > air > inlet) and each level's output is
 the next level's input.
 """
 
-import pytest
-
 from avipack.core.levels import run_pyramid
 from avipack.packaging.component import make_component
 from avipack.packaging.module import Module
@@ -17,7 +15,7 @@ from avipack.packaging.pcb import Pcb
 from avipack.packaging.rack import Rack
 from avipack.units import celsius_to_kelvin, kelvin_to_celsius
 
-from conftest import fmt, print_table
+from conftest import print_table
 
 
 def build_rack():

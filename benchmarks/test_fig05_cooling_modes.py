@@ -7,8 +7,6 @@ temperature per technique, and checks the capability ladder the paper's
 survey implies: free convection < forced air < flow-through < liquid.
 """
 
-import pytest
-
 from avipack.packaging.cooling import (
     CoolingTechnique,
     compare_techniques,

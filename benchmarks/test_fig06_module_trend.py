@@ -12,8 +12,6 @@ and checks the squeeze: rising board temperatures and heat fluxes in a
 constant envelope, with the 60 W generation breaching the 85 °C rule.
 """
 
-import pytest
-
 from avipack.environments.arinc600 import module_performance
 from avipack.packaging.module import module_generation
 from avipack.packaging.rack import computer_rack

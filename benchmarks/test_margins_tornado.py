@@ -10,8 +10,6 @@ chain:
   the P95/P99 numbers a margin policy signs off on.
 """
 
-import pytest
-
 from avipack.core.sensitivity import one_at_a_time, tornado_rows
 from avipack.core.uncertainty import Distribution, propagate
 from avipack.packaging.seb import (

@@ -16,7 +16,6 @@ Regenerates every quantitative NANOPACK statement:
 import pytest
 
 from avipack.experiments.nanopack import (
-    TARGETS,
     characterize_material,
     design_nanopack_adhesives,
     electrical_campaign,

@@ -8,8 +8,6 @@ thermal shock (-45/+55 degC, 5 degC/min).  The seats have been submitted
 to all the different tests without damage."
 """
 
-import pytest
-
 from avipack.core.qualification import run_campaign
 from avipack.environments.profiles import cosee_campaign
 from avipack.experiments.cosee import seb_under_test

@@ -9,8 +9,6 @@ set against the paper's −45/+55 °C thermal-shock swing:
 * the underfill mitigation factor for the failing class.
 """
 
-import pytest
-
 from avipack.mechanical.thermomechanical import (
     Layer,
     bimaterial_bow,

@@ -13,7 +13,7 @@ from .._exports import lazy_exports
 
 _EXPORTS = {
     ".advisor": ("DesignMove", "advise", "advise_cooling_escalation",
-                 "advise_mode_placement", "junction_drop_for_mtbf"),
+                 "junction_drop_for_mtbf"),
     ".design_flow": ("DesignReview", "FrequencyAllocation", "MechanicalReview",
                      "PackagingSpecification", "run_design_procedure",
                      "run_mechanical_branch", "run_thermal_branch"),
@@ -40,7 +40,6 @@ __all__ = [
     "DesignMove",
     "advise",
     "advise_cooling_escalation",
-    "advise_mode_placement",
     "junction_drop_for_mtbf",
     "ArchitectureAssessment",
     "BOARD_LIMIT",

@@ -5,7 +5,7 @@ specification at a minimum cost and in one shot".  When a review comes
 back non-compliant, an experienced packaging engineer reaches for a
 standard playbook; this module encodes it:
 
-* frequency-allocation miss → compute the stiffening (or thickness) that
+* frequency-allocation miss → compute the bending-rigidity ratio that
   places the mode;
 * random-vibration fatigue miss → stiffening and/or isolator options
   with their side effects;
@@ -28,12 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import InputError
-from ..mechanical.plate import (
-    PlateSpec,
-    fundamental_frequency,
-    stiffener_rigidity_for_frequency,
-    thickness_for_frequency,
-)
 from ..reliability.mtbf import REFERENCE_JUNCTION
 from ..units import BOLTZMANN_EV
 from .design_flow import DesignReview
@@ -59,44 +53,6 @@ class DesignMove:
     def __post_init__(self) -> None:
         if not 1 <= self.intrusiveness <= 5:
             raise InputError("intrusiveness must be in 1..5")
-
-
-def advise_mode_placement(board: PlateSpec, target_hz: float
-                          ) -> List[DesignMove]:
-    """Moves that place a board's fundamental at ``target_hz``.
-
-    Offers both classical options: add stiffeners (cheap, adds mass
-    brackets) or thicken the laminate (touches the PCB fab).
-    """
-    if target_hz <= 0.0:
-        raise InputError("target frequency must be positive")
-    moves: List[DesignMove] = []
-    current = fundamental_frequency(board)
-    if current >= target_hz:
-        return moves
-    rigidity = stiffener_rigidity_for_frequency(board, target_hz)
-    moves.append(DesignMove(
-        category="mechanical",
-        action=(f"add stiffeners worth {rigidity:.0f} N.m smeared "
-                f"rigidity to move f1 {current:.0f} -> "
-                f"{target_hz:.0f} Hz"),
-        parameter="stiffener_rigidity",
-        value=rigidity,
-        intrusiveness=2,
-    ))
-    try:
-        thickness = thickness_for_frequency(board, target_hz)
-        moves.append(DesignMove(
-            category="mechanical",
-            action=(f"increase laminate thickness to "
-                    f"{thickness * 1e3:.1f} mm"),
-            parameter="thickness",
-            value=thickness,
-            intrusiveness=3,
-        ))
-    except InputError:
-        pass  # unreachable by thickness alone; stiffeners remain
-    return moves
 
 
 def advise_cooling_escalation(module_power: float,

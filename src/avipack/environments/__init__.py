@@ -15,8 +15,7 @@ _EXPORTS = {
                   "CardChannel", "ForcedAirPerformance", "allocated_mass_flow",
                   "hotspot_surface_rise", "module_performance",
                   "required_flow_multiplier"),
-    ".do160": ("TEMPERATURE_CATEGORIES", "TemperatureCategory",
-               "ambient_pressure_at_altitude", "curve_names",
+    ".do160": ("TEMPERATURE_CATEGORIES", "TemperatureCategory", "curve_names",
                "temperature_category", "vibration_curve"),
     ".profiles": ("AccelerationTest", "ClimaticTest", "QualificationCampaign",
                   "ThermalShockTest", "VibrationTest", "cosee_campaign"),
@@ -36,7 +35,6 @@ __all__ = [
     "ThermalShockTest",
     "VibrationTest",
     "allocated_mass_flow",
-    "ambient_pressure_at_altitude",
     "cosee_campaign",
     "curve_names",
     "hotspot_surface_rise",

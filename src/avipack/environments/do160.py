@@ -145,22 +145,3 @@ def temperature_category(name: str) -> TemperatureCategory:
         raise InputError(
             f"unknown temperature category {name!r}; known: "
             f"{sorted(TEMPERATURE_CATEGORIES)}") from None
-
-
-def ambient_pressure_at_altitude(altitude_m: float) -> float:
-    """ISA ambient pressure at ``altitude_m`` [Pa] (troposphere model).
-
-    Needed to derate natural convection for equipment in unpressurised
-    zones: p = p₀·(1 − 2.25577e-5·h)^5.25588.
-    """
-    if altitude_m < 0.0:
-        raise InputError("altitude must be non-negative")
-    if altitude_m > 20_000.0:
-        raise InputError("ISA troposphere model limited to 20 km")
-    if altitude_m <= 11_000.0:
-        return 101_325.0 * (1.0 - 2.25577e-5 * altitude_m) ** 5.25588
-    # Constant-temperature stratosphere layer above 11 km.
-    p11 = 101_325.0 * (1.0 - 2.25577e-5 * 11_000.0) ** 5.25588
-    import math
-
-    return p11 * math.exp(-(altitude_m - 11_000.0) / 6341.6)

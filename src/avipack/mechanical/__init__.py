@@ -17,25 +17,18 @@ from .._exports import lazy_exports
 _EXPORTS = {
     ".fatigue": ("BAND_FRACTIONS", "COMPONENT_CONSTANTS",
                  "CYCLES_TO_FAIL_RANDOM", "fatigue_life_hours",
-                 "margin_of_safety", "sn_cycles_to_failure",
-                 "steinberg_allowable_deflection",
+                 "margin_of_safety", "steinberg_allowable_deflection",
                  "thermal_cycling_life_coffin_manson",
                  "three_band_damage_rate"),
     ".isolation": ("Isolator", "damper_tuning", "design_isolator",
                    "static_sag", "stiffness_for_frequency"),
-    ".plate": ("PlateMode", "PlateSpec", "fundamental_frequency", "mode_shape",
-               "plate_modes", "stiffener_rigidity_for_frequency",
-               "thickness_for_frequency"),
+    ".plate": ("PlateMode", "PlateSpec", "fundamental_frequency",
+               "plate_modes", "stiffener_rigidity_for_frequency"),
     ".random_vibration": ("PowerSpectralDensity", "default_q_factor",
                           "miles_rms_acceleration",
-                          "positive_crossings_per_second",
-                          "rms_displacement_from_acceleration", "three_sigma"),
+                          "rms_displacement_from_acceleration"),
     ".thermomechanical": ("Layer", "SolderJointAssessment", "bimaterial_bow",
-                          "bimaterial_curvature",
-                          "bimaterial_interface_stress",
-                          "constrained_thermal_stress",
-                          "qualification_shock_joint_life",
-                          "solder_joint_assessment",
+                          "bimaterial_curvature", "solder_joint_assessment",
                           "underfill_benefit_factor"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -46,9 +39,6 @@ __all__ = [
     "SolderJointAssessment",
     "bimaterial_bow",
     "bimaterial_curvature",
-    "bimaterial_interface_stress",
-    "constrained_thermal_stress",
-    "qualification_shock_joint_life",
     "solder_joint_assessment",
     "underfill_benefit_factor",
     "COMPONENT_CONSTANTS",
@@ -64,17 +54,12 @@ __all__ = [
     "fundamental_frequency",
     "margin_of_safety",
     "miles_rms_acceleration",
-    "mode_shape",
     "plate_modes",
-    "positive_crossings_per_second",
     "rms_displacement_from_acceleration",
-    "sn_cycles_to_failure",
     "static_sag",
     "steinberg_allowable_deflection",
     "stiffener_rigidity_for_frequency",
     "stiffness_for_frequency",
     "thermal_cycling_life_coffin_manson",
-    "thickness_for_frequency",
     "three_band_damage_rate",
-    "three_sigma",
 ]

@@ -27,9 +27,8 @@ _STEINBERG_CONSTANT_INCH = 0.00022
 #: Gaussian band occupancy fractions for the three-band method.
 BAND_FRACTIONS = (0.683, 0.271, 0.0433)
 
-#: Steinberg's reference cycle capacities.
+#: Steinberg's reference cycle capacity under random vibration.
 CYCLES_TO_FAIL_RANDOM = 2.0e7
-CYCLES_TO_FAIL_SINE = 1.0e7
 
 
 #: Component-type position constants C for the Steinberg formula.
@@ -87,22 +86,6 @@ def steinberg_allowable_deflection(board_length: float,
     z_in = _STEINBERG_CONSTANT_INCH * b_in / (
         c * h_in * relative_position * math.sqrt(l_in))
     return z_in * 25.4e-3
-
-
-def sn_cycles_to_failure(stress_amplitude: float, fatigue_strength: float,
-                         reference_cycles: float = 1.0e3,
-                         exponent: float = 6.4) -> float:
-    """Power-law S–N life: N = N_ref·(S_ref/S)^b.
-
-    ``fatigue_strength`` is the stress amplitude S_ref that fails at
-    ``reference_cycles``; ``exponent`` b ≈ 6.4 for solder joints
-    (Steinberg), ~9 for aluminium structure.
-    """
-    if stress_amplitude <= 0.0 or fatigue_strength <= 0.0:
-        raise InputError("stresses must be positive")
-    if reference_cycles <= 0.0 or exponent <= 0.0:
-        raise InputError("reference cycles and exponent must be positive")
-    return reference_cycles * (fatigue_strength / stress_amplitude) ** exponent
 
 
 def three_band_damage_rate(rms_deflection: float,

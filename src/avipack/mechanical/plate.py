@@ -3,7 +3,7 @@
 The mechanical design examples of the paper hinge on *mode placement*: the
 Ariane navigation-unit power supply was designed so its first resonance
 lands near 500 Hz, per the launcher's frequency-allocation plan (Fig. 2).
-This module computes natural frequencies and mode shapes of thin
+This module computes the natural frequencies of thin
 rectangular plates — the standard idealisation of a PCB — via the
 Rayleigh–Ritz method with separable beam characteristic functions, which
 is accurate to a few percent for the low modes that matter.
@@ -163,53 +163,6 @@ def plate_modes(plate: PlateSpec, n_modes: int = 6) -> List[PlateMode]:
 def fundamental_frequency(plate: PlateSpec) -> float:
     """First natural frequency of ``plate`` [Hz]."""
     return plate_modes(plate, 1)[0].frequency_hz
-
-
-def mode_shape(plate: PlateSpec, mode: PlateMode, x: float, y: float) -> float:
-    """Normalised deflection of ``mode`` at in-plane position (x, y).
-
-    For the common simply supported case this is the exact
-    ``sin(mπx/a)·sin(nπy/b)`` shape; other supports use the sine shape of
-    the same half-wave count as an approximation adequate for response
-    estimates at interior points.
-    """
-    if not (0.0 <= x <= plate.length and 0.0 <= y <= plate.width):
-        raise InputError("(x, y) must lie on the plate")
-    m, n = mode.indices
-    return (math.sin(m * math.pi * x / plate.length)
-            * math.sin(n * math.pi * y / plate.width))
-
-
-def thickness_for_frequency(plate: PlateSpec, target_hz: float,
-                            tolerance_hz: float = 0.5) -> float:
-    """Thickness that places the fundamental at ``target_hz``.
-
-    Bisection on thickness between 0.1 mm and 20 mm; other plate
-    parameters are held.  This is the design move of Fig. 2: choosing the
-    laminate/stiffening so the power-supply board resonates where the
-    frequency-allocation plan puts it.
-    """
-    from dataclasses import replace
-
-    if target_hz <= 0.0:
-        raise InputError("target frequency must be positive")
-    lo, hi = 1e-4, 2e-2
-    f_lo = fundamental_frequency(replace(plate, thickness=lo))
-    f_hi = fundamental_frequency(replace(plate, thickness=hi))
-    if not f_lo <= target_hz <= f_hi:
-        raise InputError(
-            f"target {target_hz:.0f} Hz outside achievable range "
-            f"[{f_lo:.0f}, {f_hi:.0f}] Hz for thickness 0.1-20 mm")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = fundamental_frequency(replace(plate, thickness=mid))
-        if abs(f_mid - target_hz) <= tolerance_hz:
-            return mid
-        if f_mid < target_hz:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def stiffener_rigidity_for_frequency(plate: PlateSpec, target_hz: float

@@ -149,21 +149,6 @@ def rms_displacement_from_acceleration(rms_accel_g: float,
     return rms_accel_g * 9.80665 / omega ** 2
 
 
-def three_sigma(value_rms: float) -> float:
-    """The 3σ peak used for design margins on Gaussian responses."""
-    if value_rms < 0.0:
-        raise InputError("RMS value must be non-negative")
-    return 3.0 * value_rms
-
-
-def positive_crossings_per_second(natural_frequency: float) -> float:
-    """Expected positive-slope zero crossings of a narrow-band resonant
-    response — equals the natural frequency [1/s] (Rice's formula)."""
-    if natural_frequency <= 0.0:
-        raise InputError("natural frequency must be positive")
-    return natural_frequency
-
-
 def default_q_factor(natural_frequency: float) -> float:
     """Steinberg's empirical transmissibility estimate Q ≈ √f_n.
 

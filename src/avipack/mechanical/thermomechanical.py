@@ -4,15 +4,13 @@
 causes of failure in airborne equipment.  The classical engineering
 models are implemented here:
 
-* **bimaterial (Timoshenko) strip**: curvature and interface stresses of
-  two bonded layers under a temperature change — the PCB-on-heatsink,
+* **bimaterial (Timoshenko) strip**: curvature and bow of two bonded
+  layers under a temperature change — the PCB-on-heatsink,
   die-on-substrate and stiffener-on-board cases;
 * **distance-to-neutral-point (DNP) solder shear strain**: the strain a
   corner joint of a surface-mount package sees per thermal cycle, fed to
   the Coffin–Manson life already available in
-  :mod:`avipack.mechanical.fatigue`;
-* **constrained thermal stress** of a clamped part (σ = E·α·ΔT), the
-  quick bolted-interface check.
+  :mod:`avipack.mechanical.fatigue`.
 """
 
 from __future__ import annotations
@@ -74,33 +72,6 @@ def bimaterial_bow(layer_a: Layer, layer_b: Layer, delta_t: float,
     if length <= 0.0:
         raise InputError("length must be positive")
     return bimaterial_curvature(layer_a, layer_b, delta_t) * length ** 2 / 8.0
-
-
-def bimaterial_interface_stress(layer_a: Layer, layer_b: Layer,
-                                delta_t: float) -> float:
-    """Peak interfacial shear-related axial stress estimate [Pa].
-
-    First-order force balance: the mismatch strain is shared between the
-    layers in proportion to their stiffness; the reported value is the
-    axial stress in the *stiffer constraint direction* of layer a,
-    σ_a = E_eff·Δα·ΔT with E_eff the series combination — the standard
-    screening number for delamination risk (exact distributions need the
-    Suhir analysis; this bounds them within ~20 %).
-    """
-    mismatch = abs(layer_a.cte - layer_b.cte) * abs(delta_t)
-    stiffness_a = layer_a.youngs_modulus * layer_a.thickness
-    stiffness_b = layer_b.youngs_modulus * layer_b.thickness
-    effective = (stiffness_a * stiffness_b
-                 / (stiffness_a + stiffness_b)) / layer_a.thickness
-    return effective * mismatch
-
-
-def constrained_thermal_stress(youngs_modulus: float, cte: float,
-                               delta_t: float) -> float:
-    """Stress of a fully constrained part under ΔT: σ = E·α·ΔT [Pa]."""
-    if youngs_modulus <= 0.0 or cte < 0.0:
-        raise InputError("modulus must be positive, CTE non-negative")
-    return youngs_modulus * cte * abs(delta_t)
 
 
 @dataclass(frozen=True)
@@ -184,26 +155,3 @@ def underfill_benefit_factor(strain_reduction: float = 0.7,
     if exponent <= 0.0:
         raise InputError("exponent must be positive")
     return (1.0 / (1.0 - strain_reduction)) ** exponent
-
-
-def qualification_shock_joint_life(package_half_diagonal: float,
-                                   joint_height: float,
-                                   cte_component: float,
-                                   cte_board: float,
-                                   chamber_swing: float,
-                                   n_test_cycles: int,
-                                   life_factor: float = 4.0) -> bool:
-    """Pass/fail of a joint against a thermal-shock qualification.
-
-    True when the Coffin–Manson life at the chamber swing covers
-    ``life_factor`` × the test cycle count — the acceptance rule applied
-    by the virtual campaign of :mod:`avipack.core.qualification`.
-    """
-    if n_test_cycles < 1:
-        raise InputError("need at least one test cycle")
-    if life_factor <= 0.0:
-        raise InputError("life factor must be positive")
-    assessment = solder_joint_assessment(
-        package_half_diagonal, joint_height, cte_component, cte_board,
-        chamber_swing)
-    return assessment.cycles_to_failure >= life_factor * n_test_cycles

@@ -11,7 +11,7 @@ generation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..errors import InputError
 from .cooling import ModuleEnvelope
@@ -98,20 +98,3 @@ class AtrCase:
             shell_area=self.external_area,
             channel_gap=channel_gap,
         )
-
-
-def generation_power_density(size: str = "1/2_atr"
-                             ) -> Tuple[Tuple[str, float], ...]:
-    """Power density per module generation in a fixed case.
-
-    Returns ``((generation, W_per_litre), ...)`` for the paper's
-    10 → 30 → 60 W trend: the same box, three times the density twice
-    over.
-    """
-    case = AtrCase(size)
-    cards = case.card_count()
-    return tuple(
-        (generation, case.power_density(cards * power))
-        for generation, power in (("current", 10.0),
-                                  ("near_future", 30.0),
-                                  ("next", 60.0)))

@@ -1,7 +1,8 @@
 """Lightweight, zero-dependency solver instrumentation.
 
-The compiled solver core (:mod:`avipack.thermal.network`,
-:mod:`avipack.thermal.transient`, :mod:`avipack.thermal.conduction`)
+The compiled solver core (the ``network.steady``, ``network.transient``
+and ``conduction.steady`` kernels of :mod:`avipack.thermal.network`,
+:mod:`avipack.thermal.transient` and :mod:`avipack.thermal.conduction`)
 caches compiled structures and LU factorizations so that a design-space
 sweep pays for assembly and factorization once, not once per call.  This
 module makes those savings *observable*: every kernel records
@@ -70,7 +71,7 @@ __all__ = [
 #: service throughput shows up in the same registry as solver work.
 #: :func:`record` and :func:`timed` reject any other name.
 KERNELS = ("network.steady", "network.transient", "conduction.steady",
-           "conduction.transient", "service.job")
+           "service.job")
 
 #: Registry of the named scalar counters (:func:`increment` family).
 #: :func:`increment` rejects any name not declared here, and a test

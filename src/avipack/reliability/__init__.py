@@ -9,7 +9,7 @@ _EXPORTS = {
     ".mtbf": ("ENVIRONMENT_FACTORS", "MAX_AMBIENT", "MAX_JUNCTION",
               "QUALITY_FACTORS", "REFERENCE_JUNCTION", "PartReliability",
               "ReliabilityPrediction", "fan_reliability_penalty",
-              "mtbf_improvement_factor", "predict_mtbf"),
+              "predict_mtbf"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
@@ -27,6 +27,5 @@ __all__ = [
     "REFERENCE_JUNCTION",
     "ReliabilityPrediction",
     "fan_reliability_penalty",
-    "mtbf_improvement_factor",
     "predict_mtbf",
 ]

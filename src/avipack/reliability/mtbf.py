@@ -166,21 +166,6 @@ def predict_mtbf(parts: Sequence[PartReliability],
     )
 
 
-def mtbf_improvement_factor(parts: Sequence[PartReliability],
-                            junction_before: Dict[str, float],
-                            junction_after: Dict[str, float],
-                            environment: str = "airborne_inhabited_cargo"
-                            ) -> float:
-    """MTBF ratio after/before a cooling improvement.
-
-    Quantifies the reliability payoff of, e.g., retrofitting LHPs: a
-    32 °C junction drop roughly halves every Arrhenius failure rate.
-    """
-    before = predict_mtbf(parts, junction_before, environment)
-    after = predict_mtbf(parts, junction_after, environment)
-    return after.mtbf_hours / before.mtbf_hours
-
-
 def fan_reliability_penalty(equipment_failure_rate_fit: float,
                             n_fans: int,
                             fan_failure_rate_fit: float = 8000.0) -> float:

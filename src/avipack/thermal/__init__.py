@@ -18,16 +18,13 @@ from .._exports import lazy_exports
 
 _EXPORTS = {
     ".conduction": ("ADIABATIC", "FACES", "BoundaryCondition", "CartesianGrid",
-                    "ConductionSolution", "ConductionSolver",
-                    "TransientConductionResult"),
+                    "ConductionSolution", "ConductionSolver"),
     ".convection": ("air_outlet_temperature", "duct_velocity",
                     "forced_convection_duct", "forced_convection_flat_plate",
                     "natural_convection_horizontal_cylinder",
                     "natural_convection_vertical_plate", "rayleigh_number",
                     "reynolds_number"),
-    ".network": ("NetworkSolution", "ThermalNetwork", "parallel_resistance",
-                 "series_resistance", "slab_resistance",
-                 "spreading_resistance"),
+    ".network": ("NetworkSolution", "ThermalNetwork", "spreading_resistance"),
     ".radiation": ("linearized_radiation_coefficient",),
     ".transient": ("TransientNetworkResult", "TransientNetworkSolver",
                    "cyclic_profile", "ramp_profile"),
@@ -43,7 +40,6 @@ __all__ = [
     "FACES",
     "NetworkSolution",
     "ThermalNetwork",
-    "TransientConductionResult",
     "TransientNetworkResult",
     "TransientNetworkSolver",
     "air_outlet_temperature",
@@ -54,11 +50,8 @@ __all__ = [
     "linearized_radiation_coefficient",
     "natural_convection_horizontal_cylinder",
     "natural_convection_vertical_plate",
-    "parallel_resistance",
     "ramp_profile",
     "rayleigh_number",
     "reynolds_number",
-    "series_resistance",
-    "slab_resistance",
     "spreading_resistance",
 ]

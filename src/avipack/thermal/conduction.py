@@ -11,8 +11,7 @@ with harmonic-mean face conductivities and solve the sparse linear system
 directly.  The operator depends only on geometry, conductivities and the
 film coefficients, so each process keeps the LU factorization of every
 recent distinct operator and answers later solves that change only the
-sources or boundary values with a back-substitution.  Transient problems
-use unconditionally stable backward-Euler stepping on the same operator.
+sources or boundary values with a back-substitution.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, identity
-from scipy.sparse.linalg import SuperLU, factorized, splu
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.linalg import SuperLU, splu
 
 from .. import perf
 from ..errors import InputError
@@ -463,91 +462,3 @@ class ConductionSolver:
                     wall_s=time.perf_counter() - start, **counts)
         return ConductionSolution(self.grid,
                                   temps.reshape(self.grid.shape))
-
-    def solve_transient(self, initial_temperature: float, duration: float,
-                        time_step: float,
-                        max_steps: int = 200_000
-                        ) -> "TransientConductionResult":
-        """Backward-Euler transient solve from a uniform initial field.
-
-        Returns the sampled temperature history.  Unconditionally stable;
-        accuracy is first order in ``time_step``.
-
-        ``max_steps`` guards against a mistyped ``time_step`` turning
-        the solve into an unbounded loop (each step stores a full field,
-        so runaway step counts also exhaust memory): a request needing
-        more steps is rejected eagerly with :class:`InputError` instead
-        of hanging the campaign.
-        """
-        if duration <= 0.0 or time_step <= 0.0:
-            raise InputError("duration and time step must be positive")
-        if initial_temperature <= 0.0:
-            raise InputError("initial temperature must be positive kelvin")
-        if max_steps < 1:
-            raise InputError("max_steps must be >= 1")
-        n_steps = max(1, int(round(duration / time_step)))
-        if n_steps > max_steps:
-            raise InputError(
-                f"transient solve needs {n_steps} steps for duration "
-                f"{duration:g} s at time_step {time_step:g} s, exceeding "
-                f"max_steps={max_steps}; increase time_step or raise "
-                "max_steps explicitly")
-        self._check_well_posed()
-        start = time.perf_counter()
-        matrix = self._operator()
-        rhs = self._rhs()
-        capacity = (self.grid.rho_cp * self.grid.cell_volume).ravel()
-        system = identity(self.grid.n_cells, format="csr").multiply(
-            capacity[:, None] / time_step) + matrix
-        system = csr_matrix(system)
-        # The operator is constant across the whole march (backward
-        # Euler with fixed material fields and step size): factorize
-        # once and back-substitute every step instead of refactorizing
-        # O(n_steps) times inside spsolve.
-        solve = factorized(system.tocsc())
-        perf.record("conduction.transient", assemblies=1, factorizations=1)
-        temps = np.full(self.grid.n_cells, float(initial_temperature))
-        times = [0.0]
-        history = [temps.reshape(self.grid.shape).copy()]
-        for step in range(1, n_steps + 1):
-            b = rhs + capacity / time_step * temps
-            temps = np.asarray(solve(b))
-            times.append(step * time_step)
-            history.append(temps.reshape(self.grid.shape).copy())
-        perf.record("conduction.transient", solves=1, iterations=n_steps,
-                    factorization_reuses=n_steps - 1,
-                    wall_s=time.perf_counter() - start)
-        return TransientConductionResult(np.asarray(times),
-                                         np.asarray(history), self.grid)
-
-
-@dataclass(frozen=True)
-class TransientConductionResult:
-    """Sampled transient temperature history.
-
-    ``times`` has shape (n_samples,), ``fields`` has shape
-    (n_samples, nx, ny, nz).
-    """
-
-    times: np.ndarray
-    fields: np.ndarray
-    grid: CartesianGrid
-
-    def max_temperature_history(self) -> np.ndarray:
-        """Peak temperature at every sample [K]."""
-        return self.fields.reshape(self.fields.shape[0], -1).max(axis=1)
-
-    def final_field(self) -> np.ndarray:
-        """The last temperature field."""
-        return self.fields[-1]
-
-    def time_to_reach(self, temperature: float) -> float:
-        """First time the peak temperature reaches ``temperature`` [s].
-
-        Returns ``inf`` if it is never reached within the simulated span.
-        """
-        peaks = self.max_temperature_history()
-        hits = np.where(peaks >= temperature)[0]
-        if hits.size == 0:
-            return float("inf")
-        return float(self.times[hits[0]])

@@ -637,32 +637,6 @@ class ThermalNetwork:
         return NetworkSolution(solution_temps, flows, iterations, residual)
 
 
-def series_resistance(*resistances: float) -> float:
-    """Total resistance of resistances in series [K/W]."""
-    if not resistances:
-        raise InputError("need at least one resistance")
-    if any(r <= 0.0 for r in resistances):
-        raise InputError("resistances must be positive")
-    return float(sum(resistances))
-
-
-def parallel_resistance(*resistances: float) -> float:
-    """Total resistance of resistances in parallel [K/W]."""
-    if not resistances:
-        raise InputError("need at least one resistance")
-    if any(r <= 0.0 for r in resistances):
-        raise InputError("resistances must be positive")
-    return 1.0 / sum(1.0 / r for r in resistances)
-
-
-def slab_resistance(thickness: float, conductivity: float,
-                    area: float) -> float:
-    """Conduction resistance of a plane slab, R = L / (k·A) [K/W]."""
-    if thickness <= 0.0 or conductivity <= 0.0 or area <= 0.0:
-        raise InputError("thickness, conductivity and area must be positive")
-    return thickness / (conductivity * area)
-
-
 def spreading_resistance(source_radius: float, plate_radius: float,
                          plate_thickness: float, conductivity: float,
                          h_sink: float = 1e4) -> float:

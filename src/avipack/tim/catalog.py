@@ -20,7 +20,7 @@ The NANOPACK entries carry the paper's reported figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..errors import InputError, MaterialNotFoundError
 from .interface import ThermalInterface, bond_line_thickness
@@ -190,28 +190,3 @@ def get_tim(name: str) -> TimMaterial:
 def list_tims() -> Tuple[str, ...]:
     """All catalogued TIM names, sorted."""
     return tuple(sorted(_CATALOG))
-
-
-def best_tim_for_target(target_kmm2: float, area: float,
-                        pressure: float = 3.0e5,
-                        require_insulating: bool = False,
-                        hnc_surface: bool = False) -> Optional[TimMaterial]:
-    """Pick the catalogued TIM meeting a specific-resistance target.
-
-    Returns the *least exotic* (lowest conductivity) material whose
-    assembled interface meets ``target_kmm2`` [K·mm²/W] — engineering
-    practice is to avoid over-specifying.  ``None`` when nothing passes.
-    """
-    if target_kmm2 <= 0.0:
-        raise InputError("target must be positive")
-    candidates = []
-    for name in list_tims():
-        material = get_tim(name)
-        if require_insulating and material.electrically_conductive:
-            continue
-        interface = material.assemble(area, pressure, hnc_surface)
-        if interface.specific_resistance_kmm2 <= target_kmm2:
-            candidates.append(material)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda mat: mat.conductivity)

@@ -117,46 +117,6 @@ def bond_line_thickness(filler_diameter: float, viscosity: float,
     return 1.31 * filler_diameter + squeeze * 1e-4
 
 
-def contact_resistance_mikic(roughness: float, asperity_slope: float,
-                             k_harmonic: float, pressure: float,
-                             hardness: float) -> float:
-    """Mikić plastic-contact resistance of a dry metal joint [K·m²/W].
-
-    1/R = 1.13·k_s·(m/σ)·(P/H)^0.94 — used for the *unfilled* screwed
-    joints of module shells and to bound what a TIM must beat.
-
-    Parameters
-    ----------
-    roughness:
-        RMS surface roughness σ [m].
-    asperity_slope:
-        Mean absolute asperity slope m (0.05–0.15 typical).
-    k_harmonic:
-        Harmonic-mean conductivity of the two solids [W/(m·K)].
-    pressure:
-        Contact pressure [Pa].
-    hardness:
-        Micro-hardness of the softer solid [Pa].
-    """
-    if roughness <= 0.0 or asperity_slope <= 0.0:
-        raise InputError("roughness and slope must be positive")
-    if k_harmonic <= 0.0 or pressure <= 0.0 or hardness <= 0.0:
-        raise InputError("conductivity, pressure and hardness must be "
-                         "positive")
-    if pressure >= hardness:
-        raise InputError("pressure must stay below material hardness")
-    conductance = (1.13 * k_harmonic * (asperity_slope / roughness)
-                   * (pressure / hardness) ** 0.94)
-    return 1.0 / conductance
-
-
-def series_interface_resistance(*interfaces: ThermalInterface) -> float:
-    """Total absolute resistance of stacked interfaces [K/W]."""
-    if not interfaces:
-        raise InputError("need at least one interface")
-    return sum(interface.resistance for interface in interfaces)
-
-
 def meets_nanopack_target(interface: ThermalInterface,
                           target_kmm2: float = 5.0,
                           max_blt: float = 20.0e-6) -> bool:

@@ -5,23 +5,19 @@ The NANOPACK project's headline results are filler/matrix composites:
 silver flakes in mono-epoxy (6 W/m·K), micro silver spheres in multi-epoxy
 (9.5 W/m·K) and a metal–polymer composite reaching 20 W/m·K.  These
 numbers are governed by classical effective-medium physics, implemented
-here:
+here with the **Lewis–Nielsen** model — the industry-standard fit with
+particle shape and maximum-packing parameters, used to *design* a loading
+for a target conductivity — and the electrical resistivity of a
+percolating filled adhesive.
 
-* **Maxwell–Garnett** — dilute spherical fillers (lower bound at load);
-* **Bruggeman** (symmetric, differential) — interpenetrating phases,
-  captures percolation-like rise at high loading;
-* **Lewis–Nielsen** — the industry-standard fit with particle shape and
-  maximum-packing parameters, used to *design* a loading for a target
-  conductivity;
-* a **percolation** power law for flake/CNT networks past the threshold.
-
-All take matrix conductivity k_m, filler conductivity k_f and volume
-fraction φ, and return the composite conductivity in W/(m·K).
+The conductivity functions take matrix conductivity k_m, filler
+conductivity k_f and volume fraction φ; the composite conductivity is in
+W/(m·K).
 """
 
 from __future__ import annotations
 
-from ..errors import ConvergenceError, InputError
+from ..errors import InputError
 
 #: (shape factor A, maximum packing fraction φ_max) per filler geometry
 #: for the Lewis–Nielsen model (Nielsen 1974).
@@ -40,57 +36,6 @@ def _validate(k_matrix: float, k_filler: float, fraction: float) -> None:
         raise InputError("conductivities must be positive")
     if not 0.0 <= fraction < 1.0:
         raise InputError("volume fraction must be in [0, 1)")
-
-
-def maxwell_garnett(k_matrix: float, k_filler: float,
-                    fraction: float) -> float:
-    """Maxwell–Garnett effective conductivity (dilute spheres).
-
-    k = k_m·[k_f + 2k_m + 2φ(k_f − k_m)] / [k_f + 2k_m − φ(k_f − k_m)].
-    Accurate below ~25 % loading; a strict lower bound for well-dispersed
-    spherical fillers.
-    """
-    _validate(k_matrix, k_filler, fraction)
-    numerator = k_filler + 2.0 * k_matrix + 2.0 * fraction * (k_filler
-                                                              - k_matrix)
-    denominator = k_filler + 2.0 * k_matrix - fraction * (k_filler
-                                                          - k_matrix)
-    return k_matrix * numerator / denominator
-
-
-def bruggeman(k_matrix: float, k_filler: float, fraction: float) -> float:
-    """Symmetric Bruggeman effective-medium conductivity.
-
-    Solves φ·(k_f − k)/(k_f + 2k) + (1−φ)·(k_m − k)/(k_m + 2k) = 0 by
-    bisection.  Exhibits a percolation threshold at φ = 1/3 for
-    k_f ≫ k_m, making it the better model for the highly loaded NANOPACK
-    adhesives.
-    """
-    _validate(k_matrix, k_filler, fraction)
-
-    def residual(k: float) -> float:
-        return (fraction * (k_filler - k) / (k_filler + 2.0 * k)
-                + (1.0 - fraction) * (k_matrix - k) / (k_matrix + 2.0 * k))
-
-    lo = min(k_matrix, k_filler)
-    hi = max(k_matrix, k_filler)
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        return lo
-    if r_hi == 0.0:
-        return hi
-    if r_lo * r_hi > 0.0:
-        raise ConvergenceError("Bruggeman bisection failed to bracket a root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) < 1e-12:
-            return mid
-        if r_lo * r_mid < 0.0:
-            hi = mid
-        else:
-            lo, r_lo = mid, r_mid
-    return 0.5 * (lo + hi)
 
 
 def lewis_nielsen(k_matrix: float, k_filler: float, fraction: float,
@@ -148,30 +93,6 @@ def loading_for_conductivity(k_matrix: float, k_filler: float,
     return 0.5 * (lo + hi)
 
 
-def percolation_conductivity(k_matrix: float, k_network: float,
-                             fraction: float,
-                             threshold: float = 0.17,
-                             exponent: float = 1.8) -> float:
-    """Percolating-network conductivity for flakes/CNT above threshold.
-
-    Below ``threshold`` returns the Maxwell–Garnett estimate; above it
-    adds σ ∝ (φ − φ_c)^t of the filler network — the behaviour that lets
-    silver-flake adhesives be simultaneously thermally and *electrically*
-    conductive.
-    """
-    _validate(k_matrix, k_network, fraction)
-    if not 0.0 < threshold < 1.0:
-        raise InputError("threshold must be in (0, 1)")
-    if exponent <= 0.0:
-        raise InputError("exponent must be positive")
-    base = maxwell_garnett(k_matrix, k_network, min(fraction, threshold))
-    if fraction <= threshold:
-        return base
-    network = k_network * ((fraction - threshold)
-                           / (1.0 - threshold)) ** exponent
-    return base + network
-
-
 def electrical_resistivity_filled(rho_filler: float, fraction: float,
                                   threshold: float = 0.17,
                                   exponent: float = 1.8) -> float:
@@ -189,23 +110,3 @@ def electrical_resistivity_filled(rho_filler: float, fraction: float,
         return float("inf")
     return rho_filler * ((1.0 - threshold)
                          / (fraction - threshold)) ** exponent
-
-
-def cnt_array_conductivity(cnt_conductivity: float, areal_density: float,
-                           alignment_fraction: float = 0.9) -> float:
-    """Effective through-thickness conductivity of a vertically aligned
-    CNT array [W/(m·K)].
-
-    k_eff = k_CNT·φ_A·f_align, with φ_A the area fraction covered by tubes
-    and f_align the fraction effectively bridging the gap.  Multi-wall CNT
-    bundles (the NANOPACK partners' approach, ref [10]) have intrinsic
-    conductivities of several hundred W/m·K but low φ_A, landing the array
-    in the 10–50 W/m·K class.
-    """
-    if cnt_conductivity <= 0.0:
-        raise InputError("CNT conductivity must be positive")
-    if not 0.0 < areal_density <= 1.0:
-        raise InputError("areal density must be in (0, 1]")
-    if not 0.0 < alignment_fraction <= 1.0:
-        raise InputError("alignment fraction must be in (0, 1]")
-    return cnt_conductivity * areal_density * alignment_fraction

@@ -12,8 +12,7 @@ _EXPORTS = {
                   "standard_copper_water_heatpipe"),
     ".loopheatpipe": ("LoopHeatPipe", "TransportLine", "cosee_ammonia_lhp"),
     ".vaporchamber": ("VaporChamber", "electronics_vapor_chamber"),
-    ".wick": ("Wick", "axial_groove_wick", "screen_mesh_wick",
-              "sintered_necked_wick", "sintered_powder_wick"),
+    ".wick": ("Wick", "sintered_necked_wick", "sintered_powder_wick"),
     ".workingfluid": ("WorkingFluid", "select_fluid"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -29,9 +28,7 @@ __all__ = [
     "sintered_necked_wick",
     "Wick",
     "WorkingFluid",
-    "axial_groove_wick",
     "cosee_ammonia_lhp",
-    "screen_mesh_wick",
     "select_fluid",
     "sintered_powder_wick",
     "standard_copper_water_heatpipe",

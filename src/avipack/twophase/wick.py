@@ -7,16 +7,15 @@ The wick sets the two numbers that govern capillary devices:
 * the **permeability** K, which sets the liquid-return pressure drop
   through Darcy's law.
 
-Three classical structures are modelled with their standard correlations
-(Chi 1976, Faghri 1995): sintered powder (small pores, high Δp_cap — used
-in LHP primary wicks), wrapped screen mesh, and axial grooves (high
-permeability, gravity-sensitive).  Each also supplies an effective
-saturated thermal conductivity used for the radial evaporator resistance.
+Sintered powder wicks (small pores, high Δp_cap — used in LHP primary
+wicks) are modelled with their standard correlations (Chi 1976, Faghri
+1995), either as a packed bed or with fused (necked) particles.  Each
+also supplies an effective saturated thermal conductivity used for the
+radial evaporator resistance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import InputError
@@ -118,56 +117,3 @@ def sintered_necked_wick(particle_radius: float, porosity: float,
     k_eff = k_liquid * (k_solid / k_liquid) ** ((1.0 - porosity) ** 0.59)
     return Wick(base.effective_pore_radius, base.permeability,
                 base.porosity, k_eff)
-
-
-def screen_mesh_wick(mesh_number_per_m: float, wire_diameter: float,
-                     n_layers: int, k_solid: float, k_liquid: float,
-                     crimping_factor: float = 1.05) -> Wick:
-    """Wrapped screen-mesh wick (the classic cylindrical heat-pipe wick).
-
-    Pore radius r_eff = 1/(2N) with N the mesh number; porosity from the
-    Marcus relation ε = 1 − π·S·N·d/4; permeability from the modified
-    Blake–Kozeny equation K = d²·ε³ / (122·(1−ε)²).
-    """
-    if mesh_number_per_m <= 0.0 or wire_diameter <= 0.0:
-        raise InputError("mesh number and wire diameter must be positive")
-    if n_layers < 1:
-        raise InputError("need at least one screen layer")
-    if crimping_factor < 1.0:
-        raise InputError("crimping factor must be >= 1")
-    porosity = 1.0 - math.pi * crimping_factor * mesh_number_per_m \
-        * wire_diameter / 4.0
-    if not 0.0 < porosity < 1.0:
-        raise InputError(
-            f"mesh geometry gives non-physical porosity {porosity:.3f}")
-    pore_radius = 1.0 / (2.0 * mesh_number_per_m)
-    permeability = (wire_diameter ** 2 * porosity ** 3
-                    / (122.0 * (1.0 - porosity) ** 2))
-    # Parallel/series bound mix for layered screens (Chi).
-    k_eff = k_liquid * (k_liquid + k_solid
-                        - (1.0 - porosity) * (k_liquid - k_solid)) / (
-        k_liquid + k_solid + (1.0 - porosity) * (k_liquid - k_solid))
-    return Wick(pore_radius, permeability, porosity, abs(k_eff))
-
-
-def axial_groove_wick(groove_width: float, groove_depth: float,
-                      n_grooves: int, k_solid: float,
-                      k_liquid: float) -> Wick:
-    """Axial rectangular-groove wick (aluminium-extrusion heat pipes).
-
-    Pore radius equals the groove half-width; permeability from laminar
-    flow in a rectangular channel K = ε·(D_h)²/(2·f·Re) with f·Re ≈ 16 for
-    the aspect ratios of practical grooves.
-    """
-    if groove_width <= 0.0 or groove_depth <= 0.0:
-        raise InputError("groove dimensions must be positive")
-    if n_grooves < 1:
-        raise InputError("need at least one groove")
-    pore_radius = groove_width / 2.0
-    hydraulic_diameter = (2.0 * groove_width * groove_depth
-                          / (groove_width + groove_depth))
-    porosity = 0.5  # groove land/void ratio of typical extrusions
-    permeability = porosity * hydraulic_diameter ** 2 / 32.0
-    # Grooves conduct mostly through the solid fins between channels.
-    k_eff = 0.5 * (k_solid + k_liquid)
-    return Wick(pore_radius, permeability, porosity, k_eff)

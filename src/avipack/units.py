@@ -2,15 +2,13 @@
 
 The library works in SI units internally (kelvin, watt, metre, kilogram,
 second, pascal).  The avionics literature, however, quotes temperatures in
-degrees Celsius, heat fluxes in W/cm², interface resistances in K·mm²/W and
-air-cooling flow rates in kg/h per kW of dissipation (the ARINC 600
-convention).  These helpers perform the conversions explicitly so that no
+degrees Celsius, interface resistances in K·mm²/W and air-cooling flow
+rates in kg/h per kW of dissipation (the ARINC 600 convention).  These
+helpers perform the conversions the library needs explicitly so that no
 magic factors appear inside the solvers.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import InputError
 
@@ -61,27 +59,8 @@ def kelvin_to_celsius(temp_k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Heat flux and thermal resistance
+# Thermal resistance
 # ---------------------------------------------------------------------------
-
-def w_per_cm2_to_si(flux_w_cm2: float) -> float:
-    """Convert a heat flux from W/cm² to W/m²."""
-    return flux_w_cm2 * 1.0e4
-
-
-def si_to_w_per_cm2(flux_w_m2: float) -> float:
-    """Convert a heat flux from W/m² to W/cm²."""
-    return flux_w_m2 * 1.0e-4
-
-
-def kmm2_per_w_to_si(resistance_kmm2_w: float) -> float:
-    """Convert an area-specific thermal resistance from K·mm²/W to K·m²/W.
-
-    The K·mm²/W unit is the standard way thermal-interface-material data
-    sheets (and the NANOPACK project) quote interface resistance.
-    """
-    return resistance_kmm2_w * 1.0e-6
-
 
 def si_to_kmm2_per_w(resistance_km2_w: float) -> float:
     """Convert an area-specific thermal resistance from K·m²/W to K·mm²/W."""
@@ -113,66 +92,3 @@ def arinc_flow_to_kg_per_s(flow_kg_h_per_kw: float, power_w: float) -> float:
     if flow_kg_h_per_kw < 0.0:
         raise InputError("flow allocation must be non-negative")
     return flow_kg_h_per_kw * (power_w / 1000.0) / 3600.0
-
-
-def kg_per_s_to_arinc_flow(mass_flow_kg_s: float, power_w: float) -> float:
-    """Express an absolute mass flow as kg/h per kW of dissipation."""
-    if power_w <= 0.0:
-        raise InputError("power must be positive to normalise a flow")
-    return mass_flow_kg_s * 3600.0 / (power_w / 1000.0)
-
-
-# ---------------------------------------------------------------------------
-# Acceleration, frequency, misc
-# ---------------------------------------------------------------------------
-
-def g_to_m_s2(accel_g: float) -> float:
-    """Convert an acceleration from g units to m/s²."""
-    return accel_g * G0
-
-
-def m_s2_to_g(accel_m_s2: float) -> float:
-    """Convert an acceleration from m/s² to g units."""
-    return accel_m_s2 / G0
-
-
-def rpm_to_hz(rpm: float) -> float:
-    """Convert a rotation speed from revolutions per minute to hertz."""
-    return rpm / 60.0
-
-
-def db_per_octave_slope(value_a: float, freq_a: float, freq_b: float,
-                        slope_db_oct: float) -> float:
-    """Extrapolate a PSD value along a dB/octave slope.
-
-    Vibration specifications such as DO-160 define acceleration spectral
-    densities by a flat plateau plus rising/falling slopes expressed in
-    dB per octave.  Given the PSD ``value_a`` at frequency ``freq_a``, this
-    returns the PSD at ``freq_b`` along a ``slope_db_oct`` slope.
-    """
-    if value_a < 0.0:
-        raise InputError("PSD value must be non-negative")
-    if freq_a <= 0.0 or freq_b <= 0.0:
-        raise InputError("frequencies must be positive")
-    octaves = math.log2(freq_b / freq_a)
-    return value_a * 10.0 ** (slope_db_oct * octaves / 10.0)
-
-
-def mil_to_m(mils: float) -> float:
-    """Convert a length from mils (thousandths of an inch) to metres."""
-    return mils * 25.4e-6
-
-
-def inch_to_m(inches: float) -> float:
-    """Convert a length from inches to metres."""
-    return inches * 25.4e-3
-
-
-def hours_to_seconds(hours: float) -> float:
-    """Convert a duration from hours to seconds."""
-    return hours * 3600.0
-
-
-def seconds_to_hours(seconds: float) -> float:
-    """Convert a duration from seconds to hours."""
-    return seconds / 3600.0

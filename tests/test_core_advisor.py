@@ -6,7 +6,6 @@ from avipack.core.advisor import (
     DesignMove,
     advise,
     advise_cooling_escalation,
-    advise_mode_placement,
     junction_drop_for_mtbf,
 )
 from avipack.core.design_flow import (
@@ -14,9 +13,7 @@ from avipack.core.design_flow import (
     PackagingSpecification,
     run_design_procedure,
 )
-from avipack.core.selector import Architecture
 from avipack.errors import InputError
-from avipack.mechanical.plate import PlateSpec, fundamental_frequency
 from avipack.packaging.component import make_component
 from avipack.packaging.module import Module
 from avipack.packaging.pcb import Pcb
@@ -33,36 +30,6 @@ def build_rack(power=6.0):
                                (0.04, 0.03)))
     rack.add_module(Module("m1", pcb=board))
     return rack
-
-
-@pytest.fixture
-def soft_board():
-    return PlateSpec(0.17, 0.13, 1.2e-3, 22e9, 0.28, 1850.0,
-                     component_mass=0.3)
-
-
-class TestModePlacement:
-    def test_proposes_stiffening_and_thickness(self, soft_board):
-        moves = advise_mode_placement(soft_board, 500.0)
-        parameters = {move.parameter for move in moves}
-        assert "stiffener_rigidity" in parameters
-
-    def test_recommendation_actually_works(self, soft_board):
-        from dataclasses import replace
-
-        moves = advise_mode_placement(soft_board, 500.0)
-        rigidity = next(m.value for m in moves
-                        if m.parameter == "stiffener_rigidity")
-        fixed = replace(soft_board, stiffener_rigidity=rigidity)
-        assert fundamental_frequency(fixed) >= 499.0
-
-    def test_no_moves_when_already_stiff(self):
-        stiff = PlateSpec(0.1, 0.08, 4e-3, 70e9, 0.3, 2700.0)
-        assert advise_mode_placement(stiff, 100.0) == []
-
-    def test_invalid_target(self, soft_board):
-        with pytest.raises(InputError):
-            advise_mode_placement(soft_board, -100.0)
 
 
 class TestCoolingEscalation:

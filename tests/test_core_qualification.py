@@ -13,7 +13,6 @@ from avipack.core.qualification import (
 from avipack.core.report import render_qualification_report
 from avipack.environments.profiles import (
     AccelerationTest,
-    QualificationCampaign,
     cosee_campaign,
 )
 from avipack.errors import InputError

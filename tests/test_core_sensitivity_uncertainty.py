@@ -1,7 +1,5 @@
 """Tests for the sensitivity (tornado) and Monte-Carlo uncertainty tools."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -178,10 +176,7 @@ class TestSebMargins:
     """End-to-end: the margin numbers for the COSEE chain."""
 
     def test_delta_t_uncertainty_at_40w(self, seb, seb_lhp):
-        from avipack.packaging.seb import (
-            SeatElectronicsBox,
-            SebConfiguration,
-        )
+        from avipack.packaging.seb import SeatElectronicsBox
 
         def delta_t(params):
             box = SeatElectronicsBox(

@@ -1,7 +1,5 @@
 """Tests for DO-160, ARINC 600 and qualification profiles."""
 
-import math
-
 import pytest
 
 from avipack.errors import InputError
@@ -15,7 +13,6 @@ from avipack.environments.arinc600 import (
 )
 from avipack.environments.do160 import (
     TEMPERATURE_CATEGORIES,
-    ambient_pressure_at_altitude,
     curve_names,
     temperature_category,
     vibration_curve,
@@ -72,26 +69,6 @@ class TestTemperatureCategories:
     def test_all_categories_consistent(self):
         for cat in TEMPERATURE_CATEGORIES.values():
             assert cat.operating_low < cat.operating_high
-
-
-class TestAltitude:
-    def test_sea_level(self):
-        assert ambient_pressure_at_altitude(0.0) \
-            == pytest.approx(101_325.0)
-
-    def test_cruise_altitude(self):
-        # 11 km: ~22.6 kPa.
-        assert ambient_pressure_at_altitude(11_000.0) \
-            == pytest.approx(22_632.0, rel=0.01)
-
-    def test_monotone_decreasing(self):
-        p = [ambient_pressure_at_altitude(h)
-             for h in (0.0, 3000.0, 8000.0, 12_000.0, 16_000.0)]
-        assert p == sorted(p, reverse=True)
-
-    def test_negative_altitude_rejected(self):
-        with pytest.raises(InputError):
-            ambient_pressure_at_altitude(-100.0)
 
 
 class TestArinc600:

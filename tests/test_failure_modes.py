@@ -8,11 +8,10 @@ cooling.
 
 import pytest
 
-from avipack.errors import InputError, OperatingLimitError
-from avipack.packaging.seb import SeatElectronicsBox, SebConfiguration
+from avipack.errors import OperatingLimitError
+from avipack.packaging.seb import SebConfiguration
 from avipack.thermal.network import ThermalNetwork
 from avipack.twophase.heatpipe import standard_copper_water_heatpipe
-from avipack.twophase.loopheatpipe import cosee_ammonia_lhp
 
 
 class TestDeviceFailureModes:

@@ -231,8 +231,10 @@ def test_every_module_has_a_user_outside_the_tests():
     An import counts as a use even when the importing code is itself
     never run, so a chain of dead modules passes (a module imported only
     by an uncalled function of another).  A green guard does not mean no
-    dead module is left; ``benchmarks/call_probe.py``, which records the
-    calls every user path makes, is what finds such chains."""
+    dead module is left.  Such chains were found by a call probe that
+    recorded the calls every user path makes; it was retired once the
+    last round of ROADMAP item 9 had deleted what it found, and its
+    final residue is recorded under that item."""
     modules = _module_files()
     reexports = {name: _reexports(path, name, modules)
                  for name, (path, package) in modules.items() if package}

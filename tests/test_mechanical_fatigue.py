@@ -7,7 +7,6 @@ from avipack.mechanical.fatigue import (
     CYCLES_TO_FAIL_RANDOM,
     fatigue_life_hours,
     margin_of_safety,
-    sn_cycles_to_failure,
     steinberg_allowable_deflection,
     thermal_cycling_life_coffin_manson,
     three_band_damage_rate,
@@ -46,21 +45,6 @@ class TestSteinberg:
     def test_unknown_type_rejected(self):
         with pytest.raises(InputError):
             steinberg_allowable_deflection(0.2, 0.02, "mystery_package")
-
-
-class TestSnCurve:
-    def test_reference_point(self):
-        assert sn_cycles_to_failure(100e6, 100e6, 1e3) \
-            == pytest.approx(1e3)
-
-    def test_half_stress_much_longer_life(self):
-        n_full = sn_cycles_to_failure(100e6, 100e6)
-        n_half = sn_cycles_to_failure(50e6, 100e6)
-        assert n_half == pytest.approx(n_full * 2 ** 6.4, rel=1e-9)
-
-    def test_invalid_stress(self):
-        with pytest.raises(InputError):
-            sn_cycles_to_failure(-1.0, 100e6)
 
 
 class TestThreeBand:

@@ -12,7 +12,6 @@ from avipack.mechanical.isolation import (
     static_sag,
     stiffness_for_frequency,
 )
-from avipack.mechanical.random_vibration import PowerSpectralDensity
 
 
 @pytest.fixture

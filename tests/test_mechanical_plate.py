@@ -9,10 +9,8 @@ from avipack.errors import InputError
 from avipack.mechanical.plate import (
     PlateSpec,
     fundamental_frequency,
-    mode_shape,
     plate_modes,
     stiffener_rigidity_for_frequency,
-    thickness_for_frequency,
 )
 
 
@@ -79,34 +77,7 @@ class TestParameterEffects:
             < fundamental_frequency(fr4_board)
 
 
-class TestModeShape:
-    def test_center_antinode_mode11(self, fr4_board):
-        mode = plate_modes(fr4_board, 1)[0]
-        assert mode_shape(fr4_board, mode, 0.085, 0.065) \
-            == pytest.approx(1.0)
-
-    def test_edges_are_nodes(self, fr4_board):
-        mode = plate_modes(fr4_board, 1)[0]
-        assert mode_shape(fr4_board, mode, 0.0, 0.065) \
-            == pytest.approx(0.0, abs=1e-12)
-
-    def test_off_plate_rejected(self, fr4_board):
-        mode = plate_modes(fr4_board, 1)[0]
-        with pytest.raises(InputError):
-            mode_shape(fr4_board, mode, 1.0, 0.065)
-
-
 class TestDesignHelpers:
-    def test_thickness_for_500hz(self, fr4_board):
-        # The Ariane power-supply design move: place the mode at 500 Hz.
-        thickness = thickness_for_frequency(fr4_board, 500.0)
-        placed = replace(fr4_board, thickness=thickness)
-        assert fundamental_frequency(placed) == pytest.approx(500.0,
-                                                              abs=1.0)
-
-    def test_unreachable_target_rejected(self, fr4_board):
-        with pytest.raises(InputError):
-            thickness_for_frequency(fr4_board, 1.0e6)
 
     def test_stiffener_for_frequency(self, fr4_board):
         rigidity = stiffener_rigidity_for_frequency(fr4_board, 500.0)

@@ -9,9 +9,7 @@ from avipack.mechanical.random_vibration import (
     PowerSpectralDensity,
     default_q_factor,
     miles_rms_acceleration,
-    positive_crossings_per_second,
     rms_displacement_from_acceleration,
-    three_sigma,
 )
 
 
@@ -102,16 +100,6 @@ class TestDerived:
     def test_displacement_falls_with_frequency(self):
         assert rms_displacement_from_acceleration(1.0, 400.0) \
             < rms_displacement_from_acceleration(1.0, 100.0)
-
-    def test_three_sigma(self):
-        assert three_sigma(2.0) == pytest.approx(6.0)
-
-    def test_three_sigma_negative_rejected(self):
-        with pytest.raises(InputError):
-            three_sigma(-1.0)
-
-    def test_crossings_equal_frequency(self):
-        assert positive_crossings_per_second(123.0) == pytest.approx(123.0)
 
     def test_default_q_is_sqrt_f(self):
         assert default_q_factor(400.0) == pytest.approx(20.0)

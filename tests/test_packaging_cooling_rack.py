@@ -12,7 +12,6 @@ from avipack.packaging.cooling import (
 )
 from avipack.packaging.module import Module, module_generation
 from avipack.packaging.rack import Rack, computer_rack
-from avipack.units import celsius_to_kelvin
 
 
 class TestCoolingTechniques:

@@ -6,7 +6,6 @@ from avipack.errors import InputError
 from avipack.packaging.formfactors import (
     ATR_WIDTHS,
     AtrCase,
-    generation_power_density,
 )
 
 
@@ -42,18 +41,3 @@ class TestAtrCase:
     def test_negative_power_density(self):
         with pytest.raises(InputError):
             AtrCase("1/2_atr").power_density(-1.0)
-
-
-class TestGenerationDensity:
-    def test_trend_triples_then_doubles(self):
-        densities = dict(generation_power_density())
-        assert densities["near_future"] \
-            == pytest.approx(3.0 * densities["current"])
-        assert densities["next"] \
-            == pytest.approx(2.0 * densities["near_future"])
-
-    def test_next_generation_exceeds_40w_per_litre(self):
-        # The squeeze in absolute numbers: ~47 W/litre in a 1/2 ATR -
-        # beyond what free or direct forced air handles.
-        densities = dict(generation_power_density())
-        assert densities["next"] > 40.0

@@ -17,11 +17,6 @@ from avipack.errors import InputError
 from avipack.perf import SolveStats, format_stats
 from avipack.sweep.cache import CacheStats
 from avipack.sweep.report import SweepReport, render_sweep_document
-from avipack.thermal.conduction import (
-    BoundaryCondition,
-    CartesianGrid,
-    ConductionSolver,
-)
 from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
 
@@ -210,23 +205,6 @@ class TestNetworkCounters:
         solver.integrate(duration=100.0, time_step=2.0)
         assert perf.stats("network.transient").factorizations == 2
 
-    def test_conduction_transient_factorizes_once(self):
-        grid = CartesianGrid((4, 3, 2), (0.04, 0.03, 0.004),
-                             conductivity=5.0, density=2000.0,
-                             specific_heat=900.0)
-        grid.add_power(grid.region_slices((0.0, 0.04), (0.0, 0.03),
-                                          (0.0, 0.004)), 2.0)
-        solver = ConductionSolver(grid)
-        solver.set_boundary("z_min",
-                            BoundaryCondition("convection", 50.0, 300.0))
-        solver.solve_transient(duration=50.0, time_step=1.0,
-                               initial_temperature=320.0)
-        s = perf.stats("conduction.transient")
-        assert s.solves == 1
-        assert s.iterations == 50
-        assert s.factorizations == 1
-        assert s.factorization_reuses == 49
-
 
 class TestReportRendering:
     def test_performance_section_renders(self):
@@ -285,7 +263,7 @@ class TestSweepCarriesPerf:
         assert report.perf, "sweep should surface solver counters"
         kernels = {s.kernel for s in report.perf}
         assert kernels <= {"network.steady", "network.transient",
-                           "conduction.steady", "conduction.transient"}
+                           "conduction.steady"}
         assert all(not s.empty for s in report.perf)
 
 

@@ -10,12 +10,8 @@ from avipack.mechanical.isolation import Isolator
 from avipack.mechanical.plate import PlateSpec, fundamental_frequency
 from avipack.mechanical.random_vibration import PowerSpectralDensity
 from avipack.materials.fluids import air_properties, saturation_properties
-from avipack.thermal.network import (
-    ThermalNetwork,
-    parallel_resistance,
-    series_resistance,
-)
-from avipack.tim.models import bruggeman, lewis_nielsen, maxwell_garnett
+from avipack.thermal.network import ThermalNetwork
+from avipack.tim.models import lewis_nielsen
 from avipack.units import celsius_to_kelvin, kelvin_to_celsius
 
 positive = st.floats(min_value=1e-3, max_value=1e3,
@@ -27,23 +23,6 @@ class TestUnitsProperties:
     def test_temperature_roundtrip(self, t_c):
         assert kelvin_to_celsius(celsius_to_kelvin(t_c)) \
             == pytest.approx(t_c, abs=1e-9)
-
-
-class TestResistanceAlgebra:
-    @given(st.lists(positive, min_size=1, max_size=6))
-    def test_series_at_least_max(self, resistances):
-        assert series_resistance(*resistances) \
-            >= max(resistances) - 1e-12
-
-    @given(st.lists(positive, min_size=1, max_size=6))
-    def test_parallel_at_most_min(self, resistances):
-        assert parallel_resistance(*resistances) \
-            <= min(resistances) + 1e-12
-
-    @given(positive, positive)
-    def test_parallel_symmetric(self, r1, r2):
-        assert parallel_resistance(r1, r2) \
-            == pytest.approx(parallel_resistance(r2, r1))
 
 
 class TestNetworkProperties:
@@ -103,19 +82,6 @@ class TestEffectiveMediumProperties:
     k_pair = st.tuples(st.floats(min_value=0.05, max_value=2.0),
                        st.floats(min_value=5.0, max_value=500.0))
 
-    @given(k_pair, st.floats(min_value=0.0, max_value=0.6))
-    def test_mg_between_phases(self, ks, phi):
-        k_m, k_f = ks
-        k = maxwell_garnett(k_m, k_f, phi)
-        assert k_m - 1e-9 <= k <= k_f + 1e-9
-
-    @given(k_pair, st.floats(min_value=0.0, max_value=0.95))
-    @settings(max_examples=50)
-    def test_bruggeman_between_phases(self, ks, phi):
-        k_m, k_f = ks
-        k = bruggeman(k_m, k_f, phi)
-        assert k_m - 1e-6 <= k <= k_f + 1e-6
-
     @given(k_pair,
            st.floats(min_value=0.01, max_value=0.45),
            st.floats(min_value=0.01, max_value=0.45))
@@ -125,15 +91,6 @@ class TestEffectiveMediumProperties:
         lo, hi = sorted((phi1, phi2))
         assert lewis_nielsen(k_m, k_f, lo, "spheres") \
             <= lewis_nielsen(k_m, k_f, hi, "spheres") + 1e-9
-
-    @given(k_pair, st.floats(min_value=0.0, max_value=0.45))
-    def test_bruggeman_above_mg(self, ks, phi):
-        # For conductive fillers Bruggeman >= Maxwell-Garnett (it lets
-        # filler particles touch).
-        k_m, k_f = ks
-        assume(k_f > k_m)
-        assert bruggeman(k_m, k_f, phi) \
-            >= maxwell_garnett(k_m, k_f, phi) - 1e-6
 
 
 class TestFluidProperties:

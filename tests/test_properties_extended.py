@@ -1,7 +1,7 @@
 """Property-based tests for the extension modules."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avipack.mechanical.thermomechanical import (

@@ -6,7 +6,6 @@ from avipack.errors import InputError
 from avipack.reliability.mtbf import (
     PartReliability,
     fan_reliability_penalty,
-    mtbf_improvement_factor,
     predict_mtbf,
 )
 from avipack.units import celsius_to_kelvin
@@ -108,17 +107,6 @@ class TestPrediction:
 
 
 class TestImprovements:
-    def test_lhp_cooling_improves_mtbf(self, parts):
-        # The COSEE payoff: a 32 degC junction drop more than doubles
-        # predicted MTBF through Arrhenius.
-        factor = mtbf_improvement_factor(parts, junctions(92.0),
-                                         junctions(60.0))
-        assert factor > 2.0
-
-    def test_identity_when_unchanged(self, parts):
-        factor = mtbf_improvement_factor(parts, junctions(60.0),
-                                         junctions(60.0))
-        assert factor == pytest.approx(1.0)
 
     def test_fan_penalty(self):
         # Fans dominate: 2 fans on a 5000-FIT box cost >3x MTBF.

@@ -1,7 +1,5 @@
 """Disk-budget primitives: usage probe, watermark latch, policy."""
 
-import os
-
 import pytest
 
 from avipack.errors import InputError

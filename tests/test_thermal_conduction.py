@@ -306,55 +306,6 @@ class TestSteady2D3D:
         assert sol.mean_temperature() == pytest.approx(expected, rel=0.05)
 
 
-class TestTransient:
-    def test_relaxation_to_steady(self):
-        grid = CartesianGrid((10, 1, 1), (0.01, 0.01, 0.01),
-                             conductivity=200.0, density=2700.0,
-                             specific_heat=900.0)
-        region = grid.region_slices((0.0, 0.01), (0.0, 0.01), (0.0, 0.01))
-        grid.add_power(region, 2.0)
-        solver = ConductionSolver(grid, {
-            "x_max": BoundaryCondition("convection", 500.0, ambient=300.0),
-        })
-        steady = solver.solve_steady()
-        transient = solver.solve_transient(initial_temperature=300.0,
-                                           duration=2000.0, time_step=10.0)
-        assert transient.final_field() == pytest.approx(
-            steady.temperatures, rel=0.01)
-
-    def test_monotonic_heating(self):
-        grid = CartesianGrid((5, 1, 1), (0.01, 0.01, 0.01),
-                             conductivity=200.0)
-        region = grid.region_slices((0.0, 0.01), (0.0, 0.01), (0.0, 0.01))
-        grid.add_power(region, 1.0)
-        solver = ConductionSolver(grid, {
-            "x_max": BoundaryCondition("convection", 100.0, ambient=300.0),
-        })
-        result = solver.solve_transient(300.0, 100.0, 1.0)
-        peaks = result.max_temperature_history()
-        assert np.all(np.diff(peaks) >= -1e-9)
-
-    def test_time_to_reach(self):
-        grid = CartesianGrid((5, 1, 1), (0.01, 0.01, 0.01),
-                             conductivity=200.0)
-        region = grid.region_slices((0.0, 0.01), (0.0, 0.01), (0.0, 0.01))
-        grid.add_power(region, 5.0)
-        solver = ConductionSolver(grid, {
-            "x_max": BoundaryCondition("convection", 50.0, ambient=300.0),
-        })
-        result = solver.solve_transient(300.0, 500.0, 5.0)
-        t_400 = result.time_to_reach(400.0)
-        assert 0.0 < t_400 < 500.0
-        assert result.time_to_reach(1.0e6) == float("inf")
-
-    def test_invalid_duration(self):
-        grid = CartesianGrid((5, 1, 1), (0.01, 0.01, 0.01))
-        solver = ConductionSolver(grid, {
-            "x_max": BoundaryCondition("temperature", 300.0)})
-        with pytest.raises(InputError):
-            solver.solve_transient(300.0, -1.0, 0.1)
-
-
 class TestValidation:
     def test_all_adiabatic_singular(self):
         grid = CartesianGrid((5, 1, 1), (0.01, 0.01, 0.01))

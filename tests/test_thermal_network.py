@@ -5,9 +5,6 @@ import pytest
 from avipack.errors import InputError
 from avipack.thermal.network import (
     ThermalNetwork,
-    parallel_resistance,
-    series_resistance,
-    slab_resistance,
     spreading_resistance,
 )
 
@@ -246,27 +243,6 @@ class TestCompiledCore:
 
 
 class TestResistanceHelpers:
-    def test_series(self):
-        assert series_resistance(1.0, 2.0, 3.0) == pytest.approx(6.0)
-
-    def test_parallel(self):
-        assert parallel_resistance(2.0, 2.0) == pytest.approx(1.0)
-
-    def test_parallel_dominated_by_smallest(self):
-        assert parallel_resistance(0.1, 100.0) < 0.1
-
-    def test_slab(self):
-        # 1 mm of aluminium over 1 cm2: R = 1e-3/(167*1e-4).
-        assert slab_resistance(1e-3, 167.0, 1e-4) \
-            == pytest.approx(1e-3 / (167.0 * 1e-4))
-
-    def test_slab_invalid(self):
-        with pytest.raises(InputError):
-            slab_resistance(-1e-3, 167.0, 1e-4)
-
-    def test_empty_series(self):
-        with pytest.raises(InputError):
-            series_resistance()
 
     def test_spreading_resistance_positive(self):
         r = spreading_resistance(2e-3, 20e-3, 2e-3, 167.0)

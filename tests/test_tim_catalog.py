@@ -3,7 +3,7 @@
 import pytest
 
 from avipack.errors import InputError, MaterialNotFoundError
-from avipack.tim.catalog import best_tim_for_target, get_tim, list_tims
+from avipack.tim.catalog import get_tim, list_tims
 from avipack.tim.interface import meets_nanopack_target
 
 
@@ -64,29 +64,3 @@ class TestAssembly:
     def test_invalid_area(self):
         with pytest.raises(InputError):
             get_tim("standard_grease").assemble(-1e-4)
-
-
-class TestSelection:
-    def test_best_tim_prefers_least_exotic(self):
-        # A loose 60 K.mm2/W target should NOT pick a nanopack material.
-        material = best_tim_for_target(60.0, 1e-4)
-        assert material is not None
-        assert not material.name.startswith("nanopack")
-
-    def test_tight_target_needs_nanopack(self):
-        material = best_tim_for_target(4.0, 1e-4, hnc_surface=True)
-        assert material is not None
-        assert material.name.startswith("nanopack")
-
-    def test_insulating_requirement_filters(self):
-        material = best_tim_for_target(60.0, 1e-4,
-                                       require_insulating=True)
-        assert material is not None
-        assert not material.electrically_conductive
-
-    def test_impossible_target_returns_none(self):
-        assert best_tim_for_target(0.01, 1e-4) is None
-
-    def test_invalid_target(self):
-        with pytest.raises(InputError):
-            best_tim_for_target(-1.0, 1e-4)

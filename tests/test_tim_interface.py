@@ -6,9 +6,7 @@ from avipack.errors import InputError
 from avipack.tim.interface import (
     ThermalInterface,
     bond_line_thickness,
-    contact_resistance_mikic,
     meets_nanopack_target,
-    series_interface_resistance,
 )
 
 
@@ -93,39 +91,6 @@ class TestBltScaling:
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
             bond_line_thickness(-5e-6, 10.0, 3e5)
-
-
-class TestMikicContact:
-    def test_magnitude_aluminum_joint(self):
-        # Al-Al, 1 um roughness, 1 MPa on 1 GPa hardness: R ~ 1e-4 K.m2/W
-        # class (dry joints are bad - the reason TIMs exist).
-        r = contact_resistance_mikic(1e-6, 0.1, 180.0, 1e6, 1e9)
-        assert 1e-6 < r < 1e-3
-
-    def test_pressure_improves_contact(self):
-        low = contact_resistance_mikic(1e-6, 0.1, 180.0, 0.5e6, 1e9)
-        high = contact_resistance_mikic(1e-6, 0.1, 180.0, 5e6, 1e9)
-        assert high < low
-
-    def test_rough_surface_worse(self):
-        smooth = contact_resistance_mikic(0.5e-6, 0.1, 180.0, 1e6, 1e9)
-        rough = contact_resistance_mikic(5e-6, 0.1, 180.0, 1e6, 1e9)
-        assert rough > smooth
-
-    def test_pressure_above_hardness_rejected(self):
-        with pytest.raises(InputError):
-            contact_resistance_mikic(1e-6, 0.1, 180.0, 2e9, 1e9)
-
-
-class TestSeries:
-    def test_two_interfaces_add(self, good_interface):
-        total = series_interface_resistance(good_interface,
-                                            good_interface)
-        assert total == pytest.approx(2.0 * good_interface.resistance)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            series_interface_resistance()
 
 
 class TestValidation:

@@ -4,59 +4,13 @@ import pytest
 
 from avipack.errors import InputError
 from avipack.tim.models import (
-    bruggeman,
-    cnt_array_conductivity,
     electrical_resistivity_filled,
     lewis_nielsen,
     loading_for_conductivity,
-    maxwell_garnett,
-    percolation_conductivity,
 )
 
 K_EPOXY = 0.2
 K_SILVER = 429.0
-
-
-class TestMaxwellGarnett:
-    def test_zero_loading_gives_matrix(self):
-        assert maxwell_garnett(K_EPOXY, K_SILVER, 0.0) \
-            == pytest.approx(K_EPOXY)
-
-    def test_monotonic_in_loading(self):
-        values = [maxwell_garnett(K_EPOXY, K_SILVER, phi)
-                  for phi in (0.0, 0.1, 0.2, 0.3)]
-        assert values == sorted(values)
-
-    def test_dilute_limit_slope(self):
-        # MG with k_f >> k_m: k/k_m -> (1+2phi)/(1-phi) ~ 1+3phi.
-        phi = 0.01
-        assert maxwell_garnett(K_EPOXY, K_SILVER, phi) / K_EPOXY \
-            == pytest.approx(1.0 + 3.0 * phi, rel=0.02)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(InputError):
-            maxwell_garnett(K_EPOXY, K_SILVER, 1.0)
-
-
-class TestBruggeman:
-    def test_reduces_to_matrix_at_zero(self):
-        assert bruggeman(K_EPOXY, K_SILVER, 0.0) == pytest.approx(K_EPOXY,
-                                                                  rel=1e-6)
-
-    def test_reduces_to_filler_at_unity_approach(self):
-        assert bruggeman(K_EPOXY, K_SILVER, 0.99) \
-            == pytest.approx(K_SILVER, rel=0.05)
-
-    def test_percolation_kick_above_one_third(self):
-        # For k_f >> k_m, Bruggeman jumps near phi = 1/3.
-        below = bruggeman(K_EPOXY, K_SILVER, 0.30)
-        above = bruggeman(K_EPOXY, K_SILVER, 0.40)
-        assert above > 10.0 * below
-
-    def test_beats_maxwell_garnett_at_high_loading(self):
-        phi = 0.45
-        assert bruggeman(K_EPOXY, K_SILVER, phi) \
-            > maxwell_garnett(K_EPOXY, K_SILVER, phi)
 
 
 class TestLewisNielsen:
@@ -93,21 +47,6 @@ class TestLewisNielsen:
             loading_for_conductivity(K_EPOXY, K_SILVER, 0.1)
 
 
-class TestPercolation:
-    def test_below_threshold_is_mg(self):
-        assert percolation_conductivity(K_EPOXY, K_SILVER, 0.1) \
-            == pytest.approx(maxwell_garnett(K_EPOXY, K_SILVER, 0.1))
-
-    def test_above_threshold_network_dominates(self):
-        k = percolation_conductivity(K_EPOXY, K_SILVER, 0.5)
-        assert k > 10.0 * maxwell_garnett(K_EPOXY, K_SILVER, 0.17)
-
-    def test_continuous_at_threshold(self):
-        just_below = percolation_conductivity(K_EPOXY, K_SILVER, 0.1699)
-        just_above = percolation_conductivity(K_EPOXY, K_SILVER, 0.1701)
-        assert just_above == pytest.approx(just_below, rel=0.02)
-
-
 class TestElectrical:
     def test_insulating_below_threshold(self):
         assert electrical_resistivity_filled(1e-7, 0.1) == float("inf")
@@ -124,18 +63,3 @@ class TestElectrical:
     def test_monotone_decreasing(self):
         assert electrical_resistivity_filled(1e-7, 0.6) \
             < electrical_resistivity_filled(1e-7, 0.3)
-
-
-class TestCntArray:
-    def test_nanopack_20_w_mk_class(self):
-        # MWCNT bundles ~300 W/m.K at ~8% areal density: ~20 W/m.K.
-        k = cnt_array_conductivity(300.0, 0.08, 0.85)
-        assert k == pytest.approx(20.4, rel=0.02)
-
-    def test_scales_with_density(self):
-        assert cnt_array_conductivity(300.0, 0.2) \
-            == pytest.approx(2.0 * cnt_array_conductivity(300.0, 0.1))
-
-    def test_invalid_density(self):
-        with pytest.raises(InputError):
-            cnt_array_conductivity(300.0, 1.5)

@@ -6,7 +6,6 @@ import pytest
 
 from avipack.errors import InputError, OperatingLimitError
 from avipack.twophase.loopheatpipe import (
-    LoopHeatPipe,
     TransportLine,
     cosee_ammonia_lhp,
 )

@@ -5,10 +5,7 @@ from dataclasses import replace
 import pytest
 
 from avipack.errors import InputError, OperatingLimitError
-from avipack.twophase.vaporchamber import (
-    VaporChamber,
-    electronics_vapor_chamber,
-)
+from avipack.twophase.vaporchamber import electronics_vapor_chamber
 from avipack.twophase.wick import sintered_necked_wick, \
     sintered_powder_wick
 

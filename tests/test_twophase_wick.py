@@ -5,8 +5,6 @@ import pytest
 from avipack.errors import InputError
 from avipack.twophase.wick import (
     Wick,
-    axial_groove_wick,
-    screen_mesh_wick,
     sintered_powder_wick,
 )
 
@@ -39,41 +37,6 @@ class TestSinteredPowder:
     def test_invalid_porosity(self):
         with pytest.raises(InputError):
             sintered_powder_wick(50e-6, 1.2, 398.0, 0.63)
-
-
-class TestScreenMesh:
-    def test_standard_mesh(self):
-        # 100 mesh/inch ~ 3937 /m, 0.1 mm wire.
-        wick = screen_mesh_wick(3937.0, 1.0e-4, 4, 398.0, 0.63)
-        assert 0.0 < wick.porosity < 1.0
-        assert wick.effective_pore_radius == pytest.approx(
-            1.0 / (2.0 * 3937.0))
-
-    def test_too_dense_mesh_rejected(self):
-        # Mesh x wire too large -> negative porosity.
-        with pytest.raises(InputError):
-            screen_mesh_wick(10_000.0, 2.0e-4, 4, 398.0, 0.63)
-
-    def test_invalid_layers(self):
-        with pytest.raises(InputError):
-            screen_mesh_wick(3937.0, 1.0e-4, 0, 398.0, 0.63)
-
-
-class TestAxialGroove:
-    def test_groove_highly_permeable(self):
-        groove = axial_groove_wick(0.4e-3, 0.8e-3, 20, 167.0, 0.63)
-        sintered = sintered_powder_wick(50e-6, 0.5, 398.0, 0.63)
-        assert groove.permeability > 100.0 * sintered.permeability
-
-    def test_groove_weak_pump(self):
-        groove = axial_groove_wick(0.4e-3, 0.8e-3, 20, 167.0, 0.63)
-        sintered = sintered_powder_wick(50e-6, 0.5, 398.0, 0.63)
-        assert groove.max_capillary_pressure(0.06) \
-            < sintered.max_capillary_pressure(0.06)
-
-    def test_invalid_groove(self):
-        with pytest.raises(InputError):
-            axial_groove_wick(-0.4e-3, 0.8e-3, 20, 167.0, 0.63)
 
 
 class TestWickBase:

@@ -1,7 +1,5 @@
 """Tests for avipack.units conversions and constants."""
 
-import math
-
 import pytest
 
 from avipack import units
@@ -31,21 +29,8 @@ class TestTemperature:
 
 
 class TestFluxAndResistance:
-    def test_flux_roundtrip(self):
-        assert units.si_to_w_per_cm2(units.w_per_cm2_to_si(100.0)) \
-            == pytest.approx(100.0)
-
-    def test_100_w_cm2_is_1e6_si(self):
-        # The paper's hot-spot ceiling.
-        assert units.w_per_cm2_to_si(100.0) == pytest.approx(1.0e6)
-
     def test_resistance_roundtrip(self):
-        assert units.si_to_kmm2_per_w(units.kmm2_per_w_to_si(5.0)) \
-            == pytest.approx(5.0)
-
-    def test_nanopack_target_in_si(self):
-        # 5 K.mm2/W = 5e-6 K.m2/W.
-        assert units.kmm2_per_w_to_si(5.0) == pytest.approx(5.0e-6)
+        assert units.si_to_kmm2_per_w(5.0e-6) == pytest.approx(5.0)
 
 
 class TestArincFlow:
@@ -56,8 +41,7 @@ class TestArincFlow:
 
     def test_roundtrip(self):
         flow = units.arinc_flow_to_kg_per_s(220.0, 450.0)
-        assert units.kg_per_s_to_arinc_flow(flow, 450.0) \
-            == pytest.approx(220.0)
+        assert flow * 3600.0 / 0.450 == pytest.approx(220.0)
 
     def test_zero_power_gives_zero_flow(self):
         assert units.arinc_flow_to_kg_per_s(220.0, 0.0) == 0.0
@@ -65,50 +49,6 @@ class TestArincFlow:
     def test_negative_power_rejected(self):
         with pytest.raises(InputError):
             units.arinc_flow_to_kg_per_s(220.0, -1.0)
-
-    def test_normalising_zero_power_rejected(self):
-        with pytest.raises(InputError):
-            units.kg_per_s_to_arinc_flow(0.1, 0.0)
-
-
-class TestAcceleration:
-    def test_one_g(self):
-        assert units.g_to_m_s2(1.0) == pytest.approx(9.80665)
-
-    def test_roundtrip(self):
-        assert units.m_s2_to_g(units.g_to_m_s2(9.0)) == pytest.approx(9.0)
-
-
-class TestDbPerOctave:
-    def test_plus_6db_doubles_frequency_quadruples_psd(self):
-        value = units.db_per_octave_slope(0.01, 100.0, 200.0, 6.0)
-        assert value == pytest.approx(0.01 * 10 ** 0.6, rel=1e-9)
-
-    def test_zero_slope_flat(self):
-        assert units.db_per_octave_slope(0.01, 100.0, 400.0, 0.0) \
-            == pytest.approx(0.01)
-
-    def test_negative_slope_decreases(self):
-        assert units.db_per_octave_slope(0.01, 100.0, 200.0, -6.0) < 0.01
-
-    def test_invalid_frequency_rejected(self):
-        with pytest.raises(InputError):
-            units.db_per_octave_slope(0.01, 0.0, 100.0, 6.0)
-
-
-class TestLengthsAndTime:
-    def test_mil(self):
-        assert units.mil_to_m(1000.0) == pytest.approx(25.4e-3)
-
-    def test_inch(self):
-        assert units.inch_to_m(1.0) == pytest.approx(25.4e-3)
-
-    def test_hours_roundtrip(self):
-        assert units.seconds_to_hours(units.hours_to_seconds(40_000.0)) \
-            == pytest.approx(40_000.0)
-
-    def test_rpm(self):
-        assert units.rpm_to_hz(3000.0) == pytest.approx(50.0)
 
 
 class TestConstants:
