@@ -55,9 +55,24 @@ per line:
 * the SHA-256 is 43 characters of unpadded base64 instead of 64 hex
   digits, still over the full digest.
 
-Together that is ~90 bytes less per outcome line.  Schema-1 (plain
-pickle), schema-2 (unprimed zlib) and schema-3 (hex SHA-256, payloads
-carrying their fingerprint) journals still replay, resume, ingest and
+Together that is ~90 bytes less per outcome line.  Schema 5 also
+leaves the candidate to the plan:
+
+* an outcome payload is pickled with ``candidate=None``; replay keeps
+  the candidate list of the latest intact ``plan`` or ``checkpoint``
+  record read so far, in file order, and the outcome takes
+  ``plan[outcome.index]``.  The line is quarantined when no intact plan
+  precedes it, when its index is outside that plan, or when the plan's
+  candidate at the index has another fingerprint than the envelope —
+  so a line is never paired with a candidate it was not written for;
+* a payload may still embed its candidate: a compaction checkpoint
+  does so for an outcome whose candidate its plan does not hold at
+  that index (a resume over a subset space leaves such orphans), and
+  the resume audit's fingerprint-integrity check covers it.
+
+Schema-1 (plain pickle), schema-2 (unprimed zlib), schema-3 (hex
+SHA-256, payloads carrying their fingerprint) and schema-4 (payloads
+carrying their candidate) journals still replay, resume, ingest and
 compact, and each line is verified and decoded by its own
 ``schema_version``.  A different dictionary is a new schema version;
 the old dictionary stays as the decoder of the journals written with it.
@@ -100,11 +115,15 @@ __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
 
 #: Bump when the record encoding changes; replay quarantines any
 #: version it has no decoder for rather than guessing at its layout.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: The first schema whose outcome payloads leave the fingerprint to the
 #: envelope and whose lines carry the SHA-256 as unpadded base64.
 _LEAN_SCHEMA = 4
+
+#: The first schema whose outcome payloads leave the candidate to the
+#: plan record in force.
+_PLAN_CANDIDATE_SCHEMA = 5
 
 #: The preset-dictionary flag (FDICT) of a zlib stream header's FLG byte.
 _FDICT = 0x20
@@ -138,7 +157,7 @@ def _inflate(data: bytes) -> bytes:
 
 
 def _inflate_primed(data: bytes) -> bytes:
-    """Decode a schema-3 or -4 payload: one whole zlib stream primed with
+    """Decode a schema-3 to -5 payload: one whole zlib stream primed with
     :data:`SCHEMA3_ZDICT`.
 
     zlib also accepts a stream written without a dictionary, so that is
@@ -150,10 +169,12 @@ def _inflate_primed(data: bytes) -> bytes:
 
 
 #: Payload decoder per readable ``schema_version``: 1 wrote plain
-#: pickles, 2 unprimed zlib, 3 and 4 zlib primed with
-#: :data:`SCHEMA3_ZDICT` (4 without the outcome's fingerprint).
+#: pickles, 2 unprimed zlib, 3 to 5 zlib primed with
+#: :data:`SCHEMA3_ZDICT` (4 without the outcome's fingerprint, 5 also
+#: without its candidate).
 _PAYLOAD_DECODERS = {1: lambda data: data, 2: _inflate,
-                     3: _inflate_primed, 4: _inflate_primed}
+                     3: _inflate_primed, 4: _inflate_primed,
+                     5: _inflate_primed}
 
 
 def _open_locked(path: str):
@@ -224,21 +245,50 @@ def _decode_payload(text: str,
         base64.b64decode(text.encode())))
 
 
-def _encode_outcome(outcome: "CandidateOutcome") -> str:
-    """An outcome payload without the fingerprint its envelope carries."""
+def _encode_outcome(outcome: "CandidateOutcome",
+                    embed_candidate: bool = False) -> str:
+    """An outcome payload without the fingerprint its envelope carries
+    and, unless ``embed_candidate``, without the candidate its plan
+    record holds."""
     stripped = copy.copy(outcome)
     object.__setattr__(stripped, "fingerprint", "")
+    if not embed_candidate:
+        object.__setattr__(stripped, "candidate", None)
     return _encode_payload(stripped)
 
 
+def _plan_candidate(plan: Optional[Tuple["Candidate", ...]], index: Any,
+                    fingerprint: str) -> "Candidate":
+    """``plan[index]``, the candidate a schema-5 outcome was written for;
+    raises :class:`_DamagedRecord` unless it is the candidate
+    fingerprinted ``fingerprint``."""
+    if plan is None:
+        raise _DamagedRecord("outcome has no intact plan record before it")
+    if type(index) is not int or not 0 <= index < len(plan):
+        raise _DamagedRecord(f"outcome index {index!r} is outside the "
+                             f"plan's {len(plan)} candidates")
+    candidate = plan[index]
+    if candidate.fingerprint != fingerprint:
+        raise _DamagedRecord(
+            f"plan candidate {index} hashes to {candidate.fingerprint[:12]},"
+            f" not the outcome's {fingerprint[:12]}")
+    return candidate
+
+
 def _decode_outcome(text: str, fingerprint: str,
-                    schema_version: int = SCHEMA_VERSION
+                    schema_version: int = SCHEMA_VERSION,
+                    plan: Optional[Tuple["Candidate", ...]] = None
                     ) -> "CandidateOutcome":
     """Decode an outcome payload; from schema 4 on, the outcome takes
-    ``fingerprint``, its envelope's copy."""
+    ``fingerprint``, its envelope's copy, and from schema 5 on, unless
+    the payload embeds it, its candidate from ``plan``."""
     outcome = _decode_payload(text, schema_version)
     if schema_version >= _LEAN_SCHEMA:
         object.__setattr__(outcome, "fingerprint", fingerprint)
+    if (schema_version >= _PLAN_CANDIDATE_SCHEMA
+            and outcome.candidate is None):
+        object.__setattr__(outcome, "candidate", _plan_candidate(
+            plan, outcome.index, fingerprint))
     return outcome
 
 
@@ -393,8 +443,8 @@ class JournalReplay:
     """Everything an intact-prefix replay of one journal recovered."""
 
     path: str
-    #: Candidate set from the latest intact plan record (None if no
-    #: plan record survived — resuming is then impossible).
+    #: Candidate set from the latest intact plan or checkpoint record
+    #: (None if none survived — resuming is then impossible).
     candidates: Optional[Tuple["Candidate", ...]] = None
     space_fingerprint: str = ""
     #: Latest intact outcome per candidate fingerprint.
@@ -453,11 +503,10 @@ def _write_quarantine(path: str,
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _replay_outcome(replay: JournalReplay, fingerprint: str, payload: str,
-                    version: int, keep: bool) -> None:
-    """Decode one outcome payload into ``replay``, latest-wins."""
-    replay.outcomes[fingerprint] = _decode_outcome(payload, fingerprint,
-                                                   version)
+def _keep_outcome(replay: JournalReplay, fingerprint: str, payload: str,
+                  outcome: "CandidateOutcome", keep: bool) -> None:
+    """Record one decoded outcome in ``replay``, latest-wins."""
+    replay.outcomes[fingerprint] = outcome
     if keep:
         replay.outcome_payloads[fingerprint] = payload
     else:
@@ -471,7 +520,8 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
 
     Every line is independently decoded and checksum-verified; lines
     that fail (torn tail, bit flips, unknown ``schema_version``,
-    undecompressible or unpicklable payloads) become
+    undecompressible or unpicklable payloads, a schema-5 outcome its
+    plan does not hold) become
     :class:`QuarantinedRecord` entries — written to ``quarantine_path``
     (default ``<path>.quarantine``) as a JSONL sidecar when
     ``write_quarantine`` is set — and replay continues.  Only a
@@ -501,8 +551,15 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
             version = body["schema_version"]
             keep = keep_payloads and version == SCHEMA_VERSION
             if kind in ("plan", "checkpoint"):
-                replay.candidates = tuple(
-                    _decode_payload(body["candidates"], version))
+                plan = tuple(_decode_payload(body["candidates"], version))
+                # A checkpoint's outcomes pair with its own candidates,
+                # and are all decoded before any of them is applied.
+                folded = [(str(fp), payload,
+                           _decode_outcome(payload, str(fp), version, plan))
+                          for fp, payload in (body["outcomes"].items()
+                                              if kind == "checkpoint"
+                                              else ())]
+                replay.candidates = plan
                 replay.space_fingerprint = str(
                     body.get("space_fingerprint", ""))
                 replay.candidates_payload = (body["candidates"] if keep
@@ -511,16 +568,19 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
                 replay.dispatched[str(body["fingerprint"])] = \
                     int(body["index"])
             elif kind in _OUTCOME_KINDS:
-                _replay_outcome(replay, str(body["fingerprint"]),
-                                body["payload"], version, keep)
+                fingerprint = str(body["fingerprint"])
+                _keep_outcome(replay, fingerprint, body["payload"],
+                              _decode_outcome(body["payload"], fingerprint,
+                                              version, replay.candidates),
+                              keep)
             elif kind == "checkpoint":
                 # One folded prefix (see avipack.retention): apply it
                 # wholesale, then let any live-tail records appended
                 # after compaction override entries latest-wins, just
                 # as the uncompacted stream would have.
-                for fp, payload in body["outcomes"].items():
-                    _replay_outcome(replay, str(fp), payload, version,
-                                    keep)
+                for fingerprint, payload, outcome in folded:
+                    _keep_outcome(replay, fingerprint, payload, outcome,
+                                  keep)
                 for fp, index in body["dispatched"].items():
                     replay.dispatched[str(fp)] = int(index)
                 replay.n_records += int(body.get("n_folded", 1)) - 1

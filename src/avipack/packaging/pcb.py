@@ -135,8 +135,7 @@ class Pcb:
         k_inplane, k_through = self.effective_conductivity()
         grid = CartesianGrid((nx, ny, nz),
                              (self.length, self.width, self.thickness),
-                             conductivity=k_inplane,
-                             density=1850.0, specific_heat=1100.0)
+                             conductivity=k_inplane)
         grid.kz[:, :, :] = k_through
         for component in self.components:
             if component.power == 0.0:

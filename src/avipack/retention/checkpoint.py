@@ -42,9 +42,12 @@ from typing import Any, Callable, Dict, Optional
 from .. import perf as _perf
 from ..durability.files import atomic_write, sweep_stale_tmp
 from ..durability.journal import (
+    JournalReplay,
+    _DamagedRecord,
     _encode_outcome,
     _encode_payload,
     _open_locked,
+    _plan_candidate,
     encode_record,
     replay_journal,
 )
@@ -68,6 +71,26 @@ class JournalCompaction:
     @property
     def bytes_reclaimed(self) -> int:
         return max(0, self.bytes_before - self.bytes_after)
+
+
+def _checkpoint_payload(replay: JournalReplay, fingerprint: str,
+                        outcome: Any) -> str:
+    """The payload text a checkpoint folding ``replay`` holds for one
+    outcome.
+
+    Current-schema payloads are carried over verbatim; only older
+    records are encoded again, so the checkpoint is all current.  An
+    orphan — an outcome whose candidate the checkpoint's plan does not
+    hold at its index, as a resume over a subset space leaves — is
+    encoded again with its candidate embedded, since replay could not
+    pair it with the plan.
+    """
+    try:
+        _plan_candidate(replay.candidates, outcome.index, fingerprint)
+    except _DamagedRecord:
+        return _encode_outcome(outcome, embed_candidate=True)
+    return (replay.outcome_payloads.get(fingerprint)
+            or _encode_outcome(outcome))
 
 
 def compact_journal(path: str,
@@ -104,14 +127,11 @@ def compact_journal(path: str,
                 "record survives to anchor the candidate set")
         bytes_before = os.path.getsize(path)
         hook("encode")
-        # Current-schema payloads are carried over verbatim; only older
-        # records are encoded again, so the checkpoint is all current.
-        kept = replay.outcome_payloads
         fields: Dict[str, Any] = {
             "candidates": (replay.candidates_payload
                            or _encode_payload(tuple(replay.candidates))),
             "space_fingerprint": replay.space_fingerprint,
-            "outcomes": {fp: kept.get(fp) or _encode_outcome(outcome)
+            "outcomes": {fp: _checkpoint_payload(replay, fp, outcome)
                          for fp, outcome
                          in sorted(replay.outcomes.items())},
             "dispatched": {fp: int(index)

@@ -107,23 +107,19 @@ class CartesianGrid:
         Physical extents ``(lx, ly, lz)`` in metres.
     conductivity:
         Default isotropic conductivity [W/(m·K)] filled into all cells.
-    density, specific_heat:
-        Defaults for transient problems.
     """
 
     def __init__(self, shape: Tuple[int, int, int],
                  size: Tuple[float, float, float],
-                 conductivity: float = 1.0,
-                 density: float = 1000.0,
-                 specific_heat: float = 1000.0) -> None:
+                 conductivity: float = 1.0) -> None:
         if len(shape) != 3 or len(size) != 3:
             raise InputError("shape and size must be 3-tuples")
         if any(int(n) < 1 for n in shape):
             raise InputError("cell counts must be >= 1")
         if any(s <= 0.0 for s in size):
             raise InputError("extents must be positive")
-        if conductivity <= 0.0 or density <= 0.0 or specific_heat <= 0.0:
-            raise InputError("material defaults must be positive")
+        if conductivity <= 0.0:
+            raise InputError("conductivity must be positive")
         self.shape = tuple(int(n) for n in shape)
         self.size = tuple(float(s) for s in size)
         self.spacing = tuple(
@@ -136,7 +132,6 @@ class CartesianGrid:
         self.ky = np.full(full, float(conductivity))
         self.kz = np.full(full, float(conductivity))
         self.source = np.zeros(full)  # volumetric source [W/m³]
-        self.rho_cp = np.full(full, float(density) * float(specific_heat))
 
     # -- geometry helpers ----------------------------------------------------
 
@@ -182,8 +177,6 @@ class CartesianGrid:
 
     def set_material(self, region: Tuple[slice, slice, slice],
                      conductivity: float,
-                     density: Optional[float] = None,
-                     specific_heat: Optional[float] = None,
                      conductivity_z: Optional[float] = None) -> None:
         """Assign material properties in a region of cells.
 
@@ -200,19 +193,10 @@ class CartesianGrid:
             raise InputError("conductivity must be positive")
         if conductivity_z is not None and conductivity_z <= 0.0:
             raise InputError("conductivity_z must be positive")
-        rho_cp = None
-        if density is not None or specific_heat is not None:
-            rho = density if density is not None else 1000.0
-            cp = specific_heat if specific_heat is not None else 1000.0
-            if rho <= 0.0 or cp <= 0.0:
-                raise InputError("density and cp must be positive")
-            rho_cp = rho * cp
         self.kx[region] = conductivity
         self.ky[region] = conductivity
         self.kz[region] = (conductivity_z if conductivity_z is not None
                            else conductivity)
-        if rho_cp is not None:
-            self.rho_cp[region] = rho_cp
 
     def add_power(self, region: Tuple[slice, slice, slice],
                   power: float) -> None:

@@ -155,9 +155,12 @@ class TestRoundTrip:
         deflated = base64.b64decode(body["payload"])
         plain = zlib.decompressobj(zdict=SCHEMA3_ZDICT).decompress(deflated)
         assert outcome.fingerprint.encode() not in plain
-        assert pickle.loads(plain) == dataclasses.replace(outcome,
-                                                          fingerprint="")
-        # The envelope's copy is written back on replay.
+        # Nor does it repeat the candidate the plan record holds.
+        assert candidates[0].tim_name.encode() not in plain
+        assert pickle.loads(plain) == dataclasses.replace(
+            outcome, fingerprint="", candidate=None)
+        # The envelope's copy and the plan's candidate are written back
+        # on replay.
         assert replay_journal(str(path)).outcomes == {
             outcome.fingerprint: outcome}
 
@@ -311,7 +314,9 @@ class TestDamage:
             self, tmp_path):
         # The envelope holds the only copy of an outcome's fingerprint,
         # so pointing it at another candidate (checksums resealed) must
-        # still reach the resume audit's fingerprint-integrity check.
+        # not pair the record with that candidate: the plan's candidate
+        # at the record's index hashes otherwise, so replay quarantines
+        # the line and the resume recomputes its candidate.
         candidates = [POOL[i] for i in (0, 4, 12)]
         path = str(tmp_path / "sweep.jsonl")
         clean = SweepRunner(parallel=False).run(candidates,
@@ -322,16 +327,16 @@ class TestDamage:
         lines[-1] = reseal(lines[-1], fingerprint=other)
         with open(path, "wb") as stream:
             stream.write(b"".join(lines))
-        restored = replay_journal(path).outcomes[other]
-        assert restored.fingerprint == other
-        assert restored.candidate == candidates[-1]
+        replay = replay_journal(path, write_quarantine=False)
+        (record,) = replay.quarantined
+        assert "plan candidate 2" in record.reason
+        # The other candidate keeps its own, untouched record.
+        assert replay.outcomes[other] == clean.outcomes[0]
+        assert candidates[-1].fingerprint not in replay.outcomes
         resumed = SweepRunner(parallel=False).resume(path)
-        assert resumed.durability.n_quarantined == 0
-        assert resumed.durability.n_audit_failures == 1
-        assert "fingerprint mismatch" in " ".join(
-            dict(resumed.durability.audit_issues)[other])
-        # The tampered record's own candidate and the one it overwrote.
-        assert resumed.durability.n_recomputed == 2
+        assert resumed.durability.n_quarantined == 1
+        assert resumed.durability.n_audit_failures == 0
+        assert resumed.durability.n_recomputed == 1
         assert report_signature(resumed) == report_signature(clean)
 
     def test_unpicklable_payload_is_quarantined(self, tmp_path):

@@ -22,14 +22,16 @@ from avipack.durability import (
     replay_journal,
 )
 from avipack.durability.journal import _decode_outcome, \
-    _encode_outcome, seal
+    _decode_payload, _encode_outcome, seal
 from avipack.environments.arinc600 import STANDARD_INLET_TEMPERATURE
 from avipack.errors import JournalError
+from avipack.results import ingest_journal
+from avipack.retention import compact_journal
 from avipack.service.server import _ThrottledEvaluator
 from avipack.sweep import Candidate, DesignSpace, SweepRunner
 from avipack.units import kelvin_to_celsius
-from tests.routes import POOL, projections, report_signature, \
-    store_signature
+from tests.routes import POOL, outcome_rows, projections, \
+    report_signature, store_rows, store_signature
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 20.0, 30.0),
@@ -65,9 +67,11 @@ def reseal(envelope):
 
 
 def decode(envelope):
-    """The outcome an outcome record's body holds."""
+    """The outcome an outcome record's body holds in a journal of
+    ``SPACE``, its candidate taken from that plan."""
     return _decode_outcome(envelope["body"]["payload"],
-                           envelope["body"]["fingerprint"])
+                           envelope["body"]["fingerprint"],
+                           plan=tuple(SPACE.grid()))
 
 
 class TestResume:
@@ -193,8 +197,9 @@ class TestTamperAudit:
         assert report_signature(resumed) == report_signature(fresh)
 
     def test_swapped_candidate_fingerprint_is_caught(self, journalled):
-        # Replay a record against a different design point: candidate
-        # payload swapped, journal fingerprint key left alone.
+        # Replay a record against a different design point: another
+        # candidate embedded in the payload, journal fingerprint key
+        # left alone, so only the audit can notice.
         path, fresh = journalled
         candidates = list(SPACE.grid())
 
@@ -203,7 +208,8 @@ class TestTamperAudit:
             other = next(c for c in candidates
                          if c.fingerprint != outcome.fingerprint)
             outcome = dataclasses.replace(outcome, candidate=other)
-            envelope["body"]["payload"] = _encode_outcome(outcome)
+            envelope["body"]["payload"] = _encode_outcome(
+                outcome, embed_candidate=True)
             return reseal(envelope)
 
         seen = []
@@ -216,7 +222,10 @@ class TestTamperAudit:
 
         damage_lines(path, first_completed, tamper)
         resumed = SweepRunner(parallel=False).resume(path)
+        assert resumed.durability.n_quarantined == 0
         assert resumed.durability.n_audit_failures >= 1
+        assert "fingerprint mismatch" in " ".join(
+            dict(resumed.durability.audit_issues)[seen[0]])
         assert report_signature(resumed) == report_signature(fresh)
 
     def test_wrapped_evaluator_still_gets_the_supply_floor_check(
@@ -256,6 +265,90 @@ class TestTamperAudit:
         assert fingerprint == seen[0]
         assert any("rack supply" in issue for issue in issues)
         assert report_signature(resumed) == report_signature(fresh)
+
+
+class TestPlanPairing:
+    """An outcome line takes its candidate from the plan in force when
+    it was written, or from its own payload when a checkpoint's plan
+    lacks it."""
+
+    def test_orphans_keep_their_candidates_through_compaction(
+            self, journalled, tmp_path):
+        path, fresh = journalled
+        candidates = list(SPACE.grid())
+        # The resume keeps two candidates, one at a new index.  The
+        # other four are orphans of the new plan: one sits at an index
+        # the new plan gives another candidate, three past its end.
+        subset = [candidates[4], candidates[1]]
+        resumed = SweepRunner(parallel=False).resume(path, space=subset)
+        assert resumed.durability.n_recomputed == 0
+        expected = {o.fingerprint: o for o in fresh.outcomes}
+        moved = candidates[4].fingerprint
+        expected[moved] = dataclasses.replace(expected[moved], index=0)
+        uncompacted = replay_journal(path)
+        assert uncompacted.n_quarantined == 0
+        assert uncompacted.outcomes == expected
+        before = str(tmp_path / "before.results")
+        ingest_journal(path, before)
+
+        compact_journal(path)
+        with open(path, "rb") as stream:
+            (line,) = stream.read().splitlines()
+        texts = json.loads(line)["body"]["outcomes"]
+        orphans = {c.fingerprint for c in candidates} \
+            - {c.fingerprint for c in subset}
+        assert {fp for fp, text in texts.items()
+                if _decode_payload(text).candidate is not None} == orphans
+        replay = replay_journal(path)
+        assert replay.n_quarantined == 0
+        assert replay.candidates == tuple(subset)
+        assert replay.outcomes == expected
+        for fingerprint, outcome in replay.outcomes.items():
+            assert outcome.candidate.fingerprint == fingerprint
+        after = str(tmp_path / "after.results")
+        ingest_journal(path, after)
+        assert store_rows(after) == store_rows(before) \
+            == outcome_rows(list(expected.values()))
+        assert store_signature(after) == store_signature(before)
+
+    def test_lines_after_a_damaged_plan_are_quarantined(self, tmp_path):
+        candidates = list(SPACE.grid())
+        path = str(tmp_path / "sweep.jsonl")
+        clean = SweepRunner(parallel=False).run(candidates,
+                                                journal_path=path)
+        # A crash after three outcomes, then a resume over the reversed
+        # space: a second plan and six outcome lines, each at an index
+        # the first plan gives another candidate.
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        with open(path, "wb") as stream:
+            stream.write(b"".join(lines[:4]))
+        SweepRunner(parallel=False).resume(path, space=candidates[::-1])
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        assert len(lines) == 11
+        assert json.loads(lines[4])["body"]["kind"] == "plan"
+        flipped = bytearray(lines[4])
+        flipped[len(flipped) // 2] ^= 0x08
+        lines[4] = bytes(flipped)
+        with open(path, "wb") as stream:
+            stream.write(b"".join(lines))
+
+        replay = replay_journal(path, write_quarantine=False)
+        assert [r.line_number for r in replay.quarantined] \
+            == list(range(5, 12))
+        assert all("plan candidate" in r.reason
+                   for r in replay.quarantined[1:])
+        assert replay.candidates == tuple(candidates)
+        assert replay.outcomes == {o.fingerprint: o
+                                   for o in clean.outcomes[:3]}
+        store = str(tmp_path / "ingested.results")
+        ingest_journal(path, store, write_quarantine=False)
+        assert store_rows(store) == outcome_rows(clean.outcomes[:3])
+        resumed = SweepRunner(parallel=False).resume(path)
+        assert resumed.durability.n_quarantined == 7
+        assert resumed.durability.n_recomputed == 3
+        assert report_signature(resumed) == report_signature(clean)
 
 
 class TestAuditBattery:

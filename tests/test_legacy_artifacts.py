@@ -19,12 +19,14 @@ compaction rewrites them at schema 2.
 
 Journals written before payload compression (``schema_version`` 1)
 hold plain base64 pickles, journals written before the preset
-dictionary (``schema_version`` 2) hold unprimed zlib streams, and
-journals written before the lean line (``schema_version`` 3) hold
-primed payloads that carry their own fingerprint, with a spaced line
-and a hex SHA-256.  Replay, resume (which appends current-schema
-records and so leaves a mixed journal), ingest and compaction must rank
-all three like a fresh run.
+dictionary (``schema_version`` 2) hold unprimed zlib streams, journals
+written before the lean line (``schema_version`` 3) hold primed
+payloads that carry their own fingerprint, with a spaced line and a hex
+SHA-256, and journals written before outcomes left their candidate to
+the plan (``schema_version`` 4) hold lean lines whose payloads carry
+the candidate.  Replay, resume (which appends current-schema records
+and so leaves a mixed journal), ingest and compaction must rank all
+four like a fresh run.
 """
 
 import base64
@@ -42,7 +44,7 @@ from avipack.durability import SCHEMA_VERSION, audit_outcomes, \
     replay_journal
 from avipack.durability._payload_dict import SCHEMA3_ZDICT
 from avipack.durability.journal import SweepJournal, _canonical, \
-    _decode_outcome, outcome_kind
+    _decode_outcome, outcome_kind, seal
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
 from avipack.errors import InputError
@@ -98,6 +100,8 @@ def write_journal(path, candidates, outcomes):
 def legacy_line(schema, seq, kind, **fields):
     """One journal line as schema-``schema`` writers checksummed it."""
     body = {"schema_version": schema, "seq": seq, "kind": kind, **fields}
+    if schema >= 4:  # the lean line is still the line written now
+        return seal(body)
     canonical = _canonical(body)
     return (json.dumps({"body": body, "crc32": content_crc32(canonical),
                         "sha256": content_digest(canonical)},
@@ -125,21 +129,26 @@ def schema3_payload(value):
     return base64.b64encode(data + deflater.flush()).decode()
 
 
-#: Payload encoder of each retired schema.
+#: Payload encoder of each retired schema.  Schema 4 kept schema 3's
+#: encoding and dropped the outcome's fingerprint (see
+#: :func:`write_legacy_journal`).
 LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload,
-                   3: schema3_payload}
+                   3: schema3_payload, 4: schema3_payload}
 
 
 def write_legacy_journal(path, schema, candidates, outcomes):
     """A plan plus one outcome line each, in a retired encoding."""
     payload = LEGACY_PAYLOADS[schema]
+    if schema == 4:
+        outcomes = [dataclasses.replace(o, fingerprint="")
+                    for o in outcomes]
     lines = [legacy_line(
         schema, 0, "plan", n_candidates=len(candidates),
         space_fingerprint=stable_fingerprint(tuple(candidates)),
         candidates=payload(tuple(candidates)))]
     lines += [legacy_line(schema, seq, outcome_kind(outcome),
                           index=outcome.index,
-                          fingerprint=outcome.fingerprint,
+                          fingerprint=outcome.candidate.fingerprint,
                           payload=payload(outcome))
               for seq, outcome in enumerate(outcomes, start=1)]
     with open(path, "wb") as stream:
@@ -467,7 +476,7 @@ class _RetiredSchemaJournal:
 
     def test_mixed_journal_compacts_and_ranks_like_a_fresh_run(
             self, campaign, journal, monkeypatch):
-        _, outcomes = campaign
+        candidates, outcomes = campaign
         # Current-schema records supersede the retired ones of every
         # second outcome, as a resume that recomputed them would append.
         superseded = outcomes[::2]
@@ -482,8 +491,9 @@ class _RetiredSchemaJournal:
         for name in ("_encode_payload", "_encode_outcome"):
             encode = getattr(checkpoint_mod, name)
             monkeypatch.setattr(checkpoint_mod, name,
-                                lambda value, encode=encode:
-                                encoded.append(value) or encode(value))
+                                lambda value, *args, encode=encode, **kw:
+                                encoded.append(value)
+                                or encode(value, *args, **kw))
         compaction = compact_journal(journal)
         # Only the retired plan and the outcomes still at that schema.
         assert len(encoded) == 1 + len(outcomes) - len(superseded)
@@ -497,7 +507,8 @@ class _RetiredSchemaJournal:
                 assert text == body["payload"]
             else:  # encoded again at the current schema
                 assert text != body["payload"]
-                assert _decode_outcome(text, fingerprint) \
+                assert _decode_outcome(text, fingerprint,
+                                       plan=tuple(candidates)) \
                     == by_fingerprint[fingerprint]
         assert {body["schema_version"] for body in source.values()} \
             == {self.schema, SCHEMA_VERSION}
@@ -525,6 +536,13 @@ class TestSchema3Journal(_RetiredSchemaJournal):
     SHA-256 lines, replay, resume, ingest and compact."""
 
     schema = 3
+
+
+class TestSchema4Journal(_RetiredSchemaJournal):
+    """Journals whose lean lines carry the candidate in every outcome
+    payload replay, resume, ingest and compact."""
+
+    schema = 4
 
 
 @pytest.fixture(scope="module")
@@ -557,3 +575,16 @@ def test_schema3_outcome_payloads_are_at_most_45pct_of_schema2(
     schema2 = sum(len(schema2_payload(o)) for o, _ in pool_payloads)
     schema3 = sum(len(text) for _, text in pool_payloads)
     assert schema3 <= 0.45 * schema2
+
+
+def test_schema5_outcome_payloads_are_at_most_90pct_of_schema4(
+        pool_payloads):
+    """Payloads that leave the candidate to the plan record are at most
+    90% of the schema-4 payloads, which carried it, for the same
+    outcomes (87% on POOL, whose two failures' tracebacks are a third of
+    the bytes)."""
+    schema4 = sum(len(schema3_payload(dataclasses.replace(o,
+                                                          fingerprint="")))
+                  for o, _ in pool_payloads)
+    schema5 = sum(len(text) for _, text in pool_payloads)
+    assert schema5 <= 0.9 * schema4

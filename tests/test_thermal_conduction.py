@@ -177,16 +177,12 @@ class TestSetMaterial:
         # validated, leaving the grid partially mutated.
         grid, region = self.grid_and_region()
         kx0, ky0, kz0 = grid.kx.copy(), grid.ky.copy(), grid.kz.copy()
-        rho_cp0 = grid.rho_cp.copy()
         with pytest.raises(InputError):
             grid.set_material(region, conductivity=5.0,
                               conductivity_z=-1.0)
-        with pytest.raises(InputError):
-            grid.set_material(region, conductivity=5.0, density=-1.0)
         assert np.array_equal(grid.kx, kx0)
         assert np.array_equal(grid.ky, ky0)
         assert np.array_equal(grid.kz, kz0)
-        assert np.array_equal(grid.rho_cp, rho_cp0)
 
     def test_orthotropic_assignment(self):
         grid, region = self.grid_and_region()
@@ -423,7 +419,6 @@ RHS_EDITS = {
         "x_min", BoundaryCondition("temperature", 350.0)),
     "flux_value": _set_kind("y_max", BoundaryCondition("flux", 800.0)),
     "adiabatic_to_flux": _set_kind("y_min", BoundaryCondition("flux", 80.0)),
-    "heat_capacity": lambda s: s.grid.rho_cp.__imul__(2.0),
 }
 
 
