@@ -322,8 +322,6 @@ def _run_serve(argv) -> int:
                         default=None, metavar="S",
                         help="per-candidate watchdog handed to the "
                              "sweep runner (parallel mode)")
-    parser.add_argument("--max-running", type=int, default=1,
-                        help="jobs executed concurrently (default 1)")
     parser.add_argument("--serial", action="store_true",
                         help="run sweeps on the serial path (no "
                              "process pool)")
@@ -369,7 +367,6 @@ def _run_serve(argv) -> int:
         stall_timeout_s=args.stall_timeout_s,
         deadline_s=args.deadline_s,
         candidate_timeout_s=args.candidate_timeout_s,
-        max_running=args.max_running,
         parallel=not args.serial,
         max_workers=args.max_workers,
         throttle_s=args.throttle_s,

@@ -12,9 +12,9 @@ campaign's write-ahead journal.  Query primitives
 (:mod:`~avipack.results.report`) then answer "top 20 of a million" from
 typed columns alone, byte-identical to the in-memory ranking.
 
-Ingestion paths: live (``SweepRunner(result_store=...)`` adds each
-outcome to a :class:`~avipack.results.store.ResultStoreWriter` after
-journalling it; a shard is published when it fills or at close) and
+Ingestion paths: live (``SweepRunner(result_store=...)`` writes a
+campaign's rows to a :class:`~avipack.results.store.ResultStoreWriter`
+at close, in candidate order) and
 offline (:func:`~avipack.results.ingest.ingest_journal` projects an
 existing write-ahead journal into a store).
 """

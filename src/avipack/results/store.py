@@ -57,7 +57,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -113,7 +112,8 @@ class ResultStoreStats:
 
     #: Store directory the sweep ingested into.
     directory: str
-    #: Rows this writer appended (fresh outcomes plus resume backfill).
+    #: Rows this writer appended: a sweep's fresh outcomes plus, on a
+    #: resume, the restored ones the store did not hold at their index.
     rows_added: int = 0
     #: Shards this writer sealed and published.
     shards_sealed: int = 0
@@ -209,9 +209,6 @@ class ResultStoreWriter:
         self.shard_rows = shard_rows
         self.rows_added = 0
         self.shards_sealed = 0
-        #: Fingerprints appended through this writer (dedup aid for the
-        #: resume backfill pass).
-        self.added_fingerprints: Set[str] = set()
         os.makedirs(directory, exist_ok=True)
         self._lock_stream = _open_writer_lock(directory)
         self._next_shard = next_shard_number(directory)
@@ -240,7 +237,6 @@ class ResultStoreWriter:
         fill_row(self._rows, self._count, outcome)
         self._count += 1
         self.rows_added += 1
-        self.added_fingerprints.add(outcome.fingerprint)
         _perf.increment("results.rows_ingested")
         if self._count >= self.shard_rows:
             self._seal()
@@ -489,9 +485,9 @@ class ResultStore:
         """Fingerprint -> candidate index of each live row (empty if
         the store is absent).
 
-        The cheap probe the resume backfill uses to add the restored
-        outcomes the store lacks or holds under another index; never
-        raises for a missing or empty directory.
+        The cheap probe a resumed sweep uses to skip the restored
+        outcomes the store already holds at their index; never raises
+        for a missing or empty directory.
         """
         if not os.path.isdir(directory):
             return {}

@@ -2,9 +2,9 @@
 
 :class:`SweepService` turns the batch :class:`~avipack.sweep.SweepRunner`
 into an always-on, multi-tenant service.  One asyncio event loop owns
-all bookkeeping (jobs, queue, event buffers, stats); sweeps execute in
-a bounded thread pool so the loop never blocks; every outcome a job
-produces is write-ahead journalled (PR 5) before any event about it is
+all bookkeeping (jobs, queue, event buffers, stats); sweeps run one
+at a time on a worker thread so the loop never blocks; every outcome a
+job produces is write-ahead journalled before any event about it is
 emitted.  Robustness properties, in the order they matter:
 
 * **Admission control** — bounded queue, per-client quotas and a
@@ -103,8 +103,6 @@ class ServiceConfig:
     deadline_s: Optional[float] = None
     #: Per-candidate watchdog [s] handed to the runner (parallel mode).
     candidate_timeout_s: Optional[float] = None
-    #: Jobs executed concurrently (worker threads).
-    max_running: int = 1
     #: Runner parallelism (process pool) inside each job.
     parallel: bool = True
     #: Runner pool width (``None`` = runner default).
@@ -180,8 +178,6 @@ class SweepService:
     """One job-server instance (see module docstring for semantics)."""
 
     def __init__(self, config: ServiceConfig) -> None:
-        if config.max_running < 1:
-            raise InputError("max_running must be >= 1")
         if config.heartbeat_s <= 0.0:
             raise InputError("heartbeat_s must be positive")
         if config.disk_poll_s <= 0.0:
@@ -208,9 +204,9 @@ class SweepService:
         self._draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: One job runs at a time, on this single worker thread.
         self._executor = ThreadPoolExecutor(
-            max_workers=config.max_running,
-            thread_name_prefix="avipack-job")
+            max_workers=1, thread_name_prefix="avipack-job")
         #: Dedicated single worker for manifest writes and result-store
         #: reads.  Separate from ``_executor`` (saves must never queue
         #: behind long sweeps) and single-threaded so manifest writes
@@ -347,8 +343,7 @@ class SweepService:
     # -- scheduling and execution --------------------------------------------
 
     def _schedule(self) -> None:
-        while (not self._draining
-               and len(self._running) < self.config.max_running):
+        while not self._draining and not self._running:
             job_id = self._queue.pop()
             if job_id is None:
                 break

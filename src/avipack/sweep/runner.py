@@ -22,9 +22,9 @@ workers so all of the above is testable on demand.
 
 A fresh run and a resumed one take the same campaign path: dispatch the
 pending candidates, pass every outcome through one record step
-(journal, then result store, then progress hook, once per candidate),
-merge it with the outcomes restored from the journal (none on a fresh
-run), and assemble the report.
+(journal, then progress hook, once per candidate), merge it with the
+outcomes restored from the journal (none on a fresh run), assemble the
+report, and write the result-store rows at close, in candidate order.
 
 Each worker process keeps a persistent
 :class:`~avipack.sweep.cache.SolverCache`, so the repeated
@@ -331,6 +331,12 @@ def _candidate_list(space: Union[DesignSpace, Iterable[Candidate]]
                   else list(space))
     if not candidates:
         raise InputError("sweep needs at least one candidate")
+    seen: Dict[str, int] = {}
+    for index, candidate in enumerate(candidates):
+        earlier = seen.setdefault(candidate.fingerprint, index)
+        if earlier != index:
+            raise InputError(
+                f"candidate #{index} repeats candidate #{earlier}")
     return candidates
 
 
@@ -341,8 +347,8 @@ class SweepRunner:
     candidates become :class:`SweepTask` records, go down one execution
     route (serial, or a process pool with a serial retry of whatever
     the pool left unfinished), and every outcome passes through
-    one record step — journal, then result store, then ``progress`` —
-    exactly once per candidate.
+    one record step — journal, then ``progress`` — exactly once per
+    candidate; result-store rows are written once, at close.
 
     Parameters
     ----------
@@ -384,17 +390,17 @@ class SweepRunner:
         is recomputed.
     result_store:
         Directory for a columnar
-        :class:`~avipack.results.store.ResultStoreWriter`: every
-        outcome becomes a row as it arrives (after journalling, when
-        both are enabled); rows are published as a checksummed,
-        memory-mapped shard when a shard fills
+        :class:`~avipack.results.store.ResultStoreWriter`, opened
+        (and locked) before dispatch.  Its rows are written when the
+        run ends, in candidate order, so the store equals an
+        :func:`~avipack.results.ingest.ingest_journal` of the journal:
+        every fresh outcome, and on :meth:`resume` each restored one
+        the store does not already hold at its candidate index.  An
+        aborted run writes the rows of the outcomes it journalled.
+        Rows are published as checksummed, memory-mapped shards
         (:data:`~avipack.results.store.DEFAULT_SHARD_ROWS`, 65,536
-        rows) or when the run ends, so ranking and report analytics
-        run zero-unpickle afterwards.  On
-        :meth:`resume`, outcomes restored from the journal that the
-        store does not yet hold, or holds under another candidate
-        index, are backfilled, keeping store and report in lockstep.
-        ``None`` (default) keeps results in-memory only.
+        rows each), so ranking and report analytics run zero-unpickle
+        afterwards.  ``None`` (default) keeps results in-memory only.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -572,13 +578,15 @@ class SweepRunner:
 
         Dispatches every candidate without a ``restored`` outcome
         (matched by fingerprint; ``None`` on a fresh run), records each
-        fresh outcome (journal, then store, then ``progress``; an
-        outcome the store would refuse is refused before it is
-        journalled, so the two never diverge), merges
-        restored and fresh outcomes in candidate order, journals again
-        each restored outcome whose index the order changed, backfills
-        restored outcomes the store lacks or holds under another index,
-        and assembles the report.  Closes ``journal``.
+        fresh outcome (journal, then ``progress``; an outcome the store
+        would refuse is refused before it is journalled, so the two
+        never diverge), merges restored and fresh outcomes in candidate
+        order, journals again each restored outcome whose index the
+        order changed, and assembles the report.  Store rows are
+        written at close, in candidate order: every fresh outcome, and
+        each restored one the store does not already hold at its index
+        (the fresh ones only, if the campaign aborts).  Closes
+        ``journal``.
         """
         start = time.perf_counter()
         resuming = restored is not None
@@ -588,14 +596,12 @@ class SweepRunner:
                    for index, candidate in enumerate(candidates)
                    if candidate.fingerprint not in restored]
         fresh: Dict[int, CandidateOutcome] = {}
+        merged: List[CandidateOutcome] = []
         store = stored = None
         try:
             if self.result_store is not None:
                 from ..results.schema import check_storable
                 from ..results.store import ResultStore, ResultStoreWriter
-                # Read before this campaign appends, so the backfill
-                # adds each restored outcome at most once across
-                # repeated resumes.
                 stored = (ResultStore.live_fingerprints(self.result_store)
                           if restored else {})
                 store = ResultStoreWriter(self.result_store)
@@ -608,8 +614,6 @@ class SweepRunner:
 
             def record(outcome: CandidateOutcome) -> None:
                 journal_outcome(outcome)
-                if store is not None:
-                    store.add(outcome)
                 fresh[outcome.index] = outcome
                 if progress is not None:
                     progress(outcome)
@@ -620,7 +624,6 @@ class SweepRunner:
                 mode, workers = self._execute(pending, record)
                 if resuming:
                     mode = f"resume ({mode})"
-            merged: List[CandidateOutcome] = []
             for index, candidate in enumerate(candidates):
                 outcome = fresh.get(index)
                 if outcome is None:
@@ -631,17 +634,20 @@ class SweepRunner:
                         # the journal ranks as this report does.
                         outcome = dataclasses.replace(outcome, index=index)
                         journal_outcome(outcome)
-                    if (store is not None
-                            and stored.get(outcome.fingerprint) != index
-                            and outcome.fingerprint
-                            not in store.added_fingerprints):
-                        store.add(outcome)
                 merged.append(outcome)
         finally:
             if journal is not None:
                 journal.close()
             if store is not None:
-                store.close()
+                rows = (merged if len(merged) == len(candidates)
+                        else [fresh[index] for index in sorted(fresh)])
+                try:
+                    store.add_many(
+                        outcome for outcome in rows
+                        if outcome.index in fresh
+                        or stored.get(outcome.fingerprint) != outcome.index)
+                finally:
+                    store.close()
         wall = time.perf_counter() - start
         if durability is not None:
             durability = dataclasses.replace(

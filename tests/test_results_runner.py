@@ -5,9 +5,15 @@ import os
 import pytest
 
 from avipack import perf
-from avipack.results import ResultStore, ranking_signature
+from avipack.results import ResultStore, ingest_journal, ranking_signature
 from avipack.sweep import DesignSpace, SweepRunner, render_sweep_document
-from tests.routes import report_signature
+from tests.routes import POOL, report_signature
+
+ROUTES = {
+    "serial": dict(parallel=False),
+    "pool": dict(parallel=True, max_workers=2),
+    "watchdog": dict(parallel=True, max_workers=2, timeout_s=60.0),
+}
 
 
 def small_space():
@@ -90,3 +96,42 @@ def test_run_closes_writer_on_progress_abort(tmp_path):
     assert store.n_rows == 3
     assert not any(name.endswith(".lock.tmp")
                    for name in os.listdir(store_dir))
+
+
+# -- the store equals the ingest of its journal ------------------------------
+
+
+def shard_bytes(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(directory.glob("shard-*.rows"))}
+
+
+def assert_store_is_ingest_of_journal(tmp_path):
+    """``tmp_path/store`` holds the shards ingesting ``j.jsonl`` gives."""
+    ingest_journal(str(tmp_path / "j.jsonl"), str(tmp_path / "ingested"),
+                   write_quarantine=False)
+    shards = shard_bytes(tmp_path / "store")
+    assert shards
+    assert shards == shard_bytes(tmp_path / "ingested")
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_fresh_run_store_is_ingest_of_its_journal(route, tmp_path):
+    store_dir, journal = str(tmp_path / "store"), str(tmp_path / "j.jsonl")
+    SweepRunner(result_store=store_dir, **ROUTES[route]).run(
+        POOL, journal_path=journal)
+    assert_store_is_ingest_of_journal(tmp_path)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_resume_into_empty_store_is_ingest_of_its_journal(route, tmp_path):
+    store_dir, journal = str(tmp_path / "store"), str(tmp_path / "j.jsonl")
+    SweepRunner(parallel=False).run(POOL, journal_path=journal)
+    with open(journal, "r+b") as stream:
+        stream.truncate(os.path.getsize(journal) // 2)
+    report = SweepRunner(result_store=store_dir, **ROUTES[route]).resume(
+        journal)
+    assert report.durability.n_resumed > 0
+    assert report.durability.n_recomputed > 1
+    assert report.result_store.rows_added == len(POOL)
+    assert_store_is_ingest_of_journal(tmp_path)

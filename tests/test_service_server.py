@@ -95,6 +95,16 @@ class TestSubmitAndComplete:
         assert final["done"] == final["total"]
         assert final["result"]["n_failed"] == 1
 
+    def test_repeated_candidates_fail_the_job(self, sockets, tmp_path):
+        config = make_config(sockets, tmp_path)
+        with ThreadedService(config):
+            client = ServiceClient(config.socket_path)
+            job_id = client.submit(candidates=[{}, {}])["job_id"]
+            final = client.wait(job_id, timeout_s=120.0)
+        assert final["state"] == "failed"
+        assert final["error"] == \
+            "InputError: candidate #1 repeats candidate #0"
+
     def test_event_stream_is_contiguous_and_replayable(
             self, sockets, tmp_path):
         config = make_config(sockets, tmp_path, throttle_s=0.02)

@@ -74,7 +74,8 @@ class TestFailureIsolation:
                                                            "MaterialNotFoundError"}
 
     def test_failures_survive_the_process_pool(self):
-        candidates = [Candidate(), Candidate(n_modules=0), Candidate()]
+        candidates = [Candidate(), Candidate(n_modules=0),
+                      Candidate(n_modules=2)]
         report = SweepRunner(parallel=True, max_workers=2).run(candidates)
         assert [f.index for f in report.failures] == [1]
         assert [r.index for r in report.results] == [0, 2]
@@ -206,6 +207,32 @@ class TestRunnerValidation:
     def test_negative_workers_rejected(self):
         with pytest.raises(InputError):
             SweepRunner(max_workers=-1)
+
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["serial", "pool"])
+    def test_repeated_candidate_rejected_before_any_write(self, parallel,
+                                                           tmp_path):
+        # One candidate twice would rank twice in the report but hold
+        # one live row in the store.
+        journal, store = tmp_path / "j.jsonl", tmp_path / "store"
+        runner = SweepRunner(parallel=parallel, max_workers=2,
+                             result_store=str(store))
+        with pytest.raises(InputError,
+                           match="candidate #2 repeats candidate #0"):
+            runner.run([Candidate(), Candidate(n_modules=2), Candidate()],
+                       journal_path=str(journal))
+        assert not journal.exists() and not store.exists()
+
+    def test_resume_with_repeated_candidate_rejected(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        SweepRunner(parallel=False).run([Candidate()],
+                                        journal_path=str(journal))
+        before = journal.read_bytes()
+        with pytest.raises(InputError,
+                           match="candidate #1 repeats candidate #0"):
+            SweepRunner(parallel=False).resume(
+                str(journal), space=[Candidate(), Candidate()])
+        assert journal.read_bytes() == before
 
 
 class TestProgressCallbacks:
