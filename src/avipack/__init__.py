@@ -96,7 +96,7 @@ _EXPORTS = {
     ".twophase.heatpipe": ("HeatPipe",),
     ".twophase.loopheatpipe": ("LoopHeatPipe",),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, submodules=(
+__getattr__, __dir__, _ = lazy_exports(__name__, _EXPORTS, submodules=(
     "core", "durability", "environments", "experiments", "fingerprint",
     "materials", "mechanical", "packaging", "perf", "reliability",
     "resilience", "results", "retention", "service", "sweep", "thermal",

@@ -2,11 +2,13 @@
 
 A package ``__init__`` that re-exports names from its modules declares
 them in one mapping, from the defining module (relative to the package)
-to the names it re-exports, and binds the two module hooks this helper
-returns::
+to the names it re-exports, and binds the two module hooks and the sorted
+export list this helper returns::
 
     _EXPORTS = {".levels": ("run_level1", "run_pyramid")}
-    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+
+A package that also imports names eagerly keeps its own ``__all__``.
 
 Importing the package then executes none of those modules; the first
 access to a name imports its defining module.  Nothing is cached in the
@@ -26,8 +28,10 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
 def lazy_exports(package: str, exports: Mapping[str, Iterable[str]],
                  submodules: Iterable[str] = ()
-                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """The ``__getattr__`` and ``__dir__`` hooks of ``package``."""
+                 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]],
+                            List[str]]:
+    """The ``__getattr__`` and ``__dir__`` hooks of ``package``, and the
+    sorted names they resolve."""
     owners: Dict[str, str] = {name: module
                               for module, names in exports.items()
                               for name in names}
@@ -45,4 +49,4 @@ def lazy_exports(package: str, exports: Mapping[str, Iterable[str]],
     def __dir__() -> List[str]:
         return sorted(set(vars(sys.modules[package])) | set(owners))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(owners)

@@ -33,54 +33,4 @@ _EXPORTS = {
                      "tornado_rows"),
     ".uncertainty": ("Distribution", "UncertaintyResult", "propagate"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "Architecture",
-    "DesignMove",
-    "advise",
-    "advise_cooling_escalation",
-    "junction_drop_for_mtbf",
-    "ArchitectureAssessment",
-    "BOARD_LIMIT",
-    "DesignReview",
-    "EquipmentUnderTest",
-    "FrequencyAllocation",
-    "JUNCTION_LIMIT",
-    "Level1Result",
-    "Level2Result",
-    "Level3Board",
-    "Level3Result",
-    "MechanicalReview",
-    "PackagingSpecification",
-    "PyramidResult",
-    "QualificationReport",
-    "TestVerdict",
-    "ThermalRequirement",
-    "assess",
-    "forced_air_no_longer_applicable",
-    "Distribution",
-    "SensitivityEntry",
-    "SensitivityStudy",
-    "UncertaintyResult",
-    "one_at_a_time",
-    "propagate",
-    "tornado_rows",
-    "render_design_document",
-    "render_qualification_report",
-    "run_acceleration_test",
-    "run_campaign",
-    "run_climatic_test",
-    "run_design_procedure",
-    "run_level1",
-    "run_level2",
-    "run_level3",
-    "run_mechanical_branch",
-    "run_pyramid",
-    "run_thermal_branch",
-    "run_thermal_shock_test",
-    "run_vibration_test",
-    "section_header",
-    "select_architecture",
-    "summarize_margins",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

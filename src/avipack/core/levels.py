@@ -41,6 +41,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..errors import InputError
 from ..fingerprint import stable_fingerprint
 from ..packaging.cooling import (
+    SIMPLICITY_ORDER,
     CoolingTechnique,
     ModuleEnvelope,
     compare_techniques,
@@ -93,15 +94,7 @@ def run_level1(total_power: float,
             key, lambda: run_level1(total_power, envelope, ambient))
     evaluations = compare_techniques(total_power, envelope, ambient)
     rises = {tech: ev.rise for tech, ev in evaluations.items()}
-    simplicity_order = [
-        CoolingTechnique.FREE_CONVECTION,
-        CoolingTechnique.DIRECT_AIR_FLOW,
-        CoolingTechnique.AIR_FLOW_AROUND,
-        CoolingTechnique.CONDUCTION_COOLED,
-        CoolingTechnique.AIR_FLOW_THROUGH,
-        CoolingTechnique.LIQUID_FLOW_THROUGH,
-    ]
-    feasible = tuple(tech for tech in simplicity_order
+    feasible = tuple(tech for tech in SIMPLICITY_ORDER
                      if evaluations[tech].feasible_85c)
     recommended = feasible[0] if feasible else None
     return Level1Result(

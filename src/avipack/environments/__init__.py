@@ -20,26 +20,4 @@ _EXPORTS = {
     ".profiles": ("AccelerationTest", "ClimaticTest", "QualificationCampaign",
                   "ThermalShockTest", "VibrationTest", "cosee_campaign"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "AccelerationTest",
-    "CardChannel",
-    "ClimaticTest",
-    "ForcedAirPerformance",
-    "QualificationCampaign",
-    "STANDARD_FLOW_KG_H_PER_KW",
-    "STANDARD_INLET_TEMPERATURE",
-    "TEMPERATURE_CATEGORIES",
-    "TemperatureCategory",
-    "ThermalShockTest",
-    "VibrationTest",
-    "allocated_mass_flow",
-    "cosee_campaign",
-    "curve_names",
-    "hotspot_surface_rise",
-    "module_performance",
-    "required_flow_multiplier",
-    "temperature_category",
-    "vibration_curve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -16,22 +16,4 @@ _EXPORTS = {
                  "Material", "MaterialLibrary", "OrthotropicMaterial",
                  "get_material", "pcb_effective_conductivity"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "CARBON_COMPOSITE",
-    "DEFAULT_LIBRARY",
-    "FR4_LAMINATE",
-    "FluidState",
-    "Material",
-    "MaterialLibrary",
-    "OrthotropicMaterial",
-    "SaturationState",
-    "air_properties",
-    "get_material",
-    "list_working_fluids",
-    "pcb_effective_conductivity",
-    "rank_working_fluids",
-    "saturation_properties",
-    "water_properties",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -31,35 +31,4 @@ _EXPORTS = {
                           "bimaterial_curvature", "solder_joint_assessment",
                           "underfill_benefit_factor"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "BAND_FRACTIONS",
-    "Layer",
-    "SolderJointAssessment",
-    "bimaterial_bow",
-    "bimaterial_curvature",
-    "solder_joint_assessment",
-    "underfill_benefit_factor",
-    "COMPONENT_CONSTANTS",
-    "CYCLES_TO_FAIL_RANDOM",
-    "Isolator",
-    "PlateMode",
-    "PlateSpec",
-    "PowerSpectralDensity",
-    "damper_tuning",
-    "default_q_factor",
-    "design_isolator",
-    "fatigue_life_hours",
-    "fundamental_frequency",
-    "margin_of_safety",
-    "miles_rms_acceleration",
-    "plate_modes",
-    "rms_displacement_from_acceleration",
-    "static_sag",
-    "steinberg_allowable_deflection",
-    "stiffener_rigidity_for_frequency",
-    "stiffness_for_frequency",
-    "thermal_cycling_life_coffin_manson",
-    "three_band_damage_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -18,38 +18,4 @@ _EXPORTS = {
              "SebSolution", "aluminum_seat_structure",
              "carbon_composite_seat_structure"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "Component",
-    "ATR_WIDTHS",
-    "AtrCase",
-    "IfeSystem",
-    "compare_cooling_strategies",
-    "CoolingEvaluation",
-    "CoolingTechnique",
-    "Module",
-    "ModuleEnvelope",
-    "PACKAGE_FAMILIES",
-    "PackageFamily",
-    "Pcb",
-    "PcbDetailModel",
-    "PcbDetailResult",
-    "Rack",
-    "SeatElectronicsBox",
-    "SeatStructure",
-    "SebConfiguration",
-    "SebSolution",
-    "SlotResult",
-    "aluminum_seat_structure",
-    "carbon_composite_seat_structure",
-    "compare_techniques",
-    "computer_rack",
-    "dummy_resistive_pcb",
-    "evaluate_cooling",
-    "get_package",
-    "make_component",
-    "max_power_for_limit",
-    "module_generation",
-    "optimize_copper_coverage",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -39,6 +39,19 @@ class CoolingTechnique(enum.Enum):
     AIR_FLOW_AROUND = "air_flow_around"
 
 
+#: The Fig. 5 techniques by increasing installation cost and complexity
+#: (free convection first): level 1 recommends the first feasible one,
+#: and a sweep's cost rank is a technique's position here.
+SIMPLICITY_ORDER = (
+    CoolingTechnique.FREE_CONVECTION,
+    CoolingTechnique.DIRECT_AIR_FLOW,
+    CoolingTechnique.AIR_FLOW_AROUND,
+    CoolingTechnique.CONDUCTION_COOLED,
+    CoolingTechnique.AIR_FLOW_THROUGH,
+    CoolingTechnique.LIQUID_FLOW_THROUGH,
+)
+
+
 @dataclass(frozen=True)
 class ModuleEnvelope:
     """Geometric envelope of a module/card for cooling evaluation.

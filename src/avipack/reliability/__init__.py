@@ -11,21 +11,4 @@ _EXPORTS = {
               "ReliabilityPrediction", "fan_reliability_penalty",
               "predict_mtbf"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "ENVIRONMENT_FACTORS",
-    "MissionPhase",
-    "MissionPrediction",
-    "degraded_cooling_penalty",
-    "predict_mission_mtbf",
-    "standard_flight_profile",
-    "MAX_AMBIENT",
-    "MAX_JUNCTION",
-    "PartReliability",
-    "QUALITY_FACTORS",
-    "REFERENCE_JUNCTION",
-    "ReliabilityPrediction",
-    "fan_reliability_penalty",
-    "predict_mtbf",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -38,7 +38,7 @@ from .stats import SERVICE_KERNEL, ServiceStats
 # The asyncio server loads on first access: a client, a sweep and the
 # CLI's other commands never start one.
 _EXPORTS = {".server": ("ServiceConfig", "SweepService", "ThreadedService")}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__getattr__, __dir__, _ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ACTIVE_STATES",

@@ -181,8 +181,36 @@ class ServiceClient:
         reconnects = 0
         while True:
             try:
-                conn = self._connect()
-            except OSError as exc:
+                with self._connect() as conn:
+                    reader = conn.makefile("rb")
+                    conn.sendall(encode_line({"op": "stream",
+                                              "job_id": job_id,
+                                              "from_seq": next_seq}))
+                    header = decode_line(reader.readline())
+                    if not header.get("ok"):
+                        error = header.get("error") or {}
+                        if error.get("code") == "replay_gap":
+                            # Buffer moved on (or the server restarted
+                            # and its sequence space reset): resume from
+                            # the head the server advertises.
+                            next_seq = int(error.get("buffer_start", 0))
+                            continue
+                        raise ServiceError(
+                            str(error.get("reason", "stream refused")),
+                            code=str(error.get("code", "error")))
+                    while True:
+                        line = reader.readline()
+                        if not line:
+                            raise ConnectionResetError("stream closed")
+                        event = decode_line(line)
+                        seq = int(event.get("seq", -1))
+                        if seq < next_seq:
+                            continue  # replay overlap; already delivered
+                        next_seq = seq + 1
+                        yield event
+                        if event.get("terminal"):
+                            return
+            except OSError as exc:  # connect failed or the stream dropped
                 reconnects += 1
                 if reconnects > max_reconnects:
                     raise ServiceError(
@@ -190,46 +218,6 @@ class ServiceClient:
                         f"{max_reconnects} reconnects: {exc}",
                         code="unreachable") from exc
                 time.sleep(self.retry_delay_s)
-                continue
-            try:
-                reader = conn.makefile("rb")
-                conn.sendall(encode_line({"op": "stream",
-                                          "job_id": job_id,
-                                          "from_seq": next_seq}))
-                header = decode_line(reader.readline())
-                if not header.get("ok"):
-                    error = header.get("error") or {}
-                    if error.get("code") == "replay_gap":
-                        # Buffer moved on (or the server restarted and
-                        # its sequence space reset): resume from the
-                        # head the server advertises.
-                        next_seq = int(error.get("buffer_start", 0))
-                        continue
-                    raise ServiceError(
-                        str(error.get("reason", "stream refused")),
-                        code=str(error.get("code", "error")))
-                while True:
-                    line = reader.readline()
-                    if not line:
-                        raise ConnectionResetError("stream closed")
-                    event = decode_line(line)
-                    seq = int(event.get("seq", -1))
-                    if seq < next_seq:
-                        continue  # replay overlap; already delivered
-                    next_seq = seq + 1
-                    yield event
-                    if event.get("terminal"):
-                        return
-            except (OSError, ConnectionResetError) as exc:
-                reconnects += 1
-                if reconnects > max_reconnects:
-                    raise ServiceError(
-                        f"stream for {job_id} lost after "
-                        f"{max_reconnects} reconnects: {exc}",
-                        code="unreachable") from exc
-                time.sleep(self.retry_delay_s)
-            finally:
-                conn.close()
 
     def wait(self, job_id: str, timeout_s: Optional[float] = None,
              from_seq: int = 0) -> Dict[str, Any]:

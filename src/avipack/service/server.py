@@ -5,7 +5,11 @@ into an always-on, multi-tenant service.  One asyncio event loop owns
 all bookkeeping (jobs, queue, event buffers, stats); sweeps run one
 at a time on a worker thread so the loop never blocks; every outcome a
 job produces is write-ahead journalled before any event about it is
-emitted.  Robustness properties, in the order they matter:
+emitted.  Every state change of a job goes through one method that
+saves the job's manifest *before* it announces the state, so a client
+told of a state finds it on disk; a failed save still announces it
+and frees the job slot, so the queue and the drain move on.
+Robustness properties, in the order they matter:
 
 * **Admission control** — bounded queue, per-client quotas and a
   per-job size bound; overload rejects with a structured reason
@@ -197,8 +201,9 @@ class SweepService:
         self.store = JobStore(config.journal_dir)
         self._jobs: Dict[str, Job] = {}
         self._queue = JobQueue()
-        self._running: set = set()
-        self._tasks: set = set()
+        #: The one job running now, and its task (kept referenced).
+        self._running: Optional[Job] = None
+        self._job_task: Optional["asyncio.Task[None]"] = None
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
         self._order = itertools.count()
         self._draining = False
@@ -213,7 +218,8 @@ class SweepService:
         #: for one job retain their submission order.
         self._io_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="avipack-io")
-        #: threading.Event other threads may wait on for readiness.
+        #: Set by :meth:`serve` once the socket is bound; other threads
+        #: may wait on it.
         self.ready = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -232,29 +238,20 @@ class SweepService:
                                          self._claim_socket)
         server = await asyncio.start_unix_server(
             self._handle_client, path=self.config.socket_path)
+        self.ready.set()
         self._install_signal_handlers()
         heartbeat = asyncio.create_task(self._heartbeat_loop())
-        self._tasks.add(heartbeat)
-        heartbeat.add_done_callback(self._tasks.discard)
         governor = asyncio.create_task(self._budget_loop())
-        self._tasks.add(governor)
-        governor.add_done_callback(self._tasks.discard)
         self._schedule()
         try:
             await self._stopped.wait()
         finally:
             server.close()
             await server.wait_closed()
-            heartbeat.cancel()
-            governor.cancel()
-            pending = [task for task in self._tasks
-                       if task is not heartbeat and task is not governor]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            with contextlib.suppress(asyncio.CancelledError):
-                await heartbeat
-            with contextlib.suppress(asyncio.CancelledError):
-                await governor
+            for task in (heartbeat, governor):
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
             self._executor.shutdown(wait=True)
             self._io_executor.shutdown(wait=True)
             with contextlib.suppress(OSError):
@@ -328,87 +325,92 @@ class SweepService:
             return
         self._draining = True
         self.stats.drains += 1
-        for job_id in list(self._running):
-            job = self._jobs[job_id]
+        job = self._running
+        if job is not None:
             if job.cancel_reason is None:
                 job.cancel_reason = "drain"
             self._emit(job, "draining", reason=reason)
         self._maybe_finish_drain()
 
     def _maybe_finish_drain(self) -> None:
-        if self._draining and not self._running \
+        if self._draining and self._running is None \
                 and self._stopped is not None:
             self._stopped.set()
 
     # -- scheduling and execution --------------------------------------------
 
     def _schedule(self) -> None:
-        while not self._draining and not self._running:
+        while not self._draining and self._running is None:
             job_id = self._queue.pop()
             if job_id is None:
                 break
             job = self._jobs[job_id]
             if job.state != "queued":
                 continue
-            self._running.add(job_id)
-            task = asyncio.create_task(self._run_job(job))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._running = job
+            self._job_task = asyncio.create_task(self._run_job(job))
+
+    async def _transition(self, job: Job, state: str,
+                          error: Optional[str] = None, /,
+                          **fields: Any) -> None:
+        """Move ``job`` to ``state``: the one place a job changes state.
+
+        Sets the state, the error and (on a terminal state)
+        ``finished_wall``, counts the transition, saves the manifest and
+        only then emits the event (``started`` for ``running``), so a
+        client told of a state finds it on disk.  The event goes out
+        even when the save raises; the exception then propagates.
+        """
+        job.state = state
+        job.error = error
+        if job.terminal:
+            job.finished_wall = time.time()
+        name = "started" if state == "running" else state
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        try:
+            await self._save_job(job)
+        finally:
+            self._emit(job, name, terminal=job.terminal, **fields)
 
     async def _run_job(self, job: Job) -> None:
         assert self._loop is not None
-        job.state = "running"
         job.started_monotonic = time.monotonic()
         job.last_progress_monotonic = job.started_monotonic
-        await self._save_job(job)
-        self.stats.started += 1
-        self._emit(job, "started", resume=job.resume, total=job.total)
         try:
-            report = await self._loop.run_in_executor(
-                self._executor, self._execute_job, job)
-        except _CancelSweep as cancel:
-            if cancel.reason == "drain":
-                job.state = "interrupted"
-                self.stats.interrupted += 1
-                self._emit(job, "interrupted", reason=cancel.reason,
-                           done=job.done)
+            try:
+                await self._transition(job, "running", resume=job.resume,
+                                       total=job.total)
+                report = await self._loop.run_in_executor(
+                    self._executor, self._execute_job, job)
+            except _CancelSweep as cancel:
+                if cancel.reason == "drain":
+                    await self._transition(job, "interrupted",
+                                           reason=cancel.reason,
+                                           done=job.done)
+                else:
+                    await self._transition(
+                        job, "cancelled", f"cancelled: {cancel.reason}",
+                        reason=cancel.reason, done=job.done)
+            except Exception as exc:  # defensive: a job never kills the loop
+                error = f"{type(exc).__name__}: {exc}"
+                await self._transition(job, "failed", error, error=error)
             else:
-                job.state = "cancelled"
-                job.error = f"cancelled: {cancel.reason}"
-                self.stats.cancelled += 1
-                self._emit(job, "cancelled", terminal=True,
-                           reason=cancel.reason, done=job.done)
-        except AvipackError as exc:
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            self.stats.failed += 1
-            self._emit(job, "failed", terminal=True, error=job.error)
-        except Exception as exc:  # defensive: a job never kills the loop
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            self.stats.failed += 1
-            self._emit(job, "failed", terminal=True, error=job.error)
-        else:
-            job.state = "completed"
-            job.result = self._summarize(report)
-            self.stats.completed += 1
-            durability = report.durability
-            if durability is not None:
-                job.restored = durability.n_resumed
-                self.stats.restored_candidates += durability.n_resumed
-            self.stats.record_job_perf(report.n_candidates,
-                                       report.wall_time_s)
-            self._emit(job, "completed", terminal=True,
-                       n_compliant=report.n_compliant,
-                       n_failed=len(report.failures),
-                       restored=job.restored,
-                       wall_s=round(report.wall_time_s, 6))
-        if job.terminal:
-            job.finished_wall = time.time()
-        await self._save_job(job)
-        self._running.discard(job.job_id)
-        self._schedule()
-        self._maybe_finish_drain()
+                job.result = self._summarize(report)
+                durability = report.durability
+                if durability is not None:
+                    job.restored = durability.n_resumed
+                    self.stats.restored_candidates += durability.n_resumed
+                self.stats.record_job_perf(report.n_candidates,
+                                           report.wall_time_s)
+                await self._transition(
+                    job, "completed", n_compliant=report.n_compliant,
+                    n_failed=len(report.failures), restored=job.restored,
+                    wall_s=round(report.wall_time_s, 6))
+        finally:
+            # A failed manifest write must not wedge the queue or drain.
+            self._running = None
+            self._schedule()
+            self._maybe_finish_drain()
 
     def _execute_job(self, job: Job):
         """Run one sweep (worker thread; never touches loop state)."""
@@ -722,7 +724,7 @@ class SweepService:
                     "stats": self.stats.snapshot(),
                     "perf": dataclasses.asdict(_perf.stats(SERVICE_KERNEL)),
                     "queued": len(self._queue),
-                    "running": len(self._running),
+                    "running": int(self._running is not None),
                     "draining": self._draining,
                     "disk": self._disk_status()}
         if op == "retention":
@@ -776,8 +778,14 @@ class SweepService:
         # with the same fingerprint must dedup against this job, and a
         # concurrent cancel must be able to find it.
         self._jobs[job_id] = job
+        try:
+            await self._save_job(job)
+        except Exception:
+            # Unsaved, the job would never be queued, yet a retried
+            # submit would dedup onto it.
+            self._jobs.pop(job_id, None)
+            raise
         self.stats.accepted += 1
-        await self._save_job(job)
         if job.state == "queued":  # a cancel may land during the await
             self._queue.push(job_id, job.priority, job.submit_order)
             self._emit(job, "queued", priority=job.priority,
@@ -800,12 +808,8 @@ class SweepService:
         reason = str(params.get("reason", "cancelled by client"))
         if job.state == "queued":
             self._queue.remove(job.job_id)
-            job.state = "cancelled"
-            job.error = f"cancelled: {reason}"
-            job.finished_wall = time.time()
-            self.stats.cancelled += 1
-            await self._save_job(job)
-            self._emit(job, "cancelled", terminal=True, reason=reason)
+            await self._transition(job, "cancelled", f"cancelled: {reason}",
+                                   reason=reason)
         elif job.cancel_reason is None:
             job.cancel_reason = reason
             self._emit(job, "cancelling", reason=reason)
@@ -982,18 +986,7 @@ class ThreadedService:
                            code="startup_failed")
 
     def _run(self) -> None:
-        asyncio.run(self._serve_signalling_ready())
-
-    async def _serve_signalling_ready(self) -> None:
-        # serve() binds the socket before waiting; flip the readiness
-        # flag once the loop is processing by scheduling it as a task.
-        loop = asyncio.get_running_loop()
-        serve_task = loop.create_task(self.service.serve())
-        while not os.path.exists(self.config.socket_path) \
-                and not serve_task.done():
-            await asyncio.sleep(0.01)
-        self.service.ready.set()
-        await serve_task
+        asyncio.run(self.service.serve())
 
     def stop(self, timeout_s: float = 30.0) -> None:
         loop = self.service._loop

@@ -58,7 +58,7 @@ from ..core.report import summarize_margins
 from ..durability.audit import AUDIT_BOARD_LIMIT_C
 from ..errors import InputError, JournalError
 from ..perf import SolveStats
-from ..packaging.cooling import CoolingTechnique
+from ..packaging.cooling import SIMPLICITY_ORDER, CoolingTechnique
 from ..resilience import faults as _faults
 from ..resilience.faults import FaultPlan
 from ..resilience.policy import RecoveryTrail, SupervisionPolicy
@@ -74,17 +74,6 @@ from .space import Candidate, DesignSpace
 
 __all__ = ["CandidateFailure", "CandidateResult", "SweepRunner",
            "SweepTask", "evaluate_candidate"]
-
-#: Cooling techniques by increasing installation cost/complexity — the
-#: ranking behind "design at a minimum cost" (Fig. 5 simplicity order).
-_TECHNIQUE_COST_RANK: Dict[CoolingTechnique, int] = {
-    CoolingTechnique.FREE_CONVECTION: 0,
-    CoolingTechnique.DIRECT_AIR_FLOW: 1,
-    CoolingTechnique.AIR_FLOW_AROUND: 2,
-    CoolingTechnique.CONDUCTION_COOLED: 3,
-    CoolingTechnique.AIR_FLOW_THROUGH: 4,
-    CoolingTechnique.LIQUID_FLOW_THROUGH: 5,
-}
 
 #: Exception attributes lifted into :attr:`CandidateFailure.details`.
 _DETAIL_ATTRS = ("iterations", "residual", "limit_name", "limit_value",
@@ -199,14 +188,15 @@ CandidateOutcome = Union[CandidateResult, CandidateFailure]
 
 
 def _cost_rank(candidate: Candidate) -> float:
-    """Installation-cost proxy: cooling complexity, then TIM exoticism."""
+    """Installation-cost proxy: cooling complexity (the Fig. 5
+    simplicity order, "design at a minimum cost"), then TIM exoticism."""
     technique = candidate.cooling
     if not isinstance(technique, CoolingTechnique):
         try:
             technique = CoolingTechnique(technique)
         except ValueError:
             return float("inf")
-    rank = float(_TECHNIQUE_COST_RANK[technique]) * 10.0
+    rank = float(SIMPLICITY_ORDER.index(technique)) * 10.0
     if candidate.tim_name.startswith("nanopack"):
         rank += 1.0
     return rank

@@ -29,29 +29,4 @@ _EXPORTS = {
     ".transient": ("TransientNetworkResult", "TransientNetworkSolver",
                    "cyclic_profile", "ramp_profile"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "ADIABATIC",
-    "BoundaryCondition",
-    "CartesianGrid",
-    "ConductionSolution",
-    "ConductionSolver",
-    "FACES",
-    "NetworkSolution",
-    "ThermalNetwork",
-    "TransientNetworkResult",
-    "TransientNetworkSolver",
-    "air_outlet_temperature",
-    "cyclic_profile",
-    "duct_velocity",
-    "forced_convection_duct",
-    "forced_convection_flat_plate",
-    "linearized_radiation_coefficient",
-    "natural_convection_horizontal_cylinder",
-    "natural_convection_vertical_plate",
-    "ramp_profile",
-    "rayleigh_number",
-    "reynolds_number",
-    "spreading_resistance",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

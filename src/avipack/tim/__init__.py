@@ -21,21 +21,4 @@ _EXPORTS = {
     ".tester": ("D5470Measurement", "D5470Tester", "FourWireOhmmeter",
                 "TimCharacterization"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "D5470Measurement",
-    "D5470Tester",
-    "FourWireOhmmeter",
-    "LEWIS_NIELSEN_SHAPES",
-    "ThermalInterface",
-    "TimCharacterization",
-    "TimMaterial",
-    "bond_line_thickness",
-    "electrical_resistivity_filled",
-    "get_tim",
-    "lewis_nielsen",
-    "list_tims",
-    "loading_for_conductivity",
-    "meets_nanopack_target",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -15,21 +15,4 @@ _EXPORTS = {
     ".wick": ("Wick", "sintered_necked_wick", "sintered_powder_wick"),
     ".workingfluid": ("WorkingFluid", "select_fluid"),
 }
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "HeatPipe",
-    "HeatPipeGeometry",
-    "LoopHeatPipe",
-    "NUCLEATION_RADIUS",
-    "TransportLine",
-    "VaporChamber",
-    "electronics_vapor_chamber",
-    "sintered_necked_wick",
-    "Wick",
-    "WorkingFluid",
-    "cosee_ammonia_lhp",
-    "select_fluid",
-    "sintered_powder_wick",
-    "standard_copper_water_heatpipe",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

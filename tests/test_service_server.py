@@ -10,6 +10,8 @@ of killing the process (the subprocess drills live in
 ``test_service_drain.py`` / ``test_service_chaos.py``).
 """
 
+import errno
+import json
 import os
 import signal
 import threading
@@ -318,6 +320,88 @@ class TestCancellation:
             with pytest.raises(ServiceError) as excinfo:
                 client.cancel(job_id)
             assert excinfo.value.code == "not_cancellable"
+
+
+class TestManifestSaves:
+    def test_failed_terminal_save_frees_the_job_slot(
+            self, sockets, tmp_path, monkeypatch):
+        # The disk fills as the first job ends: its terminal manifest
+        # write fails, yet the job queued behind it still runs and the
+        # drain still finishes.
+        original = JobStore.save_manifest
+
+        def full_disk_at_end(store, job_id, manifest):
+            if job_id == "j000000" and manifest["state"] == "completed":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            original(store, job_id, manifest)
+
+        monkeypatch.setattr(JobStore, "save_manifest", full_disk_at_end)
+        config = make_config(sockets, tmp_path, throttle_s=0.05)
+        service = ThreadedService(config)
+        service.start()
+        try:
+            client = ServiceClient(config.socket_path)
+            first = client.submit(axes=AXES, sample=2)["job_id"]
+            second = client.submit(axes=AXES, sample=2, seed=1)["job_id"]
+            assert client.wait(first, timeout_s=30.0)["state"] \
+                == "completed"
+            assert client.wait(second, timeout_s=30.0)["state"] \
+                == "completed"
+        finally:
+            service.stop(timeout_s=10.0)
+        assert not service._thread.is_alive()
+
+    def test_terminal_event_follows_its_manifest(
+            self, sockets, tmp_path, monkeypatch):
+        # A slow terminal save: the client told "completed" must find
+        # that state on disk already.
+        original = JobStore.save_manifest
+
+        def slow_terminal_save(store, job_id, manifest):
+            if manifest["state"] == "completed":
+                time.sleep(0.5)
+            original(store, job_id, manifest)
+
+        monkeypatch.setattr(JobStore, "save_manifest", slow_terminal_save)
+        config = make_config(sockets, tmp_path)
+        with ThreadedService(config):
+            client = ServiceClient(config.socket_path)
+            job_id = client.submit(axes=AXES, sample=2)["job_id"]
+            for event in client.stream(job_id):
+                if event.get("terminal"):
+                    break
+            manifest = os.path.join(config.journal_dir,
+                                    f"{job_id}.manifest.json")
+            with open(manifest, encoding="utf-8") as stream:
+                on_disk = json.load(stream)
+        assert event["event"] == "completed"
+        assert on_disk["state"] == "completed"
+
+    def test_failed_submit_save_leaves_no_orphan_job(
+            self, sockets, tmp_path, monkeypatch):
+        # The first submit's manifest write fails: the job must not stay
+        # registered, or the client's retry dedups onto a job that was
+        # never queued and never runs.
+        original = JobStore.save_manifest
+        failed = []
+
+        def full_disk_once(store, job_id, manifest):
+            if not failed:
+                failed.append(job_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            original(store, job_id, manifest)
+
+        monkeypatch.setattr(JobStore, "save_manifest", full_disk_once)
+        config = make_config(sockets, tmp_path)
+        with ThreadedService(config):
+            client = ServiceClient(config.socket_path)
+            accepted = client.submit(axes=AXES, sample=2)
+            assert not accepted.get("deduplicated")
+            final = client.wait(accepted["job_id"], timeout_s=30.0)
+            assert final["state"] == "completed"
+            with pytest.raises(ServiceError) as excinfo:
+                client.status(failed[0])
+            assert excinfo.value.code == "unknown_job"
 
 
 class TestDeadlines:
