@@ -1,4 +1,4 @@
-"""The preset zlib dictionary that primes schema-3 and -4 journal payloads.
+"""The preset zlib dictionary that primes schema-3 to -6 journal payloads.
 
 Every journal line compresses one pickle on its own, so without a
 dictionary each line pays again for the same pickle opcodes, module
@@ -48,7 +48,7 @@ import base64
 
 __all__ = ["SCHEMA3_ZDICT"]
 
-#: Preset dictionary of schema-3 and -4 payloads (2,691 bytes).
+#: Preset dictionary of schema-3 to -6 payloads (2,691 bytes).
 SCHEMA3_ZDICT: bytes = base64.b64decode(
     "gAWVrAIAAAAAAACMFGF2aXBhY2suc3dlZXAucnVubmVylIwQQ2FuZGlkYXRlRmFpbHVy"
     "ZZSTlCmBlH2UKIwFaW5kZXiUSwCMCWNhbmRpZGF0ZZSME2F2aXBhY2suc3dlZXAuc3Bh"

@@ -70,12 +70,22 @@ leaves the candidate to the plan:
   that index (a resume over a subset space leaves such orphans), and
   the resume audit's fingerprint-integrity check covers it.
 
+Schema 6 changes only the ``checkpoint`` record: its ``outcomes``
+field is one payload instead of one text per fingerprint, a pickled
+tuple of ``(20 raw fingerprint bytes, stripped outcome)`` entries in
+fingerprint order, so the whole fold shares one zlib stream.  Each
+entry is stripped and paired exactly as a schema-5 outcome line is,
+and every entry is decoded before any is applied, so one bad entry
+quarantines the whole record.  Plan, outcome and ``dispatched`` lines
+are laid out as in schema 5.
+
 Schema-1 (plain pickle), schema-2 (unprimed zlib), schema-3 (hex
-SHA-256, payloads carrying their fingerprint) and schema-4 (payloads
-carrying their candidate) journals still replay, resume, ingest and
-compact, and each line is verified and decoded by its own
-``schema_version``.  A different dictionary is a new schema version;
-the old dictionary stays as the decoder of the journals written with it.
+SHA-256, payloads carrying their fingerprint), schema-4 (payloads
+carrying their candidate) and schema-5 (checkpoints holding one text
+per outcome) journals still replay, resume, ingest and compact, and
+each line is verified and decoded by its own ``schema_version``.  A
+different dictionary is a new schema version; the old dictionary stays
+as the decoder of the journals written with it.
 The checksums protect against corruption in transit and at rest, not
 against an adversary who can rewrite the journal *and* its checksums —
 treat journal files with the same trust as the repository they live in.
@@ -115,7 +125,7 @@ __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
 
 #: Bump when the record encoding changes; replay quarantines any
 #: version it has no decoder for rather than guessing at its layout.
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: The first schema whose outcome payloads leave the fingerprint to the
 #: envelope and whose lines carry the SHA-256 as unpadded base64.
@@ -124,6 +134,9 @@ _LEAN_SCHEMA = 4
 #: The first schema whose outcome payloads leave the candidate to the
 #: plan record in force.
 _PLAN_CANDIDATE_SCHEMA = 5
+
+#: The first schema whose checkpoint holds its outcomes as one payload.
+_OUTCOME_BLOCK_SCHEMA = 6
 
 #: The preset-dictionary flag (FDICT) of a zlib stream header's FLG byte.
 _FDICT = 0x20
@@ -157,7 +170,7 @@ def _inflate(data: bytes) -> bytes:
 
 
 def _inflate_primed(data: bytes) -> bytes:
-    """Decode a schema-3 to -5 payload: one whole zlib stream primed with
+    """Decode a schema-3 to -6 payload: one whole zlib stream primed with
     :data:`SCHEMA3_ZDICT`.
 
     zlib also accepts a stream written without a dictionary, so that is
@@ -169,12 +182,12 @@ def _inflate_primed(data: bytes) -> bytes:
 
 
 #: Payload decoder per readable ``schema_version``: 1 wrote plain
-#: pickles, 2 unprimed zlib, 3 to 5 zlib primed with
+#: pickles, 2 unprimed zlib, 3 to 6 zlib primed with
 #: :data:`SCHEMA3_ZDICT` (4 without the outcome's fingerprint, 5 also
-#: without its candidate).
+#: without its candidate, 6 with a checkpoint's outcomes in one block).
 _PAYLOAD_DECODERS = {1: lambda data: data, 2: _inflate,
                      3: _inflate_primed, 4: _inflate_primed,
-                     5: _inflate_primed}
+                     5: _inflate_primed, 6: _inflate_primed}
 
 
 def _open_locked(path: str):
@@ -245,23 +258,29 @@ def _decode_payload(text: str,
         base64.b64decode(text.encode())))
 
 
-def _encode_outcome(outcome: "CandidateOutcome",
-                    embed_candidate: bool = False) -> str:
-    """An outcome payload without the fingerprint its envelope carries
-    and, unless ``embed_candidate``, without the candidate its plan
-    record holds."""
+def _strip_outcome(outcome: "CandidateOutcome",
+                   embed_candidate: bool = False) -> "CandidateOutcome":
+    """A copy of ``outcome`` without the fingerprint its envelope (or
+    checkpoint entry) carries and, unless ``embed_candidate``, without
+    the candidate its plan record holds."""
     stripped = copy.copy(outcome)
     object.__setattr__(stripped, "fingerprint", "")
     if not embed_candidate:
         object.__setattr__(stripped, "candidate", None)
-    return _encode_payload(stripped)
+    return stripped
+
+
+def _encode_outcome(outcome: "CandidateOutcome",
+                    embed_candidate: bool = False) -> str:
+    """An outcome line's payload: :func:`_strip_outcome`, encoded."""
+    return _encode_payload(_strip_outcome(outcome, embed_candidate))
 
 
 def _plan_candidate(plan: Optional[Tuple["Candidate", ...]], index: Any,
                     fingerprint: str) -> "Candidate":
-    """``plan[index]``, the candidate a schema-5 outcome was written for;
-    raises :class:`_DamagedRecord` unless it is the candidate
-    fingerprinted ``fingerprint``."""
+    """``plan[index]``, the candidate an outcome was written for from
+    schema 5 on; raises :class:`_DamagedRecord` unless it is the
+    candidate fingerprinted ``fingerprint``."""
     if plan is None:
         raise _DamagedRecord("outcome has no intact plan record before it")
     if type(index) is not int or not 0 <= index < len(plan):
@@ -282,7 +301,16 @@ def _decode_outcome(text: str, fingerprint: str,
     """Decode an outcome payload; from schema 4 on, the outcome takes
     ``fingerprint``, its envelope's copy, and from schema 5 on, unless
     the payload embeds it, its candidate from ``plan``."""
-    outcome = _decode_payload(text, schema_version)
+    return _restore_outcome(_decode_payload(text, schema_version),
+                            fingerprint, schema_version, plan)
+
+
+def _restore_outcome(outcome: "CandidateOutcome", fingerprint: str,
+                     schema_version: int,
+                     plan: Optional[Tuple["Candidate", ...]]
+                     ) -> "CandidateOutcome":
+    """Write back what a ``schema_version`` payload left out of the
+    unpickled ``outcome`` (see :func:`_decode_outcome`)."""
     if schema_version >= _LEAN_SCHEMA:
         object.__setattr__(outcome, "fingerprint", fingerprint)
     if (schema_version >= _PLAN_CANDIDATE_SCHEMA
@@ -290,6 +318,52 @@ def _decode_outcome(text: str, fingerprint: str,
         object.__setattr__(outcome, "candidate", _plan_candidate(
             plan, outcome.index, fingerprint))
     return outcome
+
+
+def _encode_outcome_block(outcomes: Dict[str, "CandidateOutcome"],
+                          plan: Tuple["Candidate", ...]) -> str:
+    """A schema-6 checkpoint's ``outcomes`` field: one payload of
+    ``(raw fingerprint, stripped outcome)`` entries in fingerprint order.
+
+    An orphan — an outcome whose candidate ``plan`` does not hold at its
+    index, as a resume over a subset space leaves — keeps its candidate
+    embedded, since replay could not pair it with the plan.
+    """
+    entries = []
+    for fingerprint, outcome in sorted(outcomes.items()):
+        try:
+            _plan_candidate(plan, outcome.index, fingerprint)
+        except _DamagedRecord:
+            orphan = True
+        else:
+            orphan = False
+        entries.append((bytes.fromhex(fingerprint),
+                        _strip_outcome(outcome, embed_candidate=orphan)))
+    return _encode_payload(tuple(entries))
+
+
+def _decode_checkpoint_outcomes(outcomes: Any, schema_version: int,
+                                plan: Tuple["Candidate", ...]
+                                ) -> List[Tuple[str, "CandidateOutcome"]]:
+    """Every ``(fingerprint, outcome)`` a checkpoint's ``outcomes`` field
+    folds, each paired with ``plan``; raises on the first bad entry, so
+    the record is quarantined whole."""
+    if schema_version < _OUTCOME_BLOCK_SCHEMA:
+        return [(str(fp), _decode_outcome(text, str(fp), schema_version,
+                                          plan))
+                for fp, text in outcomes.items()]
+    entries = _decode_payload(outcomes, schema_version)
+    if type(entries) is not tuple:
+        raise _DamagedRecord("checkpoint outcomes are not one tuple")
+    folded = []
+    for raw, outcome in entries:
+        if type(raw) is not bytes or len(raw) != 20:
+            raise _DamagedRecord(
+                "checkpoint entry has no 20-byte fingerprint")
+        fingerprint = raw.hex()
+        folded.append((fingerprint, _restore_outcome(
+            outcome, fingerprint, schema_version, plan)))
+    return folded
 
 
 def encode_record(kind: str, seq: int, fields: Dict[str, Any]) -> bytes:
@@ -454,12 +528,6 @@ class JournalReplay:
     n_records: int = 0
     next_seq: int = 0
     quarantined: Tuple[QuarantinedRecord, ...] = ()
-    #: With ``keep_payloads``, the encoded text of the latest plan's
-    #: candidate list if its record is at :data:`SCHEMA_VERSION`.
-    candidates_payload: Optional[str] = None
-    #: With ``keep_payloads``, the encoded text of each latest outcome
-    #: whose record is at :data:`SCHEMA_VERSION`.
-    outcome_payloads: Dict[str, str] = field(default_factory=dict)
 
     @property
     def n_quarantined(self) -> int:
@@ -503,19 +571,8 @@ def _write_quarantine(path: str,
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _keep_outcome(replay: JournalReplay, fingerprint: str, payload: str,
-                  outcome: "CandidateOutcome", keep: bool) -> None:
-    """Record one decoded outcome in ``replay``, latest-wins."""
-    replay.outcomes[fingerprint] = outcome
-    if keep:
-        replay.outcome_payloads[fingerprint] = payload
-    else:
-        replay.outcome_payloads.pop(fingerprint, None)
-
-
 def replay_journal(path: str, quarantine_path: Optional[str] = None,
-                   write_quarantine: bool = True, *,
-                   keep_payloads: bool = False) -> JournalReplay:
+                   write_quarantine: bool = True) -> JournalReplay:
     """Verify and replay a journal; damage is quarantined, never fatal.
 
     Every line is independently decoded and checksum-verified; lines
@@ -527,10 +584,6 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
     ``write_quarantine`` is set — and replay continues.  Only a
     missing/unreadable journal *file* raises
     :class:`~avipack.errors.JournalError`.
-
-    ``keep_payloads`` also keeps the encoded text of every current-schema
-    payload it decoded (:attr:`JournalReplay.outcome_payloads`), so a
-    compaction need not encode the same objects again.
     """
     try:
         with open(path, "rb") as stream:
@@ -549,38 +602,31 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
             body = _verify_line(line)
             kind = body["kind"]
             version = body["schema_version"]
-            keep = keep_payloads and version == SCHEMA_VERSION
             if kind in ("plan", "checkpoint"):
                 plan = tuple(_decode_payload(body["candidates"], version))
                 # A checkpoint's outcomes pair with its own candidates,
                 # and are all decoded before any of them is applied.
-                folded = [(str(fp), payload,
-                           _decode_outcome(payload, str(fp), version, plan))
-                          for fp, payload in (body["outcomes"].items()
-                                              if kind == "checkpoint"
-                                              else ())]
+                folded = []
+                if kind == "checkpoint":
+                    folded = _decode_checkpoint_outcomes(
+                        body["outcomes"], version, plan)
                 replay.candidates = plan
                 replay.space_fingerprint = str(
                     body.get("space_fingerprint", ""))
-                replay.candidates_payload = (body["candidates"] if keep
-                                             else None)
             if kind == "dispatched":
                 replay.dispatched[str(body["fingerprint"])] = \
                     int(body["index"])
             elif kind in _OUTCOME_KINDS:
                 fingerprint = str(body["fingerprint"])
-                _keep_outcome(replay, fingerprint, body["payload"],
-                              _decode_outcome(body["payload"], fingerprint,
-                                              version, replay.candidates),
-                              keep)
+                replay.outcomes[fingerprint] = _decode_outcome(
+                    body["payload"], fingerprint, version,
+                    replay.candidates)
             elif kind == "checkpoint":
                 # One folded prefix (see avipack.retention): apply it
                 # wholesale, then let any live-tail records appended
                 # after compaction override entries latest-wins, just
                 # as the uncompacted stream would have.
-                for fingerprint, payload, outcome in folded:
-                    _keep_outcome(replay, fingerprint, payload, outcome,
-                                  keep)
+                replay.outcomes.update(folded)
                 for fp, index in body["dispatched"].items():
                     replay.dispatched[str(fp)] = int(index)
                 replay.n_records += int(body.get("n_folded", 1)) - 1

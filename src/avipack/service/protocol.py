@@ -59,6 +59,7 @@ ERROR_CODES = (
     "replay_gap",       # requested event seq outside the replay buffer
     "not_cancellable",  # job already terminal
     "no_results",       # job has no columnar result store (yet)
+    "io_error",         # the server could not persist the request
 )
 
 #: Event types that end a stream (the job reached a final state).

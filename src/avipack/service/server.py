@@ -780,11 +780,15 @@ class SweepService:
         self._jobs[job_id] = job
         try:
             await self._save_job(job)
-        except Exception:
+        except Exception as exc:
             # Unsaved, the job would never be queued, yet a retried
             # submit would dedup onto it.
             self._jobs.pop(job_id, None)
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            self.stats.reject("io_error")
+            return error_response(
+                "io_error", f"could not save job {job_id}: {exc}")
         self.stats.accepted += 1
         if job.state == "queued":  # a cancel may land during the await
             self._queue.push(job_id, job.priority, job.submit_order)

@@ -294,11 +294,11 @@ class TestPlanPairing:
         compact_journal(path)
         with open(path, "rb") as stream:
             (line,) = stream.read().splitlines()
-        texts = json.loads(line)["body"]["outcomes"]
+        entries = _decode_payload(json.loads(line)["body"]["outcomes"])
         orphans = {c.fingerprint for c in candidates} \
             - {c.fingerprint for c in subset}
-        assert {fp for fp, text in texts.items()
-                if _decode_payload(text).candidate is not None} == orphans
+        assert {raw.hex() for raw, outcome in entries
+                if outcome.candidate is not None} == orphans
         replay = replay_journal(path)
         assert replay.n_quarantined == 0
         assert replay.candidates == tuple(subset)

@@ -24,9 +24,11 @@ written before the lean line (``schema_version`` 3) hold primed
 payloads that carry their own fingerprint, with a spaced line and a hex
 SHA-256, and journals written before outcomes left their candidate to
 the plan (``schema_version`` 4) hold lean lines whose payloads carry
-the candidate.  Replay, resume (which appends current-schema records
-and so leaves a mixed journal), ingest and compaction must rank all
-four like a fresh run.
+the candidate.  Journals written before a checkpoint held its outcomes
+as one block (``schema_version`` 5) lay their lines out as today, and
+their checkpoints hold one payload text per outcome.  Replay, resume
+(which appends current-schema records and so leaves a mixed journal),
+ingest and compaction must rank all five like a fresh run.
 """
 
 import base64
@@ -44,7 +46,8 @@ from avipack.durability import SCHEMA_VERSION, audit_outcomes, \
     replay_journal
 from avipack.durability._payload_dict import SCHEMA3_ZDICT
 from avipack.durability.journal import SweepJournal, _canonical, \
-    _decode_outcome, outcome_kind, seal
+    _decode_payload, _encode_outcome, _encode_outcome_block, outcome_kind, \
+    seal
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
 from avipack.errors import InputError
@@ -54,11 +57,10 @@ from avipack.results import ResultStore, ResultStoreWriter, \
 from avipack.results.schema import AXIS_FIELDS, ROW_DTYPE, \
     SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT, SHARD_DTYPE, fill_row
 from avipack.durability.files import atomic_write
-from avipack.retention import checkpoint as checkpoint_mod
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
     SweepRunner
-from tests.routes import POOL, report_signature
+from tests.routes import POOL, _cheap, report_signature
 
 SPACE = DesignSpace(axes={
     "power_per_module": (10.0, 30.0),
@@ -129,18 +131,22 @@ def schema3_payload(value):
     return base64.b64encode(data + deflater.flush()).decode()
 
 
-#: Payload encoder of each retired schema.  Schema 4 kept schema 3's
-#: encoding and dropped the outcome's fingerprint (see
-#: :func:`write_legacy_journal`).
+#: Payload encoder of each retired schema.  Schemas 4 and 5 kept
+#: schema 3's encoding; 4 dropped the outcome's fingerprint and 5 also
+#: its candidate (see :func:`write_legacy_journal`).
 LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload,
-                   3: schema3_payload, 4: schema3_payload}
+                   3: schema3_payload, 4: schema3_payload,
+                   5: schema3_payload}
 
 
 def write_legacy_journal(path, schema, candidates, outcomes):
     """A plan plus one outcome line each, in a retired encoding."""
     payload = LEGACY_PAYLOADS[schema]
-    if schema == 4:
+    if schema >= 4:
         outcomes = [dataclasses.replace(o, fingerprint="")
+                    for o in outcomes]
+    if schema >= 5:
+        outcomes = [dataclasses.replace(o, candidate=None)
                     for o in outcomes]
     lines = [legacy_line(
         schema, 0, "plan", n_candidates=len(candidates),
@@ -148,11 +154,27 @@ def write_legacy_journal(path, schema, candidates, outcomes):
         candidates=payload(tuple(candidates)))]
     lines += [legacy_line(schema, seq, outcome_kind(outcome),
                           index=outcome.index,
-                          fingerprint=outcome.candidate.fingerprint,
+                          fingerprint=candidates[outcome.index].fingerprint,
                           payload=payload(outcome))
               for seq, outcome in enumerate(outcomes, start=1)]
     with open(path, "wb") as stream:
         stream.write(b"".join(lines))
+    return path
+
+
+def write_schema5_checkpoint(path, candidates, outcomes):
+    """A schema-5 compaction checkpoint: one payload text per outcome."""
+    fingerprint = stable_fingerprint(tuple(candidates))
+    line = seal({
+        "schema_version": 5, "seq": len(outcomes), "kind": "checkpoint",
+        "candidates": schema3_payload(tuple(candidates)),
+        "space_fingerprint": fingerprint,
+        "outcomes": {o.fingerprint: schema3_payload(dataclasses.replace(
+            o, fingerprint="", candidate=None))
+            for o in sorted(outcomes, key=lambda o: o.fingerprint)},
+        "dispatched": {}, "n_folded": 1 + len(outcomes)})
+    with open(path, "wb") as stream:
+        stream.write(line)
     return path
 
 
@@ -475,7 +497,7 @@ class _RetiredSchemaJournal:
             == report_signature(outcomes)
 
     def test_mixed_journal_compacts_and_ranks_like_a_fresh_run(
-            self, campaign, journal, monkeypatch):
+            self, campaign, journal):
         candidates, outcomes = campaign
         # Current-schema records supersede the retired ones of every
         # second outcome, as a resume that recomputed them would append.
@@ -487,29 +509,18 @@ class _RetiredSchemaJournal:
         source = {line["body"]["fingerprint"]: line["body"]
                   for line in journal_lines(journal)
                   if "payload" in line["body"]}
-        encoded = []
-        for name in ("_encode_payload", "_encode_outcome"):
-            encode = getattr(checkpoint_mod, name)
-            monkeypatch.setattr(checkpoint_mod, name,
-                                lambda value, *args, encode=encode, **kw:
-                                encoded.append(value)
-                                or encode(value, *args, **kw))
         compaction = compact_journal(journal)
-        # Only the retired plan and the outcomes still at that schema.
-        assert len(encoded) == 1 + len(outcomes) - len(superseded)
         assert compaction.n_folded == 1 + len(outcomes) + len(superseded)
         (checkpoint,) = journal_lines(journal)
         assert checkpoint["body"]["schema_version"] == SCHEMA_VERSION
         by_fingerprint = {o.fingerprint: o for o in outcomes}
-        for fingerprint, text in checkpoint["body"]["outcomes"].items():
-            body = source[fingerprint]
-            if body["schema_version"] == SCHEMA_VERSION:
-                assert text == body["payload"]
-            else:  # encoded again at the current schema
-                assert text != body["payload"]
-                assert _decode_outcome(text, fingerprint,
-                                       plan=tuple(candidates)) \
-                    == by_fingerprint[fingerprint]
+        # Every outcome, whatever schema its line was at, sits in the
+        # block stripped of what its key and the plan hold.
+        assert {raw.hex(): outcome for raw, outcome
+                in _decode_payload(checkpoint["body"]["outcomes"])} == {
+            fingerprint: dataclasses.replace(outcome, fingerprint="",
+                                             candidate=None)
+            for fingerprint, outcome in by_fingerprint.items()}
         assert {body["schema_version"] for body in source.values()} \
             == {self.schema, SCHEMA_VERSION}
         replay = replay_journal(journal)
@@ -543,6 +554,76 @@ class TestSchema4Journal(_RetiredSchemaJournal):
     payload replay, resume, ingest and compact."""
 
     schema = 4
+
+
+class TestSchema5Journal(_RetiredSchemaJournal):
+    """Journals whose checkpoints hold one payload text per outcome
+    replay, resume, ingest and compact; so do those checkpoints."""
+
+    schema = 5
+
+    @pytest.fixture()
+    def checkpoint(self, campaign, tmp_path):
+        """A schema-5 checkpoint that folded all but the last two
+        outcomes, as a crash before compaction leaves it."""
+        candidates, outcomes = campaign
+        return write_schema5_checkpoint(
+            str(tmp_path / "checkpoint5.jsonl"), candidates, outcomes[:-2])
+
+    def test_checkpoint_replays_like_a_fresh_run(self, campaign,
+                                                 checkpoint):
+        candidates, outcomes = campaign
+        replay = replay_journal(checkpoint)
+        assert replay.n_quarantined == 0
+        assert replay.candidates == tuple(candidates)
+        assert replay.outcomes == {o.fingerprint: o for o in outcomes[:-2]}
+        assert replay.n_records == 1 + len(outcomes) - 2
+        assert replay.next_seq == len(outcomes) - 1
+
+    def test_checkpoint_resume_leaves_a_mixed_journal_that_ranks_alike(
+            self, campaign, checkpoint, tmp_path):
+        _, outcomes = campaign
+        store = str(tmp_path / "resumed.results")
+        report = SweepRunner(parallel=False, result_store=store).resume(
+            checkpoint)
+        assert report.durability.n_resumed == len(outcomes) - 2
+        assert report.durability.n_recomputed == 2
+        assert report_signature(report) == report_signature(outcomes)
+        assert ranking_signature(ResultStore.open(store)) \
+            == report_signature(outcomes)
+        assert [line["body"]["schema_version"]
+                for line in journal_lines(checkpoint)] \
+            == [5] + [SCHEMA_VERSION] * 2
+        mixed = replay_journal(checkpoint)
+        assert mixed.n_quarantined == 0
+        assert report_signature(mixed.outcomes.values()) \
+            == report_signature(outcomes)
+
+    def test_checkpoint_ingest_ranks_like_a_fresh_run(
+            self, campaign, checkpoint, tmp_path):
+        _, outcomes = campaign
+        store = str(tmp_path / "ingested.results")
+        summary = ingest_journal(checkpoint, store)
+        assert summary.n_rows == len(outcomes) - 2
+        assert summary.n_quarantined_records == 0
+        assert ranking_signature(ResultStore.open(store)) \
+            == report_signature(outcomes[:-2])
+
+    def test_checkpoint_compacts_to_a_current_block(self, campaign,
+                                                    checkpoint):
+        _, outcomes = campaign
+        report = SweepRunner(parallel=False).resume(checkpoint)
+        compaction = compact_journal(checkpoint)
+        assert compaction.n_folded == 1 + len(outcomes)
+        (body,) = [line["body"] for line in journal_lines(checkpoint)]
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert isinstance(body["outcomes"], str)
+        replay = replay_journal(checkpoint)
+        assert replay.n_quarantined == 0
+        assert replay.outcomes == {o.fingerprint: o
+                                   for o in report.outcomes}
+        assert report_signature(replay.outcomes.values()) \
+            == report_signature(outcomes)
 
 
 @pytest.fixture(scope="module")
@@ -588,3 +669,26 @@ def test_schema5_outcome_payloads_are_at_most_90pct_of_schema4(
                   for o, _ in pool_payloads)
     schema5 = sum(len(text) for _, text in pool_payloads)
     assert schema5 <= 0.9 * schema4
+
+
+def test_schema6_checkpoint_outcomes_are_at_most_50pct_of_schema5(
+        tmp_path):
+    """On a campaign of distinct candidates, a checkpoint's one block of
+    outcomes is at most half the schema-5 field of one payload text per
+    outcome (about 31% on these 24 points)."""
+    candidates = [_cheap(power_per_module=power, tim_name=tim,
+                         series_fraction=series, vibration_curve=curve)
+                  for power in (6.0, 12.0)
+                  for tim in ("standard_grease", "nanopack_cnt_array",
+                              "nanopack_silver_flake_epoxy")
+                  for series in (0.0, 0.5)
+                  for curve in ("C1", "B")]
+    assert len({c.fingerprint for c in candidates}) == 24
+    path = str(tmp_path / "distinct.jsonl")
+    SweepRunner(parallel=False).run(candidates, journal_path=path)
+    replay = replay_journal(path)
+    schema5 = {fingerprint: _encode_outcome(outcome)
+               for fingerprint, outcome in sorted(replay.outcomes.items())}
+    schema6 = _encode_outcome_block(replay.outcomes, replay.candidates)
+    assert len(json.dumps(schema6)) \
+        <= 0.5 * len(json.dumps(schema5, separators=(",", ":")))

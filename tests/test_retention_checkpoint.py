@@ -9,6 +9,7 @@ record to the same every-byte-offset standard as live journal lines,
 and the phase-abort battery proves the swap is atomic at every seam.
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -17,14 +18,21 @@ import pytest
 
 from avipack import perf
 from avipack.durability import SweepJournal, replay_journal
-from avipack.durability.journal import seal
+from avipack.durability.journal import _decode_payload, \
+    _encode_payload, seal
 from avipack.errors import DurabilityError, JournalError
-from avipack.retention import checkpoint, compact_journal
+from avipack.retention import compact_journal
+from avipack.sweep import Candidate, DesignSpace, SweepRunner
 from tests.test_durability_journal import (
     make_candidates,
     make_result,
     write_journal,
 )
+
+SPACE = DesignSpace(axes={
+    "power_per_module": (10.0, 20.0, 30.0),
+    "cooling": ("direct_air_flow", "air_flow_through"),
+})
 
 
 def replay_state(path):
@@ -80,8 +88,8 @@ class TestFold:
         assert open(journalled, "rb").read() == first
         assert again.bytes_reclaimed == 0
 
-    def test_checkpoint_carries_payload_texts_verbatim(self, journalled):
-        # A superseding record: the checkpoint must carry the latest one.
+    def test_checkpoint_holds_the_latest_outcomes(self, journalled):
+        # A superseding record: the checkpoint must hold the latest one.
         candidates = make_candidates(4)
         next_seq = replay_journal(journalled,
                                   write_quarantine=False).next_seq
@@ -91,22 +99,31 @@ class TestFold:
                                                worst_board_c=71.0))
         source = [json.loads(line)["body"]
                   for line in open(journalled, "rb").read().splitlines()]
-        latest = {body["fingerprint"]: body["payload"]
+        latest = {body["fingerprint"]: _decode_payload(body["payload"])
                   for body in source if "payload" in body}
         compact_journal(journalled)
         (line,) = open(journalled, "rb").read().splitlines()
         body = json.loads(line)["body"]
-        assert body["outcomes"] == latest
+        assert {raw.hex(): outcome for raw, outcome
+                in _decode_payload(body["outcomes"])} == latest
         assert body["candidates"] == source[0]["candidates"]
+        assert replay_journal(journalled).outcomes[
+            candidates[0].fingerprint].worst_board_c == 71.0
 
-    def test_current_schema_payloads_are_not_encoded_again(
-            self, journalled, monkeypatch):
-        encoded = []
-        for name in ("_encode_payload", "_encode_outcome"):
-            monkeypatch.setattr(checkpoint, name,
-                                lambda value: encoded.append(value))
+    def test_checkpoint_outcomes_are_one_stripped_block(self, journalled):
+        before = replay_journal(journalled, write_quarantine=False)
         compact_journal(journalled)
-        assert encoded == []
+        (line,) = open(journalled, "rb").read().splitlines()
+        entries = _decode_payload(json.loads(line)["body"]["outcomes"])
+        assert type(entries) is tuple
+        assert [raw.hex() for raw, _ in entries] \
+            == sorted(before.outcomes)
+        # Each entry leaves its fingerprint to the key and its
+        # candidate to the plan, as an outcome line does.
+        assert [outcome for _, outcome in entries] == [
+            dataclasses.replace(before.outcomes[fp], fingerprint="",
+                                candidate=None)
+            for fp in sorted(before.outcomes)]
 
     def test_counters_track_compactions_and_bytes(self, journalled):
         perf.reset()
@@ -129,6 +146,92 @@ class TestFold:
         assert after.n_quarantined == 0  # the damage is gone, not kept
         assert dict(after.outcomes) == dict(before.outcomes)
         assert after.next_seq == before.next_seq
+
+
+class TestOutcomeBlock:
+    """A schema-6 checkpoint holds every outcome in one payload."""
+
+    @pytest.fixture()
+    def campaign(self, tmp_path):
+        candidates = list(SPACE.grid()) + [Candidate(tim_name="no_such_tim")]
+        path = str(tmp_path / "sweep.jsonl")
+        report = SweepRunner(parallel=False, use_cache=False).run(
+            candidates, journal_path=path)
+        assert report.failures and report.results
+        return path, candidates
+
+    def test_compacting_a_compacted_journal_writes_the_same_bytes(
+            self, campaign, tmp_path):
+        path, _ = campaign
+        compact_journal(path)
+        again = str(tmp_path / "again.jsonl")
+        shutil.copy(path, again)
+        compact_journal(again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    def test_swapped_entry_fingerprint_quarantines_the_whole_record(
+            self, campaign):
+        path, _ = campaign
+        compact_journal(path)
+        (line,) = open(path, "rb").read().splitlines()
+        body = json.loads(line)["body"]
+        entries = list(_decode_payload(body["outcomes"]))
+        # The second entry claims the first one's candidate: its plan
+        # candidate hashes otherwise.
+        entries[1] = (entries[0][0], entries[1][1])
+        body["outcomes"] = _encode_payload(tuple(entries))
+        with open(path, "wb") as stream:
+            stream.write(seal(body))
+        replay = replay_journal(path, write_quarantine=False)
+        (record,) = replay.quarantined
+        assert "plan candidate" in record.reason
+        assert replay.outcomes == {}
+        assert replay.candidates is None
+
+    def test_orphan_keeps_its_candidate_in_the_block(self, campaign):
+        path, candidates = campaign
+        before = replay_state(path)
+        # A later plan that holds only the first two candidates, as a
+        # resume over a subset space writes: every other outcome is an
+        # orphan of it.
+        subset = tuple(candidates[:2])
+        replay = replay_journal(path, write_quarantine=False)
+        with SweepJournal.append_to(path,
+                                    next_seq=replay.next_seq) as journal:
+            journal.record_plan(subset)
+        compact_journal(path)
+        (line,) = open(path, "rb").read().splitlines()
+        entries = _decode_payload(json.loads(line)["body"]["outcomes"])
+        embedded = {raw.hex(): outcome.candidate
+                    for raw, outcome in entries}
+        orphans = {c.fingerprint for c in candidates[2:]}
+        assert {fp for fp, candidate in embedded.items()
+                if candidate is not None} == orphans
+        for fingerprint in orphans:
+            assert embedded[fingerprint].fingerprint == fingerprint
+        after = replay_journal(path, write_quarantine=False)
+        assert after.n_quarantined == 0
+        assert after.candidates == subset
+        assert after.outcomes == before[2]
+
+    def test_checkpoint_and_live_tail_replay_like_the_uncompacted_journal(
+            self, campaign, tmp_path):
+        path, candidates = campaign
+        folded = str(tmp_path / "folded.jsonl")
+        shutil.copy(path, folded)
+        compact_journal(folded)
+        report = SweepRunner(parallel=False, use_cache=False).run(
+            candidates[:2])
+        for journal_path in (path, folded):
+            next_seq = replay_journal(journal_path,
+                                      write_quarantine=False).next_seq
+            with SweepJournal.append_to(journal_path,
+                                        next_seq=next_seq) as journal:
+                journal.record_dispatched(2, candidates[2])
+                for outcome in report.outcomes:
+                    journal.record_outcome(outcome)
+        assert open(folded, "rb").read().count(b"\n") == 4
+        assert replay_state(folded) == replay_state(path)
 
 
 class TestRefusals:

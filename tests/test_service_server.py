@@ -379,9 +379,10 @@ class TestManifestSaves:
 
     def test_failed_submit_save_leaves_no_orphan_job(
             self, sockets, tmp_path, monkeypatch):
-        # The first submit's manifest write fails: the job must not stay
-        # registered, or the client's retry dedups onto a job that was
-        # never queued and never runs.
+        # The first submit's manifest write fails: the server answers
+        # io_error, and the job must not stay registered, or the
+        # client's retry dedups onto a job that was never queued and
+        # never runs.
         original = JobStore.save_manifest
         failed = []
 
@@ -395,6 +396,9 @@ class TestManifestSaves:
         config = make_config(sockets, tmp_path)
         with ThreadedService(config):
             client = ServiceClient(config.socket_path)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(axes=AXES, sample=2)
+            assert excinfo.value.code == "io_error"
             accepted = client.submit(axes=AXES, sample=2)
             assert not accepted.get("deduplicated")
             final = client.wait(accepted["job_id"], timeout_s=30.0)
