@@ -2,7 +2,7 @@
 
 ``BENCH_results.json`` at the repository root pins median timings and
 result-store counters for the columnar analytics path — ingest
-throughput, memory-mapped open, top-k ranking and histogram/marginal
+throughput, verified open, top-k ranking and histogram/marginal
 report rendering.  CI re-measures and compares through
 :mod:`bench_harness`: timings may grow by the ``--tolerance`` factor
 (default 3x), while the *counters* are compared exactly — a store that

@@ -158,7 +158,7 @@ def _run_sweep(argv) -> int:
                         help="ranked-table length (default 10)")
     parser.add_argument("--store-dir", metavar="DIR", default=None,
                         help="columnar result-store directory: stream "
-                             "every outcome into memory-mapped shards "
+                             "every outcome into compressed shards "
                              "for zero-unpickle analytics "
                              "(python -m avipack results)")
     parser.add_argument("--report-json", metavar="PATH", default=None,

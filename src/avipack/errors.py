@@ -181,8 +181,10 @@ class ResultStoreError(DurabilityError):
     (unparseable header, wrong magic, stale schema, dtype or row-count
     disagreement), ``"checksum"`` (CRC-32 or SHA-256 mismatch over the
     payload), ``"truncation"`` (payload shorter or longer than the
-    header promises, or unreadable bytes), or the default ``"error"``
-    for non-shard failures.
+    header promises, or unreadable bytes), ``"payload"`` (a payload
+    whose checksums hold but that does not inflate to the rows its
+    header promises), or the default ``"error"`` for non-shard
+    failures.
     """
 
     def __init__(self, message: str, reason: str = "error") -> None:

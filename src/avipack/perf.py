@@ -79,7 +79,7 @@ KERNELS = ("network.steady", "network.transient", "conduction.steady",
 #: can enumerate this tuple and trust that each name is real and fed.
 COUNTERS = ("levels.detail_builds",
             "results.quarantined_checksum",
-            "results.quarantined_header",
+            "results.quarantined_header", "results.quarantined_payload",
             "results.quarantined_truncation", "results.rows_ingested",
             "results.shards_quarantined", "results.shards_written",
             "retention.bytes_reclaimed", "retention.disk_low_refusals",

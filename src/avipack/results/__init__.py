@@ -5,7 +5,7 @@ the solver: ranking, resume parity checks and report rendering that
 materialize per-candidate dataclasses (or unpickle one journal payload
 per record) dominate wall clock and memory.  This package stores each
 outcome as one row of a packed numpy structured array, persisted as
-checksummed, atomically-published, memory-mapped shards
+checksummed, atomically-published, compressed shards
 (:mod:`~avipack.results.store`); the full outcome objects stay in the
 campaign's write-ahead journal.  Query primitives
 (:mod:`~avipack.results.query`) and a columnar report renderer

@@ -1,8 +1,8 @@
 """Zero-unpickle analytics over a :class:`~avipack.results.store.ResultStore`.
 
 Every query here runs on the store's typed columns — ranking, histograms
-and per-axis marginals over a million-candidate campaign touch memory-
-mapped float and byte arrays only, never a pickled outcome.
+and per-axis marginals over a million-candidate campaign touch typed
+float and byte arrays only, never a pickled outcome.
 
 The ranking contract matches :meth:`avipack.sweep.report.SweepReport.ranked`
 exactly: compliant candidates ordered by ``(cost_rank, -thermal_headroom_c,
@@ -154,7 +154,7 @@ def _axis_codes(store: ResultStore,
                 field: str) -> Tuple[np.ndarray, np.ndarray]:
     """Unique values of an axis column plus per-row integer codes.
 
-    Computed shard by shard off the memory maps: axis columns carry a
+    Computed shard by shard: axis columns carry a
     handful of distinct values each, so the per-shard unique sets are
     tiny and the full-campaign column is never concatenated or sorted.
     """

@@ -4,7 +4,7 @@ The columnar twin of :func:`avipack.sweep.report.render_sweep_document`:
 the ranking table, headroom histogram and axis marginals are computed
 from typed columns only — no outcome is unpickled, whatever the
 campaign size.  The candidate description comes from the ``label``
-column, gathered for the ranked rows only: a schema-2 shard rebuilds
+column, gathered for the ranked rows only: a packed shard rebuilds
 it from those rows' axis columns, so rendering stays zero-unpickle.
 """
 

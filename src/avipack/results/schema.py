@@ -9,8 +9,8 @@ The full outcome object, with its recovery trails, tracebacks and perf
 deltas, lives in the campaign's write-ahead journal, not in the store.
 
 The logical row is what :func:`fill_row` writes and what the store's
-column readers return.  On disk, a schema-2 shard packs it into the
-148-byte :data:`SHARD_DTYPE`:
+column readers return.  On disk, a shard packs it into the 148-byte
+:data:`SHARD_DTYPE`:
 
 * ``fingerprint`` is stored as its 20 raw bytes, not 40 hex characters;
 * ``label`` is not stored: :func:`unpack_column` rebuilds it from the
@@ -20,10 +20,12 @@ column readers return.  On disk, a schema-2 shard packs it into the
   shard's string tables, which its checksummed header carries;
 * ``worker_pid`` is narrowed to ``<i4``.
 
-Schema-1 shards, written before the packing, hold the logical row plus
-four retired columns (:data:`SCHEMA1_DTYPE`, 434 bytes).  They stay
-readable and are rewritten at schema 2 by
-:func:`avipack.retention.compact_store`.
+A schema-3 shard compresses those records, column by column, into one
+zlib stream (:mod:`avipack.results.store`); a schema-2 shard holds them
+uncompressed.  Schema-1 shards, written before the packing, hold the
+logical row plus four retired columns (:data:`SCHEMA1_DTYPE`, 434
+bytes).  Both older schemas stay readable and are rewritten at schema 3
+by :func:`avipack.retention.compact_store`.
 
 Each layout is part of the on-disk contract: its fingerprint is stamped
 into every shard header, and a reader refuses (quarantines) shards
@@ -64,9 +66,9 @@ __all__ = [
     "unpack_column",
 ]
 
-#: Bump when :data:`SHARD_DTYPE` changes; readers quarantine versions
-#: they have no layout for.
-STORE_SCHEMA_VERSION = 2
+#: Bump when :data:`SHARD_DTYPE` or its on-disk encoding changes;
+#: readers quarantine versions they have no layout for.
+STORE_SCHEMA_VERSION = 3
 
 #: Outcome kinds, mirroring the journal's record vocabulary.
 KIND_COMPLETED = 0
@@ -132,13 +134,13 @@ ROW_DTYPE = np.dtype([(name, SCHEMA1_DTYPE[name])
                       for name in SCHEMA1_DTYPE.names
                       if name not in _RETIRED_FIELDS])
 
-#: String columns a schema-2 shard stores as indices into its tables.
+#: String columns a packed shard stores as indices into its tables.
 CODED_FIELDS: Tuple[str, ...] = (
     "cooling", "tim_name", "form_factor", "temperature_category",
     "vibration_curve", "stage", "error_type",
 )
 
-#: The schema-2 on-disk row, packed little-endian: 148 bytes.  The
+#: The packed row of schema 2 and 3, little-endian: 148 bytes.  The
 #: module and component counts keep the logical ``<i4``: a broken
 #: design point (say ``n_modules=-1``) is recorded as a failure, so its
 #: row must hold any count the logical row holds.
@@ -177,7 +179,7 @@ SHARD_DTYPE = np.dtype([
     ("error_type", "u1"),
 ])
 
-#: Layout fingerprint stamped into schema-2 shard headers.
+#: Layout fingerprint stamped into schema-2 and -3 shard headers.
 DTYPE_FINGERPRINT = stable_fingerprint(SHARD_DTYPE.descr)
 
 #: Range of the ``worker_pid`` column, which :data:`SHARD_DTYPE`
@@ -304,7 +306,8 @@ def fill_row(rows: np.ndarray, position: int, outcome: Any) -> None:
 
 def pack_rows(rows: np.ndarray
               ) -> Optional[Tuple[np.ndarray, Dict[str, List[str]]]]:
-    """Logical ``rows`` as schema-2 records plus their string tables.
+    """Logical ``rows`` as :data:`SHARD_DTYPE` records plus their string
+    tables.
 
     Returns ``None`` when a :data:`CODED_FIELDS` column holds more
     distinct strings than a one-byte code can index; the caller splits
@@ -346,7 +349,7 @@ def string_tables(tables: Dict[str, List[str]]) -> Dict[str, np.ndarray]:
 
 def unpack_column(rows: np.ndarray, tables: Dict[str, np.ndarray],
                   name: str) -> np.ndarray:
-    """Logical values of column ``name`` of schema-2 ``rows``.
+    """Logical values of column ``name`` of :data:`SHARD_DTYPE` ``rows``.
 
     ``tables`` is the shard's :func:`string_tables`.  ``label`` is
     rebuilt row by row, so gather the few rows a report shows first.

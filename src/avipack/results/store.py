@@ -1,16 +1,16 @@
-"""Memory-mapped, checksummed shard store for campaign results.
+"""Checksummed, compressed shard store for campaign results.
 
 The on-disk layout is a directory of immutable shard files::
 
-    shard-000000.rows     # header line + packed SHARD_DTYPE records
+    shard-000000.rows     # header line + one zlib stream of columns
     shard-000001.rows
     ...
 
 Each file opens with one JSON header line carrying a magic string, the
-store schema version, the dtype fingerprint, the row/byte count, the
-shard's string tables and two checksums over the tables and the
-payload — CRC-32 (cheap first line of defence) and SHA-256
-(authoritative) — mirroring the discipline of
+store schema version, the dtype fingerprint, the row count, the
+payload's byte count, the shard's string tables and two checksums over
+the tables and the payload bytes on disk — CRC-32 (cheap first line of
+defence) and SHA-256 (authoritative) — mirroring the discipline of
 :mod:`avipack.durability.journal`.  Publication is atomic
 (:func:`avipack.durability.files.atomic_write`), and a shard that fails
 verification at open is renamed to a ``.quarantine`` sidecar and
@@ -22,24 +22,29 @@ live in its write-ahead journal; ``shard-*.blobs`` files left by older
 writers are ignored here and deleted by
 :func:`avipack.retention.compact_store`.
 
-Schema 2 packs each logical row into 148 bytes
+Each logical row packs into 148 bytes
 (:data:`~avipack.results.schema.SHARD_DTYPE`): raw fingerprint bytes,
 no stored label, and the string columns coded as one-byte indices into
-the header's tables.  Schema-1 shards (434-byte rows) stay readable
-through their own layout, so a store may mix both; readers decode every
-shard to the same logical columns.
-
-Readers memory-map the row payloads (``np.memmap`` past the header), so
-ranking a million-candidate campaign touches only the columns it needs.
+the header's tables.  Schema 3 writes those packed columns one after
+another, column-major, as one zlib stream: flags, codes, counts and
+most floats shrink to under 2 bytes a row, the 20-byte fingerprint not
+at all.  A reader inflates the stream from the bytes it has just
+checksummed into an in-memory array; a payload that does not inflate
+to exactly ``rows × 148`` bytes is quarantined.  Schema-2 shards (the
+same rows, packed but uncompressed) and schema-1 shards (434-byte rows)
+stay readable through memory maps, so a store may mix all three;
+readers decode every shard to the same logical columns.
 
 Observability: ``results.rows_ingested``, ``results.shards_written``
 and ``results.shards_quarantined`` named counters in
 :mod:`avipack.perf`; each quarantine additionally bumps a
 per-reason counter (``results.quarantined_header`` /
-``results.quarantined_checksum`` / ``results.quarantined_truncation``)
-and writes a ``<file>.quarantine.reason`` sidecar recording *why* the
-file was set aside, so an operator triaging a damaged store can tell a
-torn write from bit rot without re-running verification.
+``results.quarantined_checksum`` / ``results.quarantined_truncation`` /
+``results.quarantined_payload``) and writes a
+``<file>.quarantine.reason`` sidecar recording *why* the file was set
+aside, so an operator triaging a damaged store can tell a torn write
+from bit rot, or either from a payload its writer got wrong, without
+re-running verification.
 """
 
 from __future__ import annotations
@@ -81,9 +86,9 @@ from .schema import (
 __all__ = ["DEFAULT_SHARD_ROWS", "ResultStore", "ResultStoreStats",
            "ResultStoreWriter", "next_shard_number", "publish_shard"]
 
-#: Rows per sealed shard (the memmap granularity).  64k rows of the
-#: packed schema-2 dtype is a ~9.7 MB shard — large enough to amortize
-#: headers, small enough that a quarantined shard loses bounded work.
+#: Rows per sealed shard.  64k rows of the packed dtype are ~9.7 MB
+#: before compression — large enough to amortize headers, small enough
+#: that a quarantined shard loses bounded work.
 DEFAULT_SHARD_ROWS = 65_536
 
 #: Rows of the open shard's first buffer; it doubles up to
@@ -101,8 +106,10 @@ _LOCK_NAME = ".writer.lock"
 _VERIFY_CHUNK = 1 << 20
 
 #: On-disk row layout and its fingerprint per readable store schema.
-#: Schema 1 is read only; every shard is published at schema 2.
+#: Schemas 1 and 2 are read only; every shard is published at schema 3,
+#: which compresses schema 2's rows.
 _LAYOUTS = {1: (SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT),
+            2: (SHARD_DTYPE, DTYPE_FINGERPRINT),
             STORE_SCHEMA_VERSION: (SHARD_DTYPE, DTYPE_FINGERPRINT)}
 
 
@@ -157,7 +164,7 @@ def next_shard_number(directory: str) -> int:
 
 
 def publish_shard(directory: str, number: int, rows: np.ndarray) -> int:
-    """Atomically publish logical ``rows`` as schema-2 shard ``number``.
+    """Atomically publish logical ``rows`` as schema-3 shard ``number``.
 
     The single packing and publication path shared by
     :class:`ResultStoreWriter` and the retention compactor
@@ -173,7 +180,8 @@ def publish_shard(directory: str, number: int, rows: np.ndarray) -> int:
         return published + publish_shard(directory, number + published,
                                          rows[half:])
     records, tables = packed
-    payload = records.tobytes()
+    payload = zlib.compress(b"".join(
+        records[name].tobytes() for name in SHARD_DTYPE.names))
     checked = _canonical(tables)
     sha = hashlib.sha256(checked)
     sha.update(payload)
@@ -279,23 +287,63 @@ _NIBBLES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = \
     np.arange(16, dtype=np.uint8)
 
 
+def _inflate_records(path: str, payload: bytes,
+                     n_rows: int) -> np.ndarray:
+    """A schema-3 payload as ``n_rows`` :data:`SHARD_DTYPE` records.
+
+    The payload must be exactly one zlib stream of ``n_rows × 148``
+    bytes, the columns one after another: a truncated stream, bytes past
+    its end or any other size is refused, and at most one byte past the
+    expected size is ever inflated.
+    """
+    size = n_rows * SHARD_DTYPE.itemsize
+    inflater = zlib.decompressobj()
+    try:
+        # A row count too large for the output cap overflows it.
+        plain = inflater.decompress(payload, size + 1)
+    except (zlib.error, OverflowError) as exc:
+        raise ResultStoreError(f"{path}: payload does not inflate: {exc}",
+                               reason="payload") from exc
+    if len(plain) > size:
+        problem = f"inflates past {size} bytes"
+    elif not inflater.eof:
+        problem = "stream is truncated"
+    elif inflater.unused_data:
+        problem = "has bytes past its stream end"
+    elif len(plain) < size:
+        problem = f"inflates to {len(plain)} bytes, not {size}"
+    else:
+        records = np.empty(n_rows, dtype=SHARD_DTYPE)
+        offset = 0
+        for name in SHARD_DTYPE.names:
+            records[name] = np.frombuffer(plain, SHARD_DTYPE[name],
+                                          n_rows, offset)
+            offset += n_rows * SHARD_DTYPE[name].itemsize
+        return records
+    raise ResultStoreError(f"{path}: payload {problem}", reason="payload")
+
+
 class _Shard:
-    """One verified, memory-mapped shard (reader side)."""
+    """One verified shard (reader side)."""
 
     def __init__(self, path: str, header: Dict[str, Any],
-                 header_bytes: int, row_base: int) -> None:
+                 header_bytes: int, payload: bytes,
+                 row_base: int) -> None:
         self.path = path
         self.n_rows = int(header["rows"])
         #: Store schema the shard was written at.
         self.schema: int = header["schema"]
         #: Global row id of this shard's first row.
         self.row_base = row_base
-        #: The on-disk records, in the shard schema's layout.
-        self.rows: np.ndarray = np.memmap(
-            path, dtype=_LAYOUTS[self.schema][0], mode="r",
-            offset=header_bytes, shape=(self.n_rows,))
+        #: The records in the shard schema's layout: inflated from
+        #: ``payload`` at schema 3, memory-mapped from disk below it.
+        self.rows: np.ndarray = (
+            _inflate_records(path, payload, self.n_rows)
+            if self.schema == STORE_SCHEMA_VERSION else np.memmap(
+                path, dtype=_LAYOUTS[self.schema][0], mode="r",
+                offset=header_bytes, shape=(self.n_rows,)))
         self._tables = (string_tables(header["strings"])
-                        if self.schema == STORE_SCHEMA_VERSION else None)
+                        if self.schema > 1 else None)
 
     def _decode(self, rows: np.ndarray, name: str) -> np.ndarray:
         if self._tables is None:
@@ -332,13 +380,17 @@ class _Shard:
         return np.ascontiguousarray(head).view("<u8").reshape(-1)
 
 
-def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
-    """Checksum-verify one shard file; returns (header, header_bytes).
+def _verify_file(path: str, magic: str
+                 ) -> Tuple[Dict[str, Any], int, bytes]:
+    """Checksum-verify one shard file; returns (header, header_bytes,
+    payload).
 
-    The checksums cover a schema-2 shard's string tables (canonical
-    JSON) and then its payload, and a schema-1 shard's payload alone.
-    Raises :class:`ResultStoreError` on any damage — the caller
-    quarantines and moves on.
+    The checksums cover the string tables (canonical JSON) and then the
+    payload bytes of a schema-2 or -3 shard, and a schema-1 shard's
+    payload alone.  ``payload`` holds the bytes read for a schema-3
+    shard, to be inflated, and is empty below it, whose rows are
+    memory-mapped.  Raises :class:`ResultStoreError` on any damage — the
+    caller quarantines and moves on.
     """
     try:
         with open(path, "rb") as stream:
@@ -362,18 +414,21 @@ def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
             if header.get("dtype") != fingerprint:
                 raise ResultStoreError(f"{path}: dtype mismatch",
                                        reason="header")
-            rows = header.get("rows")
+            rows, nbytes = header.get("rows"), header.get("nbytes")
+            compressed = schema == STORE_SCHEMA_VERSION
             if type(rows) is not int or rows < 0 \
-                    or header.get("nbytes") != rows * dtype.itemsize:
+                    or type(nbytes) is not int \
+                    or not compressed and nbytes != rows * dtype.itemsize:
                 raise ResultStoreError(
                     f"{path}: row count disagrees with payload size",
                     reason="header")
             # The writer's checksums cover the tables, so tables that
             # verify are well formed.
             checked = (_canonical(header.get("strings"))
-                       if schema == STORE_SCHEMA_VERSION else b"")
+                       if schema > 1 else b"")
             crc = zlib.crc32(checked)
             sha = hashlib.sha256(checked)
+            chunks: List[bytes] = []
             n_bytes = 0
             while True:
                 chunk = stream.read(_VERIFY_CHUNK)
@@ -382,20 +437,22 @@ def _verify_file(path: str, magic: str) -> Tuple[Dict[str, Any], int]:
                 crc = zlib.crc32(chunk, crc)
                 sha.update(chunk)
                 n_bytes += len(chunk)
+                if compressed:
+                    chunks.append(chunk)
     except OSError as exc:
         raise ResultStoreError(f"cannot read {path}: {exc}",
                                reason="truncation") from exc
-    if n_bytes != header.get("nbytes"):
+    if n_bytes != nbytes:
         raise ResultStoreError(
-            f"{path}: payload is {n_bytes} bytes, header says "
-            f"{header.get('nbytes')}", reason="truncation")
+            f"{path}: payload is {n_bytes} bytes, header says {nbytes}",
+            reason="truncation")
     if f"{crc & 0xFFFFFFFF:08x}" != header.get("crc32"):
         raise ResultStoreError(f"{path}: crc32 mismatch",
                                reason="checksum")
     if sha.hexdigest() != header.get("sha256"):
         raise ResultStoreError(f"{path}: sha256 mismatch",
                                reason="checksum")
-    return header, len(line)
+    return header, len(line), b"".join(chunks)
 
 
 def _count_quarantine(reason: str) -> None:
@@ -411,6 +468,8 @@ def _count_quarantine(reason: str) -> None:
         _perf.increment("results.quarantined_header")
     elif reason == "truncation":
         _perf.increment("results.quarantined_truncation")
+    elif reason == "payload":
+        _perf.increment("results.quarantined_payload")
 
 
 class ResultStore:
@@ -430,8 +489,8 @@ class ResultStore:
         #: File names moved to ``.quarantine`` by this open.
         self.quarantined = quarantined
         #: File name -> damage class (``header`` / ``checksum`` /
-        #: ``truncation``) for each quarantined file, mirroring the
-        #: on-disk ``.quarantine.reason`` sidecars.
+        #: ``truncation`` / ``payload``) for each quarantined file,
+        #: mirroring the on-disk ``.quarantine.reason`` sidecars.
         self.quarantine_reasons: Dict[str, str] = \
             dict(quarantine_reasons or {})
         self._columns: Dict[str, np.ndarray] = {}
@@ -443,7 +502,7 @@ class ResultStore:
 
     @classmethod
     def open(cls, directory: str) -> "ResultStore":
-        """Verify and map every shard under ``directory``.
+        """Verify and load every shard under ``directory``.
 
         Raises :class:`~avipack.errors.ResultStoreError` only when the
         directory itself is missing; per-shard damage is quarantined.
@@ -465,8 +524,9 @@ class ResultStore:
         for name in names:
             rows_path = os.path.join(directory, name + ".rows")
             try:
-                header, header_bytes = _verify_file(rows_path,
-                                                    _ROWS_MAGIC)
+                shard = _Shard(rows_path,
+                               *_verify_file(rows_path, _ROWS_MAGIC),
+                               row_base)
             except ResultStoreError as exc:
                 quarantine(rows_path, {"file": name + ".rows",
                                        "reason": exc.reason,
@@ -475,9 +535,8 @@ class ResultStore:
                 reasons[name + ".rows"] = exc.reason
                 _count_quarantine(exc.reason)
                 continue
-            shards.append(_Shard(rows_path, header, header_bytes,
-                                 row_base))
-            row_base += shards[-1].n_rows
+            shards.append(shard)
+            row_base += shard.n_rows
         return cls(directory, shards, tuple(quarantined), reasons)
 
     @classmethod
@@ -511,7 +570,7 @@ class ResultStore:
     def shards(self) -> Tuple[_Shard, ...]:
         """The verified shards backing this view, in row order.
 
-        Reader internals (``path``, ``row_base``, memory-mapped ``rows``)
+        Reader internals (``path``, ``row_base``, the packed ``rows``)
         exposed for the retention compactor
         (:func:`avipack.retention.compact_store`), which must copy
         live rows shard by shard.
@@ -528,7 +587,7 @@ class ResultStore:
         row).  Wide byte-string columns — ``label``, ``fingerprint``,
         the axis strings — are decoded fresh on each call and released
         with the caller, so a report over a million-row store never pins
-        tens of megabytes of strings.  Schema-2 shards rebuild ``label``
+        tens of megabytes of strings.  Packed shards rebuild ``label``
         row by row, so use :meth:`gather` when only a few rows of such a
         column are needed.
         """
@@ -549,7 +608,7 @@ class ResultStore:
         return values
 
     def iter_column(self, name: str) -> Iterator[np.ndarray]:
-        """Per-shard views of one column, straight off the memory maps.
+        """Per-shard values of one column, decoded shard by shard.
 
         For streaming aggregations (per-axis marginals, notably) that
         must not pay a full-campaign concatenation.
@@ -564,7 +623,7 @@ class ResultStore:
     def gather(self, name: str, row_ids: Any) -> np.ndarray:
         """Column values at the given global row ids only.
 
-        Reads and decodes only those rows of the per-shard memory maps,
+        Reads and decodes only those rows of each shard,
         without materializing (or caching) the full column — the top-k
         path for wide byte columns, where the ranking needs 20 labels
         out of a million rows.
@@ -597,8 +656,8 @@ class ResultStore:
         latest-wins semantics.
 
         Deduplication runs on each fingerprint's leading 8 raw bytes
-        (one ``<u8`` per row, read shard by shard off the memory maps,
-        alike for schema-1 hex and schema-2 raw fingerprints); only rows
+        (one ``<u8`` per row, read shard by shard, alike for schema-1
+        hex and later raw fingerprints); only rows
         sharing those bytes — actual duplicates, or the odd collision —
         are re-checked against their exact fingerprints.
         """

@@ -4,9 +4,10 @@ A resumed or re-ingested campaign appends corrected rows for
 fingerprints the store already holds; queries hide the stale ones
 behind :meth:`~avipack.results.store.ResultStore.live_mask`, but their
 bytes stay on disk forever.  :func:`compact_store` rewrites exactly the
-shards that contain dead rows, plus every schema-1 shard (dead rows or
-not, so the store ends in the 148-byte schema-2 layout), copying each
-live row into fresh schema-2 shards, then deletes the originals.  It
+shards that contain dead rows, plus every shard written below the
+current store schema (dead rows or not, so the store ends with every
+shard compressed at schema 3), copying each live row into fresh
+schema-3 shards, then deletes the originals.  It
 also deletes every ``shard-*.blobs`` file: older writers pickled each
 outcome into such a pool beside its rows, and nothing reads them any
 more.
@@ -64,7 +65,7 @@ class StoreCompaction:
 
     directory: str
     #: Old shards rewritten (they contained superseded rows or were
-    #: written at schema 1).
+    #: written below the current schema).
     shards_rewritten: int
     #: Replacement shards published.
     shards_published: int
@@ -120,8 +121,8 @@ def compact_store(directory: str,
                   shard_rows: int = DEFAULT_SHARD_ROWS,
                   phase_hook: Optional[Callable[[str], None]] = None
                   ) -> StoreCompaction:
-    """Rewrite shards holding superseded rows and every schema-1 shard
-    at schema 2; delete retired blob pools.
+    """Rewrite shards holding superseded rows and every shard below
+    the current schema at schema 3; delete retired blob pools.
 
     Takes the store's writer lock for the whole pass (raises
     :class:`~avipack.errors.ResultStoreError` on contention or a

@@ -8,7 +8,8 @@ job produces is write-ahead journalled before any event about it is
 emitted.  Every state change of a job goes through one method that
 saves the job's manifest *before* it announces the state, so a client
 told of a state finds it on disk; a failed save still announces it
-and frees the job slot, so the queue and the drain move on.
+and frees the job slot, so the queue and the drain move on, and a
+failed terminal save is retried on every heartbeat until it succeeds.
 Robustness properties, in the order they matter:
 
 * **Admission control** — bounded queue, per-client quotas and a
@@ -59,7 +60,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from .. import perf as _perf
 from ..durability.journal import outcome_kind
@@ -204,6 +205,9 @@ class SweepService:
         #: The one job running now, and its task (kept referenced).
         self._running: Optional[Job] = None
         self._job_task: Optional["asyncio.Task[None]"] = None
+        #: Ids of jobs whose terminal manifest save failed; the
+        #: heartbeat saves each again until a save succeeds.
+        self._unsaved: Set[str] = set()
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
         self._order = itertools.count()
         self._draining = False
@@ -406,6 +410,10 @@ class SweepService:
                     job, "completed", n_compliant=report.n_compliant,
                     n_failed=len(report.failures), restored=job.restored,
                     wall_s=round(report.wall_time_s, 6))
+        except OSError:
+            # The terminal state's manifest save failed; the state is
+            # set and announced, and the heartbeat saves it again.
+            self._unsaved.add(job.job_id)
         finally:
             # A failed manifest write must not wedge the queue or drain.
             self._running = None
@@ -468,6 +476,12 @@ class SweepService:
                 await asyncio.wait_for(self._stopped.wait(),
                                        timeout=self.config.heartbeat_s)
                 return
+            for job_id in list(self._unsaved):
+                job = self._jobs.get(job_id)  # None once evicted
+                with contextlib.suppress(OSError):
+                    if job is not None:
+                        await self._save_job(job)
+                    self._unsaved.discard(job_id)
             now = time.monotonic()
             for job in list(self._jobs.values()):
                 if job.state not in ("queued", "running"):

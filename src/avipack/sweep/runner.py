@@ -387,7 +387,7 @@ class SweepRunner:
         every fresh outcome, and on :meth:`resume` each restored one
         the store does not already hold at its candidate index.  An
         aborted run writes the rows of the outcomes it journalled.
-        Rows are published as checksummed, memory-mapped shards
+        Rows are published as checksummed, compressed shards
         (:data:`~avipack.results.store.DEFAULT_SHARD_ROWS`, 65,536
         rows each), so ranking and report analytics run zero-unpickle
         afterwards.  ``None`` (default) keeps results in-memory only.

@@ -13,9 +13,11 @@ Stores written before the blob pool was removed also hold one
 the rows' ``blob_*`` columns point into.  Readers ignore those files,
 and compaction deletes them.  Those shards are at store schema 1: the
 434-byte row with the retired ``batched`` and ``blob_*`` columns, hex
-fingerprints and fixed-width strings.  They open, query, rank and
-render like a fresh store, alone or mixed with schema-2 shards, and
-compaction rewrites them at schema 2.
+fingerprints and fixed-width strings.  Stores written before shard
+compression are at store schema 2: the packed 148-byte rows, stored
+uncompressed.  Both open, query, rank and render like a fresh store,
+alone or mixed with newer shards, and compaction rewrites them at
+schema 3.
 
 Journals written before payload compression (``schema_version`` 1)
 hold plain base64 pickles, journals written before the preset
@@ -54,8 +56,9 @@ from avipack.errors import InputError
 from avipack.results import ResultStore, ResultStoreWriter, \
     STORE_SCHEMA_VERSION, axis_marginals, headroom_histogram, \
     ingest_journal, ranking_signature, render_store_report
-from avipack.results.schema import AXIS_FIELDS, ROW_DTYPE, \
-    SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT, SHARD_DTYPE, fill_row
+from avipack.results.schema import AXIS_FIELDS, DTYPE_FINGERPRINT, \
+    ROW_DTYPE, SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT, SHARD_DTYPE, \
+    fill_row, pack_rows
 from avipack.durability.files import atomic_write
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
@@ -219,9 +222,34 @@ def write_legacy_shard(directory, number, outcomes, batched):
                  schema1_header(_ROWS_MAGIC, len(rows), payload), payload)
 
 
-def write_legacy_store(directory, outcomes, batched):
+def write_schema2_shard(directory, number, outcomes):
+    """One shard as schema-2 writers laid it out: the packed records,
+    uncompressed, checksummed after the header's string tables."""
+    logical = np.zeros(len(outcomes), dtype=ROW_DTYPE)
+    for position, outcome in enumerate(outcomes):
+        fill_row(logical, position, outcome)
+    records, tables = pack_rows(logical)
+    payload = records.tobytes()
+    checked = json.dumps(tables, sort_keys=True,
+                         separators=(",", ":")).encode("ascii")
+    header = json.dumps({
+        "magic": _ROWS_MAGIC, "schema": 2, "dtype": DTYPE_FINGERPRINT,
+        "rows": len(records), "nbytes": len(payload), "strings": tables,
+        "crc32": f"{zlib.crc32(payload, zlib.crc32(checked)):08x}",
+        "sha256": hashlib.sha256(checked + payload).hexdigest(),
+    }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    atomic_write(os.path.join(directory, f"shard-{number:06d}.rows"),
+                 header, payload)
+
+
+def write_legacy_store(directory, outcomes, batched=None, schema=1):
+    """A one-shard store at store ``schema`` 1 (``batched`` forced) or
+    2."""
     directory.mkdir()
-    write_legacy_shard(str(directory), 0, outcomes, batched)
+    if schema == 2:
+        write_schema2_shard(str(directory), 0, outcomes)
+    else:
+        write_legacy_shard(str(directory), 0, outcomes, batched)
     return str(directory)
 
 
@@ -390,13 +418,13 @@ class TestSchema1Store:
                                                       old_store, tmp_path):
         _, outcomes = campaign
         # Corrections of two candidates and one new row land in a
-        # schema-2 shard; the schema-1 copies of the two are dead.
+        # current-schema shard; the schema-1 copies of the two are dead.
         extra = dataclasses.replace(outcomes[0], index=len(outcomes),
                                     fingerprint="0" * 40)
         with ResultStoreWriter(old_store) as writer:
             writer.add_many(outcomes[1:3] + [extra])
         mixed = ResultStore.open(old_store)
-        assert [shard.schema for shard in mixed.shards()] == [1, 2]
+        assert [shard.schema for shard in mixed.shards()] == [1, 3]
         assert mixed.live_mask().tolist() \
             == [True, False, False] + [True] * (len(outcomes) - 3) \
             + [True] * 3
@@ -420,6 +448,75 @@ class TestSchema1Store:
         store = ResultStore.open(old_store)
         assert [shard.schema for shard in store.shards()] \
             == [STORE_SCHEMA_VERSION]
+        assert ranking_signature(store) == before
+        assert_same_store(store, ResultStore.open(
+            write_store(tmp_path / "fresh.results", outcomes)))
+        assert not compact_store(old_store).changed
+
+
+class TestSchema2Store:
+    """A store written at schema 2, before shard compression, reads like
+    one written now."""
+
+    @pytest.fixture()
+    def old_store(self, campaign, tmp_path):
+        _, outcomes = campaign
+        return write_legacy_store(tmp_path / "schema2.results", outcomes,
+                                  schema=2)
+
+    def test_open_and_ranking_are_identical(self, campaign, old_store,
+                                            tmp_path):
+        _, outcomes = campaign
+        old = ResultStore.open(old_store)
+        assert old.quarantined == ()
+        (shard,) = old.shards()
+        assert shard.schema == 2
+        assert isinstance(shard.rows, np.memmap)
+        assert_same_store(old, ResultStore.open(
+            write_store(tmp_path / "fresh.results", outcomes)))
+        assert ranking_signature(old) == report_signature(outcomes)
+
+    def test_it_feeds_live_fingerprints(self, artifacts, campaign,
+                                        old_store):
+        _, outcomes = campaign
+        assert ResultStore.live_fingerprints(old_store) \
+            == ResultStore.live_fingerprints(artifacts["plain"][1]) \
+            == {o.fingerprint: o.index for o in outcomes}
+        # A resume into it backfills nothing the store already holds.
+        report = SweepRunner(parallel=False, result_store=old_store) \
+            .resume(artifacts["plain"][0])
+        assert report.durability.n_resumed == len(outcomes)
+        assert report.result_store.rows_added == 0
+        assert ResultStore.open(old_store).n_rows == len(outcomes)
+
+    def test_mixed_with_schema1_and_schema3_shards_it_ranks_alike(
+            self, campaign, tmp_path):
+        _, outcomes = campaign
+        directory = tmp_path / "mixed.results"
+        write_legacy_store(directory, outcomes[:2],
+                           batched=[False, False])
+        write_schema2_shard(str(directory), 1, outcomes[2:])
+        # A resumed campaign's correction of the first candidate.
+        with ResultStoreWriter(str(directory)) as writer:
+            writer.add(outcomes[0])
+        mixed = ResultStore.open(str(directory))
+        assert [shard.schema for shard in mixed.shards()] == [1, 2, 3]
+        fresh = write_store(tmp_path / "fresh.results", outcomes[:2])
+        for block in (outcomes[2:], outcomes[:1]):
+            write_store(fresh, block)
+        assert_same_store(mixed, ResultStore.open(fresh))
+
+    def test_compaction_rewrites_it_at_schema3(self, campaign, old_store,
+                                               tmp_path):
+        _, outcomes = campaign
+        before = ranking_signature(ResultStore.open(old_store))
+        compaction = compact_store(old_store)
+        assert compaction.rows_dropped == 0
+        assert compaction.shards_rewritten == 1
+        assert compaction.bytes_after < compaction.bytes_before
+        store = ResultStore.open(old_store)
+        assert [shard.schema for shard in store.shards()] \
+            == [STORE_SCHEMA_VERSION] == [3]
         assert ranking_signature(store) == before
         assert_same_store(store, ResultStore.open(
             write_store(tmp_path / "fresh.results", outcomes)))

@@ -1,8 +1,11 @@
 """Columnar result store: shards, checksums, quarantine."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -206,6 +209,107 @@ def test_header_damage_is_classified_in_the_sidecar(tmp_path):
     assert perf.counter("results.quarantined_header") == 1
 
 
+def reseal(path, payload):
+    """Replace a shard's payload, recomputing its size and both
+    checksums so that verification passes."""
+    line = open(path, "rb").readline()
+    header = json.loads(line)
+    checked = json.dumps(header["strings"], sort_keys=True,
+                         separators=(",", ":")).encode("ascii")
+    header.update(
+        nbytes=len(payload),
+        crc32=f"{zlib.crc32(payload, zlib.crc32(checked)):08x}",
+        sha256=hashlib.sha256(checked + payload).hexdigest())
+    with open(path, "wb") as stream:
+        stream.write(json.dumps(header, sort_keys=True,
+                                separators=(",", ":")).encode("ascii"))
+        stream.write(b"\n" + payload)
+
+
+#: Faulty schema-3 payloads, each built from a shard's columns (``plain``)
+#: and the zlib stream its writer published (``stream``).
+PAYLOAD_FAULTS = {
+    "short": lambda plain, stream: zlib.compress(plain[:-1]),
+    "long": lambda plain, stream: zlib.compress(plain + bytes(148)),
+    "trailing": lambda plain, stream: stream + b"xyz",
+    "truncated": lambda plain, stream: stream[:-4],
+    "not_zlib": lambda plain, stream: plain,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PAYLOAD_FAULTS))
+def test_payload_that_does_not_inflate_to_its_rows_is_quarantined(
+        tmp_path, fault):
+    directory = str(tmp_path / "store")
+    perf.reset()
+    with ResultStoreWriter(directory, shard_rows=8) as writer:
+        writer.add_many(outcomes_mixed(20))
+    victim = os.path.join(directory, "shard-000001.rows")
+    stream = open(victim, "rb").read().partition(b"\n")[2]
+    reseal(victim, PAYLOAD_FAULTS[fault](zlib.decompress(stream), stream))
+    store = ResultStore.open(directory)
+    assert store.quarantine_reasons == {"shard-000001.rows": "payload"}
+    sidecar = read_reason_sidecar(victim)
+    assert sidecar["reason"] == "payload"
+    assert "payload" in sidecar["detail"]
+    assert perf.counter("results.quarantined_payload") == 1
+    assert perf.counter("results.quarantined_checksum") == 0
+    # The other shards still serve their rows.
+    assert store.column("index").tolist() == list(range(8)) \
+        + list(range(16, 20))
+
+
+def test_inflating_a_payload_stops_one_byte_past_its_rows(tmp_path):
+    # A 64 MB run of zeros deflates to ~64 kB; the reader must refuse
+    # it without ever holding it inflated.
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory) as writer:
+        writer.add(make_result(0))
+    victim = os.path.join(directory, "shard-000000.rows")
+    deflater = zlib.compressobj()
+    bomb = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64))
+    reseal(victim, bomb + deflater.flush())
+    tracemalloc.start()
+    try:
+        store = ResultStore.open(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.quarantine_reasons == {"shard-000000.rows": "payload"}
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("rows", [7, 9, 2 ** 62])
+def test_row_count_the_payload_does_not_hold_is_quarantined(tmp_path,
+                                                            rows):
+    # The checksums do not cover the header's row count; the payload's
+    # inflated size does.
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory, shard_rows=8) as writer:
+        writer.add_many(outcomes_mixed(20))
+    victim = os.path.join(directory, "shard-000001.rows")
+    line, _, payload = open(victim, "rb").read().partition(b"\n")
+    with open(victim, "wb") as stream:
+        stream.write(line.replace(b'"rows":8', b'"rows":%d' % rows)
+                     + b"\n" + payload)
+    store = ResultStore.open(directory)
+    assert store.quarantine_reasons == {"shard-000001.rows": "payload"}
+    assert store.n_rows == 12
+
+
+def test_schema3_shard_is_at_most_40pct_of_schema2_rows(tmp_path):
+    outcomes = SweepRunner(parallel=False).run(
+        list(DesignSpace.standard_tradeoff().grid())).outcomes
+    directory = str(tmp_path / "store")
+    with ResultStoreWriter(directory) as writer:
+        writer.add_many(outcomes)
+    path = os.path.join(directory, "shard-000000.rows")
+    header = json.loads(open(path, "rb").readline())
+    assert header["rows"] == len(outcomes) == 72
+    # Measured about 22% of the uncompressed packed rows.
+    assert header["nbytes"] <= 0.40 * len(outcomes) * SHARD_DTYPE.itemsize
+
+
 def test_writer_lock_refuses_second_writer(tmp_path):
     directory = str(tmp_path / "store")
     writer = ResultStoreWriter(directory)
@@ -268,7 +372,8 @@ def test_dtype_fingerprint_guards_schema_drift(tmp_path):
     # The header stamps the dtype; a reader with a different layout
     # must refuse the shard rather than reinterpret bytes.  Both
     # readable layouts are pinned: the kept schema-1 row and the packed
-    # schema-2 row every shard is written in.
+    # row of schemas 2 and 3; every shard is written at schema 3, which
+    # compresses it.
     assert SCHEMA1_DTYPE.itemsize == 434
     assert SCHEMA1_DTYPE_FINGERPRINT \
         == "af9b384d77a2509a39628bab8fc2305292216edc"
@@ -278,10 +383,11 @@ def test_dtype_fingerprint_guards_schema_drift(tmp_path):
     with ResultStoreWriter(directory) as writer:
         writer.add(make_result(0))
     path = os.path.join(directory, "shard-000000.rows")
-    header = json.loads(open(path, "rb").readline())
-    assert header["schema"] == 2
+    line, _, payload = open(path, "rb").read().partition(b"\n")
+    header = json.loads(line)
+    assert header["schema"] == 3
     assert header["dtype"] == DTYPE_FINGERPRINT
-    assert header["nbytes"] == SHARD_DTYPE.itemsize
+    assert header["nbytes"] == len(payload) < SHARD_DTYPE.itemsize
 
 
 @pytest.mark.parametrize("fingerprint", [

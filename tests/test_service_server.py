@@ -11,7 +11,9 @@ of killing the process (the subprocess drills live in
 """
 
 import errno
+import gc
 import json
+import logging
 import os
 import signal
 import threading
@@ -350,6 +352,45 @@ class TestManifestSaves:
         finally:
             service.stop(timeout_s=10.0)
         assert not service._thread.is_alive()
+
+    def test_failed_terminal_save_is_saved_again_on_a_heartbeat(
+            self, sockets, tmp_path, monkeypatch, caplog):
+        # The disk is full for the first "completed" save only: the
+        # manifest on disk still reaches "completed" without a restart,
+        # and nothing reaches asyncio's fallback logger.
+        original = JobStore.save_manifest
+        failed = []
+
+        def full_disk_once(store, job_id, manifest):
+            if manifest["state"] == "completed" and not failed:
+                failed.append(job_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            original(store, job_id, manifest)
+
+        def on_disk_state(job_id):
+            path = os.path.join(config.journal_dir,
+                                f"{job_id}.manifest.json")
+            with open(path, encoding="utf-8") as stream:
+                return json.load(stream)["state"]
+
+        monkeypatch.setattr(JobStore, "save_manifest", full_disk_once)
+        config = make_config(sockets, tmp_path, heartbeat_s=0.05)
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with ThreadedService(config):
+                client = ServiceClient(config.socket_path)
+                job_id = client.submit(axes=AXES, sample=2)["job_id"]
+                assert client.wait(job_id, timeout_s=30.0)["state"] \
+                    == "completed"
+                deadline = time.monotonic() + 10.0
+                while on_disk_state(job_id) != "completed" \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                state = on_disk_state(job_id)
+            gc.collect()  # a task's unretrieved exception logs when freed
+        assert failed == [job_id]
+        assert state == "completed"
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
     def test_terminal_event_follows_its_manifest(
             self, sockets, tmp_path, monkeypatch):
