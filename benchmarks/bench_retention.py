@@ -138,7 +138,6 @@ def run_benches(rounds=5):
             "counters": {
                 "rows_dropped": compaction.rows_dropped,
                 "shards_rewritten": compaction.shards_rewritten,
-                "blob_pools_removed": compaction.blob_pools_removed,
                 "n_superseded": n_dead,
             },
         }

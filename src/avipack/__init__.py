@@ -102,7 +102,7 @@ __getattr__, __dir__, _ = lazy_exports(__name__, _EXPORTS, submodules=(
     "resilience", "results", "retention", "service", "sweep", "thermal",
     "tim", "twophase", "units"))
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "AvipackError",

@@ -128,8 +128,12 @@ def _run_sweep(argv) -> int:
 
     Exit codes: 0 — sweep finished with compliant candidates; 1 —
     sweep finished but nothing complied; 2 — usage error; 3 — the
-    ``--resume`` journal is unusable (missing, unreadable, or every
-    record quarantined).
+    ``--resume`` journal is unusable (missing, unreadable, every record
+    quarantined, or a line at a schema this release does not read).
+    The quarantine advice, which offers to start afresh, is printed
+    only beside a ``.quarantine`` sidecar and never for a schema
+    refusal: that journal is intact and its upgrade command is in the
+    error.
     """
     import json
 
@@ -177,11 +181,15 @@ def _run_sweep(argv) -> int:
         try:
             report = runner.resume(args.journal)
         except JournalError as exc:
-            print(f"error: cannot resume from {args.journal}: {exc}\n"
-                  f"Damaged records are quarantined to {args.journal}"
-                  ".quarantine. A journal with no usable records cannot"
-                  " be resumed: restore it from a backup, or re-run"
-                  " without --resume to start fresh.", file=sys.stderr)
+            sidecar = f"{args.journal}.quarantine"
+            advice = ""
+            if exc.reason != "schema" and os.path.exists(sidecar):
+                advice = (f"\nDamaged records are quarantined to {sidecar}."
+                          " A journal with no usable records cannot be"
+                          " resumed: restore it from a backup, or re-run"
+                          " without --resume to start fresh.")
+            print(f"error: cannot resume from {args.journal}: {exc}"
+                  f"{advice}", file=sys.stderr)
             return 3
     else:
         report = runner.run(candidates, journal_path=args.journal)
@@ -245,7 +253,7 @@ def _run_compact(argv) -> int:
         prog="python -m avipack compact",
         description="Compact a sweep journal (fold into a checkpoint "
                     "record) and/or a columnar result store (drop "
-                    "superseded rows and retired blob pools); resume "
+                    "superseded rows); resume "
                     "and rankings are byte-identical afterwards.")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="write-ahead journal to compact in place")
@@ -267,10 +275,8 @@ def _run_compact(argv) -> int:
             print(f"store {args.store}: rewrote "
                   f"{rewritten.shards_rewritten} shard(s) into "
                   f"{rewritten.shards_published}, dropped "
-                  f"{rewritten.rows_dropped} superseded row(s), deleted "
-                  f"{rewritten.blob_pools_removed} retired blob "
-                  f"pool(s) ({rewritten.bytes_reclaimed} bytes "
-                  "reclaimed)")
+                  f"{rewritten.rows_dropped} superseded row(s) "
+                  f"({rewritten.bytes_reclaimed} bytes reclaimed)")
     except DurabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,10 @@ the campaign the in-flight candidates, not the finished ones.
   ``fsync``'d before the runner proceeds, so after a crash the journal
   is a prefix of intact records plus at most one torn tail line;
 * replay (:func:`replay_journal`) never raises on damage and never
-  silently trusts it: a truncated, bit-flipped, stale-schema,
-  undecompressible or unpicklable record is moved to a ``.quarantine``
-  sidecar and its candidate is simply recomputed by the resume.
+  silently trusts it: a truncated, bit-flipped, undecompressible or
+  unpicklable record is moved to a ``.quarantine`` sidecar and its
+  candidate is simply recomputed by the resume.  An intact record
+  written at a schema outside the window below is refused instead.
 
 Record kinds: ``plan`` (the pickled candidate list and its space
 fingerprint — what makes ``resume(journal_path)`` self-contained),
@@ -39,53 +40,44 @@ space.
 
 The payloads are pickles of the library's own records, compressed by
 zlib primed with a pinned preset dictionary
-(:data:`~avipack.durability._payload_dict.SCHEMA3_ZDICT`, schema 3):
-every line shares one copy of the pickle opcodes, module paths, class
-and field names it would otherwise repeat, so an outcome payload takes
-roughly 25–35% of the bytes schema 2's unprimed zlib gave it.
-Schema 4 keeps that payload encoding and holds one copy of each fact
-per line:
+(:data:`~avipack.durability._payload_dict.SCHEMA3_ZDICT`): every line
+shares one copy of the pickle opcodes, module paths, class and field
+names it would otherwise repeat.  Each line holds one copy of each
+fact:
 
-* an outcome payload is pickled with an empty ``fingerprint``; the
-  envelope's ``fingerprint`` (which also keys a checkpoint's
-  ``outcomes``) is written back into the unpickled outcome, so the
-  resume audit still compares it with the candidate's own fingerprint;
-* the line is written compactly, ``{"body":…,"crc32":…,"sha256":…}``,
-  straight from the canonical body text the checksums cover;
-* the SHA-256 is 43 characters of unpadded base64 instead of 64 hex
-  digits, still over the full digest.
-
-Together that is ~90 bytes less per outcome line.  Schema 5 also
-leaves the candidate to the plan:
-
-* an outcome payload is pickled with ``candidate=None``; replay keeps
-  the candidate list of the latest intact ``plan`` or ``checkpoint``
-  record read so far, in file order, and the outcome takes
-  ``plan[outcome.index]``.  The line is quarantined when no intact plan
-  precedes it, when its index is outside that plan, or when the plan's
-  candidate at the index has another fingerprint than the envelope —
-  so a line is never paired with a candidate it was not written for;
+* an outcome payload is pickled with an empty ``fingerprint`` and with
+  ``candidate=None``.  Replay writes the envelope's ``fingerprint``
+  back, so the resume audit still compares it with the candidate's own
+  fingerprint, and gives the outcome ``plan[outcome.index]`` from the
+  candidate list of the latest intact ``plan`` or ``checkpoint`` record
+  read so far, in file order.  The line is quarantined when no intact
+  plan precedes it, when its index is outside that plan, or when the
+  plan's candidate at the index has another fingerprint than the
+  envelope, so a line is never paired with a candidate it was not
+  written for;
 * a payload may still embed its candidate: a compaction checkpoint
   does so for an outcome whose candidate its plan does not hold at
   that index (a resume over a subset space leaves such orphans), and
-  the resume audit's fingerprint-integrity check covers it.
+  the resume audit's fingerprint-integrity check covers it;
+* the line is written compactly, ``{"body":…,"crc32":…,"sha256":…}``,
+  straight from the canonical body text the checksums cover, with the
+  SHA-256 as 43 characters of unpadded base64.
 
-Schema 6 changes only the ``checkpoint`` record: its ``outcomes``
-field is one payload instead of one text per fingerprint, a pickled
-tuple of ``(20 raw fingerprint bytes, stripped outcome)`` entries in
-fingerprint order, so the whole fold shares one zlib stream.  Each
-entry is stripped and paired exactly as a schema-5 outcome line is,
-and every entry is decoded before any is applied, so one bad entry
-quarantines the whole record.  Plan, outcome and ``dispatched`` lines
-are laid out as in schema 5.
+The schema window: a release reads the journal schema it writes and
+the one before it, here 5 and 6.  They differ only in the
+``checkpoint`` record: at schema 6 its ``outcomes`` field is one
+payload, a pickled tuple of ``(20 raw fingerprint bytes, stripped
+outcome)`` entries in fingerprint order that shares one zlib stream,
+and at schema 5 it holds one payload text per fingerprint.  Every
+entry is decoded before any is applied, so one bad entry quarantines
+the whole record.  A line whose CRC-32 holds but whose integer
+``schema_version`` is outside the window is refused with
+:class:`~avipack.errors.JournalError` naming the line and the way to
+upgrade it (``python -m avipack compact`` of avipack 1.0.0, which reads
+schemas 1 to 6 and writes 6); quarantining it would silently drop a
+valid record from the resume and from every compaction after it.  A
+different dictionary is a new schema version.
 
-Schema-1 (plain pickle), schema-2 (unprimed zlib), schema-3 (hex
-SHA-256, payloads carrying their fingerprint), schema-4 (payloads
-carrying their candidate) and schema-5 (checkpoints holding one text
-per outcome) journals still replay, resume, ingest and compact, and
-each line is verified and decoded by its own ``schema_version``.  A
-different dictionary is a new schema version; the old dictionary stays
-as the decoder of the journals written with it.
 The checksums protect against corruption in transit and at rest, not
 against an adversary who can rewrite the journal *and* its checksums —
 treat journal files with the same trust as the repository they live in.
@@ -110,7 +102,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..errors import DurabilityError, InputError, JournalError
-from ..fingerprint import content_crc32, content_digest
+from ..fingerprint import content_crc32
 from ..resilience.faults import corrupts as _corrupts
 from ._payload_dict import SCHEMA3_ZDICT
 from .files import atomic_write, open_locked
@@ -123,17 +115,15 @@ __all__ = ["SCHEMA_VERSION", "JournalReplay", "QuarantinedRecord",
            "SweepJournal", "encode_record", "outcome_kind",
            "replay_journal", "seal"]
 
-#: Bump when the record encoding changes; replay quarantines any
-#: version it has no decoder for rather than guessing at its layout.
+#: Bump when the record encoding changes, and drop the oldest decoder:
+#: replay refuses any intact line it has no decoder for rather than
+#: guessing at its layout.
 SCHEMA_VERSION = 6
 
-#: The first schema whose outcome payloads leave the fingerprint to the
-#: envelope and whose lines carry the SHA-256 as unpadded base64.
-_LEAN_SCHEMA = 4
-
-#: The first schema whose outcome payloads leave the candidate to the
-#: plan record in force.
-_PLAN_CANDIDATE_SCHEMA = 5
+#: The last release whose compaction reads every journal and store
+#: schema from 1 on, named by the refusal of a file older than the
+#: window.
+_UPGRADE_RELEASE = "1.0.0"
 
 #: The first schema whose checkpoint holds its outcomes as one payload.
 _OUTCOME_BLOCK_SCHEMA = 6
@@ -164,13 +154,8 @@ def _inflate_whole(inflater: Any, data: bytes) -> bytes:
     return plain
 
 
-def _inflate(data: bytes) -> bytes:
-    """Decode a schema-2 payload: one whole unprimed zlib stream."""
-    return _inflate_whole(zlib.decompressobj(), data)
-
-
 def _inflate_primed(data: bytes) -> bytes:
-    """Decode a schema-3 to -6 payload: one whole zlib stream primed with
+    """Decode a payload: one whole zlib stream primed with
     :data:`SCHEMA3_ZDICT`.
 
     zlib also accepts a stream written without a dictionary, so that is
@@ -181,13 +166,9 @@ def _inflate_primed(data: bytes) -> bytes:
     return _inflate_whole(zlib.decompressobj(zdict=SCHEMA3_ZDICT), data)
 
 
-#: Payload decoder per readable ``schema_version``: 1 wrote plain
-#: pickles, 2 unprimed zlib, 3 to 6 zlib primed with
-#: :data:`SCHEMA3_ZDICT` (4 without the outcome's fingerprint, 5 also
-#: without its candidate, 6 with a checkpoint's outcomes in one block).
-_PAYLOAD_DECODERS = {1: lambda data: data, 2: _inflate,
-                     3: _inflate_primed, 4: _inflate_primed,
-                     5: _inflate_primed, 6: _inflate_primed}
+#: Payload decoder per readable ``schema_version``: the window of the
+#: schema written now and the one before it.
+_PAYLOAD_DECODERS = {5: _inflate_primed, 6: _inflate_primed}
 
 
 def _open_locked(path: str):
@@ -220,18 +201,15 @@ def _canonical(body: Dict[str, Any]) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
-def _sha256_text(data: bytes, schema_version: Any) -> str:
-    """The SHA-256 of ``data`` as a ``schema_version`` line carries it:
-    64 hex digits before schema 4, 43 characters of unpadded base64
-    from it on."""
-    if type(schema_version) is int and schema_version < _LEAN_SCHEMA:
-        return content_digest(data)
+def _sha256_text(data: bytes) -> str:
+    """The SHA-256 of ``data`` as a line carries it: 43 characters of
+    unpadded base64."""
     return base64.b64encode(hashlib.sha256(data).digest())[:-1].decode()
 
 
 def seal(body: Dict[str, Any]) -> bytes:
     """One journal line: ``body`` in canonical form, its CRC-32 and its
-    SHA-256 (in the form of the body's ``schema_version``), and ``\\n``.
+    SHA-256, and ``\\n``.
 
     The line is assembled from the canonical text the checksums cover,
     with the envelope keys in sorted order and no spaces.
@@ -241,7 +219,7 @@ def seal(body: Dict[str, Any]) -> bytes:
         b'{"body":', data,
         b',"crc32":"', content_crc32(data).encode("ascii"),
         b'","sha256":"',
-        _sha256_text(data, body.get("schema_version")).encode("ascii"),
+        _sha256_text(data).encode("ascii"),
         b'"}\n'))
 
 
@@ -278,9 +256,9 @@ def _encode_outcome(outcome: "CandidateOutcome",
 
 def _plan_candidate(plan: Optional[Tuple["Candidate", ...]], index: Any,
                     fingerprint: str) -> "Candidate":
-    """``plan[index]``, the candidate an outcome was written for from
-    schema 5 on; raises :class:`_DamagedRecord` unless it is the
-    candidate fingerprinted ``fingerprint``."""
+    """``plan[index]``, the candidate an outcome was written for; raises
+    :class:`_DamagedRecord` unless it is the candidate fingerprinted
+    ``fingerprint``."""
     if plan is None:
         raise _DamagedRecord("outcome has no intact plan record before it")
     if type(index) is not int or not 0 <= index < len(plan):
@@ -298,23 +276,20 @@ def _decode_outcome(text: str, fingerprint: str,
                     schema_version: int = SCHEMA_VERSION,
                     plan: Optional[Tuple["Candidate", ...]] = None
                     ) -> "CandidateOutcome":
-    """Decode an outcome payload; from schema 4 on, the outcome takes
-    ``fingerprint``, its envelope's copy, and from schema 5 on, unless
-    the payload embeds it, its candidate from ``plan``."""
+    """Decode an outcome payload; the outcome takes ``fingerprint``, its
+    envelope's copy, and, unless the payload embeds it, its candidate
+    from ``plan``."""
     return _restore_outcome(_decode_payload(text, schema_version),
-                            fingerprint, schema_version, plan)
+                            fingerprint, plan)
 
 
 def _restore_outcome(outcome: "CandidateOutcome", fingerprint: str,
-                     schema_version: int,
                      plan: Optional[Tuple["Candidate", ...]]
                      ) -> "CandidateOutcome":
-    """Write back what a ``schema_version`` payload left out of the
-    unpickled ``outcome`` (see :func:`_decode_outcome`)."""
-    if schema_version >= _LEAN_SCHEMA:
-        object.__setattr__(outcome, "fingerprint", fingerprint)
-    if (schema_version >= _PLAN_CANDIDATE_SCHEMA
-            and outcome.candidate is None):
+    """Write back what a payload left out of the unpickled ``outcome``
+    (see :func:`_decode_outcome`)."""
+    object.__setattr__(outcome, "fingerprint", fingerprint)
+    if outcome.candidate is None:
         object.__setattr__(outcome, "candidate", _plan_candidate(
             plan, outcome.index, fingerprint))
     return outcome
@@ -362,7 +337,7 @@ def _decode_checkpoint_outcomes(outcomes: Any, schema_version: int,
                 "checkpoint entry has no 20-byte fingerprint")
         fingerprint = raw.hex()
         folded.append((fingerprint, _restore_outcome(
-            outcome, fingerprint, schema_version, plan)))
+            outcome, fingerprint, plan)))
     return folded
 
 
@@ -535,8 +510,31 @@ class JournalReplay:
         return len(self.quarantined)
 
 
-def _verify_line(line: bytes) -> Dict[str, Any]:
-    """Decode and checksum-verify one line; raises _DamagedRecord."""
+def _refusal(path: str, line_number: int, version: int) -> JournalError:
+    """The error for an intact line at ``version``, outside the window."""
+    window = f"schemas {min(_PAYLOAD_DECODERS)}-{max(_PAYLOAD_DECODERS)}"
+    if version > SCHEMA_VERSION:
+        advice = "open it with the newer avipack release that wrote it"
+    else:
+        advice = (f"upgrade it with avipack {_UPGRADE_RELEASE}, whose "
+                  f"compaction rewrites it at schema {SCHEMA_VERSION}: "
+                  f"python -m avipack compact --journal {path}")
+    return JournalError(
+        f"journal {path} line {line_number} is at schema {version}, "
+        f"outside the {window} this release reads; {advice}",
+        reason="schema")
+
+
+def _verify_line(line: bytes, path: str,
+                 line_number: int) -> Dict[str, Any]:
+    """Decode and checksum-verify one line; raises _DamagedRecord, or
+    :class:`JournalError` for an intact line outside the window.
+
+    The version is checked after the CRC-32, so only an intact line is
+    refused, and before the SHA-256, whose form older schemas wrote
+    otherwise: checked first, it would quarantine their lines as
+    damage.
+    """
     try:
         envelope = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
@@ -549,11 +547,13 @@ def _verify_line(line: bytes) -> Dict[str, Any]:
     version = body.get("schema_version")
     if envelope.get("crc32") != content_crc32(data):
         raise _DamagedRecord("crc32 mismatch")
-    if envelope.get("sha256") != _sha256_text(data, version):
+    if type(version) is int and version not in _PAYLOAD_DECODERS:
+        raise _refusal(path, line_number, version)
+    if envelope.get("sha256") != _sha256_text(data):
         raise _DamagedRecord("sha256 mismatch")
-    if type(version) is not int or version not in _PAYLOAD_DECODERS:
+    if type(version) is not int:
         raise _DamagedRecord(
-            f"stale schema_version {version!r} "
+            f"schema_version {version!r} is not an integer "
             f"(expected one of {sorted(_PAYLOAD_DECODERS)})")
     if not isinstance(body.get("kind"), str):
         raise _DamagedRecord("record has no kind")
@@ -576,14 +576,16 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
     """Verify and replay a journal; damage is quarantined, never fatal.
 
     Every line is independently decoded and checksum-verified; lines
-    that fail (torn tail, bit flips, unknown ``schema_version``,
-    undecompressible or unpicklable payloads, a schema-5 outcome its
+    that fail (torn tail, bit flips, a ``schema_version`` that is not an
+    integer, undecompressible or unpicklable payloads, an outcome its
     plan does not hold) become
     :class:`QuarantinedRecord` entries — written to ``quarantine_path``
     (default ``<path>.quarantine``) as a JSONL sidecar when
-    ``write_quarantine`` is set — and replay continues.  Only a
+    ``write_quarantine`` is set — and replay continues.  A
     missing/unreadable journal *file* raises
-    :class:`~avipack.errors.JournalError`.
+    :class:`~avipack.errors.JournalError`, and so does an intact line
+    at an integer schema outside the window, before any sidecar is
+    written.
     """
     try:
         with open(path, "rb") as stream:
@@ -599,7 +601,7 @@ def replay_journal(path: str, quarantine_path: Optional[str] = None,
         if not line:
             continue
         try:
-            body = _verify_line(line)
+            body = _verify_line(line, path, line_number)
             kind = body["kind"]
             version = body["schema_version"]
             if kind in ("plan", "checkpoint"):

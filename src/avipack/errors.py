@@ -141,12 +141,27 @@ class CacheCorruptionError(AvipackError, RuntimeError):
 class DurabilityError(AvipackError, RuntimeError):
     """A durability-layer invariant cannot be upheld.
 
-    Base of :class:`JournalError`; raised directly for cross-process
-    hazards such as advisory-lock contention on a journal file — two
-    processes appending to the same journal would interleave records,
-    which no checksum can repair, so the second writer is refused up
-    front instead.
+    Base of :class:`JournalError` and :class:`ResultStoreError`; raised
+    directly for cross-process hazards such as advisory-lock contention
+    on a journal file — two processes appending to the same journal
+    would interleave records, which no checksum can repair, so the
+    second writer is refused up front instead.
+
+    ``reason`` classifies the failure.  ``"schema"`` marks an intact
+    journal line or store shard written at a schema outside the window
+    this release reads (the schema it writes and the one before it);
+    its message names the release and command that upgrade the file.
+    Every other failure keeps the default ``"error"`` unless a subclass
+    documents more.
     """
+
+    def __init__(self, message: str, reason: str = "error") -> None:
+        super().__init__(message)
+        self.reason = reason
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (self.__class__, (self.args[0] if self.args else "",
+                                 self.reason))
 
 
 class ServiceError(AvipackError, RuntimeError):
@@ -173,11 +188,14 @@ class ResultStoreError(DurabilityError):
     Individual damaged *shards* never raise — they are renamed to a
     ``.quarantine`` sidecar at open and their rows recomputed or
     re-ingested from the journal (see :mod:`avipack.results.store`).
-    This error is reserved for the cases the store cannot work around:
-    a missing store directory or writer-lock contention.
+    It is raised for the cases the store cannot work around: a missing
+    store directory, writer-lock contention, or an intact shard at a
+    store schema older than the window (``reason="schema"``; the store
+    is left as it was).
 
-    ``reason`` classifies the damage for the quarantine sidecars and
-    the per-reason ``results.quarantined_*`` counters: ``"header"``
+    Inside the store, ``reason`` also classifies a shard's damage for
+    the quarantine sidecars and the per-reason
+    ``results.quarantined_*`` counters: ``"header"``
     (unparseable header, wrong magic, stale schema, dtype or row-count
     disagreement), ``"checksum"`` (CRC-32 or SHA-256 mismatch over the
     payload), ``"truncation"`` (payload shorter or longer than the
@@ -187,22 +205,16 @@ class ResultStoreError(DurabilityError):
     failures.
     """
 
-    def __init__(self, message: str, reason: str = "error") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (self.__class__, (self.args[0] if self.args else "",
-                                 self.reason))
-
 
 class JournalError(DurabilityError):
     """A sweep write-ahead journal cannot support a resume.
 
     Individual damaged records never raise — they are quarantined to the
     ``.quarantine`` sidecar and their candidates recomputed (see
-    :mod:`avipack.durability.journal`).  This error is reserved for the
-    cases where resuming is *impossible*: the journal file is missing or
-    unreadable, or no intact plan record survives to name the candidate
-    set.
+    :mod:`avipack.durability.journal`).  It is raised where resuming is
+    *impossible*: the journal file is missing or unreadable, or no
+    intact plan record survives to name the candidate set.  It is also
+    raised, with ``reason="schema"`` and the journal left as it was,
+    for an intact line at a schema outside the window this release
+    reads, which the resume must not drop as damage.
     """

@@ -22,10 +22,9 @@ column readers return.  On disk, a shard packs it into the 148-byte
 
 A schema-3 shard compresses those records, column by column, into one
 zlib stream (:mod:`avipack.results.store`); a schema-2 shard holds them
-uncompressed.  Schema-1 shards, written before the packing, hold the
-logical row plus four retired columns (:data:`SCHEMA1_DTYPE`, 434
-bytes).  Both older schemas stay readable and are rewritten at schema 3
-by :func:`avipack.retention.compact_store`.
+uncompressed.  A release reads the store schema it writes and the one
+before it, so schema-2 shards stay readable and
+:func:`avipack.retention.compact_store` rewrites them at schema 3.
 
 Each layout is part of the on-disk contract: its fingerprint is stamped
 into every shard header, and a reader refuses (quarantines) shards
@@ -55,8 +54,6 @@ __all__ = [
     "KIND_FAILED",
     "KIND_TIMEOUT",
     "ROW_DTYPE",
-    "SCHEMA1_DTYPE",
-    "SCHEMA1_DTYPE_FINGERPRINT",
     "SHARD_DTYPE",
     "STORE_SCHEMA_VERSION",
     "check_storable",
@@ -79,20 +76,15 @@ KIND_TIMEOUT = 2
 _KIND_CODES = {"completed": KIND_COMPLETED, "failed": KIND_FAILED,
                "timeout": KIND_TIMEOUT}
 
-#: Schema-1 columns no writer fills any more: ``batched`` was always
-#: False, and the ``blob_*`` columns located a pickled outcome in a
-#: ``.blobs`` pool the store no longer writes.
-_RETIRED_FIELDS = ("batched", "blob_offset", "blob_length", "blob_crc32")
-
-#: The schema-1 on-disk row (read only), packed little-endian.
-SCHEMA1_DTYPE = np.dtype([
+#: One outcome per logical row, little-endian.  Margin columns are NaN
+#: for failures.
+ROW_DTYPE = np.dtype([
     ("index", "<i8"),
     ("fingerprint", "S40"),
     ("kind", "u1"),
     ("compliant", "?"),
     ("degraded", "?"),
     ("recovered", "?"),
-    ("batched", "?"),
     ("cost_rank", "<f8"),
     ("worst_board_c", "<f8"),
     ("thermal_headroom_c", "<f8"),
@@ -120,19 +112,7 @@ SCHEMA1_DTYPE = np.dtype([
     ("label", "S80"),
     ("stage", "S16"),
     ("error_type", "S40"),
-    ("blob_offset", "<i8"),
-    ("blob_length", "<i8"),
-    ("blob_crc32", "<u4"),
 ])
-
-#: Layout fingerprint stamped into schema-1 shard headers.
-SCHEMA1_DTYPE_FINGERPRINT = stable_fingerprint(SCHEMA1_DTYPE.descr)
-
-#: One outcome per logical row: the schema-1 row without its retired
-#: columns.  Margin columns are NaN for failures.
-ROW_DTYPE = np.dtype([(name, SCHEMA1_DTYPE[name])
-                      for name in SCHEMA1_DTYPE.names
-                      if name not in _RETIRED_FIELDS])
 
 #: String columns a packed shard stores as indices into its tables.
 CODED_FIELDS: Tuple[str, ...] = (

@@ -18,9 +18,7 @@ skipped — its rows are recomputed or re-ingested from the journal,
 never trusted.
 
 The store holds typed rows only.  A campaign's full outcome objects
-live in its write-ahead journal; ``shard-*.blobs`` files left by older
-writers are ignored here and deleted by
-:func:`avipack.retention.compact_store`.
+live in its write-ahead journal.
 
 Each logical row packs into 148 bytes
 (:data:`~avipack.results.schema.SHARD_DTYPE`): raw fingerprint bytes,
@@ -30,10 +28,16 @@ another, column-major, as one zlib stream: flags, codes, counts and
 most floats shrink to under 2 bytes a row, the 20-byte fingerprint not
 at all.  A reader inflates the stream from the bytes it has just
 checksummed into an in-memory array; a payload that does not inflate
-to exactly ``rows × 148`` bytes is quarantined.  Schema-2 shards (the
-same rows, packed but uncompressed) and schema-1 shards (434-byte rows)
-stay readable through memory maps, so a store may mix all three;
-readers decode every shard to the same logical columns.
+to exactly ``rows × 148`` bytes is quarantined.
+
+The schema window: a release reads the store schema it writes and the
+one before it.  Schema-2 shards (the same rows, packed but
+uncompressed) stay readable through memory maps, so a store may mix
+both, and readers decode every shard to the same logical columns.  An
+intact schema-1 shard (434-byte rows with hex fingerprints) makes
+:meth:`ResultStore.open` raise :class:`~avipack.errors.ResultStoreError`
+with ``reason="schema"`` and rename nothing; its message names the
+upgrade, ``python -m avipack compact --store`` of avipack 1.0.0.
 
 Observability: ``results.rows_ingested``, ``results.shards_written``
 and ``results.shards_quarantined`` named counters in
@@ -69,12 +73,11 @@ import numpy as np
 
 from .. import perf as _perf
 from ..durability.files import atomic_write, open_locked, quarantine
+from ..durability.journal import _UPGRADE_RELEASE
 from ..errors import InputError, ResultStoreError
 from .schema import (
     DTYPE_FINGERPRINT,
     ROW_DTYPE,
-    SCHEMA1_DTYPE,
-    SCHEMA1_DTYPE_FINGERPRINT,
     SHARD_DTYPE,
     STORE_SCHEMA_VERSION,
     fill_row,
@@ -101,16 +104,21 @@ DEFAULT_SHARD_ROWS = 65_536
 _FIRST_BUFFER_ROWS = 256
 
 _ROWS_MAGIC = "avipack-results-rows/1"
-_SHARD_PATTERN = re.compile(r"^shard-(\d{6})\.(rows|blobs)$")
+_SHARD_PATTERN = re.compile(r"^shard-(\d{6})\.rows$")
 _LOCK_NAME = ".writer.lock"
 _VERIFY_CHUNK = 1 << 20
 
-#: On-disk row layout and its fingerprint per readable store schema.
-#: Schemas 1 and 2 are read only; every shard is published at schema 3,
-#: which compresses schema 2's rows.
-_LAYOUTS = {1: (SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT),
-            2: (SHARD_DTYPE, DTYPE_FINGERPRINT),
+#: On-disk row layout and its fingerprint per readable store schema:
+#: the window of the schema written now and the one before it.  Schema
+#: 2 is read only; every shard is published at schema 3, which
+#: compresses schema 2's rows.
+_LAYOUTS = {2: (SHARD_DTYPE, DTYPE_FINGERPRINT),
             STORE_SCHEMA_VERSION: (SHARD_DTYPE, DTYPE_FINGERPRINT)}
+
+#: The dtype fingerprint schema-1 shard headers carry.  The checksums
+#: do not cover a header's ``schema``, so a shard is refused as schema 1
+#: only when it carries this fingerprint as well.
+_SCHEMA1_DTYPE_FINGERPRINT = "af9b384d77a2509a39628bab8fc2305292216edc"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -281,12 +289,6 @@ class ResultStoreWriter:
                                 shards_sealed=self.shards_sealed)
 
 
-#: Hex digit value per ASCII code (0 for a non-hex byte).
-_NIBBLES = np.zeros(256, dtype=np.uint8)
-_NIBBLES[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = \
-    np.arange(16, dtype=np.uint8)
-
-
 def _inflate_records(path: str, payload: bytes,
                      n_rows: int) -> np.ndarray:
     """A schema-3 payload as ``n_rows`` :data:`SHARD_DTYPE` records.
@@ -335,26 +337,21 @@ class _Shard:
         self.schema: int = header["schema"]
         #: Global row id of this shard's first row.
         self.row_base = row_base
-        #: The records in the shard schema's layout: inflated from
-        #: ``payload`` at schema 3, memory-mapped from disk below it.
+        #: The :data:`SHARD_DTYPE` records: inflated from ``payload`` at
+        #: schema 3, memory-mapped from disk at schema 2.
         self.rows: np.ndarray = (
             _inflate_records(path, payload, self.n_rows)
             if self.schema == STORE_SCHEMA_VERSION else np.memmap(
-                path, dtype=_LAYOUTS[self.schema][0], mode="r",
+                path, dtype=SHARD_DTYPE, mode="r",
                 offset=header_bytes, shape=(self.n_rows,)))
-        self._tables = (string_tables(header["strings"])
-                        if self.schema > 1 else None)
-
-    def _decode(self, rows: np.ndarray, name: str) -> np.ndarray:
-        if self._tables is None:
-            return np.asarray(rows[name])
-        return unpack_column(rows, self._tables, name)
+        self._tables = string_tables(header["strings"])
 
     def column(self, name: str, index: Any = None) -> np.ndarray:
         """Logical values of column ``name`` at local rows ``index``
         (every row when ``None``)."""
-        return self._decode(self.rows if index is None else self.rows[index],
-                            name)
+        return unpack_column(
+            self.rows if index is None else self.rows[index],
+            self._tables, name)
 
     def logical_rows(self, index: Any) -> np.ndarray:
         """The rows at ``index`` as logical records for
@@ -364,19 +361,13 @@ class _Shard:
         out = np.zeros(len(rows), dtype=ROW_DTYPE)
         for name in ROW_DTYPE.names:
             if name != "label":
-                out[name] = self._decode(rows, name)
+                out[name] = unpack_column(rows, self._tables, name)
         return out
 
     def fingerprint_keys(self) -> np.ndarray:
         """Each row's leading 8 raw fingerprint bytes as one ``<u8``."""
-        if self._tables is not None:
-            raw = np.ascontiguousarray(self.rows["fingerprint"])
-            head = raw.view(np.uint8).reshape(self.n_rows, 20)[:, :8]
-        else:
-            text = np.ascontiguousarray(self.rows["fingerprint"])
-            digits = _NIBBLES[text.view(np.uint8).reshape(
-                self.n_rows, 40)[:, :16]]
-            head = (digits[:, 0::2] << 4) | digits[:, 1::2]
+        raw = np.ascontiguousarray(self.rows["fingerprint"])
+        head = raw.view(np.uint8).reshape(self.n_rows, 20)[:, :8]
         return np.ascontiguousarray(head).view("<u8").reshape(-1)
 
 
@@ -386,11 +377,11 @@ def _verify_file(path: str, magic: str
     payload).
 
     The checksums cover the string tables (canonical JSON) and then the
-    payload bytes of a schema-2 or -3 shard, and a schema-1 shard's
-    payload alone.  ``payload`` holds the bytes read for a schema-3
-    shard, to be inflated, and is empty below it, whose rows are
-    memory-mapped.  Raises :class:`ResultStoreError` on any damage — the
-    caller quarantines and moves on.
+    payload bytes.  ``payload`` holds the bytes read for a schema-3
+    shard, to be inflated, and is empty for a schema-2 one, whose rows
+    are memory-mapped.  Raises :class:`ResultStoreError` on any damage —
+    the caller quarantines and moves on — and, with ``reason="schema"``,
+    for a schema-1 shard, which the caller must not quarantine.
     """
     try:
         with open(path, "rb") as stream:
@@ -406,6 +397,16 @@ def _verify_file(path: str, magic: str
                 raise ResultStoreError(f"{path}: wrong magic",
                                        reason="header")
             schema = header.get("schema")
+            if type(schema) is int and schema == 1 \
+                    and header.get("dtype") == _SCHEMA1_DTYPE_FINGERPRINT:
+                raise ResultStoreError(
+                    f"{path} is at store schema 1, older than the "
+                    f"schemas {min(_LAYOUTS)}-{max(_LAYOUTS)} this "
+                    "release reads; upgrade the store with avipack "
+                    f"{_UPGRADE_RELEASE}, whose compaction rewrites it at "
+                    f"schema {STORE_SCHEMA_VERSION}: python -m avipack "
+                    f"compact --store {os.path.dirname(path)}",
+                    reason="schema")
             if type(schema) is not int or schema not in _LAYOUTS:
                 raise ResultStoreError(
                     f"{path}: unreadable schema {schema!r}",
@@ -424,8 +425,7 @@ def _verify_file(path: str, magic: str
                     reason="header")
             # The writer's checksums cover the tables, so tables that
             # verify are well formed.
-            checked = (_canonical(header.get("strings"))
-                       if schema > 1 else b"")
+            checked = _canonical(header.get("strings"))
             crc = zlib.crc32(checked)
             sha = hashlib.sha256(checked)
             chunks: List[bytes] = []
@@ -504,40 +504,39 @@ class ResultStore:
     def open(cls, directory: str) -> "ResultStore":
         """Verify and load every shard under ``directory``.
 
-        Raises :class:`~avipack.errors.ResultStoreError` only when the
-        directory itself is missing; per-shard damage is quarantined.
-        ``.blobs`` files that older writers published are ignored.
+        Raises :class:`~avipack.errors.ResultStoreError` when the
+        directory itself is missing or, with ``reason="schema"``, when a
+        shard is at a store schema older than the window; per-shard
+        damage is quarantined, once every shard has been read, so a
+        refused store is left as it was.
         """
         if not os.path.isdir(directory):
             raise ResultStoreError(
                 f"result store directory not found: {directory}")
-        names = sorted(
-            match.group(0)[:-len(".rows")]
-            for match in (
-                _SHARD_PATTERN.match(entry)
-                for entry in os.listdir(directory))
-            if match and match.group(2) == "rows")
+        names = sorted(entry for entry in os.listdir(directory)
+                       if _SHARD_PATTERN.match(entry))
         shards: List[_Shard] = []
-        quarantined: List[str] = []
-        reasons: Dict[str, str] = {}
+        damaged: List[Tuple[str, ResultStoreError]] = []
         row_base = 0
         for name in names:
-            rows_path = os.path.join(directory, name + ".rows")
+            path = os.path.join(directory, name)
             try:
-                shard = _Shard(rows_path,
-                               *_verify_file(rows_path, _ROWS_MAGIC),
+                shard = _Shard(path, *_verify_file(path, _ROWS_MAGIC),
                                row_base)
             except ResultStoreError as exc:
-                quarantine(rows_path, {"file": name + ".rows",
-                                       "reason": exc.reason,
-                                       "detail": str(exc)})
-                quarantined.append(name + ".rows")
-                reasons[name + ".rows"] = exc.reason
-                _count_quarantine(exc.reason)
+                if exc.reason == "schema":
+                    raise
+                damaged.append((name, exc))
                 continue
             shards.append(shard)
             row_base += shard.n_rows
-        return cls(directory, shards, tuple(quarantined), reasons)
+        for name, exc in damaged:
+            quarantine(os.path.join(directory, name),
+                       {"file": name, "reason": exc.reason,
+                        "detail": str(exc)})
+            _count_quarantine(exc.reason)
+        return cls(directory, shards, tuple(name for name, _ in damaged),
+                   {name: exc.reason for name, exc in damaged})
 
     @classmethod
     def live_fingerprints(cls, directory: str) -> Dict[str, int]:
@@ -656,8 +655,7 @@ class ResultStore:
         latest-wins semantics.
 
         Deduplication runs on each fingerprint's leading 8 raw bytes
-        (one ``<u8`` per row, read shard by shard, alike for schema-1
-        hex and later raw fingerprints); only rows
+        (one ``<u8`` per row, read shard by shard); only rows
         sharing those bytes — actual duplicates, or the odd collision —
         are re-checked against their exact fingerprints.
         """

@@ -11,8 +11,7 @@ single crash-safety guarantee:
   atomically, under the journal's advisory lock — resume ranks
   byte-identically to the uncompacted journal;
 * :func:`compact_store` rewrites result-store shards dropping
-  superseded rows (and deletes the ``.blobs`` pools older writers
-  left), publish-new-then-delete-old, so
+  superseded rows, publish-new-then-delete-old, so
   ``ranking_signature`` is preserved across a SIGKILL at any point;
 * :class:`DiskBudget` + :class:`RetentionPolicy` drive the service's
   governor: high/low watermarks with hysteresis, and eviction bounds

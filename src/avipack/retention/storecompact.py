@@ -1,16 +1,14 @@
-"""Result-store compaction: drop superseded rows, old layouts and blob pools.
+"""Result-store compaction: drop superseded rows and the older layout.
 
 A resumed or re-ingested campaign appends corrected rows for
 fingerprints the store already holds; queries hide the stale ones
 behind :meth:`~avipack.results.store.ResultStore.live_mask`, but their
 bytes stay on disk forever.  :func:`compact_store` rewrites exactly the
-shards that contain dead rows, plus every shard written below the
-current store schema (dead rows or not, so the store ends with every
-shard compressed at schema 3), copying each live row into fresh
-schema-3 shards, then deletes the originals.  It
-also deletes every ``shard-*.blobs`` file: older writers pickled each
-outcome into such a pool beside its rows, and nothing reads them any
-more.
+shards that contain dead rows, plus every schema-2 shard (dead rows or
+not, so the store ends with every shard compressed at schema 3),
+copying each live row into fresh schema-3 shards, then deletes the
+originals.  A store holding a schema-1 shard, older than the window
+:class:`~avipack.results.ResultStore` reads, is refused untouched.
 
 Crash-safety ordering, designed so SIGKILL anywhere preserves the
 ranking contract byte-for-byte:
@@ -48,7 +46,6 @@ from ..durability.files import sweep_stale_tmp
 from ..errors import ResultStoreError
 from ..results.schema import STORE_SCHEMA_VERSION
 from ..results.store import (
-    _SHARD_PATTERN,
     _open_writer_lock,
     DEFAULT_SHARD_ROWS,
     ResultStore,
@@ -71,8 +68,6 @@ class StoreCompaction:
     shards_published: int
     #: Superseded rows dropped.
     rows_dropped: int
-    #: Retired ``.blobs`` files deleted.
-    blob_pools_removed: int
     bytes_before: int
     bytes_after: int
 
@@ -82,7 +77,7 @@ class StoreCompaction:
 
     @property
     def changed(self) -> bool:
-        return bool(self.shards_rewritten or self.blob_pools_removed)
+        return bool(self.shards_rewritten)
 
 
 def _file_size(path: str) -> int:
@@ -90,12 +85,6 @@ def _file_size(path: str) -> int:
         return os.path.getsize(path)
     except OSError:
         return 0
-
-
-def _blob_pools(directory: str) -> List[str]:
-    """Every ``shard-*.blobs`` file an older writer left behind."""
-    return [entry for entry in sorted(os.listdir(directory))
-            if entry.endswith(".blobs") and _SHARD_PATTERN.match(entry)]
 
 
 def _live_blocks(rewrite: List[Tuple[object, np.ndarray]],
@@ -121,12 +110,13 @@ def compact_store(directory: str,
                   shard_rows: int = DEFAULT_SHARD_ROWS,
                   phase_hook: Optional[Callable[[str], None]] = None
                   ) -> StoreCompaction:
-    """Rewrite shards holding superseded rows and every shard below
-    the current schema at schema 3; delete retired blob pools.
+    """Rewrite shards holding superseded rows and every schema-2 shard
+    at schema 3.
 
     Takes the store's writer lock for the whole pass (raises
-    :class:`~avipack.errors.ResultStoreError` on contention or a
-    missing directory); ``ranking_signature`` over the store is
+    :class:`~avipack.errors.ResultStoreError` on contention, a missing
+    directory or a schema-1 shard); ``ranking_signature`` over the
+    store is
     byte-identical before and after.  ``phase_hook`` is the chaos-test
     seam, called with ``"open"``, ``"plan"``, ``"publish"`` (once per
     replacement shard), ``"delete"`` and ``"done"`` as each phase
@@ -143,7 +133,6 @@ def compact_store(directory: str,
         # guarantees no publish is in flight.  Readers' reason-sidecar
         # temps (``*.quarantine.reason.tmp.*``) do not match.
         sweep_stale_tmp(directory, r"shard-\d{6}\.rows")
-        blob_pools = _blob_pools(directory)
         store = ResultStore.open(directory)
         live = store.live_mask()
         hook("plan")
@@ -152,9 +141,7 @@ def compact_store(directory: str,
             mask = live[shard.row_base:shard.row_base + shard.n_rows]
             if not mask.all() or shard.schema != STORE_SCHEMA_VERSION:
                 rewrite.append((shard, mask))
-        bytes_before = sum(
-            _file_size(os.path.join(directory, name))
-            for name in blob_pools)
+        bytes_before = 0
         rows_dropped = 0
         for shard, mask in rewrite:
             bytes_before += _file_size(shard.path)
@@ -174,15 +161,12 @@ def compact_store(directory: str,
         # Every replacement shard is durable; now retire the originals.
         for shard, _ in rewrite:
             os.unlink(shard.path)
-        for name in blob_pools:
-            os.unlink(os.path.join(directory, name))
         hook("done")
     finally:
         lock_stream.close()
     compaction = StoreCompaction(
         directory=directory, shards_rewritten=len(rewrite),
         shards_published=shards_published, rows_dropped=rows_dropped,
-        blob_pools_removed=len(blob_pools),
         bytes_before=bytes_before, bytes_after=bytes_after)
     if compaction.changed:
         _perf.increment("retention.store_compactions")

@@ -751,8 +751,9 @@ class SweepRunner:
             candidates = _candidate_list(replay.candidates)
         else:
             raise JournalError(
-                f"journal {journal_path} has no intact plan record; "
-                "pass the candidate space to resume() explicitly")
+                f"journal {journal_path} has no usable records without an "
+                "intact plan or checkpoint record; pass the candidate "
+                "space to resume() explicitly")
         restored = dict(replay.outcomes)
         flagged = audit_outcomes(restored.values())
         for fingerprint in flagged:

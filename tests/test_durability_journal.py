@@ -79,7 +79,7 @@ def reseal(line, **changes):
 
 
 def primed(data):
-    """``data`` deflated with the schema-3 preset dictionary."""
+    """``data`` deflated with the pinned preset dictionary."""
     deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
     return deflater.compress(data) + deflater.flush()
 
@@ -165,8 +165,9 @@ class TestRoundTrip:
             outcome.fingerprint: outcome}
 
     def test_schema3_dictionary_is_pinned(self):
-        # Journals written at schema 3 decode only with these bytes: a
-        # different dictionary needs a new schema_version.
+        # Journals at schemas 3 to 6 were written with these bytes and
+        # decode only with them: a different dictionary needs a new
+        # schema_version.
         assert len(SCHEMA3_ZDICT) == 2691
         assert hashlib.sha256(SCHEMA3_ZDICT).hexdigest() == (
             "e5d0e574c7f22c84afb79b327df42dd6"
@@ -259,13 +260,13 @@ class TestDamage:
         assert base64.b64decode(entry["raw"]) == lines[-1].rstrip(b"\n")
 
     def test_stale_schema_version_is_quarantined(self, tmp_path):
-        # Valid checksums over a schema without a decoder (only 1 to 4
-        # have one): integrity alone must not be enough — the layout is
-        # untrusted.
+        # Valid checksums over a schema_version that is not an integer:
+        # integrity alone must not be enough — the layout is untrusted.
+        # An integer outside the window is refused instead (see
+        # tests/test_legacy_artifacts.py).
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
-        for version in (0, SCHEMA_VERSION + 1, "2", 2.0, "3", 3.0, "4",
-                        4.0, True, None):
+        for version in ("5", 5.0, "6", 6.0, True, None, [6]):
             path.write_bytes(b"".join(
                 lines[:-1] + [reseal(lines[-1], schema_version=version)]))
             replay = replay_journal(str(path), write_quarantine=False)
@@ -284,13 +285,12 @@ class TestDamage:
 
     @pytest.mark.parametrize("schema, digest", [
         (SCHEMA_VERSION, lambda data: hashlib.sha256(data).hexdigest()),
-        (3, lambda data: base64.b64encode(
-            hashlib.sha256(data).digest())[:-1].decode()),
-    ], ids=["schema4-hex", "schema3-base64"])
+    ], ids=["schema6-hex"])
     def test_sha256_in_the_other_schemas_form_is_quarantined(
             self, tmp_path, schema, digest):
-        # Each schema has one SHA-256 form; the other form of the same
-        # digest is damage, not an alternative.
+        # A line carries its SHA-256 as unpadded base64; the 64 hex
+        # digits schemas 1 to 3 wrote, of the same digest, are damage,
+        # not an alternative.
         path, candidates = self._journal(tmp_path)
         lines = path.read_bytes().splitlines(keepends=True)
         body = json.loads(lines[-1])["body"]
@@ -349,31 +349,22 @@ class TestDamage:
         assert replay.n_quarantined == 1
         assert len(replay.outcomes) == len(candidates) - 1
 
-    @pytest.mark.parametrize("schema, damage, reason", [
-        (2, lambda plain: b"not zlib data", ""),
-        (2, lambda plain: zlib.compress(b"zlib data that is not a pickle"),
-         ""),
-        (2, lambda plain: zlib.compress(plain) + b"\x00",
-         "past its stream end"),
-        (3, lambda plain: zlib.compress(plain), "preset-dictionary"),
-        (3, lambda plain: primed(plain)[:-4], "truncated"),
-        (3, lambda plain: primed(plain) + b"\x00", "past its stream end"),
-        (3, lambda plain: primed(b"primed data that is not a pickle"),
-         ""),
-        (4, lambda plain: primed(plain)[:-4], "truncated"),
-        (4, lambda plain: primed(plain) + b"\x00", "past its stream end"),
-    ], ids=["not-zlib", "not-a-pickle", "schema2-trailing-bytes",
-            "schema3-unprimed",
-            "schema3-truncated", "schema3-trailing-bytes",
-            "schema3-not-a-pickle",
-            "schema4-truncated", "schema4-trailing-bytes"])
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda plain: b"not zlib data", ""),
+        (lambda plain: primed(b"primed data that is not a pickle"), ""),
+        (lambda plain: zlib.compress(plain), "preset-dictionary"),
+        (lambda plain: primed(plain)[:-4], "truncated"),
+        (lambda plain: primed(plain) + b"\x00", "past its stream end"),
+    ], ids=["not-zlib", "not-a-pickle", "schema5-unprimed",
+            "schema5-truncated", "schema5-trailing-bytes"])
     def test_damaged_compressed_payload_is_recomputed(self, tmp_path,
-                                                      schema, damage,
-                                                      reason):
+                                                      damage, reason):
         # A compressed outcome whose checksums hold but whose payload
         # does not decode: quarantined, never decoded, and the resume
-        # computes it again.  The unprimed, truncated and trailing-byte
-        # cases wrap the outcome's own pickle, which a lenient inflate
+        # computes it again.  The line is resealed at schema 5, the
+        # oldest the window reads, whose outcome lines schema 6 writes
+        # alike.  The unprimed, truncated and trailing-byte cases wrap
+        # the outcome's own stripped pickle, which a lenient inflate
         # would hand back whole.
         candidates = [POOL[i] for i in (0, 4, 12)]
         path = str(tmp_path / "sweep.jsonl")
@@ -383,11 +374,11 @@ class TestDamage:
             lines = stream.read().splitlines(keepends=True)
         body = json.loads(lines[-1])["body"]
         assert body["schema_version"] == SCHEMA_VERSION
-        outcome = replay_journal(path).outcomes[body["fingerprint"]]
-        if schema >= 4:  # pickled without the envelope's fingerprint
-            outcome = dataclasses.replace(outcome, fingerprint="")
+        outcome = dataclasses.replace(
+            replay_journal(path).outcomes[body["fingerprint"]],
+            fingerprint="", candidate=None)
         plain = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        lines[-1] = reseal(lines[-1], schema_version=schema,
+        lines[-1] = reseal(lines[-1], schema_version=5,
                            payload=base64.b64encode(
                                damage(plain)).decode())
         with open(path, "wb") as stream:

@@ -1,36 +1,33 @@
-"""Journals and result stores written by older versions still load.
+"""The schema window: older artifacts inside it still load, and those
+outside it are refused by name.
 
-Artifacts written before the batch route was removed pickled outcomes
-that carried a ``batched`` flag and solver counters that carried
-``batch_width``/``batched_solves``.  Both are frozen dataclasses without
-slots, so unpickling puts the retired names back into the instance
-``__dict__`` as stray attributes, outside every comparison.  Replay, the
-resume audit, the result store and the ranking must come out identical
-to the same campaign without them.
+A release reads the schema it writes and the one before it: journals
+at ``schema_version`` 5 and 6, result stores at store schema 2 and 3.
 
-Stores written before the blob pool was removed also hold one
-``.blobs`` file per shard, a checksummed pool of pickled outcomes that
-the rows' ``blob_*`` columns point into.  Readers ignore those files,
-and compaction deletes them.  Those shards are at store schema 1: the
-434-byte row with the retired ``batched`` and ``blob_*`` columns, hex
-fingerprints and fixed-width strings.  Stores written before shard
-compression are at store schema 2: the packed 148-byte rows, stored
-uncompressed.  Both open, query, rank and render like a fresh store,
+Journals written before a checkpoint held its outcomes as one block
+(``schema_version`` 5) lay their lines out as today, and their
+checkpoints hold one payload text per outcome.  Replay, resume (which
+appends current-schema records and so leaves a mixed journal), ingest
+and compaction must rank them like a fresh run.  Stores written before
+shard compression (store schema 2) hold the packed 148-byte rows,
+uncompressed; they open, query, rank and render like a fresh store,
 alone or mixed with newer shards, and compaction rewrites them at
 schema 3.
 
-Journals written before payload compression (``schema_version`` 1)
-hold plain base64 pickles, journals written before the preset
-dictionary (``schema_version`` 2) hold unprimed zlib streams, journals
-written before the lean line (``schema_version`` 3) hold primed
-payloads that carry their own fingerprint, with a spaced line and a hex
-SHA-256, and journals written before outcomes left their candidate to
-the plan (``schema_version`` 4) hold lean lines whose payloads carry
-the candidate.  Journals written before a checkpoint held its outcomes
-as one block (``schema_version`` 5) lay their lines out as today, and
-their checkpoints hold one payload text per outcome.  Replay, resume
-(which appends current-schema records and so leaves a mixed journal),
-ingest and compaction must rank all five like a fresh run.
+Outcomes pickled before the batch route was removed carry a
+``batched`` flag and solver counters that carry
+``batch_width``/``batched_solves``, and avipack 1.0.0's compaction of
+such an old journal carries them on into schema-6 checkpoints.  Both
+are frozen dataclasses without slots, so unpickling puts the retired
+names back into the instance ``__dict__`` as stray attributes, outside
+every comparison: replay, the resume audit, the result store and the
+ranking must come out identical to the same campaign without them.
+
+An intact journal line at any other integer schema, older or newer,
+and a schema-1 store shard make every reader raise, naming the file
+and, for an older one, the avipack 1.0.0 command that upgrades it.
+They leave the file exactly as it was: quarantining the line or shard
+would drop valid work from every resume and compaction after it.
 """
 
 import base64
@@ -44,21 +41,21 @@ import zlib
 import numpy as np
 import pytest
 
+from avipack.__main__ import main
 from avipack.durability import SCHEMA_VERSION, audit_outcomes, \
     replay_journal
-from avipack.durability._payload_dict import SCHEMA3_ZDICT
-from avipack.durability.journal import SweepJournal, _canonical, \
-    _decode_payload, _encode_outcome, _encode_outcome_block, outcome_kind, \
-    seal
+from avipack.durability.journal import _PAYLOAD_DECODERS, SweepJournal, \
+    _canonical, _decode_payload, _encode_outcome, _encode_outcome_block, \
+    _encode_payload, _strip_outcome, outcome_kind, seal
+from avipack.errors import JournalError, ResultStoreError
 from avipack.fingerprint import content_crc32, content_digest, \
     stable_fingerprint
-from avipack.errors import InputError
 from avipack.results import ResultStore, ResultStoreWriter, \
     STORE_SCHEMA_VERSION, axis_marginals, headroom_histogram, \
     ingest_journal, ranking_signature, render_store_report
 from avipack.results.schema import AXIS_FIELDS, DTYPE_FINGERPRINT, \
-    ROW_DTYPE, SCHEMA1_DTYPE, SCHEMA1_DTYPE_FINGERPRINT, SHARD_DTYPE, \
-    fill_row, pack_rows
+    ROW_DTYPE, SHARD_DTYPE, fill_row, pack_rows
+from avipack.results.store import _LAYOUTS
 from avipack.durability.files import atomic_write
 from avipack.retention import compact_journal, compact_store
 from avipack.sweep import Candidate, CandidateResult, DesignSpace, \
@@ -73,9 +70,11 @@ SPACE = DesignSpace(axes={
 #: Schema-1 row columns that schema 2 retired.
 _RETIRED_COLUMNS = ("batched", "blob_offset", "blob_length", "blob_crc32")
 
-#: Header magic of a ``.rows`` shard and of the retired ``.blobs`` pool.
+#: Header magic of a ``.rows`` shard.
 _ROWS_MAGIC = "avipack-results-rows/1"
-_BLOBS_MAGIC = "avipack-results-blobs/1"
+
+#: The dtype fingerprint of the 434-byte schema-1 row.
+_SCHEMA1_DTYPE_FINGERPRINT = "af9b384d77a2509a39628bab8fc2305292216edc"
 
 
 def legacy(outcome):
@@ -102,10 +101,12 @@ def write_journal(path, candidates, outcomes):
     return path
 
 
-def legacy_line(schema, seq, kind, **fields):
-    """One journal line as schema-``schema`` writers checksummed it."""
-    body = {"schema_version": schema, "seq": seq, "kind": kind, **fields}
-    if schema >= 4:  # the lean line is still the line written now
+def sealed_at(schema, body):
+    """``body`` as one line of a schema-``schema`` writer: from schema 4
+    on the line written now, before it a spaced line whose SHA-256 is
+    64 hex digits."""
+    body = dict(body, schema_version=schema)
+    if schema >= 4:
         return seal(body)
     canonical = _canonical(body)
     return (json.dumps({"body": body, "crc32": content_crc32(canonical),
@@ -113,52 +114,17 @@ def legacy_line(schema, seq, kind, **fields):
                        sort_keys=True) + "\n").encode()
 
 
-def schema1_payload(value):
-    """A schema-1 payload: the plain base64 pickle."""
-    return base64.b64encode(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)).decode()
-
-
-def schema2_payload(value):
-    """A schema-2 payload: the base64 of an unprimed zlib stream."""
-    return base64.b64encode(zlib.compress(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))).decode()
-
-
-def schema3_payload(value):
-    """A schema-3 payload: the base64 of a zlib stream primed with the
-    preset dictionary, over the whole pickle."""
-    deflater = zlib.compressobj(zdict=SCHEMA3_ZDICT)
-    data = deflater.compress(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    return base64.b64encode(data + deflater.flush()).decode()
-
-
-#: Payload encoder of each retired schema.  Schemas 4 and 5 kept
-#: schema 3's encoding; 4 dropped the outcome's fingerprint and 5 also
-#: its candidate (see :func:`write_legacy_journal`).
-LEGACY_PAYLOADS = {1: schema1_payload, 2: schema2_payload,
-                   3: schema3_payload, 4: schema3_payload,
-                   5: schema3_payload}
-
-
-def write_legacy_journal(path, schema, candidates, outcomes):
-    """A plan plus one outcome line each, in a retired encoding."""
-    payload = LEGACY_PAYLOADS[schema]
-    if schema >= 4:
-        outcomes = [dataclasses.replace(o, fingerprint="")
-                    for o in outcomes]
-    if schema >= 5:
-        outcomes = [dataclasses.replace(o, candidate=None)
-                    for o in outcomes]
-    lines = [legacy_line(
-        schema, 0, "plan", n_candidates=len(candidates),
-        space_fingerprint=stable_fingerprint(tuple(candidates)),
-        candidates=payload(tuple(candidates)))]
-    lines += [legacy_line(schema, seq, outcome_kind(outcome),
-                          index=outcome.index,
-                          fingerprint=candidates[outcome.index].fingerprint,
-                          payload=payload(outcome))
+def write_schema5_journal(path, candidates, outcomes):
+    """A plan plus one outcome line each, at schema 5."""
+    lines = [seal({
+        "schema_version": 5, "seq": 0, "kind": "plan",
+        "n_candidates": len(candidates),
+        "space_fingerprint": stable_fingerprint(tuple(candidates)),
+        "candidates": _encode_payload(tuple(candidates))})]
+    lines += [seal({"schema_version": 5, "seq": seq,
+                    "kind": outcome_kind(outcome), "index": outcome.index,
+                    "fingerprint": outcome.fingerprint,
+                    "payload": _encode_outcome(outcome)})
               for seq, outcome in enumerate(outcomes, start=1)]
     with open(path, "wb") as stream:
         stream.write(b"".join(lines))
@@ -170,11 +136,10 @@ def write_schema5_checkpoint(path, candidates, outcomes):
     fingerprint = stable_fingerprint(tuple(candidates))
     line = seal({
         "schema_version": 5, "seq": len(outcomes), "kind": "checkpoint",
-        "candidates": schema3_payload(tuple(candidates)),
+        "candidates": _encode_payload(tuple(candidates)),
         "space_fingerprint": fingerprint,
-        "outcomes": {o.fingerprint: schema3_payload(dataclasses.replace(
-            o, fingerprint="", candidate=None))
-            for o in sorted(outcomes, key=lambda o: o.fingerprint)},
+        "outcomes": {o.fingerprint: _encode_outcome(o)
+                     for o in sorted(outcomes, key=lambda o: o.fingerprint)},
         "dispatched": {}, "n_folded": 1 + len(outcomes)})
     with open(path, "wb") as stream:
         stream.write(line)
@@ -184,42 +149,6 @@ def write_schema5_checkpoint(path, candidates, outcomes):
 def journal_lines(path):
     with open(path, "rb") as stream:
         return [json.loads(line) for line in stream.read().splitlines()]
-
-
-def schema1_header(magic, n_rows, payload):
-    """A header line as schema-1 writers stamped it."""
-    return json.dumps({
-        "magic": magic, "schema": 1, "dtype": SCHEMA1_DTYPE_FINGERPRINT,
-        "rows": n_rows, "nbytes": len(payload),
-        "crc32": f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}",
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
-
-
-def write_legacy_shard(directory, number, outcomes, batched):
-    """One shard pair as older writers laid it out: schema-1 rows that
-    point into a checksummed ``.blobs`` pool of the pickled outcomes,
-    ``batched`` forced."""
-    logical = np.zeros(len(outcomes), dtype=ROW_DTYPE)
-    rows = np.zeros(len(outcomes), dtype=SCHEMA1_DTYPE)
-    blobs = bytearray()
-    for position, outcome in enumerate(outcomes):
-        blob = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        fill_row(logical, position, outcome)
-        rows[position]["blob_offset"] = len(blobs)
-        rows[position]["blob_length"] = len(blob)
-        rows[position]["blob_crc32"] = zlib.crc32(blob) & 0xFFFFFFFF
-        blobs += blob
-    for name in ROW_DTYPE.names:
-        rows[name] = logical[name]
-    rows["batched"] = batched
-    base = os.path.join(directory, f"shard-{number:06d}")
-    atomic_write(base + ".blobs",
-                 schema1_header(_BLOBS_MAGIC, len(rows), bytes(blobs)),
-                 bytes(blobs))
-    payload = rows.tobytes()
-    atomic_write(base + ".rows",
-                 schema1_header(_ROWS_MAGIC, len(rows), payload), payload)
 
 
 def write_schema2_shard(directory, number, outcomes):
@@ -242,15 +171,19 @@ def write_schema2_shard(directory, number, outcomes):
                  header, payload)
 
 
-def write_legacy_store(directory, outcomes, batched=None, schema=1):
-    """A one-shard store at store ``schema`` 1 (``batched`` forced) or
-    2."""
-    directory.mkdir()
-    if schema == 2:
-        write_schema2_shard(str(directory), 0, outcomes)
-    else:
-        write_legacy_shard(str(directory), 0, outcomes, batched)
-    return str(directory)
+def write_schema1_shard(directory, number, n_rows,
+                        dtype=_SCHEMA1_DTYPE_FINGERPRINT):
+    """An intact shard whose header says schema 1 and carries ``dtype``:
+    schema-1 writers stamped 434-byte rows with no string tables."""
+    payload = bytes(434 * n_rows)
+    header = json.dumps({
+        "magic": _ROWS_MAGIC, "schema": 1, "dtype": dtype,
+        "rows": n_rows, "nbytes": len(payload),
+        "crc32": f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}",
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    atomic_write(os.path.join(directory, f"shard-{number:06d}.rows"),
+                 header, payload)
 
 
 def write_store(directory, outcomes):
@@ -258,6 +191,15 @@ def write_store(directory, outcomes):
     with ResultStoreWriter(str(directory)) as writer:
         writer.add_many(outcomes)
     return str(directory)
+
+
+def snapshot(directory):
+    """Every entry of ``directory`` with its bytes (``None`` for a
+    subdirectory)."""
+    paths = {name: os.path.join(directory, name)
+             for name in os.listdir(directory)}
+    return {name: open(path, "rb").read() if os.path.isfile(path) else None
+            for name, path in sorted(paths.items())}
 
 
 @pytest.fixture(scope="module")
@@ -272,16 +214,12 @@ def campaign():
 @pytest.fixture()
 def artifacts(campaign, tmp_path):
     candidates, outcomes = campaign
-    old = [legacy(o) for o in outcomes]
     return {
         "plain": (write_journal(str(tmp_path / "plain.jsonl"),
                                 candidates, outcomes),
                   write_store(tmp_path / "plain.results", outcomes)),
-        "legacy": (write_journal(str(tmp_path / "legacy.jsonl"),
-                                 candidates, old),
-                   write_legacy_store(tmp_path / "legacy.results", old,
-                                      batched=[hasattr(o, "batched")
-                                               for o in old])),
+        "legacy": write_journal(str(tmp_path / "legacy.jsonl"),
+                                candidates, [legacy(o) for o in outcomes]),
     }
 
 
@@ -298,7 +236,7 @@ class TestLegacyPickles:
 class TestLegacyJournal:
     def test_replay_is_identical(self, artifacts):
         plain = replay_journal(artifacts["plain"][0])
-        old = replay_journal(artifacts["legacy"][0])
+        old = replay_journal(artifacts["legacy"])
         assert old.n_quarantined == plain.n_quarantined == 0
         assert old.candidates == plain.candidates
         assert old.outcomes == plain.outcomes
@@ -307,14 +245,14 @@ class TestLegacyJournal:
 
     def test_audit_is_identical(self, artifacts):
         plain = replay_journal(artifacts["plain"][0]).outcomes
-        old = replay_journal(artifacts["legacy"][0]).outcomes
+        old = replay_journal(artifacts["legacy"]).outcomes
         assert audit_outcomes(old.values()) \
             == audit_outcomes(plain.values()) == {}
 
     def test_resume_restores_everything_and_ranks_identically(
             self, artifacts):
         plain = SweepRunner(parallel=False).resume(artifacts["plain"][0])
-        old = SweepRunner(parallel=False).resume(artifacts["legacy"][0])
+        old = SweepRunner(parallel=False).resume(artifacts["legacy"])
         assert old.durability.n_recomputed == 0
         assert old.durability.n_audit_failures == 0
         assert old.outcomes == plain.outcomes
@@ -347,44 +285,6 @@ def assert_same_store(store, expected):
 
 
 class TestLegacyStore:
-    def test_open_and_ranking_are_identical(self, artifacts):
-        plain = ResultStore.open(artifacts["plain"][1])
-        old = ResultStore.open(artifacts["legacy"][1])
-        assert old.quarantined == ()
-        assert os.path.exists(
-            os.path.join(artifacts["legacy"][1], "shard-000000.blobs"))
-        # The retired columns sit in the schema-1 shard's raw rows only.
-        (shard,) = old.shards()
-        assert shard.schema == 1
-        assert shard.rows["batched"].any()
-        assert shard.rows["blob_length"].all()
-        for name in _RETIRED_COLUMNS:
-            with pytest.raises(InputError):
-                old.column(name)
-        assert_same_store(old, plain)
-
-    def test_compaction_deletes_every_blob_pool(self, campaign, tmp_path):
-        _, outcomes = campaign
-        old = [legacy(o) for o in outcomes]
-        batched = [hasattr(o, "batched") for o in old]
-        directory = tmp_path / "superseded.results"
-        write_legacy_store(directory, old, batched)
-        # A resumed campaign's corrections for the first two candidates.
-        write_legacy_shard(str(directory), 1, old[:2], batched[:2])
-        before = ranking_signature(ResultStore.open(str(directory)))
-        compaction = compact_store(str(directory))
-        assert compaction.rows_dropped == 2
-        assert compaction.blob_pools_removed == 2
-        assert not [name for name in os.listdir(directory)
-                    if name.endswith(".blobs")]
-        store = ResultStore.open(str(directory))
-        assert ranking_signature(store) == before
-        assert ranking_signature(store) == ranking_signature(
-            ResultStore.open(write_store(tmp_path / "plain", outcomes)))
-        # The rewritten shards carry no retired column.
-        assert [shard.rows.dtype for shard in store.shards()] \
-            == [SHARD_DTYPE]
-
     def test_store_written_now_holds_rows_only(self, campaign, tmp_path):
         _, outcomes = campaign
         directory = write_store(tmp_path / "new.results", outcomes)
@@ -397,61 +297,12 @@ class TestLegacyStore:
     def test_new_rows_carry_no_retired_column(self, artifacts, tmp_path):
         directory = str(tmp_path / "resumed.results")
         SweepRunner(parallel=False, result_store=directory).resume(
-            artifacts["legacy"][0])
+            artifacts["legacy"])
         store = ResultStore.open(directory)
         assert store.n_rows == 5
         assert [shard.schema for shard in store.shards()] \
             == [STORE_SCHEMA_VERSION]
         assert not set(_RETIRED_COLUMNS) & set(ROW_DTYPE.names)
-
-
-class TestSchema1Store:
-    """A store written at schema 1 reads like one written now."""
-
-    @pytest.fixture()
-    def old_store(self, campaign, tmp_path):
-        _, outcomes = campaign
-        return write_legacy_store(tmp_path / "schema1.results", outcomes,
-                                  batched=[False] * len(outcomes))
-
-    def test_mixed_with_schema2_shards_it_ranks_alike(self, campaign,
-                                                      old_store, tmp_path):
-        _, outcomes = campaign
-        # Corrections of two candidates and one new row land in a
-        # current-schema shard; the schema-1 copies of the two are dead.
-        extra = dataclasses.replace(outcomes[0], index=len(outcomes),
-                                    fingerprint="0" * 40)
-        with ResultStoreWriter(old_store) as writer:
-            writer.add_many(outcomes[1:3] + [extra])
-        mixed = ResultStore.open(old_store)
-        assert [shard.schema for shard in mixed.shards()] == [1, 3]
-        assert mixed.live_mask().tolist() \
-            == [True, False, False] + [True] * (len(outcomes) - 3) \
-            + [True] * 3
-        fresh = tmp_path / "fresh.results"
-        write_store(fresh, outcomes)
-        with ResultStoreWriter(str(fresh)) as writer:
-            writer.add_many(outcomes[1:3] + [extra])
-        assert_same_store(mixed, ResultStore.open(str(fresh)))
-        assert ranking_signature(mixed) == report_signature(
-            list(outcomes) + [extra])
-
-    def test_compaction_rewrites_it_at_schema2(self, campaign, old_store,
-                                               tmp_path):
-        _, outcomes = campaign
-        before = ranking_signature(ResultStore.open(old_store))
-        compaction = compact_store(old_store)
-        # No dead rows, but the old layout is rewritten all the same.
-        assert compaction.rows_dropped == 0
-        assert compaction.shards_rewritten == 1
-        assert compaction.bytes_after < compaction.bytes_before
-        store = ResultStore.open(old_store)
-        assert [shard.schema for shard in store.shards()] \
-            == [STORE_SCHEMA_VERSION]
-        assert ranking_signature(store) == before
-        assert_same_store(store, ResultStore.open(
-            write_store(tmp_path / "fresh.results", outcomes)))
-        assert not compact_store(old_store).changed
 
 
 class TestSchema2Store:
@@ -461,8 +312,10 @@ class TestSchema2Store:
     @pytest.fixture()
     def old_store(self, campaign, tmp_path):
         _, outcomes = campaign
-        return write_legacy_store(tmp_path / "schema2.results", outcomes,
-                                  schema=2)
+        directory = tmp_path / "schema2.results"
+        directory.mkdir()
+        write_schema2_shard(str(directory), 0, outcomes)
+        return str(directory)
 
     def test_open_and_ranking_are_identical(self, campaign, old_store,
                                             tmp_path):
@@ -489,22 +342,27 @@ class TestSchema2Store:
         assert report.result_store.rows_added == 0
         assert ResultStore.open(old_store).n_rows == len(outcomes)
 
-    def test_mixed_with_schema1_and_schema3_shards_it_ranks_alike(
-            self, campaign, tmp_path):
+    def test_mixed_with_schema3_shards_it_ranks_alike(self, campaign,
+                                                      old_store, tmp_path):
         _, outcomes = campaign
-        directory = tmp_path / "mixed.results"
-        write_legacy_store(directory, outcomes[:2],
-                           batched=[False, False])
-        write_schema2_shard(str(directory), 1, outcomes[2:])
-        # A resumed campaign's correction of the first candidate.
-        with ResultStoreWriter(str(directory)) as writer:
-            writer.add(outcomes[0])
-        mixed = ResultStore.open(str(directory))
-        assert [shard.schema for shard in mixed.shards()] == [1, 2, 3]
-        fresh = write_store(tmp_path / "fresh.results", outcomes[:2])
-        for block in (outcomes[2:], outcomes[:1]):
-            write_store(fresh, block)
-        assert_same_store(mixed, ResultStore.open(fresh))
+        # Corrections of two candidates and one new row land in a
+        # current-schema shard; the schema-2 copies of the two are dead.
+        extra = dataclasses.replace(outcomes[0], index=len(outcomes),
+                                    fingerprint="0" * 40)
+        with ResultStoreWriter(old_store) as writer:
+            writer.add_many(outcomes[1:3] + [extra])
+        mixed = ResultStore.open(old_store)
+        assert [shard.schema for shard in mixed.shards()] == [2, 3]
+        assert mixed.live_mask().tolist() \
+            == [True, False, False] + [True] * (len(outcomes) - 3) \
+            + [True] * 3
+        fresh = tmp_path / "fresh.results"
+        write_store(fresh, outcomes)
+        with ResultStoreWriter(str(fresh)) as writer:
+            writer.add_many(outcomes[1:3] + [extra])
+        assert_same_store(mixed, ResultStore.open(str(fresh)))
+        assert ranking_signature(mixed) == report_signature(
+            list(outcomes) + [extra])
 
     def test_compaction_rewrites_it_at_schema3(self, campaign, old_store,
                                                tmp_path):
@@ -523,18 +381,15 @@ class TestSchema2Store:
         assert not compact_store(old_store).changed
 
 
-class _RetiredSchemaJournal:
-    """A journal in a retired encoding replays, resumes, ingests and
-    compacts; each subclass names the schema."""
-
-    schema = 0
+class TestSchema5Journal:
+    """Journals written at schema 5 replay, resume, ingest and compact;
+    so do their checkpoints, which hold one payload text per outcome."""
 
     @pytest.fixture()
     def journal(self, campaign, tmp_path):
         candidates, outcomes = campaign
-        return write_legacy_journal(
-            str(tmp_path / f"schema{self.schema}.jsonl"), self.schema,
-            candidates, outcomes)
+        return write_schema5_journal(str(tmp_path / "schema5.jsonl"),
+                                     candidates, outcomes)
 
     def test_replay_ranks_like_a_fresh_run(self, campaign, journal):
         _, outcomes = campaign
@@ -562,8 +417,7 @@ class _RetiredSchemaJournal:
             == report_signature(outcomes)
         versions = [line["body"]["schema_version"]
                     for line in journal_lines(journal)]
-        assert versions == ([self.schema] * (len(lines) - 2)
-                            + [SCHEMA_VERSION] * 2)
+        assert versions == [5] * (len(lines) - 2) + [SCHEMA_VERSION] * 2
         mixed = replay_journal(journal)
         assert mixed.n_quarantined == 0
         assert report_signature(mixed.outcomes.values()) \
@@ -595,8 +449,8 @@ class _RetiredSchemaJournal:
 
     def test_mixed_journal_compacts_and_ranks_like_a_fresh_run(
             self, campaign, journal):
-        candidates, outcomes = campaign
-        # Current-schema records supersede the retired ones of every
+        _, outcomes = campaign
+        # Current-schema records supersede the schema-5 ones of every
         # second outcome, as a resume that recomputed them would append.
         superseded = outcomes[::2]
         next_seq = replay_journal(journal).next_seq
@@ -619,45 +473,12 @@ class _RetiredSchemaJournal:
                                              candidate=None)
             for fingerprint, outcome in by_fingerprint.items()}
         assert {body["schema_version"] for body in source.values()} \
-            == {self.schema, SCHEMA_VERSION}
+            == {5, SCHEMA_VERSION}
         replay = replay_journal(journal)
         assert replay.n_quarantined == 0
         assert replay.outcomes == by_fingerprint
         assert report_signature(replay.outcomes.values()) \
             == report_signature(outcomes)
-
-
-class TestSchema1Journal(_RetiredSchemaJournal):
-    """Plain-pickle journals replay, resume, ingest and compact."""
-
-    schema = 1
-
-
-class TestSchema2Journal(_RetiredSchemaJournal):
-    """Unprimed-zlib journals replay, resume, ingest and compact."""
-
-    schema = 2
-
-
-class TestSchema3Journal(_RetiredSchemaJournal):
-    """Journals whose payloads carry their fingerprint, with hex
-    SHA-256 lines, replay, resume, ingest and compact."""
-
-    schema = 3
-
-
-class TestSchema4Journal(_RetiredSchemaJournal):
-    """Journals whose lean lines carry the candidate in every outcome
-    payload replay, resume, ingest and compact."""
-
-    schema = 4
-
-
-class TestSchema5Journal(_RetiredSchemaJournal):
-    """Journals whose checkpoints hold one payload text per outcome
-    replay, resume, ingest and compact; so do those checkpoints."""
-
-    schema = 5
 
     @pytest.fixture()
     def checkpoint(self, campaign, tmp_path):
@@ -723,6 +544,170 @@ class TestSchema5Journal(_RetiredSchemaJournal):
             == report_signature(outcomes)
 
 
+def test_each_reader_keeps_exactly_two_schemas():
+    assert sorted(_PAYLOAD_DECODERS) == [SCHEMA_VERSION - 1, SCHEMA_VERSION]
+    assert sorted(_LAYOUTS) == [STORE_SCHEMA_VERSION - 1,
+                                STORE_SCHEMA_VERSION]
+
+
+#: Journal schemas outside the window: the four before it and the next.
+OUTSIDE = (1, 2, 3, 4, SCHEMA_VERSION + 1)
+
+
+def write_outside_journal(path, candidates, outcomes, schema, tail):
+    """A journal written now whose lines are resealed at ``schema`` in
+    that schema's line form: all of them, or with ``tail`` the plan and
+    first outcome only, as a resume by an older release leaves them."""
+    write_journal(path, candidates, outcomes)
+    with open(path, "rb") as stream:
+        lines = stream.read().splitlines(keepends=True)
+    cut = 2 if tail else len(lines)
+    lines[:cut] = [sealed_at(schema, json.loads(line)["body"])
+                   for line in lines[:cut]]
+    with open(path, "wb") as stream:
+        stream.write(b"".join(lines))
+    return path
+
+
+def assert_refused(exc, path, schema):
+    """``exc`` refuses ``path``'s first line, at ``schema``, by name."""
+    message = str(exc)
+    assert exc.reason == "schema"
+    assert f"journal {path} line 1 is at schema {schema}" in message
+    assert "schemas 5-6" in message
+    upgrade = f"avipack 1.0.0, whose compaction rewrites it at schema 6: " \
+        f"python -m avipack compact --journal {path}"
+    assert (upgrade in message) == (schema < SCHEMA_VERSION)
+
+
+class TestJournalRefusal:
+    """An intact line outside the window is refused by every reader,
+    which leaves the journal untouched."""
+
+    @pytest.fixture(params=[False, True], ids=["alone", "schema6-tail"])
+    def tail(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("schema", OUTSIDE)
+    def test_every_reader_refuses_and_leaves_the_file(
+            self, campaign, tmp_path, schema, tail):
+        candidates, outcomes = campaign
+        path = write_outside_journal(str(tmp_path / "old.jsonl"),
+                                     candidates, outcomes, schema, tail)
+        before = snapshot(str(tmp_path))
+        readers = {
+            "replay": lambda: replay_journal(path),
+            "resume": lambda: SweepRunner(parallel=False).resume(path),
+            "ingest": lambda: ingest_journal(
+                path, str(tmp_path / "ingested.results")),
+            "compact": lambda: compact_journal(path),
+        }
+        for name, read in readers.items():
+            with pytest.raises(JournalError) as refused:
+                read()
+            assert_refused(refused.value, path, schema)
+            assert snapshot(str(tmp_path)) == before, name
+
+    def test_a_damaged_old_line_is_quarantined_not_refused(
+            self, campaign, tmp_path):
+        # The refusal needs an intact CRC-32: an old line whose bytes
+        # changed is damage, whatever schema it names.
+        candidates, outcomes = campaign
+        path = write_outside_journal(str(tmp_path / "old.jsonl"),
+                                     candidates, outcomes, 4, tail=True)
+        with open(path, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        lines[:2] = [line.replace(b'"seq":', b'"seq":1')
+                     for line in lines[:2]]
+        with open(path, "wb") as stream:
+            stream.write(b"".join(lines))
+        replay = replay_journal(path, write_quarantine=False)
+        assert [record.reason for record in replay.quarantined[:2]] \
+            == ["crc32 mismatch"] * 2
+
+
+class TestStoreRefusal:
+    """A schema-1 shard makes every store reader refuse the store."""
+
+    @pytest.fixture()
+    def old_store(self, campaign, tmp_path):
+        _, outcomes = campaign
+        directory = write_store(tmp_path / "old.results", outcomes[:2])
+        # A damaged shard the refusal must not quarantine either.
+        with ResultStoreWriter(directory) as writer:
+            writer.add(outcomes[2])
+        with open(os.path.join(directory, "shard-000001.rows"), "ab") \
+                as stream:
+            stream.write(b"torn")
+        write_schema1_shard(directory, 2, 3)
+        return directory
+
+    def test_every_reader_refuses_and_renames_nothing(self, old_store):
+        before = snapshot(old_store)
+        upgrade = ("avipack 1.0.0, whose compaction rewrites it at schema "
+                   f"3: python -m avipack compact --store {old_store}")
+        for read in (ResultStore.open, ResultStore.live_fingerprints,
+                     compact_store):
+            with pytest.raises(ResultStoreError) as refused:
+                read(old_store)
+            assert refused.value.reason == "schema"
+            assert "shard-000002.rows is at store schema 1" \
+                in str(refused.value)
+            assert "schemas 2-3" in str(refused.value)
+            assert upgrade in str(refused.value)
+            assert snapshot(old_store) == before
+
+    def test_schema1_with_another_dtype_is_header_damage(self, old_store):
+        os.unlink(os.path.join(old_store, "shard-000002.rows"))
+        write_schema1_shard(old_store, 2, 3, dtype=DTYPE_FINGERPRINT)
+        store = ResultStore.open(old_store)
+        assert store.quarantine_reasons == {
+            "shard-000001.rows": "truncation",
+            "shard-000002.rows": "header"}
+        assert store.n_rows == 2
+
+
+class TestCliRefusal:
+    """Each command exits with its own code and prints the upgrade."""
+
+    @pytest.fixture()
+    def old_journal(self, campaign, tmp_path):
+        candidates, outcomes = campaign
+        return write_outside_journal(str(tmp_path / "old.jsonl"),
+                                     candidates, outcomes, 3, tail=True)
+
+    def test_sweep_resume_exits_3_without_the_start_fresh_advice(
+            self, old_journal, capsys):
+        # Even beside a sidecar an earlier replay left.
+        for _ in range(2):
+            assert main(["sweep", "--resume", "--journal",
+                         old_journal]) == 3
+            err = capsys.readouterr().err
+            assert f"python -m avipack compact --journal {old_journal}" \
+                in err
+            assert "without --resume" not in err
+            with open(f"{old_journal}.quarantine", "w") as stream:
+                stream.write("{}\n")
+
+    def test_compact_exits_2(self, old_journal, campaign, tmp_path,
+                             capsys):
+        assert main(["compact", "--journal", old_journal]) == 2
+        assert f"python -m avipack compact --journal {old_journal}" \
+            in capsys.readouterr().err
+        directory = write_store(tmp_path / "old.results", campaign[1])
+        write_schema1_shard(directory, 1, 2)
+        assert main(["compact", "--store", directory]) == 2
+        assert f"python -m avipack compact --store {directory}" \
+            in capsys.readouterr().err
+
+    def test_results_exits_2(self, campaign, tmp_path, capsys):
+        directory = write_store(tmp_path / "old.results", campaign[1])
+        write_schema1_shard(directory, 1, 2)
+        assert main(["results", "--store", directory]) == 2
+        assert f"python -m avipack compact --store {directory}" \
+            in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pool_payloads(tmp_path_factory):
     """Each POOL outcome and its payload text in a journal written now."""
@@ -737,35 +722,27 @@ def pool_payloads(tmp_path_factory):
             for body in bodies]
 
 
-def test_schema2_outcome_payloads_are_at_most_60pct_of_schema1(
+def test_primed_outcome_payloads_are_at_most_45pct_of_unprimed(
         pool_payloads):
-    """Unprimed zlib payloads are at most 60% of the plain pickles a
-    schema-1 journal held for the same outcomes."""
-    schema1 = sum(len(schema1_payload(o)) for o, _ in pool_payloads)
-    schema2 = sum(len(schema2_payload(o)) for o, _ in pool_payloads)
-    assert schema2 <= 0.6 * schema1
+    """The dictionary-primed payloads a journal holds are at most 45% of
+    unprimed zlib streams of the same stripped outcomes (39% on
+    POOL)."""
+    unprimed = sum(len(base64.b64encode(zlib.compress(pickle.dumps(
+        _strip_outcome(o), protocol=pickle.HIGHEST_PROTOCOL))))
+        for o, _ in pool_payloads)
+    primed = sum(len(text) for _, text in pool_payloads)
+    assert primed <= 0.45 * unprimed
 
 
-def test_schema3_outcome_payloads_are_at_most_45pct_of_schema2(
-        pool_payloads):
-    """The dictionary-primed payloads a journal holds now are at most
-    45% of the unprimed zlib payloads of schema 2."""
-    schema2 = sum(len(schema2_payload(o)) for o, _ in pool_payloads)
-    schema3 = sum(len(text) for _, text in pool_payloads)
-    assert schema3 <= 0.45 * schema2
-
-
-def test_schema5_outcome_payloads_are_at_most_90pct_of_schema4(
+def test_stripped_outcome_payloads_are_at_most_90pct_of_embedding_ones(
         pool_payloads):
     """Payloads that leave the candidate to the plan record are at most
-    90% of the schema-4 payloads, which carried it, for the same
-    outcomes (87% on POOL, whose two failures' tracebacks are a third of
-    the bytes)."""
-    schema4 = sum(len(schema3_payload(dataclasses.replace(o,
-                                                          fingerprint="")))
-                  for o, _ in pool_payloads)
-    schema5 = sum(len(text) for _, text in pool_payloads)
-    assert schema5 <= 0.9 * schema4
+    90% of payloads that embed it, for the same outcomes (87% on POOL,
+    whose two failures' tracebacks are a third of the bytes)."""
+    embedding = sum(len(_encode_outcome(o, embed_candidate=True))
+                    for o, _ in pool_payloads)
+    stripped = sum(len(text) for _, text in pool_payloads)
+    assert stripped <= 0.9 * embedding
 
 
 def test_schema6_checkpoint_outcomes_are_at_most_50pct_of_schema5(

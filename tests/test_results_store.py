@@ -18,10 +18,9 @@ from avipack.results import (
     ResultStore,
     ResultStoreWriter,
 )
+from avipack.fingerprint import stable_fingerprint
 from avipack.results.schema import (
     ROW_DTYPE,
-    SCHEMA1_DTYPE,
-    SCHEMA1_DTYPE_FINGERPRINT,
     SHARD_DTYPE,
 )
 from avipack.results.store import publish_shard
@@ -370,13 +369,11 @@ def test_open_missing_directory_raises(tmp_path):
 
 def test_dtype_fingerprint_guards_schema_drift(tmp_path):
     # The header stamps the dtype; a reader with a different layout
-    # must refuse the shard rather than reinterpret bytes.  Both
-    # readable layouts are pinned: the kept schema-1 row and the packed
-    # row of schemas 2 and 3; every shard is written at schema 3, which
-    # compresses it.
-    assert SCHEMA1_DTYPE.itemsize == 434
-    assert SCHEMA1_DTYPE_FINGERPRINT \
-        == "af9b384d77a2509a39628bab8fc2305292216edc"
+    # must refuse the shard rather than reinterpret bytes.  The logical
+    # row and the packed row of schemas 2 and 3 are pinned; every shard
+    # is written at schema 3, which compresses it.
+    assert stable_fingerprint(ROW_DTYPE.descr) \
+        == "892cd31872de820993cd1f9f52ee75801a5ee682"
     assert SHARD_DTYPE.itemsize == 148
     assert DTYPE_FINGERPRINT == "ebb9088503d9ca56c1a02e7087cbb89d9e2b5304"
     directory = str(tmp_path / "store")

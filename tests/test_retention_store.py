@@ -1,7 +1,7 @@
 """Result-store compaction: dead rows gone, ranking byte-identical.
 
-Superseded rows (hidden by ``live_mask``) and the ``.blobs`` pools
-older writers left are the only things compaction may remove;
+Superseded rows (hidden by ``live_mask``) are the only thing
+compaction may remove;
 ``ranking_signature`` — the store's externally observable contract —
 must be byte-identical before and after, including after a simulated
 crash at every phase seam.
@@ -83,27 +83,6 @@ class TestCompaction:
         assert compaction.rows_dropped == 0
         assert sorted(os.listdir(directory)) == listing
         assert perf.counter("retention.store_compactions") == 0
-
-    def test_retired_blob_pools_are_deleted(self, tmp_path):
-        # An all-live store still loses the pools older writers left,
-        # with or without a rows partner.
-        directory = str(tmp_path / "store")
-        with ResultStoreWriter(directory, shard_rows=4) as writer:
-            writer.add_many(make_result(i, power=10.0 + i)
-                            for i in range(4))
-        signature = ranking_signature(ResultStore.open(directory))
-        pools = [os.path.join(directory, name)
-                 for name in ("shard-000000.blobs", "shard-000099.blobs")]
-        for pool in pools:
-            with open(pool, "wb") as stream:
-                stream.write(b"pickled outcomes nothing reads")
-        compaction = compact_store(directory)
-        assert compaction.blob_pools_removed == 2
-        assert compaction.shards_rewritten == 0
-        assert compaction.changed is True
-        assert compaction.bytes_reclaimed == 60
-        assert not any(os.path.exists(pool) for pool in pools)
-        assert ranking_signature(ResultStore.open(directory)) == signature
 
     def test_quarantined_shards_are_left_as_evidence(self, tmp_path):
         directory = str(tmp_path / "store")
